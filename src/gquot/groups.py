@@ -1,10 +1,12 @@
 """Finite groups as dense multiplication tables.
 
 Every group lives on element indices ``0..n-1`` with ``0`` the identity, so
-multiplication is a single table lookup.  Subgroups, quotients, coset
-actions, abelian invariants and isomorphism testing are all done by direct
-enumeration, which is complete and fast at the orders this package targets
-(default bound 64).
+multiplication is a single table lookup.  Subgroup closure is a breadth-first
+search along rows of ``G.table[:, gens]``.  The subgroup lattice is built by
+Neubüser's cyclic extension (join each subgroup with every cyclic subgroup it
+misses, layer by layer) and memoized on the group instance; enumeration is
+refused above a size bound (default 64), checked on every call.  Quotients,
+coset actions, abelian invariants and isomorphism testing work on top.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class FiniteGroup:
     construction unless the table was produced by a trusted constructor.
     """
 
-    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian")
+    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice")
 
     def __init__(self, table, labels=None, name=None, _trusted=False):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -56,6 +58,7 @@ class FiniteGroup:
         self.labels = labels
         self.name = name
         self._abelian = None
+        self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
         self.table.setflags(write=False)
         self.inverse_table.setflags(write=False)
 
@@ -380,52 +383,64 @@ def make_group(spec: str) -> FiniteGroup:
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    closure = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-    return Subgroup(G, tuple(sorted(closure)))
+    return Subgroup(G, tuple(sorted(_closure(G, gens))))
 
 
 def subgroups(G: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Subgroup]:
-    """All subgroups, found by closing generator extensions layer by layer."""
+    """All subgroups, sorted by (order, elements), as a fresh list.
+
+    The lattice comes from ``_cyclic_extension`` and is built once per group
+    instance; the size bound is checked on every call, cached or not.
+    """
     if G.n > bound:
         raise SizeBoundError(f"subgroup enumeration bounded at order {bound}, group has {G.n}")
-    seen = {(0,)}
-    frontier = [(0,)]
-    while frontier:
+    if G._lattice is None:
+        G._lattice = tuple(_cyclic_extension(G))
+    return list(G._lattice)
+
+
+def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
+    """Neubüser's cyclic extension: layer k holds the joins of k cyclic subgroups.
+
+    Each new subgroup, kept with the generators that built it, is joined with
+    every distinct cyclic subgroup it does not contain.
+    """
+    cyclic_gens: dict[frozenset, int] = {}
+    for g in G.elements():
+        cyclic_gens.setdefault(frozenset(_closure(G, (g,))), g)
+    lattice = {frozenset((0,)): ()}
+    layer = [frozenset((0,))]
+    while layer:
         nxt = []
-        for elems in frontier:
-            eset = set(elems)
-            for g in G.elements():
-                if g in eset:
-                    continue
-                bigger = tuple(sorted(_closure(G, eset | {g})))
-                if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    out = [Subgroup(G, elems) for elems in seen]
-    out.sort(key=lambda s: (s.order, s.elements))
-    return out
+        for H in layer:
+            base = sorted(H)
+            for c in cyclic_gens.values():
+                if c not in H:
+                    gens = lattice[H] + (c,)
+                    K = frozenset(_closure(G, gens, base))
+                    if K not in lattice:
+                        lattice[K] = gens
+                        nxt.append(K)
+        layer = nxt
+    return sorted((Subgroup(G, tuple(K)) for K in lattice), key=lambda s: (s.order, s.elements))
 
 
-def _closure(G: FiniteGroup, seed: set[int]) -> set[int]:
-    closure = set(seed) | {0}
-    frontier = list(closure)
-    while frontier:
-        x = frontier.pop()
-        for g in list(closure):
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
+def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
+    """The subgroup generated by ``seed``, given a subgroup ``base`` of it.
+
+    Breadth-first search over right cosets of ``base``, stepping along rows
+    of ``G.table[:, seed]``; with the default trivial base it visits elements.
+    """
+    gens = sorted({int(g) for g in seed} - {0})
+    rows = G.table[:, gens].tolist()
+    base = list(base)
+    closure = set(base)
+    reps = [0]
+    for x in reps:
+        for y in rows[x]:
+            if y not in closure:
+                closure.update(G.table[base, y].tolist())
+                reps.append(y)
     return closure
 
 
@@ -606,9 +621,8 @@ def _generating_sequence(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
     span = {0}
     while len(span) < G.n:
-        g = next(x for x in G.elements() if x not in span)
-        gens.append(g)
-        span = _closure(G, span | {g})
+        gens.append(next(x for x in G.elements() if x not in span))
+        span = _closure(G, gens, base=sorted(span))
     return gens
 
 

@@ -263,7 +263,7 @@ def _solve_intertwiner(rho, rho_g, d):
     eye = np.eye(d)
     rows = [np.kron(rho_g[n], eye) - np.kron(eye, rho[n].T) for n in range(rho.shape[0])]
     K = np.vstack(rows)
-    _, s, Vh = np.linalg.svd(K)
+    _, s, Vh = np.linalg.svd(K, full_matrices=False)
     scale = max(1.0, float(s[0])) if len(s) else 1.0
     null = int(np.sum(s < TOL_NULL * scale))
     if null != 1:

@@ -347,13 +347,12 @@ class TwistedAlgebra:
         raise CertificationError(f"irreducible extraction failed: {last}")
 
     def _rep_defect(self, rho: np.ndarray) -> float:
-        G = self.group
-        worst = 0.0
-        for g in range(self.n):
-            for h in range(self.n):
-                diff = rho[g] @ rho[h] - self.phases[g, h] * rho[G.mul(g, h)]
-                worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        """max |rho(g) rho(h) - phase(g, h) rho(gh)|, one batched product per row g."""
+        table = self.group.table
+        return max(
+            float(np.max(np.abs(rho[g] @ rho - self.phases[g, :, None, None] * rho[table[g]])))
+            for g in range(self.n)
+        )
 
 
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:

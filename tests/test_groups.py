@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gquot as gq
+from gquot import groups
+from gquot.catalog import GROUP_SPECS
 from gquot.errors import SizeBoundError, ValidationError
 from gquot.groups import format_group_table, parse_group_table
 
@@ -82,6 +85,78 @@ def test_subgroups_match_brute_force_order_16(spec):
     G = gq.make_group(spec)
     fast = sorted(H.elements for H in gq.subgroups(G))
     assert fast == brute_force_subgroups(G)
+
+
+def reference_subgroups(G):
+    """The layer-by-layer lattice that cyclic extension replaced: join each
+    subgroup with every element it misses, closing under both-sided products
+    with all its elements through ``G.mul``."""
+
+    def closure(seed):
+        out = set(seed) | {0}
+        frontier = list(out)
+        while frontier:
+            x = frontier.pop()
+            for g in list(out):
+                for y in (G.mul(x, g), G.mul(g, x)):
+                    if y not in out:
+                        out.add(y)
+                        frontier.append(y)
+        return out
+
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for elems in frontier:
+            for g in G.elements():
+                if g not in elems:
+                    bigger = tuple(sorted(closure(set(elems) | {g})))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(seen, key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("spec", list(GROUP_SPECS) + ["C2xC2xC2xC2xC2", "C4xC8", "D16", "Q8xC4"])
+def test_subgroups_match_reference(spec):
+    G = gq.make_group(spec)
+    assert [H.elements for H in gq.subgroups(G)] == reference_subgroups(G)
+
+
+def _relabeled(G, perm):
+    """G with element g renamed perm[g]; perm fixes the identity 0."""
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return gq.from_table(table)
+
+
+@given(st.sampled_from(["C12", "C2xC2xC2", "C2xC6", "C3xC3", "D6", "Q8", "S4", "C4xC4"]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_subgroups_invariant_under_relabeling(spec, data):
+    G = gq.make_group(spec)
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    H = _relabeled(G, perm)
+    mapped = sorted(tuple(sorted(perm[list(K.elements)].tolist())) for K in gq.subgroups(G))
+    assert mapped == sorted(K.elements for K in gq.subgroups(H))
+
+
+def test_subgroups_memoized_per_instance(monkeypatch):
+    builds = []
+    build = groups._cyclic_extension
+    monkeypatch.setattr(groups, "_cyclic_extension", lambda G: builds.append(G) or build(G))
+    G = gq.make_group("C2xC4")
+    first = gq.subgroups(G)
+    first.pop()
+    second = gq.subgroups(G)
+    assert [H.elements for H in second] == reference_subgroups(G)
+    assert len(gq.normal_subgroups(G)) == len(second) == 8
+    with pytest.raises(SizeBoundError):
+        gq.subgroups(G, bound=4)
+    assert builds == [G]
+    gq.subgroups(gq.make_group("C2xC4"))  # a fresh instance builds its own lattice
+    assert len(builds) == 2
 
 
 def test_normal_subgroups_examples():

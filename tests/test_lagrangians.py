@@ -98,6 +98,17 @@ def test_maximal_elementary_quotients_c2xc2():
     assert all(Q.n == 2 for Q in rep.quotient_groups)
 
 
+def test_maximal_elementary_quotients_builds_lattice_once(monkeypatch):
+    from gquot import groups
+
+    builds = []
+    build = groups._cyclic_extension
+    monkeypatch.setattr(groups, "_cyclic_extension", lambda G: builds.append(G) or build(G))
+    a = standard_nondegenerate([2])
+    maximal_elementary_quotients(a.group, a)
+    assert builds == [a.group]
+
+
 def test_maximal_elementary_quotients_c4xc4():
     a = standard_nondegenerate([4])
     rep = maximal_elementary_quotients(a.group, a)

@@ -209,3 +209,21 @@ def test_irreducible_rep_respects_twisting():
             assert np.allclose(
                 rho[g] @ rho[h], A.phases[g, h] * rho[a.group.mul(g, h)], atol=1e-9
             )
+
+
+def test_rep_defect_is_the_worst_twisted_product_entry():
+    a = standard_nondegenerate([2, 3])
+    G = a.group
+    A = TwistedAlgebra(G, a)
+    rho = A.irreducible_rep(A.wedderburn(seed=0).blocks[0], seed=0)
+    rho[7] = rho[7] * (1 + 1e-4)
+
+    def loop_defect(r):
+        return max(
+            float(np.max(np.abs(r[g] @ r[h] - A.phases[g, h] * r[G.mul(g, h)])))
+            for g in G.elements()
+            for h in G.elements()
+        )
+
+    assert A._rep_defect(rho) == pytest.approx(loop_defect(rho), rel=1e-9)
+    assert A._rep_defect(rho) > 1e-8
