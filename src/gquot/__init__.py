@@ -54,6 +54,7 @@ from .groups import (
     direct_product,
     from_table,
     generated_subgroup,
+    homomorphisms,
     is_homocyclic_squarefree,
     make_group,
     normal_subgroups,

@@ -1,24 +1,19 @@
-"""The built-in group and cocycle catalog, shipped as text data files.
+"""The built-in group and cocycle catalog, built by the constructors.
 
 Groups: cyclic up to order 16, small direct products (including the square
 carriers of the standard non-degenerate cocycles), dihedral groups up to
 order 16, the symmetric groups on 3 and 4 letters, and the quaternion
 group.  Cocycles: the standard non-degenerate class on B x B for every
 abelian B of order at most 6.
-
-Data files live in the package's ``catalog/`` directory; the environment
-variable ``GQ_CATALOG_DIR`` overrides the location.  Loading always
-re-validates against the generating constructors.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-from .cocycles import CocycleTable, format_cocycle, parse_cocycle, standard_nondegenerate
+from .cocycles import CocycleTable, parse_cocycle, standard_nondegenerate
 from .errors import ValidationError
-from .groups import FiniteGroup, format_group_table, make_group, parse_group_table
+from .groups import FiniteGroup, make_group, parse_group_table
 
 GROUP_SPECS = (
     [f"C{n}" for n in range(1, 17)]
@@ -39,13 +34,6 @@ NONDEGENERATE_CARRIERS = {
 }
 
 
-def catalog_dir() -> Path:
-    env = os.environ.get("GQ_CATALOG_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "catalog"
-
-
 def build_group(name: str) -> FiniteGroup:
     if name not in GROUP_SPECS:
         raise ValidationError(f"{name!r} is not a catalog group")
@@ -62,35 +50,6 @@ def build_cocycle(name: str) -> tuple[str, CocycleTable]:
 
 def cocycle_names() -> list[str]:
     return [f"nd_{carrier}" for carrier in NONDEGENERATE_CARRIERS]
-
-
-def write_catalog(target: Path | None = None) -> Path:
-    """Write every catalog group and cocycle as text files; returns the dir."""
-    target = Path(target) if target is not None else catalog_dir()
-    target.mkdir(parents=True, exist_ok=True)
-    for name in GROUP_SPECS:
-        (target / f"group_{name}.txt").write_text(format_group_table(build_group(name)))
-    for name in cocycle_names():
-        carrier, table = build_cocycle(name)
-        (target / f"cocycle_{name}.txt").write_text(format_cocycle(table))
-    return target
-
-
-def load_group(name: str) -> FiniteGroup:
-    """Load a catalog group from its data file, falling back to construction."""
-    path = catalog_dir() / f"group_{name}.txt"
-    if path.exists():
-        return parse_group_table(path.read_text())
-    return build_group(name)
-
-
-def load_cocycle(name: str) -> tuple[str, CocycleTable]:
-    carrier, built = build_cocycle(name)
-    path = catalog_dir() / f"cocycle_{name}.txt"
-    if path.exists():
-        loaded = parse_cocycle(path.read_text(), load_group(carrier))
-        return carrier, loaded
-    return carrier, built
 
 
 def resolve_group(token: str) -> FiniteGroup:

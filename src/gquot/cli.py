@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import resolve_cocycle, resolve_group, write_catalog
+from .catalog import resolve_cocycle, resolve_group
 from .cocycles import bicharacter_of, cohomologous, is_nondegenerate
 from .errors import CertificationError, GquotError, TheoremCheckError
 from .gradings import (
@@ -106,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("suite", help="run the acceptance battery")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)
-
-    w = sub.add_parser("write-catalog", help="write the built-in catalog data files")
-    w.add_argument("--dir", default=None)
     return parser
 
 
@@ -333,10 +330,6 @@ def main(argv=None) -> int:
             code = _cmd_pi1(args, em)
         elif args.command == "suite":
             code = _cmd_suite(args, em)
-        elif args.command == "write-catalog":
-            target = write_catalog(args.dir)
-            em.emit("catalog_dir", target)
-            code = 0
         else:  # unreachable with required=True
             return 2
     except (CertificationError, TheoremCheckError) as exc:

@@ -25,22 +25,6 @@ def _sort_key(elem):
     return elem.sort_key() if isinstance(elem, Word) else elem
 
 
-def _mul(group, a, b):
-    if isinstance(group, FiniteGroup):
-        return group.mul(a, b)
-    return a.mul(b)
-
-
-def _inv(group, a):
-    if isinstance(group, FiniteGroup):
-        return group.inv(a)
-    return a.inv()
-
-
-def _identity(group):
-    return 0 if isinstance(group, FiniteGroup) else group.identity()
-
-
 @dataclass(frozen=True)
 class Character:
     """An element of N[Gamma]: finitely many elements with multiplicities >= 1."""
@@ -67,7 +51,7 @@ class Character:
     @staticmethod
     def point(group, elem=None, mult: int = 1) -> "Character":
         if elem is None:
-            elem = _identity(group)
+            elem = group.identity()
         return Character(group, ((elem, mult),))
 
     @staticmethod
@@ -103,7 +87,7 @@ class Character:
         acc: dict = {}
         for a, ka in self.mults:
             for b, kb in other.mults:
-                ab = _mul(self.group, a, b)
+                ab = self.group.mul(a, b)
                 acc[ab] = acc.get(ab, 0) + ka * kb
         return Character.from_dict(self.group, acc)
 
@@ -156,7 +140,7 @@ class Summand:
 
     def fine_elements(self, group) -> tuple:
         if self.fine is None:
-            return (_identity(group),)
+            return (group.identity(),)
         if isinstance(self.fine, Subgroup):
             return self.fine.elements
         if isinstance(self.fine, FactorFine):
@@ -232,9 +216,9 @@ def induced_support(x: Character, fine_elements, group):
     out = set()
     for g1, _ in x.mults:
         for g2 in fine_elements:
-            left = _mul(group, g1, g2)
+            left = group.mul(g1, g2)
             for g3, _ in x.mults:
-                out.add(_mul(group, left, _inv(group, g3)))
+                out.add(group.mul(left, group.inv(g3)))
     return out
 
 

@@ -6,7 +6,13 @@ search along rows of ``G.table[:, gens]``.  The subgroup lattice is built by
 Neubüser's cyclic extension (join each subgroup with every cyclic subgroup it
 misses, layer by layer) and memoized on the group instance; enumeration is
 refused above a size bound (default 64), checked on every call.  Quotients,
-coset actions, abelian invariants and isomorphism testing work on top.
+coset actions and abelian invariants work on top.
+
+``homomorphisms`` is the one homomorphism search: it backtracks over images
+of a generating sequence, closes each partial assignment multiplicatively and
+prunes on the first conflict (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 4.6).  Isomorphism testing and automorphism
+enumeration are that search with ``injective=True``.
 """
 
 from __future__ import annotations
@@ -76,6 +82,9 @@ class FiniteGroup:
             raise ValidationError(f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
 
     # -- basic operations --------------------------------------------------
+
+    def identity(self) -> int:
+        return 0
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -223,10 +232,13 @@ class GroupHom:
             raise ValidationError("homomorphism image list has wrong length")
         if images[0] != 0:
             raise ValidationError("homomorphism does not fix the identity")
-        for a in self.source.elements():
-            for b in self.source.elements():
-                if images[self.source.mul(a, b)] != self.target.mul(images[a], images[b]):
-                    raise ValidationError(f"not multiplicative at ({a},{b})")
+        img = np.asarray(images, dtype=np.int64)
+        if img.min() < 0 or img.max() >= self.target.n:
+            raise ValidationError("homomorphism image outside the target")
+        bad = img[self.source.table] != self.target.table[img[:, None], img[None, :]]
+        if bad.any():
+            a, b = (int(x) for x in np.argwhere(bad)[0])
+            raise ValidationError(f"not multiplicative at ({a},{b})")
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -648,14 +660,35 @@ def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
     return mapping
 
 
-def _is_full_isomorphism(G1: FiniteGroup, G2: FiniteGroup, mapping: dict[int, int]) -> bool:
-    if len(mapping) != G1.n or len(set(mapping.values())) != G1.n:
-        return False
-    return all(
-        mapping[G1.mul(a, b)] == G2.mul(mapping[a], mapping[b])
-        for a in G1.elements()
-        for b in G1.elements()
-    )
+def homomorphisms(G: FiniteGroup, T: FiniteGroup, injective: bool = False):
+    """Every homomorphism G -> T (only the injective ones if asked), in order.
+
+    Generators come from ``_generating_sequence(G)``; a generator's candidate
+    images are the elements of T, in index order, whose order divides its
+    order (equals it, when ``injective``).  Each partial assignment is closed
+    by ``_extend_hom`` and dropped on conflict, so a complete assignment is
+    already multiplicative; ``GroupHom`` certifies it once more.
+    """
+    gens = _generating_sequence(G)
+    orders_T = T.element_orders()
+    cands = []
+    for g in gens:
+        k = G.order_of(g)
+        cands.append([t for t in T.elements() if (orders_T[t] == k if injective else k % orders_T[t] == 0)])
+
+    def rec(level: int, pairs: list[tuple[int, int]], mapping: dict[int, int]):
+        if level == len(gens):
+            images = tuple(mapping[g] for g in G.elements())
+            if not injective or len(set(images)) == G.n:
+                yield GroupHom(G, T, images)
+            return
+        for t in cands[level]:
+            trial = pairs + [(gens[level], t)]
+            extended = _extend_hom(G, T, trial)
+            if extended is not None:
+                yield from rec(level + 1, trial, extended)
+
+    yield from rec(0, [], {0: 0})
 
 
 def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> IsomorphismResult:
@@ -668,31 +701,10 @@ def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup, bound: int = DEFAULT_ENUM_B
         return IsomorphismResult(False, None, "element-order census differs")
     if G1.is_abelian != G2.is_abelian:
         return IsomorphismResult(False, None, "one group is abelian, the other is not")
-    gens = _generating_sequence(G1)
-    orders1 = G1.element_orders()
-    orders2 = G2.element_orders()
-    candidates = [[h for h in G2.elements() if orders2[h] == orders1[g]] for g in gens]
-
-    def backtrack(level: int, pairs: list[tuple[int, int]]):
-        if level == len(gens):
-            mapping = _extend_hom(G1, G2, pairs)
-            if mapping is None or not _is_full_isomorphism(G1, G2, mapping):
-                return None
-            return mapping
-        for h in candidates[level]:
-            trial = pairs + [(gens[level], h)]
-            if _extend_hom(G1, G2, trial) is None:
-                continue
-            found = backtrack(level + 1, trial)
-            if found is not None:
-                return found
-        return None
-
-    mapping = backtrack(0, [])
-    if mapping is None:
+    hom = next(homomorphisms(G1, G2, injective=True), None)
+    if hom is None:
         return IsomorphismResult(False, None, "generator-image search exhausted")
-    images = tuple(mapping[g] for g in G1.elements())
-    return IsomorphismResult(True, GroupHom(G1, G2, images), "explicit isomorphism found")
+    return IsomorphismResult(True, hom, "explicit isomorphism found")
 
 
 # -- text format -----------------------------------------------------------

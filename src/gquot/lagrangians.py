@@ -22,14 +22,13 @@ from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial, 
 from .errors import DomainError, SizeBoundError, TheoremCheckError
 from .groups import (
     FiniteGroup,
-    GroupHom,
     Subgroup,
     _closure,
-    _extend_hom,
     _generating_sequence,
     are_isomorphic,
     cyclic,
     direct_product,
+    homomorphisms,
     quotient,
     subgroups,
 )
@@ -363,27 +362,9 @@ def automorphism_group(A: FiniteGroup):
     composition group (identity first)."""
     if not A.is_abelian:
         raise DomainError("automorphism enumeration implemented for abelian groups")
-    gens = _generating_sequence(A) if A.n > 1 else []
-    orders = A.element_orders()
-    perms = set()
-    if not gens:
-        perms.add(tuple(range(A.n)))
-    else:
-        cands = [[x for x in A.elements() if orders[gens[i]] % orders[x] == 0] for i in range(len(gens))]
-
-        def build(level, images):
-            if level == len(gens):
-                perm = _endomorphism_from_gen_images(A, gens, images)
-                if perm is not None and len(set(perm)) == A.n:
-                    perms.add(perm)
-                return
-            for img in cands[level]:
-                build(level + 1, images + [img])
-
-        build(0, [])
-    ordered = sorted(perms)
     ident = tuple(range(A.n))
-    ordered.sort(key=lambda p: (p != ident, p))
+    autos = (h.images for h in homomorphisms(A, A, injective=True))
+    ordered = sorted(autos, key=lambda p: (p != ident, p))
     pos = {p: i for i, p in enumerate(ordered)}
     k = len(ordered)
     table = np.empty((k, k), dtype=np.int64)
@@ -392,27 +373,6 @@ def automorphism_group(A: FiniteGroup):
             table[i, j] = pos[_compose_perm(p, q)]
     aut_group = FiniteGroup(table, name=f"Aut({A.name or A.n})", _trusted=True)
     return aut_group, ordered
-
-
-def _endomorphism_from_gen_images(A: FiniteGroup, gens, images):
-    """Extend generator images multiplicatively over an abelian group."""
-    known = {0: 0}
-    frontier = [0]
-    pairs = list(zip(gens, images))
-    while frontier:
-        x = frontier.pop()
-        for g, img in pairs:
-            xg = A.mul(x, g)
-            val = A.mul(known[x], img)
-            if xg in known:
-                if known[xg] != val:
-                    return None
-            else:
-                known[xg] = val
-                frontier.append(xg)
-    if len(known) != A.n:
-        return None
-    return tuple(known[x] for x in A.elements())
 
 
 def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None = None) -> IYBSearchResult:
@@ -434,7 +394,7 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None 
         if max_modules is not None and modules_tried > max_modules:
             break
         aut_group, aut_perms = automorphism_group(A)
-        for hom in _all_homs(H, aut_group):
+        for hom in homomorphisms(H, aut_group):
             actions_tried += 1
             action = tuple(aut_perms[hom.images[h]] for h in H.elements())
             delta = _bijective_cocycle(H, A, action)
@@ -444,39 +404,6 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None 
                     raise TheoremCheckError("IYB witness failed exact verification")
                 return IYBSearchResult(H, witness, modules_tried, actions_tried, False)
     return IYBSearchResult(H, None, modules_tried, actions_tried, True)
-
-
-def _all_homs(H: FiniteGroup, T: FiniteGroup):
-    """Every homomorphism H -> T, by generator-image backtracking."""
-    gens = _generating_sequence(H) if H.n > 1 else []
-    if not gens:
-        yield GroupHom(H, T, (0,) * H.n)
-        return
-    orders_T = T.element_orders()
-    orders_H = [H.order_of(g) for g in gens]
-    cands = [[t for t in T.elements() if orders_H[i] % orders_T[t] == 0] for i in range(len(gens))]
-
-    def rec(level, pairs):
-        if level == len(gens):
-            mapping = _extend_hom(H, T, pairs)
-            if mapping is not None and len(mapping) == H.n:
-                if _hom_ok(H, T, mapping):
-                    yield GroupHom(H, T, tuple(mapping[g] for g in H.elements()))
-            return
-        for t in cands[level]:
-            trial = pairs + [(gens[level], t)]
-            if _extend_hom(H, T, trial) is not None:
-                yield from rec(level + 1, trial)
-
-    yield from rec(0, [])
-
-
-def _hom_ok(H, T, mapping) -> bool:
-    return all(
-        mapping[H.mul(a, b)] == T.mul(mapping[a], mapping[b])
-        for a in H.elements()
-        for b in H.elements()
-    )
 
 
 def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...] | None:

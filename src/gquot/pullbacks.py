@@ -25,28 +25,16 @@ from .words import FactorMap, FreeProductGroup, Word
 # -- componentwise arithmetic on tuples over mixed groups ---------------------
 
 
-def _emul(group, a, b):
-    return group.mul(a, b) if isinstance(group, FiniteGroup) else a.mul(b)
-
-
-def _einv(group, a):
-    return group.inv(a) if isinstance(group, FiniteGroup) else a.inv()
-
-
-def _eid(group):
-    return 0 if isinstance(group, FiniteGroup) else group.identity()
-
-
 def tuple_mul(sources, t1, t2):
-    return tuple(_emul(g, a, b) for g, a, b in zip(sources, t1, t2))
+    return tuple(g.mul(a, b) for g, a, b in zip(sources, t1, t2))
 
 
 def tuple_inv(sources, t):
-    return tuple(_einv(g, a) for g, a in zip(sources, t))
+    return tuple(g.inv(a) for g, a in zip(sources, t))
 
 
 def tuple_identity(sources):
-    return tuple(_eid(g) for g in sources)
+    return tuple(g.identity() for g in sources)
 
 
 def tuple_pow(sources, t, k: int):
@@ -103,8 +91,24 @@ class GroupDiagram:
 # -- the rank-4 diagram ---------------------------------------------------------
 
 
+class _GeneratedPullback:
+    """A pull-back of a diagram with named generators; subclasses define
+    ``diagram`` and ``generator(name)``."""
+
+    @property
+    def sources(self):
+        return self.diagram.sources
+
+    def evaluate(self, word) -> tuple:
+        """The tuple named by a word in the generators."""
+        out = tuple_identity(self.sources)
+        for name in word:
+            out = tuple_mul(self.sources, out, self.generator(name))
+        return out
+
+
 @dataclass(frozen=True)
-class Rank4Pullback:
+class Rank4Pullback(_GeneratedPullback):
     """Sources C4, C2xC2, C2*C2 over a common C2 quotient, with generators."""
 
     diagram: GroupDiagram
@@ -115,18 +119,8 @@ class Rank4Pullback:
     z2: tuple
     z3: tuple
 
-    @property
-    def sources(self):
-        return self.diagram.sources
-
     def generator(self, name: str):
         return {"z1": self.z1, "z2": self.z2, "z3": self.z3}[name]
-
-    def evaluate(self, word) -> tuple:
-        out = tuple_identity(self.sources)
-        for name in word:
-            out = tuple_mul(self.sources, out, self.generator(name))
-        return out
 
 
 SIGMA = 2      # (1,0) in C2xC2
@@ -220,7 +214,7 @@ def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Rank5Pullback:
+class Rank5Pullback(_GeneratedPullback):
     diagram: GroupDiagram
     rank4: Rank4Pullback
     free32: FreeProductGroup
@@ -229,18 +223,8 @@ class Rank5Pullback:
     gen_c: tuple       # (x^2, sigma tau, e, e)
     gen_g: tuple       # (e, e, e, g)
 
-    @property
-    def sources(self):
-        return self.diagram.sources
-
     def generator(self, name: str):
         return {"w": self.gen_w, "b": self.gen_b, "c": self.gen_c, "g": self.gen_g}[name]
-
-    def evaluate(self, word) -> tuple:
-        out = tuple_identity(self.sources)
-        for name in word:
-            out = tuple_mul(self.sources, out, self.generator(name))
-        return out
 
 
 def rank5_pullback() -> Rank5Pullback:

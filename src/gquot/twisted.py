@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CocycleTable
+from .cocycles import DEFAULT_NUMERIC_BOUND, CocycleTable
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
 from .groups import FiniteGroup, Subgroup
 
@@ -30,7 +30,6 @@ TOL_ROUND = 1e-6        # integer certification guard
 TOL_PHASE_EQ = 1e-7     # complex phases considered equal
 TOL_PHASE_NEQ = 1e-3    # complex phases considered distinct; in between is ambiguous
 MAX_ATTEMPTS = 8
-DEFAULT_NUMERIC_BOUND = 256
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,6 @@ class Word:
         return "<" + " ".join(parts) + ">"
 
 
-def normal_form(w: Word) -> Word:
-    """Idempotent normalization; words are already reduced, so a no-op copy."""
-    return Word(w.group, w.syllables)
-
-
 @dataclass(frozen=True)
 class FactorMap:
     """A homomorphism from a free product to a finite group.
@@ -197,11 +192,6 @@ class FactorMap:
             else:
                 gens.update(m.images)
         return len(_closure(self.target, gens)) == self.target.n
-
-
-def hom_eval(mapping: FactorMap, w: Word) -> int:
-    """Evaluate a word under a factor-wise homomorphism into a finite group."""
-    return mapping(w)
 
 
 def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_bound: int = 1):

@@ -257,6 +257,122 @@ def test_are_isomorphic_examples():
     assert not gq.are_isomorphic(Q1, Q2).isomorphic
 
 
+def reference_isomorphism(G1, G2):
+    """The generator-image backtrack that ``homomorphisms`` replaced in
+    ``are_isomorphic``: the images of an isomorphism G1 -> G2, or None."""
+    if G1.n != G2.n or G1.order_census() != G2.order_census() or G1.is_abelian != G2.is_abelian:
+        return None
+    gens = groups._generating_sequence(G1)
+    orders1 = G1.element_orders()
+    orders2 = G2.element_orders()
+    candidates = [[h for h in G2.elements() if orders2[h] == orders1[g]] for g in gens]
+
+    def is_full_isomorphism(mapping):
+        if len(mapping) != G1.n or len(set(mapping.values())) != G1.n:
+            return False
+        return all(
+            mapping[G1.mul(a, b)] == G2.mul(mapping[a], mapping[b])
+            for a in G1.elements()
+            for b in G1.elements()
+        )
+
+    def backtrack(level, pairs):
+        if level == len(gens):
+            mapping = groups._extend_hom(G1, G2, pairs)
+            if mapping is None or not is_full_isomorphism(mapping):
+                return None
+            return mapping
+        for h in candidates[level]:
+            trial = pairs + [(gens[level], h)]
+            if groups._extend_hom(G1, G2, trial) is None:
+                continue
+            found = backtrack(level + 1, trial)
+            if found is not None:
+                return found
+        return None
+
+    mapping = backtrack(0, [])
+    return None if mapping is None else tuple(mapping[g] for g in G1.elements())
+
+
+_ORDER = {s: gq.make_group(s).n for s in GROUP_SPECS}
+
+
+@pytest.mark.parametrize(
+    "spec1, spec2",
+    [(s1, s2) for s1 in GROUP_SPECS for s2 in GROUP_SPECS if _ORDER[s1] == _ORDER[s2]]
+    + [("C2xC4xC4", "C4xC4xC2"), ("C2xC4xC4", "C2xC2xC8")],
+)
+def test_are_isomorphic_matches_reference(spec1, spec2):
+    G1, G2 = gq.make_group(spec1), gq.make_group(spec2)
+    r = gq.are_isomorphic(G1, G2)
+    assert (r.hom.images if r.isomorphic else None) == reference_isomorphism(G1, G2)
+
+
+def test_homomorphisms_examples():
+    S3, C2 = gq.symmetric(3), gq.cyclic(2)
+    assert len(list(gq.homomorphisms(S3, S3, injective=True))) == 6
+    assert len(list(gq.homomorphisms(S3, C2))) == 2
+    assert len(list(gq.homomorphisms(C2, S3))) == 4
+    assert len(list(gq.homomorphisms(gq.cyclic(4), gq.make_group("C2xC2")))) == 4
+    assert not list(gq.homomorphisms(gq.cyclic(4), gq.make_group("C2xC2"), injective=True))
+    trivial = list(gq.homomorphisms(gq.trivial_group(), S3))
+    assert [h.images for h in trivial] == [(0,)]
+    assert all(isinstance(h, gq.GroupHom) for h in gq.homomorphisms(gq.quaternion8(), C2))
+
+
+@given(
+    st.sampled_from(["C4", "C6", "C2xC2", "S3", "D4", "Q8", "C2xC4"]),
+    st.sampled_from(["C2", "C4", "C2xC2", "S3", "D4", "Q8", "C2xC4"]),
+    st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_hom_count_invariant_under_relabeling(source, target, data):
+    G, T = gq.make_group(source), gq.make_group(target)
+    pG = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    pT = np.array([0] + data.draw(st.permutations(range(1, T.n))))
+    G2, T2 = _relabeled(G, pG), _relabeled(T, pT)
+    for injective in (False, True):
+        count = sum(1 for _ in gq.homomorphisms(G, T, injective=injective))
+        assert count == sum(1 for _ in gq.homomorphisms(G2, T2, injective=injective))
+
+
+def test_group_hom_rejects_images_outside_target():
+    C2 = gq.cyclic(2)
+    with pytest.raises(ValidationError, match="outside the target"):
+        gq.GroupHom(C2, C2, (0, 2))
+    with pytest.raises(ValidationError, match="outside the target"):
+        gq.GroupHom(C2, C2, (0, -1))
+
+
+def reference_first_bad_pair(G, T, images):
+    """The pair-by-pair multiplicativity loop that the vectorized check in
+    ``GroupHom`` replaced: the first (a, b) in row-major order, or None."""
+    for a in G.elements():
+        for b in G.elements():
+            if images[G.mul(a, b)] != T.mul(images[a], images[b]):
+                return a, b
+    return None
+
+
+@given(
+    st.sampled_from(["C2", "C4", "C2xC2", "S3", "Q8"]),
+    st.sampled_from(["C2", "C4", "C2xC2", "S3"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_hom_check_matches_loop(source, target, data):
+    G, T = gq.make_group(source), gq.make_group(target)
+    rest = data.draw(st.lists(st.integers(0, T.n - 1), min_size=G.n - 1, max_size=G.n - 1))
+    images = (0,) + tuple(rest)
+    bad = reference_first_bad_pair(G, T, images)
+    if bad is None:
+        assert gq.GroupHom(G, T, images).images == images
+    else:
+        with pytest.raises(ValidationError, match=rf"not multiplicative at \({bad[0]},{bad[1]}\)$"):
+            gq.GroupHom(G, T, images)
+
+
 def test_inverse_is_involution():
     for spec in ["C6", "S4", "Q8", "D5"]:
         G = gq.make_group(spec)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 import gquot as gq
 from gquot.cocycles import CocycleTable, standard_nondegenerate
 from gquot.errors import DomainError, SizeBoundError
+from gquot.groups import _extend_hom, _generating_sequence
 from gquot.lagrangians import (
+    IYBWitness,
     abelian_group_from_invariants,
     automorphism_group,
     crossed_product_iff_lagrangian,
@@ -14,6 +17,8 @@ from gquot.lagrangians import (
     maximal_elementary_quotients,
     minimal_isotropic,
     sylow_decomposition,
+    _bijective_cocycle,
+    _compose_perm,
     _invariant_factor_sequences,
 )
 from gquot.twisted import TwistedAlgebra
@@ -175,6 +180,144 @@ def test_invariant_factor_sequences():
     assert _invariant_factor_sequences(1) == [()]
     assert _invariant_factor_sequences(12) == [(2, 6), (12,)]
     assert _invariant_factor_sequences(8) == [(2, 2, 2), (2, 4), (8,)]
+
+
+# -- reference code: the hom searches that groups.homomorphisms replaced ------
+
+
+def reference_homs(H, T):
+    """Every homomorphism H -> T, by generator-image backtracking, each one
+    re-checked for multiplicativity over all pairs."""
+    gens = _generating_sequence(H) if H.n > 1 else []
+    if not gens:
+        yield gq.GroupHom(H, T, (0,) * H.n)
+        return
+    orders_T = T.element_orders()
+    orders_H = [H.order_of(g) for g in gens]
+    cands = [[t for t in T.elements() if orders_H[i] % orders_T[t] == 0] for i in range(len(gens))]
+
+    def hom_ok(mapping):
+        return all(
+            mapping[H.mul(a, b)] == T.mul(mapping[a], mapping[b])
+            for a in H.elements()
+            for b in H.elements()
+        )
+
+    def rec(level, pairs):
+        if level == len(gens):
+            mapping = _extend_hom(H, T, pairs)
+            if mapping is not None and len(mapping) == H.n and hom_ok(mapping):
+                yield gq.GroupHom(H, T, tuple(mapping[g] for g in H.elements()))
+            return
+        for t in cands[level]:
+            trial = pairs + [(gens[level], t)]
+            if _extend_hom(H, T, trial) is not None:
+                yield from rec(level + 1, trial)
+
+    yield from rec(0, [])
+
+
+def reference_automorphism_group(A):
+    """Automorphisms of an abelian group from generator images closed under
+    right multiplication, as (composition group, ordered permutations)."""
+    gens = _generating_sequence(A) if A.n > 1 else []
+    orders = A.element_orders()
+
+    def endomorphism(images):
+        known = {0: 0}
+        frontier = [0]
+        pairs = list(zip(gens, images))
+        while frontier:
+            x = frontier.pop()
+            for g, img in pairs:
+                xg, val = A.mul(x, g), A.mul(known[x], img)
+                if xg in known:
+                    if known[xg] != val:
+                        return None
+                else:
+                    known[xg] = val
+                    frontier.append(xg)
+        if len(known) != A.n:
+            return None
+        return tuple(known[x] for x in A.elements())
+
+    perms = set()
+    if not gens:
+        perms.add(tuple(range(A.n)))
+    cands = [[x for x in A.elements() if orders[g] % orders[x] == 0] for g in gens]
+
+    def build(level, images):
+        if level == len(gens):
+            perm = endomorphism(images)
+            if perm is not None and len(set(perm)) == A.n:
+                perms.add(perm)
+            return
+        for img in cands[level]:
+            build(level + 1, images + [img])
+
+    if gens:
+        build(0, [])
+    ident = tuple(range(A.n))
+    ordered = sorted(perms, key=lambda p: (p != ident, p))
+    pos = {p: i for i, p in enumerate(ordered)}
+    table = np.array([[pos[_compose_perm(p, q)] for q in ordered] for p in ordered], dtype=np.int64)
+    return gq.FiniteGroup(table, name=f"Aut({A.name or A.n})"), ordered
+
+
+def reference_iyb_search(H):
+    """iyb_witness_search over the reference automorphism group and homs:
+    (modules tried, actions tried, module invariants, delta, action)."""
+    modules_tried = actions_tried = 0
+    for invs in _invariant_factor_sequences(H.n):
+        A = abelian_group_from_invariants(invs)
+        modules_tried += 1
+        aut_group, aut_perms = reference_automorphism_group(A)
+        for hom in reference_homs(H, aut_group):
+            actions_tried += 1
+            action = tuple(aut_perms[hom.images[h]] for h in H.elements())
+            delta = _bijective_cocycle(H, A, action)
+            if delta is not None:
+                assert IYBWitness(H, tuple(invs), A, action, delta).verify()
+                return modules_tried, actions_tried, tuple(invs), delta, action
+    return modules_tried, actions_tried, None, None, None
+
+
+_HOM_SPECS = ["C1", "C2", "C3", "C4", "C2xC2", "C6", "S3", "C8", "C2xC4", "C2xC2xC2", "D4", "Q8"]
+
+
+@pytest.mark.parametrize("source", _HOM_SPECS)
+def test_homomorphisms_match_reference(source):
+    H = gq.make_group(source)
+    for target in _HOM_SPECS:
+        T = gq.make_group(target)
+        expected = [h.images for h in reference_homs(H, T)]
+        assert [h.images for h in gq.homomorphisms(H, T)] == expected
+
+
+@pytest.mark.parametrize(
+    "invs",
+    [(), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2), (2, 2, 4)],
+    ids=lambda invs: "x".join(f"C{k}" for k in invs) or "C1",
+)
+def test_automorphism_group_matches_reference(invs):
+    A = abelian_group_from_invariants(invs)
+    aut_group, perms = automorphism_group(A)
+    ref_group, ref_perms = reference_automorphism_group(A)
+    assert perms == ref_perms
+    assert np.array_equal(aut_group.table, ref_group.table)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "C7", "C8", "C2xC4", "C2xC2xC2", "D4", "Q8"]
+)
+def test_iyb_witness_search_matches_reference(spec):
+    H = gq.make_group(spec)
+    res = iyb_witness_search(H)
+    w = res.witness
+    got = (res.modules_tried, res.actions_tried) + (
+        (w.module_invariants, w.delta, w.action) if w is not None else (None, None, None)
+    )
+    assert got == reference_iyb_search(H)
 
 
 def test_automorphism_group_orders():
