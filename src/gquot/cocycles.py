@@ -39,12 +39,12 @@ class CocycleTable:
         exps, m, mul = self.exps, self.scale, self.group.table
         if exps[0].any() or exps[:, 0].any():
             raise ValidationError("cocycle is not normalized at the identity")
-        left = exps[:, :, None] + exps[mul, :]
-        right = exps[None, :, :] + exps[:, mul]
-        bad = (left - right) % m
-        if bad.any():
-            g, h, k = (int(x) for x in np.argwhere(bad)[0])
-            raise ValidationError(f"2-cocycle identity fails at triple ({g},{h},{k})")
+        # one (h, k) slab per g keeps the check at O(n^2) memory
+        for g in range(self.group.n):
+            bad = (exps[g, :, None] + exps[mul[g], :] - exps - exps[g, mul]) % m
+            if bad.any():
+                h, k = (int(x) for x in np.argwhere(bad)[0])
+                raise ValidationError(f"2-cocycle identity fails at triple ({g},{h},{k})")
 
     @staticmethod
     def trivial(group: FiniteGroup, scale: int = 1) -> "CocycleTable":

@@ -113,9 +113,7 @@ def mackey_decompose(
             raise TheoremCheckError("summand dimension is not an integer")
         delta = delta_num // delta_den
         x = Character.from_dict(Q, {t: d for t in transversal})
-        omega, I_group, I_embed = _obstruction(
-            A_G, A_N, N_embed, points[rep], inertia, section, seed
-        )
+        omega, I_group, I_embed = _obstruction(A_G, A_N, N_embed, points[rep], inertia, cs, seed)
         blocks = TwistedAlgebra(I_group, omega).wedderburn(seed=seed).dims
         orbits.append(
             MackeyOrbit(
@@ -157,13 +155,11 @@ def mackey_decompose(
 
 
 def _conjugation_permutations(A_G, N, points, section):
+    stacked = np.array([p.coeffs for p in points])
     perms = []
     for g in section:
-        row = []
-        for p in points:
-            raw = conjugate_idempotent_coeffs(A_G, N.elements, g, p.coeffs)
-            row.append(match_idempotent(raw, points).index)
-        perms.append(tuple(row))
+        raw = conjugate_idempotent_coeffs(A_G, N.elements, g, stacked)
+        perms.append(tuple(match_idempotent(r, points).index for r in raw))
     return perms
 
 
@@ -188,81 +184,78 @@ def _orbits(perms, count):
     return orbits
 
 
-def _obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
+def _obstruction(A_G, A_N, N_embed, point, inertia, cs, seed):
     """The obstruction cocycle on the inertia group, by endomorphism composition.
 
     For each inertia element a degree-homogeneous endomorphism of
     C^alpha G (x) M is assembled from a solved intertwiner; composing two of
     them is a scalar multiple of the one for the product, and those scalars
-    are returned as a table over the inertia group.
+    are returned as a table over the inertia group.  Each endomorphism moves
+    whole coset blocks, so it is built and composed one d x d block per coset.
     """
     G = A_G.group
-    N_pos = {h: i for i, h in enumerate(N_embed)}
+    N_embed = np.asarray(N_embed)
+    N_pos = np.full(G.n, -1)
+    N_pos[N_embed] = np.arange(len(N_embed))
     I_group, I_embed = inertia.as_group()
     k = I_group.n
     d = point.dim
     rho = A_N.irreducible_rep(point, seed=seed)
+    section = np.asarray(cs.representatives)
+    gs = section[list(I_embed)]
 
-    intertwiners = []
-    for li in range(k):
-        g = section[I_embed[li]]
-        rho_g = np.empty_like(rho)
-        for nl in range(A_N.n):
-            n_parent = N_embed[nl]
-            conj_parent = G.conjugate(g, n_parent)
-            rho_g[nl] = A_G.kappa(g, n_parent) * rho[N_pos[conj_parent]]
-        intertwiners.append(_solve_intertwiner(rho, rho_g, d))
+    # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
+    conj, kappa = A_G.conjugation(gs[:, None], N_embed)
+    P_inv = np.array(
+        [
+            _solve_intertwiner(rho, kappa[li][:, None, None] * rho[N_pos[conj[li]]], d).conj().T
+            for li in range(k)
+        ]
+    )
 
-    q_count = len(section)
-    T = []
-    for li in range(k):
-        g = section[I_embed[li]]
-        P_inv = intertwiners[li].conj().T
-        M = np.zeros((q_count * d, q_count * d), dtype=np.complex128)
-        for i, t_i in enumerate(section):
-            prod = G.mul(t_i, g)
-            j = _coset_index(section, N_pos, G, prod)
-            t_j = section[j]
-            n2 = G.mul(G.inv(t_j), prod)
-            phase = A_G.phases[t_i, g] / A_G.phases[t_j, n2]
-            M[j * d : (j + 1) * d, i * d : (i + 1) * d] = phase * (rho[N_pos[n2]] @ P_inv)
-        T.append(M)
+    # The degree-g endomorphism T_g sends coset block i (t_i N) to block
+    # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
+    # block-monomial, so it is kept as (j, B) and composed blockwise.
+    prod = G.table[section, gs[:, None]]
+    j = np.asarray(cs.block_of)[prod]
+    t_j = section[j]
+    n2 = G.table[G.inverse_table[t_j], prod]
+    phase = A_G.phases[section, gs[:, None]] / A_G.phases[t_j, n2]
+    B = phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
+    norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
 
     omega = np.empty((k, k), dtype=np.complex128)
     for a in range(k):
-        for b in range(k):
-            ab = I_group.mul(a, b)
-            composed = T[b] @ T[a]  # apply degree-a first, then degree-b
-            target = T[ab]
-            denom = float(np.vdot(target, target).real)
-            lam = np.vdot(target, composed) / denom
-            if np.max(np.abs(composed - lam * target)) > TOL_SCALAR * max(
-                1.0, float(np.max(np.abs(composed)))
-            ):
+        ab = I_group.table[a]
+        composed = B[:, j[a]] @ B[a]  # row b: apply degree-a first, then degree-b
+        target = B[ab]
+        lam = np.einsum("bipq,bipq->b", target.conj(), composed) / norms[ab]
+        defect = np.abs(composed - lam[:, None, None, None] * target).max(axis=(1, 2, 3))
+        scale = np.maximum(1.0, np.abs(composed).max(axis=(1, 2, 3)))
+        not_scalar = (j[:, j[a]] != j[ab]).any(axis=1) | (defect > TOL_SCALAR * scale)
+        fails = np.flatnonzero(not_scalar | (np.abs(np.abs(lam) - 1.0) > TOL_SCALAR))
+        if fails.size:
+            if not_scalar[fails[0]]:
                 raise CertificationError("endomorphism composition is not a scalar multiple")
-            if abs(abs(lam) - 1.0) > TOL_SCALAR:
-                raise CertificationError(f"obstruction scalar has modulus {abs(lam):.12f}")
-            omega[a, b] = lam / abs(lam)
+            raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
+        omega[a] = lam / np.abs(lam)
     return omega, I_group, I_embed
-
-
-def _coset_index(section, N_pos, G, element):
-    for j, t in enumerate(section):
-        if G.mul(G.inv(t), element) in N_pos:
-            return j
-    raise CertificationError("element escaped the coset decomposition")
 
 
 def _solve_intertwiner(rho, rho_g, d):
     """The unique-up-to-scalar P with rho_g(n) P = P rho(n), unit-normalized.
 
-    Row-major vectorization: (rho_g(n) (x) I - I (x) rho(n)^T) vec(P) = 0.
+    Row-major vectorization: (rho_g(n) (x) I - I (x) rho(n)^T) vec(P) = 0,
+    the Kronecker products formed by broadcasting against the identity.
     The nullspace must be exactly one-dimensional and P must be unitary
     after scaling; anything else fails certification.
     """
     eye = np.eye(d)
-    rows = [np.kron(rho_g[n], eye) - np.kron(eye, rho[n].T) for n in range(rho.shape[0])]
-    K = np.vstack(rows)
+    rho_t = rho.transpose(0, 2, 1)
+    K = (
+        rho_g[:, :, None, :, None] * eye[:, None, :]
+        - eye[:, None, :, None] * rho_t[:, None, :, None, :]
+    ).reshape(-1, d * d)
     _, s, Vh = np.linalg.svd(K, full_matrices=False)
     scale = max(1.0, float(s[0])) if len(s) else 1.0
     null = int(np.sum(s < TOL_NULL * scale))

@@ -5,11 +5,17 @@ Construction is exact: a basis element acts on the regular representation by
 a permutation with one root of unity per column, so no floating error enters
 before eigendecomposition.
 
-The block oracle works in two exact-first stages.  The center is found
-symbolically: a vector sum(x_g u_g) is central iff the coefficients are
-constant along twisted conjugacy classes, and a class supports a central
-vector iff its conjugation phases are consistent around every loop.  The
-number of simple blocks is therefore known exactly before any numerics.
+The block oracle works in two exact-first stages.  The center is read off
+two n x n tables: conj[h, g] = h g h^-1 and kappa(h, g), the scalar with
+u_h u_g u_h^-1 = kappa(h, g) u_{hgh^-1} (an exponent mod m for an exact
+cocycle).  A vector sum(x_g u_g) is central iff x_{hgh^-1} = kappa(h, g) x_g
+for all h, g.  The twisted conjugacy class of g is the column conj[:, g],
+listed from its smallest element r; the candidate coefficient at each member
+is kappa from r, and the class supports a central vector iff every edge
+(h, g) agrees with them, all edges compared in one array operation (exactly
+mod m, or within TOL_PHASE_EQ for complex cocycles, where a gap between
+TOL_PHASE_EQ and TOL_PHASE_NEQ raises).  The number of simple blocks is
+therefore known exactly before any numerics.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
 dimension and the integer identity sum(d_i^2) = |G|.
@@ -101,32 +107,19 @@ class TwistedAlgebra:
             raise ValidationError("cocycle values must be unit modulus")
         if np.max(np.abs(W[0] - 1)) > TOL_PHASE_EQ or np.max(np.abs(W[:, 0] - 1)) > TOL_PHASE_EQ:
             raise ValidationError("cocycle is not normalized at the identity")
-        left = W[:, :, None] * W[mul, :]
-        right = W[None, :, :] * W[:, mul]
-        if np.max(np.abs(left - right)) > TOL_PHASE_EQ:
-            raise ValidationError("2-cocycle identity fails beyond tolerance")
+        # one (h, k) slab per g keeps the check at O(n^2) memory
+        for g in range(self.n):
+            if np.max(np.abs(W[g, :, None] * W[mul[g], :] - W * W[g, mul])) > TOL_PHASE_EQ:
+                raise ValidationError("2-cocycle identity fails beyond tolerance")
 
-    # -- scalar bookkeeping -------------------------------------------------
+    # -- twisted conjugation --------------------------------------------------
 
-    def inv_phase(self, g: int) -> complex:
-        """The scalar s with u_g^{-1} = s * u_{g^{-1}}."""
-        ginv = self.group.inv(g)
-        return 1.0 / self.phases[g, ginv]
-
-    def kappa(self, h: int, g: int) -> complex:
-        """The scalar with u_h u_g u_h^{-1} = kappa(h,g) * u_{h g h^{-1}}."""
-        G = self.group
-        hg = G.mul(h, g)
-        hinv = G.inv(h)
-        return self.phases[h, g] * self.phases[hg, hinv] / self.phases[h, hinv]
-
-    def kappa_exp(self, h: int, g: int) -> int:
-        """Exact exponent version of :meth:`kappa` (exact algebras only)."""
-        c, m = self.cocycle.exps, self.cocycle.scale
-        G = self.group
-        hg = G.mul(h, g)
-        hinv = G.inv(h)
-        return int(c[h, g] + c[hg, hinv] - c[h, hinv]) % m
+    def conjugation(self, h, g) -> tuple[np.ndarray, np.ndarray]:
+        """(h g h^-1, kappa(h, g)) for index arrays h and g broadcast together,
+        where u_h u_g u_h^{-1} = kappa(h, g) * u_{h g h^{-1}}."""
+        t, W = self.group.table, self.phases
+        hg, hinv = t[h, g], self.group.inverse_table[h]
+        return t[hg, hinv], W[h, g] * W[hg, hinv] / W[h, hinv]
 
     # -- elements and representations ----------------------------------------
 
@@ -168,75 +161,46 @@ class TwistedAlgebra:
     # -- exact center --------------------------------------------------------
 
     def center_classes(self) -> list[CenterClass]:
-        """Twisted conjugacy classes with propagated coefficient phases.
+        """Twisted conjugacy classes with their coefficient phases.
 
-        A central vector must satisfy x_{hgh^-1} = kappa(h,g) x_g; phases are
-        propagated over each class and every edge is re-checked, so a class
-        is kept exactly when all its loops are phase-consistent.
+        A central vector must satisfy x_{hgh^-1} = kappa(h,g) x_g.  A class is
+        listed from its smallest element r, which gets phase 1; the phase at g
+        is kappa(h, r) for the smallest h with h r h^-1 = g.  Every edge
+        (h, g) is then re-checked, so a class is kept exactly when all its
+        loops are phase-consistent.
         """
-        G, n = self.group, self.n
-        seen = [False] * n
-        out: list[CenterClass] = []
-        for g0 in range(n):
-            if seen[g0]:
-                continue
-            if self.exact:
-                cls = self._class_exact(g0)
-            else:
-                cls = self._class_complex(g0)
-            for x in cls.elements:
-                seen[x] = True
-            out.append(cls)
-        return out
-
-    def _class_exact(self, g0: int) -> CenterClass:
-        G = self.group
-        m = self.cocycle.scale
-        expo = {g0: 0}
-        queue = [g0]
-        consistent = True
-        while queue:
-            g = queue.pop()
-            for h in range(self.n):
-                g2 = G.conjugate(h, g)
-                e2 = (expo[g] + self.kappa_exp(h, g)) % m
-                if g2 in expo:
-                    if expo[g2] != e2:
-                        consistent = False
-                else:
-                    expo[g2] = e2
-                    queue.append(g2)
-        elems = tuple(sorted(expo))
-        if not consistent:
-            return CenterClass(elems, None)
-        phases = np.exp(2j * np.pi * np.array([expo[g] for g in elems]) / m)
-        return CenterClass(elems, phases)
-
-    def _class_complex(self, g0: int) -> CenterClass:
-        G = self.group
-        val = {g0: 1.0 + 0j}
-        queue = [g0]
-        consistent = True
-        while queue:
-            g = queue.pop()
-            for h in range(self.n):
-                g2 = G.conjugate(h, g)
-                v2 = val[g] * self.kappa(h, g)
-                if g2 in val:
-                    gap = abs(val[g2] - v2)
-                    if gap > TOL_PHASE_NEQ:
-                        consistent = False
-                    elif gap > TOL_PHASE_EQ:
-                        raise CertificationError(
-                            f"ambiguous conjugation phase (gap {gap:.2e}) on class of {g0}"
-                        )
-                else:
-                    val[g2] = v2
-                    queue.append(g2)
-        elems = tuple(sorted(val))
-        if not consistent:
-            return CenterClass(elems, None)
-        return CenterClass(elems, np.array([val[g] for g in elems], dtype=np.complex128))
+        idx = np.arange(self.n)
+        t, inv = self.group.table, self.group.inverse_table[:, None]
+        conj = t[t, inv]
+        rep = conj.min(axis=0)
+        first = np.argmax(conj[:, rep] == idx, axis=0)  # smallest h with h rep h^-1 = g
+        if self.exact:
+            c, m = self.cocycle.exps, self.cocycle.scale
+            kappa = (c + c[t, inv] - c[idx[:, None], inv]) % m
+            val = kappa[first, rep]
+            bad = (val + kappa) % m != val[conj]
+            phases = np.exp(2j * np.pi * val / m)
+        else:
+            kappa = self.conjugation(idx[:, None], idx)[1]
+            val = kappa[first, rep]
+            val[rep == idx] = 1.0
+            gap = np.abs(val[conj] - val * kappa)
+            ambiguous = (gap > TOL_PHASE_EQ) & (gap <= TOL_PHASE_NEQ)
+            if ambiguous.any():
+                raise CertificationError(
+                    f"ambiguous conjugation phase (gap {gap[ambiguous].max():.2e})"
+                    f" on class of {rep[ambiguous.any(axis=0)].min()}"
+                )
+            bad = gap > TOL_PHASE_NEQ
+            phases = val
+        broken = np.zeros(self.n, dtype=bool)
+        broken[rep[bad.any(axis=0)]] = True
+        order = np.argsort(rep, kind="stable")
+        starts = np.flatnonzero(np.diff(rep[order])) + 1
+        return [
+            CenterClass(tuple(cls.tolist()), None if broken[rep[cls[0]]] else phases[cls])
+            for cls in np.split(order, starts)
+        ]
 
     def center_dimension(self) -> int:
         return sum(1 for c in self.center_classes() if c.phases is not None)
@@ -375,16 +339,20 @@ def central_idempotents(G_N: FiniteGroup, alpha_N: CocycleTable, seed: int = 0) 
 def conjugate_idempotent_coeffs(
     A: TwistedAlgebra, N_elems: tuple[int, ...], g: int, coeffs: np.ndarray
 ) -> np.ndarray:
-    """Coefficients of u_g * iota * u_g^{-1} for iota supported on N."""
-    pos = {h: i for i, h in enumerate(N_elems)}
-    out = np.zeros(len(N_elems), dtype=np.complex128)
-    for i, h in enumerate(N_elems):
-        if coeffs[i] == 0:
-            continue
-        target = A.group.conjugate(g, h)
-        if target not in pos:
-            raise DomainError("conjugation leaves the subgroup; N must be normal")
-        out[pos[target]] += coeffs[i] * A.kappa(g, h)
+    """Coefficients of u_g * iota * u_g^{-1} for iota supported on N.
+
+    ``coeffs`` may stack several idempotents along leading axes.
+    """
+    N = np.asarray(N_elems)
+    target, kappa = A.conjugation(g, N)
+    pos = np.full(A.n, -1)
+    pos[N] = np.arange(len(N))
+    live = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - 1)))
+    where = pos[target[live]]
+    if (where < 0).any():
+        raise DomainError("conjugation leaves the subgroup; N must be normal")
+    out = np.zeros(coeffs.shape, dtype=np.complex128)
+    out[..., where] = coeffs[..., live] * kappa[live]
     return out
 
 

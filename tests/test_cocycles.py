@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gquot as gq
+from gquot.catalog import NONDEGENERATE_CARRIERS
 from gquot.cocycles import (
     CocycleTable,
     OneCochain,
@@ -206,3 +209,34 @@ def test_invalid_cocycle_rejected():
         CocycleTable(G, 2, bad)
     with pytest.raises(ValidationError, match="normalized"):
         CocycleTable(G, 2, np.ones((3, 3), dtype=int))
+
+
+def reference_first_bad_triple(exps, m, mul):
+    """The full (n, n, n) check the slab-wise validator replaced."""
+    left = exps[:, :, None] + exps[mul, :]
+    right = exps[None, :, :] + exps[:, mul]
+    bad = (left - right) % m
+    return tuple(int(x) for x in np.argwhere(bad)[0]) if bad.any() else None
+
+
+@given(
+    st.sampled_from(["nd_C2xC2", "nd_C3xC3", "nd_C2xC2xC2xC2", "S3", "Q8"]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_corrupted_table_reports_reference_triple(name, data):
+    if name.startswith("nd_"):
+        a = standard_nondegenerate(NONDEGENERATE_CARRIERS[name[3:]])
+    else:
+        a = CocycleTable.trivial(gq.make_group(name), 4)
+    n, m = a.group.n, a.scale
+    exps = a.exps.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        g, h = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        exps[g, h] = (exps[g, h] + data.draw(st.integers(1, m - 1))) % m
+    triple = reference_first_bad_triple(exps, m, a.group.table)
+    if triple is None:
+        CocycleTable(a.group, m, exps)
+    else:
+        with pytest.raises(ValidationError, match=re.escape(f"triple ({triple[0]},{triple[1]},{triple[2]})")):
+            CocycleTable(a.group, m, exps)

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gquot as gq
-from gquot.cocycles import CocycleTable, cohomologous, snap_to_table, standard_nondegenerate
+from gquot.catalog import NONDEGENERATE_CARRIERS
+from gquot.cocycles import (
+    CocycleTable,
+    OneCochain,
+    coboundary,
+    cohomologous,
+    snap_to_table,
+    standard_nondegenerate,
+)
 from gquot.errors import NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.mackey import (
+    TOL_GAP,
+    TOL_NULL,
+    TOL_SCALAR,
     is_ecp_quotient,
     is_elementary_quotient,
     is_simple_quotient,
     mackey_decompose,
 )
+from gquot.twisted import TwistedAlgebra
 
 
 def test_trivial_kernel_recovers_the_class():
@@ -152,3 +165,120 @@ def test_determinism_of_decomposition():
     assert d1.oracle_dims == d2.oracle_dims
     for o1, o2 in zip(d1.orbits, d2.orbits):
         assert np.array_equal(o1.omega, o2.omega)
+
+
+# -- reference: the per-element obstruction the table-driven one replaced -------
+
+
+def reference_solve_intertwiner(rho, rho_g, d):
+    eye = np.eye(d)
+    rows = [np.kron(rho_g[n], eye) - np.kron(eye, rho[n].T) for n in range(rho.shape[0])]
+    _, s, Vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    scale = max(1.0, float(s[0])) if len(s) else 1.0
+    assert int(np.sum(s < TOL_NULL * scale)) == 1
+    assert len(s) == 1 or s[-2] >= TOL_GAP * scale
+    P = Vh[-1].conj().reshape(d, d)
+    P = P * (np.sqrt(d) / np.linalg.norm(P))
+    lead = next(v for v in P.ravel() if abs(v) > 1e-6)
+    return P * (abs(lead) / lead)
+
+
+def reference_kappa(A, h, g):
+    G = A.group
+    hg, hinv = G.mul(h, g), G.inv(h)
+    return A.phases[h, g] * A.phases[hg, hinv] / A.phases[h, hinv]
+
+
+def reference_obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
+    G = A_G.group
+    N_pos = {h: i for i, h in enumerate(N_embed)}
+    I_group, I_embed = inertia.as_group()
+    k, d = I_group.n, point.dim
+    rho = A_N.irreducible_rep(point, seed=seed)
+    intertwiners = []
+    for li in range(k):
+        g = section[I_embed[li]]
+        rho_g = np.empty_like(rho)
+        for nl in range(A_N.n):
+            n_parent = N_embed[nl]
+            rho_g[nl] = reference_kappa(A_G, g, n_parent) * rho[N_pos[G.conjugate(g, n_parent)]]
+        intertwiners.append(reference_solve_intertwiner(rho, rho_g, d))
+    q = len(section)
+    T = []
+    for li in range(k):
+        g = section[I_embed[li]]
+        P_inv = intertwiners[li].conj().T
+        M = np.zeros((q * d, q * d), dtype=np.complex128)
+        for i, t_i in enumerate(section):
+            prod = G.mul(t_i, g)
+            j = next(j for j, t in enumerate(section) if G.mul(G.inv(t), prod) in N_pos)
+            t_j = section[j]
+            n2 = G.mul(G.inv(t_j), prod)
+            phase = A_G.phases[t_i, g] / A_G.phases[t_j, n2]
+            M[j * d : (j + 1) * d, i * d : (i + 1) * d] = phase * (rho[N_pos[n2]] @ P_inv)
+        T.append(M)
+    omega = np.empty((k, k), dtype=np.complex128)
+    for a in range(k):
+        for b in range(k):
+            composed, target = T[b] @ T[a], T[I_group.mul(a, b)]
+            lam = np.vdot(target, composed) / float(np.vdot(target, target).real)
+            assert np.max(np.abs(composed - lam * target)) <= TOL_SCALAR * max(1.0, float(np.max(np.abs(composed))))
+            omega[a, b] = lam / abs(lam)
+    return omega
+
+
+def _cocycle(name):
+    """nd_<carrier> for a catalog non-degenerate class, else the trivial class."""
+    if name.startswith("nd_"):
+        return standard_nondegenerate(NONDEGENERATE_CARRIERS[name[3:]])
+    return CocycleTable.trivial(gq.make_group(name))
+
+
+@pytest.mark.parametrize("name", [f"nd_{c}" for c in NONDEGENERATE_CARRIERS] + ["S4", "Q8", "D4", "D6"])
+def test_obstruction_matches_reference(name):
+    a = _cocycle(name)
+    G = a.group
+    A_G = TwistedAlgebra(G, a)
+    orbits = 0
+    for N in gq.normal_subgroups(G):
+        dec = mackey_decompose(G, a, N, seed=0)
+        alpha_N, N_group, N_embed = a.restrict(N)
+        A_N = TwistedAlgebra(N_group, alpha_N)
+        section = gq.coset_space(G, N).representatives
+        for o in dec.orbits:
+            point = dec.points[o.point_indices[0]]
+            omega = reference_obstruction(A_G, A_N, N_embed, point, o.inertia, section, 0)
+            assert np.max(np.abs(o.omega - omega)) <= 1e-12, N.elements
+            assert TwistedAlgebra(o.omega_group, omega).wedderburn(seed=0).dims == o.omega_blocks
+            orbits += 1
+    assert orbits >= len(gq.normal_subgroups(G))
+
+
+def _orbit_signature(dec):
+    return sorted((o.dim, o.inertia.order, o.omega_blocks) for o in dec.orbits)
+
+
+@given(
+    st.sampled_from(["nd_C2xC2", "nd_C4xC4", "nd_C6xC6", "nd_C2xC2xC2xC2", "S3", "S4", "Q8", "D4", "C2xC4"]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_invariants_under_relabeling_and_coboundary_twist(name, data):
+    a = _cocycle(name)
+    G, m = a.group, a.scale
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    H = gq.from_table(table)
+    exps = np.empty_like(a.exps)
+    exps[np.ix_(perm, perm)] = a.exps
+    f = OneCochain(H, m, [0] + data.draw(st.lists(st.integers(0, m - 1), min_size=H.n - 1, max_size=H.n - 1)))
+    b = CocycleTable(H, m, exps).mul(coboundary(f))
+    A, B = TwistedAlgebra(G, a), TwistedAlgebra(H, b)
+    assert A.center_dimension() == B.center_dimension()
+    assert A.wedderburn(seed=0).dims == B.wedderburn(seed=0).dims
+    N = data.draw(st.sampled_from(gq.normal_subgroups(G)))
+    N_moved = gq.Subgroup(H, tuple(sorted(perm[list(N.elements)].tolist())))
+    assert _orbit_signature(mackey_decompose(G, a, N, seed=0)) == _orbit_signature(
+        mackey_decompose(H, b, N_moved, seed=0)
+    )

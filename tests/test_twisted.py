@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 import gquot as gq
-from gquot.cocycles import CocycleTable, standard_nondegenerate
-from gquot.errors import CertificationError, SizeBoundError
+from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
+from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
+from gquot.errors import CertificationError, SizeBoundError, ValidationError
+from gquot.mackey import mackey_decompose
 from gquot.twisted import (
+    TOL_PHASE_EQ,
+    TOL_PHASE_NEQ,
+    CenterClass,
     TwistedAlgebra,
     central_idempotents,
     conjugate_idempotent,
@@ -227,3 +232,168 @@ def test_rep_defect_is_the_worst_twisted_product_entry():
 
     assert A._rep_defect(rho) == pytest.approx(loop_defect(rho), rel=1e-9)
     assert A._rep_defect(rho) > 1e-8
+
+
+# -- reference: the breadth-first class search the table routine replaced -------
+
+
+def reference_kappa(A, h, g):
+    G = A.group
+    hg, hinv = G.mul(h, g), G.inv(h)
+    return A.phases[h, g] * A.phases[hg, hinv] / A.phases[h, hinv]
+
+
+def reference_kappa_exp(A, h, g):
+    c, m, G = A.cocycle.exps, A.cocycle.scale, A.group
+    hg, hinv = G.mul(h, g), G.inv(h)
+    return int(c[h, g] + c[hg, hinv] - c[h, hinv]) % m
+
+
+def reference_class_exact(A, g0):
+    G, m = A.group, A.cocycle.scale
+    expo = {g0: 0}
+    queue = [g0]
+    consistent = True
+    while queue:
+        g = queue.pop()
+        for h in range(A.n):
+            g2 = G.conjugate(h, g)
+            e2 = (expo[g] + reference_kappa_exp(A, h, g)) % m
+            if g2 in expo:
+                if expo[g2] != e2:
+                    consistent = False
+            else:
+                expo[g2] = e2
+                queue.append(g2)
+    elems = tuple(sorted(expo))
+    if not consistent:
+        return CenterClass(elems, None)
+    return CenterClass(elems, np.exp(2j * np.pi * np.array([expo[g] for g in elems]) / m))
+
+
+def reference_class_complex(A, g0):
+    G = A.group
+    val = {g0: 1.0 + 0j}
+    queue = [g0]
+    consistent = True
+    while queue:
+        g = queue.pop()
+        for h in range(A.n):
+            g2 = G.conjugate(h, g)
+            v2 = val[g] * reference_kappa(A, h, g)
+            if g2 in val:
+                gap = abs(val[g2] - v2)
+                if gap > TOL_PHASE_NEQ:
+                    consistent = False
+                elif gap > TOL_PHASE_EQ:
+                    raise CertificationError(f"ambiguous conjugation phase (gap {gap:.2e}) on class of {g0}")
+            else:
+                val[g2] = v2
+                queue.append(g2)
+    elems = tuple(sorted(val))
+    if not consistent:
+        return CenterClass(elems, None)
+    return CenterClass(elems, np.array([val[g] for g in elems], dtype=np.complex128))
+
+
+def reference_center_classes(A):
+    seen, out = set(), []
+    for g0 in range(A.n):
+        if g0 in seen:
+            continue
+        cls = reference_class_exact(A, g0) if A.exact else reference_class_complex(A, g0)
+        seen.update(cls.elements)
+        out.append(cls)
+    return out
+
+
+def _center_cases():
+    rng = np.random.default_rng(0)
+
+    def perturbed(a):
+        f = OneCochain(a.group, 4, [0] + rng.integers(0, 4, a.group.n - 1).tolist())
+        return a.mul(coboundary(f))
+
+    for spec in list(GROUP_SPECS) + ["S4xC2", "D8xC2", "Q8xC2", "D4xD4"]:
+        t = CocycleTable.trivial(gq.make_group(spec))
+        yield spec, t
+        yield spec + "+coboundary", perturbed(t)
+    for carrier, inv in NONDEGENERATE_CARRIERS.items():
+        a = standard_nondegenerate(inv)
+        yield "nd_" + carrier, a
+        yield "nd_" + carrier + "+coboundary", perturbed(a)
+
+
+def _obstruction_algebras():
+    """Complex cocycles as they arrive from Mackey obstructions."""
+    for name, a, N in [
+        ("nd_C2xC2", standard_nondegenerate([2]), (0,)),
+        ("nd_C4xC4", standard_nondegenerate([4]), (0,)),
+        ("Q8", CocycleTable.trivial(gq.quaternion8()), gq.center(gq.quaternion8()).elements),
+    ]:
+        for o in mackey_decompose(a.group, a, gq.Subgroup(a.group, N), seed=0).orbits:
+            yield f"omega of {name}/{N}", TwistedAlgebra(o.omega_group, o.omega)
+
+
+def test_center_classes_match_reference():
+    """Exact algebras agree bit for bit; complex ones up to rounding, since
+    the scalar and the vectorized complex products may round differently."""
+    cases = [
+        (f"{name} {kind}", TwistedAlgebra(a.group, table))
+        for name, a in _center_cases()
+        for kind, table in (("exact", a), ("complex", a.value_matrix()))
+    ]
+    cases += list(_obstruction_algebras())
+    W = CocycleTable.trivial(gq.symmetric(3)).value_matrix()
+    W[0, 1:] *= np.exp(1e-9j)  # normalized only within tolerance
+    cases.append(("S3 nearly normalized", TwistedAlgebra(gq.symmetric(3), W)))
+    assert len(cases) == 2 * 2 * (len(GROUP_SPECS) + 4 + len(NONDEGENERATE_CARRIERS)) + 5
+    for name, A in cases:
+        got, want = A.center_classes(), reference_center_classes(A)
+        assert [c.elements for c in got] == [c.elements for c in want], name
+        for c, r in zip(got, want):
+            assert (c.phases is None) == (r.phases is None), (name, c.elements)
+            if c.phases is None:
+                continue
+            assert c.phases[0] == 1, (name, c.elements)  # the smallest element anchors the class
+            if A.exact:
+                assert np.array_equal(c.phases, r.phases), (name, c.elements)
+            else:
+                assert np.max(np.abs(c.phases - r.phases)) <= 1e-12, (name, c.elements)
+
+
+@pytest.mark.parametrize("spec, entry", [("C2xC2", (1, 2)), ("S3", (1, 2)), ("Q8", (2, 3))])
+def test_ambiguous_conjugation_phase_raises(spec, entry):
+    G = gq.make_group(spec)
+    A = TwistedAlgebra(G, CocycleTable.trivial(G).value_matrix())
+    A.center_classes()  # the unperturbed algebra certifies
+    phases = A.phases.copy()
+    phases[entry] *= np.exp(1j * 1e-5)  # one loop gap of about 1e-5, inside (EQ, NEQ]
+    A.phases = phases
+    with pytest.raises(CertificationError, match="ambiguous conjugation phase"):
+        A.center_classes()
+    with pytest.raises(CertificationError):
+        reference_center_classes(A)
+
+
+def reference_complex_cocycle_ok(W, mul):
+    left = W[:, :, None] * W[mul, :]
+    right = W[None, :, :] * W[:, mul]
+    return np.max(np.abs(left - right)) <= TOL_PHASE_EQ
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-6, 1e-2])
+def test_complex_cocycle_check_matches_full_check(size):
+    a = standard_nondegenerate([2, 2])
+    mul = a.group.table
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        W = a.value_matrix()
+        g, h = rng.integers(1, a.group.n, 2)
+        W[g, h] *= np.exp(1j * size)
+        want = reference_complex_cocycle_ok(W, mul)
+        if want:
+            TwistedAlgebra(a.group, W)
+        else:
+            with pytest.raises(ValidationError, match="2-cocycle identity"):
+                TwistedAlgebra(a.group, W)
