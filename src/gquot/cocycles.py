@@ -70,10 +70,6 @@ class CocycleTable:
         a, b = reconcile_scales(self, other)
         return CocycleTable(a.group, a.scale, (a.exps + b.exps) % a.scale, _trusted=True)
 
-    def div(self, other: "CocycleTable") -> "CocycleTable":
-        a, b = reconcile_scales(self, other)
-        return CocycleTable(a.group, a.scale, (a.exps - b.exps) % a.scale, _trusted=True)
-
     def restrict(self, H: Subgroup) -> tuple["CocycleTable", FiniteGroup, list[int]]:
         """Restrict to a subgroup, returned on the subgroup as a standalone group."""
         if H.group is not self.group and H.group != self.group:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cocycles import CocycleTable
 from .errors import DomainError, TheoremCheckError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, _closure
+from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup, quotient
 from .words import FactorMap, FreeFactor, FreeProductGroup, Word, syllable_generators_cover
 
 
@@ -93,17 +93,13 @@ class Character:
 
 
 def _target_of(mapping):
-    if isinstance(mapping, GroupHom):
-        return mapping.target
-    if isinstance(mapping, FactorMap):
+    if isinstance(mapping, (GroupHom, FactorMap)):
         return mapping.target
     raise DomainError("pushforward needs a GroupHom or FactorMap")
 
 
 def character_mod(x: Character, N: Subgroup) -> Character:
     """Reduce a character over a finite group modulo a normal subgroup."""
-    from .groups import quotient
-
     _, proj = quotient(x.group, N)
     return x.pushforward(proj)
 
@@ -239,7 +235,7 @@ def is_connected(d: GradingClassDescriptor) -> bool:
     """
     supp = descriptor_support(d)
     if isinstance(d.group, FiniteGroup):
-        return len(_closure(d.group, {int(g) for g in supp})) == d.group.n
+        return generated_subgroup(d.group, supp).order == d.group.n
     if syllable_generators_cover(d.group, supp):
         return True
     if all(w.syllable_length() <= 1 for w in supp):
@@ -252,8 +248,6 @@ def is_connected(d: GradingClassDescriptor) -> bool:
 
 def coset_masses(x: Character, H: Subgroup) -> dict[int, int]:
     """Total multiplicity of x on each left coset gH, keyed by representative."""
-    from .groups import coset_space
-
     cs = coset_space(x.group, H)
     out = {rep: 0 for rep in cs.representatives}
     for g, k in x.mults:

@@ -1,18 +1,31 @@
 """Finite groups as dense multiplication tables.
 
 Every group lives on element indices ``0..n-1`` with ``0`` the identity, so
-multiplication is a single table lookup.  Subgroup closure is a breadth-first
-search along rows of ``G.table[:, gens]``.  The subgroup lattice is built by
-Neubüser's cyclic extension (join each subgroup with every cyclic subgroup it
-misses, layer by layer) and memoized on the group instance; enumeration is
-refused above a size bound (default 64), checked on every call.  Quotients,
-coset actions and abelian invariants work on top.
+``G.table[a, b]`` is the product and ``G.inverse_table[a]`` the inverse.
+Every question about a subgroup H is answered by indexing these arrays with
+the element tuple of H (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, ch. 3-4):
+
+- closure: ``table[H][:, H]`` and ``inverse_table[H]`` stay inside H;
+- normality: ``table[table[:, H], inverse_table[:, None]]`` holds every
+  conjugate g h g^-1, row g, and must stay inside H;
+- left cosets: the rows of ``table[:, H]`` are the cosets gH, and a row's
+  minimum is its coset representative;
+- G/N, the standalone copy of H and coset actions are those arrays
+  re-indexed through the coset (or position) labels.
+
+Subgroup generation is a breadth-first search along rows of
+``G.table[:, gens]``; the subgroup lattice is built by Neubüser's cyclic
+extension (join each subgroup with every cyclic subgroup it misses, layer by
+layer) and memoized on the group instance; enumeration is refused above a
+size bound (default 64), checked on every call.  Groups of permutations
+(coset actions, automorphism groups) get their table from
+``permutation_group``.
 
 ``homomorphisms`` is the one homomorphism search: it backtracks over images
 of a generating sequence, closes each partial assignment multiplicatively and
-prunes on the first conflict (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 4.6).  Isomorphism testing and automorphism
-enumeration are that search with ``injective=True``.
+prunes on the first conflict (Holt, Eick and O'Brien, 4.6).  Isomorphism
+testing and automorphism enumeration are that search with ``injective=True``.
 """
 
 from __future__ import annotations
@@ -96,11 +109,6 @@ class FiniteGroup:
         """g * a * g^-1."""
         return int(self.table[self.table[g, a], self.inverse_table[g]])
 
-    def commutator(self, a: int, b: int) -> int:
-        """a * b * a^-1 * b^-1."""
-        t = self.table
-        return int(t[t[t[a, b], self.inverse_table[a]], self.inverse_table[b]])
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -131,12 +139,6 @@ class FiniteGroup:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian
 
-    def product_word(self, word) -> int:
-        out = 0
-        for g in word:
-            out = int(self.table[out, g])
-        return out
-
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
@@ -163,16 +165,22 @@ class Subgroup:
     def __post_init__(self):
         elems = tuple(sorted(int(x) for x in set(self.elements)))
         object.__setattr__(self, "elements", elems)
-        eset = set(elems)
-        if 0 not in eset:
+        n = self.group.n
+        if elems and (elems[0] < 0 or elems[-1] >= n):
+            x = elems[0] if elems[0] < 0 else elems[-1]
+            raise ValidationError(f"subgroup element {x} outside the group of order {n}")
+        if not elems or elems[0] != 0:
             raise ValidationError("subgroup does not contain the identity")
-        t = self.group.table
-        for a in elems:
-            if int(self.group.inverse_table[a]) not in eset:
-                raise ValidationError(f"subgroup not closed under inversion at {a}")
-            for b in elems:
-                if int(t[a, b]) not in eset:
-                    raise ValidationError(f"subgroup not closed under product {a}*{b}")
+        # row a: column 0 is "a^-1 inside", column 1 + j is "a * elems[j] inside",
+        # so the first failure in row-major order tests a^-1 before a's products
+        E = list(elems)
+        inside = self._inside()
+        bad = ~np.column_stack([inside[self.group.inverse_table[E]], inside[self.group.table[np.ix_(E, E)]]])
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            if j == 0:
+                raise ValidationError(f"subgroup not closed under inversion at {elems[i]}")
+            raise ValidationError(f"subgroup not closed under product {elems[i]}*{elems[j - 1]}")
 
     @property
     def order(self) -> int:
@@ -184,20 +192,24 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _inside(self) -> np.ndarray:
+        """Membership as a boolean vector over the elements of the group."""
+        inside = np.zeros(self.group.n, dtype=bool)
+        inside[list(self.elements)] = True
+        return inside
+
     def is_normal(self) -> bool:
-        G = self.group
-        eset = set(self.elements)
-        return all(G.conjugate(g, h) in eset for g in G.elements() for h in self.elements)
+        return self.violating_conjugation() is None
 
     def violating_conjugation(self):
-        """A pair (g, h) with g h g^-1 outside the subgroup, else None."""
-        G = self.group
-        eset = set(self.elements)
-        for g in G.elements():
-            for h in self.elements:
-                if G.conjugate(g, h) not in eset:
-                    return g, h
-        return None
+        """The first pair (g, h), g-major, with g h g^-1 outside the subgroup, else None."""
+        t, inv = self.group.table, self.group.inverse_table
+        conj = t[t[:, list(self.elements)], inv[:, None]]  # conj[g, i] = g h_i g^-1
+        bad = ~self._inside()[conj]
+        if not bad.any():
+            return None
+        g, i = np.unravel_index(np.argmax(bad), bad.shape)
+        return int(g), self.elements[i]
 
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Return this subgroup as a standalone group plus the embedding.
@@ -206,12 +218,9 @@ class Subgroup:
         stays at index 0 because parent index 0 sorts first.
         """
         elems = list(self.elements)
-        pos = {g: i for i, g in enumerate(elems)}
-        k = len(elems)
-        table = np.empty((k, k), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                table[i, j] = pos[self.group.mul(a, b)]
+        pos = np.zeros(self.group.n, dtype=np.int64)
+        pos[elems] = np.arange(len(elems))
+        table = pos[self.group.table[np.ix_(elems, elems)]]
         labels = [self.group.label(g) for g in elems]
         sub = FiniteGroup(table, labels=labels, _trusted=True)
         return sub, elems
@@ -246,15 +255,8 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         return Subgroup(self.source, tuple(g for g in self.source.elements() if self.images[g] == 0))
 
-    def image_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
-
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.n
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
-        return GroupHom(inner.source, self.target, tuple(self.images[x] for x in inner.images))
 
 
 @dataclass(frozen=True)
@@ -321,19 +323,29 @@ def dihedral(n: int) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"D{n}", _trusted=True)
 
 
+def permutation_group(perms, name: str | None = None) -> tuple[FiniteGroup, list[int]]:
+    """The group of the distinct permutations among ``perms``, plus the
+    element each input permutation became.
+
+    The permutations of ``0..k-1`` given must be closed under composition.
+    Elements are numbered in lexicographic order, so the identity comes
+    first; the product p*q is the composite ``p[q]`` (q first), and each
+    element is labelled by its images written out.
+    """
+    rows = [tuple(p) for p in np.asarray(perms).tolist()]
+    ordered = sorted(set(rows))
+    pos = {p: i for i, p in enumerate(ordered)}
+    arr = np.array(ordered)
+    table = [[pos[tuple(pq)] for pq in p[arr].tolist()] for p in arr]
+    labels = ["".join(map(str, p)) for p in ordered]
+    return FiniteGroup(table, labels=labels, name=name, _trusted=True), [pos[p] for p in rows]
+
+
 def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n letters, n <= 4, elements ordered lexicographically."""
     if not 1 <= n <= 4:
         raise SizeBoundError("symmetric(n) supported for n <= 4 only")
-    perms = sorted(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    k = len(perms)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = pos[tuple(p[q[x]] for x in range(n))]
-    labels = ["".join(str(x) for x in p) for p in perms]
-    return FiniteGroup(table, labels=labels, name=f"S{n}", _trusted=True)
+    return permutation_group(list(itertools.permutations(range(n))), name=f"S{n}")[0]
 
 
 def quaternion8() -> FiniteGroup:
@@ -461,40 +473,37 @@ def normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Su
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    elems = tuple(g for g in G.elements() if all(G.mul(g, h) == G.mul(h, g) for h in G.elements()))
-    return Subgroup(G, elems)
+    """The elements whose row of the table equals their column."""
+    t = G.table
+    return Subgroup(G, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
 
 
 def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
-    """Left cosets gH with minimal-index representatives, identity coset first."""
-    block_of = [-1] * G.n
-    blocks, reps = [], []
-    for g in G.elements():
-        if block_of[g] >= 0:
-            continue
-        block = tuple(sorted(G.mul(g, h) for h in H.elements))
-        idx = len(blocks)
-        for x in block:
-            block_of[x] = idx
-        blocks.append(block)
-        reps.append(block[0])
-    return CosetSpace(G, H, tuple(blocks), tuple(reps), tuple(block_of))
+    """Left cosets gH with minimal-index representatives, identity coset first.
+
+    Row g of ``G.table[:, H]`` is the coset gH, and its minimum is the
+    representative; cosets are numbered in increasing representative order.
+    """
+    cosets = G.table[:, list(H.elements)]
+    rep_of = cosets.min(axis=1)
+    reps = np.flatnonzero(rep_of == np.arange(G.n))
+    blocks = np.sort(cosets[reps], axis=1)
+    block_of = np.searchsorted(reps, rep_of)
+    return CosetSpace(G, H, tuple(map(tuple, blocks.tolist())), tuple(reps.tolist()), tuple(block_of.tolist()))
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """The quotient group G/N plus the projection homomorphism."""
-    if not N.is_normal():
-        g, h = N.violating_conjugation()
+    bad = N.violating_conjugation()
+    if bad is not None:
+        g, h = bad
         raise NormalityError(f"subgroup is not normal: {g}*{h}*{g}^-1 leaves it")
     cs = coset_space(G, N)
-    k = len(cs)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(cs.representatives):
-        for j, b in enumerate(cs.representatives):
-            table[i, j] = cs.block_of[G.mul(a, b)]
-    labels = [G.label(r) + "N" for r in cs.representatives]
+    reps = list(cs.representatives)
+    table = np.asarray(cs.block_of)[G.table[np.ix_(reps, reps)]]
+    labels = [G.label(r) + "N" for r in reps]
     Q = FiniteGroup(table, labels=labels, name=(G.name or "G") + "/N", _trusted=True)
-    proj = GroupHom(G, Q, tuple(cs.block_of))
+    proj = GroupHom(G, Q, cs.block_of)
     return Q, proj
 
 
@@ -509,34 +518,12 @@ class CosetAction:
 
     def __init__(self, G: FiniteGroup, H: Subgroup):
         cs = coset_space(G, H)
-        k = len(cs)
-        perms = np.empty((G.n, k), dtype=np.int64)
-        for g in G.elements():
-            for i, r in enumerate(cs.representatives):
-                perms[g, i] = cs.block_of[G.mul(g, r)]
         self.group = G
         self.subgroup = H
         self.cosets = cs
-        self.perms = perms
-        distinct: dict[tuple, int] = {}
-        order = []
-        for g in G.elements():
-            key = tuple(perms[g])
-            if key not in distinct:
-                distinct[key] = None
-                order.append(key)
-        ident = tuple(range(k))
-        order.sort(key=lambda p: (p != ident, p))
-        pos = {p: i for i, p in enumerate(order)}
-        m = len(order)
-        table = np.empty((m, m), dtype=np.int64)
-        for i, p in enumerate(order):
-            for j, q in enumerate(order):
-                table[i, j] = pos[tuple(p[x] for x in q)]
-        self.image_group = FiniteGroup(
-            table, labels=["".join(map(str, p)) for p in order], name="image", _trusted=True
-        )
-        self.hom = GroupHom(G, self.image_group, tuple(pos[tuple(perms[g])] for g in G.elements()))
+        self.perms = np.asarray(cs.block_of)[G.table[:, list(cs.representatives)]]
+        self.image_group, image = permutation_group(self.perms, name="image")
+        self.hom = GroupHom(G, self.image_group, image)
 
     def kernel(self) -> Subgroup:
         return self.hom.kernel()
@@ -619,6 +606,33 @@ def squarefree(n: int) -> bool:
     return True
 
 
+def invariant_factor_sequences(n: int) -> list[tuple[int, ...]]:
+    """All chains n1 | n2 | ... | nk with product n, ascending lexicographic."""
+    if n == 1:
+        return [()]
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, last: int, acc: list[int]):
+        if remaining == 1:
+            out.append(tuple(acc))
+            return
+        d = max(last, 2)
+        while d <= remaining:
+            if (last == 1 or d % last == 0) and remaining % d == 0:
+                rec(remaining // d, d, acc + [d])
+            d += 1
+
+    rec(n, 1, [])
+    return sorted(set(out))
+
+
+def abelian_group_from_invariants(invariants) -> FiniteGroup:
+    """The direct product of cyclic groups of the given orders (C1 when empty)."""
+    if not invariants:
+        return trivial_group()
+    return direct_product(*(cyclic(k) for k in invariants))
+
+
 # -- isomorphism testing ---------------------------------------------------
 
 
@@ -629,7 +643,8 @@ class IsomorphismResult:
     reason: str
 
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
+def generating_sequence(G: FiniteGroup) -> list[int]:
+    """Generators of G, each the smallest element outside the span of those before."""
     gens: list[int] = []
     span = {0}
     while len(span) < G.n:
@@ -663,13 +678,13 @@ def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
 def homomorphisms(G: FiniteGroup, T: FiniteGroup, injective: bool = False):
     """Every homomorphism G -> T (only the injective ones if asked), in order.
 
-    Generators come from ``_generating_sequence(G)``; a generator's candidate
+    Generators come from ``generating_sequence(G)``; a generator's candidate
     images are the elements of T, in index order, whose order divides its
     order (equals it, when ``injective``).  Each partial assignment is closed
     by ``_extend_hom`` and dropped on conflict, so a complete assignment is
     already multiplicative; ``GroupHom`` certifies it once more.
     """
-    gens = _generating_sequence(G)
+    gens = generating_sequence(G)
     orders_T = T.element_orders()
     cands = []
     for g in gens:

@@ -16,19 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial, is_nondegenerate
 from .errors import DomainError, SizeBoundError, TheoremCheckError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _closure,
-    _generating_sequence,
+    abelian_group_from_invariants,
     are_isomorphic,
-    cyclic,
-    direct_product,
+    generated_subgroup,
+    generating_sequence,
     homomorphisms,
+    invariant_factor_sequences,
+    permutation_group,
     quotient,
     subgroups,
 )
@@ -214,8 +213,7 @@ def sylow_decomposition(G: FiniteGroup) -> list[Subgroup] | None:
             sylows.append(Subgroup(G, elems))
         except Exception:
             return None
-    total = _closure(G, set().union(*(set(s.elements) for s in sylows)) or {0})
-    if len(total) != n:
+    if generated_subgroup(G, set().union(*(s.elements for s in sylows))).order != n:
         return None
     return sylows
 
@@ -262,8 +260,6 @@ def minimal_isotropic(N: FiniteGroup, alpha: CocycleTable, seed: int = 0, bound:
                 if best is None or K_parent.order > best.order:
                     best = K_parent
         chosen_gens |= set(best.elements)
-    from .groups import generated_subgroup
-
     H = generated_subgroup(N, chosen_gens)
     if not is_isotropic(N, alpha, H, seed=seed).isotropic:
         raise TheoremCheckError("product of isotropic Sylow parts is not isotropic")
@@ -329,50 +325,14 @@ class IYBSearchResult:
     exhausted: bool
 
 
-def _invariant_factor_sequences(n: int) -> list[tuple[int, ...]]:
-    """All chains n1 | n2 | ... | nk with product n, ascending lexicographic."""
-    if n == 1:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, last: int, acc: list[int]):
-        if remaining == 1:
-            out.append(tuple(acc))
-            return
-        d = max(last, 2)
-        while d <= remaining:
-            if (last == 1 or d % last == 0) and remaining % d == 0:
-                rec(remaining // d, d, acc + [d])
-            d += 1
-
-    rec(n, 1, [])
-    return sorted(set(out))
-
-
-def abelian_group_from_invariants(invariants) -> FiniteGroup:
-    if not invariants:
-        from .groups import trivial_group
-
-        return trivial_group()
-    return direct_product(*(cyclic(k) for k in invariants))
-
-
 def automorphism_group(A: FiniteGroup):
     """All automorphisms of an abelian group as permutations, plus the
     composition group (identity first)."""
     if not A.is_abelian:
         raise DomainError("automorphism enumeration implemented for abelian groups")
-    ident = tuple(range(A.n))
-    autos = (h.images for h in homomorphisms(A, A, injective=True))
-    ordered = sorted(autos, key=lambda p: (p != ident, p))
-    pos = {p: i for i, p in enumerate(ordered)}
-    k = len(ordered)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            table[i, j] = pos[_compose_perm(p, q)]
-    aut_group = FiniteGroup(table, name=f"Aut({A.name or A.n})", _trusted=True)
-    return aut_group, ordered
+    autos = [h.images for h in homomorphisms(A, A, injective=True)]
+    aut_group, _ = permutation_group(autos, name=f"Aut({A.name or A.n})")
+    return aut_group, sorted(autos)  # the group's element order
 
 
 def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None = None) -> IYBSearchResult:
@@ -388,7 +348,7 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None 
         raise SizeBoundError(f"IYB search bounded at order {bound}")
     modules_tried = 0
     actions_tried = 0
-    for invs in _invariant_factor_sequences(H.n):
+    for invs in invariant_factor_sequences(H.n):
         A = abelian_group_from_invariants(invs)
         modules_tried += 1
         if max_modules is not None and modules_tried > max_modules:
@@ -408,7 +368,7 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None 
 
 def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...] | None:
     """Backtracking search for a bijective delta with delta(xy) = delta(x) + x.delta(y)."""
-    gens = _generating_sequence(H) if H.n > 1 else []
+    gens = generating_sequence(H) if H.n > 1 else []
     if not gens:
         return (0,) if A.n == 1 else None
 

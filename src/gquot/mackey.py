@@ -79,8 +79,9 @@ def mackey_decompose(
     G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
 ) -> MackeyDecomposition:
     """Full decomposition of [C^alpha G / N] with all consistency checks."""
-    if not N.is_normal():
-        g, h = N.violating_conjugation()
+    bad = N.violating_conjugation()
+    if bad is not None:
+        g, h = bad
         raise NormalityError(f"N is not normal: conjugating {h} by {g} leaves N")
     Q, proj = quotient(G, N)
     cs = coset_space(G, N)

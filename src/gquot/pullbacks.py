@@ -15,10 +15,18 @@ as fixed data; deriving them from first principles is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from .errors import CertificationError, DomainError, ValidationError
 from .gradings import Character, FactorFine, GradingClassDescriptor, Summand
-from .groups import FiniteGroup, GroupHom, cyclic, direct_product
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    abelian_group_from_invariants,
+    cyclic,
+    direct_product,
+    invariant_factor_sequences,
+)
 from .words import FactorMap, FreeProductGroup, Word
 
 
@@ -69,13 +77,9 @@ class GroupDiagram:
         for e in self.edges:
             target = self.targets[e.target_key]
             m = e.mapping
-            if isinstance(m, GroupHom):
-                ok = m.target == target and m.is_surjective()
-            elif isinstance(m, FactorMap):
-                ok = m.target == target and m.is_surjective()
-            else:
+            if not isinstance(m, (GroupHom, FactorMap)):
                 raise ValidationError("edge mapping must be a GroupHom or FactorMap")
-            if not ok:
+            if not (m.target == target and m.is_surjective()):
                 raise ValidationError(f"edge into {e.target_key!r} is not a verified epimorphism")
 
     def is_admissible(self, t) -> bool:
@@ -577,8 +581,6 @@ def maximal_gradings_diagonal(n: int) -> list[DiagonalClass]:
     """
     if not 2 <= n <= 12:
         raise DomainError("diagonal enumeration supported for 2 <= n <= 12")
-    from .lagrangians import _invariant_factor_sequences, abelian_group_from_invariants
-
     out = []
     for partition in _partitions_at_most_one_unit(n):
         nontrivial = [p for p in partition if p > 1]
@@ -619,12 +621,9 @@ def _partitions_at_most_one_unit(n: int) -> list[tuple[int, ...]]:
 
 
 def _type_combinations(orders: list[int]):
-    from .lagrangians import _invariant_factor_sequences
-    from itertools import product as iproduct
-
     per_order = {}
     for k in set(orders):
-        per_order[k] = _invariant_factor_sequences(k)
+        per_order[k] = invariant_factor_sequences(k)
     pools = [per_order[k] for k in orders]
     seen = set()
     for combo in iproduct(*pools):

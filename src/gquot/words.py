@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, ValidationError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, generated_subgroup
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class FreeProductGroup:
     def inv(self, w: "Word") -> "Word":
         return w.inv()
 
-    def finite_factor_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.factors) if isinstance(f, FiniteGroup)]
-
-    def free_factor_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.factors) if isinstance(f, FreeFactor)]
-
     def __eq__(self, other):
         return isinstance(other, FreeProductGroup) and self.factors == other.factors
 
@@ -71,10 +65,6 @@ def _combine(factor, p: int, q: int) -> int:
     if isinstance(factor, FreeFactor):
         return p + q
     return factor.mul(p, q)
-
-
-def _is_identity_payload(factor, p: int) -> bool:
-    return p == 0
 
 
 def _invert_payload(factor, p: int) -> int:
@@ -96,12 +86,12 @@ class Word:
             factor = self.group.factors[fi]
             if not isinstance(factor, FreeFactor) and not (0 <= p < factor.n):
                 raise ValidationError(f"syllable payload {p} out of range for factor {fi}")
-            if _is_identity_payload(factor, p):
+            if p == 0:
                 continue
             if stack and stack[-1][0] == fi:
                 merged = _combine(factor, stack[-1][1], p)
                 stack.pop()
-                if not _is_identity_payload(factor, merged):
+                if merged != 0:
                     stack.append((fi, merged))
             else:
                 stack.append((fi, p))
@@ -183,15 +173,13 @@ class FactorMap:
         return out
 
     def is_surjective(self) -> bool:
-        from .groups import _closure
-
         gens = set()
         for f, m in zip(self.source.factors, self.maps):
             if isinstance(f, FreeFactor):
                 gens.add(m)
             else:
                 gens.update(m.images)
-        return len(_closure(self.target, gens)) == self.target.n
+        return generated_subgroup(self.target, gens).order == self.target.n
 
 
 def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_bound: int = 1):
@@ -235,8 +223,6 @@ def syllable_generators_cover(group: FreeProductGroup, words) -> bool:
     For each finite factor the appearing payloads must generate it; for each
     free letter the gcd of appearing exponents must be 1.
     """
-    from .groups import _closure
-
     per_factor: dict[int, list[int]] = {i: [] for i in range(len(group.factors))}
     for w in words:
         if w.syllable_length() == 1:
@@ -248,6 +234,6 @@ def syllable_generators_cover(group: FreeProductGroup, words) -> bool:
             if not payloads or gcd(*(abs(p) for p in payloads)) != 1:
                 return False
         else:
-            if f.n > 1 and len(_closure(f, set(payloads))) != f.n:
+            if generated_subgroup(f, payloads).order != f.n:
                 return False
     return True

@@ -1,3 +1,5 @@
+import pytest
+
 import gquot as gq
 from gquot.cli import main
 from gquot.groups import format_group_table, parse_group_table
@@ -82,6 +84,13 @@ def test_twisted_and_mackey(capsys):
     assert code == 0
     assert "orbits: 1" in out and "elementary_crossed_product: True" in out
     assert "reconstruction_check: True" in out
+
+
+@pytest.mark.parametrize("normal, bad", [("0,9", 9), ("0,-2", -2)])
+def test_mackey_subgroup_outside_group_exits_2(capsys, normal, bad):
+    code, out = run_cli(capsys, "mackey", "decompose", "--group", "C4", "--normal", normal)
+    assert code == 2
+    assert f"error: ValidationError: subgroup element {bad} outside the group of order 4" in out
 
 
 def test_mackey_deterministic_output(capsys):

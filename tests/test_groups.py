@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import gquot as gq
 from gquot import groups
 from gquot.catalog import GROUP_SPECS
-from gquot.errors import SizeBoundError, ValidationError
+from gquot.cocycles import standard_nondegenerate
+from gquot.errors import NormalityError, SizeBoundError, ValidationError
 from gquot.groups import format_group_table, parse_group_table
 
 
@@ -224,6 +225,197 @@ def test_coset_action_kernel_is_largest_normal_inside():
                 assert ker == set(H.elements)
 
 
+# -- reference code: the element loops that table indexing replaced ---------
+
+
+def reference_closure_error(G, elems):
+    """The element-by-element closure check: its message, or None."""
+    eset = set(elems)
+    if 0 not in eset:
+        return "subgroup does not contain the identity"
+    for a in sorted(eset):
+        if G.inv(a) not in eset:
+            return f"subgroup not closed under inversion at {a}"
+        for b in sorted(eset):
+            if G.mul(a, b) not in eset:
+                return f"subgroup not closed under product {a}*{b}"
+    return None
+
+
+def reference_violating_conjugation(H):
+    G = H.group
+    eset = set(H.elements)
+    for g in G.elements():
+        for h in H.elements:
+            if G.conjugate(g, h) not in eset:
+                return g, h
+    return None
+
+
+def reference_as_group(H):
+    """(table, labels, embedding) of H as a standalone group."""
+    elems = list(H.elements)
+    pos = {g: i for i, g in enumerate(elems)}
+    table = [[pos[H.group.mul(a, b)] for b in elems] for a in elems]
+    return table, [H.group.label(g) for g in elems], elems
+
+
+def reference_coset_space(G, H):
+    """(blocks, representatives, block_of), first-seen coset order."""
+    block_of = [-1] * G.n
+    blocks, reps = [], []
+    for g in G.elements():
+        if block_of[g] >= 0:
+            continue
+        block = tuple(sorted(G.mul(g, h) for h in H.elements))
+        for x in block:
+            block_of[x] = len(blocks)
+        blocks.append(block)
+        reps.append(block[0])
+    return tuple(blocks), tuple(reps), tuple(block_of)
+
+
+def reference_quotient(G, N):
+    """(table, labels, projection images) of G/N."""
+    _, reps, block_of = reference_coset_space(G, N)
+    table = [[block_of[G.mul(a, b)] for b in reps] for a in reps]
+    return table, [G.label(r) + "N" for r in reps], block_of
+
+
+def reference_coset_permutations(G, H):
+    _, reps, block_of = reference_coset_space(G, H)
+    return [tuple(block_of[G.mul(g, r)] for r in reps) for g in G.elements()]
+
+
+def reference_coset_image(perms):
+    """The CosetAction image builder: distinct permutations in first-seen
+    order, sorted identity first, composed pairwise; (table, labels, images)."""
+    order = list(dict.fromkeys(perms))
+    ident = tuple(range(len(perms[0])))
+    order.sort(key=lambda p: (p != ident, p))
+    pos = {p: i for i, p in enumerate(order)}
+    table = [[pos[tuple(p[x] for x in q)] for q in order] for p in order]
+    return table, ["".join(map(str, p)) for p in order], [pos[p] for p in perms]
+
+
+def reference_automorphism_builder(autos):
+    """The automorphism_group builder: (table, ordered permutations)."""
+    ident = tuple(range(len(autos[0])))
+    ordered = sorted(autos, key=lambda p: (p != ident, p))
+    pos = {p: i for i, p in enumerate(ordered)}
+    table = [[pos[tuple(p[x] for x in q)] for q in ordered] for p in ordered]
+    return table, ordered
+
+
+def reference_center(G):
+    return tuple(g for g in G.elements() if all(G.mul(g, h) == G.mul(h, g) for h in G.elements()))
+
+
+def _closure_message(G, elems):
+    try:
+        gq.Subgroup(G, tuple(elems))
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(G, H):
+    """Subsets near H: without its largest element, with the smallest element
+    it misses, both at once, and without the identity."""
+    elems = set(H.elements)
+    outside = [g for g in G.elements() if g not in elems]
+    out = [elems - {0}]
+    if H.order > 1:
+        out.append(elems - {max(elems)})
+    if outside:
+        out.append(elems | {outside[0]})
+        if H.order > 1:
+            out.append((elems - {max(elems)}) | {outside[0]})
+    return out
+
+
+_TABLE_GROUPS = {spec: (lambda spec=spec: gq.make_group(spec)) for spec in GROUP_SPECS}
+_TABLE_GROUPS.update({spec: (lambda spec=spec: gq.make_group(spec)) for spec in ["S4xC2", "D8xC2", "Q8xC2", "D4xD4"]})
+_TABLE_GROUPS["nd_C8xC8"] = lambda: standard_nondegenerate([8]).group
+
+
+@pytest.mark.parametrize("name", list(_TABLE_GROUPS))
+def test_table_routines_match_reference(name):
+    G = _TABLE_GROUPS[name]()
+    assert gq.center(G).elements == reference_center(G)
+    for H in gq.subgroups(G):
+        for elems in _corruptions(G, H):
+            assert _closure_message(G, elems) == reference_closure_error(G, elems)
+        bad = reference_violating_conjugation(H)
+        assert H.violating_conjugation() == bad
+        assert H.is_normal() == (bad is None)
+        sub, embed = H.as_group()
+        assert (sub.table.tolist(), sub.labels, embed) == reference_as_group(H)
+        cs = gq.coset_space(G, H)
+        assert (cs.blocks, cs.representatives, cs.block_of) == reference_coset_space(G, H)
+        if bad is None:
+            Q, proj = gq.quotient(G, H)
+            assert (Q.table.tolist(), Q.labels, proj.images) == reference_quotient(G, H)
+        else:
+            with pytest.raises(NormalityError, match=rf"^subgroup is not normal: {bad[0]}\*{bad[1]}\*"):
+                gq.quotient(G, H)
+        act = gq.coset_action(G, H)
+        perms = reference_coset_permutations(G, H)
+        assert [tuple(p) for p in act.perms.tolist()] == perms
+        image = act.image_group
+        assert (image.table.tolist(), image.labels, list(act.hom.images)) == reference_coset_image(perms)
+
+
+@pytest.mark.parametrize("spec", ["C1", "C2", "C4", "C6", "C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C2xC2xC4"])
+def test_permutation_group_matches_automorphism_builder(spec):
+    A = gq.make_group(spec)
+    autos = [h.images for h in gq.homomorphisms(A, A, injective=True)]
+    table, ordered = reference_automorphism_builder(autos)
+    group, image = groups.permutation_group(autos)
+    assert [ordered[i] for i in image] == autos
+    assert group.table.tolist() == table
+    # the coset-action builder gives the same table on the same permutations
+    assert reference_coset_image(autos)[0] == table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_matches_permutation_loop(n):
+    perms = sorted(itertools.permutations(range(n)))
+    pos = {p: i for i, p in enumerate(perms)}
+    G = gq.symmetric(n)
+    assert G.table.tolist() == [[pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    assert G.labels == ["".join(str(x) for x in p) for p in perms]
+
+
+@given(st.sampled_from(["C2", "C4", "C2xC2", "S3", "D4", "Q8", "C2xC4"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closure_check_matches_loop_on_random_subsets(spec, data):
+    G = gq.make_group(spec)
+    elems = data.draw(st.sets(st.integers(0, G.n - 1), min_size=1))
+    assert _closure_message(G, elems) == reference_closure_error(G, elems)
+
+
+@given(st.sampled_from(["C12", "C2xC6", "D6", "Q8", "S4", "C4xC4", "D4xC2", "Q8xC2"]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_normal_subgroups_and_quotients_invariant_under_relabeling(spec, data):
+    G = gq.make_group(spec)
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    H = _relabeled(G, perm)
+
+    def quotient_profile(K):
+        return sorted(
+            (len(N), sorted(gq.quotient(K, N)[0].order_census().items())) for N in gq.normal_subgroups(K)
+        )
+
+    assert quotient_profile(G) == quotient_profile(H)
+
+
+@pytest.mark.parametrize("elems, bad", [((0, 9), 9), ((0, -2), -2), ((-1, 0, 1, 2, 3, 4), -1), ((0, 4), 4)])
+def test_subgroup_rejects_indices_outside_the_group(elems, bad):
+    with pytest.raises(ValidationError, match=rf"^subgroup element {bad} outside the group of order 4$"):
+        gq.Subgroup(gq.cyclic(4), elems)
+
+
 def test_abelian_invariants():
     assert gq.abelian_invariants(gq.cyclic(6)).invariants == (6,)
     dec = gq.abelian_invariants(gq.make_group("C2xC4"))
@@ -262,7 +454,7 @@ def reference_isomorphism(G1, G2):
     ``are_isomorphic``: the images of an isomorphism G1 -> G2, or None."""
     if G1.n != G2.n or G1.order_census() != G2.order_census() or G1.is_abelian != G2.is_abelian:
         return None
-    gens = groups._generating_sequence(G1)
+    gens = groups.generating_sequence(G1)
     orders1 = G1.element_orders()
     orders2 = G2.element_orders()
     candidates = [[h for h in G2.elements() if orders2[h] == orders1[g]] for g in gens]

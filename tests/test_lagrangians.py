@@ -4,10 +4,10 @@ import pytest
 import gquot as gq
 from gquot.cocycles import CocycleTable, standard_nondegenerate
 from gquot.errors import DomainError, SizeBoundError
-from gquot.groups import _extend_hom, _generating_sequence
+from gquot import groups
+from gquot.groups import abelian_group_from_invariants, generating_sequence, invariant_factor_sequences
 from gquot.lagrangians import (
     IYBWitness,
-    abelian_group_from_invariants,
     automorphism_group,
     crossed_product_iff_lagrangian,
     is_isotropic,
@@ -19,7 +19,6 @@ from gquot.lagrangians import (
     sylow_decomposition,
     _bijective_cocycle,
     _compose_perm,
-    _invariant_factor_sequences,
 )
 from gquot.twisted import TwistedAlgebra
 
@@ -177,9 +176,9 @@ def test_minimal_isotropic_on_restricted_cocycle():
 
 
 def test_invariant_factor_sequences():
-    assert _invariant_factor_sequences(1) == [()]
-    assert _invariant_factor_sequences(12) == [(2, 6), (12,)]
-    assert _invariant_factor_sequences(8) == [(2, 2, 2), (2, 4), (8,)]
+    assert invariant_factor_sequences(1) == [()]
+    assert invariant_factor_sequences(12) == [(2, 6), (12,)]
+    assert invariant_factor_sequences(8) == [(2, 2, 2), (2, 4), (8,)]
 
 
 # -- reference code: the hom searches that groups.homomorphisms replaced ------
@@ -188,7 +187,7 @@ def test_invariant_factor_sequences():
 def reference_homs(H, T):
     """Every homomorphism H -> T, by generator-image backtracking, each one
     re-checked for multiplicativity over all pairs."""
-    gens = _generating_sequence(H) if H.n > 1 else []
+    gens = generating_sequence(H) if H.n > 1 else []
     if not gens:
         yield gq.GroupHom(H, T, (0,) * H.n)
         return
@@ -205,13 +204,13 @@ def reference_homs(H, T):
 
     def rec(level, pairs):
         if level == len(gens):
-            mapping = _extend_hom(H, T, pairs)
+            mapping = groups._extend_hom(H, T, pairs)
             if mapping is not None and len(mapping) == H.n and hom_ok(mapping):
                 yield gq.GroupHom(H, T, tuple(mapping[g] for g in H.elements()))
             return
         for t in cands[level]:
             trial = pairs + [(gens[level], t)]
-            if _extend_hom(H, T, trial) is not None:
+            if groups._extend_hom(H, T, trial) is not None:
                 yield from rec(level + 1, trial)
 
     yield from rec(0, [])
@@ -220,7 +219,7 @@ def reference_homs(H, T):
 def reference_automorphism_group(A):
     """Automorphisms of an abelian group from generator images closed under
     right multiplication, as (composition group, ordered permutations)."""
-    gens = _generating_sequence(A) if A.n > 1 else []
+    gens = generating_sequence(A) if A.n > 1 else []
     orders = A.element_orders()
 
     def endomorphism(images):
@@ -268,7 +267,7 @@ def reference_iyb_search(H):
     """iyb_witness_search over the reference automorphism group and homs:
     (modules tried, actions tried, module invariants, delta, action)."""
     modules_tried = actions_tried = 0
-    for invs in _invariant_factor_sequences(H.n):
+    for invs in invariant_factor_sequences(H.n):
         A = abelian_group_from_invariants(invs)
         modules_tried += 1
         aut_group, aut_perms = reference_automorphism_group(A)

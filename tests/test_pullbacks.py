@@ -102,10 +102,10 @@ def test_q5_certificate_passes_below_the_relation_length():
 def brute_force_diagonal_count(n):
     """Independent enumeration: multisets of abelian types with total order n
     and at most one trivial part, generated by direct recursion."""
-    from gquot.lagrangians import _invariant_factor_sequences
+    from gquot.groups import invariant_factor_sequences
 
     def types(k):
-        return _invariant_factor_sequences(k)
+        return invariant_factor_sequences(k)
 
     seen = set()
 
