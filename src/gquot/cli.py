@@ -29,7 +29,7 @@ from .lagrangians import (
     lagrangian_scan,
     maximal_elementary_quotients,
 )
-from .mackey import is_elementary_quotient, is_simple_quotient, mackey_decompose
+from .mackey import is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
 from .twisted import TwistedAlgebra
@@ -228,8 +228,6 @@ def _cmd_mackey(args, em: _Emitter) -> int:
     em.emit("oracle_blocks", list(dec.oracle_dims))
     em.emit("simple", is_simple_quotient(dec))
     em.emit("elementary", is_elementary_quotient(dec))
-    from .mackey import is_ecp_quotient
-
     em.emit("elementary_crossed_product", is_ecp_quotient(dec))
     return 0
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .cocycles import CocycleTable
+from .cocycles import CocycleTable, cohomologous, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup, quotient
 from .words import FactorMap, FreeFactor, FreeProductGroup, Word, syllable_generators_cover
@@ -376,8 +377,6 @@ def _x_equal_up_to_cosets(x1: Character, x2: Character, H: Subgroup | None, grou
 
 
 def _cocycles_same_class(c1, c2, H: Subgroup) -> bool:
-    from .cocycles import cohomologous
-
     t1 = _as_table(c1, H)
     t2 = _as_table(c2, H)
     if t1 is None or t2 is None:
@@ -404,10 +403,6 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
     elements are group indices, H may be omitted or ``e`` for a trivial fine
     part, and alpha paths are resolved relative to ``base_dir``.
     """
-    from pathlib import Path
-
-    from .cocycles import parse_cocycle
-
     summands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -165,10 +165,7 @@ class Subgroup:
     def __post_init__(self):
         elems = tuple(sorted(int(x) for x in set(self.elements)))
         object.__setattr__(self, "elements", elems)
-        n = self.group.n
-        if elems and (elems[0] < 0 or elems[-1] >= n):
-            x = elems[0] if elems[0] < 0 else elems[-1]
-            raise ValidationError(f"subgroup element {x} outside the group of order {n}")
+        _check_range(elems, self.group.n)
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup does not contain the identity")
         # row a: column 0 is "a^-1 inside", column 1 + j is "a * elems[j] inside",
@@ -406,7 +403,15 @@ def make_group(spec: str) -> FiniteGroup:
 # -- subgroup machinery ----------------------------------------------------
 
 
+def _check_range(elems, n: int) -> None:
+    """Raise unless every index in the sorted ``elems`` lies in 0..n-1."""
+    if elems and (elems[0] < 0 or elems[-1] >= n):
+        x = elems[0] if elems[0] < 0 else elems[-1]
+        raise ValidationError(f"subgroup element {x} outside the group of order {n}")
+
+
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
+    _check_range(sorted(int(g) for g in gens), G.n)
     return Subgroup(G, tuple(sorted(_closure(G, gens))))
 
 
@@ -497,7 +502,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     bad = N.violating_conjugation()
     if bad is not None:
         g, h = bad
-        raise NormalityError(f"subgroup is not normal: {g}*{h}*{g}^-1 leaves it")
+        raise NormalityError(f"N is not normal: conjugating {h} by {g} leaves N")
     cs = coset_space(G, N)
     reps = list(cs.representatives)
     table = np.asarray(cs.block_of)[G.table[np.ix_(reps, reps)]]
@@ -573,7 +578,7 @@ def _abelian_split(G: FiniteGroup) -> tuple[list[int], list[int]]:
     cyc = set(_closure(G, {g}))
     want = G.n // m
     complement = None
-    for K in subgroups(G, bound=G.n):
+    for K in subgroups(G):
         if K.order == want and len(set(K.elements) & cyc) == 1:
             complement = K
             break

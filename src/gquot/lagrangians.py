@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial, is_nondegenerate
-from .errors import DomainError, SizeBoundError, TheoremCheckError
+from .errors import DomainError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -211,7 +211,7 @@ def sylow_decomposition(G: FiniteGroup) -> list[Subgroup] | None:
             return None
         try:
             sylows.append(Subgroup(G, elems))
-        except Exception:
+        except ValidationError:
             return None
     if generated_subgroup(G, set().union(*(s.elements for s in sylows))).order != n:
         return None

@@ -6,6 +6,15 @@ central idempotents of C^alpha N.  Each orbit carries an inertia subgroup, a
 transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
+Each step reads a table built once.  ``quotient`` tests normality; the
+image list of its projection labels the coset block of every element, and
+the first element of each block gives the minimal-index section Q -> G.  One
+algebra C^alpha N gives the points and the module.  Matching the conjugated
+points in one distance table per section element gives the action table
+perms[q, i] of all of Q, so the orbit of point i is column i (the columns
+must partition the points), the inertia group is where it is fixed, and the
+first q reaching each orbit point forms the transversal.
+
 The obstruction is computed, not postulated: an irreducible module of the
 base algebra is realized explicitly, intertwiners between the module and its
 coset twists are solved for, and the degree-gamma endomorphisms built from
@@ -26,16 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import CocycleTable
-from .errors import CertificationError, NormalityError, TheoremCheckError
-from .gradings import Character, GradingClassDescriptor, Summand, descriptor_dims
-from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, quotient
-from .twisted import (
-    IrrPoint,
-    TwistedAlgebra,
-    central_idempotents,
-    conjugate_idempotent_coeffs,
-    match_idempotent,
+from .errors import CertificationError, TheoremCheckError
+from .gradings import (
+    Character,
+    GradingClassDescriptor,
+    Summand,
+    descriptor_dims,
+    is_elementary_crossed_product,
 )
+from .groups import FiniteGroup, GroupHom, Subgroup, quotient
+from .twisted import IrrPoint, TwistedAlgebra, conjugate_idempotent_coeffs, match_idempotent
 
 TOL_NULL = 1e-8
 TOL_GAP = 1e-4
@@ -79,46 +88,46 @@ def mackey_decompose(
     G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
 ) -> MackeyDecomposition:
     """Full decomposition of [C^alpha G / N] with all consistency checks."""
-    bad = N.violating_conjugation()
-    if bad is not None:
-        g, h = bad
-        raise NormalityError(f"N is not normal: conjugating {h} by {g} leaves N")
     Q, proj = quotient(G, N)
-    cs = coset_space(G, N)
-    section = cs.representatives  # minimal-index lift Q -> G, identity first
+    block_of = np.asarray(proj.images)
+    section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
     A_G = TwistedAlgebra(G, alpha)
     alpha_N, N_group, N_embed = alpha.restrict(N)
     A_N = TwistedAlgebra(N_group, alpha_N)
-    points = central_idempotents(N_group, alpha_N, seed=seed)
+    points = A_N.wedderburn(seed=seed).blocks
 
     perms = _conjugation_permutations(A_G, N, points, section)
-    orbit_sets = _orbits(perms, len(points))
+    orbit_of = [frozenset(col) for col in perms.T.tolist()]
+    if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
+        raise TheoremCheckError("point orbits do not partition the points")
 
     orbits = []
-    for orbit in orbit_sets:
+    for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
         rep = orbit[0]
         d = points[rep].dim
         if any(points[i].dim != d for i in orbit):
             raise TheoremCheckError("orbit members disagree on module dimension")
-        stab = tuple(q for q in Q.elements() if perms[q][rep] == rep)
-        inertia = Subgroup(Q, stab)
-        transversal = coset_space(Q, inertia).representatives
+        images = perms[:, rep]
+        inertia = Subgroup(Q, tuple(np.flatnonzero(images == rep).tolist()))
+        transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
         if len(transversal) * inertia.order != Q.n:
             raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
-        if len(transversal) != len(orbit):
-            raise TheoremCheckError("transversal size does not match orbit size")
+        if len(set(Q.table[np.ix_(transversal, inertia.elements)].ravel().tolist())) != Q.n:
+            raise TheoremCheckError("transversal cosets do not cover the quotient")
         delta_num = G.n * G.n * d * d
         delta_den = N.order * N.order * inertia.order
         if delta_num % delta_den:
             raise TheoremCheckError("summand dimension is not an integer")
         delta = delta_num // delta_den
         x = Character.from_dict(Q, {t: d for t in transversal})
-        omega, I_group, I_embed = _obstruction(A_G, A_N, N_embed, points[rep], inertia, cs, seed)
+        omega, I_group, I_embed = _obstruction(
+            A_G, A_N, N_embed, points[rep], inertia, section, block_of, seed
+        )
         blocks = TwistedAlgebra(I_group, omega).wedderburn(seed=seed).dims
         orbits.append(
             MackeyOrbit(
-                point_indices=tuple(orbit),
+                point_indices=orbit,
                 dim=d,
                 inertia=inertia,
                 transversal=transversal,
@@ -155,37 +164,22 @@ def mackey_decompose(
     return dec
 
 
+def _first_occurrences(labels) -> tuple[int, ...]:
+    """The smallest index carrying each distinct label, in increasing order."""
+    first = {}
+    for i, label in enumerate(labels):
+        first.setdefault(label, i)
+    return tuple(first.values())
+
+
 def _conjugation_permutations(A_G, N, points, section):
+    """perms[q, i]: the point that conjugation by section[q] sends point i to."""
     stacked = np.array([p.coeffs for p in points])
-    perms = []
-    for g in section:
-        raw = conjugate_idempotent_coeffs(A_G, N.elements, g, stacked)
-        perms.append(tuple(match_idempotent(r, points).index for r in raw))
-    return perms
+    rows = (conjugate_idempotent_coeffs(A_G, N.elements, g, stacked) for g in section)
+    return np.array([[p.index for p in match_idempotent(raw, points)] for raw in rows])
 
 
-def _orbits(perms, count):
-    seen = [False] * count
-    orbits = []
-    for i in range(count):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop()
-            for row in perms:
-                y = row[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
-def _obstruction(A_G, A_N, N_embed, point, inertia, cs, seed):
+def _obstruction(A_G, A_N, N_embed, point, inertia, section, block_of, seed):
     """The obstruction cocycle on the inertia group, by endomorphism composition.
 
     For each inertia element a degree-homogeneous endomorphism of
@@ -202,7 +196,6 @@ def _obstruction(A_G, A_N, N_embed, point, inertia, cs, seed):
     k = I_group.n
     d = point.dim
     rho = A_N.irreducible_rep(point, seed=seed)
-    section = np.asarray(cs.representatives)
     gs = section[list(I_embed)]
 
     # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
@@ -218,7 +211,7 @@ def _obstruction(A_G, A_N, N_embed, point, inertia, cs, seed):
     # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
     # block-monomial, so it is kept as (j, B) and composed blockwise.
     prod = G.table[section, gs[:, None]]
-    j = np.asarray(cs.block_of)[prod]
+    j = block_of[prod]
     t_j = section[j]
     n2 = G.table[G.inverse_table[t_j], prod]
     phase = A_G.phases[section, gs[:, None]] / A_G.phases[t_j, n2]
@@ -320,6 +313,4 @@ def is_elementary_quotient(dec: MackeyDecomposition) -> bool:
 
 
 def is_ecp_quotient(dec: MackeyDecomposition) -> bool:
-    from .gradings import is_elementary_crossed_product
-
     return is_elementary_crossed_product(dec.descriptor)

@@ -27,7 +27,7 @@ from .groups import (
     direct_product,
     invariant_factor_sequences,
 )
-from .words import FactorMap, FreeProductGroup, Word
+from .words import FactorMap, FreeProductGroup, enumerate_words
 
 
 # -- componentwise arithmetic on tuples over mixed groups ---------------------
@@ -177,13 +177,10 @@ def enumerate_admissible_rank4(max_syllables: int) -> list[tuple]:
     return out
 
 
-def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list[Word]:
-    words = [free22.identity()]
-    for start in (0, 1):
-        for length in range(1, max_syllables + 1):
-            sylls = tuple(((start + i) % 2, 1) for i in range(length))
-            words.append(Word(free22, sylls))
-    return words
+def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list:
+    """The words of C2 * C2 in the order the admissible lists have always used:
+    the identity, then by first letter, then by length."""
+    return sorted(enumerate_words(free22, max_syllables), key=lambda w: (w.syllables[:1], len(w.syllables)))
 
 
 def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
@@ -274,7 +271,7 @@ def rank5_pullback() -> Rank5Pullback:
 def enumerate_admissible_rank5(max_len_22: int, max_len_32: int) -> list[tuple]:
     pb = rank5_pullback()
     out = []
-    words32 = _free32_words(pb.free32, max_len_32)
+    words32 = enumerate_words(pb.free32, max_len_32)
     for w3 in _free22_words(pb.rank4.free22, max_len_22):
         parity = len(w3.syllables) % 2
         a_count = sum(1 for fi, _ in w3.syllables if fi == 0) % 2
@@ -293,23 +290,6 @@ def enumerate_admissible_rank5(max_len_22: int, max_len_32: int) -> list[tuple]:
                         raise CertificationError("admissibility filter mismatch")
                     out.append(t)
     return out
-
-
-def _free32_words(free32: FreeProductGroup, max_syllables: int) -> list[Word]:
-    words = [free32.identity()]
-    frontier = [free32.identity()]
-    for _ in range(max_syllables):
-        nxt = []
-        for w in frontier:
-            last = w.syllables[-1][0] if w.syllables else None
-            for fi, payloads in ((0, (1, 2)), (1, (1,))):
-                if fi == last:
-                    continue
-                for p in payloads:
-                    nxt.append(Word(free32, w.syllables + ((fi, p),)))
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 def express_rank5(t, pb: Rank5Pullback | None = None) -> list[str]:
@@ -617,7 +597,7 @@ def _partitions_at_most_one_unit(n: int) -> list[tuple[int, ...]]:
             rec(remaining - part, part, acc + [part])
 
     rec(n, n, [])
-    return [p for p in out if p.count(1) <= 1]
+    return out
 
 
 def _type_combinations(orders: list[int]):

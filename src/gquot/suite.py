@@ -13,7 +13,7 @@ from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_g
 from .cocycles import CocycleTable, bicharacter_of
 from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
-from .groups import abelian_invariants, is_homocyclic_squarefree, squarefree, subgroups
+from .groups import abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
 from .lagrangians import (
     crossed_product_iff_lagrangian,
     iyb_witness_search,
@@ -312,9 +312,7 @@ def criterion_10(seed: int) -> CriterionResult:
         for rep in lagrangian_scan(G, alpha, seed=seed):
             if not rep.is_lagrangian:
                 continue
-            from .groups import quotient as group_quotient
-
-            Q, _ = group_quotient(G, rep.subgroup)
+            Q, _ = quotient(G, rep.subgroup)
             if Q.n > 12:
                 continue
             result = iyb_witness_search(Q)

@@ -1,9 +1,17 @@
-"""Twisted group algebras as concrete semisimple algebras.
+"""Twisted group algebras as concrete semisimple algebras, read off tables.
 
 The algebra C^a G is realized on the basis {u_g} with u_g u_h = a(g,h) u_gh.
-Construction is exact: a basis element acts on the regular representation by
-a permutation with one root of unity per column, so no floating error enters
-before eigendecomposition.
+Every product reads the multiplication table t[g, h] = gh and the phases
+a(g, h) once (the table idiom of Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 3-4).  Left multiplication by
+x = sum(x_g u_g) is the matrix with entry (gh, h) equal to x_g a(g, h), and
+right multiplication has entry (gh, g) equal to x_h a(g, h); every row and
+column of the table is a permutation, so each is one scatter with no entry
+written twice, and the product xy is ``left_regular(x) @ y``.  A module with
+orthonormal basis Q gives rho[g] = Q^H u_g Q (Serre, *Linear Representations
+of Finite Groups*, section 2), read from the rows Q[t[g]] one element at a
+time, never through an n x n matrix per element.  No floating error enters
+before eigendecomposition beyond the unit-modulus phases themselves.
 
 The block oracle works in two exact-first stages.  The center is read off
 two n x n tables: conj[h, g] = h g h^-1 and kappa(h, g), the scalar with
@@ -121,41 +129,18 @@ class TwistedAlgebra:
         hg, hinv = t[h, g], self.group.inverse_table[h]
         return t[hg, hinv], W[h, g] * W[hg, hinv] / W[h, hinv]
 
-    # -- elements and representations ----------------------------------------
-
-    def u_coeffs(self, g: int) -> np.ndarray:
-        v = np.zeros(self.n, dtype=np.complex128)
-        v[g] = 1.0
-        return v
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.complex128)
-        mul = self.group.table
-        for g in range(self.n):
-            if x[g] != 0:
-                np.add.at(out, mul[g], x[g] * y * self.phases[g])
-        return out
+    # -- the regular representation ------------------------------------------
 
     def left_regular(self, x: np.ndarray) -> np.ndarray:
-        """The matrix of left multiplication by sum(x_g u_g)."""
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        mul = self.group.table
-        cols = np.arange(self.n)
-        for g in range(self.n):
-            if x[g] != 0:
-                out[mul[g], cols] += x[g] * self.phases[g]
+        """The matrix of left multiplication by sum(x_g u_g): entry (gh, h) is x_g a(g, h)."""
+        out = np.empty((self.n, self.n), dtype=np.complex128)
+        out[self.group.table, np.arange(self.n)] = x[:, None] * self.phases
         return out
 
-    def u_matrix(self, g: int) -> np.ndarray:
-        return self.left_regular(self.u_coeffs(g))
-
     def right_regular(self, x: np.ndarray) -> np.ndarray:
-        """The matrix of right multiplication by sum(x_h u_h)."""
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        mul = self.group.table
-        for h in range(self.n):
-            if x[h] != 0:
-                out[mul[:, h], np.arange(self.n)] += x[h] * self.phases[:, h]
+        """The matrix of right multiplication by sum(x_h u_h): entry (gh, g) is x_h a(g, h)."""
+        out = np.empty((self.n, self.n), dtype=np.complex128)
+        out[self.group.table, np.arange(self.n)[:, None]] = x * self.phases
         return out
 
     # -- exact center --------------------------------------------------------
@@ -259,7 +244,7 @@ class TwistedAlgebra:
                 continue
             residual = 0.0
             for p in points:
-                defect = self.multiply(p.coeffs, p.coeffs) - p.coeffs
+                defect = self.left_regular(p.coeffs) @ p.coeffs - p.coeffs
                 residual = max(residual, float(np.max(np.abs(defect))))
             if residual > tol * 10:
                 last = f"idempotent residual {residual:.2e} beyond tolerance"
@@ -301,8 +286,9 @@ class TwistedAlgebra:
                 continue
             Q = B @ evecs[:, chosen]
             rho = np.empty((self.n, d, d), dtype=np.complex128)
-            for g in range(self.n):
-                rho[g] = Q.conj().T @ self.u_matrix(g) @ Q
+            for g, row in enumerate(self.group.table):
+                # rho[g] = Q^H u_g Q, and row gh of u_g Q is a(g, h) Q[h]
+                rho[g] = (Q[row].conj().T * self.phases[g]) @ Q
             if self._rep_defect(rho) > 1e-8:
                 last = "extracted matrices fail the twisted product law"
                 continue
@@ -356,12 +342,15 @@ def conjugate_idempotent_coeffs(
     return out
 
 
-def match_idempotent(coeffs: np.ndarray, points: tuple[IrrPoint, ...], tol: float = TOL_ROUND) -> IrrPoint:
-    """The unique point within tolerance; ambiguity raises, never guesses."""
-    hits = [p for p in points if float(np.max(np.abs(p.coeffs - coeffs))) <= tol]
-    if len(hits) != 1:
-        raise CertificationError(f"idempotent match found {len(hits)} candidates within {tol}")
-    return hits[0]
+def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...], tol: float = TOL_ROUND) -> tuple[IrrPoint, ...]:
+    """The unique point within tolerance of each stacked row; ambiguity raises, never guesses."""
+    known = np.array([p.coeffs for p in points])
+    hits = np.abs(known - rows[:, None]).max(axis=2) <= tol  # hits[r, i]: row r is near point i
+    counts = hits.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise CertificationError(f"idempotent match found {counts[bad[0]]} candidates within {tol}")
+    return tuple(points[i] for i in hits.argmax(axis=1))
 
 
 def conjugate_idempotent(
@@ -369,7 +358,7 @@ def conjugate_idempotent(
 ) -> IrrPoint:
     """The idempotent of the g-twisted module, certified against the known set."""
     raw = conjugate_idempotent_coeffs(A, N.elements, g, point.coeffs)
-    return match_idempotent(raw, points)
+    return match_idempotent(raw[None], points)[0]
 
 
 def same_orbit(
@@ -389,13 +378,8 @@ def same_orbit(
     )
     emb1 = _embed(A, N.elements, p1.coeffs)
     emb2 = _embed(A, N.elements, p2.coeffs)
-    by_product = False
-    for g in A.group.elements():
-        mid = A.multiply(emb2, A.u_coeffs(g))
-        val = A.multiply(mid, emb1)
-        if float(np.max(np.abs(val))) > TOL_ROUND:
-            by_product = True
-            break
+    # column g of the product is iota2 * u_g * iota1
+    by_product = float(np.max(np.abs(A.right_regular(emb1) @ A.left_regular(emb2)))) > TOL_ROUND
     if by_conj != by_product:
         raise CertificationError("orbit criteria disagree: conjugation vs non-vanishing product")
     return by_conj

@@ -7,6 +7,8 @@ pull-back (the fiber product is not the claimed free product); the relation
 itself is pinned by a dedicated test below.  Everything else must pass.
 """
 
+from pathlib import Path
+
 import pytest
 
 from gquot.suite import run_all
@@ -116,3 +118,8 @@ def test_report_is_reproducible(battery):
     _, report = battery
     assert report.startswith(f"seed: {SEED}")
     assert "criterion 11 [determinism]: PASS" in report
+
+
+def test_report_matches_golden(battery):
+    _, report = battery
+    assert report == (Path(__file__).parent / "golden" / "suite_seed0.txt").read_text()

@@ -93,6 +93,16 @@ def test_mackey_subgroup_outside_group_exits_2(capsys, normal, bad):
     assert f"error: ValidationError: subgroup element {bad} outside the group of order 4" in out
 
 
+@pytest.mark.parametrize("spec", ["C2xC64", "C2xC2xC2xC2xC2xC2xC2"])
+def test_group_info_beyond_the_enumeration_bound_exits_2(capsys, spec):
+    code, out = run_cli(capsys, "group", "info", "--group", spec)
+    assert code == 2
+    assert out == (
+        "order: 128\nabelian: True\n"
+        "error: SizeBoundError: subgroup enumeration bounded at order 64, group has 128\n"
+    )
+
+
 def test_mackey_deterministic_output(capsys):
     args = ["mackey", "decompose", "--group", "Q8", "--cocycle", "trivial", "--normal", "0,4", "--seed", "3"]
     _, out1 = run_cli(capsys, *args)

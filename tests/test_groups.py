@@ -357,7 +357,7 @@ def test_table_routines_match_reference(name):
             Q, proj = gq.quotient(G, H)
             assert (Q.table.tolist(), Q.labels, proj.images) == reference_quotient(G, H)
         else:
-            with pytest.raises(NormalityError, match=rf"^subgroup is not normal: {bad[0]}\*{bad[1]}\*"):
+            with pytest.raises(NormalityError, match=rf"^N is not normal: conjugating {bad[1]} by {bad[0]} leaves N$"):
                 gq.quotient(G, H)
         act = gq.coset_action(G, H)
         perms = reference_coset_permutations(G, H)
@@ -416,6 +416,18 @@ def test_subgroup_rejects_indices_outside_the_group(elems, bad):
         gq.Subgroup(gq.cyclic(4), elems)
 
 
+@pytest.mark.parametrize("gens, bad", [([9], 9), ([-1], -1), ([2, 9], 9), ([-3, 2], -3)])
+def test_generated_subgroup_rejects_indices_outside_the_group(gens, bad):
+    with pytest.raises(ValidationError, match=rf"^subgroup element {bad} outside the group of order 4$"):
+        gq.generated_subgroup(gq.cyclic(4), gens)
+
+
+@pytest.mark.parametrize("spec", ["C128", "C2xC64", "C2xC2xC2xC2xC2xC2xC2"])
+def test_abelian_invariants_respects_the_enumeration_bound(spec):
+    with pytest.raises(SizeBoundError, match="^subgroup enumeration bounded at order 64, group has 128$"):
+        gq.abelian_invariants(gq.make_group(spec))
+
+
 def test_abelian_invariants():
     assert gq.abelian_invariants(gq.cyclic(6)).invariants == (6,)
     dec = gq.abelian_invariants(gq.make_group("C2xC4"))
@@ -427,6 +439,7 @@ def test_abelian_invariants():
     assert span.order == G.n
     assert gq.abelian_invariants(gq.symmetric(3)) is None
     assert gq.abelian_invariants(gq.make_group("C6xC6")).invariants == (6, 6)
+    assert gq.abelian_invariants(gq.make_group("C2xC32")).invariants == (2, 32)  # at the bound
 
 
 def test_homocyclic_squarefree():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gquot as gq
-from gquot.catalog import NONDEGENERATE_CARRIERS
+from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
 from gquot.cocycles import (
     CocycleTable,
     OneCochain,
@@ -12,7 +12,7 @@ from gquot.cocycles import (
     snap_to_table,
     standard_nondegenerate,
 )
-from gquot.errors import NormalityError
+from gquot.errors import CertificationError, NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.mackey import (
     TOL_GAP,
@@ -23,7 +23,7 @@ from gquot.mackey import (
     is_simple_quotient,
     mackey_decompose,
 )
-from gquot.twisted import TwistedAlgebra
+from gquot.twisted import TOL_ROUND, TwistedAlgebra, conjugate_idempotent_coeffs
 
 
 def test_trivial_kernel_recovers_the_class():
@@ -282,3 +282,83 @@ def test_invariants_under_relabeling_and_coboundary_twist(name, data):
     assert _orbit_signature(mackey_decompose(G, a, N, seed=0)) == _orbit_signature(
         mackey_decompose(H, b, N_moved, seed=0)
     )
+
+
+# -- reference: the orbit search and one-point matching the table reads replaced --
+
+
+def reference_orbits(perms, count):
+    seen = [False] * count
+    orbits = []
+    for i in range(count):
+        if seen[i]:
+            continue
+        orbit = {i}
+        frontier = [i]
+        while frontier:
+            x = frontier.pop()
+            for row in perms:
+                y = row[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for x in orbit:
+            seen[x] = True
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def reference_match_rows(rows, points):
+    out = []
+    for r in rows:
+        hits = [p for p in points if float(np.max(np.abs(p.coeffs - r))) <= TOL_ROUND]
+        if len(hits) != 1:
+            raise CertificationError(f"idempotent match found {len(hits)} candidates within {TOL_ROUND}")
+        out.append(hits[0].index)
+    return tuple(out)
+
+
+def _orbit_cases():
+    for spec in GROUP_SPECS:
+        G = gq.make_group(spec)
+        yield spec, CocycleTable.trivial(G), gq.normal_subgroups(G)
+    for carrier in NONDEGENERATE_CARRIERS:
+        a = _cocycle("nd_" + carrier)
+        yield "nd_" + carrier, a, gq.normal_subgroups(a.group)
+    for name, a in [
+        ("S4xC2xC2", CocycleTable.trivial(gq.make_group("S4xC2xC2"))),
+        ("D8xC4xC2", CocycleTable.trivial(gq.make_group("D8xC4xC2"))),
+        ("standard_nondegenerate([8])", standard_nondegenerate([8])),
+        ("standard_nondegenerate([2, 8])", standard_nondegenerate([2, 8])),
+        ("standard_nondegenerate([4, 4])", standard_nondegenerate([4, 4])),
+    ]:
+        G = a.group
+        normals = [gq.generated_subgroup(G, [g]) for g in (1, 2, G.n - 1)]
+        if not G.is_abelian:
+            normals.append(gq.center(G))
+        yield name, a, [N for N in normals if N.is_normal()]
+
+
+ORBIT_CASES = {name: (a, normals) for name, a, normals in _orbit_cases()}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbits_match_reference(name):
+    """Orbits, inertia groups and transversals equal the search over the
+    coset representatives of G/N, matched one point at a time."""
+    a, normals = ORBIT_CASES[name]
+    G = a.group
+    A_G = TwistedAlgebra(G, a)
+    for N in normals:
+        dec = mackey_decompose(G, a, N, seed=0)
+        Q = dec.quotient_group
+        stacked = np.array([p.coeffs for p in dec.points])
+        perms = [
+            reference_match_rows(conjugate_idempotent_coeffs(A_G, N.elements, g, stacked), dec.points)
+            for g in gq.coset_space(G, N).representatives
+        ]
+        assert [o.point_indices for o in dec.orbits] == reference_orbits(perms, len(dec.points))
+        for o in dec.orbits:
+            rep = o.point_indices[0]
+            assert o.inertia.elements == tuple(q for q in Q.elements() if perms[q][rep] == rep)
+            assert o.transversal == gq.coset_space(Q, o.inertia).representatives

@@ -3,6 +3,7 @@ import pytest
 from gquot.errors import DomainError
 from gquot.gradings import is_connected
 from gquot.pullbacks import (
+    _free22_words,
     enumerate_admissible_rank4,
     enumerate_admissible_rank5,
     express_rank4,
@@ -16,6 +17,7 @@ from gquot.pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
+from gquot.words import Word, enumerate_words
 
 
 def test_admissibility_examples():
@@ -97,6 +99,39 @@ def test_q5_certificate_passes_below_the_relation_length():
     rep = verify_presentation_h5(q5_len=7)
     q5 = next(c for c in rep.checks if c.name == "q5_free_product")
     assert q5.passed
+
+
+def reference_free22_words(free22, max_syllables):
+    words = [free22.identity()]
+    for start in (0, 1):
+        for length in range(1, max_syllables + 1):
+            words.append(Word(free22, tuple(((start + i) % 2, 1) for i in range(length))))
+    return words
+
+
+def reference_free32_words(free32, max_syllables):
+    words = [free32.identity()]
+    frontier = [free32.identity()]
+    for _ in range(max_syllables):
+        nxt = []
+        for w in frontier:
+            last = w.syllables[-1][0] if w.syllables else None
+            for fi, payloads in ((0, (1, 2)), (1, (1,))):
+                if fi != last:
+                    nxt.extend(Word(free32, w.syllables + ((fi, p),)) for p in payloads)
+        words.extend(nxt)
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_word_lists_match_the_hand_built_lists(length):
+    """Same words in the same order, so the admissible lists keep their order."""
+    free22, free32 = rank4_pullback().free22, rank5_pullback().free32
+    got22 = [w.syllables for w in _free22_words(free22, length)]
+    assert got22 == [w.syllables for w in reference_free22_words(free22, length)]
+    got32 = [w.syllables for w in enumerate_words(free32, length)]
+    assert got32 == [w.syllables for w in reference_free32_words(free32, length)]
 
 
 def brute_force_diagonal_count(n):

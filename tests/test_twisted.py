@@ -7,13 +7,17 @@ from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondeg
 from gquot.errors import CertificationError, SizeBoundError, ValidationError
 from gquot.mackey import mackey_decompose
 from gquot.twisted import (
+    MAX_ATTEMPTS,
+    TOL_CLUSTER,
     TOL_PHASE_EQ,
     TOL_PHASE_NEQ,
+    TOL_ROUND,
     CenterClass,
     TwistedAlgebra,
     central_idempotents,
     conjugate_idempotent,
     match_idempotent,
+    _cluster,
     same_orbit,
 )
 
@@ -30,13 +34,18 @@ def conjugacy_class_count(G):
     return count
 
 
+def u_matrix(A, g):
+    """The matrix of u_g on the regular representation."""
+    return A.left_regular(np.eye(A.n, dtype=np.complex128)[g])
+
+
 def test_regular_rep_trivial_cases():
     t = gq.trivial_group()
     A = TwistedAlgebra(t, CocycleTable.trivial(t))
-    assert np.allclose(A.u_matrix(0), np.eye(1))
+    assert np.allclose(u_matrix(A, 0), np.eye(1))
     C2 = gq.cyclic(2)
     A2 = TwistedAlgebra(C2, CocycleTable.trivial(C2))
-    U = A2.u_matrix(1)
+    U = u_matrix(A2, 1)
     assert np.allclose(U, np.array([[0, 1], [1, 0]]))
 
 
@@ -45,8 +54,8 @@ def test_twisted_multiplication_is_exact():
     A = TwistedAlgebra(a.group, a)
     for g in a.group.elements():
         for h in a.group.elements():
-            lhs = A.u_matrix(g) @ A.u_matrix(h)
-            rhs = A.phases[g, h] * A.u_matrix(a.group.mul(g, h))
+            lhs = u_matrix(A, g) @ u_matrix(A, h)
+            rhs = A.phases[g, h] * u_matrix(A, a.group.mul(g, h))
             assert np.allclose(lhs, rhs, atol=1e-14)
 
 
@@ -189,7 +198,7 @@ def test_match_idempotent_rejects_garbage():
     C2 = gq.cyclic(2)
     pts = central_idempotents(C2, CocycleTable.trivial(C2), seed=0)
     with pytest.raises(CertificationError):
-        match_idempotent(np.array([0.3 + 0j, 0.1]), pts)
+        match_idempotent(np.array([[0.3 + 0j, 0.1]]), pts)
 
 
 def test_irreducible_rep_of_s3_block():
@@ -397,3 +406,142 @@ def test_complex_cocycle_check_matches_full_check(size):
         else:
             with pytest.raises(ValidationError, match="2-cocycle identity"):
                 TwistedAlgebra(a.group, W)
+
+
+# -- reference: the per-element loops the table-driven regular representation replaced
+
+
+def reference_left_regular(A, x):
+    out = np.zeros((A.n, A.n), dtype=np.complex128)
+    cols = np.arange(A.n)
+    for g in range(A.n):
+        if x[g] != 0:
+            out[A.group.table[g], cols] += x[g] * A.phases[g]
+    return out
+
+
+def reference_right_regular(A, x):
+    out = np.zeros((A.n, A.n), dtype=np.complex128)
+    for h in range(A.n):
+        if x[h] != 0:
+            out[A.group.table[:, h], np.arange(A.n)] += x[h] * A.phases[:, h]
+    return out
+
+
+def reference_multiply(A, x, y):
+    out = np.zeros(A.n, dtype=np.complex128)
+    for g in range(A.n):
+        if x[g] != 0:
+            np.add.at(out, A.group.table[g], x[g] * y * A.phases[g])
+    return out
+
+
+def reference_u_matrix(A, g):
+    v = np.zeros(A.n, dtype=np.complex128)
+    v[g] = 1.0
+    return reference_left_regular(A, v)
+
+
+def reference_irreducible_rep(A, point, seed):
+    """The extraction with one dense u_g matrix per element."""
+    d = point.dim
+    U, s, _ = np.linalg.svd(reference_left_regular(A, point.coeffs))
+    B = U[:, : d * d]
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_ATTEMPTS):
+        R = reference_right_regular(A, rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n))
+        evals, evecs = np.linalg.eigh(B.conj().T @ (R + R.conj().T) @ B)
+        clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
+        chosen = next((idx for idx in clusters if len(idx) == d), None)
+        if chosen is None:
+            continue
+        Q = B @ evecs[:, chosen]
+        rho = np.array([Q.conj().T @ reference_u_matrix(A, g) @ Q for g in range(A.n)])
+        if A._rep_defect(rho) <= 1e-8:
+            return rho
+    raise CertificationError("reference extraction failed")
+
+
+def reference_match_idempotent(coeffs, points, tol=TOL_ROUND):
+    hits = [p for p in points if float(np.max(np.abs(p.coeffs - coeffs))) <= tol]
+    if len(hits) != 1:
+        raise CertificationError(f"idempotent match found {len(hits)} candidates within {tol}")
+    return hits[0]
+
+
+def reference_match_rows(rows, points, tol=TOL_ROUND):
+    return tuple(reference_match_idempotent(r, points, tol).index for r in rows)
+
+
+def _regular_rep_algebras():
+    for spec in GROUP_SPECS:
+        G = gq.make_group(spec)
+        yield spec, TwistedAlgebra(G, CocycleTable.trivial(G))
+    for carrier, inv in NONDEGENERATE_CARRIERS.items():
+        a = standard_nondegenerate(inv)
+        yield "nd_" + carrier, TwistedAlgebra(a.group, a)
+    for spec in ["S4xC2xC2", "D8xC4xC2"]:
+        G = gq.make_group(spec)
+        yield spec, TwistedAlgebra(G, CocycleTable.trivial(G))
+    for inv in ([8], [2, 8], [4, 4]):
+        a = standard_nondegenerate(inv)
+        yield f"standard_nondegenerate({inv})", TwistedAlgebra(a.group, a)
+    yield from _obstruction_algebras()
+
+
+REGULAR_REP_ALGEBRAS = dict(_regular_rep_algebras())
+
+
+@pytest.mark.parametrize("name", list(REGULAR_REP_ALGEBRAS))
+def test_regular_representation_matches_reference(name):
+    """Both regular representations equal the loops exactly; products,
+    the same-orbit identity and the extracted representations agree to 1e-12."""
+    A = REGULAR_REP_ALGEBRAS[name]
+    rng = np.random.default_rng(A.n)
+    x, y = (rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n) for _ in range(2))
+    x[rng.random(A.n) < 0.3] = 0  # the loops skip zero coefficients
+    for v in (x, y):
+        assert np.array_equal(A.left_regular(v), reference_left_regular(A, v))
+        assert np.array_equal(A.right_regular(v), reference_right_regular(A, v))
+    for g in rng.choice(A.n, min(A.n, 8), replace=False):
+        assert np.array_equal(u_matrix(A, g), reference_u_matrix(A, g))
+    assert np.max(np.abs(A.left_regular(x) @ y - reference_multiply(A, x, y))) <= 1e-12
+    both = A.right_regular(y) @ A.left_regular(x)  # column g: x * u_g * y
+    for g in rng.choice(A.n, min(A.n, 4), replace=False):
+        want = reference_multiply(A, reference_multiply(A, x, np.eye(A.n)[g]), y)
+        assert np.max(np.abs(both[:, g] - want)) <= 1e-12
+    blocks = A.wedderburn(seed=0).blocks
+    for p in {blocks[0], blocks[-1]}:
+        residual = A.left_regular(p.coeffs) @ p.coeffs - p.coeffs
+        assert np.max(np.abs(residual - (reference_multiply(A, p.coeffs, p.coeffs) - p.coeffs))) <= 1e-12
+        rho = A.irreducible_rep(p, seed=1)
+        assert np.max(np.abs(rho - reference_irreducible_rep(A, p, seed=1))) <= 1e-12
+
+
+def _match_outcome(match, rows, points, tol):
+    try:
+        return match(rows, points, tol)
+    except CertificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", ["C4", "S3", "Q8", "C2xC2xC2", "S4"])
+def test_match_idempotent_matches_reference(spec):
+    """Stacked matches equal the one-point loop, errors included."""
+    G = gq.make_group(spec)
+    points = TwistedAlgebra(G, CocycleTable.trivial(G)).wedderburn(seed=0).blocks
+    known = np.array([p.coeffs for p in points])
+    rng = np.random.default_rng(0)
+    exact = known[rng.permutation(len(points))]
+    near = exact + 1e-9 * rng.standard_normal(exact.shape)
+    stacks = [exact, near, exact[:1]]
+    for garbage in (np.zeros(G.n), (known[0] + known[-1]) / 2, np.full(G.n, np.nan), rng.standard_normal(G.n)):
+        stacks.append(np.vstack([exact, garbage]))
+        stacks.append(np.vstack([garbage, exact]))
+    for rows in stacks:
+        for tol in (TOL_ROUND, 0.3, 10.0):
+            got = _match_outcome(match_idempotent, rows, points, tol)
+            want = _match_outcome(reference_match_rows, rows, points, tol)
+            if isinstance(got, tuple):
+                got = tuple(p.index for p in got)
+            assert got == want
