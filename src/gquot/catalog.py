@@ -48,10 +48,6 @@ def build_cocycle(name: str) -> tuple[str, CocycleTable]:
     return carrier, standard_nondegenerate(NONDEGENERATE_CARRIERS[carrier])
 
 
-def cocycle_names() -> list[str]:
-    return [f"nd_{carrier}" for carrier in NONDEGENERATE_CARRIERS]
-
-
 def resolve_group(token: str) -> FiniteGroup:
     """A group from a file path or a catalog/constructor descriptor."""
     p = Path(token)

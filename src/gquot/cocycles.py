@@ -287,29 +287,7 @@ def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, bound: int 
     return len(TwistedAlgebra(G, a).wedderburn(seed=seed).dims) == 1
 
 
-def snap_to_table(values, group: FiniteGroup, scale: int, tol: float = 1e-6) -> CocycleTable | None:
-    """Convert a complex cocycle table to exact exponents, or None.
-
-    Succeeds only when every value is within ``tol`` of a ``scale``-th root
-    of unity; this is the gate for exact class comparison of numerically
-    produced cocycles (obstruction tables carry a floating gauge and need
-    not snap).
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    exps = np.round(np.angle(values) * scale / (2 * np.pi)).astype(np.int64) % scale
-    if np.max(np.abs(np.exp(2j * np.pi * exps / scale) - values)) > tol:
-        return None
-    return CocycleTable(group, scale, exps)
-
-
 # -- text format -----------------------------------------------------------
-
-
-def format_cocycle(a: CocycleTable) -> str:
-    lines = [f"{a.scale} {a.group.n}"]
-    for g in range(a.group.n):
-        lines.append(" ".join(str(int(x)) for x in a.exps[g]))
-    return "\n".join(lines) + "\n"
 
 
 def parse_cocycle(text: str, group: FiniteGroup) -> CocycleTable:

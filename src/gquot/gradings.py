@@ -169,9 +169,6 @@ class GradingClassDescriptor:
     group: object
     summands: tuple[Summand, ...]
 
-    def total_dimension(self) -> int:
-        return sum(s.dimension(self.group) for s in self.summands)
-
 
 # -- dimensions of induced gradings -----------------------------------------
 
@@ -444,22 +441,3 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
     if not summands:
         raise ValidationError("descriptor has no summands")
     return GradingClassDescriptor(group, tuple(summands))
-
-
-def format_descriptor(d: GradingClassDescriptor) -> str:
-    """Serialize a descriptor with trivial cocycles back to the text format."""
-    lines = []
-    for s in d.summands:
-        xs = " ".join(f"{e}^{k}" if k > 1 else str(e) for e, k in s.x.mults)
-        if isinstance(s.fine, Subgroup):
-            h = " ".join(str(e) for e in s.fine.elements)
-        elif s.fine is None:
-            h = "e"
-        else:
-            raise DomainError("only finite-group descriptors serialize")
-        if s.cocycle is not None and not (
-            isinstance(s.cocycle, CocycleTable) and s.cocycle.is_trivial_table()
-        ):
-            raise DomainError("descriptor serialization supports trivial cocycles only")
-        lines.append(f"x: {xs} | H: {h} | alpha: trivial")
-    return "\n".join(lines) + "\n"

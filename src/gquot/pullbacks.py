@@ -15,6 +15,7 @@ as fixed data; deriving them from first principles is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 
 from .errors import CertificationError, DomainError, ValidationError
@@ -104,11 +105,13 @@ class _GeneratedPullback:
         return self.diagram.sources
 
     def evaluate(self, word) -> tuple:
-        """The tuple named by a word in the generators."""
-        out = tuple_identity(self.sources)
-        for name in word:
-            out = tuple_mul(self.sources, out, self.generator(name))
-        return out
+        """The tuple named by a word in the generators: each component is
+        folded once, by its own group's ``mul``."""
+        gens = [self.generator(name) for name in word]
+        return tuple(
+            reduce(g.mul, (gen[i] for gen in gens), g.identity())
+            for i, g in enumerate(self.sources)
+        )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,18 @@
 """Free products of finite groups and free letters, with reduced words.
 
-Words are kept in normal form at all times: no identity syllables, no two
-adjacent syllables from the same factor.  Equality of group elements is then
-literal equality of syllable tuples.
+A word is kept reduced at all times: no identity syllables, no two adjacent
+syllables from the same factor.  Equality of group elements is then literal
+equality of syllable tuples.
+
+Input is validated at the public entries only (``Word(...)``,
+``FreeProductGroup.word`` and ``FreeProductGroup.letter``): every factor
+index and payload is range-checked, and the syllables are reduced by one
+stack pass.  Products of words that are already reduced skip both steps.
+By the reduced-word argument for free products (Magnus, Karrass and
+Solitar, *Combinatorial Group Theory*, section 4.1) only the junction of two
+reduced words can cancel or merge, so ``mul`` resolves the junction and
+copies the rest; ``inv``, ``pow`` and the extensions in ``enumerate_words``
+build their results the same way, without renormalizing.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ class FreeProductGroup:
         self.name = name
 
     def identity(self) -> "Word":
-        return Word(self, ())
+        return Word._reduced(self, ())
 
     def letter(self, factor_index: int, payload: int) -> "Word":
         """A one-syllable word: a factor element, or a power of a free letter."""
@@ -73,29 +83,54 @@ def _invert_payload(factor, p: int) -> int:
     return factor.inv(p)
 
 
+def _validate(factors, syllables) -> None:
+    for fi, p in syllables:
+        if not 0 <= fi < len(factors):
+            raise ValidationError(f"syllable factor index {fi} out of range for {len(factors)} factors")
+        factor = factors[fi]
+        if not isinstance(factor, FreeFactor) and not (0 <= p < factor.n):
+            raise ValidationError(f"syllable payload {p} out of range for factor {fi}")
+
+
+def _reduce(factors, syllables) -> tuple:
+    """The reduced form of a validated syllable sequence, by one stack pass."""
+    stack: list[tuple[int, int]] = []
+    for fi, p in syllables:
+        if p == 0:
+            continue
+        if stack and stack[-1][0] == fi:
+            merged = _combine(factors[fi], stack.pop()[1], p)
+            if merged != 0:
+                stack.append((fi, merged))
+        else:
+            stack.append((fi, p))
+    return tuple(stack)
+
+
 @dataclass(frozen=True)
 class Word:
-    """A reduced word; construction renormalizes whatever it is given."""
+    """A reduced word of a free product.
+
+    ``Word(group, syllables)`` validates the syllables and reduces them.
+    Products of reduced words resolve only the junction of their factors;
+    they are built by ``_reduced``, which trusts its input.
+    """
 
     group: FreeProductGroup
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        stack: list[tuple[int, int]] = []
-        for fi, p in self.syllables:
-            factor = self.group.factors[fi]
-            if not isinstance(factor, FreeFactor) and not (0 <= p < factor.n):
-                raise ValidationError(f"syllable payload {p} out of range for factor {fi}")
-            if p == 0:
-                continue
-            if stack and stack[-1][0] == fi:
-                merged = _combine(factor, stack[-1][1], p)
-                stack.pop()
-                if merged != 0:
-                    stack.append((fi, merged))
-            else:
-                stack.append((fi, p))
-        object.__setattr__(self, "syllables", tuple(stack))
+        factors = self.group.factors
+        _validate(factors, self.syllables)
+        object.__setattr__(self, "syllables", _reduce(factors, self.syllables))
+
+    @classmethod
+    def _reduced(cls, group: FreeProductGroup, syllables: tuple) -> "Word":
+        """A word from syllables that are already reduced: no check, no pass."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "group", group)
+        object.__setattr__(w, "syllables", syllables)
+        return w
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -104,17 +139,25 @@ class Word:
         return len(self.syllables)
 
     def mul(self, other: "Word") -> "Word":
-        if self.group != other.group:
+        group = self.group
+        if group is not other.group and group != other.group:
             raise DomainError("words from different free products")
-        return Word(self.group, self.syllables + other.syllables)
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            fi = right[j][0]
+            merged = _combine(group.factors[fi], left[i - 1][1], right[j][1])
+            i -= 1
+            j += 1
+            if merged != 0:
+                return Word._reduced(group, left[:i] + ((fi, merged),) + right[j:])
+        return Word._reduced(group, left[:i] + right[j:])
 
     def inv(self) -> "Word":
-        return Word(
+        factors = self.group.factors
+        return Word._reduced(
             self.group,
-            tuple(
-                (fi, _invert_payload(self.group.factors[fi], p))
-                for fi, p in reversed(self.syllables)
-            ),
+            tuple((fi, _invert_payload(factors[fi], p)) for fi, p in reversed(self.syllables)),
         )
 
     def pow(self, k: int) -> "Word":
@@ -204,17 +247,10 @@ def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_b
                 else:
                     choices = list(range(1, f.n))
                 for p in choices:
-                    nxt.append(Word(group, w.syllables + ((fi, p),)))
+                    nxt.append(Word._reduced(group, w.syllables + ((fi, p),)))
         out.extend(nxt)
         frontier = nxt
-    return _dedupe(out)
-
-
-def _dedupe(words: list[Word]) -> list[Word]:
-    seen = {}
-    for w in words:
-        seen.setdefault(w.syllables, w)
-    return sorted(seen.values(), key=Word.sort_key)
+    return sorted(out, key=Word.sort_key)
 
 
 def syllable_generators_cover(group: FreeProductGroup, words) -> bool:

@@ -2,14 +2,18 @@ import pytest
 
 import gquot as gq
 from gquot.catalog import (
+    NONDEGENERATE_CARRIERS,
     build_cocycle,
     build_group,
-    cocycle_names,
     resolve_cocycle,
     resolve_group,
 )
 from gquot.cocycles import bicharacter_of
 from gquot.errors import ValidationError
+
+
+def cocycle_names() -> list[str]:
+    return [f"nd_{carrier}" for carrier in NONDEGENERATE_CARRIERS]
 
 
 def test_catalog_cocycles_are_nondegenerate():

@@ -12,7 +12,6 @@ from gquot.cocycles import (
     bicharacter_of,
     coboundary,
     cohomologous,
-    format_cocycle,
     inflate,
     is_cohomologically_trivial,
     is_nondegenerate,
@@ -21,6 +20,14 @@ from gquot.cocycles import (
 )
 from gquot.errors import DomainError, ValidationError
 from gquot.twisted import TwistedAlgebra
+
+
+def format_cocycle(a: CocycleTable) -> str:
+    """The cocycle text format that ``parse_cocycle`` reads."""
+    lines = [f"{a.scale} {a.group.n}"]
+    for g in range(a.group.n):
+        lines.append(" ".join(str(int(x)) for x in a.exps[g]))
+    return "\n".join(lines) + "\n"
 
 
 def test_coboundary_of_zero_is_trivial():

@@ -1,10 +1,12 @@
-"""CLI transcripts pinned byte for byte.
+"""CLI and demo transcripts pinned byte for byte.
 
-Each file under ``tests/golden/`` holds the stdout of one fast command; the
-acceptance battery's report is pinned the same way in ``test_acceptance.py``.
-A change that alters any of these bytes has to replace the file on purpose.
+Each file under ``tests/golden/`` holds the stdout of one fast command, or
+(``demo_<name>.txt``) of one script under ``demos/``; the acceptance
+battery's report is pinned the same way in ``test_acceptance.py``.  A change
+that alters any of these bytes has to replace the file on purpose.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from gquot.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 COMMANDS = {
     "mackey_normal": ("mackey decompose --group C6xC6 --cocycle nd_C6xC6 --normal 0,3,18,21", 0),
@@ -20,6 +23,9 @@ COMMANDS = {
     "theoremD_C4xC4": ("lagrangian theoremD --group C4xC4 --cocycle nd_C4xC4", 0),
     "cohomologous_C4xC4": ("cocycle cohomologous --group C4xC4 --cocycle nd_C4xC4 --cocycle2 nd_C4xC4", 0),
     "pi1_report_4": ("pi1 report --n 4", 0),
+    # exit 1 by design: the bounded free-product certificate finds the
+    # rank-5 relation of criterion 8
+    "pi1_report_5": ("pi1 report --n 5", 1),
     "group_info_C6xC6": ("group info --group C6xC6", 0),
     "iyb_D4": ("lagrangian iyb --group D4", 0),
 }
@@ -30,3 +36,9 @@ def test_cli_output_matches_golden(capsys, name):
     command, code = COMMANDS[name]
     assert main(command.split()) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_output_matches_golden(capsys, demo):
+    runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"demo_{demo}.txt").read_text()

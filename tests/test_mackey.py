@@ -9,7 +9,6 @@ from gquot.cocycles import (
     OneCochain,
     coboundary,
     cohomologous,
-    snap_to_table,
     standard_nondegenerate,
 )
 from gquot.errors import CertificationError, NormalityError
@@ -24,6 +23,21 @@ from gquot.mackey import (
     mackey_decompose,
 )
 from gquot.twisted import TOL_ROUND, TwistedAlgebra, conjugate_idempotent_coeffs
+
+
+def snap_to_table(values, group, scale: int, tol: float = 1e-6):
+    """Convert a complex cocycle table to exact exponents, or None.
+
+    Succeeds only when every value is within ``tol`` of a ``scale``-th root
+    of unity; this is the gate for exact class comparison of numerically
+    produced cocycles (obstruction tables carry a floating gauge and need
+    not snap).
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    exps = np.round(np.angle(values) * scale / (2 * np.pi)).astype(np.int64) % scale
+    if np.max(np.abs(np.exp(2j * np.pi * exps / scale) - values)) > tol:
+        return None
+    return CocycleTable(group, scale, exps)
 
 
 def test_trivial_kernel_recovers_the_class():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gquot.errors import DomainError
 from gquot.gradings import is_connected
@@ -12,12 +13,37 @@ from gquot.pullbacks import (
     pi1_report,
     rank4_pullback,
     rank5_pullback,
+    tuple_identity,
     tuple_mul,
     tuple_pow,
     verify_presentation_h4,
     verify_presentation_h5,
 )
 from gquot.words import Word, enumerate_words
+
+
+def reference_evaluate(pb, word) -> tuple:
+    """The tuple named by a word, as a left fold of whole-tuple products."""
+    out = tuple_identity(pb.sources)
+    for name in word:
+        out = tuple_mul(pb.sources, out, pb.generator(name))
+    return out
+
+
+RANK4 = rank4_pullback()
+RANK5 = rank5_pullback()
+
+
+@given(st.lists(st.sampled_from(["z1", "z2", "z3"]), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_rank4_evaluate_matches_the_tuple_fold(word):
+    assert RANK4.evaluate(word) == reference_evaluate(RANK4, word)
+
+
+@given(st.lists(st.sampled_from(["w", "b", "c", "g"]), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_rank5_evaluate_matches_the_tuple_fold(word):
+    assert RANK5.evaluate(word) == reference_evaluate(RANK5, word)
 
 
 def test_admissibility_examples():

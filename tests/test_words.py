@@ -136,3 +136,78 @@ def test_syllable_coverage():
     free = FreeProductGroup((FreeFactor("x"),))
     assert syllable_generators_cover(free, [free.letter(0, 2), free.letter(0, 3)])
     assert not syllable_generators_cover(free, [free.letter(0, 2)])
+
+
+def test_factor_index_checked_at_the_public_entries():
+    F = FreeProductGroup((gq.cyclic(2), gq.cyclic(3)))
+    # a negative index used to wrap around and give an unequal copy of (1, 1)
+    with pytest.raises(ValidationError):
+        F.word([(-1, 1)])
+    with pytest.raises(ValidationError):
+        F.word([(5, 1)])
+    with pytest.raises(ValidationError):
+        F.letter(2, 1)
+    with pytest.raises(ValidationError):
+        Word(F, ((-2, 0),))
+    with pytest.raises(ValidationError):
+        F.word([(1, 3)])
+
+
+# -- trusted products against the renormalizing constructor ------------------
+
+MIXED = FreeProductGroup((gq.cyclic(3), gq.cyclic(2), FreeFactor("x"), gq.cyclic(4)))
+
+
+def raw_syllable(fi, p):
+    f = MIXED.factors[fi]
+    return (fi, p if isinstance(f, FreeFactor) else p % f.n)
+
+
+def raw_inverse(sylls):
+    """The inverse of an unreduced syllable list, itself unreduced."""
+    out = []
+    for fi, p in reversed(sylls):
+        f = MIXED.factors[fi]
+        out.append((fi, -p if isinstance(f, FreeFactor) else f.inv(p)))
+    return out
+
+
+# zero payloads, runs of one factor and free letters with either sign
+raw_syllables = st.lists(
+    st.builds(raw_syllable, st.integers(0, 3), st.integers(-3, 3)), max_size=10
+)
+
+
+@given(raw_syllables, raw_syllables, raw_syllables)
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_renormalizing_constructor(s1, core, s2):
+    # ``core`` and its inverse meet at the junction, so cancellation can reach
+    # through several syllables of both factors
+    a = Word(MIXED, tuple(s1 + core))
+    b = Word(MIXED, tuple(raw_inverse(core) + s2))
+    for x, y in ((a, b), (b, a), (a, a), (a, a.inv())):
+        assert x.mul(y) == Word(MIXED, x.syllables + y.syllables)
+    assert a.mul(b) == Word(MIXED, tuple(s1 + s2))
+
+
+@given(raw_syllables)
+@settings(max_examples=200, deadline=None)
+def test_inv_matches_renormalizing_constructor(sylls):
+    a = Word(MIXED, tuple(sylls))
+    assert a.inv() == Word(MIXED, tuple(raw_inverse(sylls)))
+    assert a.inv() == Word(MIXED, tuple(raw_inverse(list(a.syllables))))
+    assert a.inv().inv() == a
+    assert a.mul(a.inv()).is_identity() and a.inv().mul(a).is_identity()
+
+
+@given(raw_syllables, st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_pow_matches_renormalizing_constructor(sylls, k):
+    a = Word(MIXED, tuple(sylls))
+    base = a.syllables if k >= 0 else tuple(raw_inverse(list(a.syllables)))
+    assert a.pow(k) == Word(MIXED, base * abs(k))
+
+
+def test_enumerated_words_are_reduced():
+    for w in enumerate_words(MIXED, 3, free_exponent_bound=2):
+        assert Word(MIXED, w.syllables) == w
