@@ -75,6 +75,7 @@ from .lagrangians import (
     minimal_isotropic,
 )
 from .mackey import (
+    MackeyContext,
     MackeyDecomposition,
     MackeyOrbit,
     is_ecp_quotient,

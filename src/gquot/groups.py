@@ -50,7 +50,7 @@ class FiniteGroup:
     construction unless the table was produced by a trusted constructor.
     """
 
-    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice")
+    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_key")
 
     def __init__(self, table, labels=None, name=None, _trusted=False):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -78,6 +78,7 @@ class FiniteGroup:
         self.name = name
         self._abelian = None
         self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
+        self._key = None  # the table's bytes, built by the first comparison or hash
         self.table.setflags(write=False)
         self.inverse_table.setflags(write=False)
 
@@ -145,11 +146,18 @@ class FiniteGroup:
     def __len__(self) -> int:
         return self.n
 
+    def _table_key(self) -> bytes:
+        if self._key is None:
+            self._key = self.table.tobytes()  # the table is read-only, so the key stays valid
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
+        if self is other:
+            return True
+        return isinstance(other, FiniteGroup) and self.n == other.n and self._table_key() == other._table_key()
 
     def __hash__(self):
-        return hash((self.n, self.table.tobytes()))
+        return hash((self.n, self._table_key()))
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.n)})"

@@ -31,7 +31,13 @@ from .groups import (
     quotient,
     subgroups,
 )
-from .mackey import MackeyDecomposition, is_ecp_quotient, is_elementary_quotient, mackey_decompose
+from .mackey import (
+    MackeyContext,
+    MackeyDecomposition,
+    is_ecp_quotient,
+    is_elementary_quotient,
+    mackey_decompose,
+)
 from .twisted import TwistedAlgebra
 
 
@@ -139,7 +145,7 @@ class MaximalElementaryReport:
 
 
 def maximal_elementary_quotients(
-    A: FiniteGroup, alpha: CocycleTable, seed: int = 0, precomputed: dict | None = None
+    A: FiniteGroup, alpha: CocycleTable, seed: int = 0, context: MackeyContext | None = None
 ) -> MaximalElementaryReport:
     """Maximal elementary quotient classes of a non-degenerate abelian class.
 
@@ -148,19 +154,21 @@ def maximal_elementary_quotients(
     classes under the quotient order), and compares the result against the
     Lagrangian characterization.  Uniqueness is isomorphism of all maximal
     quotient groups, which determines the elementary crossed product class.
+    Every subgroup is decomposed through one ``MackeyContext`` for
+    (A, alpha, seed): ``context`` when the caller holds one, else a new one.
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
     if not is_nondegenerate(A, alpha, seed=seed):
         raise DomainError("expects a non-degenerate class")
+    if context is None:
+        context = MackeyContext(A, alpha, seed)
+    elif (context.group, context.cocycle, context.seed) != (A, alpha, seed):
+        raise DomainError("Mackey context is for a different (group, cocycle, seed)")
     decs: dict = {}
     elementary = []
     for N in subgroups(A):
-        if precomputed is not None and N.elements in precomputed:
-            dec = precomputed[N.elements]
-        else:
-            dec = mackey_decompose(A, alpha, N, seed=seed)
-        decs[N.elements] = dec
+        dec = decs[N.elements] = context.decompose(N)
         if is_elementary_quotient(dec):
             elementary.append(N)
     elem_sets = [set(N.elements) for N in elementary]

@@ -6,11 +6,19 @@ central idempotents of C^alpha N.  Each orbit carries an inertia subgroup, a
 transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
+What does not depend on N is built once, in a ``MackeyContext`` for one
+(G, alpha, seed): the algebra C^alpha G, the blocks its oracle
+certifies, and the twisted conjugation tables conj[h, g] = h g h^-1 and
+kappa(h, g).  The caller builds the context and passes it every N of a scan
+(Theorem D decomposes every subgroup of one (G, alpha)); it is an explicit
+object whose lifetime the caller owns, not a cache behind
+``mackey_decompose``, which builds a fresh context for its one N.
+
 Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
 the first element of each block gives the minimal-index section Q -> G.  One
 algebra C^alpha N gives the points and the module.  Matching the conjugated
-points in one distance table per section element gives the action table
+points, read off the context's conjugation tables, gives the action table
 perms[q, i] of all of Q, so the orbit of point i is column i (the columns
 must partition the points), the inertia group is where it is fixed, and the
 first q reaching each orbit point forms the transversal.
@@ -20,12 +28,15 @@ base algebra is realized explicitly, intertwiners between the module and its
 coset twists are solved for, and the degree-gamma endomorphisms built from
 them are composed.  Their composition scalars form the cocycle, so the
 2-cocycle identity and the class are structural, while the raw table depends
-on the stated deterministic gauge.
+on the stated deterministic gauge.  The identity's intertwiner is the
+identity matrix; the module's irreducibility is certified by its character
+norm.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
-multiset reconstructed from the summands, and the quotient grading must be
-equi-dimensional with every homogeneous component of dimension |N|.
+multiset reconstructed from the summands, for every N, and the quotient
+grading must be equi-dimensional with every homogeneous component of
+dimension |N|.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import CocycleTable
-from .errors import CertificationError, TheoremCheckError
+from .errors import CertificationError, DomainError, TheoremCheckError
 from .gradings import (
     Character,
     GradingClassDescriptor,
@@ -44,7 +55,7 @@ from .gradings import (
     is_elementary_crossed_product,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, quotient
-from .twisted import IrrPoint, TwistedAlgebra, conjugate_idempotent_coeffs, match_idempotent
+from .twisted import TOL_ROUND, IrrPoint, TwistedAlgebra, match_idempotent
 
 TOL_NULL = 1e-8
 TOL_GAP = 1e-4
@@ -84,84 +95,203 @@ class MackeyDecomposition:
     seed: int
 
 
+class MackeyContext:
+    """The part of every decomposition of one (G, alpha, seed) that does not
+    depend on N, built once by the caller and passed to each normal N.
+
+    It holds the algebra C^alpha G, the blocks its oracle certifies (one
+    ``wedderburn`` call per context; the call is deterministic in
+    (G, alpha, seed), so every N is checked against the same certificate a
+    fresh call would give) and the n x n twisted conjugation tables
+    conj[h, g] = h g h^-1 and kappa(h, g).  ``decompose`` keeps each
+    decomposition by the elements of N, for as long as the caller keeps the
+    context.
+    """
+
+    def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0):
+        self.group = G
+        self.cocycle = alpha
+        self.seed = seed
+        self.algebra = TwistedAlgebra(G, alpha)
+        self.oracle = self.algebra.wedderburn(seed=seed)
+        idx = np.arange(G.n)
+        self.conj, self.kappa = self.algebra.conjugation(idx[:, None], idx)
+        self._decompositions: dict[tuple[int, ...], MackeyDecomposition] = {}
+
+    def decompose(self, N: Subgroup) -> MackeyDecomposition:
+        """Full decomposition of [C^alpha G / N] with all consistency checks."""
+        if N.group != self.group:
+            raise DomainError("subgroup belongs to a different group")
+        dec = self._decompositions.get(N.elements)
+        if dec is None:
+            dec = self._decompositions[N.elements] = self._decompose(N)
+        return dec
+
+    def _decompose(self, N: Subgroup) -> MackeyDecomposition:
+        G, seed = self.group, self.seed
+        Q, proj = quotient(G, N)
+        block_of = np.asarray(proj.images)
+        section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
+
+        if N.order == G.n:  # C^alpha N is C^alpha G, whose blocks the oracle gave
+            A_N, N_embed, points = self.algebra, list(G.elements()), self.oracle.blocks
+        else:
+            alpha_N, N_group, N_embed = self.cocycle.restrict(N)
+            A_N = TwistedAlgebra(N_group, alpha_N)
+            points = A_N.wedderburn(seed=seed).blocks
+
+        perms = self._conjugation_permutations(N, points, section)
+        orbit_of = [frozenset(col) for col in perms.T.tolist()]
+        if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
+            raise TheoremCheckError("point orbits do not partition the points")
+
+        orbits = []
+        for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
+            rep = orbit[0]
+            d = points[rep].dim
+            if any(points[i].dim != d for i in orbit):
+                raise TheoremCheckError("orbit members disagree on module dimension")
+            images = perms[:, rep]
+            inertia = Subgroup(Q, tuple(np.flatnonzero(images == rep).tolist()))
+            transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
+            if len(transversal) * inertia.order != Q.n:
+                raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
+            if len(set(Q.table[np.ix_(transversal, inertia.elements)].ravel().tolist())) != Q.n:
+                raise TheoremCheckError("transversal cosets do not cover the quotient")
+            delta_num = G.n * G.n * d * d
+            delta_den = N.order * N.order * inertia.order
+            if delta_num % delta_den:
+                raise TheoremCheckError("summand dimension is not an integer")
+            delta = delta_num // delta_den
+            x = Character.from_dict(Q, {t: d for t in transversal})
+            omega, I_group, I_embed = self._obstruction(A_N, N_embed, points[rep], inertia, section, block_of)
+            blocks = TwistedAlgebra(I_group, omega).wedderburn(seed=seed).dims
+            orbits.append(
+                MackeyOrbit(
+                    point_indices=orbit,
+                    dim=d,
+                    inertia=inertia,
+                    transversal=transversal,
+                    x=x,
+                    delta=delta,
+                    omega=omega,
+                    omega_group=I_group,
+                    omega_embed=I_embed,
+                    omega_blocks=blocks,
+                    omega_trivial=all(f == 1 for f in blocks),
+                    omega_nondegenerate=len(blocks) == 1,
+                )
+            )
+
+        descriptor = GradingClassDescriptor(
+            Q, tuple(Summand(o.x, o.inertia, o.omega) for o in orbits)
+        )
+        dec = MackeyDecomposition(
+            group=G,
+            cocycle=self.cocycle,
+            normal=N,
+            quotient_group=Q,
+            projection=proj,
+            points=points,
+            orbits=tuple(orbits),
+            descriptor=descriptor,
+            oracle_dims=self.oracle.dims,
+            reconstructed_dims=_reconstructed_dims(orbits),
+            seed=seed,
+        )
+        _check_decomposition(dec)
+        return dec
+
+    def _conjugation_permutations(self, N, points, section):
+        """perms[q, i]: the point that conjugation by section[q] sends point i to.
+
+        u_g iota u_g^-1 moves the coefficient of iota at n to g n g^-1, times
+        kappa(g, n); N is normal (``quotient`` checked it), so every target
+        lies in N.
+        """
+        N_elems = np.asarray(N.elements)
+        pos = np.full(self.group.n, -1)
+        pos[N_elems] = np.arange(len(N_elems))
+        stacked = np.array([p.coeffs for p in points])
+        targets = pos[self.conj[np.ix_(section, N_elems)]]
+        phases = self.kappa[np.ix_(section, N_elems)]
+        rows = []
+        for target, phase in zip(targets, phases):
+            raw = np.empty(stacked.shape, dtype=np.complex128)
+            raw[:, target] = stacked * phase
+            rows.append([p.index for p in match_idempotent(raw, points)])
+        return np.array(rows)
+
+    def _obstruction(self, A_N, N_embed, point, inertia, section, block_of):
+        """The obstruction cocycle on the inertia group, by endomorphism composition.
+
+        For each inertia element a degree-homogeneous endomorphism of
+        C^alpha G (x) M is assembled from a solved intertwiner; composing two of
+        them is a scalar multiple of the one for the product, and those scalars
+        are returned as a table over the inertia group.  Each endomorphism moves
+        whole coset blocks, so it is built and composed one d x d block per coset.
+        """
+        G, phases = self.group, self.algebra.phases
+        N_embed = np.asarray(N_embed)
+        N_pos = np.full(G.n, -1)
+        N_pos[N_embed] = np.arange(len(N_embed))
+        I_group, I_embed = inertia.as_group()
+        k = I_group.n
+        d = point.dim
+        rho = A_N.irreducible_rep(point, seed=self.seed)
+        _certify_irreducible(rho)
+        gs = section[list(I_embed)]
+
+        # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables
+        # per g.  The identity comes first (gs[0] = e, kappa(e, n) = 1), and its
+        # intertwiner is P = I exactly; irreducibility, which its nullspace
+        # would certify, is certified by the character norm above.
+        conj = self.conj[np.ix_(gs, N_embed)]
+        kappa = self.kappa[np.ix_(gs, N_embed)]
+        P_inv = np.empty((k, d, d), dtype=np.complex128)
+        P_inv[0] = np.eye(d)
+        for li in range(1, k):
+            rho_g = kappa[li][:, None, None] * rho[N_pos[conj[li]]]
+            P_inv[li] = _solve_intertwiner(rho, rho_g, d).conj().T
+
+        # The degree-g endomorphism T_g sends coset block i (t_i N) to block
+        # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
+        # block-monomial, so it is kept as (j, B) and composed blockwise.
+        prod = G.table[section, gs[:, None]]
+        j = block_of[prod]
+        t_j = section[j]
+        n2 = G.table[G.inverse_table[t_j], prod]
+        phase = phases[section, gs[:, None]] / phases[t_j, n2]
+        B = phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
+        norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
+
+        omega = np.empty((k, k), dtype=np.complex128)
+        for a in range(k):
+            ab = I_group.table[a]
+            composed = B[:, j[a]] @ B[a]  # row b: apply degree-a first, then degree-b
+            target = B[ab]
+            lam = np.einsum("bipq,bipq->b", target.conj(), composed) / norms[ab]
+            defect = np.abs(composed - lam[:, None, None, None] * target).max(axis=(1, 2, 3))
+            scale = np.maximum(1.0, np.abs(composed).max(axis=(1, 2, 3)))
+            not_scalar = (j[:, j[a]] != j[ab]).any(axis=1) | (defect > TOL_SCALAR * scale)
+            fails = np.flatnonzero(not_scalar | (np.abs(np.abs(lam) - 1.0) > TOL_SCALAR))
+            if fails.size:
+                if not_scalar[fails[0]]:
+                    raise CertificationError("endomorphism composition is not a scalar multiple")
+                raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
+            omega[a] = lam / np.abs(lam)
+        return omega, I_group, I_embed
+
+
 def mackey_decompose(
     G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
 ) -> MackeyDecomposition:
-    """Full decomposition of [C^alpha G / N] with all consistency checks."""
-    Q, proj = quotient(G, N)
-    block_of = np.asarray(proj.images)
-    section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
+    """Full decomposition of [C^alpha G / N] with all consistency checks.
 
-    A_G = TwistedAlgebra(G, alpha)
-    alpha_N, N_group, N_embed = alpha.restrict(N)
-    A_N = TwistedAlgebra(N_group, alpha_N)
-    points = A_N.wedderburn(seed=seed).blocks
-
-    perms = _conjugation_permutations(A_G, N, points, section)
-    orbit_of = [frozenset(col) for col in perms.T.tolist()]
-    if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
-        raise TheoremCheckError("point orbits do not partition the points")
-
-    orbits = []
-    for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
-        rep = orbit[0]
-        d = points[rep].dim
-        if any(points[i].dim != d for i in orbit):
-            raise TheoremCheckError("orbit members disagree on module dimension")
-        images = perms[:, rep]
-        inertia = Subgroup(Q, tuple(np.flatnonzero(images == rep).tolist()))
-        transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
-        if len(transversal) * inertia.order != Q.n:
-            raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
-        if len(set(Q.table[np.ix_(transversal, inertia.elements)].ravel().tolist())) != Q.n:
-            raise TheoremCheckError("transversal cosets do not cover the quotient")
-        delta_num = G.n * G.n * d * d
-        delta_den = N.order * N.order * inertia.order
-        if delta_num % delta_den:
-            raise TheoremCheckError("summand dimension is not an integer")
-        delta = delta_num // delta_den
-        x = Character.from_dict(Q, {t: d for t in transversal})
-        omega, I_group, I_embed = _obstruction(
-            A_G, A_N, N_embed, points[rep], inertia, section, block_of, seed
-        )
-        blocks = TwistedAlgebra(I_group, omega).wedderburn(seed=seed).dims
-        orbits.append(
-            MackeyOrbit(
-                point_indices=orbit,
-                dim=d,
-                inertia=inertia,
-                transversal=transversal,
-                x=x,
-                delta=delta,
-                omega=omega,
-                omega_group=I_group,
-                omega_embed=I_embed,
-                omega_blocks=blocks,
-                omega_trivial=all(f == 1 for f in blocks),
-                omega_nondegenerate=len(blocks) == 1,
-            )
-        )
-
-    descriptor = GradingClassDescriptor(
-        Q, tuple(Summand(o.x, o.inertia, o.omega) for o in orbits)
-    )
-    oracle = A_G.wedderburn(seed=seed).dims
-    reconstructed = _reconstructed_dims(orbits)
-    dec = MackeyDecomposition(
-        group=G,
-        cocycle=alpha,
-        normal=N,
-        quotient_group=Q,
-        projection=proj,
-        points=points,
-        orbits=tuple(orbits),
-        descriptor=descriptor,
-        oracle_dims=oracle,
-        reconstructed_dims=reconstructed,
-        seed=seed,
-    )
-    _check_decomposition(dec)
-    return dec
+    Builds a context for this one N; to decompose several N of the same
+    (G, alpha), build one ``MackeyContext`` and call its ``decompose``.
+    """
+    return MackeyContext(G, alpha, seed).decompose(N)
 
 
 def _first_occurrences(labels) -> tuple[int, ...]:
@@ -172,68 +302,14 @@ def _first_occurrences(labels) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-def _conjugation_permutations(A_G, N, points, section):
-    """perms[q, i]: the point that conjugation by section[q] sends point i to."""
-    stacked = np.array([p.coeffs for p in points])
-    rows = (conjugate_idempotent_coeffs(A_G, N.elements, g, stacked) for g in section)
-    return np.array([[p.index for p in match_idempotent(raw, points)] for raw in rows])
-
-
-def _obstruction(A_G, A_N, N_embed, point, inertia, section, block_of, seed):
-    """The obstruction cocycle on the inertia group, by endomorphism composition.
-
-    For each inertia element a degree-homogeneous endomorphism of
-    C^alpha G (x) M is assembled from a solved intertwiner; composing two of
-    them is a scalar multiple of the one for the product, and those scalars
-    are returned as a table over the inertia group.  Each endomorphism moves
-    whole coset blocks, so it is built and composed one d x d block per coset.
-    """
-    G = A_G.group
-    N_embed = np.asarray(N_embed)
-    N_pos = np.full(G.n, -1)
-    N_pos[N_embed] = np.arange(len(N_embed))
-    I_group, I_embed = inertia.as_group()
-    k = I_group.n
-    d = point.dim
-    rho = A_N.irreducible_rep(point, seed=seed)
-    gs = section[list(I_embed)]
-
-    # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
-    conj, kappa = A_G.conjugation(gs[:, None], N_embed)
-    P_inv = np.array(
-        [
-            _solve_intertwiner(rho, kappa[li][:, None, None] * rho[N_pos[conj[li]]], d).conj().T
-            for li in range(k)
-        ]
-    )
-
-    # The degree-g endomorphism T_g sends coset block i (t_i N) to block
-    # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
-    # block-monomial, so it is kept as (j, B) and composed blockwise.
-    prod = G.table[section, gs[:, None]]
-    j = block_of[prod]
-    t_j = section[j]
-    n2 = G.table[G.inverse_table[t_j], prod]
-    phase = A_G.phases[section, gs[:, None]] / A_G.phases[t_j, n2]
-    B = phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
-    norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
-
-    omega = np.empty((k, k), dtype=np.complex128)
-    for a in range(k):
-        ab = I_group.table[a]
-        composed = B[:, j[a]] @ B[a]  # row b: apply degree-a first, then degree-b
-        target = B[ab]
-        lam = np.einsum("bipq,bipq->b", target.conj(), composed) / norms[ab]
-        defect = np.abs(composed - lam[:, None, None, None] * target).max(axis=(1, 2, 3))
-        scale = np.maximum(1.0, np.abs(composed).max(axis=(1, 2, 3)))
-        not_scalar = (j[:, j[a]] != j[ab]).any(axis=1) | (defect > TOL_SCALAR * scale)
-        fails = np.flatnonzero(not_scalar | (np.abs(np.abs(lam) - 1.0) > TOL_SCALAR))
-        if fails.size:
-            if not_scalar[fails[0]]:
-                raise CertificationError("endomorphism composition is not a scalar multiple")
-            raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
-        omega[a] = lam / np.abs(lam)
-    return omega, I_group, I_embed
+def _certify_irreducible(rho):
+    """Schur orthogonality for alpha-characters: (1/|N|) sum |tr rho(n)|^2 is 1
+    exactly when rho is irreducible (Serre, section 2.3, which holds for
+    projective representations too), guarded by TOL_ROUND as the block
+    oracle's trace certificate is."""
+    norm = float(np.sum(np.abs(np.trace(rho, axis1=1, axis2=2)) ** 2)) / len(rho)
+    if abs(norm - 1.0) > TOL_ROUND:
+        raise CertificationError(f"module is not irreducible (character norm {norm:.12f})")
 
 
 def _solve_intertwiner(rho, rho_g, d):

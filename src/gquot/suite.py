@@ -20,7 +20,7 @@ from .lagrangians import (
     lagrangian_scan,
     maximal_elementary_quotients,
 )
-from .mackey import MackeyDecomposition, is_elementary_quotient, mackey_decompose
+from .mackey import MackeyContext, is_elementary_quotient
 from .pullbacks import (
     enumerate_admissible_rank4,
     enumerate_admissible_rank5,
@@ -47,11 +47,11 @@ class CriterionResult:
         return f"criterion {self.number} [{self.name}]: {'PASS' if self.passed else 'FAIL'}"
 
 
-def _decompose(cache: dict, gname: str, G, cname: str, alpha, N, seed: int) -> MackeyDecomposition:
-    key = (gname, cname, N.elements, seed)
-    if key not in cache:
-        cache[key] = mackey_decompose(G, alpha, N, seed=seed)
-    return cache[key]
+def _context(contexts: dict, gname: str, G, cname: str, alpha, seed: int) -> MackeyContext:
+    """The battery's one Mackey context for (group name, cocycle name)."""
+    if (gname, cname) not in contexts:
+        contexts[(gname, cname)] = MackeyContext(G, alpha, seed)
+    return contexts[(gname, cname)]
 
 
 def sweep_cases(max_order: int = 24):
@@ -72,7 +72,7 @@ def sweep_cases(max_order: int = 24):
     return out
 
 
-def criterion_1_and_2(seed: int, cache: dict) -> tuple[CriterionResult, CriterionResult]:
+def criterion_1_and_2(seed: int, contexts: dict) -> tuple[CriterionResult, CriterionResult]:
     """Block reconstruction and quotient equi-dimensionality, one sweep."""
     rec1, rec2 = [], []
     ok1 = ok2 = True
@@ -84,7 +84,7 @@ def criterion_1_and_2(seed: int, cache: dict) -> tuple[CriterionResult, Criterio
             cases += 1
             tag = f"{gname}/{cname}/N{list(N.elements)}"
             try:
-                dec = _decompose(cache, gname, G, cname, alpha, N, seed)
+                dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
             except GquotError as exc:
                 ok1 = ok2 = False
                 rec1.append((tag, f"decomposition failed: {exc}"))
@@ -110,7 +110,7 @@ def criterion_1_and_2(seed: int, cache: dict) -> tuple[CriterionResult, Criterio
     return c1, c2
 
 
-def criterion_3(seed: int, cache: dict) -> CriterionResult:
+def criterion_3(seed: int, contexts: dict) -> CriterionResult:
     """Crossed-product-iff-Lagrangian over the abelian CT square catalog."""
     records = []
     ok = True
@@ -118,9 +118,10 @@ def criterion_3(seed: int, cache: dict) -> CriterionResult:
     for gname in groups:
         G = build_group(gname)
         _, alpha = build_cocycle(f"nd_{gname}")
+        context = _context(contexts, gname, G, f"nd_{gname}", alpha, seed)
         agree = 0
         for N in subgroups(G):
-            dec = _decompose(cache, gname, G, f"nd_{gname}", alpha, N, seed)
+            dec = context.decompose(N)
             try:
                 crossed_product_iff_lagrangian(G, alpha, N, seed=seed, dec=dec)
                 agree += 1
@@ -131,7 +132,7 @@ def criterion_3(seed: int, cache: dict) -> CriterionResult:
     return CriterionResult(3, "crossed product iff Lagrangian", ok, records)
 
 
-def criterion_4(seed: int, cache: dict) -> CriterionResult:
+def criterion_4(seed: int, contexts: dict) -> CriterionResult:
     """Maximal elementary quotients and the uniqueness criterion."""
     records = []
     ok = True
@@ -139,11 +140,9 @@ def criterion_4(seed: int, cache: dict) -> CriterionResult:
         G = build_group(gname)
         cname = f"nd_{gname}"
         _, alpha = build_cocycle(cname)
-        pre = {
-            N.elements: _decompose(cache, gname, G, cname, alpha, N, seed) for N in subgroups(G)
-        }
         try:
-            report = maximal_elementary_quotients(G, alpha, seed=seed, precomputed=pre)
+            context = _context(contexts, gname, G, cname, alpha, seed)
+            report = maximal_elementary_quotients(G, alpha, seed=seed, context=context)
         except GquotError as exc:
             ok = False
             records.append((gname, f"failed: {exc}"))
@@ -168,7 +167,7 @@ def criterion_4(seed: int, cache: dict) -> CriterionResult:
     return CriterionResult(4, "maximal elementary uniqueness", ok, records)
 
 
-def criterion_5(seed: int, cache: dict) -> CriterionResult:
+def criterion_5(seed: int, contexts: dict) -> CriterionResult:
     """Doubly non-degenerate cases: one orbit, full inertia, non-deg obstruction."""
     records = []
     ok = True
@@ -182,7 +181,7 @@ def criterion_5(seed: int, cache: dict) -> CriterionResult:
             if not sub.is_abelian or not bicharacter_of(rest).radical().order == 1:
                 continue
             cases += 1
-            dec = _decompose(cache, gname, G, cname, alpha, N, seed)
+            dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
             o = dec.orbits[0]
             q = dec.quotient_group.n
             root = int(round(q ** 0.5))
@@ -205,7 +204,7 @@ def criterion_5(seed: int, cache: dict) -> CriterionResult:
     return CriterionResult(5, "doubly non-degenerate CT quotients", ok, records)
 
 
-def criterion_6(seed: int, cache: dict) -> CriterionResult:
+def criterion_6(seed: int, contexts: dict) -> CriterionResult:
     """Cube-free law: elementary iff |G/N| square-free."""
     records = []
     ok = True
@@ -215,7 +214,7 @@ def criterion_6(seed: int, cache: dict) -> CriterionResult:
         _, alpha = build_cocycle(cname)
         checked = 0
         for N in subgroups(G):
-            dec = _decompose(cache, gname, G, cname, alpha, N, seed)
+            dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
             elem = is_elementary_quotient(dec)
             predicted = squarefree(G.n // N.order)
             checked += 1
@@ -330,15 +329,15 @@ def criterion_10(seed: int) -> CriterionResult:
 
 
 def run_battery(seed: int = 0) -> list[CriterionResult]:
-    cache: dict = {}
-    c1, c2 = criterion_1_and_2(seed, cache)
+    contexts: dict = {}  # one MackeyContext per (group name, cocycle name)
+    c1, c2 = criterion_1_and_2(seed, contexts)
     results = [
         c1,
         c2,
-        criterion_3(seed, cache),
-        criterion_4(seed, cache),
-        criterion_5(seed, cache),
-        criterion_6(seed, cache),
+        criterion_3(seed, contexts),
+        criterion_4(seed, contexts),
+        criterion_5(seed, contexts),
+        criterion_6(seed, contexts),
         criterion_7(),
         criterion_8(),
         criterion_9(),

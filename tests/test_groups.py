@@ -35,6 +35,16 @@ def test_cyclic_one_is_trivial():
     assert G.n == 1 and G.mul(0, 0) == 0
 
 
+def test_equality_by_table():
+    a, b = gq.make_group("C2xC4"), gq.make_group("C2xC4")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    other = gq.make_group("C8")
+    assert other.n == a.n and other != a and a != other
+    assert a != a.table and a != "C2xC4" and a != None  # noqa: E711
+    assert gq.cyclic(2) != gq.cyclic(3)
+
+
 def test_klein_group():
     G = gq.direct_product(gq.cyclic(2), gq.cyclic(2))
     assert G.n == 4

@@ -11,17 +11,21 @@ from gquot.cocycles import (
     cohomologous,
     standard_nondegenerate,
 )
-from gquot.errors import CertificationError, NormalityError
+from gquot.errors import CertificationError, DomainError, NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
+from gquot.lagrangians import maximal_elementary_quotients
 from gquot.mackey import (
     TOL_GAP,
     TOL_NULL,
     TOL_SCALAR,
+    MackeyContext,
+    _certify_irreducible,
     is_ecp_quotient,
     is_elementary_quotient,
     is_simple_quotient,
     mackey_decompose,
 )
+from gquot.suite import sweep_cases
 from gquot.twisted import TOL_ROUND, TwistedAlgebra, conjugate_idempotent_coeffs
 
 
@@ -179,6 +183,84 @@ def test_determinism_of_decomposition():
     assert d1.oracle_dims == d2.oracle_dims
     for o1, o2 in zip(d1.orbits, d2.orbits):
         assert np.array_equal(o1.omega, o2.omega)
+
+
+def test_whole_group_kernel_at_order_256():
+    # the only inertia element is the identity, whose intertwiner is I
+    a = standard_nondegenerate([2, 8])
+    G = a.group
+    dec = mackey_decompose(G, a, gq.Subgroup(G, tuple(G.elements())), seed=0)
+    assert dec.oracle_dims == dec.reconstructed_dims == (16,)
+    assert len(dec.orbits) == 1 and dec.orbits[0].inertia.order == 1
+
+
+def test_reducible_module_fails_the_character_norm():
+    a = standard_nondegenerate([2])
+    A = TwistedAlgebra(a.group, a)
+    point = A.wedderburn(seed=0).blocks[0]
+    rho = A.irreducible_rep(point, seed=0)
+    _certify_irreducible(rho)
+    doubled = np.zeros((A.n, 2 * point.dim, 2 * point.dim), dtype=np.complex128)
+    doubled[:, : point.dim, : point.dim] = rho
+    doubled[:, point.dim :, point.dim :] = rho
+    with pytest.raises(CertificationError, match="not irreducible"):
+        _certify_irreducible(doubled)
+
+
+def assert_same_decomposition(got, want):
+    assert got.group == want.group and got.normal == want.normal
+    assert got.quotient_group == want.quotient_group
+    assert got.oracle_dims == want.oracle_dims
+    assert got.reconstructed_dims == want.reconstructed_dims
+    assert len(got.orbits) == len(want.orbits)
+    for o, w in zip(got.orbits, want.orbits):
+        assert (o.point_indices, o.dim, o.inertia, o.transversal, o.x, o.delta) == (
+            w.point_indices, w.dim, w.inertia, w.transversal, w.x, w.delta
+        )
+        assert np.array_equal(o.omega, w.omega)  # bit-equal, not within a tolerance
+        assert (o.omega_embed, o.omega_blocks) == (w.omega_embed, w.omega_blocks)
+    assert got.descriptor.group == want.descriptor.group
+    for s, w in zip(got.descriptor.summands, want.descriptor.summands, strict=True):
+        assert (s.x, s.fine) == (w.x, w.fine) and np.array_equal(s.cocycle, w.cocycle)
+
+
+@pytest.mark.parametrize("case", sweep_cases(), ids=lambda c: f"{c[0]}/{c[2]}")
+def test_shared_context_matches_fresh_decompositions(case):
+    """One context per (G, alpha) across every normal N gives what a fresh
+    algebra and oracle per N give."""
+    _, G, _, a = case
+    context = MackeyContext(G, a, 0)
+    A_G = TwistedAlgebra(G, a)
+    assert context.oracle.dims == A_G.wedderburn(seed=0).dims
+    for h in G.elements():
+        conj, kappa = A_G.conjugation(h, np.arange(G.n))
+        assert np.array_equal(context.conj[h], conj) and np.array_equal(context.kappa[h], kappa)
+    for N in gq.normal_subgroups(G):
+        assert_same_decomposition(context.decompose(N), mackey_decompose(G, a, N, seed=0))
+    assert context.decompose(N) is context.decompose(N)
+
+
+def test_context_refuses_a_subgroup_of_another_group():
+    context = MackeyContext(gq.make_group("C4"), CocycleTable.trivial(gq.make_group("C4")), 0)
+    other = gq.make_group("C2xC2")
+    with pytest.raises(DomainError):
+        context.decompose(gq.Subgroup(other, (0, 1)))
+
+
+def test_theorem_d_certifies_the_ambient_oracle_once(monkeypatch):
+    a = standard_nondegenerate([2, 4])
+    original = TwistedAlgebra.wedderburn
+    ambient_calls = []
+
+    def counted(self, *args, **kwargs):
+        if self.exact and self.cocycle == a:
+            ambient_calls.append(self.n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    report = maximal_elementary_quotients(a.group, a, seed=0)
+    assert len(report.decompositions) == len(gq.subgroups(a.group)) > 1
+    assert ambient_calls == [64]
 
 
 # -- reference: the per-element obstruction the table-driven one replaced -------
