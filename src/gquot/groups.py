@@ -63,12 +63,13 @@ class FiniteGroup:
         self.n = n
         if not _trusted:
             self._validate()
-        inv = np.empty(n, dtype=np.int64)
-        for g in range(n):
-            hits = np.flatnonzero(table[g] == 0)
-            if len(hits) != 1 or table[hits[0], g] != 0:
-                raise ValidationError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
+        # g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0 too
+        rows, cols = np.nonzero(table == 0)
+        inv = np.zeros(n, dtype=np.int64)
+        inv[rows] = cols
+        bad = (np.bincount(rows, minlength=n) != 1) | (table[inv, np.arange(n)] != 0)
+        if bad.any():
+            raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
         self.inverse_table = inv
         if labels is not None:
             labels = [str(x) for x in labels]

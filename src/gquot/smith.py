@@ -1,104 +1,181 @@
 """Exact solver for integer linear systems modulo m.
 
 Used to decide whether two root-of-unity cocycles differ by a coboundary:
-that question is a linear system over Z/m, solved here by diagonalizing the
-coefficient matrix with unimodular row and column operations (Smith-style
-reduction, without the divisibility normalization that solving does not
-need).  Everything is plain Python integers, so there is no overflow.
+that question is a linear system over Z/m.
+
+- **CRT split.**  m is factored into prime powers q = p^e (trial division by
+  the primes to 37, then Miller-Rabin and Pollard's rho); the system is
+  solved mod each q and the solutions are glued by the Chinese remainder
+  theorem.  It is unsolvable mod m as soon as it is unsolvable mod one q.
+- **Smith reduction over Z/p^e.**  Z/p^e is a local ring: an entry of
+  minimal p-valuation v divides every entry of the rows and columns not yet
+  reduced.  Pivots are taken level by level (v = 0, 1, ...), column by
+  column; within a column the pivot row is the one with the fewest nonzero
+  coefficients (the first on ties).  One row shear, applied only to the rows
+  that are nonzero in the pivot column, clears the pivot's column and takes
+  the pivot row out of the system.  Since the pivot divides the rest of its
+  row, the column operation that clears that row is exact; it is recorded
+  rather than applied to a transform matrix, and run at the end as the back
+  substitution x_j = (b - sum a_k x_k) / a_j, last pivot first.  Updating
+  only the rows the pivot meets keeps fill-in small on sparse systems such
+  as the coboundary rows e_g + e_h - e_gh.  No divisibility iteration is
+  needed.
+- **No overflow.**  Residues mod q are stored in the narrowest integer dtype
+  that holds q^2 (int16, int32, int64; Python integers beyond that), so every
+  product of two residues and every difference fits before it is reduced.
+  The input is converted a block of rows at a time, without a full-size
+  int64 copy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, count
 from math import gcd
+
+import numpy as np
+
+from .errors import ValidationError
+
+CHUNK_ROWS = 4096
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (dtype, largest value it holds): a residue mod q lives in the first dtype whose bound is >= q*q
+_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
 
 def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None:
     """Solve ``A x = rhs (mod m)`` for integer x, or return None if unsolvable.
 
-    ``rows`` is a dense integer matrix.  Row operations are mirrored on the
-    right-hand side, column operations are accumulated so a solution of the
-    diagonal system can be pulled back.
+    ``rows`` is a dense integer matrix given as a list of equal-length rows,
+    one per entry of ``rhs``.  The solution is returned with entries in
+    ``range(m)``; a homogeneous system gets the zero solution.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     nrows = len(rows)
+    if len(rhs) != nrows:
+        raise ValidationError(f"{nrows} equations but {len(rhs)} right-hand sides")
     ncols = len(rows[0]) if nrows else 0
-    if ncols == 0:
-        return [] if all(v % m == 0 for v in rhs) else None
-    A = [list(map(int, row)) for row in rows]
-    b = [int(v) for v in rhs]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    k = 0
-    limit = min(nrows, ncols)
-    while k < limit:
-        piv = _smallest_pivot(A, k, nrows, ncols)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != k:
-            A[k], A[i0] = A[i0], A[k]
-            b[k], b[i0] = b[i0], b[k]
-        if j0 != k:
-            for row in A:
-                row[k], row[j0] = row[j0], row[k]
-            for row in V:
-                row[k], row[j0] = row[j0], row[k]
-        clean = True
-        pivot = A[k][k]
-        for i in range(nrows):
-            if i != k and A[i][k] != 0:
-                q = A[i][k] // pivot
-                if q:
-                    Ak = A[k]
-                    Ai = A[i]
-                    for j in range(k, ncols):
-                        Ai[j] -= q * Ak[j]
-                    b[i] -= q * b[k]
-                if A[i][k] != 0:
-                    clean = False
-        for j in range(ncols):
-            if j != k and A[k][j] != 0:
-                q = A[k][j] // pivot
-                if q:
-                    for row in A:
-                        row[j] -= q * row[k]
-                    for row in V:
-                        row[j] -= q * row[k]
-                if A[k][j] != 0:
-                    clean = False
-        if clean:
-            k += 1
-
-    y = [0] * ncols
-    for i in range(nrows):
-        d = A[i][i] if i < ncols else 0
-        c = b[i] % m
-        if d == 0:
-            if c != 0:
-                return None
-            continue
-        g = gcd(d, m)
-        if c % g != 0:
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError("coefficient rows have unequal lengths")
+    x = [0] * ncols
+    for p, e in prime_powers(m):
+        q = p**e
+        xq = _solve_prime_power(rows, rhs, ncols, p, e)
+        if xq is None:
             return None
-        mm = m // g
-        if mm > 1:
-            y[i] = (c // g) * pow((d // g) % mm, -1, mm) % mm
-    x = [sum(V[i][j] * y[j] for j in range(ncols)) % m for i in range(ncols)]
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the other prime powers
+        x = [(a + lift * b) % m for a, b in zip(x, xq)]
     return x
 
 
-def _smallest_pivot(A, k, nrows, ncols):
-    best = None
-    piv = None
-    for i in range(k, nrows):
-        row = A[i]
-        for j in range(k, ncols):
-            v = row[j]
-            if v != 0:
-                a = abs(v)
-                if best is None or a < best:
-                    best, piv = a, (i, j)
-                    if a == 1:
-                        return piv
-    return piv
+def prime_powers(m: int) -> list[tuple[int, int]]:
+    """The factorization of m >= 1 as (p, e) pairs, p increasing."""
+    primes, stack = [], []
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            primes.append(p)
+            m //= p
+    if m > 1:
+        stack.append(m)
+    while stack:  # every number here is > 37 and has no factor in _SMALL_PRIMES
+        n = stack.pop()
+        if _is_probable_prime(n):
+            primes.append(n)
+        else:
+            d = _pollard_rho(n)
+            stack += [d, n // d]
+    return sorted(Counter(primes).items())
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact for n < 3.3e24.  A
+    composite passed off as prime above that would only make a pivot fail to
+    invert mod n, which raises; no wrong answer can come of it."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard's rho, Floyd cycle finding)."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def _residues(values, q: int, width: int, dtype) -> np.ndarray:
+    """The rows ``values`` (each of length ``width``) reduced mod q."""
+    if dtype is not object:
+        try:
+            flat = np.fromiter(chain.from_iterable(values), np.int64, len(values) * width)
+            return (flat % q).reshape(len(values), width)
+        except OverflowError:
+            pass
+    return np.array([[int(v) % q for v in row] for row in values], dtype=object).reshape(len(values), width)
+
+
+def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | None:
+    """Solve the system mod q = p**e: a solution in range(q), or None."""
+    q = p**e
+    nrows = len(rows)
+    dtype = next((dt for dt, top in _DTYPES if q * q <= top), object)
+    Ab = np.empty((nrows, ncols + 1), dtype)  # the augmented matrix [A | rhs]
+    for s in range(0, nrows, CHUNK_ROWS):
+        Ab[s:s + CHUNK_ROWS, :ncols] = _residues(rows[s:s + CHUNK_ROWS], q, ncols, dtype)
+    Ab[:, ncols] = _residues([rhs], q, nrows, dtype)[0]
+
+    pivots = []  # (column, p^v, unit part's inverse, rhs, the pivot row's columns and coefficients)
+    open_cols = range(ncols)
+    for v in range(e):
+        pv, step = p**v, p ** (v + 1)
+        left = []
+        for j in open_cols:
+            col = Ab[:, j]
+            hits = col.nonzero()[0]
+            if not len(hits):
+                continue
+            cv = col[hits]
+            cand = hits[cv % step != 0]  # valuation exactly v: every live entry has valuation >= v
+            if not len(cand):
+                left.append(j)
+                continue
+            r = cand[np.count_nonzero(Ab[cand, :ncols], axis=1).argmin()] if len(cand) > 1 else cand[0]
+            uinv = pow(int(col[r]) // pv, -1, q)
+            nzc = Ab[r].nonzero()[0]
+            row = Ab[r, nzc]
+            # the shear also meets row r itself and zeroes it: its multiplier is 1
+            block = (hits[:, None], nzc)
+            Ab[block] = (Ab[block] - (cv // pv * uinv % q)[:, None] * row) % q
+            coeffs = row.tolist()
+            b = coeffs.pop() if nzc[-1] == ncols else 0
+            if b % pv:  # p^v divides the whole coefficient row but not b
+                return None
+            pivots.append((j, pv, uinv, b, nzc[:len(coeffs)].tolist(), coeffs))
+        open_cols = left
+    if Ab[:, ncols].any():  # an equation 0 = b with b != 0 is left
+        return None
+    # back substitution, last pivot first: a pivot row only reaches columns
+    # pivoted after it or never (those stay 0); p^v divides every term
+    x = [0] * ncols
+    for j, pv, uinv, b, cols, coeffs in reversed(pivots):
+        x[j] = (b - sum(a * x[k] for k, a in zip(cols, coeffs) if k != j)) // pv * uinv % q
+    return x

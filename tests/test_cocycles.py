@@ -174,6 +174,38 @@ def test_cohomologous_is_equivalence_on_samples():
                     assert cohomologous(a, c)[0]
 
 
+def _certified_cohomologous(a, b):
+    """cohomologous(a, b), with its witness re-checked here at the solve scale."""
+    same, witness = cohomologous(a, b)
+    if same:
+        m = witness.scale
+        assert np.array_equal(coboundary(witness).exps, (b.rescale(m).exps - a.rescale(m).exps) % m)
+    return same
+
+
+@given(st.data())
+@settings(max_examples=4, deadline=None)
+def test_coboundary_twist_and_relabeling_at_order_128(data):
+    # the bilinear class zeta_8^(x1 y2) on C2 x C8 x C8, element g = (g // 64, g // 8 % 8, g % 8)
+    G = gq.make_group("C2xC8xC8")
+    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
+    a = CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]))
+    c = OneCochain(G, 8, [0] + data.draw(st.lists(st.integers(0, 7), min_size=G.n - 1, max_size=G.n - 1)))
+    b = a.mul(coboundary(c))
+    assert _certified_cohomologous(a, b)
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    H = gq.from_table(table)
+    moved = []
+    for t in (a, b):
+        exps = np.empty_like(t.exps)
+        exps[np.ix_(perm, perm)] = t.exps
+        moved.append(CocycleTable(H, t.scale, exps))
+    assert _certified_cohomologous(*moved)
+    assert not _certified_cohomologous(CocycleTable.trivial(H, 8), moved[1])
+
+
 def test_scale_reconciliation():
     G = gq.cyclic(2)
     a = CocycleTable.trivial(G, 2)

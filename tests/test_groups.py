@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,40 @@ def test_associativity_error_names_triple():
     tab = np.array([[0, 1], [1, 1]])  # 1*1=1 breaks invertibility/associativity
     with pytest.raises(ValidationError):
         gq.from_table(tab)
+
+
+def reference_inverse_table(table):
+    """The per-row loop the inverse table was first built by."""
+    inv = np.empty(len(table), dtype=np.int64)
+    for g in range(len(table)):
+        hits = np.flatnonzero(table[g] == 0)
+        if len(hits) != 1 or table[hits[0], g] != 0:
+            raise ValidationError(f"element {g} has no two-sided inverse")
+        inv[g] = hits[0]
+    return inv
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_inverse_table_matches_row_loop(spec):
+    G = gq.make_group(spec)
+    assert np.array_equal(gq.from_table(G.table).inverse_table, reference_inverse_table(G.table))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1, 1]],  # associative, but 1 has no inverse
+        [[0, 1, 2], [1, 0, 0], [2, 1, 1]],  # row 1 has two zeros, row 2 none
+        [[0, 1, 2], [1, 2, 0], [2, 2, 1]],  # 1*2 = 0 but 2*1 != 0
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]],  # 1 is fine; 2 has two zeros
+    ],
+)
+def test_missing_inverse_reported_like_row_loop(table):
+    with pytest.raises(ValidationError) as expected:
+        reference_inverse_table(np.array(table))
+    # trusted: the table reaches the inverse check even where it is not associative
+    with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+        groups.FiniteGroup(table, _trusted=True)
 
 
 @pytest.mark.parametrize(
