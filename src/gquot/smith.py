@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-CHUNK_ROWS = 4096
+_CHUNK_ROWS = 4096
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (dtype, largest value it holds): a residue mod q lives in the first dtype whose bound is >= q*q
 _DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
@@ -139,8 +139,8 @@ def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | Non
     nrows = len(rows)
     dtype = next((dt for dt, top in _DTYPES if q * q <= top), object)
     Ab = np.empty((nrows, ncols + 1), dtype)  # the augmented matrix [A | rhs]
-    for s in range(0, nrows, CHUNK_ROWS):
-        Ab[s:s + CHUNK_ROWS, :ncols] = _residues(rows[s:s + CHUNK_ROWS], q, ncols, dtype)
+    for s in range(0, nrows, _CHUNK_ROWS):
+        Ab[s:s + _CHUNK_ROWS, :ncols] = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype)
     Ab[:, ncols] = _residues([rhs], q, nrows, dtype)[0]
 
     pivots = []  # (column, p^v, unit part's inverse, rhs, the pivot row's columns and coefficients)
