@@ -23,7 +23,7 @@ print("Lagrangians of the non-degenerate class on C4xC4:")
 for rep in lagrangian_scan(G, alpha):
     if rep.is_lagrangian:
         sub, _ = rep.subgroup.as_group()
-        invs = gq.abelian_invariants(sub).invariants
+        invs = gq.abelian_invariants(sub)
         print(f"  {rep.subgroup.elements}  =~ C{'xC'.join(map(str, invs))}")
 
 # The two-sided check: quotient is a crossed product over the quotient group
@@ -37,7 +37,7 @@ print(f"order-2 kernel verdict: {crossed_product_iff_lagrangian(G, alpha, gq.gen
 for invs, name in [([4], "C4xC4"), ([2], "C2xC2"), ([6], "C6xC6")]:
     a = standard_nondegenerate(invs)
     rep = maximal_elementary_quotients(a.group, a)
-    kinds = sorted({gq.abelian_invariants(Q).invariants for Q in rep.quotient_groups})
+    kinds = sorted({gq.abelian_invariants(Q) for Q in rep.quotient_groups})
     print(
         f"\n{name}: {len(rep.maximal_normals)} maximal elementary quotients, "
         f"types {kinds}, unique class: {rep.unique_maximal_class}"

@@ -16,7 +16,6 @@ from .cocycles import (
     bicharacter_of,
     coboundary,
     cohomologous,
-    inflate,
     is_cohomologically_trivial,
     is_nondegenerate,
     standard_nondegenerate,
@@ -25,20 +24,15 @@ from .gradings import (
     Character,
     GradingClassDescriptor,
     Summand,
-    character_mod,
     coset_masses,
     descriptor_dims,
-    descriptors_equivalent,
     induced_dims,
     is_connected,
     is_elementary,
     is_elementary_crossed_product,
     is_equidimensional_induced,
-    max_class_over,
 )
 from .groups import (
-    AbelianDecomposition,
-    CosetAction,
     CosetSpace,
     FiniteGroup,
     GroupHom,
@@ -47,7 +41,6 @@ from .groups import (
     abelian_invariants,
     are_isomorphic,
     center,
-    coset_action,
     coset_space,
     cyclic,
     dihedral,
@@ -89,14 +82,7 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from .twisted import (
-    IrrPoint,
-    TwistedAlgebra,
-    WedderburnData,
-    central_idempotents,
-    conjugate_idempotent,
-    same_orbit,
-)
+from .twisted import IrrPoint, TwistedAlgebra, WedderburnData
 from .words import FreeFactor, FreeProductGroup, Word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

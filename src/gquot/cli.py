@@ -122,9 +122,10 @@ def _cmd_group(args, em: _Emitter) -> int:
         return 0
     em.emit("order", G.n)
     em.emit("abelian", G.is_abelian)
-    dec = abelian_invariants(G)
-    em.emit("invariants", "non-abelian" if dec is None else list(dec.invariants))
-    em.emit("normal_subgroups", len(normal_subgroups(G)))
+    normals = normal_subgroups(G)  # raises beyond the enumeration bound, before the invariants print
+    invariants = abelian_invariants(G)
+    em.emit("invariants", "non-abelian" if invariants is None else list(invariants))
+    em.emit("normal_subgroups", len(normals))
     em.emit("order_census", sorted(G.order_census().items()))
     return 0
 

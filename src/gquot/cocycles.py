@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ScaleError, SizeBoundError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, direct_product, cyclic
+from .groups import FiniteGroup, Subgroup, direct_product, cyclic
 from .smith import solve_mod
 
 
@@ -256,15 +256,6 @@ def standard_nondegenerate(invariants) -> CocycleTable:
     second = coords[:, r:]           # phi-exponents
     exps = (first @ second.T) % m
     return CocycleTable(G, m, exps, _trusted=True)
-
-
-def inflate(a: CocycleTable, proj: GroupHom) -> CocycleTable:
-    """Pull a cocycle on a quotient back along the projection."""
-    if proj.target != a.group:
-        raise DomainError("projection target does not carry the cocycle")
-    idx = np.asarray(proj.images)
-    exps = a.exps[np.ix_(idx, idx)]
-    return CocycleTable(proj.source, a.scale, exps, _trusted=True)
 
 
 DEFAULT_NUMERIC_BOUND = 256

@@ -10,16 +10,15 @@ over free products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cocycles import CocycleTable, cohomologous, parse_cocycle
+from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup, quotient
-from .words import FactorMap, FreeFactor, FreeProductGroup, Word, syllable_generators_cover
+from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup
+from .words import FactorMap, Word, syllable_generators_cover
 
 
 def _sort_key(elem):
@@ -97,12 +96,6 @@ def _target_of(mapping):
     if isinstance(mapping, (GroupHom, FactorMap)):
         return mapping.target
     raise DomainError("pushforward needs a GroupHom or FactorMap")
-
-
-def character_mod(x: Character, N: Subgroup) -> Character:
-    """Reduce a character over a finite group modulo a normal subgroup."""
-    _, proj = quotient(x.group, N)
-    return x.pushforward(proj)
 
 
 @dataclass(frozen=True)
@@ -295,99 +288,6 @@ def is_elementary_crossed_product(d: GradingClassDescriptor) -> bool:
     if not isinstance(d.group, FiniteGroup):
         return False
     return x.eps == d.group.n and all(k == 1 for _, k in x.mults) and len(x.mults) == d.group.n
-
-
-# -- the maximum class over a fixed twisted class -----------------------------
-
-
-def max_class_over(G: FiniteGroup, alpha: CocycleTable, n: int) -> GradingClassDescriptor:
-    """The maximum of the grading classes of n-by-n matrices induced from C^a G.
-
-    Graded by the free product of a free group of rank d-1 (d = n/sqrt|G|)
-    with G; the character is 1 + the sum of the free generators.
-    """
-    if n * n % G.n != 0:
-        raise DomainError(f"|G| = {G.n} does not divide n^2 = {n * n}")
-    root = math.isqrt(G.n)
-    if root * root != G.n:
-        raise DomainError(f"|G| = {G.n} is not a perfect square")
-    if n % root != 0:
-        raise DomainError(f"sqrt|G| = {root} does not divide n = {n}")
-    d = n // root
-    letters = [FreeFactor(f"x{i}") for i in range(1, d)]
-    gamma = FreeProductGroup(tuple(letters) + (G,), name=f"F{d-1}*{G.name or 'G'}")
-    mults = {gamma.identity(): 1}
-    for i in range(d - 1):
-        mults[gamma.letter(i, 1)] = 1
-    x = Character.from_dict(gamma, mults)
-    summand = Summand(x, FactorFine(len(letters)), alpha)
-    return GradingClassDescriptor(gamma, (summand,))
-
-
-# -- descriptor equivalence -----------------------------------------------------
-
-
-def descriptors_equivalent(d1: GradingClassDescriptor, d2: GradingClassDescriptor) -> bool:
-    """Equivalence over the same finite group: summand permutation, right
-    coset translation of elementary parts, cohomologous cocycles."""
-    if d1.group != d2.group:
-        return False
-    if len(d1.summands) != len(d2.summands):
-        return False
-    used = [False] * len(d2.summands)
-    for s1 in d1.summands:
-        hit = False
-        for j, s2 in enumerate(d2.summands):
-            if used[j]:
-                continue
-            if _summands_equivalent(s1, s2, d1.group):
-                used[j] = True
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
-
-
-def _summands_equivalent(s1: Summand, s2: Summand, group) -> bool:
-    if s1.fine_order(group) != s2.fine_order(group):
-        return False
-    f1 = set(s1.fine_elements(group))
-    f2 = set(s2.fine_elements(group))
-    if f1 != f2:
-        return False
-    if s1.fine is None or s1.fine_order(group) == 1:
-        same_x = _x_equal_up_to_cosets(s1.x, s2.x, None, group)
-        return same_x and _cocycle_is_trivial_on_trivial_group(s1.cocycle) == _cocycle_is_trivial_on_trivial_group(s2.cocycle)
-    H = s1.fine if isinstance(s1.fine, Subgroup) else None
-    if H is None:
-        raise DomainError("free-product summand equivalence is out of scope")
-    if not _x_equal_up_to_cosets(s1.x, s2.x, H, group):
-        return False
-    return _cocycles_same_class(s1.cocycle, s2.cocycle, H)
-
-
-def _x_equal_up_to_cosets(x1: Character, x2: Character, H: Subgroup | None, group) -> bool:
-    if H is None:
-        return x1.mults == x2.mults
-    return coset_masses(x1, H) == coset_masses(x2, H)
-
-
-def _cocycles_same_class(c1, c2, H: Subgroup) -> bool:
-    t1 = _as_table(c1, H)
-    t2 = _as_table(c2, H)
-    if t1 is None or t2 is None:
-        raise DomainError("cocycle class comparison needs exact root-of-unity tables")
-    return cohomologous(t1, t2)[0]
-
-
-def _as_table(c, H: Subgroup) -> CocycleTable | None:
-    if isinstance(c, CocycleTable):
-        return c
-    if c is None:
-        sub, _ = H.as_group()
-        return CocycleTable.trivial(sub)
-    return None
 
 
 # -- text format ------------------------------------------------------------

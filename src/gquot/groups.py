@@ -11,16 +11,17 @@ Group Theory*, ch. 3-4):
   conjugate g h g^-1, row g, and must stay inside H;
 - left cosets: the rows of ``table[:, H]`` are the cosets gH, and a row's
   minimum is its coset representative;
-- G/N, the standalone copy of H and coset actions are those arrays
-  re-indexed through the coset (or position) labels.
+- G/N and the standalone copy of H are those arrays re-indexed through
+  the coset (or position) labels.
 
 Subgroup generation is a breadth-first search along rows of
 ``G.table[:, gens]``; the subgroup lattice is built by Neubüser's cyclic
 extension (join each subgroup with every cyclic subgroup it misses, layer by
 layer) and memoized on the group instance; enumeration is refused above a
 size bound (default 64), checked on every call.  Groups of permutations
-(coset actions, automorphism groups) get their table from
-``permutation_group``.
+(symmetric groups, automorphism groups) get their table from
+``permutation_group``.  Abelian invariants need no lattice: they are read
+off the counts of elements whose order divides p^k.
 
 ``homomorphisms`` is the one homomorphism search: it backtracks over images
 of a generating sequence, closes each partial assignment multiplicatively and
@@ -521,81 +522,47 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     return Q, proj
 
 
-class CosetAction:
-    """The permutation action of a group on the left cosets of a subgroup.
-
-    ``perms[g]`` is the permutation of coset indices induced by g.  The hom
-    into the symmetric group is realized onto its image: a FiniteGroup whose
-    elements are the distinct permutations, which always fits in the
-    enumeration bound because it is a quotient of the acting group.
-    """
-
-    def __init__(self, G: FiniteGroup, H: Subgroup):
-        cs = coset_space(G, H)
-        self.group = G
-        self.subgroup = H
-        self.cosets = cs
-        self.perms = np.asarray(cs.block_of)[G.table[:, list(cs.representatives)]]
-        self.image_group, image = permutation_group(self.perms, name="image")
-        self.hom = GroupHom(G, self.image_group, image)
-
-    def kernel(self) -> Subgroup:
-        return self.hom.kernel()
-
-    def is_transitive(self) -> bool:
-        k = len(self.cosets)
-        reached = set(self.perms[:, 0].tolist())
-        return len(reached) == k
-
-    def is_faithful(self) -> bool:
-        return self.kernel().order == 1
-
-
-def coset_action(G: FiniteGroup, H: Subgroup) -> CosetAction:
-    return CosetAction(G, H)
-
-
 # -- abelian invariants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianDecomposition:
-    """Invariant factors n1 | n2 | ... | nr with independent generators."""
+def abelian_invariants(G: FiniteGroup) -> tuple[int, ...] | None:
+    """Invariant factors n1 | n2 | ... | nr of an abelian group, None if non-abelian.
 
-    invariants: tuple[int, ...]
-    generators: tuple[int, ...]
-
-
-def abelian_invariants(G: FiniteGroup) -> AbelianDecomposition | None:
-    """Invariant-factor decomposition of an abelian group, None if non-abelian.
-
-    A maximal-order element always generates a direct factor; a complement is
-    found by scanning subgroups, then recursion handles the rest.
+    If the p-part of G is C_{p^e1} x ... x C_{p^es}, the elements of order
+    dividing p^k number p^(r_1 + ... + r_k), where r_j counts the factors of
+    order at least p^j.  So exact counts taken from the element-order census
+    give every r_j, and with them the p-power factors; the j-th largest
+    invariant factor is the product over p of the j-th largest p-power
+    factors.
     """
     if not G.is_abelian:
         return None
-    invs, gens = _abelian_split(G)
-    return AbelianDecomposition(tuple(invs), tuple(gens))
+    census = G.order_census()
+    primary = []  # per prime, its p-power factors, largest first
+    rest, p = G.n, 2
+    while rest > 1:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            ranks, below, q = [], 1, p  # ranks[j - 1] = r_j, below = count at p^(j - 1)
+            while True:
+                count = sum(c for order, c in census.items() if q % order == 0)
+                if count == below:  # q is past the exponent of the p-part
+                    break
+                ranks.append(_exact_log(count // below, p))
+                below, q = count, q * p
+            primary.append([p ** sum(r > i for r in ranks) for i in range(ranks[0])])
+        p += 1
+    return tuple(math.prod(col) for col in itertools.zip_longest(*primary, fillvalue=1))[::-1]
 
 
-def _abelian_split(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    if G.n == 1:
-        return [], []
-    orders = G.element_orders()
-    g = max(G.elements(), key=lambda x: (orders[x], -x))
-    m = orders[g]
-    cyc = set(_closure(G, {g}))
-    want = G.n // m
-    complement = None
-    for K in subgroups(G):
-        if K.order == want and len(set(K.elements) & cyc) == 1:
-            complement = K
-            break
-    if complement is None:  # cannot happen for abelian groups
-        raise ValidationError("no complement for a maximal cyclic factor")
-    H, embed = complement.as_group()
-    rest_invs, rest_gens = _abelian_split(H)
-    return rest_invs + [m], [embed[x] for x in rest_gens] + [g]
+def _exact_log(x: int, p: int) -> int:
+    """k with p^k = x, for x a power of p."""
+    k = 0
+    while x > 1:
+        x //= p
+        k += 1
+    return k
 
 
 def is_homocyclic_squarefree(G: FiniteGroup) -> bool:
@@ -604,13 +571,13 @@ def is_homocyclic_squarefree(G: FiniteGroup) -> bool:
     This is the exact condition under which the maximal elementary quotients
     of a non-degenerate twisted class over the group all coincide.
     """
-    dec = abelian_invariants(G)
-    if dec is None:
+    invariants = abelian_invariants(G)
+    if invariants is None:
         return False
-    if not dec.invariants:
+    if not invariants:
         return True
-    q = dec.invariants[-1]
-    return all(x == q for x in dec.invariants) and squarefree(q)
+    q = invariants[-1]
+    return all(x == q for x in invariants) and squarefree(q)
 
 
 def squarefree(n: int) -> bool:

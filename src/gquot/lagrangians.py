@@ -343,7 +343,7 @@ def automorphism_group(A: FiniteGroup):
     return aut_group, sorted(autos)  # the group's element order
 
 
-def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None = None) -> IYBSearchResult:
+def iyb_witness_search(H: FiniteGroup, bound: int = 12) -> IYBSearchResult:
     """Search for a bijective 1-cocycle from H into an abelian module.
 
     Modules are enumerated by ascending invariant factors, actions by
@@ -359,8 +359,6 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12, max_modules: int | None 
     for invs in invariant_factor_sequences(H.n):
         A = abelian_group_from_invariants(invs)
         modules_tried += 1
-        if max_modules is not None and modules_tried > max_modules:
-            break
         aut_group, aut_perms = automorphism_group(A)
         for hom in homomorphisms(H, aut_group):
             actions_tried += 1

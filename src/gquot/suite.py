@@ -158,7 +158,7 @@ def criterion_4(seed: int, contexts: dict) -> CriterionResult:
             )
         )
         if gname == "C4xC4":
-            kinds = {abelian_invariants(Q).invariants for Q in report.quotient_groups}
+            kinds = {abelian_invariants(Q) for Q in report.quotient_groups}
             if not {(4,), (2, 2)} <= kinds:
                 ok = False
             records.append(("C4xC4.quotient_types", str(sorted(kinds))))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .cocycles import DEFAULT_NUMERIC_BOUND, CocycleTable
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
@@ -314,32 +314,7 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-# -- idempotents of a subalgebra under the ambient conjugation ----------------
-
-
-def central_idempotents(G_N: FiniteGroup, alpha_N: CocycleTable, seed: int = 0) -> tuple[IrrPoint, ...]:
-    """Primitive central idempotents of C^a N, one per irreducible type."""
-    return TwistedAlgebra(G_N, alpha_N).wedderburn(seed=seed).blocks
-
-
-def conjugate_idempotent_coeffs(
-    A: TwistedAlgebra, N_elems: tuple[int, ...], g: int, coeffs: np.ndarray
-) -> np.ndarray:
-    """Coefficients of u_g * iota * u_g^{-1} for iota supported on N.
-
-    ``coeffs`` may stack several idempotents along leading axes.
-    """
-    N = np.asarray(N_elems)
-    target, kappa = A.conjugation(g, N)
-    pos = np.full(A.n, -1)
-    pos[N] = np.arange(len(N))
-    live = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - 1)))
-    where = pos[target[live]]
-    if (where < 0).any():
-        raise DomainError("conjugation leaves the subgroup; N must be normal")
-    out = np.zeros(coeffs.shape, dtype=np.complex128)
-    out[..., where] = coeffs[..., live] * kappa[live]
-    return out
+# -- idempotents matched against a certified set ------------------------------
 
 
 def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...], tol: float = TOL_ROUND) -> tuple[IrrPoint, ...]:
@@ -351,41 +326,3 @@ def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...], tol: float 
     if bad.size:
         raise CertificationError(f"idempotent match found {counts[bad[0]]} candidates within {tol}")
     return tuple(points[i] for i in hits.argmax(axis=1))
-
-
-def conjugate_idempotent(
-    A: TwistedAlgebra, N: Subgroup, g: int, point: IrrPoint, points: tuple[IrrPoint, ...]
-) -> IrrPoint:
-    """The idempotent of the g-twisted module, certified against the known set."""
-    raw = conjugate_idempotent_coeffs(A, N.elements, g, point.coeffs)
-    return match_idempotent(raw[None], points)[0]
-
-
-def same_orbit(
-    A: TwistedAlgebra,
-    N: Subgroup,
-    p1: IrrPoint,
-    p2: IrrPoint,
-    points: tuple[IrrPoint, ...],
-) -> bool:
-    """Whether two idempotents are conjugate under the ambient group.
-
-    Both the explicit conjugation orbit and the two-sided non-vanishing
-    criterion iota2 * C^a G * iota1 != 0 are evaluated; they must agree.
-    """
-    by_conj = any(
-        conjugate_idempotent(A, N, g, p1, points) == p2 for g in A.group.elements()
-    )
-    emb1 = _embed(A, N.elements, p1.coeffs)
-    emb2 = _embed(A, N.elements, p2.coeffs)
-    # column g of the product is iota2 * u_g * iota1
-    by_product = float(np.max(np.abs(A.right_regular(emb1) @ A.left_regular(emb2)))) > TOL_ROUND
-    if by_conj != by_product:
-        raise CertificationError("orbit criteria disagree: conjugation vs non-vanishing product")
-    return by_conj
-
-
-def _embed(A: TwistedAlgebra, N_elems: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros(A.n, dtype=np.complex128)
-    out[list(N_elems)] = coeffs
-    return out

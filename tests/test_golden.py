@@ -27,6 +27,7 @@ COMMANDS = {
     # rank-5 relation of criterion 8
     "pi1_report_5": ("pi1 report --n 5", 1),
     "group_info_C6xC6": ("group info --group C6xC6", 0),
+    "group_info_C2xC4xC8": ("group info --group C2xC4xC8", 0),
     "iyb_D4": ("lagrangian iyb --group D4", 0),
 }
 

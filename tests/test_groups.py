@@ -78,8 +78,10 @@ def test_bad_table_rejected_with_triple():
 
 
 def test_associativity_error_names_triple():
-    tab = np.array([[0, 1], [1, 1]])  # 1*1=1 breaks invertibility/associativity
-    with pytest.raises(ValidationError):
+    # a loop of order 5: identity 0, every row and column a permutation, so
+    # only associativity fails
+    tab = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    with pytest.raises(ValidationError, match=r"^not associative: \(1\*1\)\*2 != 1\*\(1\*2\)$"):
         gq.from_table(tab)
 
 
@@ -238,19 +240,46 @@ def test_quotient_requires_normal():
         gq.quotient(S3, H)
 
 
+class CosetAction:
+    """The permutation action of a group on the left cosets of a subgroup.
+
+    ``perms[g]`` is the permutation of coset indices induced by g; the hom
+    into the symmetric group is realized onto its image, the group of the
+    distinct permutations.
+    """
+
+    def __init__(self, G, H):
+        cs = gq.coset_space(G, H)
+        self.group = G
+        self.subgroup = H
+        self.cosets = cs
+        self.perms = np.asarray(cs.block_of)[G.table[:, list(cs.representatives)]]
+        self.image_group, image = groups.permutation_group(self.perms, name="image")
+        self.hom = gq.GroupHom(G, self.image_group, image)
+
+    def kernel(self):
+        return self.hom.kernel()
+
+    def is_transitive(self):
+        return len(set(self.perms[:, 0].tolist())) == len(self.cosets)
+
+    def is_faithful(self):
+        return self.kernel().order == 1
+
+
 def test_coset_action_trivial_and_regular():
     G = gq.symmetric(3)
     whole = gq.Subgroup(G, tuple(range(6)))
-    act = gq.coset_action(G, whole)
+    act = CosetAction(G, whole)
     assert act.image_group.n == 1 and len(act.cosets) == 1
-    act2 = gq.coset_action(G, gq.Subgroup(G, (0,)))
+    act2 = CosetAction(G, gq.Subgroup(G, (0,)))
     assert act2.is_faithful() and act2.is_transitive() and act2.image_group.n == 6
 
 
 def test_coset_action_s3_on_three_points():
     G = gq.symmetric(3)
     H = next(h for h in gq.subgroups(G) if h.order == 2)
-    act = gq.coset_action(G, H)
+    act = CosetAction(G, H)
     assert len(act.cosets) == 3
     assert act.is_transitive()
     assert act.image_group.n == 6
@@ -261,7 +290,7 @@ def test_coset_action_kernel_is_largest_normal_inside():
         G = gq.make_group(spec)
         normals = gq.normal_subgroups(G)
         for H in gq.subgroups(G):
-            act = gq.coset_action(G, H)
+            act = CosetAction(G, H)
             ker = set(act.kernel().elements)
             assert ker <= set(H.elements)
             inside = [set(N.elements) for N in normals if set(N.elements) <= set(H.elements)]
@@ -404,7 +433,7 @@ def test_table_routines_match_reference(name):
         else:
             with pytest.raises(NormalityError, match=rf"^N is not normal: conjugating {bad[1]} by {bad[0]} leaves N$"):
                 gq.quotient(G, H)
-        act = gq.coset_action(G, H)
+        act = CosetAction(G, H)
         perms = reference_coset_permutations(G, H)
         assert [tuple(p) for p in act.perms.tolist()] == perms
         image = act.image_group
@@ -467,24 +496,74 @@ def test_generated_subgroup_rejects_indices_outside_the_group(gens, bad):
         gq.generated_subgroup(gq.cyclic(4), gens)
 
 
-@pytest.mark.parametrize("spec", ["C128", "C2xC64", "C2xC2xC2xC2xC2xC2xC2"])
-def test_abelian_invariants_respects_the_enumeration_bound(spec):
-    with pytest.raises(SizeBoundError, match="^subgroup enumeration bounded at order 64, group has 128$"):
-        gq.abelian_invariants(gq.make_group(spec))
+def reference_abelian_split(G):
+    """The lattice-scan decomposition (invariants, generators): a maximal-order
+    element generates a direct factor, a complement is found by scanning
+    ``subgroups(G)``, and recursion handles the rest."""
+    if G.n == 1:
+        return [], []
+    orders = G.element_orders()
+    g = max(G.elements(), key=lambda x: (orders[x], -x))
+    m = orders[g]
+    cyc = set(gq.generated_subgroup(G, [g]).elements)
+    complement = next(K for K in gq.subgroups(G) if K.order == G.n // m and len(set(K.elements) & cyc) == 1)
+    H, embed = complement.as_group()
+    rest_invs, rest_gens = reference_abelian_split(H)
+    return rest_invs + [m], [embed[x] for x in rest_gens] + [g]
+
+
+_BEYOND_THE_LATTICE_BOUND = {
+    "C128": (128,),
+    "C2xC64": (2, 64),
+    "C2xC8xC8": (2, 8, 8),
+    "C2xC2xC2xC2xC2xC2xC2": (2,) * 7,
+}
+
+
+@pytest.mark.parametrize("spec", list(_BEYOND_THE_LATTICE_BOUND))
+def test_abelian_invariants_beyond_the_lattice_bound(spec):
+    assert gq.abelian_invariants(gq.make_group(spec)) == _BEYOND_THE_LATTICE_BOUND[spec]
+
+
+_ABELIAN_LADDER = [
+    "C32", "C2xC16", "C4xC8", "C2xC2xC8", "C2xC4xC4", "C2xC2xC2xC4", "C2xC2xC2xC2xC2",
+    "C64", "C2xC32", "C4xC16", "C8xC8", "C2xC2xC16", "C2xC4xC8", "C4xC4xC4", "C2xC2xC2xC8",
+    "C2xC2xC4xC4", "C2xC2xC2xC2xC4", "C2xC2xC2xC2xC2xC2", "C3xC9", "C2xC3xC6", "C6xC10", "C3xC3xC3",
+]
+
+
+@pytest.mark.parametrize("spec", list(GROUP_SPECS) + _ABELIAN_LADDER)
+def test_abelian_invariants_match_lattice_scan(spec):
+    G = gq.make_group(spec)
+    expected = tuple(reference_abelian_split(G)[0]) if G.is_abelian else None
+    assert gq.abelian_invariants(G) == expected
+
+
+@pytest.mark.parametrize("spec", [s for s in GROUP_SPECS if gq.make_group(s).is_abelian] + ["C2xC8xC8"])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_abelian_invariants_invariant_under_relabeling(spec, data):
+    G = gq.make_group(spec)
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    assert gq.abelian_invariants(_relabeled(G, perm)) == gq.abelian_invariants(G)
 
 
 def test_abelian_invariants():
-    assert gq.abelian_invariants(gq.cyclic(6)).invariants == (6,)
-    dec = gq.abelian_invariants(gq.make_group("C2xC4"))
-    assert dec.invariants == (2, 4)
+    assert gq.abelian_invariants(gq.cyclic(6)) == (6,)
+    invariants = gq.abelian_invariants(gq.make_group("C2xC4"))
+    assert invariants == (2, 4)
     G = gq.make_group("C2xC4")
-    for inv, g in zip(dec.invariants, dec.generators):
+    # generators of the factors come from the lattice-scan reference, which
+    # must agree on the invariants
+    ref_invariants, generators = reference_abelian_split(G)
+    assert tuple(ref_invariants) == invariants
+    for inv, g in zip(invariants, generators):
         assert G.order_of(g) == inv
-    span = gq.generated_subgroup(G, dec.generators)
+    span = gq.generated_subgroup(G, generators)
     assert span.order == G.n
     assert gq.abelian_invariants(gq.symmetric(3)) is None
-    assert gq.abelian_invariants(gq.make_group("C6xC6")).invariants == (6, 6)
-    assert gq.abelian_invariants(gq.make_group("C2xC32")).invariants == (2, 32)  # at the bound
+    assert gq.abelian_invariants(gq.make_group("C6xC6")) == (6, 6)
+    assert gq.abelian_invariants(gq.make_group("C2xC32")) == (2, 32)
 
 
 def test_homocyclic_squarefree():

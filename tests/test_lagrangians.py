@@ -62,7 +62,7 @@ def test_lagrangian_scan_c4xc4_contains_both_types():
     kinds = set()
     for elems in found:
         sub, _ = gq.Subgroup(G, elems).as_group()
-        kinds.add(gq.abelian_invariants(sub).invariants)
+        kinds.add(gq.abelian_invariants(sub))
     assert kinds == {(4,), (2, 2)}
 
 
@@ -117,7 +117,7 @@ def test_maximal_elementary_quotients_c4xc4():
     a = standard_nondegenerate([4])
     rep = maximal_elementary_quotients(a.group, a)
     assert not rep.unique_maximal_class
-    kinds = {gq.abelian_invariants(Q).invariants for Q in rep.quotient_groups}
+    kinds = {gq.abelian_invariants(Q) for Q in rep.quotient_groups}
     assert kinds == {(4,), (2, 2)}
 
 

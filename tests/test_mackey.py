@@ -26,7 +26,7 @@ from gquot.mackey import (
     mackey_decompose,
 )
 from gquot.suite import sweep_cases
-from gquot.twisted import TOL_ROUND, TwistedAlgebra, conjugate_idempotent_coeffs
+from gquot.twisted import TOL_ROUND, TwistedAlgebra
 
 
 def snap_to_table(values, group, scale: int, tol: float = 1e-6):
@@ -404,6 +404,40 @@ def reference_orbits(perms, count):
     return orbits
 
 
+def conjugate_idempotent_coeffs(A, N_elems, g, coeffs):
+    """Coefficients of u_g * iota * u_g^{-1} for iota supported on N.
+
+    ``coeffs`` may stack several idempotents along leading axes.
+    """
+    N = np.asarray(N_elems)
+    target, kappa = A.conjugation(g, N)
+    pos = np.full(A.n, -1)
+    pos[N] = np.arange(len(N))
+    live = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - 1)))
+    where = pos[target[live]]
+    if (where < 0).any():
+        raise DomainError("conjugation leaves the subgroup; N must be normal")
+    out = np.zeros(coeffs.shape, dtype=np.complex128)
+    out[..., where] = coeffs[..., live] * kappa[live]
+    return out
+
+
+def products_nonzero(A, N, points, reps):
+    """nonzero[i, j]: whether iota_j * C^a G * iota_i != 0.
+
+    Column g of ``right_regular(iota_i)`` is u_g iota_i.  One g per coset of N
+    suffices: iota_i is central in C^a N, so iota_j u_gn iota_i is a phase
+    times iota_j u_g iota_i u_n, which vanishes exactly when iota_j u_g iota_i
+    does.
+    """
+    embedded = np.zeros((len(points), A.n), dtype=np.complex128)
+    embedded[:, list(N.elements)] = [p.coeffs for p in points]
+    moved = np.array([A.right_regular(e)[:, list(reps)] for e in embedded])
+    return np.array(
+        [[float(np.abs(A.left_regular(e2) @ m).max()) > TOL_ROUND for e2 in embedded] for m in moved]
+    )
+
+
 def reference_match_rows(rows, points):
     out = []
     for r in rows:
@@ -441,19 +475,24 @@ ORBIT_CASES = {name: (a, normals) for name, a, normals in _orbit_cases()}
 @pytest.mark.parametrize("name", list(ORBIT_CASES))
 def test_orbits_match_reference(name):
     """Orbits, inertia groups and transversals equal the search over the
-    coset representatives of G/N, matched one point at a time."""
+    coset representatives of G/N, matched one point at a time; and two points
+    share an orbit exactly when iota2 * C^a G * iota1 != 0."""
     a, normals = ORBIT_CASES[name]
     G = a.group
     A_G = TwistedAlgebra(G, a)
     for N in normals:
         dec = mackey_decompose(G, a, N, seed=0)
         Q = dec.quotient_group
+        reps = gq.coset_space(G, N).representatives
         stacked = np.array([p.coeffs for p in dec.points])
         perms = [
             reference_match_rows(conjugate_idempotent_coeffs(A_G, N.elements, g, stacked), dec.points)
-            for g in gq.coset_space(G, N).representatives
+            for g in reps
         ]
         assert [o.point_indices for o in dec.orbits] == reference_orbits(perms, len(dec.points))
+        orbit_of = {i: o.point_indices for o in dec.orbits for i in o.point_indices}
+        shared = np.array([[j in orbit_of[i] for j in range(len(dec.points))] for i in range(len(dec.points))])
+        assert np.array_equal(products_nonzero(A_G, N, dec.points, reps), shared)
         for o in dec.orbits:
             rep = o.point_indices[0]
             assert o.inertia.elements == tuple(q for q in Q.elements() if perms[q][rep] == rep)

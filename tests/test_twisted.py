@@ -14,11 +14,8 @@ from gquot.twisted import (
     TOL_ROUND,
     CenterClass,
     TwistedAlgebra,
-    central_idempotents,
-    conjugate_idempotent,
     match_idempotent,
     _cluster,
-    same_orbit,
 )
 
 
@@ -98,6 +95,46 @@ def test_wedderburn_deterministic():
 def test_size_bound():
     with pytest.raises(SizeBoundError):
         TwistedAlgebra(gq.cyclic(10), CocycleTable.trivial(gq.cyclic(10)), bound=8)
+
+
+# -- the idempotent orbit step one pair at a time, as the tests below use it ---
+
+
+def central_idempotents(G_N, alpha_N, seed=0):
+    """Primitive central idempotents of C^a N, one per irreducible type."""
+    return TwistedAlgebra(G_N, alpha_N).wedderburn(seed=seed).blocks
+
+
+def conjugate_idempotent(A, N, g, point, points):
+    """The idempotent u_g iota u_g^-1 of the g-twisted module, matched against
+    the known set; raises if conjugation leaves N."""
+    pos = {n: i for i, n in enumerate(N.elements)}
+    raw = np.zeros(len(N.elements), dtype=np.complex128)
+    for i, n in enumerate(N.elements):
+        target, kappa = A.conjugation(g, n)
+        assert int(target) in pos, f"conjugating {n} by {g} leaves N"
+        raw[pos[int(target)]] = point.coeffs[i] * kappa
+    return match_idempotent(raw[None], points)[0]
+
+
+def same_orbit(A, N, p1, p2, points):
+    """Whether two idempotents are conjugate under the ambient group.
+
+    Both the explicit conjugation orbit and the two-sided non-vanishing
+    criterion iota2 * C^a G * iota1 != 0 are evaluated; they must agree.
+    """
+    by_conj = any(conjugate_idempotent(A, N, g, p1, points) == p2 for g in A.group.elements())
+    emb1, emb2 = _embed(A, N.elements, p1.coeffs), _embed(A, N.elements, p2.coeffs)
+    # column g of the product is iota2 * u_g * iota1
+    by_product = float(np.max(np.abs(A.right_regular(emb1) @ A.left_regular(emb2)))) > TOL_ROUND
+    assert by_conj == by_product, "orbit criteria disagree: conjugation vs non-vanishing product"
+    return by_conj
+
+
+def _embed(A, N_elems, coeffs):
+    out = np.zeros(A.n, dtype=np.complex128)
+    out[list(N_elems)] = coeffs
+    return out
 
 
 def test_central_idempotents_of_c2():
