@@ -83,6 +83,6 @@ from .pullbacks import (
     verify_presentation_h5,
 )
 from .twisted import IrrPoint, TwistedAlgebra, WedderburnData
-from .words import FreeFactor, FreeProductGroup, Word
+from .words import FreeProductGroup, Word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

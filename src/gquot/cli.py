@@ -32,7 +32,7 @@ from .lagrangians import (
 from .mackey import is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
-from .twisted import TwistedAlgebra
+from .twisted import TOL_CLUSTER, TwistedAlgebra
 
 
 class _Emitter:
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("twisted", help="block structure of twisted group algebras")
     t.add_argument("action", choices=["wedderburn"])
     _add_common(t)
-    t.add_argument("--tol", type=float, default=1e-9, help="eigenvalue clustering tolerance")
 
     gr = sub.add_parser("grading", help="analyze grading class descriptors")
     gr.add_argument("action", choices=["dims", "connected", "equidim", "classify"])
@@ -164,13 +163,13 @@ def _cmd_twisted(args, em: _Emitter) -> int:
     G = resolve_group(args.group)
     alpha = resolve_cocycle(args.cocycle, G)
     em.emit("seed", args.seed)
-    data = TwistedAlgebra(G, alpha).wedderburn(seed=args.seed, tol=args.tol)
+    data = TwistedAlgebra(G, alpha).wedderburn(seed=args.seed)
     em.emit("blocks", list(data.dims))
     for p in data.blocks:
         em.emit(f"block_{p.index}", f"dim={p.dim}")
     em.emit("sum_of_squares", sum(d * d for d in data.dims))
     em.emit("residual_below", "1e-9" if data.residual <= 1e-9 else f"{data.residual:.3e}")
-    em.emit("certified", data.residual <= args.tol)
+    em.emit("certified", data.residual <= TOL_CLUSTER)
     return 0
 
 

@@ -258,17 +258,17 @@ def standard_nondegenerate(invariants) -> CocycleTable:
     return CocycleTable(G, m, exps, _trusted=True)
 
 
-DEFAULT_NUMERIC_BOUND = 256
+NUMERIC_BOUND = 256  # largest order for the twisted algebra and its block oracle
 
 
-def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, bound: int = DEFAULT_NUMERIC_BOUND) -> bool:
+def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0) -> bool:
     """Whether the twisted group algebra over ``a`` is a full matrix algebra.
 
     Abelian groups use the exact radical criterion; the general case asks
     the numeric block oracle for a single simple block.
     """
-    if G.n > bound:
-        raise SizeBoundError(f"non-degeneracy bounded at order {bound}")
+    if G.n > NUMERIC_BOUND:
+        raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
     if a.group != G:
         raise DomainError("cocycle lives on a different group")
     if G.is_abelian:

@@ -3,9 +3,9 @@
 A grading class of a semisimple algebra is a list of simply-graded summands,
 each an elementary character x over the grading group together with a fine
 part: a subgroup carrying a 2-cocycle.  The grading group is either a
-FiniteGroup (elements are indices) or a FreeProductGroup (elements are
-reduced words); only operations that never enumerate the group are offered
-over free products.
+FiniteGroup (elements are indices) or a FreeProductGroup of finite groups
+(elements are reduced words); only operations that never enumerate the
+group are offered over free products.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Group Theory*, ch. 3-4):
 Subgroup generation is a breadth-first search along rows of
 ``G.table[:, gens]``; the subgroup lattice is built by Neubüser's cyclic
 extension (join each subgroup with every cyclic subgroup it misses, layer by
-layer) and memoized on the group instance; enumeration is refused above a
-size bound (default 64), checked on every call.  Groups of permutations
+layer) and memoized on the group instance; enumeration is refused above
+order ENUM_BOUND (64), checked on every call.  Groups of permutations
 (symmetric groups, automorphism groups) get their table from
 ``permutation_group``.  Abelian invariants need no lattice: they are read
 off the counts of elements whose order divides p^k.
@@ -39,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalityError, SizeBoundError, ValidationError
+from .smith import prime_powers
 
-DEFAULT_ENUM_BOUND = 64
+ENUM_BOUND = 64  # largest order for subgroup enumeration and isomorphism search
 
 
 class FiniteGroup:
@@ -111,14 +112,6 @@ class FiniteGroup:
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1."""
         return int(self.table[self.table[g, a], self.inverse_table[g]])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = 0
-        for _ in range(k):
-            out = int(self.table[out, a])
-        return out
 
     def order_of(self, a: int) -> int:
         x, k = a, 1
@@ -425,14 +418,14 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, tuple(sorted(_closure(G, gens))))
 
 
-def subgroups(G: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Subgroup]:
+def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by (order, elements), as a fresh list.
 
     The lattice comes from ``_cyclic_extension`` and is built once per group
     instance; the size bound is checked on every call, cached or not.
     """
-    if G.n > bound:
-        raise SizeBoundError(f"subgroup enumeration bounded at order {bound}, group has {G.n}")
+    if G.n > ENUM_BOUND:
+        raise SizeBoundError(f"subgroup enumeration bounded at order {ENUM_BOUND}, group has {G.n}")
     if G._lattice is None:
         G._lattice = tuple(_cyclic_extension(G))
     return list(G._lattice)
@@ -483,8 +476,8 @@ def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
     return closure
 
 
-def normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Subgroup]:
-    return [H for H in subgroups(G, bound=bound) if H.is_normal()]
+def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    return [H for H in subgroups(G) if H.is_normal()]
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -539,20 +532,15 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...] | None:
         return None
     census = G.order_census()
     primary = []  # per prime, its p-power factors, largest first
-    rest, p = G.n, 2
-    while rest > 1:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            ranks, below, q = [], 1, p  # ranks[j - 1] = r_j, below = count at p^(j - 1)
-            while True:
-                count = sum(c for order, c in census.items() if q % order == 0)
-                if count == below:  # q is past the exponent of the p-part
-                    break
-                ranks.append(_exact_log(count // below, p))
-                below, q = count, q * p
-            primary.append([p ** sum(r > i for r in ranks) for i in range(ranks[0])])
-        p += 1
+    for p, _ in prime_powers(G.n):
+        ranks, below, q = [], 1, p  # ranks[j - 1] = r_j, below = count at p^(j - 1)
+        while True:
+            count = sum(c for order, c in census.items() if q % order == 0)
+            if count == below:  # q is past the exponent of the p-part
+                break
+            ranks.append(_exact_log(count // below, p))
+            below, q = count, q * p
+        primary.append([p ** sum(r > i for r in ranks) for i in range(ranks[0])])
     return tuple(math.prod(col) for col in itertools.zip_longest(*primary, fillvalue=1))[::-1]
 
 
@@ -581,10 +569,8 @@ def is_homocyclic_squarefree(G: FiniteGroup) -> bool:
 
 
 def squarefree(n: int) -> bool:
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % (p * p) == 0:
-            return False
-    return True
+    """Whether n >= 1 is divisible by no prime square (False for n < 1)."""
+    return n >= 1 and all(e == 1 for _, e in prime_powers(n))
 
 
 def invariant_factor_sequences(n: int) -> list[tuple[int, ...]]:
@@ -687,10 +673,10 @@ def homomorphisms(G: FiniteGroup, T: FiniteGroup, injective: bool = False):
     yield from rec(0, [], {0: 0})
 
 
-def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> IsomorphismResult:
+def are_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> IsomorphismResult:
     """Decide isomorphism with an explicit witness or a distinguishing invariant."""
-    if max(G1.n, G2.n) > bound:
-        raise SizeBoundError(f"isomorphism search bounded at order {bound}")
+    if max(G1.n, G2.n) > ENUM_BOUND:
+        raise SizeBoundError(f"isomorphism search bounded at order {ENUM_BOUND}")
     if G1.n != G2.n:
         return IsomorphismResult(False, None, f"orders differ: {G1.n} vs {G2.n}")
     if G1.order_census() != G2.order_census():

@@ -38,7 +38,11 @@ from .mackey import (
     is_elementary_quotient,
     mackey_decompose,
 )
+from .smith import prime_powers
 from .twisted import TwistedAlgebra
+
+ISOTROPIC_BOUND = 32  # largest order minimal_isotropic accepts
+IYB_BOUND = 12        # largest order the bijective 1-cocycle search accepts
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,13 @@ def crossed_product_iff_lagrangian(
     """ECP verdict of the quotient equals the Lagrangian verdict of N.
 
     Both sides are computed independently; disagreement is an implementation
-    bug and raises.  Returns the shared verdict.
+    bug and raises.  Returns the shared verdict.  A ``dec`` passed in must be
+    the decomposition of (G, alpha, N, seed).
     """
     if dec is None:
         dec = mackey_decompose(G, alpha, N, seed=seed)
+    elif (dec.group, dec.cocycle, dec.normal, dec.seed) != (G, alpha, N, seed):
+        raise DomainError("Mackey decomposition is for a different (group, cocycle, subgroup, seed)")
     ecp = is_ecp_quotient(dec)
     lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed).isotropic
     if ecp != lag:
@@ -206,15 +213,10 @@ def maximal_elementary_quotients(
 def sylow_decomposition(G: FiniteGroup) -> list[Subgroup] | None:
     """The Sylow subgroups when G is nilpotent (their internal product), else None."""
     n = G.n
-    primes = _prime_factors(n)
     sylows = []
-    for p in primes:
-        part = 1
-        m = n
-        while m % p == 0:
-            part *= p
-            m //= p
-        elems = tuple(g for g in G.elements() if _is_p_power(G.order_of(g), p))
+    for p, e in prime_powers(n):
+        part = p**e
+        elems = tuple(g for g in G.elements() if part % G.order_of(g) == 0)
         if len(elems) != part:
             return None
         try:
@@ -226,35 +228,15 @@ def sylow_decomposition(G: FiniteGroup) -> list[Subgroup] | None:
     return sylows
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
-def minimal_isotropic(N: FiniteGroup, alpha: CocycleTable, seed: int = 0, bound: int = 32) -> Subgroup:
+def minimal_isotropic(N: FiniteGroup, alpha: CocycleTable, seed: int = 0) -> Subgroup:
     """An isotropic subgroup of minimal index in a nilpotent group.
 
     Built per Sylow factor and multiplied together, then certified: the
     index must equal the smallest irreducible block dimension of the
     twisted algebra.
     """
-    if N.n > bound:
-        raise SizeBoundError(f"minimal_isotropic bounded at order {bound}")
+    if N.n > ISOTROPIC_BOUND:
+        raise SizeBoundError(f"minimal_isotropic bounded at order {ISOTROPIC_BOUND}")
     sylows = sylow_decomposition(N)
     if sylows is None:
         raise DomainError("group is not nilpotent (Sylow product fails)")
@@ -343,7 +325,7 @@ def automorphism_group(A: FiniteGroup):
     return aut_group, sorted(autos)  # the group's element order
 
 
-def iyb_witness_search(H: FiniteGroup, bound: int = 12) -> IYBSearchResult:
+def iyb_witness_search(H: FiniteGroup) -> IYBSearchResult:
     """Search for a bijective 1-cocycle from H into an abelian module.
 
     Modules are enumerated by ascending invariant factors, actions by
@@ -352,8 +334,8 @@ def iyb_witness_search(H: FiniteGroup, bound: int = 12) -> IYBSearchResult:
     propagation and injectivity as pruning.  A returned witness verifies
     exactly; exhaustion is a bounded certificate, not a proof of absence.
     """
-    if H.n > bound:
-        raise SizeBoundError(f"IYB search bounded at order {bound}")
+    if H.n > IYB_BOUND:
+        raise SizeBoundError(f"IYB search bounded at order {IYB_BOUND}")
     modules_tried = 0
     actions_tried = 0
     for invs in invariant_factor_sequences(H.n):
@@ -413,12 +395,12 @@ def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...
 
 
 def lagrangian_quotient_is_iyb(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, bound: int = 12
+    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
 ) -> IYBSearchResult:
     """For a normal Lagrangian N, the quotient must admit a bijective 1-cocycle."""
     if not crossed_product_iff_lagrangian(G, alpha, N, seed=seed):
         raise DomainError("N is not a Lagrangian; the IYB consequence does not apply")
     Q, _ = quotient(G, N)
-    if Q.n > bound:
-        raise SizeBoundError(f"quotient order {Q.n} beyond IYB search bound {bound}")
-    return iyb_witness_search(Q, bound=bound)
+    if Q.n > IYB_BOUND:
+        raise SizeBoundError(f"quotient order {Q.n} beyond IYB search bound {IYB_BOUND}")
+    return iyb_witness_search(Q)

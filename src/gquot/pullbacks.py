@@ -30,6 +30,8 @@ from .groups import (
 )
 from .words import FactorMap, FreeProductGroup, enumerate_words
 
+H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_presentation_h5
+
 
 # -- componentwise arithmetic on tuples over mixed groups ---------------------
 
@@ -422,7 +424,7 @@ def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
     return PresentationReport(tuple(checks))
 
 
-def verify_presentation_h5(max_len: int = 6, q5_len: int = 8) -> PresentationReport:
+def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
     """Relation, kernel, centrality and freeness checks for the rank-5 pull-back."""
     pb = rank5_pullback()
     S = pb.sources
@@ -460,12 +462,12 @@ def verify_presentation_h5(max_len: int = 6, q5_len: int = 8) -> PresentationRep
             "(x,s,b,e)^2 = (x^2,e,e,e)",
         )
     )
-    h5 = _bounded_subgroup(S, {"w": pb.gen_w, "b": pb.gen_b, "g": pb.gen_g}, max_len)
+    h5 = _bounded_subgroup(S, {"w": pb.gen_w, "b": pb.gen_b, "g": pb.gen_g}, H5_WORD_LEN)
     checks.append(
         CheckRecord(
             "h5_meets_center_trivially",
             stau not in h5,
-            f"<w,b,g> avoids (e,st,e,e) on words of length <= {max_len} ({len(h5)} elements)",
+            f"<w,b,g> avoids (e,st,e,e) on words of length <= {H5_WORD_LEN} ({len(h5)} elements)",
         )
     )
     kernel_ok = all(

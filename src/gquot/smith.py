@@ -71,6 +71,8 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
 
 def prime_powers(m: int) -> list[tuple[int, int]]:
     """The factorization of m >= 1 as (p, e) pairs, p increasing."""
+    if m < 1:
+        raise ValueError(f"cannot factor {m}: need m >= 1")
     primes, stack = [], []
     for p in _SMALL_PRIMES:
         while m % p == 0:

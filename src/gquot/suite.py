@@ -15,6 +15,7 @@ from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
 from .groups import abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
 from .lagrangians import (
+    IYB_BOUND,
     crossed_product_iff_lagrangian,
     iyb_witness_search,
     lagrangian_scan,
@@ -32,8 +33,6 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-
-ABELIAN_CT_CATALOG = ("C2xC2", "C3xC3", "C4xC4", "C5xC5", "C6xC6", "C2xC2xC2xC2")
 
 
 @dataclass
@@ -136,7 +135,7 @@ def criterion_4(seed: int, contexts: dict) -> CriterionResult:
     """Maximal elementary quotients and the uniqueness criterion."""
     records = []
     ok = True
-    for gname in ABELIAN_CT_CATALOG:
+    for gname in NONDEGENERATE_CARRIERS:
         G = build_group(gname)
         cname = f"nd_{gname}"
         _, alpha = build_cocycle(cname)
@@ -172,7 +171,7 @@ def criterion_5(seed: int, contexts: dict) -> CriterionResult:
     records = []
     ok = True
     cases = 0
-    for gname in ABELIAN_CT_CATALOG:
+    for gname in NONDEGENERATE_CARRIERS:
         G = build_group(gname)
         cname = f"nd_{gname}"
         _, alpha = build_cocycle(cname)
@@ -304,7 +303,7 @@ def criterion_10(seed: int) -> CriterionResult:
     records = []
     ok = True
     inconclusive = 0
-    for gname in ABELIAN_CT_CATALOG:
+    for gname in NONDEGENERATE_CARRIERS:
         G = build_group(gname)
         _, alpha = build_cocycle(f"nd_{gname}")
         found = 0
@@ -312,7 +311,7 @@ def criterion_10(seed: int) -> CriterionResult:
             if not rep.is_lagrangian:
                 continue
             Q, _ = quotient(G, rep.subgroup)
-            if Q.n > 12:
+            if Q.n > IYB_BOUND:
                 continue
             result = iyb_witness_search(Q)
             if result.witness is None:

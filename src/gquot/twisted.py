@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import DEFAULT_NUMERIC_BOUND, CocycleTable
+from .cocycles import NUMERIC_BOUND, CocycleTable
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
 from .groups import FiniteGroup
 
@@ -89,9 +89,9 @@ class TwistedAlgebra:
     obstruction cocycles produced by intertwiner gauges arrive.
     """
 
-    def __init__(self, group: FiniteGroup, cocycle, bound: int = DEFAULT_NUMERIC_BOUND):
-        if group.n > bound:
-            raise SizeBoundError(f"twisted algebra bounded at order {bound}, group has {group.n}")
+    def __init__(self, group: FiniteGroup, cocycle):
+        if group.n > NUMERIC_BOUND:
+            raise SizeBoundError(f"twisted algebra bounded at order {NUMERIC_BOUND}, group has {group.n}")
         self.group = group
         self.n = group.n
         if isinstance(cocycle, CocycleTable):
@@ -202,7 +202,7 @@ class TwistedAlgebra:
 
     # -- block oracle ----------------------------------------------------------
 
-    def wedderburn(self, seed: int = 0, tol: float = TOL_CLUSTER) -> WedderburnData:
+    def wedderburn(self, seed: int = 0) -> WedderburnData:
         """Simple-block dimensions and primitive central idempotents.
 
         A random self-adjoint central sample is eigensplit; the cluster count
@@ -221,7 +221,7 @@ class TwistedAlgebra:
             Z = self.left_regular(z)
             Z = Z + Z.conj().T
             evals, evecs = np.linalg.eigh(Z)
-            clusters = _cluster(evals, tol * max(1.0, float(np.max(np.abs(evals)))))
+            clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
             if len(clusters) != k:
                 last = f"cluster count {len(clusters)} != center dimension {k}"
                 continue
@@ -246,7 +246,7 @@ class TwistedAlgebra:
             for p in points:
                 defect = self.left_regular(p.coeffs) @ p.coeffs - p.coeffs
                 residual = max(residual, float(np.max(np.abs(defect))))
-            if residual > tol * 10:
+            if residual > TOL_CLUSTER * 10:
                 last = f"idempotent residual {residual:.2e} beyond tolerance"
                 continue
             order = sorted(range(len(points)), key=lambda i: (dims[i], i))

@@ -1,4 +1,4 @@
-"""Free products of finite groups and free letters, with reduced words.
+"""Free products of finite groups, with reduced words.
 
 A word is kept reduced at all times: no identity syllables, no two adjacent
 syllables from the same factor.  Equality of group elements is then literal
@@ -11,36 +11,28 @@ stack pass.  Products of words that are already reduced skip both steps.
 By the reduced-word argument for free products (Magnus, Karrass and
 Solitar, *Combinatorial Group Theory*, section 4.1) only the junction of two
 reduced words can cancel or merge, so ``mul`` resolves the junction and
-copies the rest; ``inv``, ``pow`` and the extensions in ``enumerate_words``
+copies the rest; ``inv`` and the extensions in ``enumerate_words``
 build their results the same way, without renormalizing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DomainError, ValidationError
 from .groups import FiniteGroup, GroupHom, generated_subgroup
 
 
-@dataclass(frozen=True)
-class FreeFactor:
-    """A symbolic infinite-cyclic factor (one free letter)."""
-
-    name: str
-
-
 class FreeProductGroup:
-    """An ordered free product of finite groups and free letters."""
+    """An ordered free product of finite groups."""
 
     def __init__(self, factors, name=None):
         factors = tuple(factors)
         if not factors:
             raise ValidationError("free product needs at least one factor")
         for f in factors:
-            if not isinstance(f, (FiniteGroup, FreeFactor)):
-                raise ValidationError("factors must be finite groups or free letters")
+            if not isinstance(f, FiniteGroup):
+                raise ValidationError("factors must be finite groups")
         self.factors = factors
         self.name = name
 
@@ -48,7 +40,7 @@ class FreeProductGroup:
         return Word._reduced(self, ())
 
     def letter(self, factor_index: int, payload: int) -> "Word":
-        """A one-syllable word: a factor element, or a power of a free letter."""
+        """A one-syllable word: one element of one factor."""
         return Word(self, ((factor_index, int(payload)),))
 
     def word(self, syllables) -> "Word":
@@ -67,28 +59,14 @@ class FreeProductGroup:
         return hash(self.factors)
 
     def __repr__(self):
-        parts = [f.name if isinstance(f, FreeFactor) else (f.name or f"G{f.n}") for f in self.factors]
-        return " * ".join(parts)
-
-
-def _combine(factor, p: int, q: int) -> int:
-    if isinstance(factor, FreeFactor):
-        return p + q
-    return factor.mul(p, q)
-
-
-def _invert_payload(factor, p: int) -> int:
-    if isinstance(factor, FreeFactor):
-        return -p
-    return factor.inv(p)
+        return " * ".join(f.name or f"G{f.n}" for f in self.factors)
 
 
 def _validate(factors, syllables) -> None:
     for fi, p in syllables:
         if not 0 <= fi < len(factors):
             raise ValidationError(f"syllable factor index {fi} out of range for {len(factors)} factors")
-        factor = factors[fi]
-        if not isinstance(factor, FreeFactor) and not (0 <= p < factor.n):
+        if not 0 <= p < factors[fi].n:
             raise ValidationError(f"syllable payload {p} out of range for factor {fi}")
 
 
@@ -99,7 +77,7 @@ def _reduce(factors, syllables) -> tuple:
         if p == 0:
             continue
         if stack and stack[-1][0] == fi:
-            merged = _combine(factors[fi], stack.pop()[1], p)
+            merged = factors[fi].mul(stack.pop()[1], p)
             if merged != 0:
                 stack.append((fi, merged))
         else:
@@ -146,7 +124,7 @@ class Word:
         i, j = len(left), 0
         while i and j < len(right) and left[i - 1][0] == right[j][0]:
             fi = right[j][0]
-            merged = _combine(group.factors[fi], left[i - 1][1], right[j][1])
+            merged = group.factors[fi].mul(left[i - 1][1], right[j][1])
             i -= 1
             j += 1
             if merged != 0:
@@ -157,16 +135,8 @@ class Word:
         factors = self.group.factors
         return Word._reduced(
             self.group,
-            tuple((fi, _invert_payload(factors[fi], p)) for fi, p in reversed(self.syllables)),
+            tuple((fi, factors[fi].inv(p)) for fi, p in reversed(self.syllables)),
         )
-
-    def pow(self, k: int) -> "Word":
-        if k < 0:
-            return self.inv().pow(-k)
-        out = self.group.identity()
-        for _ in range(k):
-            out = out.mul(self)
-        return out
 
     def sort_key(self):
         return (len(self.syllables), self.syllables)
@@ -174,13 +144,8 @@ class Word:
     def __repr__(self):
         if not self.syllables:
             return "<e>"
-        parts = []
-        for fi, p in self.syllables:
-            f = self.group.factors[fi]
-            if isinstance(f, FreeFactor):
-                parts.append(f.name if p == 1 else f"{f.name}^{p}")
-            else:
-                parts.append(f"{f.name or 'F' + str(fi)}:{f.label(p)}")
+        factors = self.group.factors
+        parts = (f"{factors[fi].name or 'F' + str(fi)}:{factors[fi].label(p)}" for fi, p in self.syllables)
         return "<" + " ".join(parts) + ">"
 
 
@@ -188,8 +153,8 @@ class Word:
 class FactorMap:
     """A homomorphism from a free product to a finite group.
 
-    Finite factors carry full homomorphisms (so factor relations are checked
-    at build time); free letters carry the image of the letter.
+    Each factor carries a full homomorphism, so factor relations are checked
+    at build time.
     """
 
     source: FreeProductGroup
@@ -200,37 +165,23 @@ class FactorMap:
         if len(self.maps) != len(self.source.factors):
             raise ValidationError("one map per factor required")
         for f, m in zip(self.source.factors, self.maps):
-            if isinstance(f, FreeFactor):
-                if not isinstance(m, int) or not (0 <= m < self.target.n):
-                    raise ValidationError("free letter image must be a target element")
-            else:
-                if not isinstance(m, GroupHom) or m.source != f or m.target != self.target:
-                    raise ValidationError("finite factor needs a homomorphism into the target")
+            if not isinstance(m, GroupHom) or m.source != f or m.target != self.target:
+                raise ValidationError("finite factor needs a homomorphism into the target")
 
     def __call__(self, w: Word) -> int:
         out = 0
         for fi, p in w.syllables:
-            m = self.maps[fi]
-            img = self.target.power(m, p) if isinstance(m, int) else m(p)
-            out = self.target.mul(out, img)
+            out = self.target.mul(out, self.maps[fi](p))
         return out
 
     def is_surjective(self) -> bool:
-        gens = set()
-        for f, m in zip(self.source.factors, self.maps):
-            if isinstance(f, FreeFactor):
-                gens.add(m)
-            else:
-                gens.update(m.images)
+        gens = {g for m in self.maps for g in m.images}
         return generated_subgroup(self.target, gens).order == self.target.n
 
 
-def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_bound: int = 1):
-    """All reduced words with at most the given number of syllables.
-
-    Finite factors contribute every non-identity element per syllable; free
-    letters contribute exponents up to the stated bound (they are unbounded
-    in the group itself, so enumeration needs a cutoff).
+def enumerate_words(group: FreeProductGroup, max_syllables: int):
+    """All reduced words with at most the given number of syllables: each
+    syllable is a non-identity element of a factor other than its neighbour's.
     """
     out = [group.identity()]
     frontier: list[Word] = [group.identity()]
@@ -241,12 +192,7 @@ def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_b
             for fi in range(len(group.factors)):
                 if fi == last:
                     continue
-                f = group.factors[fi]
-                if isinstance(f, FreeFactor):
-                    choices = [k for a in range(1, free_exponent_bound + 1) for k in (a, -a)]
-                else:
-                    choices = list(range(1, f.n))
-                for p in choices:
+                for p in range(1, group.factors[fi].n):
                     nxt.append(Word._reduced(group, w.syllables + ((fi, p),)))
         out.extend(nxt)
         frontier = nxt
@@ -256,20 +202,11 @@ def enumerate_words(group: FreeProductGroup, max_syllables: int, free_exponent_b
 def syllable_generators_cover(group: FreeProductGroup, words) -> bool:
     """Whether the single-syllable words among ``words`` generate the product.
 
-    For each finite factor the appearing payloads must generate it; for each
-    free letter the gcd of appearing exponents must be 1.
+    For each factor the appearing payloads must generate it.
     """
     per_factor: dict[int, list[int]] = {i: [] for i in range(len(group.factors))}
     for w in words:
         if w.syllable_length() == 1:
             fi, p = w.syllables[0]
             per_factor[fi].append(p)
-    for fi, f in enumerate(group.factors):
-        payloads = per_factor[fi]
-        if isinstance(f, FreeFactor):
-            if not payloads or gcd(*(abs(p) for p in payloads)) != 1:
-                return False
-        else:
-            if generated_subgroup(f, payloads).order != f.n:
-                return False
-    return True
+    return all(generated_subgroup(f, per_factor[fi]).order == f.n for fi, f in enumerate(group.factors))

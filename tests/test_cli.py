@@ -67,6 +67,14 @@ def test_cocycle_commands(capsys):
     assert code == 0 and "radical: [0]" in out
 
 
+def test_twisted_wedderburn_has_no_tolerance_option(capsys):
+    # the clustering tolerance is fixed: a user cannot loosen the oracle's certificate
+    with pytest.raises(SystemExit) as exc:
+        main(["twisted", "wedderburn", "--group", "S3", "--tol", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 0" in capsys.readouterr().err
+
+
 def test_twisted_and_mackey(capsys):
     code, out = run_cli(capsys, "twisted", "wedderburn", "--group", "Q8", "--seed", "4")
     assert code == 0 and "blocks: [1, 1, 1, 1, 2]" in out and "seed: 4" in out

@@ -26,6 +26,10 @@ COMMANDS = {
     # exit 1 by design: the bounded free-product certificate finds the
     # rank-5 relation of criterion 8
     "pi1_report_5": ("pi1 report --n 5", 1),
+    "pi1_maximal_7": ("pi1 maximal --n 7", 0),
+    "pi1_verify_H4": ("pi1 verify --which H4", 0),
+    # exit 1 by design, as for pi1_report_5
+    "pi1_verify_H5": ("pi1 verify --which H5", 1),
     "group_info_C6xC6": ("group info --group C6xC6", 0),
     "group_info_C2xC4xC8": ("group info --group C2xC4xC8", 0),
     "iyb_D4": ("lagrangian iyb --group D4", 0),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from gquot.gradings import (
     parse_descriptor,
     _cocycle_is_trivial_on_trivial_group,
 )
-from gquot.words import FreeFactor, FreeProductGroup
+from gquot.words import FactorMap, FreeProductGroup
 
 
 def total_dimension(d: GradingClassDescriptor) -> int:
@@ -129,46 +127,12 @@ def test_character_mod():
     assert character_mod(x, trivial_n).mults == x.mults
 
 
-def max_class_over(G, alpha, n):
-    """The maximum of the grading classes of n-by-n matrices induced from C^a G.
-
-    Graded by the free product of a free group of rank d-1 (d = n/sqrt|G|)
-    with G; the character is 1 + the sum of the free generators.
-    """
-    if n * n % G.n != 0:
-        raise DomainError(f"|G| = {G.n} does not divide n^2 = {n * n}")
-    root = math.isqrt(G.n)
-    if root * root != G.n:
-        raise DomainError(f"|G| = {G.n} is not a perfect square")
-    if n % root != 0:
-        raise DomainError(f"sqrt|G| = {root} does not divide n = {n}")
-    d = n // root
-    letters = [FreeFactor(f"x{i}") for i in range(1, d)]
-    gamma = FreeProductGroup(tuple(letters) + (G,), name=f"F{d-1}*{G.name or 'G'}")
-    mults = {gamma.identity(): 1}
-    for i in range(d - 1):
-        mults[gamma.letter(i, 1)] = 1
-    x = Character.from_dict(gamma, mults)
-    return GradingClassDescriptor(gamma, (Summand(x, FactorFine(len(letters)), alpha),))
-
-
-def test_character_pushforward_collapses_free_letters():
-    d = 3
-    a = standard_nondegenerate([2])
-    desc = max_class_over(a.group, a, 6)  # d = 3 over F2 * (C2xC2)
-    x = desc.summands[0].x
-    from gquot.words import FactorMap
-
-    gamma = desc.group
+def test_character_pushforward_collapses_free_product():
+    gamma = FreeProductGroup((gq.cyclic(2), gq.make_group("C2xC2")))
+    x = Character.from_dict(gamma, {gamma.identity(): 1, gamma.letter(0, 1): 1, gamma.letter(1, 3): 1})
     target = gq.trivial_group()
-    maps = []
-    for f in gamma.factors:
-        if isinstance(f, gq.FiniteGroup):
-            maps.append(gq.GroupHom(f, target, (0,) * f.n))
-        else:
-            maps.append(0)
-    collapsed = x.pushforward(FactorMap(gamma, target, tuple(maps)))
-    assert collapsed.mults == ((0, d),)
+    maps = tuple(gq.GroupHom(f, target, (0,) * f.n) for f in gamma.factors)
+    assert x.pushforward(FactorMap(gamma, target, maps)).mults == ((0, 3),)
 
 
 def test_equidimensional_criterion_both_paths():
@@ -208,23 +172,6 @@ def test_elementary_and_ecp_recognition():
         K, (Summand(Character.point(K), gq.Subgroup(K, tuple(range(4))), a),)
     )
     assert not is_elementary(fine) and not is_elementary_crossed_product(fine)
-
-
-def test_max_class_over_examples():
-    t = gq.trivial_group()
-    m2 = max_class_over(t, CocycleTable.trivial(t), 2)
-    assert total_dimension(m2) == 4
-    assert len(m2.group.factors) == 2  # one free letter plus the trivial group
-    assert is_connected(m2)
-    a = standard_nondegenerate([2])
-    m_same = max_class_over(a.group, a, 2)
-    assert len(m_same.group.factors) == 1 and total_dimension(m_same) == 4
-    m4 = max_class_over(a.group, a, 4)
-    assert total_dimension(m4) == 16 and len(m4.group.factors) == 2
-    with pytest.raises(DomainError):
-        max_class_over(a.group, a, 3)
-    with pytest.raises(DomainError):
-        max_class_over(gq.cyclic(2), CocycleTable.trivial(gq.cyclic(2)), 2)
 
 
 def test_coset_masses():

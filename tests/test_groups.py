@@ -200,8 +200,6 @@ def test_subgroups_memoized_per_instance(monkeypatch):
     second = gq.subgroups(G)
     assert [H.elements for H in second] == reference_subgroups(G)
     assert len(gq.normal_subgroups(G)) == len(second) == 8
-    with pytest.raises(SizeBoundError):
-        gq.subgroups(G, bound=4)
     assert builds == [G]
     gq.subgroups(gq.make_group("C2xC4"))  # a fresh instance builds its own lattice
     assert len(builds) == 2
@@ -215,8 +213,12 @@ def test_normal_subgroups_examples():
     assert [N.order for N in gq.normal_subgroups(gq.trivial_group())] == [1]
     S3 = gq.symmetric(3)
     assert [N.order for N in gq.normal_subgroups(S3)] == [1, 3, 6]
-    with pytest.raises(SizeBoundError):
-        gq.subgroups(gq.cyclic(12), bound=8)
+    assert len(gq.normal_subgroups(gq.cyclic(64))) == 7
+    C65 = gq.cyclic(65)
+    with pytest.raises(SizeBoundError, match="bounded at order 64, group has 65"):
+        gq.normal_subgroups(C65)
+    with pytest.raises(SizeBoundError, match="isomorphism search bounded at order 64"):
+        gq.are_isomorphic(C65, C65)
 
 
 def test_quotient_examples():
@@ -571,6 +573,11 @@ def test_homocyclic_squarefree():
     assert gq.is_homocyclic_squarefree(gq.make_group("C6xC6"))
     assert not gq.is_homocyclic_squarefree(gq.make_group("C4xC4"))
     assert not gq.is_homocyclic_squarefree(gq.make_group("C2xC4"))
+
+
+def test_squarefree():
+    assert [n for n in range(-2, 13) if gq.groups.squarefree(n)] == [1, 2, 3, 5, 6, 7, 10, 11]
+    assert gq.groups.squarefree(2 * 3 * 5 * 7 * 11 * 13) and not gq.groups.squarefree(2 * 3 * 49)
 
 
 def test_are_isomorphic_examples():

@@ -20,6 +20,7 @@ from gquot.lagrangians import (
     _bijective_cocycle,
     _compose_perm,
 )
+from gquot.mackey import mackey_decompose
 from gquot.twisted import TwistedAlgebra
 
 
@@ -86,6 +87,22 @@ def test_crossed_product_iff_lagrangian_cases():
     assert gq.are_isomorphic(Q, gq.make_group("C2xC2")).isomorphic
     # an order-2 kernel fails the size condition
     assert not crossed_product_iff_lagrangian(G44, a44, gq.generated_subgroup(G44, [8]))
+
+
+def test_crossed_product_iff_lagrangian_rejects_a_foreign_decomposition():
+    a44 = standard_nondegenerate([4])
+    G = a44.group
+    L, other = gq.generated_subgroup(G, [8, 2]), gq.generated_subgroup(G, [8])
+    dec = mackey_decompose(G, a44, other)
+    assert crossed_product_iff_lagrangian(G, a44, L, dec=mackey_decompose(G, a44, L))
+    with pytest.raises(DomainError, match="different"):
+        crossed_product_iff_lagrangian(G, a44, L, dec=dec)  # another subgroup
+    with pytest.raises(DomainError, match="different"):
+        crossed_product_iff_lagrangian(G, a44, other, dec=dec, seed=1)  # another seed
+    a = standard_nondegenerate([2])
+    N = gq.generated_subgroup(a.group, [2])
+    with pytest.raises(DomainError, match="different"):
+        crossed_product_iff_lagrangian(a.group, a, N, dec=mackey_decompose(G, a44, L))  # another group
 
 
 def test_biconditional_full_sweep_c2xc2():
@@ -162,6 +179,8 @@ def test_minimal_isotropic_cases():
     assert minimal_isotropic(G, t).order == G.n
     with pytest.raises(DomainError):
         minimal_isotropic(gq.symmetric(3), CocycleTable.trivial(gq.symmetric(3)))
+    with pytest.raises(SizeBoundError, match="bounded at order 32"):
+        minimal_isotropic(gq.cyclic(33), CocycleTable.trivial(gq.cyclic(33)))
 
 
 def test_minimal_isotropic_on_restricted_cocycle():
@@ -348,7 +367,7 @@ def test_iyb_witness_s3_needs_nontrivial_action():
 
 def test_iyb_bound():
     with pytest.raises(SizeBoundError):
-        iyb_witness_search(gq.make_group("C16"), bound=12)
+        iyb_witness_search(gq.cyclic(13))
 
 
 def test_lagrangian_quotients_are_iyb():

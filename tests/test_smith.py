@@ -183,6 +183,9 @@ def test_prime_powers():
     assert prime_powers(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
     assert prime_powers(2**61 - 1) == [(2**61 - 1, 1)]  # no trial division up to its square root
     assert prime_powers((2**31 - 1) ** 2 * (2**61 - 1)) == [(2**31 - 1, 2), (2**61 - 1, 1)]
+    for m in (0, -12):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            prime_powers(m)
 
 
 def test_empty_and_trivial_cases():

@@ -3,7 +3,7 @@ import pytest
 
 import gquot as gq
 from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
-from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
+from gquot.cocycles import CocycleTable, OneCochain, coboundary, is_nondegenerate, standard_nondegenerate
 from gquot.errors import CertificationError, SizeBoundError, ValidationError
 from gquot.mackey import mackey_decompose
 from gquot.twisted import (
@@ -93,8 +93,11 @@ def test_wedderburn_deterministic():
 
 
 def test_size_bound():
-    with pytest.raises(SizeBoundError):
-        TwistedAlgebra(gq.cyclic(10), CocycleTable.trivial(gq.cyclic(10)), bound=8)
+    C257 = gq.cyclic(257)
+    with pytest.raises(SizeBoundError, match="bounded at order 256, group has 257"):
+        TwistedAlgebra(C257, CocycleTable.trivial(C257))
+    with pytest.raises(SizeBoundError, match="bounded at order 256"):
+        is_nondegenerate(C257, CocycleTable.trivial(C257))
 
 
 # -- the idempotent orbit step one pair at a time, as the tests below use it ---
