@@ -32,7 +32,7 @@ from .lagrangians import (
 from .mackey import is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
-from .twisted import TOL_CLUSTER, TwistedAlgebra
+from .twisted import TOL_IDEMPOTENT, TwistedAlgebra
 
 
 class _Emitter:
@@ -169,7 +169,7 @@ def _cmd_twisted(args, em: _Emitter) -> int:
         em.emit(f"block_{p.index}", f"dim={p.dim}")
     em.emit("sum_of_squares", sum(d * d for d in data.dims))
     em.emit("residual_below", "1e-9" if data.residual <= 1e-9 else f"{data.residual:.3e}")
-    em.emit("certified", data.residual <= TOL_CLUSTER)
+    em.emit("certified", data.residual <= TOL_IDEMPOTENT)
     return 0
 
 

@@ -57,9 +57,6 @@ class CocycleTable:
         """The complex values exp(2*pi*i*c/m) as an (n, n) array."""
         return np.exp(2j * np.pi * self.exps / self.scale)
 
-    def value(self, g: int, h: int) -> complex:
-        return complex(np.exp(2j * np.pi * int(self.exps[g, h]) / self.scale))
-
     def rescale(self, new_scale: int) -> "CocycleTable":
         if new_scale % self.scale != 0:
             raise ScaleError(f"cannot rescale modulus {self.scale} to non-multiple {new_scale}")

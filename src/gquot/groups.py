@@ -706,7 +706,7 @@ def format_group_table(G: FiniteGroup) -> str:
 def parse_group_table(text: str) -> FiniteGroup:
     """Parse the group-table text format, validating the table fully."""
     rows: list[list[int]] = []
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[int, str]] = {}  # index -> (line, label)
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -716,7 +716,10 @@ def parse_group_table(text: str) -> FiniteGroup:
             parts = line[1:].split(None, 1)
             if len(parts) != 2 or not parts[0].isdigit():
                 raise ValidationError(f"line {lineno}: malformed label line")
-            labels[int(parts[0])] = parts[1]
+            index = int(parts[0])
+            if index in labels:
+                raise ValidationError(f"line {lineno}: label index {index} repeats line {labels[index][0]}")
+            labels[index] = (lineno, parts[1])
             continue
         if n is None:
             if not line.isdigit():
@@ -732,7 +735,10 @@ def parse_group_table(text: str) -> FiniteGroup:
         rows.append(row)
     if n is None or len(rows) != n:
         raise ValidationError(f"expected {n or '?'} table rows, got {len(rows)}")
+    for index, (lineno, _) in labels.items():
+        if index >= n:
+            raise ValidationError(f"line {lineno}: label index {index} outside the group of order {n}")
     label_list = None
     if labels:
-        label_list = [labels.get(i, str(i)) for i in range(n)]
+        label_list = [labels[i][1] if i in labels else str(i) for i in range(n)]
     return FiniteGroup(rows, labels=label_list)

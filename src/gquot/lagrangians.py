@@ -59,12 +59,11 @@ class LagrangianReport:
     subgroup: Subgroup
     isotropic: bool
     witness: object
-    size_ok: bool
     normal: bool
 
     @property
     def is_lagrangian(self) -> bool:
-        return self.isotropic and self.size_ok
+        return self.isotropic
 
 
 def is_isotropic(G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0) -> IsotropyReport:
@@ -114,7 +113,7 @@ def lagrangian_scan(
         if normal_only and not normal:
             continue
         rep = is_isotropic(G, alpha, H, seed=seed)
-        out.append(LagrangianReport(H, rep.isotropic, rep.witness, True, normal))
+        out.append(LagrangianReport(H, rep.isotropic, rep.witness, normal))
     return out
 
 
@@ -312,7 +311,6 @@ class IYBSearchResult:
     witness: IYBWitness | None
     modules_tried: int
     actions_tried: int
-    exhausted: bool
 
 
 def automorphism_group(A: FiniteGroup):
@@ -350,8 +348,8 @@ def iyb_witness_search(H: FiniteGroup) -> IYBSearchResult:
                 witness = IYBWitness(H, tuple(invs), A, action, delta)
                 if not witness.verify():
                     raise TheoremCheckError("IYB witness failed exact verification")
-                return IYBSearchResult(H, witness, modules_tried, actions_tried, False)
-    return IYBSearchResult(H, None, modules_tried, actions_tried, True)
+                return IYBSearchResult(H, witness, modules_tried, actions_tried)
+    return IYBSearchResult(H, None, modules_tried, actions_tried)
 
 
 def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...] | None:

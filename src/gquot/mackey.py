@@ -23,14 +23,17 @@ perms[q, i] of all of Q, so the orbit of point i is column i (the columns
 must partition the points), the inertia group is where it is fixed, and the
 first q reaching each orbit point forms the transversal.
 
-The obstruction is computed, not postulated: an irreducible module of the
-base algebra is realized explicitly, intertwiners between the module and its
-coset twists are solved for, and the degree-gamma endomorphisms built from
-them are composed.  Their composition scalars form the cocycle, so the
-2-cocycle identity and the class are structural, while the raw table depends
-on the stated deterministic gauge.  The identity's intertwiner is the
-identity matrix; the module's irreducibility is certified by its character
-norm.
+The obstruction is computed, not postulated: an irreducible module rho of the
+base algebra is realized explicitly, and for every inertia element g at once
+the intertwiner from rho to its coset twist rho_g is read off the Reynolds
+average of X -> rho_g(n) X rho(n)^-1 over N, which is the orthogonal
+projector onto Hom_N(rho, rho_g).  Its trace, the character inner product
+<chi_{rho_g}, chi_rho>, must be 1: at the identity that certifies rho
+irreducible, elsewhere that the twist is isomorphic to rho, so each
+intertwiner is unique up to a scalar.  The degree-gamma endomorphisms built
+from the intertwiners are composed; their composition scalars form the
+cocycle, so the 2-cocycle identity and the class are structural, while the
+raw table depends on the stated deterministic gauge.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -57,8 +60,6 @@ from .gradings import (
 from .groups import FiniteGroup, GroupHom, Subgroup, quotient
 from .twisted import TOL_ROUND, IrrPoint, TwistedAlgebra, match_idempotent
 
-TOL_NULL = 1e-8
-TOL_GAP = 1e-4
 TOL_SCALAR = 1e-7
 
 
@@ -226,7 +227,7 @@ class MackeyContext:
         """The obstruction cocycle on the inertia group, by endomorphism composition.
 
         For each inertia element a degree-homogeneous endomorphism of
-        C^alpha G (x) M is assembled from a solved intertwiner; composing two of
+        C^alpha G (x) M is assembled from its intertwiner; composing two of
         them is a scalar multiple of the one for the product, and those scalars
         are returned as a table over the inertia group.  Each endomorphism moves
         whole coset blocks, so it is built and composed one d x d block per coset.
@@ -237,22 +238,14 @@ class MackeyContext:
         N_pos[N_embed] = np.arange(len(N_embed))
         I_group, I_embed = inertia.as_group()
         k = I_group.n
-        d = point.dim
         rho = A_N.irreducible_rep(point, seed=self.seed)
-        _certify_irreducible(rho)
         gs = section[list(I_embed)]
 
-        # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables
-        # per g.  The identity comes first (gs[0] = e, kappa(e, n) = 1), and its
-        # intertwiner is P = I exactly; irreducibility, which its nullspace
-        # would certify, is certified by the character norm above.
+        # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
         conj = self.conj[np.ix_(gs, N_embed)]
         kappa = self.kappa[np.ix_(gs, N_embed)]
-        P_inv = np.empty((k, d, d), dtype=np.complex128)
-        P_inv[0] = np.eye(d)
-        for li in range(1, k):
-            rho_g = kappa[li][:, None, None] * rho[N_pos[conj[li]]]
-            P_inv[li] = _solve_intertwiner(rho, rho_g, d).conj().T
+        rho_g = kappa[:, :, None, None] * rho[N_pos[conj]]
+        P_inv = _intertwiners(rho, rho_g).conj().transpose(0, 2, 1)
 
         # The degree-g endomorphism T_g sends coset block i (t_i N) to block
         # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
@@ -302,47 +295,39 @@ def _first_occurrences(labels) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-def _certify_irreducible(rho):
-    """Schur orthogonality for alpha-characters: (1/|N|) sum |tr rho(n)|^2 is 1
-    exactly when rho is irreducible (Serre, section 2.3, which holds for
-    projective representations too), guarded by TOL_ROUND as the block
-    oracle's trace certificate is."""
-    norm = float(np.sum(np.abs(np.trace(rho, axis1=1, axis2=2)) ** 2)) / len(rho)
-    if abs(norm - 1.0) > TOL_ROUND:
-        raise CertificationError(f"module is not irreducible (character norm {norm:.12f})")
+def _intertwiners(rho, rho_g):
+    """The unitary P[g] with rho_g[g](n) P[g] = P[g] rho(n), for every twist at once.
 
-
-def _solve_intertwiner(rho, rho_g, d):
-    """The unique-up-to-scalar P with rho_g(n) P = P rho(n), unit-normalized.
-
-    Row-major vectorization: (rho_g(n) (x) I - I (x) rho(n)^T) vec(P) = 0,
-    the Kronecker products formed by broadcasting against the identity.
-    The nullspace must be exactly one-dimensional and P must be unitary
-    after scaling; anything else fails certification.
+    X -> rho_g(n) X rho(n)^-1 is a unitary representation of N, because rho_g
+    and rho carry the same cocycle, so its average
+    R_g = (1/|N|) sum_n rho_g(n) (x) conj(rho(n)) on row-major vec is the
+    orthogonal projector onto Hom_N(rho, rho_g) (Serre, section 2).  Its trace
+    <chi_{rho_g}, chi_rho> must be 1 within TOL_ROUND, which for the identity
+    twist is the character norm of rho.  P is the largest column of R_g,
+    scaled to Frobenius norm sqrt(d) with its first entry above 1e-6 made real
+    positive; it must be unitary and must intertwine.
     """
-    eye = np.eye(d)
-    rho_t = rho.transpose(0, 2, 1)
-    K = (
-        rho_g[:, :, None, :, None] * eye[:, None, :]
-        - eye[:, None, :, None] * rho_t[:, None, :, None, :]
-    ).reshape(-1, d * d)
-    _, s, Vh = np.linalg.svd(K, full_matrices=False)
-    scale = max(1.0, float(s[0])) if len(s) else 1.0
-    null = int(np.sum(s < TOL_NULL * scale))
-    if null != 1:
-        raise CertificationError(f"intertwiner nullspace has dimension {null}, expected 1")
-    if len(s) > 1 and s[-2] < TOL_GAP * scale:
-        raise CertificationError("intertwiner nullspace is not well separated")
-    P = Vh[-1].conj().reshape(d, d)
-    P = P * (np.sqrt(d) / np.linalg.norm(P))
-    defect = float(np.max(np.abs(P @ P.conj().T - eye)))
-    if defect > TOL_SCALAR * 10:
-        raise CertificationError(f"intertwiner is not unitary (defect {defect:.2e})")
-    flat = P.ravel()
-    lead = next((v for v in flat if abs(v) > 1e-6), None)
-    if lead is None:
-        raise CertificationError("intertwiner vanished after normalization")
-    P = P * (abs(lead) / lead)
+    k, n, d, _ = rho_g.shape
+    R = np.einsum("knab,nce->kacbe", rho_g, rho.conj()).reshape(k, d * d, d * d) / n
+    pairing = np.trace(R, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(pairing - 1.0) > TOL_ROUND)
+    if bad.size:
+        raise CertificationError(
+            f"character inner product of twist {bad[0]} with the module is "
+            f"{pairing[bad[0]]:.12f}, expected 1"
+        )
+    column = np.linalg.norm(R, axis=1).argmax(axis=1)
+    P = R[np.arange(k), :, column].reshape(k, d, d)
+    P *= np.sqrt(d) / np.linalg.norm(P, axis=(1, 2))[:, None, None]
+    flat = P.reshape(k, d * d)
+    lead = flat[np.arange(k), (np.abs(flat) > 1e-6).argmax(axis=1)]
+    P *= (np.abs(lead) / lead)[:, None, None]
+    unitary = float(np.abs(P @ P.conj().transpose(0, 2, 1) - np.eye(d)).max())
+    if unitary > TOL_SCALAR * 10:
+        raise CertificationError(f"intertwiner is not unitary (defect {unitary:.2e})")
+    residual = float(np.abs(rho_g @ P[:, None] - P[:, None] @ rho).max())
+    if residual > TOL_SCALAR:
+        raise CertificationError(f"intertwiner residual {residual:.2e} beyond tolerance")
     return P
 
 

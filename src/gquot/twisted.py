@@ -41,6 +41,7 @@ from .groups import FiniteGroup
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
+TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
 TOL_PHASE_EQ = 1e-7     # complex phases considered equal
 TOL_PHASE_NEQ = 1e-3    # complex phases considered distinct; in between is ambiguous
 MAX_ATTEMPTS = 8
@@ -246,7 +247,7 @@ class TwistedAlgebra:
             for p in points:
                 defect = self.left_regular(p.coeffs) @ p.coeffs - p.coeffs
                 residual = max(residual, float(np.max(np.abs(defect))))
-            if residual > TOL_CLUSTER * 10:
+            if residual > TOL_IDEMPOTENT:
                 last = f"idempotent residual {residual:.2e} beyond tolerance"
                 continue
             order = sorted(range(len(points)), key=lambda i: (dims[i], i))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 import gquot as gq
 from gquot.cli import main
 from gquot.groups import format_group_table, parse_group_table
+from gquot.twisted import TwistedAlgebra
 
 
 def run_cli(capsys, *args):
@@ -73,6 +76,19 @@ def test_twisted_wedderburn_has_no_tolerance_option(capsys):
         main(["twisted", "wedderburn", "--group", "S3", "--tol", "0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol 0" in capsys.readouterr().err
+
+
+def test_twisted_wedderburn_certifies_every_accepted_residual(capsys, monkeypatch):
+    # the oracle accepts an idempotent residual up to 1e-8; the CLI reads the same threshold
+    original = TwistedAlgebra.wedderburn
+    monkeypatch.setattr(
+        TwistedAlgebra,
+        "wedderburn",
+        lambda self, seed=0: dataclasses.replace(original(self, seed=seed), residual=5e-9),
+    )
+    code, out = run_cli(capsys, "twisted", "wedderburn", "--group", "S3")
+    assert code == 0
+    assert "residual_below: 5.000e-09" in out and "certified: True" in out
 
 
 def test_twisted_and_mackey(capsys):

@@ -730,3 +730,7 @@ def test_table_format_errors_name_line():
         parse_group_table("2\n0 x\n1 0\n")
     with pytest.raises(ValidationError, match="line"):
         parse_group_table("2\n0 1\n1 0 0\n")
+    with pytest.raises(ValidationError, match="line 4: label index 5 outside the group of order 2"):
+        parse_group_table("2\n0 1\n1 0\n# 5 ghost\n")
+    with pytest.raises(ValidationError, match="line 5: label index 1 repeats line 4"):
+        parse_group_table("2\n0 1\n1 0\n# 1 a\n# 1 b\n")

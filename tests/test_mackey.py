@@ -14,12 +14,11 @@ from gquot.cocycles import (
 from gquot.errors import CertificationError, DomainError, NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.lagrangians import maximal_elementary_quotients
+import gquot.mackey as mackey
 from gquot.mackey import (
-    TOL_GAP,
-    TOL_NULL,
     TOL_SCALAR,
     MackeyContext,
-    _certify_irreducible,
+    _intertwiners,
     is_ecp_quotient,
     is_elementary_quotient,
     is_simple_quotient,
@@ -199,12 +198,26 @@ def test_reducible_module_fails_the_character_norm():
     A = TwistedAlgebra(a.group, a)
     point = A.wedderburn(seed=0).blocks[0]
     rho = A.irreducible_rep(point, seed=0)
-    _certify_irreducible(rho)
+    assert np.allclose(_intertwiners(rho, rho[None]), np.eye(point.dim))
     doubled = np.zeros((A.n, 2 * point.dim, 2 * point.dim), dtype=np.complex128)
     doubled[:, : point.dim, : point.dim] = rho
     doubled[:, point.dim :, point.dim :] = rho
-    with pytest.raises(CertificationError, match="not irreducible"):
-        _certify_irreducible(doubled)
+    # the identity twist of rho + rho pairs to <chi, chi> = 4
+    with pytest.raises(CertificationError, match="character inner product .* is 4.0"):
+        _intertwiners(doubled, doubled[None])
+
+
+def test_non_isomorphic_twist_fails_the_character_pairing():
+    S4 = gq.make_group("S4")
+    A = TwistedAlgebra(S4, CocycleTable.trivial(S4))
+    blocks = A.wedderburn(seed=0).blocks
+    sign = next(
+        r[:, 0, 0] for r in (A.irreducible_rep(p, seed=0) for p in blocks if p.dim == 1) if not np.allclose(r, 1)
+    )
+    rho = A.irreducible_rep(next(p for p in blocks if p.dim == 3), seed=0)
+    # the two 3-dimensional irreducibles differ by the sign character, so the pairing is 0
+    with pytest.raises(CertificationError, match="character inner product .* is 0.0"):
+        _intertwiners(rho, np.stack([rho, sign[:, None, None] * rho]))
 
 
 def assert_same_decomposition(got, want):
@@ -266,13 +279,19 @@ def test_theorem_d_certifies_the_ambient_oracle_once(monkeypatch):
 # -- reference: the per-element obstruction the table-driven one replaced -------
 
 
+REFERENCE_TOL_NULL = 1e-8
+REFERENCE_TOL_GAP = 1e-4
+
+
 def reference_solve_intertwiner(rho, rho_g, d):
+    """The Kronecker-system SVD the Reynolds projector replaced: a certified
+    one-dimensional nullspace, well separated from the rest of the spectrum."""
     eye = np.eye(d)
     rows = [np.kron(rho_g[n], eye) - np.kron(eye, rho[n].T) for n in range(rho.shape[0])]
     _, s, Vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     scale = max(1.0, float(s[0])) if len(s) else 1.0
-    assert int(np.sum(s < TOL_NULL * scale)) == 1
-    assert len(s) == 1 or s[-2] >= TOL_GAP * scale
+    assert int(np.sum(s < REFERENCE_TOL_NULL * scale)) == 1
+    assert len(s) == 1 or s[-2] >= REFERENCE_TOL_GAP * scale
     P = Vh[-1].conj().reshape(d, d)
     P = P * (np.sqrt(d) / np.linalg.norm(P))
     lead = next(v for v in P.ravel() if abs(v) > 1e-6)
@@ -323,10 +342,42 @@ def reference_obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
     return omega
 
 
+INTERTWINER_CASES = [(f"{c[0]}/{c[2]}", c[3]) for c in sweep_cases()] + [
+    ("standard_nondegenerate([8])", standard_nondegenerate([8])),
+    ("standard_nondegenerate([2, 4])", standard_nondegenerate([2, 4])),
+]
+
+
+@pytest.mark.parametrize("name, a", INTERTWINER_CASES, ids=[n for n, _ in INTERTWINER_CASES])
+def test_intertwiners_match_reference(monkeypatch, name, a):
+    """Every intertwiner the Reynolds projector gives, on every orbit of every
+    normal N, is the SVD's, gauge included."""
+    calls = []
+
+    def recorded(rho, rho_g):
+        P = _intertwiners(rho, rho_g)
+        calls.append((rho, rho_g, P))
+        return P
+
+    monkeypatch.setattr(mackey, "_intertwiners", recorded)
+    G = a.group
+    orbits = 0
+    for N in gq.normal_subgroups(G):
+        orbits += len(mackey_decompose(G, a, N, seed=0).orbits)
+    assert len(calls) == orbits > 0
+    for rho, rho_g, P in calls:
+        d = rho.shape[1]
+        for twist, got in zip(rho_g, P, strict=True):
+            assert np.max(np.abs(got - reference_solve_intertwiner(rho, twist, d))) <= 1e-12
+
+
+CARRIERS = {**NONDEGENERATE_CARRIERS, "C2xC4xC2xC4": (2, 4)}
+
+
 def _cocycle(name):
-    """nd_<carrier> for a catalog non-degenerate class, else the trivial class."""
+    """nd_<carrier> for a standard non-degenerate class, else the trivial class."""
     if name.startswith("nd_"):
-        return standard_nondegenerate(NONDEGENERATE_CARRIERS[name[3:]])
+        return standard_nondegenerate(CARRIERS[name[3:]])
     return CocycleTable.trivial(gq.make_group(name))
 
 
@@ -355,7 +406,9 @@ def _orbit_signature(dec):
 
 
 @given(
-    st.sampled_from(["nd_C2xC2", "nd_C4xC4", "nd_C6xC6", "nd_C2xC2xC2xC2", "S3", "S4", "Q8", "D4", "C2xC4"]),
+    st.sampled_from(
+        ["nd_C2xC2", "nd_C4xC4", "nd_C6xC6", "nd_C2xC2xC2xC2", "S3", "S4", "Q8", "D4", "C2xC4", "S4xC2", "nd_C2xC4xC2xC4"]
+    ),
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
