@@ -9,6 +9,8 @@ and verifies the free-product pull-back presentations behind the intrinsic
 fundamental groups of the diagonal algebras of ranks 4 and 5.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cocycles import (
     Bicharacter,
     CocycleTable,
@@ -85,4 +87,5 @@ from .pullbacks import (
 from .twisted import IrrPoint, TwistedAlgebra, WedderburnData
 from .words import FreeProductGroup, Word
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind each submodule (``mackey``, ``twisted``, ...) here; leave those out
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup
@@ -111,13 +109,13 @@ class Summand:
 
     ``fine`` is None for a trivial fine part, a Subgroup of a finite grading
     group, or a FactorFine naming a finite factor of a free product.
-    ``cocycle`` is None (trivial), a CocycleTable, or a complex table on the
-    fine group.
+    ``cocycle`` is None (trivial) or a CocycleTable on the fine group; a
+    Mackey summand carries its orbit's exact obstruction, of scale |I|.
     """
 
     x: Character
     fine: object = None
-    cocycle: object = None
+    cocycle: CocycleTable | None = None
 
     def fine_order(self, group) -> int:
         if self.fine is None:
@@ -148,13 +146,8 @@ class Summand:
         return self.x.eps ** 2 * self.fine_order(group)
 
 
-def _cocycle_is_trivial_on_trivial_group(cocycle) -> bool:
-    if cocycle is None:
-        return True
-    if isinstance(cocycle, CocycleTable):
-        return cocycle.group.n == 1 or cocycle.is_trivial_table()
-    values = np.asarray(cocycle)
-    return values.size == 1 or bool(np.max(np.abs(values - 1)) < 1e-9)
+def _cocycle_is_trivial_on_trivial_group(cocycle: CocycleTable | None) -> bool:
+    return cocycle is None or cocycle.group.n == 1 or cocycle.is_trivial_table()
 
 
 @dataclass(frozen=True)

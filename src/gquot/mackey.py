@@ -31,9 +31,12 @@ projector onto Hom_N(rho, rho_g).  Its trace, the character inner product
 <chi_{rho_g}, chi_rho>, must be 1: at the identity that certifies rho
 irreducible, elsewhere that the twist is isomorphic to rho, so each
 intertwiner is unique up to a scalar.  The degree-gamma endomorphisms built
-from the intertwiners are composed; their composition scalars form the
-cocycle, so the 2-cocycle identity and the class are structural, while the
-raw table depends on the stated deterministic gauge.
+from the intertwiners are composed, and their composition scalars form a
+unit-modulus cocycle omega on the inertia group I.  H^2(I, C*) is killed by
+k = |I|, so omega is moved by a coboundary onto a table of k-th roots of
+unity, snapped to exponents within TOL_SCALAR and validated exactly as a
+2-cocycle; the orbit's obstruction is that exact CocycleTable of scale |I|,
+and its blocks come from the exact algebra.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -73,7 +76,7 @@ class MackeyOrbit:
     transversal: tuple[int, ...]
     x: Character
     delta: int
-    omega: np.ndarray
+    omega: CocycleTable
     omega_group: FiniteGroup
     omega_embed: tuple[int, ...]
     omega_blocks: tuple[int, ...]
@@ -229,8 +232,9 @@ class MackeyContext:
         For each inertia element a degree-homogeneous endomorphism of
         C^alpha G (x) M is assembled from its intertwiner; composing two of
         them is a scalar multiple of the one for the product, and those scalars
-        are returned as a table over the inertia group.  Each endomorphism moves
-        whole coset blocks, so it is built and composed one d x d block per coset.
+        are gauged into an exact table over the inertia group by ``_exact_cocycle``.
+        Each endomorphism moves whole coset blocks, so it is built and composed
+        one d x d block per coset.
         """
         G, phases = self.group, self.algebra.phases
         N_embed = np.asarray(N_embed)
@@ -273,7 +277,7 @@ class MackeyContext:
                     raise CertificationError("endomorphism composition is not a scalar multiple")
                 raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
             omega[a] = lam / np.abs(lam)
-        return omega, I_group, I_embed
+        return _exact_cocycle(I_group, omega), I_group, I_embed
 
 
 def mackey_decompose(
@@ -295,6 +299,27 @@ def _first_occurrences(labels) -> tuple[int, ...]:
     return tuple(first.values())
 
 
+def _exact_cocycle(group: FiniteGroup, omega: np.ndarray) -> CocycleTable:
+    """The unit-modulus cocycle table omega on ``group`` as exponents of |group|-th
+    roots of unity, in its class.
+
+    With k = |group| and F(a) = prod_c omega(a, c), the cocycle identity gives
+    omega(a, b)^k = F(a) F(b) / F(ab), so for c the principal k-th root of F
+    the cohomologous table omega(a, b) c(ab) / (c(a) c(b)) has k-th roots of
+    unity as values (Karpilovsky, *Projective Representations of Finite
+    Groups*, 1985).  Each value is snapped to the nearest one, which must lie
+    within TOL_SCALAR, and the exponent table is validated as a 2-cocycle.
+    """
+    k = group.n
+    c = np.exp(1j * np.angle(omega.prod(axis=1)) / k)
+    gauged = omega * c[group.table] / np.outer(c, c)
+    exps = np.round(np.angle(gauged) * k / (2 * np.pi)).astype(np.int64) % k
+    residual = float(np.abs(np.exp(2j * np.pi * exps / k) - gauged).max())
+    if residual > TOL_SCALAR:
+        raise CertificationError(f"obstruction is {residual:.2e} away from the |I|-th roots of unity")
+    return CocycleTable(group, k, exps)
+
+
 def _intertwiners(rho, rho_g):
     """The unitary P[g] with rho_g[g](n) P[g] = P[g] rho(n), for every twist at once.
 
@@ -308,7 +333,8 @@ def _intertwiners(rho, rho_g):
     positive; it must be unitary and must intertwine.
     """
     k, n, d, _ = rho_g.shape
-    R = np.einsum("knab,nce->kacbe", rho_g, rho.conj()).reshape(k, d * d, d * d) / n
+    R = rho_g.reshape(k, n, d * d).transpose(0, 2, 1) @ rho.conj().reshape(n, d * d)
+    R = R.reshape(k, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d) / n
     pairing = np.trace(R, axis1=1, axis2=2)
     bad = np.flatnonzero(np.abs(pairing - 1.0) > TOL_ROUND)
     if bad.size:

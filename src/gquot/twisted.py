@@ -13,17 +13,19 @@ of Finite Groups*, section 2), read from the rows Q[t[g]] one element at a
 time, never through an n x n matrix per element.  No floating error enters
 before eigendecomposition beyond the unit-modulus phases themselves.
 
+The cocycle is always an exact :class:`CocycleTable`, exponents mod m of an
+m-th root of unity; obstruction cocycles arrive in that form too, gauged into
+the |I|-th roots of unity on their inertia group I (``mackey``).
+
 The block oracle works in two exact-first stages.  The center is read off
-two n x n tables: conj[h, g] = h g h^-1 and kappa(h, g), the scalar with
-u_h u_g u_h^-1 = kappa(h, g) u_{hgh^-1} (an exponent mod m for an exact
-cocycle).  A vector sum(x_g u_g) is central iff x_{hgh^-1} = kappa(h, g) x_g
-for all h, g.  The twisted conjugacy class of g is the column conj[:, g],
-listed from its smallest element r; the candidate coefficient at each member
-is kappa from r, and the class supports a central vector iff every edge
-(h, g) agrees with them, all edges compared in one array operation (exactly
-mod m, or within TOL_PHASE_EQ for complex cocycles, where a gap between
-TOL_PHASE_EQ and TOL_PHASE_NEQ raises).  The number of simple blocks is
-therefore known exactly before any numerics.
+two n x n tables: conj[h, g] = h g h^-1 and kappa(h, g), the exponent mod m
+with u_h u_g u_h^-1 = zeta_m^kappa(h, g) u_{hgh^-1}.  A vector sum(x_g u_g)
+is central iff x_{hgh^-1} = zeta_m^kappa(h, g) x_g for all h, g.  The
+twisted conjugacy class of g is the column conj[:, g], listed from its
+smallest element r; the candidate exponent at each member is kappa from r,
+and the class supports a central vector iff every edge (h, g) agrees with
+them mod m, all edges compared in one integer array operation.  The number
+of simple blocks is therefore known exactly before any numerics.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
 dimension and the integer identity sum(d_i^2) = |G|.
@@ -42,8 +44,6 @@ from .groups import FiniteGroup
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
 TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
-TOL_PHASE_EQ = 1e-7     # complex phases considered equal
-TOL_PHASE_NEQ = 1e-3    # complex phases considered distinct; in between is ambiguous
 MAX_ATTEMPTS = 8
 
 
@@ -83,43 +83,20 @@ class WedderburnData:
 
 
 class TwistedAlgebra:
-    """C^a G for a finite group G and a normalized 2-cocycle a.
+    """C^a G for a finite group G and a normalized 2-cocycle a, given as an
+    exact :class:`CocycleTable`; phases holds its complex values."""
 
-    The cocycle is either a :class:`CocycleTable` (exact exponents, the
-    preferred form) or a complex matrix of unit-modulus values, which is how
-    obstruction cocycles produced by intertwiner gauges arrive.
-    """
-
-    def __init__(self, group: FiniteGroup, cocycle):
+    def __init__(self, group: FiniteGroup, cocycle: CocycleTable):
         if group.n > NUMERIC_BOUND:
             raise SizeBoundError(f"twisted algebra bounded at order {NUMERIC_BOUND}, group has {group.n}")
+        if not isinstance(cocycle, CocycleTable):
+            raise ValidationError(f"a twisted algebra takes a CocycleTable, not {type(cocycle).__name__}")
+        if cocycle.group != group:
+            raise DomainError("cocycle lives on a different group")
         self.group = group
         self.n = group.n
-        if isinstance(cocycle, CocycleTable):
-            if cocycle.group != group:
-                raise DomainError("cocycle lives on a different group")
-            self.exact = True
-            self.cocycle = cocycle
-            self.phases = cocycle.value_matrix()
-        else:
-            values = np.asarray(cocycle, dtype=np.complex128)
-            if values.shape != (group.n, group.n):
-                raise ValidationError("complex cocycle table has the wrong shape")
-            self.exact = False
-            self.cocycle = None
-            self.phases = values
-            self._validate_complex()
-
-    def _validate_complex(self):
-        W, mul = self.phases, self.group.table
-        if np.max(np.abs(np.abs(W) - 1.0)) > TOL_PHASE_EQ:
-            raise ValidationError("cocycle values must be unit modulus")
-        if np.max(np.abs(W[0] - 1)) > TOL_PHASE_EQ or np.max(np.abs(W[:, 0] - 1)) > TOL_PHASE_EQ:
-            raise ValidationError("cocycle is not normalized at the identity")
-        # one (h, k) slab per g keeps the check at O(n^2) memory
-        for g in range(self.n):
-            if np.max(np.abs(W[g, :, None] * W[mul[g], :] - W * W[g, mul])) > TOL_PHASE_EQ:
-                raise ValidationError("2-cocycle identity fails beyond tolerance")
+        self.cocycle = cocycle
+        self.phases = cocycle.value_matrix()
 
     # -- twisted conjugation --------------------------------------------------
 
@@ -149,36 +126,22 @@ class TwistedAlgebra:
     def center_classes(self) -> list[CenterClass]:
         """Twisted conjugacy classes with their coefficient phases.
 
-        A central vector must satisfy x_{hgh^-1} = kappa(h,g) x_g.  A class is
-        listed from its smallest element r, which gets phase 1; the phase at g
-        is kappa(h, r) for the smallest h with h r h^-1 = g.  Every edge
-        (h, g) is then re-checked, so a class is kept exactly when all its
-        loops are phase-consistent.
+        A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g.  A
+        class is listed from its smallest element r, which gets exponent 0;
+        the exponent at g is kappa(h, r) for the smallest h with h r h^-1 = g.
+        Every edge (h, g) is then re-checked mod m, so a class is kept exactly
+        when all its loops are phase-consistent.
         """
         idx = np.arange(self.n)
         t, inv = self.group.table, self.group.inverse_table[:, None]
         conj = t[t, inv]
         rep = conj.min(axis=0)
         first = np.argmax(conj[:, rep] == idx, axis=0)  # smallest h with h rep h^-1 = g
-        if self.exact:
-            c, m = self.cocycle.exps, self.cocycle.scale
-            kappa = (c + c[t, inv] - c[idx[:, None], inv]) % m
-            val = kappa[first, rep]
-            bad = (val + kappa) % m != val[conj]
-            phases = np.exp(2j * np.pi * val / m)
-        else:
-            kappa = self.conjugation(idx[:, None], idx)[1]
-            val = kappa[first, rep]
-            val[rep == idx] = 1.0
-            gap = np.abs(val[conj] - val * kappa)
-            ambiguous = (gap > TOL_PHASE_EQ) & (gap <= TOL_PHASE_NEQ)
-            if ambiguous.any():
-                raise CertificationError(
-                    f"ambiguous conjugation phase (gap {gap[ambiguous].max():.2e})"
-                    f" on class of {rep[ambiguous.any(axis=0)].min()}"
-                )
-            bad = gap > TOL_PHASE_NEQ
-            phases = val
+        c, m = self.cocycle.exps, self.cocycle.scale
+        kappa = (c + c[t, inv] - c[idx[:, None], inv]) % m
+        val = kappa[first, rep]
+        bad = (val + kappa) % m != val[conj]
+        phases = np.exp(2j * np.pi * val / m)
         broken = np.zeros(self.n, dtype=bool)
         broken[rep[bad.any(axis=0)]] = True
         order = np.argsort(rep, kind="stable")

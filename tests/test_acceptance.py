@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import gquot.suite as suite
+from gquot.errors import TheoremCheckError
+from gquot.pullbacks import enumerate_admissible_rank4
 from gquot.suite import run_all
 
 SEED = 0
@@ -67,6 +70,26 @@ def test_criterion_7_rank4_presentation(battery):
     results, _ = battery
     recs = dict(results[7].records)
     assert recs["admissible_triples_len6"] == "52/52 expressed"
+
+
+def test_criterion_7_reports_a_refused_long_triple_as_fail(monkeypatch):
+    """A length-40 triple that the expression refuses counts as not expressed;
+    it neither ends the battery nor passes."""
+    short = enumerate_admissible_rank4(6)
+    refused = next(t for t in enumerate_admissible_rank4(40) if t not in short)
+    express = suite.express_rank4
+
+    def refusing(t, pb):
+        if t == refused:
+            raise TheoremCheckError("refused")
+        return express(t, pb)
+
+    monkeypatch.setattr(suite, "express_rank4", refusing)
+    r = suite.criterion_7()
+    assert not r.passed
+    recs = dict(r.records)
+    assert recs["admissible_triples_len6"] == "52/52 expressed"
+    assert recs["admissible_triples_len40"] == "323/324 expressed"
 
 
 @pytest.mark.xfail(

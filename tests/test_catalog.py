@@ -1,3 +1,5 @@
+from types import ModuleType
+
 import pytest
 
 import gquot as gq
@@ -34,3 +36,7 @@ def test_resolvers(tmp_path):
         resolve_cocycle("nonsense", G)
     with pytest.raises(ValidationError):
         build_group("C99")
+
+
+def test_package_exports_no_submodules():
+    assert gq.__all__ and [name for name in gq.__all__ if isinstance(getattr(gq, name), ModuleType)] == []

@@ -212,18 +212,8 @@ def _summands_equivalent(s1, s2, group):
         raise DomainError("free-product summand equivalence is out of scope")
     if coset_masses(s1.x, H) != coset_masses(s2.x, H):
         return False
-    t1, t2 = _as_table(s1.cocycle, H), _as_table(s2.cocycle, H)
-    if t1 is None or t2 is None:
-        raise DomainError("cocycle class comparison needs exact root-of-unity tables")
+    t1, t2 = (CocycleTable.trivial(H.as_group()[0]) if c is None else c for c in (s1.cocycle, s2.cocycle))
     return cohomologous(t1, t2)[0]
-
-
-def _as_table(c, H):
-    if isinstance(c, CocycleTable):
-        return c
-    if c is None:
-        return CocycleTable.trivial(H.as_group()[0])
-    return None
 
 
 def test_descriptor_equivalence_up_to_coset_moves():

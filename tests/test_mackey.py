@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,21 +31,6 @@ from gquot.suite import sweep_cases
 from gquot.twisted import TOL_ROUND, TwistedAlgebra
 
 
-def snap_to_table(values, group, scale: int, tol: float = 1e-6):
-    """Convert a complex cocycle table to exact exponents, or None.
-
-    Succeeds only when every value is within ``tol`` of a ``scale``-th root
-    of unity; this is the gate for exact class comparison of numerically
-    produced cocycles (obstruction tables carry a floating gauge and need
-    not snap).
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    exps = np.round(np.angle(values) * scale / (2 * np.pi)).astype(np.int64) % scale
-    if np.max(np.abs(np.exp(2j * np.pi * exps / scale) - values)) > tol:
-        return None
-    return CocycleTable(group, scale, exps)
-
-
 def test_trivial_kernel_recovers_the_class():
     a = standard_nondegenerate([2])
     G = a.group
@@ -51,10 +39,9 @@ def test_trivial_kernel_recovers_the_class():
     o = dec.orbits[0]
     assert o.dim == 1 and o.inertia.order == G.n
     assert o.x.mults == ((0, 1),)
-    # the obstruction table snaps to exponents and is cohomologous to the input
-    snapped = snap_to_table(o.omega, o.omega_group, a.scale)
-    assert snapped is not None
-    relabeled = CocycleTable(G, a.scale, snapped.exps[np.ix_(o.omega_embed, o.omega_embed)])
+    # the obstruction is exact, of scale |I|, and cohomologous to the input
+    assert o.omega.group == o.omega_group and o.omega.scale == G.n
+    relabeled = CocycleTable(G, G.n, o.omega.exps[np.ix_(o.omega_embed, o.omega_embed)])
     assert cohomologous(relabeled, a)[0]
 
 
@@ -181,7 +168,7 @@ def test_determinism_of_decomposition():
     d2 = mackey_decompose(Q8, t, Z, seed=5)
     assert d1.oracle_dims == d2.oracle_dims
     for o1, o2 in zip(d1.orbits, d2.orbits):
-        assert np.array_equal(o1.omega, o2.omega)
+        assert o1.omega == o2.omega
 
 
 def test_whole_group_kernel_at_order_256():
@@ -230,11 +217,11 @@ def assert_same_decomposition(got, want):
         assert (o.point_indices, o.dim, o.inertia, o.transversal, o.x, o.delta) == (
             w.point_indices, w.dim, w.inertia, w.transversal, w.x, w.delta
         )
-        assert np.array_equal(o.omega, w.omega)  # bit-equal, not within a tolerance
+        assert o.omega == w.omega  # the same exact table
         assert (o.omega_embed, o.omega_blocks) == (w.omega_embed, w.omega_blocks)
     assert got.descriptor.group == want.descriptor.group
     for s, w in zip(got.descriptor.summands, want.descriptor.summands, strict=True):
-        assert (s.x, s.fine) == (w.x, w.fine) and np.array_equal(s.cocycle, w.cocycle)
+        assert (s.x, s.fine, s.cocycle) == (w.x, w.fine, w.cocycle)
 
 
 @pytest.mark.parametrize("case", sweep_cases(), ids=lambda c: f"{c[0]}/{c[2]}")
@@ -266,7 +253,7 @@ def test_theorem_d_certifies_the_ambient_oracle_once(monkeypatch):
     ambient_calls = []
 
     def counted(self, *args, **kwargs):
-        if self.exact and self.cocycle == a:
+        if self.cocycle == a:
             ambient_calls.append(self.n)
         return original(self, *args, **kwargs)
 
@@ -381,9 +368,45 @@ def _cocycle(name):
     return CocycleTable.trivial(gq.make_group(name))
 
 
-@pytest.mark.parametrize("name", [f"nd_{c}" for c in NONDEGENERATE_CARRIERS] + ["S4", "Q8", "D4", "D6"])
-def test_obstruction_matches_reference(name):
-    a = _cocycle(name)
+def reference_gauge(group, omega):
+    """A representative of omega's class with |group|-th roots of unity as
+    values, one entry at a time: the k-th root of F(a) = prod_c omega(a, c)
+    is taken with argument in [0, 2 pi / k), not the principal one, so the
+    table differs from the module's gauge by an exact coboundary; the root at
+    the identity is 1, which keeps the table normalized."""
+    k = group.n
+    root = [cmath.exp(1j * (cmath.phase(complex(np.prod(omega[a]))) % (2 * math.pi)) / k) for a in range(k)]
+    root[0] = 1
+    exps = np.zeros((k, k), dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            value = omega[a, b] * root[group.mul(a, b)] / (root[a] * root[b])
+            exps[a, b] = round(cmath.phase(value) * k / (2 * math.pi)) % k
+            assert abs(cmath.exp(2j * math.pi * exps[a, b] / k) - value) <= 1e-9
+    return CocycleTable(group, k, exps)
+
+
+# the named cases reach nd_C5xC5 and nd_C6xC6, above sweep_cases' order bound;
+# every other intertwiner case follows under its own name
+OBSTRUCTION_CASES = [
+    (name, _cocycle(name)) for name in [f"nd_{c}" for c in NONDEGENERATE_CARRIERS] + ["S4", "Q8", "D4", "D6"]
+]
+OBSTRUCTION_CASES += [(name, a) for name, a in INTERTWINER_CASES if all(a != b for _, b in OBSTRUCTION_CASES)]
+
+
+@pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
+def test_obstruction_matches_reference(monkeypatch, name, a):
+    """On every orbit of every normal N, the composition scalars are the
+    per-element reference's, and the exact table the gauge makes of them is
+    in the class of the reference gauged independently, with the same blocks."""
+    raw = []
+    exact_cocycle = mackey._exact_cocycle
+
+    def recorded(group, omega):
+        raw.append(omega)
+        return exact_cocycle(group, omega)
+
+    monkeypatch.setattr(mackey, "_exact_cocycle", recorded)
     G = a.group
     A_G = TwistedAlgebra(G, a)
     orbits = 0
@@ -392,13 +415,32 @@ def test_obstruction_matches_reference(name):
         alpha_N, N_group, N_embed = a.restrict(N)
         A_N = TwistedAlgebra(N_group, alpha_N)
         section = gq.coset_space(G, N).representatives
-        for o in dec.orbits:
+        assert len(raw) == orbits + len(dec.orbits)
+        for o, scalars in zip(dec.orbits, raw[orbits:]):
             point = dec.points[o.point_indices[0]]
             omega = reference_obstruction(A_G, A_N, N_embed, point, o.inertia, section, 0)
-            assert np.max(np.abs(o.omega - omega)) <= 1e-12, N.elements
-            assert TwistedAlgebra(o.omega_group, omega).wedderburn(seed=0).dims == o.omega_blocks
-            orbits += 1
+            assert np.max(np.abs(scalars - omega)) <= 1e-12, N.elements
+            reference = reference_gauge(o.omega_group, omega)
+            assert o.omega.scale == o.inertia.order and cohomologous(o.omega, reference)[0], N.elements
+            assert TwistedAlgebra(o.omega_group, reference).wedderburn(seed=0).dims == o.omega_blocks
+        orbits += len(dec.orbits)
     assert orbits >= len(gq.normal_subgroups(G))
+
+
+def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
+    """A unit cocycle moved off the roots of unity by an arbitrary coboundary
+    is gauged back into its class; one entry moved by 1e-5 is refused."""
+    a = standard_nondegenerate([2, 2])
+    G = a.group
+    rng = np.random.default_rng(0)
+    f = np.exp(1j * rng.uniform(0, 2 * np.pi, G.n))
+    f[0] = 1
+    omega = a.value_matrix() * np.outer(f, f) / f[G.table]
+    gauged = mackey._exact_cocycle(G, omega)
+    assert gauged.scale == G.n and cohomologous(gauged, a)[0]
+    omega[3, 5] *= np.exp(1e-5j)
+    with pytest.raises(CertificationError, match="away from the .I.-th roots of unity"):
+        mackey._exact_cocycle(G, omega)
 
 
 def _orbit_signature(dec):
