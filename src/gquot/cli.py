@@ -189,12 +189,7 @@ def _cmd_grading(args, em: _Emitter) -> int:
     if args.action == "equidim":
         status = True
         for i, s in enumerate(d.summands):
-            if s.fine is None:
-                fine = Subgroup(G, (0,))
-            elif isinstance(s.fine, Subgroup):
-                fine = s.fine
-            else:
-                raise GquotError("equidim supports finite descriptors")
+            fine = Subgroup(G, (0,)) if s.fine is None else s.fine
             verdict, masses = is_equidimensional_induced(s.x, fine)
             em.emit(f"summand_{i}_masses", sorted(masses.values()))
             em.emit(f"summand_{i}_equidimensional", verdict)

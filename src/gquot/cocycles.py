@@ -16,6 +16,8 @@ from .errors import DomainError, ScaleError, SizeBoundError, ValidationError
 from .groups import FiniteGroup, Subgroup, direct_product, cyclic
 from .smith import solve_mod
 
+MAX_SCALE = 2**63 - 1  # exponents are stored as int64
+
 
 class CocycleTable:
     """A normalized 2-cocycle as an exponent table modulo ``scale``."""
@@ -25,6 +27,8 @@ class CocycleTable:
     def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
         if scale < 1:
             raise ValidationError("scale must be a positive integer")
+        if scale > MAX_SCALE:
+            raise ValidationError(f"scale {scale} exceeds the int64 bound {MAX_SCALE}")
         exps = np.asarray(exps, dtype=np.int64) % scale
         if exps.shape != (group.n, group.n):
             raise ValidationError(f"cocycle table shape {exps.shape} does not match group order {group.n}")
@@ -60,6 +64,8 @@ class CocycleTable:
     def rescale(self, new_scale: int) -> "CocycleTable":
         if new_scale % self.scale != 0:
             raise ScaleError(f"cannot rescale modulus {self.scale} to non-multiple {new_scale}")
+        if new_scale > MAX_SCALE:
+            raise ScaleError(f"cannot rescale to {new_scale}, beyond the int64 bound {MAX_SCALE}")
         k = new_scale // self.scale
         return CocycleTable(self.group, new_scale, self.exps * k, _trusted=True)
 

@@ -2,10 +2,8 @@
 
 A grading class of a semisimple algebra is a list of simply-graded summands,
 each an elementary character x over the grading group together with a fine
-part: a subgroup carrying a 2-cocycle.  The grading group is either a
-FiniteGroup (elements are indices) or a FreeProductGroup of finite groups
-(elements are reduced words); only operations that never enumerate the
-group are offered over free products.
+part: a subgroup carrying a 2-cocycle.  The grading group is a FiniteGroup,
+so elements are indices and every question is settled by enumeration.
 """
 
 from __future__ import annotations
@@ -16,19 +14,14 @@ from pathlib import Path
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup
-from .words import FactorMap, Word, syllable_generators_cover
-
-
-def _sort_key(elem):
-    return elem.sort_key() if isinstance(elem, Word) else elem
 
 
 @dataclass(frozen=True)
 class Character:
     """An element of N[Gamma]: finitely many elements with multiplicities >= 1."""
 
-    group: object
-    mults: tuple[tuple[object, int], ...]
+    group: FiniteGroup
+    mults: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         acc: dict = {}
@@ -37,7 +30,7 @@ class Character:
             if k < 1:
                 raise ValidationError("character multiplicities must be >= 1")
             acc[elem] = acc.get(elem, 0) + k
-        items = tuple(sorted(acc.items(), key=lambda kv: _sort_key(kv[0])))
+        items = tuple(sorted(acc.items()))
         object.__setattr__(self, "mults", items)
         if not items:
             raise ValidationError("character must have non-empty support")
@@ -61,22 +54,13 @@ class Character:
     def eps(self) -> int:
         return sum(k for _, k in self.mults)
 
-    def support(self) -> tuple:
-        return tuple(e for e, _ in self.mults)
-
-    def get(self, elem) -> int:
-        for e, k in self.mults:
-            if e == elem:
-                return k
-        return 0
-
-    def pushforward(self, mapping) -> "Character":
-        """Apply an element mapping (e.g. a quotient projection) pointwise."""
+    def pushforward(self, mapping: GroupHom) -> "Character":
+        """Apply a homomorphism (e.g. a quotient projection) pointwise."""
         acc: dict = {}
         for e, k in self.mults:
             img = mapping(e)
             acc[img] = acc.get(img, 0) + k
-        return Character.from_dict(_target_of(mapping), acc)
+        return Character.from_dict(mapping.target, acc)
 
     def product(self, other: "Character") -> "Character":
         """Semiring product in N[Gamma]."""
@@ -90,60 +74,31 @@ class Character:
         return Character.from_dict(self.group, acc)
 
 
-def _target_of(mapping):
-    if isinstance(mapping, (GroupHom, FactorMap)):
-        return mapping.target
-    raise DomainError("pushforward needs a GroupHom or FactorMap")
-
-
-@dataclass(frozen=True)
-class FactorFine:
-    """A fine part that is one finite factor of a free-product grading group."""
-
-    factor_index: int
-
-
 @dataclass(frozen=True)
 class Summand:
     """A simply-graded summand: elementary character, fine subgroup, cocycle.
 
-    ``fine`` is None for a trivial fine part, a Subgroup of a finite grading
-    group, or a FactorFine naming a finite factor of a free product.
-    ``cocycle`` is None (trivial) or a CocycleTable on the fine group; a
-    Mackey summand carries its orbit's exact obstruction, of scale |I|.
+    ``fine`` is None for a trivial fine part, or a Subgroup of the grading
+    group.  ``cocycle`` is None (trivial) or a CocycleTable on the fine
+    group; a Mackey summand carries its orbit's exact obstruction, of
+    scale |I|.
     """
 
     x: Character
-    fine: object = None
+    fine: Subgroup | None = None
     cocycle: CocycleTable | None = None
 
-    def fine_order(self, group) -> int:
-        if self.fine is None:
-            return 1
-        if isinstance(self.fine, Subgroup):
-            return self.fine.order
-        if isinstance(self.fine, FactorFine):
-            return group.factors[self.fine.factor_index].n
-        raise DomainError("unrecognized fine part")
+    def fine_order(self) -> int:
+        return 1 if self.fine is None else self.fine.order
 
-    def fine_elements(self, group) -> tuple:
-        if self.fine is None:
-            return (group.identity(),)
-        if isinstance(self.fine, Subgroup):
-            return self.fine.elements
-        if isinstance(self.fine, FactorFine):
-            fi = self.fine.factor_index
-            factor = group.factors[fi]
-            return (group.identity(),) + tuple(group.letter(fi, p) for p in range(1, factor.n))
-        raise DomainError("unrecognized fine part")
+    def fine_elements(self) -> tuple[int, ...]:
+        return (0,) if self.fine is None else self.fine.elements
 
-    def has_trivial_fine(self, group) -> bool:
-        if self.fine_order(group) != 1:
-            return False
-        return _cocycle_is_trivial_on_trivial_group(self.cocycle)
+    def has_trivial_fine(self) -> bool:
+        return self.fine_order() == 1 and _cocycle_is_trivial_on_trivial_group(self.cocycle)
 
-    def dimension(self, group) -> int:
-        return self.x.eps ** 2 * self.fine_order(group)
+    def dimension(self) -> int:
+        return self.x.eps ** 2 * self.fine_order()
 
 
 def _cocycle_is_trivial_on_trivial_group(cocycle: CocycleTable | None) -> bool:
@@ -152,7 +107,7 @@ def _cocycle_is_trivial_on_trivial_group(cocycle: CocycleTable | None) -> bool:
 
 @dataclass(frozen=True)
 class GradingClassDescriptor:
-    group: object
+    group: FiniteGroup
     summands: tuple[Summand, ...]
 
 
@@ -164,8 +119,6 @@ def induced_dims(x: Character, fine_dims: dict, group: FiniteGroup) -> dict:
 
     dim at g0 = sum over g1 * g2 * g3^-1 = g0 of n_{g1} * dim(base_{g2}) * n_{g3}.
     """
-    if not isinstance(group, FiniteGroup):
-        raise DomainError("induced dimensions require a finite grading group")
     out: dict = {}
     for g1, n1 in x.mults:
         for g2, d2 in fine_dims.items():
@@ -179,7 +132,7 @@ def induced_dims(x: Character, fine_dims: dict, group: FiniteGroup) -> dict:
 
 
 def summand_dims(s: Summand, group: FiniteGroup) -> dict:
-    fine_dims = {e: 1 for e in s.fine_elements(group)}
+    fine_dims = {e: 1 for e in s.fine_elements()}
     return induced_dims(s.x, fine_dims, group)
 
 
@@ -191,40 +144,13 @@ def descriptor_dims(d: GradingClassDescriptor) -> dict:
     return out
 
 
-def induced_support(x: Character, fine_elements, group):
-    """Support of the induced grading: products g1 * g2 * g3^-1."""
-    out = set()
-    for g1, _ in x.mults:
-        for g2 in fine_elements:
-            left = group.mul(g1, g2)
-            for g3, _ in x.mults:
-                out.add(group.mul(left, group.inv(g3)))
-    return out
-
-
-def descriptor_support(d: GradingClassDescriptor) -> set:
-    out = set()
-    for s in d.summands:
-        out |= induced_support(s.x, s.fine_elements(d.group), d.group)
-    return out
-
-
 def is_connected(d: GradingClassDescriptor) -> bool:
     """Whether the support generates the grading group.
 
-    Finite groups use subgroup closure.  Free products use syllable
-    coverage: the single-syllable part of the support must generate every
-    factor; when it does not but longer words remain, the question is
-    declared out of scope rather than guessed.
+    Every homogeneous dimension ``descriptor_dims`` reports is positive, so
+    its keys are exactly the support.
     """
-    supp = descriptor_support(d)
-    if isinstance(d.group, FiniteGroup):
-        return generated_subgroup(d.group, supp).order == d.group.n
-    if syllable_generators_cover(d.group, supp):
-        return True
-    if all(w.syllable_length() <= 1 for w in supp):
-        return False
-    raise DomainError("connectedness is undecided for multi-syllable support without coverage")
+    return generated_subgroup(d.group, descriptor_dims(d)).order == d.group.n
 
 
 # -- equi-dimensionality ------------------------------------------------------
@@ -239,23 +165,17 @@ def coset_masses(x: Character, H: Subgroup) -> dict[int, int]:
     return out
 
 
-def is_equidimensional_induced(x: Character, H: Subgroup, base_dims: dict | None = None):
-    """Coset-mass criterion for equi-dimensionality of an induced grading.
+def is_equidimensional_induced(x: Character, H: Subgroup):
+    """Coset-mass criterion for equi-dimensionality of a grading induced by x
+    from the base grading of H in which every element has dimension one.
 
-    Requires an equi-dimensional base; the verdict is cross-checked against
-    the directly computed homogeneous dimensions.
-    Returns (verdict, masses).
+    The verdict is cross-checked against the directly computed homogeneous
+    dimensions.  Returns (verdict, masses).
     """
     G = x.group
-    if base_dims is None:
-        base_dims = {e: 1 for e in H.elements}
-    vals = {base_dims.get(e, 0) for e in H.elements}
-    if len(vals) != 1:
-        raise DomainError("base grading is not equi-dimensional")
-    base_common = vals.pop()
     masses = coset_masses(x, H)
     verdict = len(set(masses.values())) == 1
-    dims = induced_dims(x, {e: base_common for e in H.elements}, G)
+    dims = induced_dims(x, {e: 1 for e in H.elements}, G)
     full = {g: dims.get(g, 0) for g in G.elements()}
     direct = len(set(full.values())) == 1
     if direct != verdict:
@@ -270,7 +190,7 @@ def is_equidimensional_induced(x: Character, H: Subgroup, base_dims: dict | None
 
 def is_elementary(d: GradingClassDescriptor) -> bool:
     """Induced from the trivial grading: every fine part trivial."""
-    return all(s.has_trivial_fine(d.group) for s in d.summands)
+    return all(s.has_trivial_fine() for s in d.summands)
 
 
 def is_elementary_crossed_product(d: GradingClassDescriptor) -> bool:
@@ -278,8 +198,6 @@ def is_elementary_crossed_product(d: GradingClassDescriptor) -> bool:
     if not is_elementary(d) or len(d.summands) != 1:
         return False
     x = d.summands[0].x
-    if not isinstance(d.group, FiniteGroup):
-        return False
     return x.eps == d.group.n and all(k == 1 for _, k in x.mults) and len(x.mults) == d.group.n
 
 

@@ -77,8 +77,6 @@ class MackeyOrbit:
     x: Character
     delta: int
     omega: CocycleTable
-    omega_group: FiniteGroup
-    omega_embed: tuple[int, ...]
     omega_blocks: tuple[int, ...]
     omega_trivial: bool
     omega_nondegenerate: bool
@@ -168,8 +166,8 @@ class MackeyContext:
                 raise TheoremCheckError("summand dimension is not an integer")
             delta = delta_num // delta_den
             x = Character.from_dict(Q, {t: d for t in transversal})
-            omega, I_group, I_embed = self._obstruction(A_N, N_embed, points[rep], inertia, section, block_of)
-            blocks = TwistedAlgebra(I_group, omega).wedderburn(seed=seed).dims
+            omega = self._obstruction(A_N, N_embed, points[rep], inertia, section, block_of)
+            blocks = TwistedAlgebra(omega.group, omega).wedderburn(seed=seed).dims
             orbits.append(
                 MackeyOrbit(
                     point_indices=orbit,
@@ -179,8 +177,6 @@ class MackeyContext:
                     x=x,
                     delta=delta,
                     omega=omega,
-                    omega_group=I_group,
-                    omega_embed=I_embed,
                     omega_blocks=blocks,
                     omega_trivial=all(f == 1 for f in blocks),
                     omega_nondegenerate=len(blocks) == 1,
@@ -277,7 +273,7 @@ class MackeyContext:
                     raise CertificationError("endomorphism composition is not a scalar multiple")
                 raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
             omega[a] = lam / np.abs(lam)
-        return _exact_cocycle(I_group, omega), I_group, I_embed
+        return _exact_cocycle(I_group, omega)
 
 
 def mackey_decompose(

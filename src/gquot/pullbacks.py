@@ -19,11 +19,9 @@ from functools import reduce
 from itertools import product as iproduct
 
 from .errors import CertificationError, DomainError, ValidationError
-from .gradings import Character, FactorFine, GradingClassDescriptor, Summand
 from .groups import (
     FiniteGroup,
     GroupHom,
-    abelian_group_from_invariants,
     cyclic,
     direct_product,
     invariant_factor_sequences,
@@ -547,7 +545,6 @@ class DiagonalClass:
 
     factor_invariants: tuple[tuple[int, ...], ...]
     has_trivial_part: bool
-    descriptor: GradingClassDescriptor
 
     @property
     def label(self) -> str:
@@ -571,20 +568,7 @@ def maximal_gradings_diagonal(n: int) -> list[DiagonalClass]:
         nontrivial = [p for p in partition if p > 1]
         has_trivial = len(nontrivial) != len(partition)
         for combo in _type_combinations(nontrivial):
-            groups = [abelian_group_from_invariants(invs) for invs in combo]
-            gamma = FreeProductGroup(tuple(groups), name="*".join(g.name or "?" for g in groups) or "C1")
-            summands = [
-                Summand(Character.point(gamma), FactorFine(i), None) for i in range(len(groups))
-            ]
-            if has_trivial:
-                summands.append(Summand(Character.point(gamma), None, None))
-            out.append(
-                DiagonalClass(
-                    factor_invariants=tuple(sorted(combo)),
-                    has_trivial_part=has_trivial,
-                    descriptor=GradingClassDescriptor(gamma, tuple(summands)),
-                )
-            )
+            out.append(DiagonalClass(factor_invariants=combo, has_trivial_part=has_trivial))
     out.sort(key=lambda c: (c.factor_invariants, c.has_trivial_part))
     return out
 

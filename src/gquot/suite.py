@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_group
-from .cocycles import CocycleTable, bicharacter_of
+from .cocycles import CocycleTable, is_nondegenerate
 from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
 from .groups import abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
@@ -177,7 +177,7 @@ def criterion_5(seed: int, contexts: dict) -> CriterionResult:
         _, alpha = build_cocycle(cname)
         for N in subgroups(G):
             rest, sub, _ = alpha.restrict(N)
-            if not sub.is_abelian or not bicharacter_of(rest).radical().order == 1:
+            if not is_nondegenerate(sub, rest, seed=seed):
                 continue
             cases += 1
             dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)

@@ -113,9 +113,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def syllable_length(self) -> int:
-        return len(self.syllables)
-
     def mul(self, other: "Word") -> "Word":
         group = self.group
         if group is not other.group and group != other.group:
@@ -198,15 +195,3 @@ def enumerate_words(group: FreeProductGroup, max_syllables: int):
         frontier = nxt
     return sorted(out, key=Word.sort_key)
 
-
-def syllable_generators_cover(group: FreeProductGroup, words) -> bool:
-    """Whether the single-syllable words among ``words`` generate the product.
-
-    For each factor the appearing payloads must generate it.
-    """
-    per_factor: dict[int, list[int]] = {i: [] for i in range(len(group.factors))}
-    for w in words:
-        if w.syllable_length() == 1:
-            fi, p = w.syllables[0]
-            per_factor[fi].append(p)
-    return all(generated_subgroup(f, per_factor[fi]).order == f.n for fi, f in enumerate(group.factors))

@@ -49,6 +49,27 @@ def test_invalid_cocycle_file_exits_2(tmp_path, capsys):
     assert "error" in out and "normalized" in out
 
 
+def test_cocycle_scale_beyond_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge_scale.txt"
+    path.write_text(f"{2**63} 2\n0 0\n0 1\n")
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C2", "--cocycle", str(path))
+    assert code == 2
+    assert "error: ValidationError" in out and str(2**63) in out
+
+
+def test_cohomologous_lift_beyond_int64_exits_2(tmp_path, capsys):
+    # the scale itself fits; cohomologous lifts it to 2**62 * exp(C2) = 2**63
+    path = tmp_path / "large_scale.txt"
+    path.write_text(f"{2**62} 2\n0 0\n0 1\n")
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C2", "--cocycle", str(path))
+    assert code == 0 and f"scale: {2**62}" in out
+    code, out = run_cli(
+        capsys, "cocycle", "cohomologous", "--group", "C2", "--cocycle", str(path), "--cocycle2", "trivial"
+    )
+    assert code == 2
+    assert "error: ScaleError" in out
+
+
 def test_cocycle_commands(capsys):
     code, out = run_cli(capsys, "cocycle", "nondeg", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
     assert code == 0 and "nondegenerate: True" in out

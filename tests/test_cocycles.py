@@ -17,7 +17,7 @@ from gquot.cocycles import (
     parse_cocycle,
     standard_nondegenerate,
 )
-from gquot.errors import DomainError, ValidationError
+from gquot.errors import DomainError, ScaleError, ValidationError
 from gquot.twisted import TwistedAlgebra
 
 
@@ -255,6 +255,18 @@ def test_invalid_cocycle_rejected():
         CocycleTable(G, 2, bad)
     with pytest.raises(ValidationError, match="normalized"):
         CocycleTable(G, 2, np.ones((3, 3), dtype=int))
+
+
+def test_scales_beyond_int64_are_refused():
+    C4 = gq.cyclic(4)
+    with pytest.raises(ValidationError, match="int64"):
+        CocycleTable(C4, 2**63, np.zeros((4, 4), dtype=int))
+    m = 2**61 + 1
+    a = coboundary(OneCochain(C4, m, (0, 1, 2, 3)))
+    with pytest.raises(ScaleError, match="int64"):
+        a.rescale(4 * m)
+    with pytest.raises(ScaleError):
+        cohomologous(a, CocycleTable.trivial(C4, m))  # lifts the scale to m * exp(C4)
 
 
 def reference_first_bad_triple(exps, m, mul):

@@ -354,7 +354,7 @@ def _obstruction_algebras():
         ("Q8", CocycleTable.trivial(gq.quaternion8()), gq.center(gq.quaternion8()).elements),
     ]:
         for o in mackey_decompose(a.group, a, gq.Subgroup(a.group, N), seed=0).orbits:
-            yield f"omega of {name}/{N}", TwistedAlgebra(o.omega_group, o.omega)
+            yield f"omega of {name}/{N}", TwistedAlgebra(o.omega.group, o.omega)
 
 
 def test_center_classes_match_reference():

@@ -8,7 +8,6 @@ from gquot.words import (
     FreeProductGroup,
     Word,
     enumerate_words,
-    syllable_generators_cover,
 )
 
 
@@ -123,18 +122,6 @@ def test_enumerate_words_counts():
     assert len(enumerate_words(F, 6)) == 13  # 1 + 2 per length
     F32 = c3_free_c2()
     assert len(enumerate_words(F32, 2)) == 8  # e, g, g2, h, gh, g2h, hg, hg2
-
-
-def test_syllable_coverage():
-    F = c2_free_square()
-    a, b = F.letter(0, 1), F.letter(1, 1)
-    assert syllable_generators_cover(F, [a, b])
-    assert not syllable_generators_cover(F, [a])
-    F42 = FreeProductGroup((gq.cyclic(4), gq.cyclic(2)))
-    c = F42.letter(1, 1)
-    assert syllable_generators_cover(F42, [F42.letter(0, 3), c])
-    assert not syllable_generators_cover(F42, [F42.letter(0, 2), c])
-    assert not syllable_generators_cover(F42, [F42.letter(0, 1).mul(c), c])
 
 
 def test_factor_index_checked_at_the_public_entries():
