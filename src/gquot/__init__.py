@@ -47,7 +47,6 @@ from .groups import (
     cyclic,
     dihedral,
     direct_product,
-    from_table,
     generated_subgroup,
     homomorphisms,
     is_homocyclic_squarefree,
@@ -67,7 +66,6 @@ from .lagrangians import (
     lagrangian_quotient_is_iyb,
     lagrangian_scan,
     maximal_elementary_quotients,
-    minimal_isotropic,
 )
 from .mackey import (
     MackeyContext,
@@ -84,7 +82,7 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from .twisted import IrrPoint, TwistedAlgebra, WedderburnData
+from .twisted import BlockOracle, IrrPoint, TwistedAlgebra, WedderburnData
 from .words import FreeProductGroup, Word
 
 # the imports above also bind each submodule (``mackey``, ``twisted``, ...) here; leave those out

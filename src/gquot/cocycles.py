@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,7 +17,19 @@ from .errors import DomainError, ScaleError, SizeBoundError, ValidationError
 from .groups import FiniteGroup, Subgroup, direct_product, cyclic
 from .smith import solve_mod
 
-MAX_SCALE = 2**63 - 1  # exponents are stored as int64
+if TYPE_CHECKING:
+    from .twisted import BlockOracle
+
+# Exponents are int64 residues below MAX_SCALE, so every exponent expression
+# here, at most two residues added and two subtracted, stays inside int64.
+MAX_SCALE = 2**62 - 1
+
+
+def _check_scale(scale: int) -> None:
+    if scale < 1:
+        raise ValidationError("scale must be a positive integer")
+    if scale > MAX_SCALE:
+        raise ValidationError(f"scale {scale} exceeds the int64 bound {MAX_SCALE}")
 
 
 class CocycleTable:
@@ -25,10 +38,7 @@ class CocycleTable:
     __slots__ = ("group", "scale", "exps")
 
     def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
-        if scale < 1:
-            raise ValidationError("scale must be a positive integer")
-        if scale > MAX_SCALE:
-            raise ValidationError(f"scale {scale} exceeds the int64 bound {MAX_SCALE}")
+        _check_scale(scale)
         exps = np.asarray(exps, dtype=np.int64) % scale
         if exps.shape != (group.n, group.n):
             raise ValidationError(f"cocycle table shape {exps.shape} does not match group order {group.n}")
@@ -113,6 +123,7 @@ class OneCochain:
     exps: tuple[int, ...]
 
     def __post_init__(self):
+        _check_scale(self.scale)
         exps = tuple(int(x) % self.scale for x in self.exps)
         object.__setattr__(self, "exps", exps)
         if len(exps) != self.group.n:
@@ -183,6 +194,7 @@ class Bicharacter:
     __slots__ = ("group", "scale", "exps")
 
     def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
+        _check_scale(scale)
         exps = np.asarray(exps, dtype=np.int64) % scale
         self.group = group
         self.scale = int(scale)
@@ -264,11 +276,12 @@ def standard_nondegenerate(invariants) -> CocycleTable:
 NUMERIC_BOUND = 256  # largest order for the twisted algebra and its block oracle
 
 
-def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0) -> bool:
+def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None) -> bool:
     """Whether the twisted group algebra over ``a`` is a full matrix algebra.
 
     Abelian groups use the exact radical criterion; the general case asks
-    the numeric block oracle for a single simple block.
+    the numeric block oracle, ``oracle`` or a new registry, for a single
+    simple block.
     """
     if G.n > NUMERIC_BOUND:
         raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
@@ -276,9 +289,9 @@ def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0) -> bool:
         raise DomainError("cocycle lives on a different group")
     if G.is_abelian:
         return bicharacter_of(a).radical().order == 1
-    from .twisted import TwistedAlgebra
+    from .twisted import BlockOracle
 
-    return len(TwistedAlgebra(G, a).wedderburn(seed=seed).dims) == 1
+    return len((BlockOracle() if oracle is None else oracle).wedderburn(a, seed).dims) == 1
 
 
 # -- text format -----------------------------------------------------------
@@ -309,4 +322,7 @@ def parse_cocycle(text: str, group: FiniteGroup) -> CocycleTable:
         rows.append(row)
     if header is None or len(rows) != group.n:
         raise ValidationError("cocycle file is incomplete")
-    return CocycleTable(group, header[0], rows)
+    m = header[0]
+    _check_scale(m)
+    # reduced as Python integers, so an entry no int64 holds is read mod m too
+    return CocycleTable(group, m, [[x % m for x in row] for row in rows])

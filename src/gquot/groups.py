@@ -372,11 +372,6 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name="Q8", _trusted=True)
 
 
-def from_table(rows, labels=None, name=None) -> FiniteGroup:
-    """Build and fully validate a group from a raw multiplication table."""
-    return FiniteGroup(rows, labels=labels, name=name)
-
-
 def make_group(spec: str) -> FiniteGroup:
     """Construct a catalog group from a short descriptor.
 
@@ -741,4 +736,7 @@ def parse_group_table(text: str) -> FiniteGroup:
     label_list = None
     if labels:
         label_list = [labels[i][1] if i in labels else str(i) for i in range(n)]
+    # checked as Python integers, before an entry no int64 holds reaches numpy
+    if any(not 0 <= x < n for row in rows for x in row):
+        raise ValidationError("table entries out of range")
     return FiniteGroup(rows, labels=label_list)

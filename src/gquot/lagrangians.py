@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial, is_nondegenerate
-from .errors import DomainError, SizeBoundError, TheoremCheckError, ValidationError
+from .errors import DomainError, SizeBoundError, TheoremCheckError
 from .groups import (
     FiniteGroup,
     Subgroup,
     abelian_group_from_invariants,
     are_isomorphic,
-    generated_subgroup,
     generating_sequence,
     homomorphisms,
     invariant_factor_sequences,
@@ -38,11 +37,9 @@ from .mackey import (
     is_elementary_quotient,
     mackey_decompose,
 )
-from .smith import prime_powers
-from .twisted import TwistedAlgebra
+from .twisted import BlockOracle
 
-ISOTROPIC_BOUND = 32  # largest order minimal_isotropic accepts
-IYB_BOUND = 12        # largest order the bijective 1-cocycle search accepts
+IYB_BOUND = 12  # largest order the bijective 1-cocycle search accepts
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,22 @@ class LagrangianReport:
         return self.isotropic
 
 
-def is_isotropic(G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0) -> IsotropyReport:
+def is_isotropic(
+    G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0, oracle: BlockOracle | None = None
+) -> IsotropyReport:
     """Whether the class restricts trivially to H, with two certificates.
 
     The exact certificate solves the coboundary system over Z/m; the numeric
-    one asks the block oracle for a one-dimensional block of the restricted
-    algebra (existence of a one-dimensional module is equivalent to a
-    trivial restricted class, for abelian and non-abelian H alike).  The two
-    must agree.
+    one asks the block oracle (``oracle``, or a new registry) for a
+    one-dimensional block of the restricted algebra (existence of a
+    one-dimensional module is equivalent to a trivial restricted class, for
+    abelian and non-abelian H alike).  The two must agree.
     """
     if alpha.group != G:
         raise DomainError("cocycle lives on a different group")
     rest, H_group, _ = alpha.restrict(H)
     trivial, witness = is_cohomologically_trivial(rest)
-    dims = TwistedAlgebra(H_group, rest).wedderburn(seed=seed).dims
+    dims = (BlockOracle() if oracle is None else oracle).wedderburn(rest, seed).dims
     ones = sum(1 for d in dims if d == 1)
     oracle_verdict = ones >= 1
     if H_group.is_abelian:
@@ -94,16 +93,20 @@ def is_isotropic(G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0
 
 
 def lagrangian_scan(
-    G: FiniteGroup, alpha: CocycleTable, normal_only: bool = False, seed: int = 0
+    G: FiniteGroup, alpha: CocycleTable, normal_only: bool = False, seed: int = 0,
+    oracle: BlockOracle | None = None,
 ) -> list[LagrangianReport]:
     """All (normal) subgroups of order sqrt|G| with isotropy verdicts.
 
     Exhaustive over the subgroup lattice, so completeness is by construction.
+    Every block-oracle question goes to ``oracle``, or to one new registry.
     """
     root = math.isqrt(G.n)
     if root * root != G.n:
         raise DomainError(f"|G| = {G.n} is not a perfect square")
-    if not is_nondegenerate(G, alpha, seed=seed):
+    if oracle is None:
+        oracle = BlockOracle()
+    if not is_nondegenerate(G, alpha, seed=seed, oracle=oracle):
         raise DomainError("lagrangian_scan expects a non-degenerate class")
     out = []
     for H in subgroups(G):
@@ -112,26 +115,28 @@ def lagrangian_scan(
         normal = H.is_normal()
         if normal_only and not normal:
             continue
-        rep = is_isotropic(G, alpha, H, seed=seed)
+        rep = is_isotropic(G, alpha, H, seed=seed, oracle=oracle)
         out.append(LagrangianReport(H, rep.isotropic, rep.witness, normal))
     return out
 
 
 def crossed_product_iff_lagrangian(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, dec: MackeyDecomposition | None = None
+    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, dec: MackeyDecomposition | None = None,
+    oracle: BlockOracle | None = None,
 ) -> bool:
     """ECP verdict of the quotient equals the Lagrangian verdict of N.
 
     Both sides are computed independently; disagreement is an implementation
     bug and raises.  Returns the shared verdict.  A ``dec`` passed in must be
-    the decomposition of (G, alpha, N, seed).
+    the decomposition of (G, alpha, N, seed).  The isotropy check asks
+    ``oracle``, or a new registry.
     """
     if dec is None:
         dec = mackey_decompose(G, alpha, N, seed=seed)
     elif (dec.group, dec.cocycle, dec.normal, dec.seed) != (G, alpha, N, seed):
         raise DomainError("Mackey decomposition is for a different (group, cocycle, subgroup, seed)")
     ecp = is_ecp_quotient(dec)
-    lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed).isotropic
+    lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed, oracle=oracle).isotropic
     if ecp != lag:
         raise TheoremCheckError(
             f"biconditional violated on N of order {N.order}: ECP={ecp}, Lagrangian={lag}"
@@ -162,6 +167,8 @@ def maximal_elementary_quotients(
     quotient groups, which determines the elementary crossed product class.
     Every subgroup is decomposed through one ``MackeyContext`` for
     (A, alpha, seed): ``context`` when the caller holds one, else a new one.
+    The Lagrangian scan asks the context's ``BlockOracle``, so it reuses the
+    blocks the decompositions certified.
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
@@ -184,7 +191,7 @@ def maximal_elementary_quotients(
         if not any(j != i and elem_sets[j] < elem_sets[i] for j in range(len(elementary)))
     ]
     lagrangians = [
-        r.subgroup for r in lagrangian_scan(A, alpha, seed=seed) if r.is_lagrangian
+        r.subgroup for r in lagrangian_scan(A, alpha, seed=seed, oracle=context.oracle) if r.is_lagrangian
     ]
     if {N.elements for N in maximal} != {N.elements for N in lagrangians}:
         raise TheoremCheckError("maximal elementary quotients differ from Lagrangian kernels")
@@ -204,60 +211,6 @@ def maximal_elementary_quotients(
         unique_maximal_class=unique,
         decompositions=decs,
     )
-
-
-# -- nilpotent minimal-index isotropic subgroups -------------------------------
-
-
-def sylow_decomposition(G: FiniteGroup) -> list[Subgroup] | None:
-    """The Sylow subgroups when G is nilpotent (their internal product), else None."""
-    n = G.n
-    sylows = []
-    for p, e in prime_powers(n):
-        part = p**e
-        elems = tuple(g for g in G.elements() if part % G.order_of(g) == 0)
-        if len(elems) != part:
-            return None
-        try:
-            sylows.append(Subgroup(G, elems))
-        except ValidationError:
-            return None
-    if generated_subgroup(G, set().union(*(s.elements for s in sylows))).order != n:
-        return None
-    return sylows
-
-
-def minimal_isotropic(N: FiniteGroup, alpha: CocycleTable, seed: int = 0) -> Subgroup:
-    """An isotropic subgroup of minimal index in a nilpotent group.
-
-    Built per Sylow factor and multiplied together, then certified: the
-    index must equal the smallest irreducible block dimension of the
-    twisted algebra.
-    """
-    if N.n > ISOTROPIC_BOUND:
-        raise SizeBoundError(f"minimal_isotropic bounded at order {ISOTROPIC_BOUND}")
-    sylows = sylow_decomposition(N)
-    if sylows is None:
-        raise DomainError("group is not nilpotent (Sylow product fails)")
-    chosen_gens: set[int] = set()
-    for S in sylows:
-        S_group, embed_map = S.as_group()
-        best = None
-        for K in subgroups(S_group):
-            K_parent = Subgroup(N, tuple(embed_map[x] for x in K.elements))
-            if is_isotropic(N, alpha, K_parent, seed=seed).isotropic:
-                if best is None or K_parent.order > best.order:
-                    best = K_parent
-        chosen_gens |= set(best.elements)
-    H = generated_subgroup(N, chosen_gens)
-    if not is_isotropic(N, alpha, H, seed=seed).isotropic:
-        raise TheoremCheckError("product of isotropic Sylow parts is not isotropic")
-    min_dim = min(TwistedAlgebra(N, alpha).wedderburn(seed=seed).dims)
-    if N.n // H.order != min_dim:
-        raise TheoremCheckError(
-            f"minimal isotropic index {N.n // H.order} != minimal block dimension {min_dim}"
-        )
-    return H
 
 
 # -- bijective 1-cocycles -------------------------------------------------------

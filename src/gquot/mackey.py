@@ -7,12 +7,18 @@ transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
 What does not depend on N is built once, in a ``MackeyContext`` for one
-(G, alpha, seed): the algebra C^alpha G, the blocks its oracle
-certifies, and the twisted conjugation tables conj[h, g] = h g h^-1 and
-kappa(h, g).  The caller builds the context and passes it every N of a scan
-(Theorem D decomposes every subgroup of one (G, alpha)); it is an explicit
-object whose lifetime the caller owns, not a cache behind
-``mackey_decompose``, which builds a fresh context for its one N.
+(G, alpha, seed): the algebra C^alpha G, its certified blocks and the
+twisted conjugation tables conj[h, g] = h g h^-1 and kappa(h, g).  The caller
+builds the context and passes it every N of a scan (Theorem D decomposes
+every subgroup of one (G, alpha)); ``mackey_decompose`` builds a fresh one
+for its one N.  Every block and module the decomposition needs (C^alpha G,
+C^alpha N, the obstruction algebra of each orbit) comes from the context's
+``BlockOracle``, a registry keyed by each algebra's exact inputs.  A context
+takes the registry from its caller or makes its own; the acceptance battery
+shares one registry among all its contexts and its isotropy and
+non-degeneracy checks for one run, so an algebra that several kernels,
+orbits or checks meet is split once, with the certificates of its first
+split.
 
 Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
@@ -61,7 +67,7 @@ from .gradings import (
     is_elementary_crossed_product,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, quotient
-from .twisted import TOL_ROUND, IrrPoint, TwistedAlgebra, match_idempotent
+from .twisted import TOL_ROUND, BlockOracle, IrrPoint, TwistedAlgebra, match_idempotent
 
 TOL_SCALAR = 1e-7
 
@@ -101,21 +107,23 @@ class MackeyContext:
     """The part of every decomposition of one (G, alpha, seed) that does not
     depend on N, built once by the caller and passed to each normal N.
 
-    It holds the algebra C^alpha G, the blocks its oracle certifies (one
-    ``wedderburn`` call per context; the call is deterministic in
-    (G, alpha, seed), so every N is checked against the same certificate a
-    fresh call would give) and the n x n twisted conjugation tables
-    conj[h, g] = h g h^-1 and kappa(h, g).  ``decompose`` keeps each
+    It holds the algebra C^alpha G, the n x n twisted conjugation tables
+    conj[h, g] = h g h^-1 and kappa(h, g), and ``oracle``, the
+    :class:`BlockOracle` that certifies the blocks of C^alpha G (``blocks``)
+    and every algebra a decomposition meets.  ``oracle`` is the caller's
+    registry when one is passed, so contexts and checks of one run share it,
+    else a new one owned by this context.  ``decompose`` keeps each
     decomposition by the elements of N, for as long as the caller keeps the
     context.
     """
 
-    def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0):
+    def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
         self.group = G
         self.cocycle = alpha
         self.seed = seed
         self.algebra = TwistedAlgebra(G, alpha)
-        self.oracle = self.algebra.wedderburn(seed=seed)
+        self.oracle = BlockOracle() if oracle is None else oracle
+        self.blocks = self.oracle.wedderburn(alpha, seed)
         idx = np.arange(G.n)
         self.conj, self.kappa = self.algebra.conjugation(idx[:, None], idx)
         self._decompositions: dict[tuple[int, ...], MackeyDecomposition] = {}
@@ -135,12 +143,8 @@ class MackeyContext:
         block_of = np.asarray(proj.images)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
-        if N.order == G.n:  # C^alpha N is C^alpha G, whose blocks the oracle gave
-            A_N, N_embed, points = self.algebra, list(G.elements()), self.oracle.blocks
-        else:
-            alpha_N, N_group, N_embed = self.cocycle.restrict(N)
-            A_N = TwistedAlgebra(N_group, alpha_N)
-            points = A_N.wedderburn(seed=seed).blocks
+        alpha_N, _, N_embed = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
+        points = self.oracle.wedderburn(alpha_N, seed).blocks
 
         perms = self._conjugation_permutations(N, points, section)
         orbit_of = [frozenset(col) for col in perms.T.tolist()]
@@ -166,8 +170,8 @@ class MackeyContext:
                 raise TheoremCheckError("summand dimension is not an integer")
             delta = delta_num // delta_den
             x = Character.from_dict(Q, {t: d for t in transversal})
-            omega = self._obstruction(A_N, N_embed, points[rep], inertia, section, block_of)
-            blocks = TwistedAlgebra(omega.group, omega).wedderburn(seed=seed).dims
+            omega = self._obstruction(alpha_N, N_embed, rep, inertia, section, block_of)
+            blocks = self.oracle.wedderburn(omega, seed).dims
             orbits.append(
                 MackeyOrbit(
                     point_indices=orbit,
@@ -195,7 +199,7 @@ class MackeyContext:
             points=points,
             orbits=tuple(orbits),
             descriptor=descriptor,
-            oracle_dims=self.oracle.dims,
+            oracle_dims=self.blocks.dims,
             reconstructed_dims=_reconstructed_dims(orbits),
             seed=seed,
         )
@@ -222,7 +226,7 @@ class MackeyContext:
             rows.append([p.index for p in match_idempotent(raw, points)])
         return np.array(rows)
 
-    def _obstruction(self, A_N, N_embed, point, inertia, section, block_of):
+    def _obstruction(self, alpha_N, N_embed, index, inertia, section, block_of):
         """The obstruction cocycle on the inertia group, by endomorphism composition.
 
         For each inertia element a degree-homogeneous endomorphism of
@@ -238,7 +242,7 @@ class MackeyContext:
         N_pos[N_embed] = np.arange(len(N_embed))
         I_group, I_embed = inertia.as_group()
         k = I_group.n
-        rho = A_N.irreducible_rep(point, seed=self.seed)
+        rho = self.oracle.irreducible_rep(alpha_N, index, self.seed)
         gs = section[list(I_embed)]
 
         # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
@@ -281,8 +285,9 @@ def mackey_decompose(
 ) -> MackeyDecomposition:
     """Full decomposition of [C^alpha G / N] with all consistency checks.
 
-    Builds a context for this one N; to decompose several N of the same
-    (G, alpha), build one ``MackeyContext`` and call its ``decompose``.
+    Builds a context, with a new block oracle, for this one N; to decompose
+    several N of the same (G, alpha), build one ``MackeyContext`` and call
+    its ``decompose``.
     """
     return MackeyContext(G, alpha, seed).decompose(N)
 

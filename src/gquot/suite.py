@@ -33,6 +33,7 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
+from .twisted import BlockOracle
 
 
 @dataclass
@@ -46,11 +47,19 @@ class CriterionResult:
         return f"criterion {self.number} [{self.name}]: {'PASS' if self.passed else 'FAIL'}"
 
 
-def _context(contexts: dict, gname: str, G, cname: str, alpha, seed: int) -> MackeyContext:
-    """The battery's one Mackey context for (group name, cocycle name)."""
-    if (gname, cname) not in contexts:
-        contexts[(gname, cname)] = MackeyContext(G, alpha, seed)
-    return contexts[(gname, cname)]
+class _Run:
+    """What one battery run shares: its seed, its one block oracle, and one
+    Mackey context per (group name, cocycle name) built on that oracle."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.oracle = BlockOracle()
+        self._contexts: dict[tuple[str, str], MackeyContext] = {}
+
+    def context(self, gname: str, G, cname: str, alpha) -> MackeyContext:
+        if (gname, cname) not in self._contexts:
+            self._contexts[(gname, cname)] = MackeyContext(G, alpha, self.seed, self.oracle)
+        return self._contexts[(gname, cname)]
 
 
 def sweep_cases(max_order: int = 24):
@@ -71,7 +80,7 @@ def sweep_cases(max_order: int = 24):
     return out
 
 
-def criterion_1_and_2(seed: int, contexts: dict) -> tuple[CriterionResult, CriterionResult]:
+def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     """Block reconstruction and quotient equi-dimensionality, one sweep."""
     rec1, rec2 = [], []
     ok1 = ok2 = True
@@ -83,7 +92,7 @@ def criterion_1_and_2(seed: int, contexts: dict) -> tuple[CriterionResult, Crite
             cases += 1
             tag = f"{gname}/{cname}/N{list(N.elements)}"
             try:
-                dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
+                dec = run.context(gname, G, cname, alpha).decompose(N)
             except GquotError as exc:
                 ok1 = ok2 = False
                 rec1.append((tag, f"decomposition failed: {exc}"))
@@ -109,7 +118,7 @@ def criterion_1_and_2(seed: int, contexts: dict) -> tuple[CriterionResult, Crite
     return c1, c2
 
 
-def criterion_3(seed: int, contexts: dict) -> CriterionResult:
+def criterion_3(run: _Run) -> CriterionResult:
     """Crossed-product-iff-Lagrangian over the abelian CT square catalog."""
     records = []
     ok = True
@@ -117,12 +126,12 @@ def criterion_3(seed: int, contexts: dict) -> CriterionResult:
     for gname in groups:
         G = build_group(gname)
         _, alpha = build_cocycle(f"nd_{gname}")
-        context = _context(contexts, gname, G, f"nd_{gname}", alpha, seed)
+        context = run.context(gname, G, f"nd_{gname}", alpha)
         agree = 0
         for N in subgroups(G):
             dec = context.decompose(N)
             try:
-                crossed_product_iff_lagrangian(G, alpha, N, seed=seed, dec=dec)
+                crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, dec=dec, oracle=run.oracle)
                 agree += 1
             except TheoremCheckError as exc:
                 ok = False
@@ -131,7 +140,7 @@ def criterion_3(seed: int, contexts: dict) -> CriterionResult:
     return CriterionResult(3, "crossed product iff Lagrangian", ok, records)
 
 
-def criterion_4(seed: int, contexts: dict) -> CriterionResult:
+def criterion_4(run: _Run) -> CriterionResult:
     """Maximal elementary quotients and the uniqueness criterion."""
     records = []
     ok = True
@@ -140,8 +149,8 @@ def criterion_4(seed: int, contexts: dict) -> CriterionResult:
         cname = f"nd_{gname}"
         _, alpha = build_cocycle(cname)
         try:
-            context = _context(contexts, gname, G, cname, alpha, seed)
-            report = maximal_elementary_quotients(G, alpha, seed=seed, context=context)
+            context = run.context(gname, G, cname, alpha)
+            report = maximal_elementary_quotients(G, alpha, seed=run.seed, context=context)
         except GquotError as exc:
             ok = False
             records.append((gname, f"failed: {exc}"))
@@ -166,7 +175,7 @@ def criterion_4(seed: int, contexts: dict) -> CriterionResult:
     return CriterionResult(4, "maximal elementary uniqueness", ok, records)
 
 
-def criterion_5(seed: int, contexts: dict) -> CriterionResult:
+def criterion_5(run: _Run) -> CriterionResult:
     """Doubly non-degenerate cases: one orbit, full inertia, non-deg obstruction."""
     records = []
     ok = True
@@ -177,10 +186,10 @@ def criterion_5(seed: int, contexts: dict) -> CriterionResult:
         _, alpha = build_cocycle(cname)
         for N in subgroups(G):
             rest, sub, _ = alpha.restrict(N)
-            if not is_nondegenerate(sub, rest, seed=seed):
+            if not is_nondegenerate(sub, rest, seed=run.seed, oracle=run.oracle):
                 continue
             cases += 1
-            dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
+            dec = run.context(gname, G, cname, alpha).decompose(N)
             o = dec.orbits[0]
             q = dec.quotient_group.n
             root = int(round(q ** 0.5))
@@ -203,7 +212,7 @@ def criterion_5(seed: int, contexts: dict) -> CriterionResult:
     return CriterionResult(5, "doubly non-degenerate CT quotients", ok, records)
 
 
-def criterion_6(seed: int, contexts: dict) -> CriterionResult:
+def criterion_6(run: _Run) -> CriterionResult:
     """Cube-free law: elementary iff |G/N| square-free."""
     records = []
     ok = True
@@ -213,7 +222,7 @@ def criterion_6(seed: int, contexts: dict) -> CriterionResult:
         _, alpha = build_cocycle(cname)
         checked = 0
         for N in subgroups(G):
-            dec = _context(contexts, gname, G, cname, alpha, seed).decompose(N)
+            dec = run.context(gname, G, cname, alpha).decompose(N)
             elem = is_elementary_quotient(dec)
             predicted = squarefree(G.n // N.order)
             checked += 1
@@ -295,7 +304,7 @@ def criterion_9() -> CriterionResult:
     return CriterionResult(9, "diagonal maximal gradings", ok, records)
 
 
-def criterion_10(seed: int) -> CriterionResult:
+def criterion_10(run: _Run) -> CriterionResult:
     """Every normal Lagrangian quotient in the abelian catalog is IYB-witnessed."""
     records = []
     ok = True
@@ -304,7 +313,7 @@ def criterion_10(seed: int) -> CriterionResult:
         G = build_group(gname)
         _, alpha = build_cocycle(f"nd_{gname}")
         found = 0
-        for rep in lagrangian_scan(G, alpha, seed=seed):
+        for rep in lagrangian_scan(G, alpha, seed=run.seed, oracle=run.oracle):
             if not rep.is_lagrangian:
                 continue
             Q, _ = quotient(G, rep.subgroup)
@@ -325,19 +334,21 @@ def criterion_10(seed: int) -> CriterionResult:
 
 
 def run_battery(seed: int = 0) -> list[CriterionResult]:
-    contexts: dict = {}  # one MackeyContext per (group name, cocycle name)
-    c1, c2 = criterion_1_and_2(seed, contexts)
+    """One run of criteria 1-10; the criteria of a run share one ``_Run``,
+    which is dropped when the run ends."""
+    run = _Run(seed)
+    c1, c2 = criterion_1_and_2(run)
     results = [
         c1,
         c2,
-        criterion_3(seed, contexts),
-        criterion_4(seed, contexts),
-        criterion_5(seed, contexts),
-        criterion_6(seed, contexts),
+        criterion_3(run),
+        criterion_4(run),
+        criterion_5(run),
+        criterion_6(run),
         criterion_7(),
         criterion_8(),
         criterion_9(),
-        criterion_10(seed),
+        criterion_10(run),
     ]
     return results
 

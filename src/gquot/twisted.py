@@ -29,6 +29,11 @@ of simple blocks is therefore known exactly before any numerics.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
 dimension and the integer identity sum(d_i^2) = |G|.
+
+A :class:`BlockOracle` holds the certified blocks and modules of every
+algebra a computation asks about, keyed by the algebra's exact inputs, so an
+identical algebra is split once per registry.  The caller creates it and
+passes it along.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ class IrrPoint:
     coeffs: np.ndarray
     dim: int
     index: int
+
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)  # points are shared through a BlockOracle
 
     def __eq__(self, other):
         return isinstance(other, IrrPoint) and self.index == other.index and self.dim == other.dim
@@ -256,6 +264,7 @@ class TwistedAlgebra:
             if self._rep_defect(rho) > 1e-8:
                 last = "extracted matrices fail the twisted product law"
                 continue
+            rho.setflags(write=False)  # modules are shared through a BlockOracle
             return rho
         raise CertificationError(f"irreducible extraction failed: {last}")
 
@@ -266,6 +275,49 @@ class TwistedAlgebra:
             float(np.max(np.abs(rho[g] @ rho - self.phases[g, :, None, None] * rho[table[g]])))
             for g in range(self.n)
         )
+
+
+class BlockOracle:
+    """Certified blocks and modules of twisted group algebras, keyed by their
+    exact inputs: the group (which compares and hashes by its table), the
+    cocycle's scale and exponent bytes, and the seed.
+
+    A miss builds the algebra and calls its ``wedderburn`` or
+    ``irreducible_rep``, with every certificate those calls carry; a hit
+    returns what was certified on an identical input, which the deterministic
+    oracle would reproduce exactly.  Only oracle results are kept, never an
+    exact solve, so an exact certificate checked against the oracle stays
+    independent of it.  Results are shared between callers, so they are
+    read-only: point coefficients and module matrices are frozen.  The caller
+    creates the registry, passes it to every computation that should share
+    it, and drops it when done; nothing is kept at module level.
+    """
+
+    def __init__(self):
+        self._blocks: dict[tuple, WedderburnData] = {}
+        self._modules: dict[tuple, np.ndarray] = {}
+
+    @staticmethod
+    def _key(cocycle: CocycleTable, seed: int) -> tuple:
+        return (cocycle.group, cocycle.scale, cocycle.exps.tobytes(), seed)
+
+    def wedderburn(self, cocycle: CocycleTable, seed: int = 0) -> WedderburnData:
+        """The certified blocks of C^cocycle G, G the cocycle's group."""
+        key = self._key(cocycle, seed)
+        data = self._blocks.get(key)
+        if data is None:
+            data = self._blocks[key] = TwistedAlgebra(cocycle.group, cocycle).wedderburn(seed=seed)
+        return data
+
+    def irreducible_rep(self, cocycle: CocycleTable, index: int, seed: int = 0) -> np.ndarray:
+        """The certified module of block ``index`` of ``wedderburn(cocycle, seed)``."""
+        key = (*self._key(cocycle, seed), index)
+        rho = self._modules.get(key)
+        if rho is None:
+            point = self.wedderburn(cocycle, seed).blocks[index]
+            algebra = TwistedAlgebra(cocycle.group, cocycle)
+            rho = self._modules[key] = algebra.irreducible_rep(point, seed=seed)
+        return rho
 
 
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:

@@ -146,3 +146,12 @@ def test_report_is_reproducible(battery):
 def test_report_matches_golden(battery):
     _, report = battery
     assert report == (Path(__file__).parent / "golden" / "suite_seed0.txt").read_text()
+
+
+def test_report_differs_between_seeds_only_in_the_seed_line(battery):
+    """Every verdict and record is the same at seeds 0 and 7; only the header moves."""
+    _, report = battery
+    _, other = run_all(seed=7)
+    lines, other_lines = report.splitlines(), other.splitlines()
+    assert lines[0] == f"seed: {SEED}" and other_lines[0] == "seed: 7"
+    assert lines[1:] == other_lines[1:]

@@ -58,16 +58,45 @@ def test_cocycle_scale_beyond_int64_exits_2(tmp_path, capsys):
 
 
 def test_cohomologous_lift_beyond_int64_exits_2(tmp_path, capsys):
-    # the scale itself fits; cohomologous lifts it to 2**62 * exp(C2) = 2**63
+    # the scale itself fits; cohomologous lifts it to 2**61 * exp(C2) = 2**62
     path = tmp_path / "large_scale.txt"
-    path.write_text(f"{2**62} 2\n0 0\n0 1\n")
+    path.write_text(f"{2**61} 2\n0 0\n0 1\n")
     code, out = run_cli(capsys, "cocycle", "check", "--group", "C2", "--cocycle", str(path))
-    assert code == 0 and f"scale: {2**62}" in out
+    assert code == 0 and f"scale: {2**61}" in out
     code, out = run_cli(
         capsys, "cocycle", "cohomologous", "--group", "C2", "--cocycle", str(path), "--cocycle2", "trivial"
     )
     assert code == 2
     assert "error: ScaleError" in out
+
+
+def test_cocycle_scale_from_2_62_exits_2(tmp_path, capsys):
+    # a sum of two exponents below 2**62 could leave int64, so the bound is 2**62 - 1
+    path = tmp_path / "scale.txt"
+    path.write_text(f"{2**62} 2\n0 0\n0 1\n")
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C2", "--cocycle", str(path))
+    assert code == 2
+    assert out == f"error: ValidationError: scale {2**62} exceeds the int64 bound {2**62 - 1}\n"
+
+
+def test_cocycle_entry_beyond_int64_exits_2(tmp_path, capsys):
+    # 2**64 is read mod 3, as 1, so the identity row is not normalized
+    path = tmp_path / "huge_entry.txt"
+    path.write_text(f"3 3\n0 {2**64} 0\n0 0 0\n0 0 0\n")
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C3", "--cocycle", str(path))
+    assert code == 2
+    assert out == "error: ValidationError: cocycle is not normalized at the identity\n"
+    path.write_text(f"3 3\n0 0 0\n0 {3 * 2**64} 0\n0 0 0\n")  # 0 mod 3: the trivial cocycle
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C3", "--cocycle", str(path))
+    assert code == 0 and "scale: 3" in out
+
+
+def test_group_entry_beyond_int64_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge_entry.txt"
+    path.write_text(f"2\n0 1\n1 {2**64}\n")
+    code, out = run_cli(capsys, "group", "info", "--group", str(path))
+    assert code == 2
+    assert out == "error: ValidationError: table entries out of range\n"
 
 
 def test_cocycle_commands(capsys):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import gquot as gq
 from gquot.catalog import NONDEGENERATE_CARRIERS
 from gquot.cocycles import (
+    MAX_SCALE,
+    Bicharacter,
     CocycleTable,
     OneCochain,
     bicharacter_of,
@@ -195,7 +197,7 @@ def test_coboundary_twist_and_relabeling_at_order_128(data):
     perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
-    H = gq.from_table(table)
+    H = gq.FiniteGroup(table)
     moved = []
     for t in (a, b):
         exps = np.empty_like(t.exps)
@@ -261,12 +263,57 @@ def test_scales_beyond_int64_are_refused():
     C4 = gq.cyclic(4)
     with pytest.raises(ValidationError, match="int64"):
         CocycleTable(C4, 2**63, np.zeros((4, 4), dtype=int))
+    # from 2**62 on, a sum of two exponents could leave int64
+    for scale in (2**62, 2**63 - 1):
+        with pytest.raises(ValidationError, match="int64"):
+            CocycleTable(C4, scale, np.zeros((4, 4), dtype=int))
+        with pytest.raises(ValidationError, match="int64"):
+            Bicharacter(C4, scale, np.zeros((4, 4), dtype=int))
+        with pytest.raises(ValidationError, match="int64"):
+            OneCochain(C4, scale, (0, 1, 2, 3))
+    assert CocycleTable(C4, MAX_SCALE, np.zeros((4, 4), dtype=int)).scale == 2**62 - 1
     m = 2**61 + 1
     a = coboundary(OneCochain(C4, m, (0, 1, 2, 3)))
     with pytest.raises(ScaleError, match="int64"):
         a.rescale(4 * m)
     with pytest.raises(ScaleError):
         cohomologous(a, CocycleTable.trivial(C4, m))  # lifts the scale to m * exp(C4)
+
+
+def python_integer_cocycle(table, m, mul) -> bool:
+    """Normalization and the 2-cocycle identity, in Python integers (no wrap)."""
+    n = len(table)
+    if any(table[0][g] % m or table[g][0] % m for g in range(n)):
+        return False
+    return all(
+        (table[g][h] + table[mul[g][h]][k] - table[h][k] - table[g][mul[h][k]]) % m == 0
+        for g in range(n)
+        for h in range(n)
+        for k in range(n)
+    )
+
+
+@given(st.sampled_from(["C2", "C3", "C4"]), st.integers(0, 3), st.data())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_python_integers_near_the_scale_bound(spec, below, data):
+    """At scales just below MAX_SCALE, with exponents near 0 and near the
+    scale, the int64 validator gives the verdict of a Python-integer check."""
+    G = gq.make_group(spec)
+    m, n, mul = MAX_SCALE - below, G.n, G.table.tolist()
+    near = st.one_of(st.integers(0, 12), st.integers(m - 12, m - 1))
+    if data.draw(st.booleans(), label="from a coboundary"):
+        c = [0] + data.draw(st.lists(near, min_size=n - 1, max_size=n - 1))
+        table = [[(c[g] + c[h] - c[mul[g][h]]) % m for h in range(n)] for g in range(n)]
+        g, h = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        table[g][h] = (table[g][h] + data.draw(st.integers(-12, 12))) % m
+    else:
+        table = [[0] * n] + [[0] + data.draw(st.lists(near, min_size=n - 1, max_size=n - 1)) for _ in range(n - 1)]
+    try:
+        CocycleTable(G, m, table)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == python_integer_cocycle(table, m, mul)
 
 
 def reference_first_bad_triple(exps, m, mul):

@@ -72,9 +72,9 @@ def test_dihedral_and_symmetric_structure():
 def test_bad_table_rejected_with_triple():
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # not associative / not a group
     with pytest.raises(ValidationError):
-        gq.from_table(table)
+        gq.FiniteGroup(table)
     with pytest.raises(ValidationError, match="identity"):
-        gq.from_table([[1, 0], [0, 1]])
+        gq.FiniteGroup([[1, 0], [0, 1]])
 
 
 def test_associativity_error_names_triple():
@@ -82,7 +82,7 @@ def test_associativity_error_names_triple():
     # only associativity fails
     tab = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
     with pytest.raises(ValidationError, match=r"^not associative: \(1\*1\)\*2 != 1\*\(1\*2\)$"):
-        gq.from_table(tab)
+        gq.FiniteGroup(tab)
 
 
 def reference_inverse_table(table):
@@ -99,7 +99,7 @@ def reference_inverse_table(table):
 @pytest.mark.parametrize("spec", GROUP_SPECS)
 def test_inverse_table_matches_row_loop(spec):
     G = gq.make_group(spec)
-    assert np.array_equal(gq.from_table(G.table).inverse_table, reference_inverse_table(G.table))
+    assert np.array_equal(gq.FiniteGroup(G.table).inverse_table, reference_inverse_table(G.table))
 
 
 @pytest.mark.parametrize(
@@ -177,7 +177,7 @@ def _relabeled(G, perm):
     """G with element g renamed perm[g]; perm fixes the identity 0."""
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
-    return gq.from_table(table)
+    return gq.FiniteGroup(table)
 
 
 @given(st.sampled_from(["C12", "C2xC2xC2", "C2xC6", "C3xC3", "D6", "Q8", "S4", "C4xC4"]), st.data())

@@ -15,13 +15,10 @@ from gquot.lagrangians import (
     lagrangian_quotient_is_iyb,
     lagrangian_scan,
     maximal_elementary_quotients,
-    minimal_isotropic,
-    sylow_decomposition,
     _bijective_cocycle,
     _compose_perm,
 )
 from gquot.mackey import mackey_decompose
-from gquot.twisted import TwistedAlgebra
 
 
 def test_isotropy_trivial_class_any_subgroup():
@@ -160,38 +157,6 @@ def test_elementary_quotient_contains_lagrangian():
         for N in rep.elementary_normals:
             ns = set(N.elements)
             assert any(ls <= ns for ls in lagrangians)
-
-
-def test_sylow_decomposition():
-    C12 = gq.cyclic(12)
-    sylows = sylow_decomposition(C12)
-    assert sorted(s.order for s in sylows) == [3, 4]
-    S3 = gq.symmetric(3)
-    assert sylow_decomposition(S3) is None
-
-
-def test_minimal_isotropic_cases():
-    a = standard_nondegenerate([2])
-    G = a.group
-    H = minimal_isotropic(G, a)
-    assert H.order == 2 and G.n // H.order == 2
-    t = CocycleTable.trivial(G)
-    assert minimal_isotropic(G, t).order == G.n
-    with pytest.raises(DomainError):
-        minimal_isotropic(gq.symmetric(3), CocycleTable.trivial(gq.symmetric(3)))
-    with pytest.raises(SizeBoundError, match="bounded at order 32"):
-        minimal_isotropic(gq.cyclic(33), CocycleTable.trivial(gq.cyclic(33)))
-
-
-def test_minimal_isotropic_on_restricted_cocycle():
-    a44 = standard_nondegenerate([4])
-    G = a44.group
-    # <x^2, y> is an order-8 subgroup carrying a degenerate restriction
-    sub8 = gq.generated_subgroup(G, [8, 1])
-    rest, subg, _ = a44.restrict(sub8)
-    H = minimal_isotropic(subg, rest)
-    oracle = min(TwistedAlgebra(subg, rest).wedderburn(seed=0).dims)
-    assert subg.n // H.order == oracle
 
 
 def test_invariant_factor_sequences():

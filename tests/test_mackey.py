@@ -28,7 +28,7 @@ from gquot.mackey import (
     mackey_decompose,
 )
 from gquot.suite import sweep_cases
-from gquot.twisted import TOL_ROUND, TwistedAlgebra
+from gquot.twisted import TOL_ROUND, BlockOracle, TwistedAlgebra
 
 
 def test_trivial_kernel_recovers_the_class():
@@ -231,13 +231,69 @@ def test_shared_context_matches_fresh_decompositions(case):
     _, G, _, a = case
     context = MackeyContext(G, a, 0)
     A_G = TwistedAlgebra(G, a)
-    assert context.oracle.dims == A_G.wedderburn(seed=0).dims
+    assert context.blocks.dims == A_G.wedderburn(seed=0).dims
     for h in G.elements():
         conj, kappa = A_G.conjugation(h, np.arange(G.n))
         assert np.array_equal(context.conj[h], conj) and np.array_equal(context.kappa[h], kappa)
     for N in gq.normal_subgroups(G):
         assert_same_decomposition(context.decompose(N), mackey_decompose(G, a, N, seed=0))
     assert context.decompose(N) is context.decompose(N)
+
+
+@pytest.fixture(scope="module")
+def shared_oracle():
+    """One registry for every case below, as the battery shares one per run."""
+    return BlockOracle()
+
+
+THEOREM_D_CARRIERS = ((8,), (2, 4))  # the order-64 carriers of the Theorem-D workload
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(f"{c[0]}/{c[2]}", c[3]) for c in sweep_cases()]
+    + [(f"standard_nondegenerate({list(i)})", standard_nondegenerate(i)) for i in THEOREM_D_CARRIERS],
+    ids=lambda c: c[0],
+)
+def test_shared_oracle_matches_fresh_decompositions(case, shared_oracle):
+    """Decomposing through one registry shared across every case gives, for
+    every normal N, what a fresh registry per decomposition gives, down to
+    the bits of every point coefficient."""
+    _, a = case
+    G = a.group
+    context = MackeyContext(G, a, 0, shared_oracle)
+    assert context.oracle is shared_oracle
+    for N in gq.normal_subgroups(G):
+        got, want = context.decompose(N), mackey_decompose(G, a, N, seed=0)
+        assert_same_decomposition(got, want)
+        assert [o.inertia.elements for o in got.orbits] == [o.inertia.elements for o in want.orbits]
+        for o, w in zip(got.orbits, want.orbits):
+            assert np.array_equal(o.omega.exps, w.omega.exps) and o.omega.scale == w.omega.scale
+        assert [(p.index, p.dim) for p in got.points] == [(p.index, p.dim) for p in want.points]
+        for p, q in zip(got.points, want.points):
+            assert np.array_equal(p.coeffs, q.coeffs)
+
+
+def test_shared_results_are_read_only():
+    """A caller cannot write into a module or a point another caller shares."""
+    a = standard_nondegenerate([2])
+    oracle = BlockOracle()
+    rho = oracle.irreducible_rep(a, 0)
+    point = oracle.wedderburn(a).blocks[0]
+    before_rho, before_point = rho.copy(), point.coeffs.copy()
+    with pytest.raises(ValueError):
+        rho[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        rho[1] *= 2
+    with pytest.raises(ValueError):
+        point.coeffs[0] = 5.0
+    again = oracle.irreducible_rep(a, 0)
+    assert again is rho and np.array_equal(again, before_rho)
+    assert np.array_equal(oracle.wedderburn(a).blocks[0].coeffs, before_point)
+    context = MackeyContext(a.group, a, 0, oracle)
+    dec = context.decompose(gq.Subgroup(a.group, (0,)))
+    with pytest.raises(ValueError):
+        dec.points[0].coeffs[0] = 5.0
 
 
 def test_context_refuses_a_subgroup_of_another_group():
@@ -460,7 +516,7 @@ def test_invariants_under_relabeling_and_coboundary_twist(name, data):
     perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
-    H = gq.from_table(table)
+    H = gq.FiniteGroup(table)
     exps = np.empty_like(a.exps)
     exps[np.ix_(perm, perm)] = a.exps
     f = OneCochain(H, m, [0] + data.draw(st.lists(st.integers(0, m - 1), min_size=H.n - 1, max_size=H.n - 1)))

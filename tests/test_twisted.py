@@ -10,6 +10,7 @@ from gquot.twisted import (
     MAX_ATTEMPTS,
     TOL_CLUSTER,
     TOL_ROUND,
+    BlockOracle,
     CenterClass,
     TwistedAlgebra,
     match_idempotent,
@@ -273,7 +274,7 @@ def test_rep_defect_is_the_worst_twisted_product_entry():
     a = standard_nondegenerate([2, 3])
     G = a.group
     A = TwistedAlgebra(G, a)
-    rho = A.irreducible_rep(A.wedderburn(seed=0).blocks[0], seed=0)
+    rho = A.irreducible_rep(A.wedderburn(seed=0).blocks[0], seed=0).copy()  # the result is read-only
     rho[7] = rho[7] * (1 + 1e-4)
 
     def loop_defect(r):
@@ -509,3 +510,33 @@ def test_match_idempotent_matches_reference(spec):
             if isinstance(got, tuple):
                 got = tuple(p.index for p in got)
             assert got == want
+
+
+# -- the block oracle registry --------------------------------------------------
+
+
+def test_block_oracle_splits_each_exact_input_once(monkeypatch):
+    """A repeated (group table, scale, exponents, seed) is a hit; any change is a miss."""
+    calls = []
+    original = TwistedAlgebra.wedderburn
+
+    def counted(self, seed=0):
+        calls.append((self.n, seed))
+        return original(self, seed=seed)
+
+    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    oracle = BlockOracle()
+    a = standard_nondegenerate([2])
+    first = oracle.wedderburn(a, 0)
+    assert oracle.wedderburn(a, 0) is first and len(calls) == 1
+    # an equal table in another group object, with an equal exponent table, is the same input
+    H = gq.FiniteGroup(a.group.table.copy(), name="relabeled")
+    assert oracle.wedderburn(CocycleTable(H, a.scale, a.exps.copy()), 0) is first and len(calls) == 1
+    oracle.wedderburn(a, 1)  # another seed
+    oracle.wedderburn(a.rescale(4), 0)  # another scale, the same values
+    oracle.wedderburn(CocycleTable.trivial(a.group, a.scale), 0)  # other exponents
+    assert len(calls) == 4
+    assert oracle.wedderburn(a.rescale(4), 0).dims == first.dims
+    rho = oracle.irreducible_rep(a, 0, 0)
+    assert oracle.irreducible_rep(a, 0, 0) is rho and len(calls) == 4
+    assert np.array_equal(rho, TwistedAlgebra(a.group, a).irreducible_rep(first.blocks[0], seed=0))
