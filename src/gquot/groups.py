@@ -615,6 +615,25 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
+def word_lengths(G: FiniteGroup) -> np.ndarray:
+    """The length of the shortest word for each element as a product of
+    ``generating_sequence(G)``, by breadth-first search along ``table[:, s]``.
+
+    Every element of length l > 0 is h s for some h of length l - 1 and some
+    generator s; the largest entry is the depth of that Cayley BFS tree.
+    """
+    gens = generating_sequence(G)
+    lengths = np.full(G.n, -1, dtype=np.int64)
+    lengths[0] = 0
+    frontier, depth = np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        depth += 1
+        reached = np.unique(G.table[np.ix_(frontier, gens)])
+        frontier = reached[lengths[reached] < 0]
+        lengths[frontier] = depth
+    return lengths
+
+
 def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
     """Grow a partial map by closing under generator products; None on conflict."""
     mapping = {0: 0}

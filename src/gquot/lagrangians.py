@@ -307,7 +307,7 @@ def iyb_witness_search(H: FiniteGroup) -> IYBSearchResult:
 
 def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...] | None:
     """Backtracking search for a bijective delta with delta(xy) = delta(x) + x.delta(y)."""
-    gens = generating_sequence(H) if H.n > 1 else []
+    gens = generating_sequence(H)
     if not gens:
         return (0,) if A.n == 1 else None
 

@@ -42,7 +42,8 @@ unit-modulus cocycle omega on the inertia group I.  H^2(I, C*) is killed by
 k = |I|, so omega is moved by a coboundary onto a table of k-th roots of
 unity, snapped to exponents within TOL_SCALAR and validated exactly as a
 2-cocycle; the orbit's obstruction is that exact CocycleTable of scale |I|,
-and its blocks come from the exact algebra.
+and its blocks come from the exact algebra.  A trivial inertia group carries
+only the trivial table of scale 1, so such an orbit builds no module.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -236,12 +237,14 @@ class MackeyContext:
         Each endomorphism moves whole coset blocks, so it is built and composed
         one d x d block per coset.
         """
+        I_group, I_embed = inertia.as_group()
+        k = I_group.n
+        if k == 1:
+            return CocycleTable.trivial(I_group)
         G, phases = self.group, self.algebra.phases
         N_embed = np.asarray(N_embed)
         N_pos = np.full(G.n, -1)
         N_pos[N_embed] = np.arange(len(N_embed))
-        I_group, I_embed = inertia.as_group()
-        k = I_group.n
         rho = self.oracle.irreducible_rep(alpha_N, index, self.seed)
         gs = section[list(I_embed)]
 

@@ -28,7 +28,11 @@ them mod m, all edges compared in one integer array operation.  The number
 of simple blocks is therefore known exactly before any numerics.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
-dimension and the integer identity sum(d_i^2) = |G|.
+dimension and the integer identity sum(d_i^2) = |G|.  A module cut out of a
+block is certified by the twisted product law on generator columns: the
+defect of rho(x) rho(s) against a(x, s) rho(xs) for every x and every
+generator s, scaled by the depth of the Cayley breadth-first tree, bounds the
+defect of every pair (the derivation is in ``irreducible_rep``).
 
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
@@ -44,7 +48,7 @@ import numpy as np
 
 from .cocycles import NUMERIC_BOUND, CocycleTable
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generating_sequence, word_lengths
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
@@ -236,6 +240,34 @@ class TwistedAlgebra:
         One copy of the simple module is cut out of the block by the
         eigenspace of a random self-adjoint right multiplication, which
         commutes with the left action.
+
+        The projective law is certified on generator columns only.  Let
+        E(g, h) = rho(g) rho(h) - a(g, h) rho(gh), eps_gen the largest
+        Frobenius norm of E(x, s) over every x and every s in
+        ``generating_sequence(G)``, and L the depth of the Cayley BFS tree
+        along those generators (``word_lengths``).  Writing rho(hs) from
+        E(h, s) and using the cocycle identity a(g, h) a(gh, s) =
+        a(g, hs) a(h, s) gives
+
+            E(g, hs) = conj(a(h, s)) [a(g, h) E(gh, s) + E(g, h) rho(s) - rho(g) E(h, s)].
+
+        Each rho(x) = Q^H u_x Q compresses the unitary u_x by the isometry Q,
+        so its spectral norm is at most 1, and ||A B||_F <= ||A||_F ||B||_2
+        turns the identity into e(l) <= e(l - 1) + 2 eps_gen for the largest
+        ||E(g, w)||_F over words w of length l, with e(1) = eps_gen.  So
+        ||E(g, w)||_F <= (2 l(w) - 1) eps_gen for w != e, while
+        E(g, e) = rho(g) (rho(e) - I) has norm at most ||rho(e) - I||_F.
+        The check requires max(||rho(e) - I||_F, (2L - 1) eps_gen) <= 1e-8,
+        which bounds every entry of every E(g, h), so it is no weaker than
+        the entrywise all-pairs test, at r batched products instead of n.
+
+        Rounding enters through the columns of Q, which are orthonormal only
+        up to eta = ||Q^H Q - I||_2 after the SVD and eigh, and through the
+        products that form each rho(x); both are of order n times the unit
+        roundoff.  Then ||rho(x)||_2 <= 1 + eta, the recursion reads
+        e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows to
+        (2L - 1) eps_gen (1 + eta)^(L - 1): below 1 + 1e-10 times the stated
+        one for L < 256 and eta < 1e-13, far inside the threshold.
         """
         d = point.dim
         P = self.left_regular(point.coeffs)
@@ -261,20 +293,23 @@ class TwistedAlgebra:
             for g, row in enumerate(self.group.table):
                 # rho[g] = Q^H u_g Q, and row gh of u_g Q is a(g, h) Q[h]
                 rho[g] = (Q[row].conj().T * self.phases[g]) @ Q
-            if self._rep_defect(rho) > 1e-8:
+            if self._rep_defect_bound(rho) > 1e-8:
                 last = "extracted matrices fail the twisted product law"
                 continue
             rho.setflags(write=False)  # modules are shared through a BlockOracle
             return rho
         raise CertificationError(f"irreducible extraction failed: {last}")
 
-    def _rep_defect(self, rho: np.ndarray) -> float:
-        """max |rho(g) rho(h) - phase(g, h) rho(gh)|, one batched product per row g."""
-        table = self.group.table
-        return max(
-            float(np.max(np.abs(rho[g] @ rho - self.phases[g, :, None, None] * rho[table[g]])))
-            for g in range(self.n)
-        )
+    def _rep_defect_bound(self, rho: np.ndarray) -> float:
+        """max(||rho(e) - I||_F, (2L - 1) eps_gen), which bounds every entry of
+        rho(g) rho(h) - a(g, h) rho(gh); the derivation is in ``irreducible_rep``."""
+        G = self.group
+        eps_gen = 0.0
+        for s in generating_sequence(G):  # column s: E(x, s) for every x at once
+            defect = rho @ rho[s] - self.phases[:, s, None, None] * rho[G.table[:, s]]
+            eps_gen = max(eps_gen, float(np.linalg.norm(defect, axis=(1, 2)).max()))
+        depth = int(word_lengths(G).max())
+        return max(float(np.linalg.norm(rho[0] - np.eye(rho.shape[1]))), (2 * depth - 1) * eps_gen)
 
 
 class BlockOracle:

@@ -593,6 +593,22 @@ def test_are_isomorphic_examples():
     assert not gq.are_isomorphic(Q1, Q2).isomorphic
 
 
+@pytest.mark.parametrize("spec", list(GROUP_SPECS) + ["S4xC2xC2", "D8xC4xC2", "C16xC16"])
+def test_word_lengths_are_cayley_distances(spec):
+    """Lengths start at 0 on the identity, grow by at most 1 along each
+    generator, and every element of length l > 0 is reached from one of
+    length l - 1: exactly the distances from e in the Cayley graph."""
+    G = gq.make_group(spec)
+    gens = groups.generating_sequence(G)
+    lengths = groups.word_lengths(G)
+    assert lengths[0] == 0 and (lengths[1:] > 0).all()
+    products = G.table[:, gens]  # products[h, i] = h * gens[i]
+    assert (lengths[products] <= lengths[:, None] + 1).all()
+    reached = np.zeros(G.n, dtype=bool)
+    reached[products[lengths[products] == lengths[:, None] + 1]] = True
+    assert reached[1:].all()
+
+
 def reference_isomorphism(G1, G2):
     """The generator-image backtrack that ``homomorphisms`` replaced in
     ``are_isomorphic``: the images of an isomorphism G1 -> G2, or None."""

@@ -353,6 +353,8 @@ def reference_obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
     I_group, I_embed = inertia.as_group()
     k, d = I_group.n, point.dim
     rho = A_N.irreducible_rep(point, seed=seed)
+    characters = np.trace(rho, axis1=1, axis2=2)
+    assert abs(np.vdot(characters, characters).real / A_N.n - 1.0) <= TOL_ROUND  # rho is irreducible
     intertwiners = []
     for li in range(k):
         g = section[I_embed[li]]
@@ -391,10 +393,25 @@ INTERTWINER_CASES = [(f"{c[0]}/{c[2]}", c[3]) for c in sweep_cases()] + [
 ]
 
 
+def check_trivial_inertia_orbit(a, N, dec, orbit):
+    """An orbit with trivial inertia gets the trivial table of scale 1, and the
+    per-element reference obstruction of its module, which must pass the
+    character-norm check, is [[1]]."""
+    assert orbit.omega == CocycleTable.trivial(orbit.inertia.as_group()[0])
+    alpha_N, N_group, N_embed = a.restrict(N)
+    section = gq.coset_space(a.group, N).representatives
+    point = dec.points[orbit.point_indices[0]]
+    omega = reference_obstruction(
+        TwistedAlgebra(a.group, a), TwistedAlgebra(N_group, alpha_N), N_embed, point, orbit.inertia, section, 0
+    )
+    assert np.max(np.abs(omega - 1.0)) <= 1e-12, N.elements
+
+
 @pytest.mark.parametrize("name, a", INTERTWINER_CASES, ids=[n for n, _ in INTERTWINER_CASES])
 def test_intertwiners_match_reference(monkeypatch, name, a):
     """Every intertwiner the Reynolds projector gives, on every orbit of every
-    normal N, is the SVD's, gauge included."""
+    normal N with non-trivial inertia, is the SVD's, gauge included; every
+    orbit with trivial inertia builds none and matches the reference."""
     calls = []
 
     def recorded(rho, rho_g):
@@ -404,10 +421,16 @@ def test_intertwiners_match_reference(monkeypatch, name, a):
 
     monkeypatch.setattr(mackey, "_intertwiners", recorded)
     G = a.group
-    orbits = 0
+    orbits = trivial = 0
     for N in gq.normal_subgroups(G):
-        orbits += len(mackey_decompose(G, a, N, seed=0).orbits)
-    assert len(calls) == orbits > 0
+        dec = mackey_decompose(G, a, N, seed=0)
+        for o in dec.orbits:
+            if o.inertia.order > 1:
+                orbits += 1
+            else:
+                check_trivial_inertia_orbit(a, N, dec, o)
+                trivial += 1
+    assert len(calls) == orbits and orbits + trivial > 0
     for rho, rho_g, P in calls:
         d = rho.shape[1]
         for twist, got in zip(rho_g, P, strict=True):
@@ -452,9 +475,11 @@ OBSTRUCTION_CASES += [(name, a) for name, a in INTERTWINER_CASES if all(a != b f
 
 @pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
 def test_obstruction_matches_reference(monkeypatch, name, a):
-    """On every orbit of every normal N, the composition scalars are the
-    per-element reference's, and the exact table the gauge makes of them is
-    in the class of the reference gauged independently, with the same blocks."""
+    """On every orbit of every normal N with non-trivial inertia, the
+    composition scalars are the per-element reference's, and the exact table
+    the gauge makes of them is in the class of the reference gauged
+    independently, with the same blocks; every orbit with trivial inertia
+    gauges nothing and matches the reference."""
     raw = []
     exact_cocycle = mackey._exact_cocycle
 
@@ -465,22 +490,27 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
     monkeypatch.setattr(mackey, "_exact_cocycle", recorded)
     G = a.group
     A_G = TwistedAlgebra(G, a)
-    orbits = 0
+    orbits = trivial = 0
     for N in gq.normal_subgroups(G):
         dec = mackey_decompose(G, a, N, seed=0)
         alpha_N, N_group, N_embed = a.restrict(N)
         A_N = TwistedAlgebra(N_group, alpha_N)
         section = gq.coset_space(G, N).representatives
-        assert len(raw) == orbits + len(dec.orbits)
-        for o, scalars in zip(dec.orbits, raw[orbits:]):
+        twisted = [o for o in dec.orbits if o.inertia.order > 1]
+        for o in dec.orbits:
+            if o.inertia.order == 1:
+                check_trivial_inertia_orbit(a, N, dec, o)
+                trivial += 1
+        assert len(raw) == orbits + len(twisted)
+        for o, scalars in zip(twisted, raw[orbits:], strict=True):
             point = dec.points[o.point_indices[0]]
             omega = reference_obstruction(A_G, A_N, N_embed, point, o.inertia, section, 0)
             assert np.max(np.abs(scalars - omega)) <= 1e-12, N.elements
             reference = reference_gauge(o.omega.group, omega)
             assert o.omega.scale == o.inertia.order and cohomologous(o.omega, reference)[0], N.elements
             assert TwistedAlgebra(o.omega.group, reference).wedderburn(seed=0).dims == o.omega_blocks
-        orbits += len(dec.orbits)
-    assert orbits >= len(gq.normal_subgroups(G))
+        orbits += len(twisted)
+    assert orbits + trivial >= len(gq.normal_subgroups(G))
 
 
 def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():

@@ -5,7 +5,9 @@ import gquot as gq
 from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
 from gquot.cocycles import CocycleTable, OneCochain, coboundary, is_nondegenerate, standard_nondegenerate
 from gquot.errors import CertificationError, SizeBoundError, ValidationError
+from gquot.groups import generating_sequence
 from gquot.mackey import mackey_decompose
+from gquot.suite import sweep_cases
 from gquot.twisted import (
     MAX_ATTEMPTS,
     TOL_CLUSTER,
@@ -284,8 +286,78 @@ def test_rep_defect_is_the_worst_twisted_product_entry():
             for h in G.elements()
         )
 
-    assert A._rep_defect(rho) == pytest.approx(loop_defect(rho), rel=1e-9)
-    assert A._rep_defect(rho) > 1e-8
+    assert reference_rep_defect(A, rho) == pytest.approx(loop_defect(rho), rel=1e-9)
+    assert reference_rep_defect(A, rho) > 1e-8
+    assert A._rep_defect_bound(rho) > 1e-8
+
+
+# -- reference: the all-pairs projective law the generator-column bound replaced
+
+
+def reference_rep_defect(A, rho):
+    """max |rho(g) rho(h) - phase(g, h) rho(gh)| over all n^2 pairs, one batched product per row g."""
+    table = A.group.table
+    return max(
+        float(np.max(np.abs(rho[g] @ rho - A.phases[g, :, None, None] * rho[table[g]])))
+        for g in range(A.n)
+    )
+
+
+def reference_generator_bound(A, rho):
+    """max(||rho(e) - I||_F, (2L - 1) eps_gen) one pair at a time, with the
+    word lengths from a breadth-first search over Python sets."""
+    G = A.group
+    gens = generating_sequence(G)
+    length, frontier, depth = {0: 0}, [0], 0
+    while frontier:
+        depth += 1
+        frontier = sorted({G.mul(h, s) for h in frontier for s in gens} - set(length))
+        length.update((w, depth) for w in frontier)
+    assert len(length) == G.n
+    eps_gen = max(
+        (
+            float(np.linalg.norm(rho[x] @ rho[s] - A.phases[x, s] * rho[G.mul(x, s)]))
+            for x in G.elements()
+            for s in gens
+        ),
+        default=0.0,
+    )
+    identity = float(np.linalg.norm(rho[0] - np.eye(rho.shape[1])))
+    return max(identity, (2 * max(length.values()) - 1) * eps_gen), length
+
+
+def _law_cases():
+    for gname, _, cname, a in sweep_cases():
+        yield f"{gname}/{cname}", a
+    for spec in ["S4xC2xC2", "D8xC4xC2"]:
+        yield spec, CocycleTable.trivial(gq.make_group(spec))
+    for inv in ([2, 8], [4, 4], [16]):
+        yield f"standard_nondegenerate({inv})", standard_nondegenerate(inv)
+
+
+LAW_CASES = dict(_law_cases())
+
+
+@pytest.mark.parametrize("name", list(LAW_CASES))
+def test_generator_column_bound_dominates_the_all_pairs_defect(name):
+    """Every module of every block passes the all-pairs law within 1e-8, and
+    the generator-column bound the extraction certifies is at least the
+    all-pairs entry defect; scaling the module at the deepest element that
+    is not a generator by 1 + 1e-6 is rejected."""
+    a = LAW_CASES[name]
+    A = TwistedAlgebra(a.group, a)
+    for p in A.wedderburn(seed=0).blocks:
+        rho = A.irreducible_rep(p, seed=0)
+        bound, length = reference_generator_bound(A, rho)
+        assert A._rep_defect_bound(rho) == pytest.approx(bound, rel=1e-9, abs=1e-15)
+        reference = reference_rep_defect(A, rho)
+        assert reference <= 1e-8
+        assert reference <= bound
+        deepest = max(length, key=length.get)
+        if length[deepest] > 1:
+            broken = rho.copy()
+            broken[deepest] *= 1 + 1e-6
+            assert A._rep_defect_bound(broken) > 1e-8
 
 
 # -- reference: the breadth-first class search the table routine replaced -------
@@ -422,7 +494,7 @@ def reference_irreducible_rep(A, point, seed):
             continue
         Q = B @ evecs[:, chosen]
         rho = np.array([Q.conj().T @ reference_u_matrix(A, g) @ Q for g in range(A.n)])
-        if A._rep_defect(rho) <= 1e-8:
+        if reference_rep_defect(A, rho) <= 1e-8:
             return rho
     raise CertificationError("reference extraction failed")
 
