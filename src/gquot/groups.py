@@ -16,9 +16,12 @@ Group Theory*, ch. 3-4):
 
 Subgroup generation is a breadth-first search along rows of
 ``G.table[:, gens]``; the subgroup lattice is built by Neubüser's cyclic
-extension (join each subgroup with every cyclic subgroup it misses, layer by
-layer) and memoized on the group instance; enumeration is refused above
-order ENUM_BOUND (64), checked on every call.  Groups of permutations
+extension (join each subgroup H with every cyclic subgroup it misses, once
+per coset of H, layer by layer) and memoized on the group instance;
+enumeration is refused above order ENUM_BOUND (64), checked on every call.
+``cayley_tree`` is the breadth-first spanning tree of the Cayley graph along
+``generating_sequence``, which turns all-pairs checks into checks on
+generator columns.  Groups of permutations
 (symmetric groups, automorphism groups) get their table from
 ``permutation_group``.  Abelian invariants need no lattice: they are read
 off the counts of elements whose order divides p^k.
@@ -430,7 +433,12 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
     """Neubüser's cyclic extension: layer k holds the joins of k cyclic subgroups.
 
     Each new subgroup, kept with the generators that built it, is joined with
-    every distinct cyclic subgroup it does not contain.
+    every distinct cyclic subgroup it does not contain, once per left coset:
+    <H, c> = <H, ch> for every h in H, so a generator c whose coset cH an
+    earlier generator already met would only repeat that earlier join
+    (Neubüser, *Numer. Math.* 2, 1960).  Skipping it drops no subgroup and
+    keeps the order of discovery, so the rule stays complete for every
+    group, non-solvable tables included.
     """
     cyclic_gens: dict[frozenset, int] = {}
     for g in G.elements():
@@ -441,8 +449,11 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
         nxt = []
         for H in layer:
             base = sorted(H)
+            met = np.zeros(G.n, dtype=bool)  # the union of the cosets cH joined so far, H included
+            met[base] = True
             for c in cyclic_gens.values():
-                if c not in H:
+                if not met[c]:
+                    met[G.table[c, base]] = True
                     gens = lattice[H] + (c,)
                     K = frozenset(_closure(G, gens, base))
                     if K not in lattice:
@@ -615,23 +626,47 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def word_lengths(G: FiniteGroup) -> np.ndarray:
-    """The length of the shortest word for each element as a product of
-    ``generating_sequence(G)``, by breadth-first search along ``table[:, s]``.
+@dataclass(frozen=True)
+class CayleyTree:
+    """The breadth-first spanning tree of the Cayley graph of G along
+    ``generators = generating_sequence(G)``, rooted at the identity.
 
-    Every element of length l > 0 is h s for some h of length l - 1 and some
-    generator s; the largest entry is the depth of that Cayley BFS tree.
+    Every g != e is ``parent[g] * edge[g]`` with ``edge[g]`` a generator, and
+    ``depth[g]`` is the length of the shortest word for g in the generators
+    (-1 marks the identity's parent and edge).  ``height`` is the tree's depth.
+    """
+
+    generators: tuple[int, ...]
+    parent: np.ndarray
+    edge: np.ndarray
+    depth: np.ndarray
+
+    @property
+    def height(self) -> int:
+        return int(self.depth.max())
+
+
+def cayley_tree(G: FiniteGroup) -> CayleyTree:
+    """The Cayley BFS tree of G, one layer per step along ``table[:, s]``.
+
+    Every element of depth l > 0 is h s for some h of depth l - 1 and some
+    generator s; its parent edge is the first such (h, s), with h in the
+    order the search reached it and s in generator order.
     """
     gens = generating_sequence(G)
-    lengths = np.full(G.n, -1, dtype=np.int64)
-    lengths[0] = 0
-    frontier, depth = np.zeros(1, dtype=np.int64), 0
-    while frontier.size:
-        depth += 1
-        reached = np.unique(G.table[np.ix_(frontier, gens)])
-        frontier = reached[lengths[reached] < 0]
-        lengths[frontier] = depth
-    return lengths
+    rows = G.table[:, gens].tolist()
+    parent, edge, depth = [-1] * G.n, [-1] * G.n, [-1] * G.n
+    depth[0] = 0
+    frontier = [0]
+    while frontier:
+        reached = []
+        for h in frontier:
+            for s, g in zip(gens, rows[h]):
+                if depth[g] < 0:
+                    parent[g], edge[g], depth[g] = h, s, depth[h] + 1
+                    reached.append(g)
+        frontier = reached
+    return CayleyTree(tuple(gens), np.array(parent), np.array(edge), np.array(depth))
 
 
 def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):

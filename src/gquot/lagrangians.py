@@ -198,7 +198,7 @@ def maximal_elementary_quotients(
     for N in maximal:
         if not is_ecp_quotient(decs[N.elements]):
             raise TheoremCheckError("a maximal elementary quotient is not a crossed product")
-    quots = tuple(quotient(A, N)[0] for N in maximal)
+    quots = tuple(decs[N.elements].quotient_group for N in maximal)
     unique = all(
         are_isomorphic(quots[0], Q).isomorphic for Q in quots[1:]
     ) if quots else True

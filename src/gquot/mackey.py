@@ -24,10 +24,11 @@ Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
 the first element of each block gives the minimal-index section Q -> G.  One
 algebra C^alpha N gives the points and the module.  Matching the conjugated
-points, read off the context's conjugation tables, gives the action table
-perms[q, i] of all of Q, so the orbit of point i is column i (the columns
-must partition the points), the inertia group is where it is fixed, and the
-first q reaching each orbit point forms the transversal.
+points, read off the context's conjugation tables and matched in one batch,
+gives the action table perms[q, i] of all of Q, so the orbit of point i is
+column i (the columns must partition the points), the inertia group is where
+it is fixed, and the first q reaching each orbit point forms the
+transversal.
 
 The obstruction is computed, not postulated: an irreducible module rho of the
 base algebra is realized explicitly, and for every inertia element g at once
@@ -36,14 +37,20 @@ average of X -> rho_g(n) X rho(n)^-1 over N, which is the orthogonal
 projector onto Hom_N(rho, rho_g).  Its trace, the character inner product
 <chi_{rho_g}, chi_rho>, must be 1: at the identity that certifies rho
 irreducible, elsewhere that the twist is isomorphic to rho, so each
-intertwiner is unique up to a scalar.  The degree-gamma endomorphisms built
-from the intertwiners are composed, and their composition scalars form a
-unit-modulus cocycle omega on the inertia group I.  H^2(I, C*) is killed by
-k = |I|, so omega is moved by a coboundary onto a table of k-th roots of
-unity, snapped to exponents within TOL_SCALAR and validated exactly as a
-2-cocycle; the orbit's obstruction is that exact CocycleTable of scale |I|,
-and its blocks come from the exact algebra.  A trivial inertia group carries
-only the trivial table of scale 1, so such an orbit builds no module.
+intertwiner is unique up to a scalar.  The degree-gamma endomorphisms T_g
+built from the intertwiners are composed, and their composition scalars form
+a unit-modulus cocycle omega on the inertia group I.  The block permutations
+of T_b T_a and T_ab are compared exactly for every pair, but the blocks are
+composed only for b in {e} and the generators of I: a defect within
+TOL_SCALAR / (2L - 1) on those columns, L the depth of I's Cayley tree,
+bounds the defect of every pair by TOL_SCALAR, and omega is extended along
+the tree by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s).
+H^2(I, C*) is killed by k = |I|, so omega is moved by a coboundary onto a
+table of k-th roots of unity, snapped to exponents within TOL_SCALAR and
+validated exactly as a 2-cocycle; the orbit's obstruction is that exact
+CocycleTable of scale |I|, and its blocks come from the exact algebra.  A
+trivial inertia group carries only the trivial table of scale 1, so such an
+orbit builds no module.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -67,7 +74,7 @@ from .gradings import (
     descriptor_dims,
     is_elementary_crossed_product,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, quotient
+from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotient
 from .twisted import TOL_ROUND, BlockOracle, IrrPoint, TwistedAlgebra, match_idempotent
 
 TOL_SCALAR = 1e-7
@@ -212,7 +219,10 @@ class MackeyContext:
 
         u_g iota u_g^-1 moves the coefficient of iota at n to g n g^-1, times
         kappa(g, n); N is normal (``quotient`` checked it), so every target
-        lies in N.
+        lies in N.  All |Q| P conjugated points are matched in one call; its
+        temporary holds |Q| P^2 |N| <= |G| |N|^2 entries, no more than one
+        match at N = G reaches on its own (|G|^3 for an abelian G with the
+        trivial class).
         """
         N_elems = np.asarray(N.elements)
         pos = np.full(self.group.n, -1)
@@ -220,21 +230,23 @@ class MackeyContext:
         stacked = np.array([p.coeffs for p in points])
         targets = pos[self.conj[np.ix_(section, N_elems)]]
         phases = self.kappa[np.ix_(section, N_elems)]
-        rows = []
-        for target, phase in zip(targets, phases):
-            raw = np.empty(stacked.shape, dtype=np.complex128)
-            raw[:, target] = stacked * phase
-            rows.append([p.index for p in match_idempotent(raw, points)])
-        return np.array(rows)
+        raw = np.empty((len(section), *stacked.shape), dtype=np.complex128)
+        raw[np.arange(len(section))[:, None, None], np.arange(len(points))[:, None], targets[:, None]] = (
+            stacked * phases[:, None]
+        )
+        matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
+        return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
     def _obstruction(self, alpha_N, N_embed, index, inertia, section, block_of):
         """The obstruction cocycle on the inertia group, by endomorphism composition.
 
         For each inertia element a degree-homogeneous endomorphism of
         C^alpha G (x) M is assembled from its intertwiner; composing two of
-        them is a scalar multiple of the one for the product, and those scalars
-        are gauged into an exact table over the inertia group by ``_exact_cocycle``.
-        Each endomorphism moves whole coset blocks, so it is built and composed
+        them is a scalar multiple of the one for the product.  Those scalars
+        are measured on generator columns and extended along the inertia
+        group's Cayley tree (``_composition_scalars``), then gauged into an
+        exact table over the inertia group by ``_exact_cocycle``.  Each
+        endomorphism moves whole coset blocks, so it is built and composed
         one d x d block per coset.
         """
         I_group, I_embed = inertia.as_group()
@@ -263,24 +275,80 @@ class MackeyContext:
         n2 = G.table[G.inverse_table[t_j], prod]
         phase = phases[section, gs[:, None]] / phases[t_j, n2]
         B = phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
-        norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
+        return _exact_cocycle(I_group, _composition_scalars(I_group, j, B))
 
-        omega = np.empty((k, k), dtype=np.complex128)
-        for a in range(k):
-            ab = I_group.table[a]
-            composed = B[:, j[a]] @ B[a]  # row b: apply degree-a first, then degree-b
-            target = B[ab]
-            lam = np.einsum("bipq,bipq->b", target.conj(), composed) / norms[ab]
-            defect = np.abs(composed - lam[:, None, None, None] * target).max(axis=(1, 2, 3))
-            scale = np.maximum(1.0, np.abs(composed).max(axis=(1, 2, 3)))
-            not_scalar = (j[:, j[a]] != j[ab]).any(axis=1) | (defect > TOL_SCALAR * scale)
-            fails = np.flatnonzero(not_scalar | (np.abs(np.abs(lam) - 1.0) > TOL_SCALAR))
-            if fails.size:
-                if not_scalar[fails[0]]:
-                    raise CertificationError("endomorphism composition is not a scalar multiple")
-                raise CertificationError(f"obstruction scalar has modulus {abs(lam[fails[0]]):.12f}")
-            omega[a] = lam / np.abs(lam)
-        return _exact_cocycle(I_group, omega)
+
+def _composition_scalars(group: FiniteGroup, j: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The unit scalars omega(a, b) with T_b T_a = omega(a, b) T_ab on a
+    non-trivial group, certified on generator columns.
+
+    Each T_g is block-monomial and kept as (j[g], B[g]): coset block i goes to
+    block j[g, i] by the d x d block B[g, i].  The block permutations must
+    compose exactly, j[b, j[a]] == j[ab], for every pair (an integer check).
+    The blocks are composed only for the r + 1 columns s in {e} and
+    ``generating_sequence(group)``, all in one batch of (r + 1) k q d^2
+    entries, r <= log2 k: lambda(a, s) = <T_as, T_s T_a> / ||T_as||^2 and
+    omega(a, s) = lambda / |lambda|.
+
+    Let E(a, b) = T_b T_a - omega(a, b) T_ab and eps_gen the largest
+    Frobenius norm of E(a, s) over every a and every column s.  Along the
+    Cayley BFS tree of the group (``cayley_tree``, depth L), omega is
+    extended by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s), one
+    vectorized step per tree layer.  Writing T_bs from E(b, s) and T_s T_ab
+    from E(ab, s) gives
+
+        E(a, bs) = conj(omega(b, s)) [omega(a, b) E(ab, s) + T_s E(a, b) - E(b, s) T_a],
+
+    and each T is unitary (a permutation of unitary blocks), so
+    ||T X||_F = ||X T||_F = ||X||_F and e(l) <= e(l - 1) + 2 eps_gen for the
+    largest ||E(a, w)||_F over words w of length l, with e(1) = eps_gen; the
+    column e covers b = e.  So every ||E(a, b)||_F, and with it every entry,
+    is at most (2L - 1) eps_gen, and requiring eps_gen <= TOL_SCALAR / (2L - 1)
+    on the columns is no weaker than the entrywise all-pairs test against
+    TOL_SCALAR.  Since lambda projects T_s T_a onto T_as, ||E(a, s)||_F^2 is
+    ||T_s T_a - lambda T_as||_F^2 plus (|lambda| - 1)^2 ||T_as||_F^2 with
+    ||T_as||_F >= 1, so the modulus check ||lambda| - 1| <= TOL_SCALAR / (2L - 1)
+    is part of the same test.  A column whose distance to lambda T_as alone
+    exceeds the threshold is not a scalar multiple; otherwise a failing column
+    has the wrong modulus.
+
+    Rounding, and the unitarity check of ``_intertwiners`` (10 TOL_SCALAR
+    per entry of P P^H - I), leave each T unitary only up to
+    ||T||_2 <= 1 + eta; the recursion then reads
+    e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows by at
+    most the factor (1 + eta)^L.  For eta of the order of the unit roundoff
+    that is below 1 + 1e-10; the most the unitarity check admits,
+    eta <= 5e-7 d, gives about 1 + 5e-7 d L.  ``_exact_cocycle`` then
+    validates the whole gauged table exactly.
+    """
+    k = group.n
+    rows = max(1, 2**16 // (k * j.shape[1]))  # the exact law on all pairs, 2^16 entries at a time
+    for a in range(0, k, rows):
+        if (j[np.arange(k)[:, None], j[a : a + rows, None]] != j[group.table[a : a + rows]]).any():
+            raise CertificationError("endomorphism composition is not a scalar multiple")
+    tree = cayley_tree(group)
+    tol = TOL_SCALAR / (2 * tree.height - 1)
+    norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
+    cols = np.array((0, *tree.generators))
+    composed = B[cols[:, None, None], j] @ B  # [c, a]: apply degree a first, then degree cols[c]
+    products = group.table[:, cols].T  # [c, a] = a cols[c]
+    target, target_norms = B[products], norms[products]
+    lam = np.einsum("caipq,caipq->ca", target.conj(), composed) / target_norms
+    residual = np.sqrt((np.abs(composed - lam[..., None, None, None] * target) ** 2).sum(axis=(2, 3, 4)))
+    defect = np.sqrt(residual**2 + (np.abs(lam) - 1.0) ** 2 * target_norms)  # ||E(a, cols[c])||_F
+    fails = np.argwhere(defect.T > tol)  # row-major: the first failing a, then its first column
+    if fails.size:
+        a, c = fails[0]
+        if residual[c, a] > tol:
+            raise CertificationError("endomorphism composition is not a scalar multiple")
+        raise CertificationError(f"obstruction scalar has modulus {abs(lam[c, a]):.12f}")
+    omega = np.empty((k, k), dtype=np.complex128)
+    omega[:, cols] = (lam / np.abs(lam)).T
+    for level in range(2, tree.height + 1):
+        b = np.flatnonzero(tree.depth == level)
+        p, s = tree.parent[b], tree.edge[b]
+        omega[:, b] = omega[:, p] * omega[group.table[:, p], s] / omega[p, s]
+    return omega
 
 
 def mackey_decompose(

@@ -48,7 +48,7 @@ import numpy as np
 
 from .cocycles import NUMERIC_BOUND, CocycleTable
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
-from .groups import FiniteGroup, generating_sequence, word_lengths
+from .groups import FiniteGroup, cayley_tree
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
@@ -245,7 +245,7 @@ class TwistedAlgebra:
         E(g, h) = rho(g) rho(h) - a(g, h) rho(gh), eps_gen the largest
         Frobenius norm of E(x, s) over every x and every s in
         ``generating_sequence(G)``, and L the depth of the Cayley BFS tree
-        along those generators (``word_lengths``).  Writing rho(hs) from
+        along those generators (``cayley_tree``).  Writing rho(hs) from
         E(h, s) and using the cocycle identity a(g, h) a(gh, s) =
         a(g, hs) a(h, s) gives
 
@@ -304,12 +304,12 @@ class TwistedAlgebra:
         """max(||rho(e) - I||_F, (2L - 1) eps_gen), which bounds every entry of
         rho(g) rho(h) - a(g, h) rho(gh); the derivation is in ``irreducible_rep``."""
         G = self.group
+        tree = cayley_tree(G)
         eps_gen = 0.0
-        for s in generating_sequence(G):  # column s: E(x, s) for every x at once
+        for s in tree.generators:  # column s: E(x, s) for every x at once
             defect = rho @ rho[s] - self.phases[:, s, None, None] * rho[G.table[:, s]]
             eps_gen = max(eps_gen, float(np.linalg.norm(defect, axis=(1, 2)).max()))
-        depth = int(word_lengths(G).max())
-        return max(float(np.linalg.norm(rho[0] - np.eye(rho.shape[1]))), (2 * depth - 1) * eps_gen)
+        return max(float(np.linalg.norm(rho[0] - np.eye(rho.shape[1]))), (2 * tree.height - 1) * eps_gen)
 
 
 class BlockOracle:

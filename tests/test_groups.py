@@ -205,6 +205,73 @@ def test_subgroups_memoized_per_instance(monkeypatch):
     assert len(builds) == 2
 
 
+# -- reference: cyclic extension without the one-join-per-coset rule ----------
+
+
+def reference_cyclic_extension(G):
+    """The cyclic extension the coset rule replaced: every new subgroup is
+    joined with every distinct cyclic subgroup it does not contain, each join
+    through ``groups._closure``."""
+    cyclic_gens = {}
+    for g in G.elements():
+        cyclic_gens.setdefault(frozenset(groups._closure(G, (g,))), g)
+    lattice = {frozenset((0,)): ()}
+    layer = [frozenset((0,))]
+    while layer:
+        nxt = []
+        for H in layer:
+            base = sorted(H)
+            for c in cyclic_gens.values():
+                if c not in H:
+                    gens = lattice[H] + (c,)
+                    K = frozenset(groups._closure(G, gens, base))
+                    if K not in lattice:
+                        lattice[K] = gens
+                        nxt.append(K)
+        layer = nxt
+    return sorted((gq.Subgroup(G, tuple(K)) for K in lattice), key=lambda s: (s.order, s.elements))
+
+
+def alternating5():
+    """A5, a perfect group of order 60, from the 60 even permutations of five points."""
+    even = [p for p in itertools.permutations(range(5)) if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    return groups.permutation_group(even, "A5")[0]
+
+
+@pytest.mark.parametrize("name", list(GROUP_SPECS) + ["C8xC8", "C2xC4xC2xC4", "S4xC2", "Q8xC4", "D16", "A5"])
+def test_cyclic_extension_matches_reference(name):
+    """One join per coset cH finds the reference's subgroups, element for element."""
+    G = alternating5() if name == "A5" else gq.make_group(name)
+    got = [H.elements for H in groups._cyclic_extension(G)]
+    assert got == [H.elements for H in reference_cyclic_extension(G)]
+    if name == "A5":  # no subgroup of order 15, 20 or 30
+        census = {m: sum(len(H) == m for H in got) for m in {len(H) for H in got}}
+        assert census == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
+
+
+def test_cyclic_extension_counts_the_subgroups_of_c2_6():
+    """C2^6 has 2,825 subgroups, the Gaussian binomials [6, k]_2 by order 2^k."""
+    G = gq.make_group("C2xC2xC2xC2xC2xC2")
+    orders = [H.order for H in gq.subgroups(G)]
+    assert len(orders) == 2825
+    assert [orders.count(2**k) for k in range(7)] == [1, 63, 651, 1395, 651, 63, 1]
+
+
+def test_cyclic_extension_joins_once_per_coset(monkeypatch):
+    """On C2xC4xC2xC4 the coset rule makes 2,116 joins, against the
+    reference's 8,061, which join every (H, cyclic subgroup) pair."""
+    G = gq.make_group("C2xC4xC2xC4")
+    calls = []
+    closure = groups._closure
+    monkeypatch.setattr(groups, "_closure", lambda *args: calls.append(args) or closure(*args))
+    groups._cyclic_extension(G)
+    joins = len(calls) - G.n  # the first G.n calls list the cyclic subgroups
+    calls.clear()
+    reference_cyclic_extension(G)
+    reference_joins = len(calls) - G.n
+    assert (joins, reference_joins) == (2116, 8061)
+
+
 def test_normal_subgroups_examples():
     C4 = gq.cyclic(4)
     assert [N.order for N in gq.normal_subgroups(C4)] == [1, 2, 4]
@@ -595,18 +662,26 @@ def test_are_isomorphic_examples():
 
 @pytest.mark.parametrize("spec", list(GROUP_SPECS) + ["S4xC2xC2", "D8xC4xC2", "C16xC16"])
 def test_word_lengths_are_cayley_distances(spec):
-    """Lengths start at 0 on the identity, grow by at most 1 along each
-    generator, and every element of length l > 0 is reached from one of
-    length l - 1: exactly the distances from e in the Cayley graph."""
+    """The depths of ``cayley_tree`` start at 0 on the identity, grow by at
+    most 1 along each generator, and every element of depth l > 0 is reached
+    from one of depth l - 1: exactly the distances from e in the Cayley
+    graph.  Each tree edge is a generator step one layer down."""
     G = gq.make_group(spec)
     gens = groups.generating_sequence(G)
-    lengths = groups.word_lengths(G)
+    tree = groups.cayley_tree(G)
+    lengths = tree.depth
+    assert tree.generators == tuple(gens) and tree.height == lengths.max()
     assert lengths[0] == 0 and (lengths[1:] > 0).all()
     products = G.table[:, gens]  # products[h, i] = h * gens[i]
     assert (lengths[products] <= lengths[:, None] + 1).all()
     reached = np.zeros(G.n, dtype=bool)
     reached[products[lengths[products] == lengths[:, None] + 1]] = True
     assert reached[1:].all()
+    assert tree.parent[0] == tree.edge[0] == -1
+    g = np.arange(1, G.n)
+    assert np.isin(tree.edge[g], gens).all()
+    assert (G.table[tree.parent[g], tree.edge[g]] == g).all()
+    assert (lengths[tree.parent[g]] == lengths[g] - 1).all()
 
 
 def reference_isomorphism(G1, G2):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gquot.cocycles import (
 )
 from gquot.errors import CertificationError, DomainError, NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
+from gquot.groups import generating_sequence
 from gquot.lagrangians import maximal_elementary_quotients
 import gquot.mackey as mackey
 from gquot.mackey import (
@@ -511,6 +513,75 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
             assert TwistedAlgebra(o.omega.group, reference).wedderburn(seed=0).dims == o.omega_blocks
         orbits += len(twisted)
     assert orbits + trivial >= len(gq.normal_subgroups(G))
+
+
+# -- reference: the all-pairs composition the generator columns replaced -------
+
+
+def reference_all_pairs(group, j, B):
+    """The all-pairs composition ``_obstruction`` made before: row a composes
+    T_b T_a for every b at once; the unit scalars lambda / |lambda|."""
+    k = group.n
+    norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
+    omega = np.empty((k, k), dtype=np.complex128)
+    for a in range(k):
+        ab = group.table[a]
+        assert (j[:, j[a]] == j[ab]).all()
+        composed = B[:, j[a]] @ B[a]
+        lam = np.einsum("bipq,bipq->b", B[ab].conj(), composed) / norms[ab]
+        omega[a] = lam / np.abs(lam)
+    return omega
+
+
+def composition_defect(group, j, B, omega, pairs):
+    """The largest Frobenius norm of T_b T_a - omega(a, b) T_ab over ``pairs``."""
+    return max(float(np.linalg.norm(B[b, j[a]] @ B[a] - omega[a, b] * B[group.mul(a, b)])) for a, b in pairs)
+
+
+def reference_column_bound(group, j, B, omega):
+    """(2L - 1) eps_gen, with eps_gen the composition defect over every a and
+    every column s in {e} and the generating sequence, and L the depth of a
+    breadth-first search over Python sets; also an element at depth L."""
+    gens = generating_sequence(group)
+    length, frontier, depth = {0: 0}, [0], 0
+    while frontier:
+        depth += 1
+        frontier = sorted({group.mul(h, s) for h in frontier for s in gens} - set(length))
+        length.update((w, depth) for w in frontier)
+    eps_gen = composition_defect(group, j, B, omega, [(a, s) for s in [0, *gens] for a in group.elements()])
+    return (2 * max(length.values()) - 1) * eps_gen, max(length, key=length.get)
+
+
+@pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
+def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
+    """The cases include both Theorem-D carriers, standard_nondegenerate([8])
+    and ([2, 4]), whose normal subgroups are all their subgroups.  On every orbit with non-trivial inertia of every normal N, the
+    tree-extended scalars are the all-pairs reference's within 1e-12; the
+    all-pairs defect of the composition is at most the column bound
+    (2L - 1) eps_gen, up to the roundoff of evaluating the defects, and the
+    bound is within TOL_SCALAR; scaling T at the deepest element of the
+    inertia group's Cayley tree by 1 + 1e-6 raises."""
+    compose, calls = mackey._composition_scalars, []
+
+    def recorded(group, j, B):
+        calls.append((group, j, B, compose(group, j, B)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(mackey, "_composition_scalars", recorded)
+    context = MackeyContext(a.group, a, 0)
+    for N in gq.normal_subgroups(a.group):
+        context.decompose(N)
+    assert calls or a.group.n == 1  # N = 1 has inertia G
+    for group, j, B, omega in calls:
+        assert np.max(np.abs(omega - reference_all_pairs(group, j, B))) <= 1e-12
+        bound, deepest = reference_column_bound(group, j, B, omega)
+        assert bound <= TOL_SCALAR
+        pairs = itertools.product(group.elements(), repeat=2)
+        assert composition_defect(group, j, B, omega, pairs) <= bound + 4 * np.finfo(float).eps
+        broken = B.copy()
+        broken[deepest] *= 1 + 1e-6
+        with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
+            compose(group, j, broken)
 
 
 def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
