@@ -23,14 +23,20 @@ that question is a linear system over Z/m.
 - **No overflow.**  Residues mod q are stored in the narrowest integer dtype
   that holds q^2 (int16, int32, int64; Python integers beyond that), so every
   product of two residues and every difference fits before it is reduced.
-  The input is converted a block of rows at a time, without a full-size
-  int64 copy.
+- **Row input.**  The rows arrive as a list, of lists of Python integers or of
+  one-dimensional integer arrays (``cohomologous`` passes the rows of one int8
+  array).  A list, not a bare 2-D array, because a caller that wraps
+  ``solve_mod`` may read its shape as ``len(rows)`` and ``len(rows[0])``
+  behind an ``if rows``, and the truth value of an array is ambiguous.  Each
+  block of rows goes through ``np.asarray`` and straight into the residue
+  dtype, without per-entry Python iteration and without a full-size int64
+  copy; a block with an entry no int64 holds is reduced in Python integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count
+from itertools import count
 from math import gcd
 
 import numpy as np
@@ -47,8 +53,9 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
     """Solve ``A x = rhs (mod m)`` for integer x, or return None if unsolvable.
 
     ``rows`` is a dense integer matrix given as a list of equal-length rows,
-    one per entry of ``rhs``.  The solution is returned with entries in
-    ``range(m)``; a homogeneous system gets the zero solution.
+    one per entry of ``rhs``: lists of integers of any size, or 1-D integer
+    arrays.  The solution is returned with entries in ``range(m)``; a
+    homogeneous system gets the zero solution.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -126,12 +133,11 @@ def _pollard_rho(n: int) -> int:
 
 def _residues(values, q: int, width: int, dtype) -> np.ndarray:
     """The rows ``values`` (each of length ``width``) reduced mod q."""
-    if dtype is not object:
-        try:
-            flat = np.fromiter(chain.from_iterable(values), np.int64, len(values) * width)
-            return (flat % q).reshape(len(values), width)
-        except OverflowError:
-            pass
+    if dtype is not object:  # then q * q, and so q, fits in int64
+        block = np.asarray(values)
+        if block.ndim == 2 and np.can_cast(block.dtype, np.int64):
+            wide = np.promote_types(block.dtype, dtype)  # holds both the entries and q
+            return (block.astype(wide, copy=False) % q).astype(dtype, copy=False)
     return np.array([[int(v) % q for v in row] for row in values], dtype=object).reshape(len(values), width)
 
 

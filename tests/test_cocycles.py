@@ -1,11 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gquot as gq
-from gquot.catalog import NONDEGENERATE_CARRIERS
+from gquot import cocycles
+from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
 from gquot.cocycles import (
     MAX_SCALE,
     Bicharacter,
@@ -14,12 +16,15 @@ from gquot.cocycles import (
     bicharacter_of,
     coboundary,
     cohomologous,
+    group_exponent,
     is_cohomologically_trivial,
     is_nondegenerate,
     parse_cocycle,
+    reconcile_scales,
     standard_nondegenerate,
 )
 from gquot.errors import DomainError, ScaleError, ValidationError
+from gquot.smith import solve_mod
 from gquot.twisted import TwistedAlgebra
 
 
@@ -184,13 +189,24 @@ def _certified_cohomologous(a, b):
     return same
 
 
+def bilinear_c2xc8xc8() -> CocycleTable:
+    """The bilinear class zeta_8^(x1 y2) on C2 x C8 x C8, element g = (g // 64, g // 8 % 8, g % 8)."""
+    G = gq.make_group("C2xC8xC8")
+    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
+    return CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]))
+
+
+def times_random_coboundary(a: CocycleTable, rng) -> CocycleTable:
+    c = rng.integers(0, a.scale, a.group.n)
+    c[0] = 0
+    return a.mul(coboundary(OneCochain(a.group, a.scale, tuple(c))))
+
+
 @given(st.data())
 @settings(max_examples=4, deadline=None)
 def test_coboundary_twist_and_relabeling_at_order_128(data):
-    # the bilinear class zeta_8^(x1 y2) on C2 x C8 x C8, element g = (g // 64, g // 8 % 8, g % 8)
-    G = gq.make_group("C2xC8xC8")
-    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
-    a = CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]))
+    a = bilinear_c2xc8xc8()
+    G = a.group
     c = OneCochain(G, 8, [0] + data.draw(st.lists(st.integers(0, 7), min_size=G.n - 1, max_size=G.n - 1)))
     b = a.mul(coboundary(c))
     assert _certified_cohomologous(a, b)
@@ -345,3 +361,170 @@ def test_corrupted_table_reports_reference_triple(name, data):
     else:
         with pytest.raises(ValidationError, match=re.escape(f"triple ({triple[0]},{triple[1]},{triple[2]})")):
             CocycleTable(a.group, m, exps)
+
+
+# -- the coboundary system and the generator-column validators ------------------
+
+THEOREM_D_CARRIERS = ((8,), (2, 4))  # C8xC8 and C2xC4xC2xC4, the order-64 carriers of the Theorem-D workload
+
+
+def reference_coboundary_rows(a: CocycleTable, b: CocycleTable):
+    """The system ``cohomologous`` solved when it was built as Python lists:
+    one row per (g, h) with g, h != e, g-major, at the lifted scale."""
+    a, b = reconcile_scales(a, b)
+    lift = a.scale * group_exponent(a.group)
+    a, b = a.rescale(lift), b.rescale(lift)
+    n, m = a.group.n, a.scale
+    target = (b.exps - a.exps) % m
+    mul = a.group.table
+    rows, rhs = [], []
+    for g in range(1, n):
+        for h in range(1, n):
+            coeff = [0] * (n - 1)
+            coeff[g - 1] += 1
+            coeff[h - 1] += 1
+            gh = int(mul[g, h])
+            if gh != 0:
+                coeff[gh - 1] -= 1
+            rows.append(coeff)
+            rhs.append(int(target[g, h]))
+    return rows, rhs, m
+
+
+def _system_cases():
+    """A cohomologous pair on every catalog group, and on the order-64 and
+    order-128 carriers a cohomologous pair and a non-cohomologous one."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for spec in GROUP_SPECS:
+        G = gq.make_group(spec)
+        if spec in NONDEGENERATE_CARRIERS:
+            a = standard_nondegenerate(NONDEGENERATE_CARRIERS[spec])
+        else:
+            a = CocycleTable.trivial(G, 6)
+        cases.append(pytest.param(a, times_random_coboundary(a, rng), id=spec))
+    carriers = [(f"nd{list(i)}", standard_nondegenerate(i)) for i in THEOREM_D_CARRIERS]
+    for name, a in carriers + [("C2xC8xC8", bilinear_c2xc8xc8())]:
+        cases.append(pytest.param(a, times_random_coboundary(a, rng), id=f"{name}~dc"))
+        cases.append(pytest.param(CocycleTable.trivial(a.group), a, id=f"{name}~trivial"))
+    return cases
+
+
+@pytest.mark.parametrize("a, b", _system_cases())
+def test_coboundary_system_matches_reference_rows(a, b, monkeypatch):
+    calls = []
+
+    def recording(rows, rhs, m):
+        calls.append((rows, rhs, m))
+        return solve_mod(rows, rhs, m)
+
+    monkeypatch.setattr(cocycles, "solve_mod", recording)
+    same, witness = cohomologous(a, b)
+    [(rows, rhs, m)] = calls
+    ref_rows, ref_rhs, ref_m = reference_coboundary_rows(a, b)
+    # a list of int8 rows: a wrapper may read len(rows[0]) behind `if rows`
+    assert isinstance(rows, list) and all(row.dtype == np.int8 for row in rows[:1])
+    assert m == ref_m and list(rhs) == ref_rhs
+    assert [row.tolist() for row in rows] == ref_rows
+    x = solve_mod(ref_rows, ref_rhs, m)
+    assert same == (x is not None)
+    assert witness is None if x is None else witness.exps == (0,) + tuple(x)
+
+
+def test_cohomologous_peak_memory_at_order_128():
+    a = bilinear_c2xc8xc8()
+    b = times_random_coboundary(a, np.random.default_rng(1))
+    cohomologous(a, b)  # first-use allocations of numpy stay out of the measurement
+    tracemalloc.start()
+    try:
+        same, _ = cohomologous(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # half the 29.0 MiB the system peaked at as 16,129 Python lists
+    assert same and peak <= 14.5 * 2**20
+
+
+def test_bicharacter_validation_peak_memory_at_order_256():
+    a = standard_nondegenerate([4, 4])
+    form = (a.exps - a.exps.T) % a.scale
+    tracemalloc.start()
+    try:
+        b = Bicharacter(a.group, a.scale, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-pairs additivity check built two 256^3 int64 arrays, 128 MiB each
+    assert b.radical().order == 1 and peak < 8 * 2**20
+
+
+def reference_bicharacter_is_additive(exps, m, mul) -> bool:
+    """Additivity in the first argument on all pairs, the (n, n, n) check the
+    generator-column one replaced."""
+    return not ((exps[mul, :] - exps[:, None, :] - exps[None, :, :]) % m).any()
+
+
+def _validator_cases():
+    cases = {}
+    for spec in GROUP_SPECS[1:]:  # C1 has no entry to corrupt
+        if spec in NONDEGENERATE_CARRIERS:
+            cases[spec] = standard_nondegenerate(NONDEGENERATE_CARRIERS[spec])
+        else:
+            cases[spec] = CocycleTable.trivial(gq.make_group(spec), 4)
+    for invs in THEOREM_D_CARRIERS:
+        cases[f"nd{list(invs)}"] = standard_nondegenerate(invs)
+    cases["C2xC8xC8"] = bilinear_c2xc8xc8()
+    return cases
+
+
+VALIDATOR_CASES = _validator_cases()
+
+
+@pytest.mark.parametrize("name", list(VALIDATOR_CASES))
+def test_cocycle_generator_columns_give_the_full_verdict(name):
+    """Random cocycles, and the same with one or two entries moved: accepted
+    exactly when the all-triples check passes, else rejected at its first
+    failing triple."""
+    a = VALIDATOR_CASES[name]
+    rng = np.random.default_rng(a.group.n + len(name))
+    n, m, mul = a.group.n, a.scale, a.group.table
+    rejected = 0
+    for trial in range(6):
+        exps = times_random_coboundary(a, rng).exps.copy()
+        for _ in range(trial % 3):  # trials 0 and 3 stay cocycles
+            g, h = rng.integers(1, n, 2)
+            exps[g, h] = (exps[g, h] + rng.integers(1, m)) % m
+        triple = reference_first_bad_triple(exps, m, mul)
+        if triple is None:
+            CocycleTable(a.group, m, exps)
+        else:
+            rejected += 1
+            with pytest.raises(ValidationError, match=re.escape(f"triple ({triple[0]},{triple[1]},{triple[2]})")):
+                CocycleTable(a.group, m, exps)
+    assert rejected or n == 2  # every normalized table on C2 is a cocycle
+
+
+@pytest.mark.parametrize("name", [name for name, a in VALIDATOR_CASES.items() if a.group.is_abelian])
+def test_bicharacter_generator_columns_give_the_full_verdict(name):
+    """Multiples of a bicharacter, and the same with b(x, u) and b(u, x)
+    moved by opposite amounts (still alternating): accepted exactly when
+    the all-pairs additivity check passes."""
+    a = VALIDATOR_CASES[name]
+    rng = np.random.default_rng(a.group.n + len(name))
+    n, m, mul = a.group.n, a.scale, a.group.table
+    base = bicharacter_of(a).exps
+    rejected = 0
+    for trial in range(6):
+        exps = base * int(rng.integers(0, m)) % m
+        for _ in range(trial % 3):  # trials 0 and 3 stay bicharacters
+            x, u = rng.choice(n, 2, replace=False)
+            d = int(rng.integers(1, m))
+            exps[x, u] = (exps[x, u] + d) % m
+            exps[u, x] = (exps[u, x] - d) % m
+        if reference_bicharacter_is_additive(exps, m, mul):
+            Bicharacter(a.group, m, exps)
+        else:
+            rejected += 1
+            with pytest.raises(ValidationError, match="not additive in the first argument"):
+                Bicharacter(a.group, m, exps)
+    assert rejected > 0

@@ -142,6 +142,24 @@ def test_solver_agrees_with_reference(m, data):
         assert satisfies(rows, rhs, m, x) and all(0 <= v < m for v in x)
 
 
+@given(st.one_of(MODULI, st.sampled_from([181, 46337, 3037000493, 3 * 2**40])), st.data())
+@settings(max_examples=200, deadline=None)
+def test_array_rows_give_the_list_rows_solution(m, data):
+    """Rows as int8 or int64 arrays go through the same residues and pivots
+    as the same rows given as lists of Python integers."""
+    nrows = data.draw(st.integers(min_value=1, max_value=9))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=-128, max_value=127)
+    wide = st.one_of(small, st.integers(min_value=-(2**63), max_value=2**63 - 1))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    entry = small if dtype is np.int8 else wide
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [data.draw(entry) for _ in range(nrows)]
+    x = solve_mod(rows, rhs, m)
+    assert solve_mod(list(np.array(rows, dtype=dtype)), rhs, m) == x
+    assert x is None or satisfies(rows, rhs, m, x)
+
+
 @pytest.mark.parametrize(
     "m",
     [
