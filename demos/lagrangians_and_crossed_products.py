@@ -22,8 +22,7 @@ G = alpha.group
 print("Lagrangians of the non-degenerate class on C4xC4:")
 for rep in lagrangian_scan(G, alpha):
     if rep.is_lagrangian:
-        sub, _ = rep.subgroup.as_group()
-        invs = gq.abelian_invariants(sub)
+        invs = gq.abelian_invariants(rep.subgroup.as_group())
         print(f"  {rep.subgroup.elements}  =~ C{'xC'.join(map(str, invs))}")
 
 # The two-sided check: quotient is a crossed product over the quotient group

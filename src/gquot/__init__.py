@@ -19,7 +19,6 @@ from .cocycles import (
     coboundary,
     cohomologous,
     is_cohomologically_trivial,
-    is_nondegenerate,
     standard_nondegenerate,
 )
 from .gradings import (
@@ -82,7 +81,7 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from .twisted import BlockOracle, IrrPoint, TwistedAlgebra, WedderburnData
+from .twisted import BlockOracle, IrrPoint, TwistedAlgebra, WedderburnData, is_nondegenerate
 from .words import FreeProductGroup, Word
 
 # the imports above also bind each submodule (``mackey``, ``twisted``, ...) here; leave those out

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .catalog import resolve_cocycle, resolve_group
-from .cocycles import bicharacter_of, cohomologous, is_nondegenerate
+from .cocycles import bicharacter_of, cohomologous
 from .errors import CertificationError, GquotError, TheoremCheckError
 from .gradings import (
     descriptor_dims,
@@ -32,7 +32,7 @@ from .lagrangians import (
 from .mackey import is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
-from .twisted import TOL_IDEMPOTENT, TwistedAlgebra
+from .twisted import TOL_IDEMPOTENT, TwistedAlgebra, is_nondegenerate
 
 
 class _Emitter:

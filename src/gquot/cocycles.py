@@ -9,16 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, ScaleError, SizeBoundError, ValidationError
+from .errors import DomainError, ScaleError, ValidationError
 from .groups import FiniteGroup, Subgroup, cyclic, direct_product, generating_sequence
 from .smith import solve_mod
-
-if TYPE_CHECKING:
-    from .twisted import BlockOracle
 
 # Exponents are int64 residues below MAX_SCALE, so every exponent expression
 # here, at most two residues added and two subtracted, stays inside int64.
@@ -100,14 +96,19 @@ class CocycleTable:
         a, b = reconcile_scales(self, other)
         return CocycleTable(a.group, a.scale, (a.exps + b.exps) % a.scale, _trusted=True)
 
-    def restrict(self, H: Subgroup) -> tuple["CocycleTable", FiniteGroup, list[int]]:
-        """Restrict to a subgroup, returned on the subgroup as a standalone group."""
+    def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
+        """The n x n tables conj[h, g] = h g h^-1 and kappa[h, g], the exponent
+        with u_h u_g u_h^-1 = zeta_m^kappa u_{hgh^-1}: as u_h^-1 is
+        zeta_m^-c(h, h^-1) u_{h^-1}, kappa = c(h, g) + c(hg, h^-1) - c(h, h^-1) mod m."""
+        t, inv, c = self.group.table, self.group.inverse_table[:, None], self.exps
+        kappa = (c + c[t, inv] - c[np.arange(self.group.n)[:, None], inv]) % self.scale
+        return t[t, inv], kappa
+
+    def restrict(self, H: Subgroup) -> "CocycleTable":
+        """Restrict to H, on ``H.as_group()``, whose element i is ``H.elements[i]``."""
         if H.group is not self.group and H.group != self.group:
             raise DomainError("subgroup belongs to a different group")
-        sub, embed = H.as_group()
-        idx = np.asarray(embed)
-        table = self.exps[np.ix_(idx, idx)]
-        return CocycleTable(sub, self.scale, table, _trusted=True), sub, embed
+        return CocycleTable(H.as_group(), self.scale, self.exps[np.ix_(H.elements, H.elements)], _trusted=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,14 +213,12 @@ class Bicharacter:
 
     __slots__ = ("group", "scale", "exps")
 
-    def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
+    def __init__(self, group: FiniteGroup, scale: int, exps):
         _check_scale(scale)
-        exps = np.asarray(exps, dtype=np.int64) % scale
         self.group = group
         self.scale = int(scale)
-        self.exps = exps
-        if not _trusted:
-            self._validate()
+        self.exps = np.asarray(exps, dtype=np.int64) % scale
+        self._validate()
         self.exps.setflags(write=False)
 
     def _validate(self):
@@ -295,27 +294,6 @@ def standard_nondegenerate(invariants) -> CocycleTable:
     second = coords[:, r:]           # phi-exponents
     exps = (first @ second.T) % m
     return CocycleTable(G, m, exps, _trusted=True)
-
-
-NUMERIC_BOUND = 256  # largest order for the twisted algebra and its block oracle
-
-
-def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None) -> bool:
-    """Whether the twisted group algebra over ``a`` is a full matrix algebra.
-
-    Abelian groups use the exact radical criterion; the general case asks
-    the numeric block oracle, ``oracle`` or a new registry, for a single
-    simple block.
-    """
-    if G.n > NUMERIC_BOUND:
-        raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
-    if a.group != G:
-        raise DomainError("cocycle lives on a different group")
-    if G.is_abelian:
-        return bicharacter_of(a).radical().order == 1
-    from .twisted import BlockOracle
-
-    return len((BlockOracle() if oracle is None else oracle).wedderburn(a, seed).dims) == 1
 
 
 # -- text format -----------------------------------------------------------

@@ -246,8 +246,7 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
             cocycle = None
         else:
             path = Path(base_dir or ".") / alpha_field
-            sub, _ = fine.as_group()
-            cocycle = parse_cocycle(path.read_text(), sub)
+            cocycle = parse_cocycle(path.read_text(), fine.as_group())
         summands.append(Summand(x, fine, cocycle))
     if not summands:
         raise ValidationError("descriptor has no summands")

@@ -89,17 +89,35 @@ class FiniteGroup:
         self.inverse_table.setflags(write=False)
 
     def _validate(self):
+        """Range, identity, then Light's associativity test (Clifford and
+        Preston, *The Algebraic Theory of Semigroups* I, 1.2): (x s) y = x (s y)
+        for all x, y and only the middle elements s in A, one n x n slab each.
+
+        That is enough: the s that pass form a submagma holding e, since for
+        a, b passing x ((ab) y) = x (a (b y)) = (x a)(b y) = ((x a) b) y = (x (ab)) y.
+        A grows by a plain closure of {e} under right multiplication (no group
+        axiom assumed), each new s the smallest element not yet reached, until
+        it reaches every element; that closure lies in every submagma holding
+        e and A.  When some s fails, the a-slab scan over all triples names the
+        first failing triple in (a, b, c) order.
+        """
         table, n = self.table, self.n
         if table.min() < 0 or table.max() >= n:
             raise ValidationError("table entries out of range")
         if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
             raise ValidationError("element 0 is not a two-sided identity")
-        # left[a,b,c] = (a*b)*c, right[a,b,c] = a*(b*c)
-        left = table[table, :]
-        right = table[:, table]
-        if not np.array_equal(left, right):
-            a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-            raise ValidationError(f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
+        middles, reached = [], {0}
+        while len(reached) < n:
+            middles.append(next(x for x in range(n) if x not in reached))
+            reached = _closure(self, middles)
+        if all(np.array_equal(table[table[:, s]], table[:, table[s]]) for s in middles):
+            return
+        for a in range(n):  # (a*b)*c against a*(b*c), one (b, c) slab per a
+            bad = table[table[a]] != table[a][table]
+            if bad.any():
+                b, c = (int(x) for x in np.argwhere(bad)[0])
+                raise ValidationError(f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
+        raise AssertionError("a middle element failed Light's test but no triple does")
 
     # -- basic operations --------------------------------------------------
 
@@ -111,10 +129,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverse_table[a])
-
-    def conjugate(self, g: int, a: int) -> int:
-        """g * a * g^-1."""
-        return int(self.table[self.table[g, a], self.inverse_table[g]])
 
     def order_of(self, a: int) -> int:
         x, k = a, 1
@@ -214,19 +228,14 @@ class Subgroup:
         g, i = np.unravel_index(np.argmax(bad), bad.shape)
         return int(g), self.elements[i]
 
-    def as_group(self) -> tuple[FiniteGroup, list[int]]:
-        """Return this subgroup as a standalone group plus the embedding.
-
-        The second value maps new indices to parent indices; the identity
-        stays at index 0 because parent index 0 sorts first.
-        """
+    def as_group(self) -> FiniteGroup:
+        """This subgroup as a standalone group: its element i is ``elements[i]``
+        of the parent, so the identity stays at index 0."""
         elems = list(self.elements)
         pos = np.zeros(self.group.n, dtype=np.int64)
         pos[elems] = np.arange(len(elems))
         table = pos[self.group.table[np.ix_(elems, elems)]]
-        labels = [self.group.label(g) for g in elems]
-        sub = FiniteGroup(table, labels=labels, _trusted=True)
-        return sub, elems
+        return FiniteGroup(table, labels=[self.group.label(g) for g in elems], _trusted=True)
 
 
 @dataclass(frozen=True)
@@ -467,7 +476,8 @@ def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
     """The subgroup generated by ``seed``, given a subgroup ``base`` of it.
 
     Breadth-first search over right cosets of ``base``, stepping along rows
-    of ``G.table[:, seed]``; with the default trivial base it visits elements.
+    of ``G.table[:, seed]``; with the default trivial base it visits elements
+    and is the plain closure of {e} under right multiplication by ``seed``.
     """
     gens = sorted({int(g) for g in seed} - {0})
     rows = G.table[:, gens].tolist()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial, is_nondegenerate
+from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial
 from .errors import DomainError, SizeBoundError, TheoremCheckError
 from .groups import (
     FiniteGroup,
@@ -35,9 +35,8 @@ from .mackey import (
     MackeyDecomposition,
     is_ecp_quotient,
     is_elementary_quotient,
-    mackey_decompose,
 )
-from .twisted import BlockOracle
+from .twisted import BlockOracle, is_nondegenerate
 
 IYB_BOUND = 12  # largest order the bijective 1-cocycle search accepts
 
@@ -76,16 +75,16 @@ def is_isotropic(
     """
     if alpha.group != G:
         raise DomainError("cocycle lives on a different group")
-    rest, H_group, _ = alpha.restrict(H)
+    rest = alpha.restrict(H)
     trivial, witness = is_cohomologically_trivial(rest)
     dims = (BlockOracle() if oracle is None else oracle).wedderburn(rest, seed).dims
     ones = sum(1 for d in dims if d == 1)
     oracle_verdict = ones >= 1
-    if H_group.is_abelian:
+    if rest.group.is_abelian:
         zero_form = bicharacter_of(rest).is_zero()
         if zero_form != trivial:
             raise TheoremCheckError("bicharacter and coboundary certificates disagree")
-        if trivial != (ones == H_group.n):
+        if trivial != (ones == H.order):
             raise TheoremCheckError("abelian isotropy: oracle disagrees with exact solve")
     if trivial != oracle_verdict:
         raise TheoremCheckError("isotropy certificates disagree (exact vs oracle)")
@@ -128,11 +127,13 @@ def crossed_product_iff_lagrangian(
 
     Both sides are computed independently; disagreement is an implementation
     bug and raises.  Returns the shared verdict.  A ``dec`` passed in must be
-    the decomposition of (G, alpha, N, seed).  The isotropy check asks
-    ``oracle``, or a new registry.
+    the decomposition of (G, alpha, N, seed); without one, N is decomposed
+    through a ``MackeyContext`` on ``oracle``, or on a new registry.  The
+    isotropy check asks the same registry, or a new one.
     """
     if dec is None:
-        dec = mackey_decompose(G, alpha, N, seed=seed)
+        context = MackeyContext(G, alpha, seed, oracle)
+        dec, oracle = context.decompose(N), context.oracle
     elif (dec.group, dec.cocycle, dec.normal, dec.seed) != (G, alpha, N, seed):
         raise DomainError("Mackey decomposition is for a different (group, cocycle, subgroup, seed)")
     ecp = is_ecp_quotient(dec)

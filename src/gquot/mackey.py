@@ -7,18 +7,19 @@ transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
 What does not depend on N is built once, in a ``MackeyContext`` for one
-(G, alpha, seed): the algebra C^alpha G, its certified blocks and the
-twisted conjugation tables conj[h, g] = h g h^-1 and kappa(h, g).  The caller
-builds the context and passes it every N of a scan (Theorem D decomposes
-every subgroup of one (G, alpha)); ``mackey_decompose`` builds a fresh one
-for its one N.  Every block and module the decomposition needs (C^alpha G,
-C^alpha N, the obstruction algebra of each orbit) comes from the context's
-``BlockOracle``, a registry keyed by each algebra's exact inputs.  A context
-takes the registry from its caller or makes its own; the acceptance battery
-shares one registry among all its contexts and its isotropy and
-non-degeneracy checks for one run, so an algebra that several kernels,
-orbits or checks meet is split once, with the certificates of its first
-split.
+(G, alpha, seed): the certified blocks of C^alpha G and the twisted
+conjugation tables conj[h, g] = h g h^-1 and kappa(h, g), read exactly from
+``CocycleTable.conjugation``, kappa then turned into phases by one
+exponential.  The caller builds the context and passes it every N of a scan
+(Theorem D decomposes every subgroup of one (G, alpha));
+``mackey_decompose`` builds a fresh one for its one N.  Every block and
+module the decomposition needs (C^alpha G, C^alpha N, the obstruction
+algebra of each orbit) comes from the context's ``BlockOracle``, a registry
+keyed by each algebra's exact inputs.  A context takes the registry from its
+caller or makes its own; the acceptance battery shares one registry among
+all its contexts and its isotropy and non-degeneracy checks for one run, so
+an algebra that several kernels, orbits or checks meet is split once, with
+the certificates of its first split.
 
 Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
@@ -75,7 +76,7 @@ from .gradings import (
     is_elementary_crossed_product,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotient
-from .twisted import TOL_ROUND, BlockOracle, IrrPoint, TwistedAlgebra, match_idempotent
+from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotent
 
 TOL_SCALAR = 1e-7
 
@@ -115,8 +116,9 @@ class MackeyContext:
     """The part of every decomposition of one (G, alpha, seed) that does not
     depend on N, built once by the caller and passed to each normal N.
 
-    It holds the algebra C^alpha G, the n x n twisted conjugation tables
-    conj[h, g] = h g h^-1 and kappa(h, g), and ``oracle``, the
+    It holds the cocycle values ``alpha.value_matrix()``, the n x n twisted
+    conjugation tables conj[h, g] = h g h^-1 and kappa(h, g) of
+    ``alpha.conjugation()``, kappa as unit complex phases, and ``oracle``, the
     :class:`BlockOracle` that certifies the blocks of C^alpha G (``blocks``)
     and every algebra a decomposition meets.  ``oracle`` is the caller's
     registry when one is passed, so contexts and checks of one run share it,
@@ -129,11 +131,11 @@ class MackeyContext:
         self.group = G
         self.cocycle = alpha
         self.seed = seed
-        self.algebra = TwistedAlgebra(G, alpha)
         self.oracle = BlockOracle() if oracle is None else oracle
         self.blocks = self.oracle.wedderburn(alpha, seed)
-        idx = np.arange(G.n)
-        self.conj, self.kappa = self.algebra.conjugation(idx[:, None], idx)
+        self.phases = alpha.value_matrix()
+        self.conj, kappa = alpha.conjugation()
+        self.kappa = np.exp(2j * np.pi * kappa / alpha.scale)
         self._decompositions: dict[tuple[int, ...], MackeyDecomposition] = {}
 
     def decompose(self, N: Subgroup) -> MackeyDecomposition:
@@ -151,7 +153,7 @@ class MackeyContext:
         block_of = np.asarray(proj.images)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
-        alpha_N, _, N_embed = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
+        alpha_N = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
         points = self.oracle.wedderburn(alpha_N, seed).blocks
 
         perms = self._conjugation_permutations(N, points, section)
@@ -178,7 +180,7 @@ class MackeyContext:
                 raise TheoremCheckError("summand dimension is not an integer")
             delta = delta_num // delta_den
             x = Character.from_dict(Q, {t: d for t in transversal})
-            omega = self._obstruction(alpha_N, N_embed, rep, inertia, section, block_of)
+            omega = self._obstruction(alpha_N, N, rep, inertia, section, block_of)
             blocks = self.oracle.wedderburn(omega, seed).dims
             orbits.append(
                 MackeyOrbit(
@@ -237,7 +239,7 @@ class MackeyContext:
         matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
         return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
-    def _obstruction(self, alpha_N, N_embed, index, inertia, section, block_of):
+    def _obstruction(self, alpha_N, N, index, inertia, section, block_of):
         """The obstruction cocycle on the inertia group, by endomorphism composition.
 
         For each inertia element a degree-homogeneous endomorphism of
@@ -249,16 +251,15 @@ class MackeyContext:
         endomorphism moves whole coset blocks, so it is built and composed
         one d x d block per coset.
         """
-        I_group, I_embed = inertia.as_group()
-        k = I_group.n
-        if k == 1:
+        I_group = inertia.as_group()
+        if I_group.n == 1:
             return CocycleTable.trivial(I_group)
-        G, phases = self.group, self.algebra.phases
-        N_embed = np.asarray(N_embed)
+        G, phases = self.group, self.phases
+        N_embed = np.asarray(N.elements)
         N_pos = np.full(G.n, -1)
         N_pos[N_embed] = np.arange(len(N_embed))
         rho = self.oracle.irreducible_rep(alpha_N, index, self.seed)
-        gs = section[list(I_embed)]
+        gs = section[list(inertia.elements)]
 
         # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
         conj = self.conj[np.ix_(gs, N_embed)]

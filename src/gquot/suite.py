@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_group
-from .cocycles import CocycleTable, is_nondegenerate
+from .cocycles import CocycleTable
 from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
 from .groups import abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
@@ -33,7 +33,9 @@ from .pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from .twisted import BlockOracle
+from .twisted import BlockOracle, is_nondegenerate
+
+SWEEP_BOUND = 24  # largest catalog order the decomposition sweep takes
 
 
 @dataclass
@@ -62,8 +64,8 @@ class _Run:
         return self._contexts[(gname, cname)]
 
 
-def sweep_cases(max_order: int = 24):
-    """Catalog (group, cocycle) pairs within the order bound.
+def sweep_cases():
+    """Catalog (group, cocycle) pairs up to order SWEEP_BOUND.
 
     Every group carries the trivial cocycle; the square carriers addition-
     ally carry their standard non-degenerate class.
@@ -71,7 +73,7 @@ def sweep_cases(max_order: int = 24):
     out = []
     for name in GROUP_SPECS:
         G = build_group(name)
-        if G.n > max_order:
+        if G.n > SWEEP_BOUND:
             continue
         out.append((name, G, "trivial", CocycleTable.trivial(G)))
         if name in NONDEGENERATE_CARRIERS:
@@ -185,8 +187,8 @@ def criterion_5(run: _Run) -> CriterionResult:
         cname = f"nd_{gname}"
         _, alpha = build_cocycle(cname)
         for N in subgroups(G):
-            rest, sub, _ = alpha.restrict(N)
-            if not is_nondegenerate(sub, rest, seed=run.seed, oracle=run.oracle):
+            rest = alpha.restrict(N)
+            if not is_nondegenerate(rest.group, rest, seed=run.seed, oracle=run.oracle):
                 continue
             cases += 1
             dec = run.context(gname, G, cname, alpha).decompose(N)

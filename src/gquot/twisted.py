@@ -18,8 +18,9 @@ m-th root of unity; obstruction cocycles arrive in that form too, gauged into
 the |I|-th roots of unity on their inertia group I (``mackey``).
 
 The block oracle works in two exact-first stages.  The center is read off
-two n x n tables: conj[h, g] = h g h^-1 and kappa(h, g), the exponent mod m
-with u_h u_g u_h^-1 = zeta_m^kappa(h, g) u_{hgh^-1}.  A vector sum(x_g u_g)
+the two n x n integer tables of ``CocycleTable.conjugation``: conj[h, g] =
+h g h^-1 and kappa(h, g), the exponent mod m with
+u_h u_g u_h^-1 = zeta_m^kappa(h, g) u_{hgh^-1}.  A vector sum(x_g u_g)
 is central iff x_{hgh^-1} = zeta_m^kappa(h, g) x_g for all h, g.  The
 twisted conjugacy class of g is the column conj[:, g], listed from its
 smallest element r; the candidate exponent at each member is kappa from r,
@@ -37,7 +38,8 @@ defect of every pair (the derivation is in ``irreducible_rep``).
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
 identical algebra is split once per registry.  The caller creates it and
-passes it along.
+passes it along.  ``is_nondegenerate`` asks it for a single block when the
+group is not abelian, and NUMERIC_BOUND caps the order of every algebra here.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import NUMERIC_BOUND, CocycleTable
+from .cocycles import CocycleTable, bicharacter_of
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
 from .groups import FiniteGroup, cayley_tree
 
@@ -54,6 +56,7 @@ TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
 TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
 MAX_ATTEMPTS = 8
+NUMERIC_BOUND = 256     # largest order for the twisted algebra and its block oracle
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,6 @@ class TwistedAlgebra:
         self.cocycle = cocycle
         self.phases = cocycle.value_matrix()
 
-    # -- twisted conjugation --------------------------------------------------
-
-    def conjugation(self, h, g) -> tuple[np.ndarray, np.ndarray]:
-        """(h g h^-1, kappa(h, g)) for index arrays h and g broadcast together,
-        where u_h u_g u_h^{-1} = kappa(h, g) * u_{h g h^{-1}}."""
-        t, W = self.group.table, self.phases
-        hg, hinv = t[h, g], self.group.inverse_table[h]
-        return t[hg, hinv], W[h, g] * W[hg, hinv] / W[h, hinv]
-
     # -- the regular representation ------------------------------------------
 
     def left_regular(self, x: np.ndarray) -> np.ndarray:
@@ -138,19 +132,17 @@ class TwistedAlgebra:
     def center_classes(self) -> list[CenterClass]:
         """Twisted conjugacy classes with their coefficient phases.
 
-        A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g.  A
-        class is listed from its smallest element r, which gets exponent 0;
-        the exponent at g is kappa(h, r) for the smallest h with h r h^-1 = g.
-        Every edge (h, g) is then re-checked mod m, so a class is kept exactly
-        when all its loops are phase-consistent.
+        A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g, with
+        both tables from ``CocycleTable.conjugation``.  A class is listed from
+        its smallest element r, which gets exponent 0; the exponent at g is
+        kappa(h, r) for the smallest h with h r h^-1 = g.  Every edge (h, g) is
+        then re-checked mod m, so a class is kept exactly when all its loops
+        are phase-consistent.
         """
-        idx = np.arange(self.n)
-        t, inv = self.group.table, self.group.inverse_table[:, None]
-        conj = t[t, inv]
+        conj, kappa = self.cocycle.conjugation()
+        m = self.cocycle.scale
         rep = conj.min(axis=0)
-        first = np.argmax(conj[:, rep] == idx, axis=0)  # smallest h with h rep h^-1 = g
-        c, m = self.cocycle.exps, self.cocycle.scale
-        kappa = (c + c[t, inv] - c[idx[:, None], inv]) % m
+        first = np.argmax(conj[:, rep] == np.arange(self.n), axis=0)  # smallest h with h rep h^-1 = g
         val = kappa[first, rep]
         bad = (val + kappa) % m != val[conj]
         phases = np.exp(2j * np.pi * val / m)
@@ -355,6 +347,22 @@ class BlockOracle:
         return rho
 
 
+def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None) -> bool:
+    """Whether the twisted group algebra over ``a`` is a full matrix algebra.
+
+    Abelian groups use the exact radical criterion; the general case asks
+    the numeric block oracle, ``oracle`` or a new registry, for a single
+    simple block.
+    """
+    if G.n > NUMERIC_BOUND:
+        raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
+    if a.group != G:
+        raise DomainError("cocycle lives on a different group")
+    if G.is_abelian:
+        return bicharacter_of(a).radical().order == 1
+    return len((BlockOracle() if oracle is None else oracle).wedderburn(a, seed).dims) == 1
+
+
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
     clusters: list[list[int]] = []
     for i, v in enumerate(sorted_vals):
@@ -368,12 +376,12 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
 # -- idempotents matched against a certified set ------------------------------
 
 
-def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...], tol: float = TOL_ROUND) -> tuple[IrrPoint, ...]:
-    """The unique point within tolerance of each stacked row; ambiguity raises, never guesses."""
+def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...]) -> tuple[IrrPoint, ...]:
+    """The unique point within TOL_ROUND of each stacked row; ambiguity raises, never guesses."""
     known = np.array([p.coeffs for p in points])
-    hits = np.abs(known - rows[:, None]).max(axis=2) <= tol  # hits[r, i]: row r is near point i
+    hits = np.abs(known - rows[:, None]).max(axis=2) <= TOL_ROUND  # hits[r, i]: row r is near point i
     counts = hits.sum(axis=1)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
-        raise CertificationError(f"idempotent match found {counts[bad[0]]} candidates within {tol}")
+        raise CertificationError(f"idempotent match found {counts[bad[0]]} candidates within {TOL_ROUND}")
     return tuple(points[i] for i in hits.argmax(axis=1))

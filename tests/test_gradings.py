@@ -243,14 +243,14 @@ def _summands_equivalent(s1, s2):
     H = s1.fine
     if coset_masses(s1.x, H) != coset_masses(s2.x, H):
         return False
-    t1, t2 = (CocycleTable.trivial(H.as_group()[0]) if c is None else c for c in (s1.cocycle, s2.cocycle))
+    t1, t2 = (CocycleTable.trivial(H.as_group()) if c is None else c for c in (s1.cocycle, s2.cocycle))
     return cohomologous(t1, t2)[0]
 
 
 def test_descriptor_equivalence_up_to_coset_moves():
     C4 = gq.cyclic(4)
     H = gq.generated_subgroup(C4, [2])
-    sub, _ = H.as_group()
+    sub = H.as_group()
     x1 = Character.from_dict(C4, {0: 1, 1: 1})
     x2 = Character.from_dict(C4, {2: 1, 3: 1})  # same coset masses
     d1 = GradingClassDescriptor(C4, (Summand(x1, H, CocycleTable.trivial(sub)),))

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,84 @@ def test_associativity_error_names_triple():
     tab = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
     with pytest.raises(ValidationError, match=r"^not associative: \(1\*1\)\*2 != 1\*\(1\*2\)$"):
         gq.FiniteGroup(tab)
+
+
+def reference_table_error(table):
+    """The first error of the all-triples validation, None for a group: range,
+    identity, then every (a*b)*c against a*(b*c) in two (n, n, n) arrays,
+    then inverses."""
+    table = np.asarray(table, dtype=np.int64)
+    n = len(table)
+    if table.min() < 0 or table.max() >= n:
+        return "table entries out of range"
+    if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
+        return "element 0 is not a two-sided identity"
+    left, right = table[table, :], table[:, table]
+    if not np.array_equal(left, right):
+        a, b, c = (int(x) for x in np.argwhere(left != right)[0])
+        return f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+    try:
+        gq.FiniteGroup(table, _trusted=True)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _table_variants(G, rng):
+    """A relabeled copy of G's table, and copies with one entry moved, two
+    entries of a row swapped, and two rows swapped off the identity column;
+    plus the monoid x*y = x (x, y != e), associative without inverses, which
+    its middle elements reach one at a time."""
+    n = G.n
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    relabeled = np.empty_like(G.table)
+    relabeled[np.ix_(perm, perm)] = perm[G.table]
+    out = [relabeled]
+    if n > 3:
+        x, y, z = (int(v) for v in 1 + rng.choice(n - 1, 3, replace=False))
+        moved = relabeled.copy()
+        moved[x, y] = (moved[x, y] + 1) % n
+        swapped = relabeled.copy()
+        swapped[x, [y, z]] = swapped[x, [z, y]]
+        rows = relabeled.copy()
+        rows[[x, y], 1:] = rows[[y, x], 1:]
+        out += [moved, swapped, rows]
+    monoid = np.repeat(np.arange(n)[:, None], n, axis=1)
+    monoid[0] = np.arange(n)
+    return out + [monoid]
+
+
+def test_table_validation_gives_the_full_verdict():
+    """Every table of ``_table_variants`` on every catalog group, and the
+    order-64 carrier: the middle-element check accepts exactly the tables
+    the all-triples check accepts, and rejects the others with its message."""
+    tables = [(spec, gq.make_group(spec)) for spec in GROUP_SPECS]
+    tables.append(("nd_C8xC8", standard_nondegenerate([8]).group))
+    rejected = 0
+    for spec, G in tables:
+        for table in _table_variants(G, np.random.default_rng(G.n)):
+            want = reference_table_error(table)
+            try:
+                gq.FiniteGroup(table)
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want, spec
+            rejected += want is not None
+    assert rejected > len(tables)
+
+
+def test_table_validation_peak_memory_at_order_256():
+    text = format_group_table(standard_nondegenerate([4, 4]).group)
+    parse_group_table(text)  # first-use allocations of numpy stay out of the measurement
+    tracemalloc.start()
+    try:
+        G = parse_group_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-triples check built two 256^3 int64 arrays, 128 MiB each
+    assert G.n == 256 and peak < 8 * 2**20
 
 
 def reference_inverse_table(table):
@@ -390,17 +469,17 @@ def reference_violating_conjugation(H):
     eset = set(H.elements)
     for g in G.elements():
         for h in H.elements:
-            if G.conjugate(g, h) not in eset:
+            if G.mul(G.mul(g, h), G.inv(g)) not in eset:
                 return g, h
     return None
 
 
 def reference_as_group(H):
-    """(table, labels, embedding) of H as a standalone group."""
+    """(table, labels) of H as a standalone group, element i at H.elements[i]."""
     elems = list(H.elements)
     pos = {g: i for i, g in enumerate(elems)}
     table = [[pos[H.group.mul(a, b)] for b in elems] for a in elems]
-    return table, [H.group.label(g) for g in elems], elems
+    return table, [H.group.label(g) for g in elems]
 
 
 def reference_coset_space(G, H):
@@ -492,8 +571,8 @@ def test_table_routines_match_reference(name):
         bad = reference_violating_conjugation(H)
         assert H.violating_conjugation() == bad
         assert H.is_normal() == (bad is None)
-        sub, embed = H.as_group()
-        assert (sub.table.tolist(), sub.labels, embed) == reference_as_group(H)
+        sub = H.as_group()
+        assert (sub.table.tolist(), sub.labels) == reference_as_group(H)
         cs = gq.coset_space(G, H)
         assert (cs.blocks, cs.representatives, cs.block_of) == reference_coset_space(G, H)
         if bad is None:
@@ -576,7 +655,7 @@ def reference_abelian_split(G):
     m = orders[g]
     cyc = set(gq.generated_subgroup(G, [g]).elements)
     complement = next(K for K in gq.subgroups(G) if K.order == G.n // m and len(set(K.elements) & cyc) == 1)
-    H, embed = complement.as_group()
+    H, embed = complement.as_group(), complement.elements
     rest_invs, rest_gens = reference_abelian_split(H)
     return rest_invs + [m], [embed[x] for x in rest_gens] + [g]
 

@@ -19,6 +19,7 @@ from gquot.lagrangians import (
     _compose_perm,
 )
 from gquot.mackey import mackey_decompose
+from gquot.twisted import BlockOracle, TwistedAlgebra
 
 
 def test_isotropy_trivial_class_any_subgroup():
@@ -59,8 +60,7 @@ def test_lagrangian_scan_c4xc4_contains_both_types():
     assert gq.generated_subgroup(G, [8, 2]).elements in found  # the Klein <x^2, y^2>
     kinds = set()
     for elems in found:
-        sub, _ = gq.Subgroup(G, elems).as_group()
-        kinds.add(gq.abelian_invariants(sub))
+        kinds.add(gq.abelian_invariants(gq.Subgroup(G, elems).as_group()))
     assert kinds == {(4,), (2, 2)}
 
 
@@ -84,6 +84,25 @@ def test_crossed_product_iff_lagrangian_cases():
     assert gq.are_isomorphic(Q, gq.make_group("C2xC2")).isomorphic
     # an order-2 kernel fails the size condition
     assert not crossed_product_iff_lagrangian(G44, a44, gq.generated_subgroup(G44, [8]))
+
+
+@pytest.mark.parametrize("oracle", [None, BlockOracle()], ids=["own registry", "caller registry"])
+def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, oracle):
+    """Without a decomposition passed in, the decomposition and the isotropy
+    check share one registry: on nd_C4xC4 with the Klein Lagrangian, each
+    distinct (table, scale, exponents) is split exactly once."""
+    splits = []
+    original = TwistedAlgebra.wedderburn
+
+    def counted(self, seed=0):
+        splits.append((self.group.table.tobytes(), self.cocycle.scale, self.cocycle.exps.tobytes()))
+        return original(self, seed=seed)
+
+    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    a44 = standard_nondegenerate([4])
+    L = gq.generated_subgroup(a44.group, [8, 2])
+    assert crossed_product_iff_lagrangian(a44.group, a44, L, oracle=oracle)
+    assert len(splits) == len(set(splits)) == 3  # C^a G, C^a L and the trivial obstruction on C1
 
 
 def test_crossed_product_iff_lagrangian_rejects_a_foreign_decomposition():

@@ -42,7 +42,7 @@ def test_trivial_kernel_recovers_the_class():
     assert o.dim == 1 and o.inertia.order == G.n
     assert o.x.mults == ((0, 1),)
     # the obstruction is exact, of scale |I|, and cohomologous to the input
-    assert o.omega.group == o.inertia.as_group()[0] and o.omega.scale == G.n
+    assert o.omega.group == o.inertia.as_group() and o.omega.scale == G.n
     relabeled = CocycleTable(G, G.n, o.omega.exps[np.ix_(o.inertia.elements, o.inertia.elements)])
     assert cohomologous(relabeled, a)[0]
 
@@ -148,7 +148,7 @@ def test_doubly_nondegenerate_has_ct_quotient():
 
     hits = 0
     for N in gq.subgroups(G):
-        rest, sub, _ = a.restrict(N)
+        rest = a.restrict(N)
         if bicharacter_of(rest).radical().order != 1:
             continue
         hits += 1
@@ -229,14 +229,21 @@ def assert_same_decomposition(got, want):
 @pytest.mark.parametrize("case", sweep_cases(), ids=lambda c: f"{c[0]}/{c[2]}")
 def test_shared_context_matches_fresh_decompositions(case):
     """One context per (G, alpha) across every normal N gives what a fresh
-    algebra and oracle per N give."""
+    algebra and oracle per N give.  Its conjugation table equals the
+    per-element Python-integer one, and its phases the product of three
+    cocycle values, within 1e-12."""
     _, G, _, a = case
     context = MackeyContext(G, a, 0)
     A_G = TwistedAlgebra(G, a)
     assert context.blocks.dims == A_G.wedderburn(seed=0).dims
+    _, kappa = a.conjugation()
+    c, m = a.exps.tolist(), a.scale
     for h in G.elements():
-        conj, kappa = A_G.conjugation(h, np.arange(G.n))
-        assert np.array_equal(context.conj[h], conj) and np.array_equal(context.kappa[h], kappa)
+        for g in G.elements():
+            hg, hinv = G.mul(h, g), G.inv(h)
+            assert context.conj[h, g] == reference_conjugate(G, h, g)
+            assert kappa[h, g] == (c[h][g] + c[hg][hinv] - c[h][hinv]) % m
+            assert abs(context.kappa[h, g] - reference_kappa(A_G, h, g)) <= 1e-12
     for N in gq.normal_subgroups(G):
         assert_same_decomposition(context.decompose(N), mackey_decompose(G, a, N, seed=0))
     assert context.decompose(N) is context.decompose(N)
@@ -343,7 +350,13 @@ def reference_solve_intertwiner(rho, rho_g, d):
     return P * (abs(lead) / lead)
 
 
+def reference_conjugate(G, h, g):
+    """h g h^-1, one product at a time."""
+    return G.mul(G.mul(h, g), G.inv(h))
+
+
 def reference_kappa(A, h, g):
+    """kappa(h, g) as the product of three complex cocycle values."""
     G = A.group
     hg, hinv = G.mul(h, g), G.inv(h)
     return A.phases[h, g] * A.phases[hg, hinv] / A.phases[h, hinv]
@@ -352,7 +365,7 @@ def reference_kappa(A, h, g):
 def reference_obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
     G = A_G.group
     N_pos = {h: i for i, h in enumerate(N_embed)}
-    I_group, I_embed = inertia.as_group()
+    I_group, I_embed = inertia.as_group(), inertia.elements
     k, d = I_group.n, point.dim
     rho = A_N.irreducible_rep(point, seed=seed)
     characters = np.trace(rho, axis1=1, axis2=2)
@@ -363,7 +376,7 @@ def reference_obstruction(A_G, A_N, N_embed, point, inertia, section, seed):
         rho_g = np.empty_like(rho)
         for nl in range(A_N.n):
             n_parent = N_embed[nl]
-            rho_g[nl] = reference_kappa(A_G, g, n_parent) * rho[N_pos[G.conjugate(g, n_parent)]]
+            rho_g[nl] = reference_kappa(A_G, g, n_parent) * rho[N_pos[reference_conjugate(G, g, n_parent)]]
         intertwiners.append(reference_solve_intertwiner(rho, rho_g, d))
     q = len(section)
     T = []
@@ -399,13 +412,12 @@ def check_trivial_inertia_orbit(a, N, dec, orbit):
     """An orbit with trivial inertia gets the trivial table of scale 1, and the
     per-element reference obstruction of its module, which must pass the
     character-norm check, is [[1]]."""
-    assert orbit.omega == CocycleTable.trivial(orbit.inertia.as_group()[0])
-    alpha_N, N_group, N_embed = a.restrict(N)
+    assert orbit.omega == CocycleTable.trivial(orbit.inertia.as_group())
+    alpha_N = a.restrict(N)
     section = gq.coset_space(a.group, N).representatives
     point = dec.points[orbit.point_indices[0]]
-    omega = reference_obstruction(
-        TwistedAlgebra(a.group, a), TwistedAlgebra(N_group, alpha_N), N_embed, point, orbit.inertia, section, 0
-    )
+    A_G, A_N = TwistedAlgebra(a.group, a), TwistedAlgebra(alpha_N.group, alpha_N)
+    omega = reference_obstruction(A_G, A_N, N.elements, point, orbit.inertia, section, 0)
     assert np.max(np.abs(omega - 1.0)) <= 1e-12, N.elements
 
 
@@ -495,8 +507,8 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
     orbits = trivial = 0
     for N in gq.normal_subgroups(G):
         dec = mackey_decompose(G, a, N, seed=0)
-        alpha_N, N_group, N_embed = a.restrict(N)
-        A_N = TwistedAlgebra(N_group, alpha_N)
+        alpha_N = a.restrict(N)
+        A_N = TwistedAlgebra(alpha_N.group, alpha_N)
         section = gq.coset_space(G, N).representatives
         twisted = [o for o in dec.orbits if o.inertia.order > 1]
         for o in dec.orbits:
@@ -506,7 +518,7 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
         assert len(raw) == orbits + len(twisted)
         for o, scalars in zip(twisted, raw[orbits:], strict=True):
             point = dec.points[o.point_indices[0]]
-            omega = reference_obstruction(A_G, A_N, N_embed, point, o.inertia, section, 0)
+            omega = reference_obstruction(A_G, A_N, N.elements, point, o.inertia, section, 0)
             assert np.max(np.abs(scalars - omega)) <= 1e-12, N.elements
             reference = reference_gauge(o.omega.group, omega)
             assert o.omega.scale == o.inertia.order and cohomologous(o.omega, reference)[0], N.elements
@@ -662,7 +674,8 @@ def conjugate_idempotent_coeffs(A, N_elems, g, coeffs):
     ``coeffs`` may stack several idempotents along leading axes.
     """
     N = np.asarray(N_elems)
-    target, kappa = A.conjugation(g, N)
+    target = np.array([reference_conjugate(A.group, g, n) for n in N_elems])
+    kappa = np.array([reference_kappa(A, g, n) for n in N_elems])
     pos = np.full(A.n, -1)
     pos[N] = np.arange(len(N))
     live = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - 1)))

@@ -3,7 +3,7 @@ import pytest
 
 import gquot as gq
 from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
-from gquot.cocycles import CocycleTable, OneCochain, coboundary, is_nondegenerate, standard_nondegenerate
+from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
 from gquot.errors import CertificationError, SizeBoundError, ValidationError
 from gquot.groups import generating_sequence
 from gquot.mackey import mackey_decompose
@@ -14,10 +14,17 @@ from gquot.twisted import (
     TOL_ROUND,
     BlockOracle,
     CenterClass,
+    IrrPoint,
     TwistedAlgebra,
+    is_nondegenerate,
     match_idempotent,
     _cluster,
 )
+
+
+def conjugate(G, h, g):
+    """h g h^-1, one product at a time."""
+    return G.mul(G.mul(h, g), G.inv(h))
 
 
 def conjugacy_class_count(G):
@@ -26,7 +33,7 @@ def conjugacy_class_count(G):
     for g in G.elements():
         if g in seen:
             continue
-        orbit = {G.conjugate(h, g) for h in G.elements()}
+        orbit = {conjugate(G, h, g) for h in G.elements()}
         seen |= orbit
         count += 1
     return count
@@ -120,10 +127,11 @@ def conjugate_idempotent(A, N, g, point, points):
     the known set; raises if conjugation leaves N."""
     pos = {n: i for i, n in enumerate(N.elements)}
     raw = np.zeros(len(N.elements), dtype=np.complex128)
+    G, W = A.group, A.phases
     for i, n in enumerate(N.elements):
-        target, kappa = A.conjugation(g, n)
-        assert int(target) in pos, f"conjugating {n} by {g} leaves N"
-        raw[pos[int(target)]] = point.coeffs[i] * kappa
+        target, gn, ginv = conjugate(G, g, n), G.mul(g, n), G.inv(g)
+        assert target in pos, f"conjugating {n} by {g} leaves N"
+        raw[pos[target]] = point.coeffs[i] * W[g, n] * W[gn, ginv] / W[g, ginv]
     return match_idempotent(raw[None], points)[0]
 
 
@@ -164,8 +172,8 @@ def test_central_idempotent_of_nondegenerate_is_identity():
 
 def test_isotropic_restriction_gives_four_lines():
     a44 = standard_nondegenerate([4])
-    rest, sub, _ = a44.restrict(gq.generated_subgroup(a44.group, [4]))
-    pts = central_idempotents(sub, rest, seed=0)
+    rest = a44.restrict(gq.generated_subgroup(a44.group, [4]))
+    pts = central_idempotents(rest.group, rest, seed=0)
     assert sorted(p.dim for p in pts) == [1, 1, 1, 1]
 
 
@@ -186,8 +194,8 @@ def test_orbit_swap_under_nondegenerate_class():
     G = a.group
     A = TwistedAlgebra(G, a)
     N = gq.generated_subgroup(G, [2])
-    rest, sub, _ = a.restrict(N)
-    pts = central_idempotents(sub, rest, seed=0)
+    rest = a.restrict(N)
+    pts = central_idempotents(rest.group, rest, seed=0)
     assert same_orbit(A, N, pts[0], pts[1], pts)
     # u_y (index 1) realizes the swap
     moved = conjugate_idempotent(A, N, 1, pts[0], pts)
@@ -199,8 +207,8 @@ def test_q8_center_orbits_are_fixed():
     t = CocycleTable.trivial(Q8)
     A = TwistedAlgebra(Q8, t)
     Z = gq.center(Q8)
-    rest, sub, _ = t.restrict(Z)
-    pts = central_idempotents(sub, rest, seed=0)
+    rest = t.restrict(Z)
+    pts = central_idempotents(rest.group, rest, seed=0)
     assert not same_orbit(A, Z, pts[0], pts[1], pts)
     for g in Q8.elements():
         assert conjugate_idempotent(A, Z, g, pts[0], pts) == pts[0]
@@ -216,8 +224,8 @@ def test_idempotent_set_closed_under_conjugation():
             G = alpha.group
         A = TwistedAlgebra(G, alpha)
         for N in gq.normal_subgroups(G):
-            rest, sub, _ = alpha.restrict(N)
-            pts = central_idempotents(sub, rest, seed=0)
+            rest = alpha.restrict(N)
+            pts = central_idempotents(rest.group, rest, seed=0)
             for p in pts:
                 for g in G.elements():
                     conjugate_idempotent(A, N, g, p, pts)  # raises if it escapes
@@ -230,8 +238,8 @@ def test_transitive_action_for_nondegenerate():
     G = a.group
     A = TwistedAlgebra(G, a)
     for N in list(gq.normal_subgroups(G))[:6]:
-        rest, sub, _ = a.restrict(N)
-        pts = central_idempotents(sub, rest, seed=0)
+        rest = a.restrict(N)
+        pts = central_idempotents(rest.group, rest, seed=0)
         dims = {p.dim for p in pts}
         assert len(dims) == 1
         for p in pts:
@@ -377,7 +385,7 @@ def reference_class_exact(A, g0):
     while queue:
         g = queue.pop()
         for h in range(A.n):
-            g2 = G.conjugate(h, g)
+            g2 = conjugate(G, h, g)
             e2 = (expo[g] + reference_kappa_exp(A, h, g)) % m
             if g2 in expo:
                 if expo[g2] != e2:
@@ -499,15 +507,15 @@ def reference_irreducible_rep(A, point, seed):
     raise CertificationError("reference extraction failed")
 
 
-def reference_match_idempotent(coeffs, points, tol=TOL_ROUND):
-    hits = [p for p in points if float(np.max(np.abs(p.coeffs - coeffs))) <= tol]
+def reference_match_idempotent(coeffs, points):
+    hits = [p for p in points if float(np.max(np.abs(p.coeffs - coeffs))) <= TOL_ROUND]
     if len(hits) != 1:
-        raise CertificationError(f"idempotent match found {len(hits)} candidates within {tol}")
+        raise CertificationError(f"idempotent match found {len(hits)} candidates within {TOL_ROUND}")
     return hits[0]
 
 
-def reference_match_rows(rows, points, tol=TOL_ROUND):
-    return tuple(reference_match_idempotent(r, points, tol).index for r in rows)
+def reference_match_rows(rows, points):
+    return tuple(reference_match_idempotent(r, points).index for r in rows)
 
 
 def _regular_rep_algebras():
@@ -555,18 +563,21 @@ def test_regular_representation_matches_reference(name):
         assert np.max(np.abs(rho - reference_irreducible_rep(A, p, seed=1))) <= 1e-12
 
 
-def _match_outcome(match, rows, points, tol):
+def _match_outcome(match, rows, points):
     try:
-        return match(rows, points, tol)
+        return match(rows, points)
     except CertificationError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("spec", ["C4", "S3", "Q8", "C2xC2xC2", "S4"])
 def test_match_idempotent_matches_reference(spec):
-    """Stacked matches equal the one-point loop, errors included."""
+    """Stacked matches equal the one-point loop, errors included: rows near
+    no point, near one, and near two (the points plus a twin 1e-9 from the
+    first)."""
     G = gq.make_group(spec)
     points = TwistedAlgebra(G, CocycleTable.trivial(G)).wedderburn(seed=0).blocks
+    twin = IrrPoint(points[0].coeffs + 1e-9, points[0].dim, len(points))
     known = np.array([p.coeffs for p in points])
     rng = np.random.default_rng(0)
     exact = known[rng.permutation(len(points))]
@@ -576,9 +587,9 @@ def test_match_idempotent_matches_reference(spec):
         stacks.append(np.vstack([exact, garbage]))
         stacks.append(np.vstack([garbage, exact]))
     for rows in stacks:
-        for tol in (TOL_ROUND, 0.3, 10.0):
-            got = _match_outcome(match_idempotent, rows, points, tol)
-            want = _match_outcome(reference_match_rows, rows, points, tol)
+        for known_points in (points, points + (twin,)):
+            got = _match_outcome(match_idempotent, rows, known_points)
+            want = _match_outcome(reference_match_rows, rows, known_points)
             if isinstance(got, tuple):
                 got = tuple(p.index for p in got)
             assert got == want
