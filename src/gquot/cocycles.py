@@ -159,33 +159,48 @@ def coboundary(c: OneCochain) -> CocycleTable:
 
 
 def group_exponent(G: FiniteGroup) -> int:
-    out = 1
-    for g in G.elements():
-        out = math.lcm(out, G.order_of(g))
-    return out
+    return math.lcm(*G.element_orders())
 
 
 def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | None]:
     """Decide whether two cocycles represent the same class over C*.
 
-    The additive system  c(g) + c(h) - c(gh) = (b - a)(g, h)  is solved
-    exactly at the scale m * exponent(G).  The enlarged scale is provably
-    sufficient: any complex solution automatically takes values that are
-    ord(g) * m -th roots of unity, so solvability over C* and over
-    Z/(m * exp) coincide.  (At scale m alone the test would be wrong:
-    u_t^2 = -1 on C_2 is trivial over C* with witness f(t) = i.)
-    The witness is re-checked against the target before returning.
+    The additive system  c(g) + c(h) - c(gh) = t(g, h),  t = b - a,  is
+    solved exactly at the scale M = m * exponent(G).  The enlarged scale is
+    provably sufficient: any complex solution automatically takes values that
+    are ord(g) * m -th roots of unity, so solvability over C* and over Z/M
+    coincide.  (At scale m alone the test would be wrong: u_t^2 = -1 on C_2
+    is trivial over C* with witness f(t) = i.)
 
-    The system has one row per pair (g, h) of non-identity elements, g-major,
-    and one unknown per non-identity element.  Its entries are -1, 1 and 2,
-    so it is built as one int8 array by three scatters (the g, h and gh
-    columns) and handed to ``solve_mod`` as a list of that array's rows.
+    M splits as M1 * M2, where M1 is the part of M whose primes divide
+    n = |G|, found by repeated gcd with n; M2 is coprime to n.
+
+    - **Mod M1** the system goes to ``solve_mod``.  It has one row per pair
+      (g, h) of non-identity elements, g-major, and one unknown per
+      non-identity element.  Its entries are -1, 1 and 2, so it is built as
+      one int8 array by three scatters (the g, h and gh columns) and handed
+      over as a list of that array's rows.
+    - **Mod M2** there is nothing to solve: H^2(G, Z/p^e) = 0 for p not
+      dividing n (Brown, *Cohomology of Groups*, III.10), and the witness is
+      explicit.  Summing the cocycle identity
+      t(h, k) - t(gh, k) + t(g, hk) - t(g, h) = 0 over k gives
+      n t(g, h) = S(g) + S(h) - S(gh) with the row sum S(g) = sum_k t(g, k),
+      so c = n^-1 S mod M2 (and S(e) = 0).  Two normalized solutions mod M2
+      differ by a homomorphism G -> Z/M2, which is 0 as M2 is coprime to n:
+      c is the one solution, the one a solve mod M2 would return.
+
+    The two parts are glued by the Chinese remainder theorem, and the witness
+    is re-checked against the target before returning.
     """
     a, b = reconcile_scales(a, b)
     lift = a.scale * group_exponent(a.group)
     a, b = a.rescale(lift), b.rescale(lift)
     n, m = a.group.n, a.scale
     target = (b.exps - a.exps) % m
+    m2 = m
+    while (d := math.gcd(m2, n)) > 1:
+        m2 //= d
+    m1 = m // m2
     g, h = (x.ravel() for x in np.indices((n - 1, n - 1)) + 1)
     gh = a.group.table[g, h]
     eq = np.arange(len(g))
@@ -195,9 +210,13 @@ def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | N
     live = gh != 0  # c(e) = 0 is not an unknown; gh = g or h only when the other is e
     rows[eq[live], gh[live] - 1] -= 1
     rhs = target[1:, 1:].ravel().tolist()
-    x = solve_mod(list(rows), rhs, m)
+    x = solve_mod(list(rows), rhs, m1)
     if x is None:
         return False, None
+    # x + m1 * y is x mod m1 and n^-1 S mod m2 when y = (n^-1 S - x) m1^-1 mod m2
+    n_inv, m1_inv = pow(n, -1, m2), pow(m1, -1, m2)
+    sums = (sum(row) for row in target[1:].tolist())
+    x = [xi + m1 * ((s * n_inv - xi) * m1_inv % m2) for xi, s in zip(x, sums)]
     witness = OneCochain(a.group, m, (0,) + tuple(x))
     if not np.array_equal(coboundary(witness).exps, target):
         raise ValidationError("coboundary witness failed verification")  # solver bug guard

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, coset_space, generated_subgroup
+from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,6 @@ class Character:
     @property
     def eps(self) -> int:
         return sum(k for _, k in self.mults)
-
-    def pushforward(self, mapping: GroupHom) -> "Character":
-        """Apply a homomorphism (e.g. a quotient projection) pointwise."""
-        acc: dict = {}
-        for e, k in self.mults:
-            img = mapping(e)
-            acc[img] = acc.get(img, 0) + k
-        return Character.from_dict(mapping.target, acc)
 
     def product(self, other: "Character") -> "Character":
         """Semiring product in N[Gamma]."""

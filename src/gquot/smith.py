@@ -3,10 +3,11 @@
 Used to decide whether two root-of-unity cocycles differ by a coboundary:
 that question is a linear system over Z/m.
 
-- **CRT split.**  m is factored into prime powers q = p^e (trial division by
-  the primes to 37, then Miller-Rabin and Pollard's rho); the system is
-  solved mod each q and the solutions are glued by the Chinese remainder
-  theorem.  It is unsolvable mod m as soon as it is unsolvable mod one q.
+- **CRT split.**  m is factored into prime powers q = p^e by trial division,
+  so m should have small prime factors only (``cohomologous`` passes the part
+  of its modulus whose primes divide the group order); the system is solved
+  mod each q and the solutions are glued by the Chinese remainder theorem.
+  It is unsolvable mod m as soon as it is unsolvable mod one q.
 - **Smith reduction over Z/p^e.**  Z/p^e is a local ring: an entry of
   minimal p-valuation v divides every entry of the rows and columns not yet
   reduced.  Pivots are taken level by level (v = 0, 1, ...), column by
@@ -35,16 +36,11 @@ that question is a linear system over Z/m.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import count
-from math import gcd
-
 import numpy as np
 
 from .errors import ValidationError
 
 _CHUNK_ROWS = 4096
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (dtype, largest value it holds): a residue mod q lives in the first dtype whose bound is >= q*q
 _DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
@@ -55,7 +51,8 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
     ``rows`` is a dense integer matrix given as a list of equal-length rows,
     one per entry of ``rhs``: lists of integers of any size, or 1-D integer
     arrays.  The solution is returned with entries in ``range(m)``; a
-    homogeneous system gets the zero solution.
+    homogeneous system gets the zero solution.  m is factored by trial
+    division, so its prime factors should be small.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -77,58 +74,21 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
 
 
 def prime_powers(m: int) -> list[tuple[int, int]]:
-    """The factorization of m >= 1 as (p, e) pairs, p increasing."""
+    """The factorization of m >= 1 as (p, e) pairs, p increasing, by trial
+    division: meant for moduli whose prime factors are small."""
     if m < 1:
         raise ValueError(f"cannot factor {m}: need m >= 1")
-    primes, stack = [], []
-    for p in _SMALL_PRIMES:
+    out, p = [], 2
+    while p * p <= m:
+        e = 0
         while m % p == 0:
-            primes.append(p)
-            m //= p
+            m, e = m // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
     if m > 1:
-        stack.append(m)
-    while stack:  # every number here is > 37 and has no factor in _SMALL_PRIMES
-        n = stack.pop()
-        if _is_probable_prime(n):
-            primes.append(n)
-        else:
-            d = _pollard_rho(n)
-            stack += [d, n // d]
-    return sorted(Counter(primes).items())
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _SMALL_PRIMES: exact for n < 3.3e24.  A
-    composite passed off as prime above that would only make a pivot fail to
-    invert mod n, which raises; no wrong answer can come of it."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A proper factor of the odd composite n (Pollard's rho, Floyd cycle finding)."""
-    for c in count(1):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(x - y, n)
-        if d != n:
-            return d
+        out.append((m, 1))
+    return out
 
 
 def _residues(values, q: int, width: int, dtype) -> np.ndarray:

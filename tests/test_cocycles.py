@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -370,7 +371,7 @@ THEOREM_D_CARRIERS = ((8,), (2, 4))  # C8xC8 and C2xC4xC2xC4, the order-64 carri
 
 def reference_coboundary_rows(a: CocycleTable, b: CocycleTable):
     """The system ``cohomologous`` solved when it was built as Python lists:
-    one row per (g, h) with g, h != e, g-major, at the lifted scale."""
+    one row per (g, h) with g, h != e, g-major, at the whole lifted scale."""
     a, b = reconcile_scales(a, b)
     lift = a.scale * group_exponent(a.group)
     a, b = a.rescale(lift), b.rescale(lift)
@@ -393,7 +394,8 @@ def reference_coboundary_rows(a: CocycleTable, b: CocycleTable):
 
 def _system_cases():
     """A cohomologous pair on every catalog group, and on the order-64 and
-    order-128 carriers a cohomologous pair and a non-cohomologous one."""
+    order-128 carriers a cohomologous pair and a non-cohomologous one; then
+    scales with a large prime that does not divide the group order."""
     rng = np.random.default_rng(19)
     cases = []
     for spec in GROUP_SPECS:
@@ -407,6 +409,12 @@ def _system_cases():
     for name, a in carriers + [("C2xC8xC8", bilinear_c2xc8xc8())]:
         cases.append(pytest.param(a, times_random_coboundary(a, rng), id=f"{name}~dc"))
         cases.append(pytest.param(CocycleTable.trivial(a.group), a, id=f"{name}~trivial"))
+    for name, a in carriers:
+        big = a.rescale(a.scale * 1000003)
+        cases.append(pytest.param(big, times_random_coboundary(big, rng), id=f"{name}*1000003~dc"))
+        trivial = CocycleTable.trivial(a.group, 3 * 1000033)
+        cases.append(pytest.param(trivial, times_random_coboundary(trivial, rng), id=f"{name}:3*1000033~dc"))
+        cases.append(pytest.param(trivial, a, id=f"{name}:3*1000033~nd"))
     return cases
 
 
@@ -424,9 +432,12 @@ def test_coboundary_system_matches_reference_rows(a, b, monkeypatch):
     ref_rows, ref_rhs, ref_m = reference_coboundary_rows(a, b)
     # a list of int8 rows: a wrapper may read len(rows[0]) behind `if rows`
     assert isinstance(rows, list) and all(row.dtype == np.int8 for row in rows[:1])
-    assert m == ref_m and list(rhs) == ref_rhs
+    # the solver gets the part of the lifted scale whose primes divide |G|
+    n = a.group.n
+    assert ref_m % m == 0 and pow(n, m.bit_length(), m) == 0 and math.gcd(ref_m // m, n) == 1
+    assert list(rhs) == ref_rhs
     assert [row.tolist() for row in rows] == ref_rows
-    x = solve_mod(ref_rows, ref_rhs, m)
+    x = solve_mod(ref_rows, ref_rhs, ref_m)  # the whole-scale solve, as before the split
     assert same == (x is not None)
     assert witness is None if x is None else witness.exps == (0,) + tuple(x)
 

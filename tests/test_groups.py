@@ -164,6 +164,22 @@ def test_table_validation_peak_memory_at_order_256():
     assert G.n == 256 and peak < 8 * 2**20
 
 
+def test_table_validation_stops_at_log2_n_middles_on_a_monoid(monkeypatch):
+    """The monoid x*y = x (x, y != e) of order 256 would take 255 middle
+    elements; a group needs at most floor(log2 256) = 8, so validation stops
+    there and the inverse check names the element with no inverse."""
+    n = 256
+    monoid = np.repeat(np.arange(n)[:, None], n, axis=1)
+    monoid[0] = np.arange(n)
+    calls = []
+    closure = groups._closure
+    monkeypatch.setattr(groups, "_closure", lambda *args: calls.append(args) or closure(*args))
+    with pytest.raises(ValidationError) as exc:
+        gq.FiniteGroup(monoid)
+    assert str(exc.value) == "element 1 has no two-sided inverse"
+    assert len(calls) <= 8
+
+
 def reference_inverse_table(table):
     """The per-row loop the inverse table was first built by."""
     inv = np.empty(len(table), dtype=np.int64)
