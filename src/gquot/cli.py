@@ -302,29 +302,16 @@ def _cmd_suite(args, em: _Emitter) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_COMMANDS = {"group": _cmd_group, "cocycle": _cmd_cocycle, "twisted": _cmd_twisted, "grading": _cmd_grading,
+             "mackey": _cmd_mackey, "lagrangian": _cmd_lagrangian, "pi1": _cmd_pi1, "suite": _cmd_suite}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # the subcommand is required, so it is a key of _COMMANDS
     em = _Emitter(getattr(args, "out", None))
     try:
-        if args.command == "group":
-            code = _cmd_group(args, em)
-        elif args.command == "cocycle":
-            code = _cmd_cocycle(args, em)
-        elif args.command == "twisted":
-            code = _cmd_twisted(args, em)
-        elif args.command == "grading":
-            code = _cmd_grading(args, em)
-        elif args.command == "mackey":
-            code = _cmd_mackey(args, em)
-        elif args.command == "lagrangian":
-            code = _cmd_lagrangian(args, em)
-        elif args.command == "pi1":
-            code = _cmd_pi1(args, em)
-        elif args.command == "suite":
-            code = _cmd_suite(args, em)
-        else:  # unreachable with required=True
-            return 2
+        code = _COMMANDS[args.command](args, em)
     except (CertificationError, TheoremCheckError) as exc:
         em.emit("error", f"{type(exc).__name__}: {exc}")
         em.flush()

@@ -689,7 +689,15 @@ def cayley_tree(G: FiniteGroup) -> CayleyTree:
 
 
 def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
-    """Grow a partial map by closing under generator products; None on conflict."""
+    """Grow a partial map f, f(a) = b for each pair, by closing under right
+    products f(x a) = f(x) b; None on conflict.
+
+    Right products suffice.  The closure reaches every positive word in the
+    a's, which in a finite group is the whole subgroup they generate.  With
+    no conflict left, f(x a) = f(x) f(a) for every reached x, so by induction
+    on k, f(x a_1 ... a_k) = f(x a_1 ... a_{k-1}) f(a_k)
+    = f(x) f(a_1 ... a_{k-1}) f(a_k) = f(x) f(a_1 ... a_k): f is a homomorphism.
+    """
     mapping = {0: 0}
     frontier = [0]
     for a, b in pairs:
@@ -700,13 +708,13 @@ def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
     while frontier:
         x = frontier.pop()
         for a, b in pairs:
-            for u, v in ((G1.mul(x, a), G2.mul(mapping[x], b)), (G1.mul(a, x), G2.mul(b, mapping[x]))):
-                if u in mapping:
-                    if mapping[u] != v:
-                        return None
-                else:
-                    mapping[u] = v
-                    frontier.append(u)
+            u, v = G1.mul(x, a), G2.mul(mapping[x], b)
+            if u in mapping:
+                if mapping[u] != v:
+                    return None
+            else:
+                mapping[u] = v
+                frontier.append(u)
     return mapping
 
 

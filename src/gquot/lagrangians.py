@@ -32,7 +32,6 @@ from .groups import (
 )
 from .mackey import (
     MackeyContext,
-    MackeyDecomposition,
     is_ecp_quotient,
     is_elementary_quotient,
 )
@@ -119,25 +118,29 @@ def lagrangian_scan(
     return out
 
 
+def _mackey_context(G: FiniteGroup, alpha: CocycleTable, seed: int, context) -> MackeyContext:
+    """``context`` when the caller holds one for (G, alpha, seed), else a new one."""
+    if context is None:
+        return MackeyContext(G, alpha, seed)
+    if (context.group, context.cocycle, context.seed) != (G, alpha, seed):
+        raise DomainError("Mackey context is for a different (group, cocycle, seed)")
+    return context
+
+
 def crossed_product_iff_lagrangian(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, dec: MackeyDecomposition | None = None,
-    oracle: BlockOracle | None = None,
+    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, context: MackeyContext | None = None
 ) -> bool:
     """ECP verdict of the quotient equals the Lagrangian verdict of N.
 
     Both sides are computed independently; disagreement is an implementation
-    bug and raises.  Returns the shared verdict.  A ``dec`` passed in must be
-    the decomposition of (G, alpha, N, seed); without one, N is decomposed
-    through a ``MackeyContext`` on ``oracle``, or on a new registry.  The
-    isotropy check asks the same registry, or a new one.
+    bug and raises.  Returns the shared verdict.  N is decomposed through
+    ``context`` when the caller holds one for (G, alpha, seed), so a scan over
+    many N shares its work, else through a new one; the isotropy check asks
+    the context's ``BlockOracle``.
     """
-    if dec is None:
-        context = MackeyContext(G, alpha, seed, oracle)
-        dec, oracle = context.decompose(N), context.oracle
-    elif (dec.group, dec.cocycle, dec.normal, dec.seed) != (G, alpha, N, seed):
-        raise DomainError("Mackey decomposition is for a different (group, cocycle, subgroup, seed)")
-    ecp = is_ecp_quotient(dec)
-    lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed, oracle=oracle).isotropic
+    context = _mackey_context(G, alpha, seed, context)
+    ecp = is_ecp_quotient(context.decompose(N))
+    lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed, oracle=context.oracle).isotropic
     if ecp != lag:
         raise TheoremCheckError(
             f"biconditional violated on N of order {N.order}: ECP={ecp}, Lagrangian={lag}"
@@ -175,10 +178,7 @@ def maximal_elementary_quotients(
         raise DomainError("maximal_elementary_quotients expects an abelian group")
     if not is_nondegenerate(A, alpha, seed=seed):
         raise DomainError("expects a non-degenerate class")
-    if context is None:
-        context = MackeyContext(A, alpha, seed)
-    elif (context.group, context.cocycle, context.seed) != (A, alpha, seed):
-        raise DomainError("Mackey context is for a different (group, cocycle, seed)")
+    context = _mackey_context(A, alpha, seed, context)
     decs: dict = {}
     elementary = []
     for N in subgroups(A):

@@ -8,15 +8,16 @@ rewriting procedure that proves the generation claims, and the presentation
 data of the resulting central extensions is verified by direct word
 computation with bounded-length certificates for the freeness claims.
 
-The diagrams themselves (which classes share which quotients) are encoded
-as fixed data; deriving them from first principles is out of scope.
+Each diagram (which classes share which quotients) is stated once, as the
+edge maps of a ``GroupDiagram``; deriving it from first principles is out
+of scope.  The admissible-tuple enumerators read the fibres of those maps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iproduct
 
 from .errors import CertificationError, DomainError, ValidationError
 from .groups import (
@@ -48,8 +49,6 @@ def tuple_identity(sources):
 
 def tuple_pow(sources, t, k: int):
     out = tuple_identity(sources)
-    if k < 0:
-        t, k = tuple_inv(sources, t), -k
     for _ in range(k):
         out = tuple_mul(sources, out, t)
     return out
@@ -63,9 +62,6 @@ class Edge:
     source_index: int
     target_key: str
     mapping: object  # GroupHom for finite sources, FactorMap for free products
-
-    def apply(self, component):
-        return self.mapping(component)
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,30 @@ class GroupDiagram:
         if len(t) != len(self.sources):
             raise DomainError("tuple length does not match diagram sources")
         for key in self.targets:
-            images = [e.apply(t[e.source_index]) for e in self.edges if e.target_key == key]
+            images = [e.mapping(t[e.source_index]) for e in self.edges if e.target_key == key]
             if len(set(images)) > 1:
                 return False
         return True
+
+    def edge_maps(self) -> dict:
+        """Each edge's mapping, keyed by (source_index, target_key)."""
+        return {(e.source_index, e.target_key): e.mapping for e in self.edges}
+
+
+def _fibres(mapping, elements) -> dict:
+    """The elements by their image under an edge map, each fibre in the given order."""
+    out: dict = {}
+    for x in elements:
+        out.setdefault(mapping(x), []).append(x)
+    return out
+
+
+def _finite_pairs_over_y(diagram: GroupDiagram) -> dict:
+    """The admissible (C4, Klein) components over each element of the common
+    quotient y: the product of the two fibres, in index order."""
+    maps = diagram.edge_maps()
+    c4, klein = (_fibres(maps[i, "y"], diagram.sources[i].elements()) for i in (0, 1))
+    return {y: [(g1, g2) for g1 in c4[y] for g2 in klein[y]] for y in c4}
 
 
 # -- the rank-4 diagram ---------------------------------------------------------
@@ -162,22 +178,12 @@ def rank4_pullback() -> Rank4Pullback:
 
 
 def enumerate_admissible_rank4(max_syllables: int) -> list[tuple]:
-    """Every admissible triple whose free component has bounded length."""
+    """Every admissible triple whose free component has bounded length: for
+    each free word w, the finite components from the fibres over its image."""
     pb = rank4_pullback()
-    out = []
-    for w in _free22_words(pb.free22, max_syllables):
-        parity = len(w.syllables) % 2
-        for g1 in range(4):
-            if g1 % 2 != parity:
-                continue
-            for g2 in range(4):
-                if (0, 1, 1, 0)[g2] != parity:
-                    continue
-                t = (g1, g2, w)
-                if not pb.diagram.is_admissible(t):
-                    raise CertificationError("parity filter disagrees with admissibility")
-                out.append(t)
-    return out
+    to_y = pb.diagram.edge_maps()[2, "y"]
+    pairs = _finite_pairs_over_y(pb.diagram)
+    return [(g1, g2, w) for w in _free22_words(pb.free22, max_syllables) for g1, g2 in pairs[to_y(w)]]
 
 
 def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list:
@@ -246,13 +252,7 @@ def rank5_pullback() -> Rank5Pullback:
     diagram = GroupDiagram(
         sources=(pb4.c4, pb4.klein, pb4.free22, free32),
         targets={"y": d4.targets["y"], "kappa": c2k},
-        edges=(
-            Edge(0, "y", d4.edges[0].mapping),
-            Edge(1, "y", d4.edges[1].mapping),
-            Edge(2, "y", d4.edges[2].mapping),
-            Edge(2, "kappa", phi1),
-            Edge(3, "kappa", phi2),
-        ),
+        edges=(*d4.edges, Edge(2, "kappa", phi1), Edge(3, "kappa", phi2)),
     )
     a = pb4.free22.letter(0, 1)
     b = pb4.free22.letter(1, 1)
@@ -267,31 +267,22 @@ def rank5_pullback() -> Rank5Pullback:
         gen_w=(1, SIGMA, a, h),
         gen_b=(1, SIGMA, b, e32),
         gen_c=(2, SIGMA_TAU, e22, e32),
-        gen_g=(0, 0, e22, free32.letter(0, 1)),
+        gen_g=(0, 0, e22, g),
     )
 
 
 def enumerate_admissible_rank5(max_len_22: int, max_len_32: int) -> list[tuple]:
+    """Every admissible 4-tuple whose free components have bounded lengths: for
+    each C2*C2 word w3, the C3*C2 words from the fibre over its image in kappa
+    and the finite components from the fibres over its image in y."""
     pb = rank5_pullback()
+    maps = pb.diagram.edge_maps()
+    pairs = _finite_pairs_over_y(pb.diagram)
+    words32 = _fibres(maps[3, "kappa"], enumerate_words(pb.free32, max_len_32))
     out = []
-    words32 = enumerate_words(pb.free32, max_len_32)
     for w3 in _free22_words(pb.rank4.free22, max_len_22):
-        parity = len(w3.syllables) % 2
-        a_count = sum(1 for fi, _ in w3.syllables if fi == 0) % 2
-        for w4 in words32:
-            h_count = sum(1 for fi, _ in w4.syllables if fi == 1) % 2
-            if h_count != a_count:
-                continue
-            for g1 in range(4):
-                if g1 % 2 != parity:
-                    continue
-                for g2 in range(4):
-                    if (0, 1, 1, 0)[g2] != parity:
-                        continue
-                    t = (g1, g2, w3, w4)
-                    if not pb.diagram.is_admissible(t):
-                        raise CertificationError("admissibility filter mismatch")
-                    out.append(t)
+        finite = pairs[maps[2, "y"](w3)]
+        out.extend((g1, g2, w3, w4) for w4 in words32.get(maps[2, "kappa"](w3), ()) for g1, g2 in finite)
     return out
 
 
@@ -351,29 +342,22 @@ class PresentationReport:
         return all(c.passed for c in self.checks)
 
 
-def _bounded_subgroup(sources, gens: dict, max_len: int) -> dict:
-    """Elements reachable by words of bounded length, with one witness word."""
-    ident = tuple_identity(sources)
-    seen = {ident: ()}
-    frontier = [ident]
-    steps = []
-    for name, g in gens.items():
-        steps.append((name, g))
-        steps.append((name + "^-1", tuple_inv(sources, g)))
+def _bounded_subgroup(sources, gens, max_len: int) -> set:
+    """The elements named by words of length <= max_len in the generators
+    and their inverses, by breadth-first search from the identity."""
+    steps = [s for g in gens for s in (g, tuple_inv(sources, g))]
+    seen = frontier = {tuple_identity(sources)}
     for _ in range(max_len):
-        nxt = []
-        for e in frontier:
-            for name, g in steps:
-                prod = tuple_mul(sources, e, g)
-                if prod not in seen:
-                    seen[prod] = seen[e] + (name,)
-                    nxt.append(prod)
-        frontier = nxt
+        frontier = {tuple_mul(sources, e, g) for e in frontier for g in steps} - seen
+        seen = seen | frontier
     return seen
 
 
 def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
-    """Relation, kernel and centrality checks for the rank-4 pull-back."""
+    """Relation, kernel and centrality checks for the rank-4 pull-back; the
+    bounded checks need ``max_len`` >= 1, as no word is tried below it."""
+    if max_len < 1:
+        raise DomainError(f"certificate length must be at least 1, got {max_len}")
     pb = rank4_pullback()
     S = pb.sources
     ident = tuple_identity(S)
@@ -397,7 +381,7 @@ def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
             "(x^2,e,e) is central of order 2",
         )
     )
-    h4 = _bounded_subgroup(S, {"z1": pb.z1, "z2": pb.z2}, max_len)
+    h4 = _bounded_subgroup(S, (pb.z1, pb.z2), max_len)
     checks.append(
         CheckRecord(
             "h4_meets_z3_trivially",
@@ -423,7 +407,10 @@ def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
 
 
 def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
-    """Relation, kernel, centrality and freeness checks for the rank-5 pull-back."""
+    """Relation, kernel, centrality and freeness checks for the rank-5 pull-back;
+    the free-product certificate needs ``q5_len`` >= 1, as no word is tried below it."""
+    if q5_len < 1:
+        raise DomainError(f"certificate length must be at least 1, got {q5_len}")
     pb = rank5_pullback()
     S = pb.sources
     ident = tuple_identity(S)
@@ -460,7 +447,7 @@ def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
             "(x,s,b,e)^2 = (x^2,e,e,e)",
         )
     )
-    h5 = _bounded_subgroup(S, {"w": pb.gen_w, "b": pb.gen_b, "g": pb.gen_g}, H5_WORD_LEN)
+    h5 = _bounded_subgroup(S, (pb.gen_w, pb.gen_b, pb.gen_g), H5_WORD_LEN)
     checks.append(
         CheckRecord(
             "h5_meets_center_trivially",
@@ -558,48 +545,26 @@ class DiagonalClass:
 def maximal_gradings_diagonal(n: int) -> list[DiagonalClass]:
     """All maximal connected grading classes of the rank-n diagonal algebra.
 
-    Multisets of abelian group orders summing to n with at most one trivial
-    part, each order contributing every abelian isomorphism type.
+    One recursion picks non-trivial abelian types (invariant factor
+    sequences) in non-decreasing order, so each multiset comes once and a
+    class comes before its extensions: the list is sorted.  The remainder of
+    n, 0 or 1, says whether there is a trivial part.
     """
     if not 2 <= n <= 12:
         raise DomainError("diagonal enumeration supported for 2 <= n <= 12")
-    out = []
-    for partition in _partitions_at_most_one_unit(n):
-        nontrivial = [p for p in partition if p > 1]
-        has_trivial = len(nontrivial) != len(partition)
-        for combo in _type_combinations(nontrivial):
-            out.append(DiagonalClass(factor_invariants=combo, has_trivial_part=has_trivial))
-    out.sort(key=lambda c: (c.factor_invariants, c.has_trivial_part))
-    return out
-
-
-def _partitions_at_most_one_unit(n: int) -> list[tuple[int, ...]]:
+    types = sorted((t, math.prod(t)) for k in range(2, n + 1) for t in invariant_factor_sequences(k))
     out = []
 
-    def rec(remaining, maximum, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            if part == 1 and acc and acc[-1] == 1:
-                continue  # at most one trivial factor
-            rec(remaining - part, part, acc + [part])
+    def rec(start: int, remaining: int, acc: tuple):
+        if remaining <= 1:
+            out.append(DiagonalClass(factor_invariants=acc, has_trivial_part=remaining == 1))
+        for i in range(start, len(types)):
+            t, order = types[i]
+            if order <= remaining:
+                rec(i, remaining - order, acc + (t,))
 
-    rec(n, n, [])
+    rec(0, n, ())
     return out
-
-
-def _type_combinations(orders: list[int]):
-    per_order = {}
-    for k in set(orders):
-        per_order[k] = invariant_factor_sequences(k)
-    pools = [per_order[k] for k in orders]
-    seen = set()
-    for combo in iproduct(*pools):
-        key = tuple(sorted(combo))
-        if key not in seen:
-            seen.add(key)
-            yield key
 
 
 # -- intrinsic fundamental group reports ----------------------------------------

@@ -131,9 +131,8 @@ def criterion_3(run: _Run) -> CriterionResult:
         context = run.context(gname, G, f"nd_{gname}", alpha)
         agree = 0
         for N in subgroups(G):
-            dec = context.decompose(N)
             try:
-                crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, dec=dec, oracle=run.oracle)
+                crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, context=context)
                 agree += 1
             except TheoremCheckError as exc:
                 ok = False

@@ -232,6 +232,15 @@ def test_pi1_subcommands(capsys):
     assert "witness: alternating relation found" in out
 
 
+@pytest.mark.parametrize("which", ["H4", "H5"])
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_pi1_verify_below_length_one_exits_2(capsys, which, length):
+    """A bounded certificate that tries no word would pass vacuously."""
+    code, out = run_cli(capsys, "pi1", "verify", "--which", which, "--max-len", length)
+    assert code == 2
+    assert out == f"error: DomainError: certificate length must be at least 1, got {length}\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, _ = run_cli(

@@ -831,6 +831,57 @@ def test_are_isomorphic_matches_reference(spec1, spec2):
     assert (r.hom.images if r.isomorphic else None) == reference_isomorphism(G1, G2)
 
 
+def reference_extend_hom(G1, G2, pairs):
+    """The two-sided closure ``_extend_hom`` replaced: each partial map is
+    closed under both x a and a x; None on conflict."""
+    mapping = {0: 0}
+    frontier = [0]
+    for a, b in pairs:
+        if mapping.get(a, b) != b:
+            return None
+        mapping[a] = b
+        frontier.append(a)
+    while frontier:
+        x = frontier.pop()
+        for a, b in pairs:
+            for u, v in ((G1.mul(x, a), G2.mul(mapping[x], b)), (G1.mul(a, x), G2.mul(b, mapping[x]))):
+                if u in mapping:
+                    if mapping[u] != v:
+                        return None
+                else:
+                    mapping[u] = v
+                    frontier.append(u)
+    return mapping
+
+
+_UP_TO_8 = [s for s in GROUP_SPECS if _ORDER[s] <= 8]
+
+
+@pytest.mark.parametrize("spec", _UP_TO_8)
+def test_one_sided_closure_matches_the_two_sided_one(monkeypatch, spec):
+    """Every closure the search asks for, from ``spec`` into each catalog group
+    up to order 8, equals the two-sided one, and so do the homomorphism lists."""
+    one_sided = groups._extend_hom
+    calls = []
+
+    def compared(G1, G2, pairs):
+        got = one_sided(G1, G2, pairs)
+        assert got == reference_extend_hom(G1, G2, pairs)
+        calls.append(pairs)
+        return got
+
+    G = gq.make_group(spec)
+    for T in map(gq.make_group, _UP_TO_8):
+        for injective in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(groups, "_extend_hom", reference_extend_hom)
+                want = [h.images for h in gq.homomorphisms(G, T, injective=injective)]
+            with monkeypatch.context() as m:
+                m.setattr(groups, "_extend_hom", compared)
+                assert [h.images for h in gq.homomorphisms(G, T, injective=injective)] == want
+    assert calls or G.n == 1
+
+
 def test_homomorphisms_examples():
     S3, C2 = gq.symmetric(3), gq.cyclic(2)
     assert len(list(gq.homomorphisms(S3, S3, injective=True))) == 6

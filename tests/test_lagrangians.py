@@ -18,7 +18,7 @@ from gquot.lagrangians import (
     _bijective_cocycle,
     _compose_perm,
 )
-from gquot.mackey import mackey_decompose
+from gquot.mackey import MackeyContext
 from gquot.twisted import BlockOracle, TwistedAlgebra
 
 
@@ -88,9 +88,10 @@ def test_crossed_product_iff_lagrangian_cases():
 
 @pytest.mark.parametrize("oracle", [None, BlockOracle()], ids=["own registry", "caller registry"])
 def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, oracle):
-    """Without a decomposition passed in, the decomposition and the isotropy
-    check share one registry: on nd_C4xC4 with the Klein Lagrangian, each
-    distinct (table, scale, exponents) is split exactly once."""
+    """The decomposition and the isotropy check share the context's block
+    oracle, whether the function builds the context or the caller builds it
+    on its own registry: on nd_C4xC4 with the Klein Lagrangian, each distinct
+    (table, scale, exponents) is split exactly once."""
     splits = []
     original = TwistedAlgebra.wedderburn
 
@@ -101,24 +102,38 @@ def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, or
     monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
     a44 = standard_nondegenerate([4])
     L = gq.generated_subgroup(a44.group, [8, 2])
-    assert crossed_product_iff_lagrangian(a44.group, a44, L, oracle=oracle)
+    context = None if oracle is None else MackeyContext(a44.group, a44, 0, oracle)
+    assert crossed_product_iff_lagrangian(a44.group, a44, L, context=context)
     assert len(splits) == len(set(splits)) == 3  # C^a G, C^a L and the trivial obstruction on C1
 
 
-def test_crossed_product_iff_lagrangian_rejects_a_foreign_decomposition():
+def test_crossed_product_iff_lagrangian_shares_one_context_across_subgroups():
+    """One context serves every N of (G, alpha, seed); a subgroup asked again
+    is a memo hit."""
     a44 = standard_nondegenerate([4])
     G = a44.group
     L, other = gq.generated_subgroup(G, [8, 2]), gq.generated_subgroup(G, [8])
-    dec = mackey_decompose(G, a44, other)
-    assert crossed_product_iff_lagrangian(G, a44, L, dec=mackey_decompose(G, a44, L))
+    context = MackeyContext(G, a44, 0)
+    assert crossed_product_iff_lagrangian(G, a44, L, context=context)
+    assert not crossed_product_iff_lagrangian(G, a44, other, context=context)
+    dec = context.decompose(L)
+    assert crossed_product_iff_lagrangian(G, a44, L, context=context)
+    assert context.decompose(L) is dec
+
+
+def test_crossed_product_iff_lagrangian_rejects_a_foreign_context():
+    a44 = standard_nondegenerate([4])
+    G = a44.group
+    L = gq.generated_subgroup(G, [8, 2])
+    context = MackeyContext(G, a44, 0)
     with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(G, a44, L, dec=dec)  # another subgroup
+        crossed_product_iff_lagrangian(G, a44, L, seed=1, context=context)  # another seed
     with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(G, a44, other, dec=dec, seed=1)  # another seed
+        crossed_product_iff_lagrangian(G, CocycleTable.trivial(G), L, context=context)  # another cocycle
     a = standard_nondegenerate([2])
     N = gq.generated_subgroup(a.group, [2])
     with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(a.group, a, N, dec=mackey_decompose(G, a44, L))  # another group
+        crossed_product_iff_lagrangian(a.group, a, N, context=context)  # another group
 
 
 def test_biconditional_full_sweep_c2xc2():

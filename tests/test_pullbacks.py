@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gquot.errors import DomainError
+from gquot.groups import invariant_factor_sequences
 from gquot.pullbacks import (
+    DiagonalClass,
     _free22_words,
     enumerate_admissible_rank4,
     enumerate_admissible_rank5,
@@ -70,6 +74,41 @@ def test_express_rank4_exhaustive():
         assert pb.evaluate(word) == t
 
 
+def reference_admissible_rank4(max_syllables):
+    """The brute-force list: the product of the candidate pools in the
+    enumerator's loop order (free word, C4, Klein), filtered by admissibility."""
+    pb = rank4_pullback()
+    pools = (_free22_words(pb.free22, max_syllables), pb.c4.elements(), pb.klein.elements())
+    return [(g1, g2, w) for w, g1, g2 in itertools.product(*pools) if pb.diagram.is_admissible((g1, g2, w))]
+
+
+def reference_admissible_rank5(max_len_22, max_len_32):
+    """The brute-force list in the loop order (C2*C2 word, C3*C2 word, C4, Klein)."""
+    pb = rank5_pullback()
+    pools = (
+        _free22_words(pb.rank4.free22, max_len_22),
+        enumerate_words(pb.free32, max_len_32),
+        pb.rank4.c4.elements(),
+        pb.rank4.klein.elements(),
+    )
+    return [
+        (g1, g2, w3, w4)
+        for w3, w4, g1, g2 in itertools.product(*pools)
+        if pb.diagram.is_admissible((g1, g2, w3, w4))
+    ]
+
+
+@pytest.mark.parametrize("length", [*range(13), 40])
+def test_rank4_fibres_match_the_brute_force_product(length):
+    assert enumerate_admissible_rank4(length) == reference_admissible_rank4(length)
+
+
+@pytest.mark.parametrize("len22", range(7))
+def test_rank5_fibres_match_the_brute_force_product(len22):
+    for len32 in range(7):
+        assert enumerate_admissible_rank5(len22, len32) == reference_admissible_rank5(len22, len32)
+
+
 def test_rank4_presentation_passes():
     rep = verify_presentation_h4()
     assert rep.all_passed
@@ -120,6 +159,14 @@ def test_rank5_presentation_statuses():
     assert not rep.all_passed
 
 
+@pytest.mark.parametrize("verify", [verify_presentation_h4, verify_presentation_h5])
+@pytest.mark.parametrize("length", [0, -3])
+def test_certificates_below_length_one_raise(verify, length):
+    """Below length 1 no word is tried, so the bounded checks would pass vacuously."""
+    with pytest.raises(DomainError, match="at least 1"):
+        verify(length)
+
+
 def test_q5_certificate_passes_below_the_relation_length():
     rep = verify_presentation_h5(q5_len=7)
     q5 = next(c for c in rep.checks if c.name == "q5_free_product")
@@ -159,10 +206,41 @@ def test_word_lists_match_the_hand_built_lists(length):
     assert got32 == [w.syllables for w in reference_free32_words(free32, length)]
 
 
+def reference_maximal_gradings_diagonal(n):
+    """The enumerator the one recursion replaced: the partitions of n with at
+    most one unit part, the product of the abelian types of each partition's
+    non-trivial parts, deduplicated by a ``seen`` set, then sorted."""
+
+    def partitions(remaining, maximum, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for part in range(min(remaining, maximum), 0, -1):
+            if part == 1 and acc and acc[-1] == 1:
+                continue  # at most one trivial factor
+            yield from partitions(remaining - part, part, acc + [part])
+
+    out = []
+    for partition in partitions(n, n, []):
+        nontrivial = [p for p in partition if p > 1]
+        seen = set()
+        for combo in itertools.product(*(invariant_factor_sequences(k) for k in nontrivial)):
+            key = tuple(sorted(combo))
+            if key not in seen:
+                seen.add(key)
+                out.append(DiagonalClass(factor_invariants=key, has_trivial_part=len(nontrivial) != len(partition)))
+    out.sort(key=lambda c: (c.factor_invariants, c.has_trivial_part))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_diagonal_recursion_matches_the_partition_enumerator(n):
+    assert maximal_gradings_diagonal(n) == reference_maximal_gradings_diagonal(n)
+
+
 def brute_force_diagonal_count(n):
     """Independent enumeration: multisets of abelian types with total order n
     and at most one trivial part, generated by direct recursion."""
-    from gquot.groups import invariant_factor_sequences
 
     def types(k):
         return invariant_factor_sequences(k)
