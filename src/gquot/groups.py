@@ -55,7 +55,7 @@ class FiniteGroup:
     construction unless the table was produced by a trusted constructor.
     """
 
-    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_key")
+    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_tree", "_key")
 
     def __init__(self, table, labels=None, name=None, _trusted=False):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -84,6 +84,7 @@ class FiniteGroup:
         self.name = name
         self._abelian = None
         self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
+        self._tree = None  # the Cayley tree, built by the first cayley_tree() call
         self._key = None  # the table's bytes, built by the first comparison or hash
         self.table.setflags(write=False)
         self.inverse_table.setflags(write=False)
@@ -636,13 +637,9 @@ class IsomorphismResult:
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
-    """Generators of G, each the smallest element outside the span of those before."""
-    gens: list[int] = []
-    span = {0}
-    while len(span) < G.n:
-        gens.append(next(x for x in G.elements() if x not in span))
-        span = _closure(G, gens, base=sorted(span))
-    return gens
+    """Generators of G, each the smallest element outside the span of those
+    before: the generators of ``cayley_tree(G)``."""
+    return list(cayley_tree(G).generators)
 
 
 @dataclass(frozen=True)
@@ -668,11 +665,18 @@ class CayleyTree:
 def cayley_tree(G: FiniteGroup) -> CayleyTree:
     """The Cayley BFS tree of G, one layer per step along ``table[:, s]``.
 
+    Each generator is the smallest element outside the span of those before.
     Every element of depth l > 0 is h s for some h of depth l - 1 and some
     generator s; its parent edge is the first such (h, s), with h in the
-    order the search reached it and s in generator order.
+    order the search reached it and s in generator order.  The tree is built
+    once per group object and kept on it, its arrays read-only.
     """
-    gens = generating_sequence(G)
+    if G._tree is not None:
+        return G._tree
+    gens, span = [], {0}
+    while len(span) < G.n:
+        gens.append(next(x for x in G.elements() if x not in span))
+        span = _closure(G, gens, base=sorted(span))
     rows = G.table[:, gens].tolist()
     parent, edge, depth = [-1] * G.n, [-1] * G.n, [-1] * G.n
     depth[0] = 0
@@ -685,7 +689,10 @@ def cayley_tree(G: FiniteGroup) -> CayleyTree:
                     parent[g], edge[g], depth[g] = h, s, depth[h] + 1
                     reached.append(g)
         frontier = reached
-    return CayleyTree(tuple(gens), np.array(parent), np.array(edge), np.array(depth))
+    arrays = np.array([parent, edge, depth])
+    arrays.setflags(write=False)  # shared by every caller of this group's tree
+    G._tree = CayleyTree(tuple(gens), *arrays)
+    return G._tree
 
 
 def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):

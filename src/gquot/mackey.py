@@ -38,14 +38,15 @@ average of X -> rho_g(n) X rho(n)^-1 over N, which is the orthogonal
 projector onto Hom_N(rho, rho_g).  Its trace, the character inner product
 <chi_{rho_g}, chi_rho>, must be 1: at the identity that certifies rho
 irreducible, elsewhere that the twist is isomorphic to rho, so each
-intertwiner is unique up to a scalar.  The degree-gamma endomorphisms T_g
-built from the intertwiners are composed, and their composition scalars form
-a unit-modulus cocycle omega on the inertia group I.  The block permutations
-of T_b T_a and T_ab are compared exactly for every pair, but the blocks are
-composed only for b in {e} and the generators of I: a defect within
-TOL_SCALAR / (2L - 1) on those columns, L the depth of I's Cayley tree,
-bounds the defect of every pair by TOL_SCALAR, and omega is extended along
-the tree by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s).
+intertwiner is unique up to a scalar.  For lifts s_a of the inertia
+elements, n(a, b) = s_ab^-1 s_a s_b lies in N and the intertwiners compose
+as P_a P_b = mu(a, b) P_ab rho(n(a, b)) (Clifford theory; Isaacs, *Character
+Theory of Finite Groups*, ch. 11), so omega(a, b), alpha(s_a, s_b) conj(mu)
+over alpha(s_ab, n(a, b)), is a unit-modulus cocycle on the inertia group I.
+The products are formed only for b in {e} and the generators of I: a defect
+within TOL_SCALAR / (2L - 1) on those columns, L the depth of I's Cayley
+tree, bounds the defect of every pair by TOL_SCALAR, and omega is extended
+along the tree by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s).
 H^2(I, C*) is killed by k = |I|, so omega is moved by a coboundary onto a
 table of k-th roots of unity, snapped to exponents within TOL_SCALAR and
 validated exactly as a 2-cocycle; the orbit's obstruction is that exact
@@ -150,7 +151,6 @@ class MackeyContext:
     def _decompose(self, N: Subgroup) -> MackeyDecomposition:
         G, seed = self.group, self.seed
         Q, proj = quotient(G, N)
-        block_of = np.asarray(proj.images)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
         alpha_N = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
@@ -180,7 +180,7 @@ class MackeyContext:
                 raise TheoremCheckError("summand dimension is not an integer")
             delta = delta_num // delta_den
             x = Character.from_dict(Q, {t: d for t in transversal})
-            omega = self._obstruction(alpha_N, N, rep, inertia, section, block_of)
+            omega = self._obstruction(alpha_N, N, rep, inertia, section)
             blocks = self.oracle.wedderburn(omega, seed).dims
             orbits.append(
                 MackeyOrbit(
@@ -239,22 +239,19 @@ class MackeyContext:
         matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
         return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
-    def _obstruction(self, alpha_N, N, index, inertia, section, block_of):
-        """The obstruction cocycle on the inertia group, by endomorphism composition.
+    def _obstruction(self, alpha_N, N, index, inertia, section):
+        """The obstruction cocycle on the inertia group, read off the intertwiners.
 
-        For each inertia element a degree-homogeneous endomorphism of
-        C^alpha G (x) M is assembled from its intertwiner; composing two of
-        them is a scalar multiple of the one for the product.  Those scalars
-        are measured on generator columns and extended along the inertia
-        group's Cayley tree (``_composition_scalars``), then gauged into an
-        exact table over the inertia group by ``_exact_cocycle``.  Each
-        endomorphism moves whole coset blocks, so it is built and composed
-        one d x d block per coset.
+        For the lifts s_a = section[a], n(a, b) = s_ab^-1 s_a s_b must lie in N
+        (checked for every pair), and P_a P_b is a scalar multiple of
+        P_ab rho(n(a, b)); ``_composition_scalars`` measures the scalars on
+        generator columns and extends them along the Cayley tree, and
+        ``_exact_cocycle`` gauges them into an exact table.
         """
         I_group = inertia.as_group()
         if I_group.n == 1:
             return CocycleTable.trivial(I_group)
-        G, phases = self.group, self.phases
+        G = self.group
         N_embed = np.asarray(N.elements)
         N_pos = np.full(G.n, -1)
         N_pos[N_embed] = np.arange(len(N_embed))
@@ -264,87 +261,76 @@ class MackeyContext:
         # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
         conj = self.conj[np.ix_(gs, N_embed)]
         kappa = self.kappa[np.ix_(gs, N_embed)]
-        rho_g = kappa[:, :, None, None] * rho[N_pos[conj]]
-        P_inv = _intertwiners(rho, rho_g).conj().transpose(0, 2, 1)
+        P = _intertwiners(rho, kappa[:, :, None, None] * rho[N_pos[conj]])
 
-        # The degree-g endomorphism T_g sends coset block i (t_i N) to block
-        # j = block_of(t_i g), t_i g = t_j n2, by the d x d block B[g, i]; T_g is
-        # block-monomial, so it is kept as (j, B) and composed blockwise.
-        prod = G.table[section, gs[:, None]]
-        j = block_of[prod]
-        t_j = section[j]
-        n2 = G.table[G.inverse_table[t_j], prod]
-        phase = phases[section, gs[:, None]] / phases[t_j, n2]
-        B = phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
-        return _exact_cocycle(I_group, _composition_scalars(I_group, j, B))
+        s_ab = gs[I_group.table]
+        n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
+        if (N_pos[n] < 0).any():
+            raise CertificationError("lifts of the inertia group do not compose inside N")
+        c = self.phases[gs[:, None], gs] / self.phases[s_ab, n]  # alpha(s_a, s_b) / alpha(s_ab, n(a, b))
+        return _exact_cocycle(I_group, _composition_scalars(I_group, P, rho, N_pos[n], c, len(section)))
 
 
-def _composition_scalars(group: FiniteGroup, j: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The unit scalars omega(a, b) with T_b T_a = omega(a, b) T_ab on a
-    non-trivial group, certified on generator columns.
+def _composition_scalars(group, P, rho, n, c, cosets):
+    """The unit scalars omega(a, b) of the intertwiners on a non-trivial
+    inertia group, certified on generator columns.
 
-    Each T_g is block-monomial and kept as (j[g], B[g]): coset block i goes to
-    block j[g, i] by the d x d block B[g, i].  The block permutations must
-    compose exactly, j[b, j[a]] == j[ab], for every pair (an integer check).
-    The blocks are composed only for the r + 1 columns s in {e} and
-    ``generating_sequence(group)``, all in one batch of (r + 1) k q d^2
-    entries, r <= log2 k: lambda(a, s) = <T_as, T_s T_a> / ||T_as||^2 and
-    omega(a, s) = lambda / |lambda|.
+    P[a] intertwines the lift s_a, n[a, b] is the position in N of
+    n(a, b) = s_ab^-1 s_a s_b, c[a, b] = alpha(s_a, s_b) / alpha(s_ab, n(a, b))
+    and ``cosets`` = |G : N|.  Only the columns s in {e} and
+    ``generating_sequence(group)``, r + 1 <= 1 + log2 k of them, are
+    multiplied out: mu(a, s) = <P_as rho(n), P_a P_s> / ||P_as rho(n)||_F^2
+    with n = n(a, s), and omega(a, s) = c(a, s) conj(mu) / |mu|.
 
-    Let E(a, b) = T_b T_a - omega(a, b) T_ab and eps_gen the largest
-    Frobenius norm of E(a, s) over every a and every column s.  Along the
-    Cayley BFS tree of the group (``cayley_tree``, depth L), omega is
+    The bound, in d x d terms.  For unit omega the unitary
+    Y(a, b) = omega(a, b) conj(c(a, b)) P_a P_b (P_ab rho(n(a, b)))^-1 is I
+    exactly when P_a P_b = c(a, b) conj(omega(a, b)) P_ab rho(n(a, b)); let
+    D(a, b) = ||Y(a, b) - I||_F, the distance of the two sides.  On a column
+    mu is a projection, so D(a, s)^2 is ||P_a P_s - mu P_as rho(n)||_F^2 plus
+    (|mu| - 1)^2 ||P_as rho(n)||_F^2; eps_gen is the largest D(a, s).  Along
+    the Cayley BFS tree of the group (``cayley_tree``, depth L), omega is
     extended by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s), one
-    vectorized step per tree layer.  Writing T_bs from E(b, s) and T_s T_ab
-    from E(ab, s) gives
+    vectorized step per layer.  Writing P_a P_b P_s both ways, moving
+    rho(n(a, b)) past P_s by the intertwining relation and collecting phases
+    by the cocycle identity of alpha gives, for such omega,
 
-        E(a, bs) = conj(omega(b, s)) [omega(a, b) E(ab, s) + T_s E(a, b) - E(b, s) T_a],
+        Y(a, bs) = P_a Y(b, s)^-1 P_a^-1 Y(a, b) Y(ab, s).
 
-    and each T is unitary (a permutation of unitary blocks), so
-    ||T X||_F = ||X T||_F = ||X||_F and e(l) <= e(l - 1) + 2 eps_gen for the
-    largest ||E(a, w)||_F over words w of length l, with e(1) = eps_gen; the
-    column e covers b = e.  So every ||E(a, b)||_F, and with it every entry,
-    is at most (2L - 1) eps_gen, and requiring eps_gen <= TOL_SCALAR / (2L - 1)
-    on the columns is no weaker than the entrywise all-pairs test against
-    TOL_SCALAR.  Since lambda projects T_s T_a onto T_as, ||E(a, s)||_F^2 is
-    ||T_s T_a - lambda T_as||_F^2 plus (|lambda| - 1)^2 ||T_as||_F^2 with
-    ||T_as||_F >= 1, so the modulus check ||lambda| - 1| <= TOL_SCALAR / (2L - 1)
-    is part of the same test.  A column whose distance to lambda T_as alone
-    exceeds the threshold is not a scalar multiple; otherwise a failing column
-    has the wrong modulus.
+    For unitaries ||UV - I||_F <= ||U - I||_F + ||V - I||_F, and conjugation
+    by P_a keeps the norm, so e(l) <= e(l - 1) + 2 eps_gen for the largest
+    D(a, w) over words w of length l, e(1) = eps_gen (the column e covers
+    b = e): every D(a, b) is at most (2L - 1) eps_gen.  The quantity compared
+    with TOL_SCALAR / (2L - 1) is sqrt(cosets) eps_gen, the norm of the same
+    defect on the module induced to G, which carries D once per coset block.
+    A column whose distance to mu P_as rho(n) alone exceeds the threshold is
+    not a scalar multiple; otherwise a failing column has the wrong modulus.
 
-    Rounding, and the unitarity check of ``_intertwiners`` (10 TOL_SCALAR
-    per entry of P P^H - I), leave each T unitary only up to
-    ||T||_2 <= 1 + eta; the recursion then reads
-    e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows by at
-    most the factor (1 + eta)^L.  For eta of the order of the unit roundoff
-    that is below 1 + 1e-10; the most the unitarity check admits,
-    eta <= 5e-7 d, gives about 1 + 5e-7 d L.  ``_exact_cocycle`` then
-    validates the whole gauged table exactly.
+    The identity holds up to the residuals ``_intertwiners`` and the
+    module's projective law were certified to.  Rounding, and the unitarity
+    check of ``_intertwiners`` (10 TOL_SCALAR per entry of P P^H - I), leave
+    ||P||_2, ||P^-1||_2 <= 1 + eta; each step then grows by at most
+    (1 + eta)^2, below 1 + 1e-10 over L steps for eta near the unit roundoff
+    and about 1 + 1e-6 d L at the check's limit eta <= 5e-7 d.
+    ``_exact_cocycle`` then validates the whole gauged table exactly.
     """
     k = group.n
-    rows = max(1, 2**16 // (k * j.shape[1]))  # the exact law on all pairs, 2^16 entries at a time
-    for a in range(0, k, rows):
-        if (j[np.arange(k)[:, None], j[a : a + rows, None]] != j[group.table[a : a + rows]]).any():
-            raise CertificationError("endomorphism composition is not a scalar multiple")
     tree = cayley_tree(group)
     tol = TOL_SCALAR / (2 * tree.height - 1)
-    norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
     cols = np.array((0, *tree.generators))
-    composed = B[cols[:, None, None], j] @ B  # [c, a]: apply degree a first, then degree cols[c]
-    products = group.table[:, cols].T  # [c, a] = a cols[c]
-    target, target_norms = B[products], norms[products]
-    lam = np.einsum("caipq,caipq->ca", target.conj(), composed) / target_norms
-    residual = np.sqrt((np.abs(composed - lam[..., None, None, None] * target) ** 2).sum(axis=(2, 3, 4)))
-    defect = np.sqrt(residual**2 + (np.abs(lam) - 1.0) ** 2 * target_norms)  # ||E(a, cols[c])||_F
-    fails = np.argwhere(defect.T > tol)  # row-major: the first failing a, then its first column
+    composed = P[:, None] @ P[cols]  # [a, s]: P_a P_s
+    target = P[group.table[:, cols]] @ rho[n[:, cols]]  # [a, s]: P_as rho(n(a, s))
+    norms = (np.abs(target) ** 2).sum(axis=(2, 3))
+    mu = np.einsum("aspq,aspq->as", target.conj(), composed) / norms
+    residual = np.sqrt(cosets * (np.abs(composed - mu[..., None, None] * target) ** 2).sum(axis=(2, 3)))
+    defect = np.sqrt(residual**2 + cosets * (np.abs(mu) - 1.0) ** 2 * norms)
+    fails = np.argwhere(defect > tol)  # row-major: the first failing a, then its first column
     if fails.size:
-        a, c = fails[0]
-        if residual[c, a] > tol:
-            raise CertificationError("endomorphism composition is not a scalar multiple")
-        raise CertificationError(f"obstruction scalar has modulus {abs(lam[c, a]):.12f}")
+        a, s = fails[0]
+        if residual[a, s] > tol:
+            raise CertificationError("intertwiner composition is not a scalar multiple")
+        raise CertificationError(f"obstruction scalar has modulus {abs(mu[a, s]):.12f}")
     omega = np.empty((k, k), dtype=np.complex128)
-    omega[:, cols] = (lam / np.abs(lam)).T
+    omega[:, cols] = c[:, cols] * (mu / np.abs(mu)).conj()
     for level in range(2, tree.height + 1):
         b = np.flatnonzero(tree.depth == level)
         p, s = tree.parent[b], tree.edge[b]

@@ -779,6 +779,25 @@ def test_word_lengths_are_cayley_distances(spec):
     assert (lengths[tree.parent[g]] == lengths[g] - 1).all()
 
 
+@pytest.mark.parametrize("spec", ["C1", "C6", "S4", "C2xC2xC2xC2"])
+def test_cayley_tree_is_built_once_per_group(spec):
+    """The tree is kept on its group: every call returns the same object,
+    whose arrays are read-only since callers share them, and
+    ``generating_sequence`` is a fresh list of its generators, each the
+    smallest element outside the subgroup the ones before generate."""
+    G = gq.make_group(spec)
+    tree = groups.cayley_tree(G)
+    assert groups.cayley_tree(G) is tree
+    assert not any(a.flags.writeable for a in (tree.parent, tree.edge, tree.depth))
+    groups.generating_sequence(G).append(0)
+    assert groups.generating_sequence(G) == list(tree.generators)
+    span = {0}
+    for i, s in enumerate(tree.generators):
+        assert s == min(set(G.elements()) - span)
+        span = set(gq.generated_subgroup(G, tree.generators[: i + 1]).elements)
+    assert len(span) == G.n
+
+
 def reference_isomorphism(G1, G2):
     """The generator-image backtrack that ``homomorphisms`` replaced in
     ``are_isomorphic``: the images of an isomorphism G1 -> G2, or None."""

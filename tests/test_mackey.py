@@ -527,11 +527,28 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
     assert orbits + trivial >= len(gq.normal_subgroups(G))
 
 
-# -- reference: the all-pairs composition the generator columns replaced -------
+# -- reference: the block endomorphisms the d x d intertwiners replaced ---------
+
+
+def reference_block_endomorphisms(G, phases, section, block_of, N_elements, rho, gs, P):
+    """The degree-g endomorphisms T_g of the induced module C^alpha G (x) M,
+    one per inertia lift g in ``gs``, as ``_obstruction`` assembled them before
+    reading the scalars off the d x d intertwiners.  T_g is block-monomial,
+    kept as (j, B): coset block i (t_i N) goes to block j[g, i] = block_of(t_i g),
+    with t_i g = t_j n2, by the d x d block B[g, i]."""
+    N_pos = np.full(G.n, -1)
+    N_pos[list(N_elements)] = np.arange(len(N_elements))
+    P_inv = P.conj().transpose(0, 2, 1)
+    prod = G.table[section, gs[:, None]]
+    j = block_of[prod]
+    t_j = section[j]
+    n2 = G.table[G.inverse_table[t_j], prod]
+    phase = phases[section, gs[:, None]] / phases[t_j, n2]
+    return j, phase[:, :, None, None] * (rho[N_pos[n2]] @ P_inv[:, None])
 
 
 def reference_all_pairs(group, j, B):
-    """The all-pairs composition ``_obstruction`` made before: row a composes
+    """The all-pairs composition of the block endomorphisms: row a composes
     T_b T_a for every b at once; the unit scalars lambda / |lambda|."""
     k = group.n
     norms = (np.abs(B) ** 2).sum(axis=(1, 2, 3))
@@ -550,50 +567,102 @@ def composition_defect(group, j, B, omega, pairs):
     return max(float(np.linalg.norm(B[b, j[a]] @ B[a] - omega[a, b] * B[group.mul(a, b)])) for a, b in pairs)
 
 
-def reference_column_bound(group, j, B, omega):
-    """(2L - 1) eps_gen, with eps_gen the composition defect over every a and
-    every column s in {e} and the generating sequence, and L the depth of a
-    breadth-first search over Python sets; also an element at depth L."""
+def intertwiner_defect(group, P, rho, n, c, pairs, omega=None):
+    """The largest ||P_a P_b - nu P_ab rho(n(a, b))||_F over ``pairs``, one pair
+    at a time: nu = c(a, b) conj(omega(a, b)), or mu / |mu| for mu the
+    projection of P_a P_b onto P_ab rho(n(a, b)) when no omega is given."""
+    worst = 0.0
+    for a, b in pairs:
+        composed, target = P[a] @ P[b], P[group.mul(a, b)] @ rho[n[a, b]]
+        if omega is None:
+            mu = np.vdot(target, composed) / np.vdot(target, target).real
+            nu = mu / abs(mu)
+        else:
+            nu = c[a, b] * np.conj(omega[a, b])
+        worst = max(worst, float(np.linalg.norm(composed - nu * target)))
+    return worst
+
+
+def reference_columns(group):
+    """The columns {e} and the generating sequence, the depth L of a
+    breadth-first search over Python sets, and an element at depth L."""
     gens = generating_sequence(group)
     length, frontier, depth = {0: 0}, [0], 0
     while frontier:
         depth += 1
         frontier = sorted({group.mul(h, s) for h in frontier for s in gens} - set(length))
         length.update((w, depth) for w in frontier)
-    eps_gen = composition_defect(group, j, B, omega, [(a, s) for s in [0, *gens] for a in group.elements()])
-    return (2 * max(length.values()) - 1) * eps_gen, max(length, key=length.get)
+    columns = [(a, s) for s in [0, *gens] for a in group.elements()]
+    return columns, max(length.values()), max(length, key=length.get)
 
 
 @pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
 def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
     """The cases include both Theorem-D carriers, standard_nondegenerate([8])
-    and ([2, 4]), whose normal subgroups are all their subgroups.  On every orbit with non-trivial inertia of every normal N, the
-    tree-extended scalars are the all-pairs reference's within 1e-12; the
-    all-pairs defect of the composition is at most the column bound
-    (2L - 1) eps_gen, up to the roundoff of evaluating the defects, and the
-    bound is within TOL_SCALAR; scaling T at the deepest element of the
-    inertia group's Cayley tree by 1 + 1e-6 raises."""
+    and ([2, 4]), whose normal subgroups are all their subgroups.  On every
+    orbit with non-trivial inertia of every normal N:
+
+    - the tree-extended scalars are those of the block endomorphisms of the
+      induced module, composed for all pairs, within 1e-12;
+    - the all-pairs d x d defect is at most (2L - 1) eps_gen, eps_gen the
+      column defect, up to the roundoff of extending the scalars along the
+      tree (the bound is exact arithmetic; each layer's three products of
+      unit scalars add a few ulps), and sqrt(|G : N|) (2L - 1) eps_gen is
+      within TOL_SCALAR;
+    - scaling the intertwiner at the deepest element of the inertia group's
+      Cayley tree by 1 + 1e-6 raises on the modulus, and the column defect
+      of that input, times sqrt(|G : N|), is the column defect of the block
+      endomorphisms built from it, within 1e-9 relative plus 64 ulps: both
+      are differences of unit-size entries, so their last few ulps differ;
+    - a perturbation of the same shape whose block-endomorphism defect is
+      half the threshold TOL_SCALAR / (2L - 1) passes, and one at 1.5 times
+      it raises, so the check compares that defect.
+    """
     compose, calls = mackey._composition_scalars, []
 
-    def recorded(group, j, B):
-        calls.append((group, j, B, compose(group, j, B)))
+    def recorded(group, P, rho, n, c, cosets):
+        calls.append((group, P, rho, n, c, cosets, compose(group, P, rho, n, c, cosets)))
         return calls[-1][-1]
 
     monkeypatch.setattr(mackey, "_composition_scalars", recorded)
-    context = MackeyContext(a.group, a, 0)
-    for N in gq.normal_subgroups(a.group):
-        context.decompose(N)
-    assert calls or a.group.n == 1  # N = 1 has inertia G
-    for group, j, B, omega in calls:
-        assert np.max(np.abs(omega - reference_all_pairs(group, j, B))) <= 1e-12
-        bound, deepest = reference_column_bound(group, j, B, omega)
-        assert bound <= TOL_SCALAR
-        pairs = itertools.product(group.elements(), repeat=2)
-        assert composition_defect(group, j, B, omega, pairs) <= bound + 4 * np.finfo(float).eps
-        broken = B.copy()
-        broken[deepest] *= 1 + 1e-6
-        with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
-            compose(group, j, broken)
+    G = a.group
+    phases = a.value_matrix()
+    context = MackeyContext(G, a, 0)
+    seen = 0
+    for N in gq.normal_subgroups(G):
+        dec = context.decompose(N)
+        block_of = np.asarray(dec.projection.images)
+        section = np.asarray(mackey._first_occurrences(dec.projection.images))
+        twisted = [o for o in dec.orbits if o.inertia.order > 1]
+        for o, (group, P, rho, n, c, cosets, omega) in zip(twisted, calls[seen:], strict=True):
+            assert cosets == len(section)
+            gs = section[list(o.inertia.elements)]
+            j, B = reference_block_endomorphisms(G, phases, section, block_of, N.elements, rho, gs, P)
+            assert np.max(np.abs(omega - reference_all_pairs(group, j, B))) <= 1e-12
+            columns, L, deepest = reference_columns(group)
+            bound = (2 * L - 1) * intertwiner_defect(group, P, rho, n, c, columns, omega)
+            assert np.sqrt(cosets) * bound <= TOL_SCALAR
+            pairs = itertools.product(group.elements(), repeat=2)
+            roundoff = 4 * L * np.sqrt(P.shape[1]) * np.finfo(float).eps  # a few ulps per extension layer
+            assert intertwiner_defect(group, P, rho, n, c, pairs, omega) <= bound + roundoff
+            broken = P.copy()
+            broken[deepest] *= 1 + 1e-6
+            with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
+                compose(group, broken, rho, n, c, cosets)
+            got = np.sqrt(cosets) * intertwiner_defect(group, broken, rho, n, c, columns)
+            j, B = reference_block_endomorphisms(G, phases, section, block_of, N.elements, rho, gs, broken)
+            want = composition_defect(group, j, B, reference_all_pairs(group, j, B), columns)
+            assert abs(got - want) <= 1e-9 * want + 64 * np.finfo(float).eps
+            for factor in (0.5, 1.5):  # the induced-module defect against TOL_SCALAR / (2L - 1)
+                near = P.copy()
+                near[deepest] *= 1 + 1e-6 * factor * TOL_SCALAR / ((2 * L - 1) * want)
+                if factor > 1:
+                    with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
+                        compose(group, near, rho, n, c, cosets)
+                else:
+                    compose(group, near, rho, n, c, cosets)
+        seen += len(twisted)
+    assert seen == len(calls) and (calls or G.n == 1)  # N = 1 has inertia G
 
 
 def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
