@@ -302,12 +302,7 @@ def standard_nondegenerate(invariants) -> CocycleTable:
     G = direct_product(*factors)
     r = len(invariants)
     sizes = invariants + invariants
-    coords = np.empty((G.n, 2 * r), dtype=np.int64)
-    for g in range(G.n):
-        x = g
-        for j in range(2 * r - 1, -1, -1):
-            coords[g, j] = x % sizes[j]
-            x //= sizes[j]
+    coords = np.stack(np.unravel_index(np.arange(G.n), sizes), axis=1)
     weights = np.array([m // k for k in invariants], dtype=np.int64)
     first = coords[:, :r] * weights  # weighted x-exponents
     second = coords[:, r:]           # phi-exponents

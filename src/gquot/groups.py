@@ -330,17 +330,9 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections."""
     if n < 1:
         raise ValidationError("dihedral parameter must be positive")
-    m = 2 * n
-    table = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            ra, fa = a % n, a >= n
-            rb, fb = b % n, b >= n
-            if not fa:
-                r, f = (ra + rb) % n, fb
-            else:
-                r, f = (ra - rb) % n, not fb
-            table[a, b] = r + (n if f else 0)
+    f, r = np.divmod(np.arange(2 * n), n)  # reflection flag and rotation index
+    ra, fa = r[:, None], f[:, None]
+    table = np.where(fa, ra - r, ra + r) % n + n * (fa ^ f)
     labels = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
     return FiniteGroup(table, labels=labels, name=f"D{n}", _trusted=True)
 
@@ -372,24 +364,11 @@ def symmetric(n: int) -> FiniteGroup:
 
 def quaternion8() -> FiniteGroup:
     """The quaternion group {1, i, j, k, -1, -i, -j, -k}."""
-    # packed as (sign, axis) with axis in 1,i,j,k
-    mul_axis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-    def unpack(x):
-        return (1 if x < 4 else -1), x % 4
-    def pack(sign, axis):
-        return axis if sign == 1 else axis + 4
-    table = np.empty((8, 8), dtype=np.int64)
-    for a in range(8):
-        for b in range(8):
-            sa, xa = unpack(a)
-            sb, xb = unpack(b)
-            s, x = mul_axis[(xa, xb)]
-            table[a, b] = pack(sa * sb * s, x)
+    # element 4 s + x is (-1)^s times the unit x of 1, i, j, k; the unit of a
+    # product is x_a XOR x_b, and neg[x_a, x_b] is its extra sign
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    s, x = np.divmod(np.arange(8), 4)
+    table = 4 * (s[:, None] ^ s ^ neg[x[:, None], x]) + (x[:, None] ^ x)
     labels = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
     return FiniteGroup(table, labels=labels, name="Q8", _trusted=True)
 
@@ -600,9 +579,11 @@ def squarefree(n: int) -> bool:
 
 
 def invariant_factor_sequences(n: int) -> list[tuple[int, ...]]:
-    """All chains n1 | n2 | ... | nk with product n, ascending lexicographic."""
-    if n == 1:
-        return [()]
+    """All chains n1 | n2 | ... | nk with product n, ascending lexicographic.
+
+    The depth-first recursion tries each next factor in ascending order, so
+    it emits every chain once and already in that order.
+    """
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, last: int, acc: list[int]):
@@ -616,7 +597,7 @@ def invariant_factor_sequences(n: int) -> list[tuple[int, ...]]:
             d += 1
 
     rec(n, 1, [])
-    return sorted(set(out))
+    return out
 
 
 def abelian_group_from_invariants(invariants) -> FiniteGroup:
@@ -695,7 +676,7 @@ def cayley_tree(G: FiniteGroup) -> CayleyTree:
     return G._tree
 
 
-def _extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
+def extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):
     """Grow a partial map f, f(a) = b for each pair, by closing under right
     products f(x a) = f(x) b; None on conflict.
 
@@ -731,7 +712,7 @@ def homomorphisms(G: FiniteGroup, T: FiniteGroup, injective: bool = False):
     Generators come from ``generating_sequence(G)``; a generator's candidate
     images are the elements of T, in index order, whose order divides its
     order (equals it, when ``injective``).  Each partial assignment is closed
-    by ``_extend_hom`` and dropped on conflict, so a complete assignment is
+    by ``extend_hom`` and dropped on conflict, so a complete assignment is
     already multiplicative; ``GroupHom`` certifies it once more.
     """
     gens = generating_sequence(G)
@@ -749,7 +730,7 @@ def homomorphisms(G: FiniteGroup, T: FiniteGroup, injective: bool = False):
             return
         for t in cands[level]:
             trial = pairs + [(gens[level], t)]
-            extended = _extend_hom(G, T, trial)
+            extended = extend_hom(G, T, trial)
             if extended is not None:
                 yield from rec(level + 1, trial, extended)
 

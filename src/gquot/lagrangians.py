@@ -1,10 +1,11 @@
 """Isotropic subgroups, Lagrangians, and the bridge to bijective 1-cocycles.
 
 A subgroup is isotropic when the cocycle class restricts trivially to it;
-a Lagrangian is a normal isotropic subgroup of square-root order under a
-non-degenerate class.  Quotients by Lagrangians are exactly the elementary
-crossed products, which ties twisted gradings to the groups admitting
-bijective 1-cocycles (set-theoretic Yang-Baxter solutions).
+a Lagrangian is an isotropic subgroup of square-root order under a
+non-degenerate class, normal or not.  The normal Lagrangians are exactly the
+kernels of the elementary crossed-product quotients, which ties twisted
+gradings to the groups admitting bijective 1-cocycles (set-theoretic
+Yang-Baxter solutions).
 
 Every verdict is double-certified: the exact coboundary solver and the
 numeric block oracle must agree, and every theorem-level equivalence is
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cocycles import CocycleTable, bicharacter_of, is_cohomologically_trivial
 from .errors import DomainError, SizeBoundError, TheoremCheckError
 from .groups import (
@@ -23,6 +26,7 @@ from .groups import (
     Subgroup,
     abelian_group_from_invariants,
     are_isomorphic,
+    extend_hom,
     generating_sequence,
     homomorphisms,
     invariant_factor_sequences,
@@ -228,35 +232,21 @@ class IYBWitness:
     delta: tuple[int, ...]                # module element per H element
 
     def verify(self) -> bool:
+        """The cocycle and action laws as identities of the group tables.
+
+        delta is a bijection fixing 0; each h acts by an endomorphism,
+        h.(a + b) = h.a + h.b; h -> action[h] is a homomorphism,
+        h1.(h2.a) = (h1 h2).a; and delta(h1 h2) = delta(h1) + h1.delta(h2).
+        """
         H, A = self.group, self.module
-        if sorted(self.delta) != list(range(A.n)):
-            return False
-        if self.delta[0] != 0:
-            return False
-        for h1 in H.elements():
-            act1 = self.action[h1]
-            for h2 in H.elements():
-                lhs = self.delta[H.mul(h1, h2)]
-                rhs = A.mul(self.delta[h1], act1[self.delta[h2]])
-                if lhs != rhs:
-                    return False
-        # the action must be by automorphisms and be a homomorphism
-        for h in H.elements():
-            perm = self.action[h]
-            for a in A.elements():
-                for b in A.elements():
-                    if perm[A.mul(a, b)] != A.mul(perm[a], perm[b]):
-                        return False
-        for h1 in H.elements():
-            for h2 in H.elements():
-                p = _compose_perm(self.action[h1], self.action[h2])
-                if p != self.action[H.mul(h1, h2)]:
-                    return False
-        return True
-
-
-def _compose_perm(p, q):
-    return tuple(p[x] for x in q)
+        act, d = np.asarray(self.action), np.asarray(self.delta)
+        return (
+            sorted(self.delta) == list(A.elements())
+            and self.delta[0] == 0
+            and np.array_equal(act[:, A.table], A.table[act[:, :, None], act[:, None, :]])
+            and np.array_equal(act[np.arange(H.n)[:, None, None], act], act[H.table])
+            and np.array_equal(d[H.table], A.table[d[:, None], act[:, d]])
+        )
 
 
 @dataclass(frozen=True)
@@ -280,11 +270,11 @@ def automorphism_group(A: FiniteGroup):
 def iyb_witness_search(H: FiniteGroup) -> IYBSearchResult:
     """Search for a bijective 1-cocycle from H into an abelian module.
 
-    Modules are enumerated by ascending invariant factors, actions by
-    generator images into the automorphism group, and cocycles by
-    backtracking over generator values with the cocycle identity as
-    propagation and injectivity as pruning.  A returned witness verifies
-    exactly; exhaustion is a bounded certificate, not a proof of absence.
+    Modules are enumerated by ascending invariant factors, actions as the
+    homomorphisms into the automorphism group, and cocycles as the
+    homomorphisms h -> (delta(h), h) into A ⋊ H (``_bijective_cocycle``).
+    A returned witness verifies exactly, by table identities that do not use
+    A ⋊ H; exhaustion is a bounded certificate, not a proof of absence.
     """
     if H.n > IYB_BOUND:
         raise SizeBoundError(f"IYB search bounded at order {IYB_BOUND}")
@@ -307,43 +297,37 @@ def iyb_witness_search(H: FiniteGroup) -> IYBSearchResult:
 
 
 def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...] | None:
-    """Backtracking search for a bijective delta with delta(xy) = delta(x) + x.delta(y)."""
+    """The first bijective delta with delta(xy) = delta(x) + x.delta(y), or None.
+
+    A 1-cocycle is exactly a homomorphism h -> (delta(h), h) into
+    S = A ⋊ H, where (a, h)(b, k) = (a + h.b, hk), numbered a |H| + h.  So
+    the generators' values are chosen one at a time, in lexicographic order,
+    and each partial choice is closed by ``extend_hom`` on the span of the
+    generators chosen so far.  Every completion keeps that closure, so a
+    conflict or two equal A-components there rules them all out; the first
+    full choice that survives is a bijection when |A| = |H|.  A bijective
+    delta sends e to 0, so a generator's value is never 0.
+    """
+    n = H.n
+    # entry [a, h, b, k] is (a + h.b) |H| + hk
+    table = A.table[:, np.asarray(action), None] * n + H.table[:, None, :]
+    S = FiniteGroup(table.reshape(A.n * n, A.n * n), _trusted=True)
     gens = generating_sequence(H)
-    if not gens:
-        return (0,) if A.n == 1 else None
 
-    def propagate(assign):
-        delta = {0: 0}
-        used = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, vg in zip(gens, assign):
-                xg = H.mul(x, g)
-                val = A.mul(delta[x], action[x][vg])
-                if xg in delta:
-                    if delta[xg] != val:
-                        return None
-                else:
-                    if val in used:
-                        return None
-                    delta[xg] = val
-                    used.add(val)
-                    frontier.append(xg)
-        if len(delta) != H.n:
+    def rec(pairs):
+        hom = extend_hom(H, S, pairs)
+        if hom is None or len({s // n for s in hom.values()}) < len(hom):
             return None
-        return tuple(delta[h] for h in H.elements())
-
-    def rec(level, assign):
-        if level == len(gens):
-            return propagate(assign)
-        for a in A.elements():
-            found = rec(level + 1, assign + [a])
+        if len(pairs) == len(gens):
+            return tuple(hom[x] // n for x in H.elements()) if A.n == n else None
+        g = gens[len(pairs)]
+        for v in range(1, A.n):
+            found = rec(pairs + [(g, v * n + g)])
             if found is not None:
                 return found
         return None
 
-    return rec(0, [])
+    return rec([])
 
 
 def lagrangian_quotient_is_iyb(

@@ -495,26 +495,25 @@ def _q5_certificate(pb: Rank5Pullback, max_syllables: int) -> CheckRecord:
     )
     if not orders_ok:
         return CheckRecord("q5_free_product", False, "generator orders are wrong")
-    # alternating words: nonzero powers of u1u2 separated by single u3 letters
-    frontier = [(ident, "start", ())]
-    for _ in range(max_syllables):
-        nxt = []
-        for elem, last, path in frontier:
-            if last != "u12":
-                for k in range(1, 6):
-                    nxt.append(
-                        (tuple_mul(sources, elem, tuple_pow(sources, u12, k)), "u12", path + (f"(u1u2)^{k}",))
-                    )
-            if last != "u3":
-                nxt.append((tuple_mul(sources, elem, u3), "u3", path + ("u3",)))
-        for elem, _, path in nxt:
-            if elem == ident:
-                return CheckRecord(
-                    "q5_free_product",
-                    False,
-                    "alternating relation found: " + " ".join(path) + " = e",
-                )
-        frontier = nxt
+    # the alternating words are the reduced words of C6 * C2: the syllable
+    # (0, k) stands for (u1u2)^k and (1, 1) for u3.  enumerate_words yields
+    # them lazily by length, so the first collapse is a shortest one and ends
+    # the search; each word is its prefix's value times the step of its last
+    # syllable
+    steps = {(0, k): (tuple_pow(sources, u12, k), f"(u1u2)^{k}") for k in range(1, 6)}
+    steps[1, 1] = (u3, "u3")
+    values = {(): ident}
+    words = enumerate_words(FreeProductGroup((cyclic(6), cyclic(2))), max_syllables)
+    next(words)  # the identity
+    for w in words:
+        syl = w.syllables
+        elem = values[syl] = tuple_mul(sources, values[syl[:-1]], steps[syl[-1]][0])
+        if elem == ident:
+            return CheckRecord(
+                "q5_free_product",
+                False,
+                "alternating relation found: " + " ".join(steps[x][1] for x in syl) + " = e",
+            )
     return CheckRecord(
         "q5_free_product",
         True,

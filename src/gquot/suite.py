@@ -13,7 +13,7 @@ from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_g
 from .cocycles import CocycleTable
 from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
-from .groups import abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
+from .groups import FiniteGroup, abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
 from .lagrangians import (
     IYB_BOUND,
     crossed_product_iff_lagrangian,
@@ -50,36 +50,55 @@ class CriterionResult:
 
 
 class _Run:
-    """What one battery run shares: its seed, its one block oracle, and one
-    Mackey context per (group name, cocycle name) built on that oracle."""
+    """What one battery run shares: its seed, its one block oracle, one
+    carrier group per catalog name, and one Mackey context per (group name,
+    cocycle name) built on that oracle and that group."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self.oracle = BlockOracle()
+        self._groups: dict[str, FiniteGroup] = {}
         self._contexts: dict[tuple[str, str], MackeyContext] = {}
 
-    def context(self, gname: str, G, cname: str, alpha) -> MackeyContext:
+    def group(self, gname: str) -> FiniteGroup:
+        """The catalog group by name, built on first use."""
+        if gname not in self._groups:
+            self._groups[gname] = build_group(gname)
+        return self._groups[gname]
+
+    def context(self, gname: str, cname: str) -> MackeyContext:
+        """The context of a catalog group and cocycle by name, built on first
+        use; criteria read ``group`` and ``cocycle`` off it, so each carrier's
+        subgroup lattice is built once per run."""
         if (gname, cname) not in self._contexts:
-            self._contexts[(gname, cname)] = MackeyContext(G, alpha, self.seed, self.oracle)
+            G = self.group(gname)
+            self._contexts[(gname, cname)] = MackeyContext(G, _cocycle(G, cname), self.seed, self.oracle)
         return self._contexts[(gname, cname)]
 
 
-def sweep_cases():
-    """Catalog (group, cocycle) pairs up to order SWEEP_BOUND.
+def _cocycle(G: FiniteGroup, cname: str) -> CocycleTable:
+    """The catalog cocycle on G by name: "trivial", or the standard
+    non-degenerate class "nd_<carrier>" of the carrier G."""
+    return CocycleTable.trivial(G) if cname == "trivial" else build_cocycle(cname)[1]
 
-    Every group carries the trivial cocycle; the square carriers addition-
-    ally carry their standard non-degenerate class.
-    """
-    out = []
-    for name in GROUP_SPECS:
-        G = build_group(name)
-        if G.n > SWEEP_BOUND:
-            continue
-        out.append((name, G, "trivial", CocycleTable.trivial(G)))
-        if name in NONDEGENERATE_CARRIERS:
-            _, alpha = build_cocycle(f"nd_{name}")
-            out.append((name, G, f"nd_{name}", alpha))
-    return out
+
+def _sweep_pairs(group) -> list[tuple[str, str]]:
+    """The (group name, cocycle name) pairs of the sweep, ``group`` building
+    a group by name: every catalog group up to order SWEEP_BOUND with the
+    trivial cocycle, and each square carrier also with its standard
+    non-degenerate class."""
+    return [
+        (name, cname)
+        for name in GROUP_SPECS
+        if group(name).n <= SWEEP_BOUND
+        for cname in ["trivial"] + [f"nd_{name}"] * (name in NONDEGENERATE_CARRIERS)
+    ]
+
+
+def sweep_cases():
+    """The sweep's catalog cases as (group name, group, cocycle name, cocycle)."""
+    groups = {name: build_group(name) for name in GROUP_SPECS}
+    return [(g, groups[g], c, _cocycle(groups[g], c)) for g, c in _sweep_pairs(groups.__getitem__)]
 
 
 def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
@@ -87,14 +106,16 @@ def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     rec1, rec2 = [], []
     ok1 = ok2 = True
     cases = 0
-    for gname, G, cname, alpha in sweep_cases():
+    for gname, cname in _sweep_pairs(run.group):
+        context = run.context(gname, cname)
+        G = context.group
         for N in subgroups(G):
             if not N.is_normal():
                 continue
             cases += 1
             tag = f"{gname}/{cname}/N{list(N.elements)}"
             try:
-                dec = run.context(gname, G, cname, alpha).decompose(N)
+                dec = context.decompose(N)
             except GquotError as exc:
                 ok1 = ok2 = False
                 rec1.append((tag, f"decomposition failed: {exc}"))
@@ -126,9 +147,8 @@ def criterion_3(run: _Run) -> CriterionResult:
     ok = True
     groups = ("C2xC2", "C4xC4", "C2xC2xC2xC2", "C6xC6")
     for gname in groups:
-        G = build_group(gname)
-        _, alpha = build_cocycle(f"nd_{gname}")
-        context = run.context(gname, G, f"nd_{gname}", alpha)
+        context = run.context(gname, f"nd_{gname}")
+        G, alpha = context.group, context.cocycle
         agree = 0
         for N in subgroups(G):
             try:
@@ -146,12 +166,10 @@ def criterion_4(run: _Run) -> CriterionResult:
     records = []
     ok = True
     for gname in NONDEGENERATE_CARRIERS:
-        G = build_group(gname)
-        cname = f"nd_{gname}"
-        _, alpha = build_cocycle(cname)
         try:
-            context = run.context(gname, G, cname, alpha)
-            report = maximal_elementary_quotients(G, alpha, seed=run.seed, context=context)
+            context = run.context(gname, f"nd_{gname}")
+            G = context.group
+            report = maximal_elementary_quotients(G, context.cocycle, seed=run.seed, context=context)
         except GquotError as exc:
             ok = False
             records.append((gname, f"failed: {exc}"))
@@ -182,15 +200,13 @@ def criterion_5(run: _Run) -> CriterionResult:
     ok = True
     cases = 0
     for gname in NONDEGENERATE_CARRIERS:
-        G = build_group(gname)
-        cname = f"nd_{gname}"
-        _, alpha = build_cocycle(cname)
-        for N in subgroups(G):
-            rest = alpha.restrict(N)
+        context = run.context(gname, f"nd_{gname}")
+        for N in subgroups(context.group):
+            rest = context.cocycle.restrict(N)
             if not is_nondegenerate(rest.group, rest, seed=run.seed, oracle=run.oracle):
                 continue
             cases += 1
-            dec = run.context(gname, G, cname, alpha).decompose(N)
+            dec = context.decompose(N)
             o = dec.orbits[0]
             q = dec.quotient_group.n
             root = int(round(q ** 0.5))
@@ -218,12 +234,11 @@ def criterion_6(run: _Run) -> CriterionResult:
     records = []
     ok = True
     for gname in ("C2xC2", "C6xC6"):
-        G = build_group(gname)
-        cname = f"nd_{gname}"
-        _, alpha = build_cocycle(cname)
+        context = run.context(gname, f"nd_{gname}")
+        G = context.group
         checked = 0
         for N in subgroups(G):
-            dec = run.context(gname, G, cname, alpha).decompose(N)
+            dec = context.decompose(N)
             elem = is_elementary_quotient(dec)
             predicted = squarefree(G.n // N.order)
             checked += 1
@@ -311,10 +326,10 @@ def criterion_10(run: _Run) -> CriterionResult:
     ok = True
     inconclusive = 0
     for gname in NONDEGENERATE_CARRIERS:
-        G = build_group(gname)
-        _, alpha = build_cocycle(f"nd_{gname}")
+        context = run.context(gname, f"nd_{gname}")
+        G = context.group
         found = 0
-        for rep in lagrangian_scan(G, alpha, seed=run.seed, oracle=run.oracle):
+        for rep in lagrangian_scan(G, context.cocycle, seed=run.seed, oracle=run.oracle):
             if not rep.is_lagrangian:
                 continue
             Q, _ = quotient(G, rep.subgroup)

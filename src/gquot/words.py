@@ -177,11 +177,17 @@ class FactorMap:
 
 
 def enumerate_words(group: FreeProductGroup, max_syllables: int):
-    """All reduced words with at most the given number of syllables: each
-    syllable is a non-identity element of a factor other than its neighbour's.
+    """Yield all reduced words with at most the given number of syllables:
+    each syllable is a non-identity element of a factor other than its
+    neighbour's.
+
+    The words come lazily in ``Word.sort_key`` order, by length and then
+    syllables: each level extends the one before, in its order, by last
+    syllables in increasing order.  A caller that stops early builds only
+    the words it has seen.
     """
-    out = [group.identity()]
     frontier: list[Word] = [group.identity()]
+    yield frontier[0]
     for _ in range(max_syllables):
         nxt = []
         for w in frontier:
@@ -191,7 +197,6 @@ def enumerate_words(group: FreeProductGroup, max_syllables: int):
                     continue
                 for p in range(1, group.factors[fi].n):
                     nxt.append(Word._reduced(group, w.syllables + ((fi, p),)))
-        out.extend(nxt)
+                    yield nxt[-1]
         frontier = nxt
-    return sorted(out, key=Word.sort_key)
 

@@ -37,6 +37,33 @@ def format_cocycle(a: CocycleTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_standard_nondegenerate_exps(invariants):
+    """The exponent table of ``standard_nondegenerate`` with the coordinates
+    of each element read off by the digit loop the function replaced."""
+    invariants = list(invariants)
+    m = math.lcm(*invariants)
+    r, sizes = len(invariants), invariants + invariants
+    n = math.prod(sizes)
+    coords = np.empty((n, 2 * r), dtype=np.int64)
+    for g in range(n):
+        x = g
+        for j in range(2 * r - 1, -1, -1):
+            coords[g, j] = x % sizes[j]
+            x //= sizes[j]
+    weights = np.array([m // k for k in invariants], dtype=np.int64)
+    return (coords[:, :r] * weights @ coords[:, r:].T) % m
+
+
+@pytest.mark.parametrize(
+    "invariants", [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 3), (3, 3), (2, 4)], ids=str
+)
+def test_standard_nondegenerate_matches_reference(invariants):
+    a = standard_nondegenerate(invariants)
+    assert a.scale == math.lcm(*invariants)
+    assert a.exps.dtype == np.int64
+    assert np.array_equal(a.exps, reference_standard_nondegenerate_exps(invariants))
+
+
 def test_coboundary_of_zero_is_trivial():
     G = gq.make_group("C2xC2")
     c = OneCochain(G, 4, (0, 0, 0, 0))

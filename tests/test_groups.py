@@ -70,6 +70,76 @@ def test_dihedral_and_symmetric_structure():
         gq.symmetric(5)
 
 
+def reference_dihedral_table(n):
+    """The element loop ``groups.dihedral`` replaced."""
+    m = 2 * n
+    table = np.empty((m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            ra, fa = a % n, a >= n
+            rb, fb = b % n, b >= n
+            if not fa:
+                r, f = (ra + rb) % n, fb
+            else:
+                r, f = (ra - rb) % n, not fb
+            table[a, b] = r + (n if f else 0)
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_dihedral_table_matches_reference(n):
+    table = gq.dihedral(n).table
+    assert table.dtype == np.int64 and np.array_equal(table, reference_dihedral_table(n))
+
+
+def reference_quaternion8_table():
+    """The (sign, axis) loop ``groups.quaternion8`` replaced."""
+    mul_axis = {
+        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+    table = np.empty((8, 8), dtype=np.int64)
+    for a in range(8):
+        for b in range(8):
+            sa, xa = (1 if a < 4 else -1), a % 4
+            sb, xb = (1 if b < 4 else -1), b % 4
+            s, x = mul_axis[(xa, xb)]
+            table[a, b] = x if sa * sb * s == 1 else x + 4
+    return table
+
+
+def test_quaternion8_table_matches_reference():
+    table = gq.quaternion8().table
+    assert table.dtype == np.int64 and np.array_equal(table, reference_quaternion8_table())
+
+
+def reference_invariant_factor_sequences(n):
+    """The recursion as it was, deduplicated and sorted afterwards."""
+    if n == 1:
+        return [()]
+    out = []
+
+    def rec(remaining, last, acc):
+        if remaining == 1:
+            out.append(tuple(acc))
+            return
+        d = max(last, 2)
+        while d <= remaining:
+            if (last == 1 or d % last == 0) and remaining % d == 0:
+                rec(remaining // d, d, acc + [d])
+            d += 1
+
+    rec(n, 1, [])
+    return sorted(set(out))
+
+
+def test_invariant_factor_sequences_match_reference():
+    for n in range(1, 400):
+        assert groups.invariant_factor_sequences(n) == reference_invariant_factor_sequences(n), n
+
+
 def test_bad_table_rejected_with_triple():
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # not associative / not a group
     with pytest.raises(ValidationError):
@@ -819,13 +889,13 @@ def reference_isomorphism(G1, G2):
 
     def backtrack(level, pairs):
         if level == len(gens):
-            mapping = groups._extend_hom(G1, G2, pairs)
+            mapping = groups.extend_hom(G1, G2, pairs)
             if mapping is None or not is_full_isomorphism(mapping):
                 return None
             return mapping
         for h in candidates[level]:
             trial = pairs + [(gens[level], h)]
-            if groups._extend_hom(G1, G2, trial) is None:
+            if groups.extend_hom(G1, G2, trial) is None:
                 continue
             found = backtrack(level + 1, trial)
             if found is not None:
@@ -851,7 +921,7 @@ def test_are_isomorphic_matches_reference(spec1, spec2):
 
 
 def reference_extend_hom(G1, G2, pairs):
-    """The two-sided closure ``_extend_hom`` replaced: each partial map is
+    """The two-sided closure ``extend_hom`` replaced: each partial map is
     closed under both x a and a x; None on conflict."""
     mapping = {0: 0}
     frontier = [0]
@@ -880,7 +950,7 @@ _UP_TO_8 = [s for s in GROUP_SPECS if _ORDER[s] <= 8]
 def test_one_sided_closure_matches_the_two_sided_one(monkeypatch, spec):
     """Every closure the search asks for, from ``spec`` into each catalog group
     up to order 8, equals the two-sided one, and so do the homomorphism lists."""
-    one_sided = groups._extend_hom
+    one_sided = groups.extend_hom
     calls = []
 
     def compared(G1, G2, pairs):
@@ -893,10 +963,10 @@ def test_one_sided_closure_matches_the_two_sided_one(monkeypatch, spec):
     for T in map(gq.make_group, _UP_TO_8):
         for injective in (False, True):
             with monkeypatch.context() as m:
-                m.setattr(groups, "_extend_hom", reference_extend_hom)
+                m.setattr(groups, "extend_hom", reference_extend_hom)
                 want = [h.images for h in gq.homomorphisms(G, T, injective=injective)]
             with monkeypatch.context() as m:
-                m.setattr(groups, "_extend_hom", compared)
+                m.setattr(groups, "extend_hom", compared)
                 assert [h.images for h in gq.homomorphisms(G, T, injective=injective)] == want
     assert calls or G.n == 1
 

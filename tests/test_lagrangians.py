@@ -1,12 +1,17 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import gquot as gq
+from gquot.catalog import GROUP_SPECS
 from gquot.cocycles import CocycleTable, standard_nondegenerate
 from gquot.errors import DomainError, SizeBoundError
 from gquot import groups
 from gquot.groups import abelian_group_from_invariants, generating_sequence, invariant_factor_sequences
 from gquot.lagrangians import (
+    IYB_BOUND,
     IYBWitness,
     automorphism_group,
     crossed_product_iff_lagrangian,
@@ -16,7 +21,6 @@ from gquot.lagrangians import (
     lagrangian_scan,
     maximal_elementary_quotients,
     _bijective_cocycle,
-    _compose_perm,
 )
 from gquot.mackey import MackeyContext
 from gquot.twisted import BlockOracle, TwistedAlgebra
@@ -222,13 +226,13 @@ def reference_homs(H, T):
 
     def rec(level, pairs):
         if level == len(gens):
-            mapping = groups._extend_hom(H, T, pairs)
+            mapping = groups.extend_hom(H, T, pairs)
             if mapping is not None and len(mapping) == H.n and hom_ok(mapping):
                 yield gq.GroupHom(H, T, tuple(mapping[g] for g in H.elements()))
             return
         for t in cands[level]:
             trial = pairs + [(gens[level], t)]
-            if groups._extend_hom(H, T, trial) is not None:
+            if groups.extend_hom(H, T, trial) is not None:
                 yield from rec(level + 1, trial)
 
     yield from rec(0, [])
@@ -281,9 +285,81 @@ def reference_automorphism_group(A):
     return gq.FiniteGroup(table, name=f"Aut({A.name or A.n})"), ordered
 
 
+def _compose_perm(p, q):
+    return tuple(p[x] for x in q)
+
+
+def reference_bijective_cocycle(H, A, action):
+    """The backtracking search ``_bijective_cocycle`` replaced: generator
+    values in lexicographic order, each closed by propagating the cocycle
+    identity and pruned on a conflict or a repeated value."""
+    gens = generating_sequence(H)
+    if not gens:
+        return (0,) if A.n == 1 else None
+
+    def propagate(assign):
+        delta = {0: 0}
+        used = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g, vg in zip(gens, assign):
+                xg = H.mul(x, g)
+                val = A.mul(delta[x], action[x][vg])
+                if xg in delta:
+                    if delta[xg] != val:
+                        return None
+                else:
+                    if val in used:
+                        return None
+                    delta[xg] = val
+                    used.add(val)
+                    frontier.append(xg)
+        if len(delta) != H.n:
+            return None
+        return tuple(delta[h] for h in H.elements())
+
+    def rec(level, assign):
+        if level == len(gens):
+            return propagate(assign)
+        for a in A.elements():
+            found = rec(level + 1, assign + [a])
+            if found is not None:
+                return found
+        return None
+
+    return rec(0, [])
+
+
+def reference_verify(w):
+    """The element loops ``IYBWitness.verify`` replaced."""
+    H, A = w.group, w.module
+    if sorted(w.delta) != list(range(A.n)):
+        return False
+    if w.delta[0] != 0:
+        return False
+    for h1 in H.elements():
+        act1 = w.action[h1]
+        for h2 in H.elements():
+            if w.delta[H.mul(h1, h2)] != A.mul(w.delta[h1], act1[w.delta[h2]]):
+                return False
+    for h in H.elements():
+        perm = w.action[h]
+        for a in A.elements():
+            for b in A.elements():
+                if perm[A.mul(a, b)] != A.mul(perm[a], perm[b]):
+                    return False
+    for h1 in H.elements():
+        for h2 in H.elements():
+            if _compose_perm(w.action[h1], w.action[h2]) != w.action[H.mul(h1, h2)]:
+                return False
+    return True
+
+
 def reference_iyb_search(H):
-    """iyb_witness_search over the reference automorphism group and homs:
-    (modules tried, actions tried, module invariants, delta, action)."""
+    """iyb_witness_search over the reference automorphism group, homs and
+    cocycle search: (modules tried, actions tried, module invariants, delta,
+    action)."""
     modules_tried = actions_tried = 0
     for invs in invariant_factor_sequences(H.n):
         A = abelian_group_from_invariants(invs)
@@ -292,9 +368,9 @@ def reference_iyb_search(H):
         for hom in reference_homs(H, aut_group):
             actions_tried += 1
             action = tuple(aut_perms[hom.images[h]] for h in H.elements())
-            delta = _bijective_cocycle(H, A, action)
+            delta = reference_bijective_cocycle(H, A, action)
             if delta is not None:
-                assert IYBWitness(H, tuple(invs), A, action, delta).verify()
+                assert reference_verify(IYBWitness(H, tuple(invs), A, action, delta))
                 return modules_tried, actions_tried, tuple(invs), delta, action
     return modules_tried, actions_tried, None, None, None
 
@@ -324,9 +400,11 @@ def test_automorphism_group_matches_reference(invs):
     assert np.array_equal(aut_group.table, ref_group.table)
 
 
-@pytest.mark.parametrize(
-    "spec", ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "C7", "C8", "C2xC4", "C2xC2xC2", "D4", "Q8"]
-)
+# every catalog group of order at most IYB_BOUND, and one product outside the catalog
+IYB_SPECS = [name for name in GROUP_SPECS if gq.make_group(name).n <= IYB_BOUND] + ["C2xC2xC3"]
+
+
+@pytest.mark.parametrize("spec", IYB_SPECS)
 def test_iyb_witness_search_matches_reference(spec):
     H = gq.make_group(spec)
     res = iyb_witness_search(H)
@@ -335,6 +413,62 @@ def test_iyb_witness_search_matches_reference(spec):
         (w.module_invariants, w.delta, w.action) if w is not None else (None, None, None)
     )
     assert got == reference_iyb_search(H)
+
+
+def _actions(H):
+    """Every module of order |H| with every action on it, as the search meets them."""
+    for invs in invariant_factor_sequences(H.n):
+        A = abelian_group_from_invariants(invs)
+        aut_group, aut_perms = automorphism_group(A)
+        for hom in gq.homomorphisms(H, aut_group):
+            yield invs, A, tuple(aut_perms[hom.images[h]] for h in H.elements())
+
+
+@pytest.mark.parametrize("spec", IYB_SPECS)
+def test_bijective_cocycle_matches_reference_on_every_action(spec):
+    """Every action of every module, the ones with no bijective cocycle included."""
+    H = gq.make_group(spec)
+    for _, A, action in _actions(H):
+        assert _bijective_cocycle(H, A, action) == reference_bijective_cocycle(H, A, action)
+
+
+
+def test_bijective_cocycle_needs_a_module_of_the_group_order():
+    """delta = (0, 2) on C2 -> C4 is an injective cocycle, not a bijection.
+    (The reference returned it; the search only asks for modules of order |H|.)"""
+    C2, C4 = gq.cyclic(2), gq.cyclic(4)
+    assert _bijective_cocycle(C2, C4, (tuple(C4.elements()),) * 2) is None
+
+def _mutations(w):
+    """Witnesses near w: delta with two entries swapped, each action replaced
+    by the identity, and each action composed with a map that is not an
+    automorphism (a transposition of two module elements)."""
+    H, A = w.group, w.module
+    ident = tuple(A.elements())
+    for i, j in itertools.combinations(range(H.n), 2):
+        d = list(w.delta)
+        d[i], d[j] = d[j], d[i]
+        yield dataclasses.replace(w, delta=tuple(d))
+    for h in H.elements():
+        action = list(w.action)
+        action[h] = ident
+        yield dataclasses.replace(w, action=tuple(action))
+        for a, b in itertools.combinations(range(1, A.n), 2):
+            swap = list(ident)
+            swap[a], swap[b] = b, a
+            action = list(w.action)
+            action[h] = _compose_perm(w.action[h], swap)
+            yield dataclasses.replace(w, action=tuple(action))
+
+
+@pytest.mark.parametrize("spec", ["C2", "C3", "C4", "C2xC2", "C6", "S3", "C8", "C2xC4", "D4", "Q8", "C3xC3", "D6"])
+def test_verify_matches_reference_on_mutated_witnesses(spec):
+    H = gq.make_group(spec)
+    w = iyb_witness_search(H).witness
+    assert w.verify() and reference_verify(w)
+    verdicts = [(m.verify(), reference_verify(m)) for m in _mutations(w)]
+    assert all(new == old for new, old in verdicts)
+    assert {new for new, _ in verdicts} == {True, False}
 
 
 def test_automorphism_group_orders():

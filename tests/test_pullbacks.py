@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gquot.errors import DomainError
-from gquot.groups import invariant_factor_sequences
+from gquot.groups import cyclic, invariant_factor_sequences
 from gquot.pullbacks import (
+    CheckRecord,
     DiagonalClass,
+    _q5_certificate,
     _free22_words,
     enumerate_admissible_rank4,
     enumerate_admissible_rank5,
@@ -22,7 +24,7 @@ from gquot.pullbacks import (
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from gquot.words import Word, enumerate_words
+from gquot.words import FreeProductGroup, Word, enumerate_words
 
 
 def reference_evaluate(pb, word) -> tuple:
@@ -171,6 +173,75 @@ def test_q5_certificate_passes_below_the_relation_length():
     rep = verify_presentation_h5(q5_len=7)
     q5 = next(c for c in rep.checks if c.name == "q5_free_product")
     assert q5.passed
+
+
+def reference_q5_certificate(pb, max_syllables):
+    """The breadth-first word generator ``_q5_certificate`` replaced: every
+    alternating word of each length, built from the level before with a
+    fresh power of u1u2 per node, checked a whole level at a time."""
+    f22, f32 = pb.rank4.free22, pb.free32
+    sources = (f22, f32)
+    u12 = (f22.letter(1, 1), f32.letter(0, 1))
+    u3 = (f22.letter(0, 1), f32.letter(1, 1))
+    ident = tuple_identity(sources)
+    orders_ok = (
+        all(tuple_pow(sources, u12, k) != ident for k in range(1, 6))
+        and tuple_pow(sources, u12, 6) == ident
+        and tuple_pow(sources, u3, 2) == ident
+    )
+    if not orders_ok:
+        return CheckRecord("q5_free_product", False, "generator orders are wrong")
+    frontier = [(ident, "start", ())]
+    for _ in range(max_syllables):
+        nxt = []
+        for elem, last, path in frontier:
+            if last != "u12":
+                for k in range(1, 6):
+                    nxt.append(
+                        (tuple_mul(sources, elem, tuple_pow(sources, u12, k)), "u12", path + (f"(u1u2)^{k}",))
+                    )
+            if last != "u3":
+                nxt.append((tuple_mul(sources, elem, u3), "u3", path + ("u3",)))
+        for elem, _, path in nxt:
+            if elem == ident:
+                return CheckRecord(
+                    "q5_free_product",
+                    False,
+                    "alternating relation found: " + " ".join(path) + " = e",
+                )
+        frontier = nxt
+    return CheckRecord(
+        "q5_free_product",
+        True,
+        f"no alternating relation up to {max_syllables} syllables; orders 6 and 2 verified",
+    )
+
+
+@pytest.mark.parametrize("length", range(10))
+def test_q5_certificate_matches_reference(length):
+    assert _q5_certificate(RANK5, length) == reference_q5_certificate(RANK5, length)
+
+
+def test_q5_certificate_stops_at_the_first_relation(monkeypatch):
+    """A long bound costs what the shortest relation costs: the words are
+    built lazily and the search ends at the length-8 collapse.  A search that
+    built words beyond length 8 fails at the first one, not after them all."""
+    free62 = FreeProductGroup((cyclic(6), cyclic(2)))
+    bound = sum(1 for _ in enumerate_words(free62, 8))
+    built = 0
+    reduced = Word._reduced.__func__
+
+    def counted(cls, group, syllables):
+        nonlocal built
+        if tuple(f.n for f in group.factors) == (6, 2):  # not the pull-back's own products
+            built += 1
+            assert built <= bound, "words beyond the first relation were built"
+        return reduced(cls, group, syllables)
+
+    monkeypatch.setattr(Word, "_reduced", classmethod(counted))
+    record = _q5_certificate(RANK5, 30)
+    assert record == reference_q5_certificate(RANK5, 8)
+    assert not record.passed and 0 < built
 
 
 def reference_free22_words(free22, max_syllables):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,16 +114,16 @@ def test_words_distinguished_by_finite_quotients():
     ha = gq.GroupHom(gq.cyclic(2), D8, (0, s))
     hb = gq.GroupHom(gq.cyclic(2), D8, (0, sr))
     fm = FactorMap(F, D8, (ha, hb))
-    words = enumerate_words(F, 4)
+    words = list(enumerate_words(F, 4))
     images = [fm(w) for w in words]
     assert len(set(images)) == len(words)
 
 
 def test_enumerate_words_counts():
     F = c2_free_square()
-    assert len(enumerate_words(F, 6)) == 13  # 1 + 2 per length
+    assert len(list(enumerate_words(F, 6))) == 13  # 1 + 2 per length
     F32 = c3_free_c2()
-    assert len(enumerate_words(F32, 2)) == 8  # e, g, g2, h, gh, g2h, hg, hg2
+    assert len(list(enumerate_words(F32, 2))) == 8  # e, g, g2, h, gh, g2h, hg, hg2
 
 
 def test_factor_index_checked_at_the_public_entries():
@@ -184,3 +186,28 @@ def test_inv_matches_renormalizing_constructor(sylls):
 def test_enumerated_words_are_reduced():
     for w in enumerate_words(MIXED, 3):
         assert Word(MIXED, w.syllables) == w
+
+
+@pytest.mark.parametrize("F", [c2_free_square(), c3_free_c2(), MIXED], ids=["C2*C2", "C3*C2", "mixed"])
+def test_enumerate_words_yields_in_sort_key_order(F):
+    words = list(enumerate_words(F, 4))
+    assert words == sorted(words, key=Word.sort_key)
+    assert len({w.syllables for w in words}) == len(words)
+
+
+def test_enumerate_words_is_lazy(monkeypatch):
+    """The first words of a long bound come without building whole levels: a
+    generator that built ahead fails at its first extra word."""
+    built = 0
+    reduced = Word._reduced.__func__
+
+    def counted(cls, group, syllables):
+        nonlocal built
+        built += 1
+        assert built <= 4, "words were built before they were asked for"
+        return reduced(cls, group, syllables)
+
+    monkeypatch.setattr(Word, "_reduced", classmethod(counted))
+    words = enumerate_words(c3_free_c2(), 50)
+    assert [w.syllables for w in itertools.islice(words, 4)] == [(), ((0, 1),), ((0, 2),), ((1, 1),)]
+    assert built == 4  # one per word, the identity included
