@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,10 +135,17 @@ class FiniteGroup:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
-        return int(self.inverse_table[a])
+        return self.inverse_table.item(a)
+
+    def prod(self, elements) -> int:
+        """The product of a sequence, left to right; the identity when empty."""
+        item, out = self.table.item, 0
+        for a in elements:
+            out = item(out, a)
+        return out
 
     def order_of(self, a: int) -> int:
         x, k = a, 1
@@ -191,6 +198,7 @@ class Subgroup:
 
     group: FiniteGroup
     elements: tuple[int, ...]
+    _copy: FiniteGroup | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(int(x) for x in set(self.elements)))
@@ -240,12 +248,17 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a standalone group: its element i is ``elements[i]``
-        of the parent, so the identity stays at index 0."""
-        elems = list(self.elements)
-        pos = np.zeros(self.group.n, dtype=np.int64)
-        pos[elems] = np.arange(len(elems))
-        table = pos[self.group.table[np.ix_(elems, elems)]]
-        return FiniteGroup(table, labels=[self.group.label(g) for g in elems], _trusted=True)
+        of the parent, so the identity stays at index 0.  The copy is built
+        once and kept, so its own caches (generating sequence, Cayley tree)
+        serve every caller."""
+        if self._copy is None:
+            elems = list(self.elements)
+            pos = np.zeros(self.group.n, dtype=np.int64)
+            pos[elems] = np.arange(len(elems))
+            table = pos[self.group.table[np.ix_(elems, elems)]]
+            copy = FiniteGroup(table, labels=[self.group.label(g) for g in elems], _trusted=True)
+            object.__setattr__(self, "_copy", copy)
+        return self._copy
 
 
 @dataclass(frozen=True)

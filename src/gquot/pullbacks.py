@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import CertificationError, DomainError, ValidationError
 from .groups import (
@@ -30,6 +29,10 @@ from .groups import (
 from .words import FactorMap, FreeProductGroup, enumerate_words
 
 H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_presentation_h5
+
+# the field of each pull-back's tuple behind a generator name
+_RANK4_FIELDS = {"z1": "z1", "z2": "z2", "z3": "z3"}
+_RANK5_FIELDS = {"w": "gen_w", "b": "gen_b", "c": "gen_c", "g": "gen_g"}
 
 
 # -- componentwise arithmetic on tuples over mixed groups ---------------------
@@ -48,10 +51,7 @@ def tuple_identity(sources):
 
 
 def tuple_pow(sources, t, k: int):
-    out = tuple_identity(sources)
-    for _ in range(k):
-        out = tuple_mul(sources, out, t)
-    return out
+    return tuple(g.prod([a] * k) for g, a in zip(sources, t))
 
 
 # -- diagrams ------------------------------------------------------------------
@@ -122,12 +122,9 @@ class _GeneratedPullback:
 
     def evaluate(self, word) -> tuple:
         """The tuple named by a word in the generators: each component is
-        folded once, by its own group's ``mul``."""
+        one ``prod`` of its own group."""
         gens = [self.generator(name) for name in word]
-        return tuple(
-            reduce(g.mul, (gen[i] for gen in gens), g.identity())
-            for i, g in enumerate(self.sources)
-        )
+        return tuple(g.prod(gen[i] for gen in gens) for i, g in enumerate(self.sources))
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ class Rank4Pullback(_GeneratedPullback):
     z3: tuple
 
     def generator(self, name: str):
-        return {"z1": self.z1, "z2": self.z2, "z3": self.z3}[name]
+        return getattr(self, _RANK4_FIELDS[name])
 
 
 SIGMA = 2      # (1,0) in C2xC2
@@ -234,7 +231,7 @@ class Rank5Pullback(_GeneratedPullback):
     gen_g: tuple       # (e, e, e, g)
 
     def generator(self, name: str):
-        return {"w": self.gen_w, "b": self.gen_b, "c": self.gen_c, "g": self.gen_g}[name]
+        return getattr(self, _RANK5_FIELDS[name])
 
 
 def rank5_pullback() -> Rank5Pullback:

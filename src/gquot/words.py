@@ -12,7 +12,10 @@ By the reduced-word argument for free products (Magnus, Karrass and
 Solitar, *Combinatorial Group Theory*, section 4.1) only the junction of two
 reduced words can cancel or merge, so ``mul`` resolves the junction and
 copies the rest; ``inv`` and the extensions in ``enumerate_words``
-build their results the same way, without renormalizing.
+build their results the same way, without renormalizing.  ``prod``, the
+product of a sequence of words, is one stack pass over their concatenated
+syllables under the same argument: only syllables that meet at a junction
+cancel or merge, so each syllable is pushed and popped at most once.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ class FreeProductGroup:
 
     def mul(self, w1: "Word", w2: "Word") -> "Word":
         return w1.mul(w2)
+
+    def prod(self, words) -> "Word":
+        """The product of a sequence of reduced words, by one stack pass; the
+        identity when empty."""
+        syllables: list[tuple[int, int]] = []
+        for w in words:
+            if w.group is not self and w.group != self:
+                raise DomainError("words from different free products")
+            syllables += w.syllables
+        return Word._reduced(self, _reduce(self.factors, syllables))
 
     def inv(self, w: "Word") -> "Word":
         return w.inv()
@@ -166,10 +179,7 @@ class FactorMap:
                 raise ValidationError("finite factor needs a homomorphism into the target")
 
     def __call__(self, w: Word) -> int:
-        out = 0
-        for fi, p in w.syllables:
-            out = self.target.mul(out, self.maps[fi](p))
-        return out
+        return self.target.prod(self.maps[fi](p) for fi, p in w.syllables)
 
     def is_surjective(self) -> bool:
         gens = {g for m in self.maps for g in m.images}

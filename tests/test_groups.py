@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import tracemalloc
@@ -1041,6 +1042,55 @@ def test_inverse_is_involution():
         for g in G.elements():
             assert G.inv(G.inv(g)) == g
             assert G.mul(g, G.inv(g)) == 0
+
+
+# -- products of sequences against the fold of mul ------------------------------
+
+_catalog_group = functools.cache(gq.make_group)
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_mul_and_inv_read_the_tables(spec):
+    G = _catalog_group(spec)
+    for a in G.elements():
+        assert type(G.inv(a)) is int and G.inv(a) == int(G.inverse_table[a])
+        for b in G.elements():
+            assert type(G.mul(a, b)) is int and G.mul(a, b) == int(G.table[a, b])
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_prod_matches_the_mul_fold(spec, data):
+    G = _catalog_group(spec)
+    seq = data.draw(st.lists(st.integers(0, G.n - 1), max_size=30))
+    got = G.prod(iter(seq))
+    assert type(got) is int and got == functools.reduce(G.mul, seq, 0)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8"])
+def test_prod_keeps_the_order_in_non_abelian_groups(spec):
+    G = _catalog_group(spec)
+    a, b = next((a, b) for a in G.elements() for b in G.elements() if G.mul(a, b) != G.mul(b, a))
+    assert G.prod([a, b]) == G.mul(a, b) != G.prod([b, a])
+    assert G.prod([]) == G.identity() == 0
+
+
+def test_prod_and_mul_refuse_indices_outside_the_table():
+    G = gq.cyclic(4)
+    for call in (lambda: G.prod([1, 4]), lambda: G.mul(4, 0), lambda: G.mul(0, 4), lambda: G.inv(4)):
+        with pytest.raises(IndexError):
+            call()
+
+
+def test_as_group_is_built_once_per_subgroup(monkeypatch):
+    G = gq.make_group("D4")
+    H = gq.center(G)
+    sub = H.as_group()
+    monkeypatch.setattr(groups, "FiniteGroup", None)  # a second build would fail here
+    assert H.as_group() is sub
+    twin = gq.Subgroup(G, H.elements)
+    assert twin == H and hash(twin) == hash(H) and repr(twin) == repr(H)
 
 
 def test_table_format_round_trip():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -19,12 +20,13 @@ from gquot.pullbacks import (
     rank4_pullback,
     rank5_pullback,
     tuple_identity,
+    tuple_inv,
     tuple_mul,
     tuple_pow,
     verify_presentation_h4,
     verify_presentation_h5,
 )
-from gquot.words import FreeProductGroup, Word, enumerate_words
+from gquot.words import FactorMap, FreeProductGroup, Word, enumerate_words
 
 
 def reference_evaluate(pb, word) -> tuple:
@@ -49,6 +51,68 @@ def test_rank4_evaluate_matches_the_tuple_fold(word):
 @settings(max_examples=150, deadline=None)
 def test_rank5_evaluate_matches_the_tuple_fold(word):
     assert RANK5.evaluate(word) == reference_evaluate(RANK5, word)
+
+
+def reference_evaluate_by_mul(pb, word) -> tuple:
+    """The tuple named by a word, each component a left fold of its group's ``mul``."""
+    gens = [pb.generator(name) for name in word]
+    return tuple(
+        functools.reduce(g.mul, (gen[i] for gen in gens), g.identity())
+        for i, g in enumerate(pb.sources)
+    )
+
+
+def reference_factor_map(fm, w) -> int:
+    """The image of a word, as a left fold of target products over its syllables."""
+    out = 0
+    for fi, p in w.syllables:
+        out = fm.target.mul(out, fm.maps[fi](p))
+    return out
+
+
+def assert_matches_the_folds(pb, t, word):
+    assert pb.evaluate(word) == reference_evaluate_by_mul(pb, word) == t
+    for e in pb.diagram.edges:
+        if isinstance(e.mapping, FactorMap):
+            assert e.mapping(t[e.source_index]) == reference_factor_map(e.mapping, t[e.source_index])
+
+
+def test_rank4_expressions_match_the_folds():
+    triples = enumerate_admissible_rank4(40)
+    assert len(triples) == 324
+    for t in triples:
+        assert_matches_the_folds(RANK4, t, express_rank4(t, RANK4))
+
+
+def test_rank5_expressions_match_the_folds():
+    for t in enumerate_admissible_rank5(4, 4):
+        assert_matches_the_folds(RANK5, t, express_rank5(t, RANK5))
+
+
+def reference_tuple_pow(sources, t, k):
+    out = tuple_identity(sources)
+    for _ in range(k):
+        out = tuple_mul(sources, out, t)
+    return out
+
+
+@pytest.mark.parametrize("pb, names", [(RANK4, "z1 z2 z3"), (RANK5, "w b c g")], ids=["rank4", "rank5"])
+def test_tuple_pow_matches_the_product_loop(pb, names):
+    S = pb.sources
+    gens = [pb.generator(name) for name in names.split()]
+    for t in gens + [tuple_mul(S, gens[0], gens[1]), tuple_inv(S, gens[-1])]:
+        for k in range(-1, 9):
+            assert tuple_pow(S, t, k) == reference_tuple_pow(S, t, k)
+
+
+def test_unknown_generator_names_raise_key_error():
+    with pytest.raises(KeyError):
+        RANK4.generator("w")
+    with pytest.raises(KeyError):
+        RANK5.generator("z1")
+    with pytest.raises(KeyError):
+        RANK5.evaluate(["w", "gen_w"])
+    assert RANK4.generator("z3") is RANK4.z3 and RANK5.generator("g") is RANK5.gen_g
 
 
 def test_admissibility_examples():

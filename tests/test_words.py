@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -211,3 +212,79 @@ def test_enumerate_words_is_lazy(monkeypatch):
     words = enumerate_words(c3_free_c2(), 50)
     assert [w.syllables for w in itertools.islice(words, 4)] == [(), ((0, 1),), ((0, 2),), ((1, 1),)]
     assert built == 4  # one per word, the identity included
+
+
+# -- products of sequences against the fold of Word.mul --------------------------
+
+PROD_GROUPS = {
+    "C2*C2": c2_free_square(),
+    "C3*C2": c3_free_c2(),
+    "C6*C2": FreeProductGroup((gq.cyclic(6), gq.cyclic(2))),
+    "S3*C2": FreeProductGroup((gq.symmetric(3), gq.cyclic(2))),  # merged syllables are not commutative
+}
+
+
+def reduced_word(F):
+    """Reduced words of F, any length up to 8, built through the validating constructor."""
+    syllable = st.integers(0, len(F.factors) - 1).flatmap(
+        lambda fi: st.tuples(st.just(fi), st.integers(0, F.factors[fi].n - 1))
+    )
+    return st.lists(syllable, max_size=8).map(lambda sylls: Word(F, tuple(sylls)))
+
+
+@pytest.mark.parametrize("name", list(PROD_GROUPS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_prod_matches_the_mul_fold(name, data):
+    F = PROD_GROUPS[name]
+    words = data.draw(st.lists(reduced_word(F), max_size=8))
+    got = F.prod(iter(words))
+    assert got == functools.reduce(Word.mul, words, F.identity())
+    assert got == Word(F, tuple(s for w in words for s in w.syllables))
+    assert got.group is F
+
+
+@pytest.mark.parametrize("name", list(PROD_GROUPS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_prod_of_a_word_and_its_inverse_cancels_through(name, data):
+    # every syllable of the middle pair cancels, so the stack pops all the way down
+    F = PROD_GROUPS[name]
+    u, v = data.draw(reduced_word(F)), data.draw(reduced_word(F))
+    assert F.prod([u, v, v.inv(), u.inv()]).is_identity()
+    assert F.prod([u, v, v.inv()]) == u
+
+
+def test_prod_of_nothing_is_the_identity():
+    for F in PROD_GROUPS.values():
+        assert F.prod([]) == F.identity() and F.prod([]).is_identity()
+        assert F.prod([F.identity(), F.identity()]).is_identity()
+
+
+def test_prod_rejects_words_of_another_free_product():
+    F, other = c2_free_square(), c3_free_c2()
+    with pytest.raises(DomainError):
+        F.prod([F.letter(0, 1), other.letter(0, 1)])
+    with pytest.raises(DomainError):
+        F.prod([other.identity()])
+    # an equal free product built separately is the same group
+    assert F.prod([c2_free_square().letter(0, 1)]) == F.letter(0, 1)
+
+
+def reference_factor_map(fm, w) -> int:
+    """The image of a word, as a left fold of target products over its syllables."""
+    out = 0
+    for fi, p in w.syllables:
+        out = fm.target.mul(out, fm.maps[fi](p))
+    return out
+
+
+def test_factor_map_matches_the_syllable_fold():
+    F = PROD_GROUPS["S3*C2"]
+    S3 = gq.symmetric(3)
+    onto_s3 = gq.GroupHom(S3, S3, tuple(range(6)))
+    involution = next(g for g in S3.elements() if S3.order_of(g) == 2)
+    c2_in_s3 = gq.GroupHom(gq.cyclic(2), S3, (0, involution))
+    fm = FactorMap(F, S3, (onto_s3, c2_in_s3))
+    for w in enumerate_words(F, 4):
+        assert fm(w) == reference_factor_map(fm, w)
