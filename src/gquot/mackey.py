@@ -45,14 +45,24 @@ Theory of Finite Groups*, ch. 11), so omega(a, b), alpha(s_a, s_b) conj(mu)
 over alpha(s_ab, n(a, b)), is a unit-modulus cocycle on the inertia group I.
 The products are formed only for b in {e} and the generators of I: a defect
 within TOL_SCALAR / (2L - 1) on those columns, L the depth of I's Cayley
-tree, bounds the defect of every pair by TOL_SCALAR, and omega is extended
-along the tree by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s).
-H^2(I, C*) is killed by k = |I|, so omega is moved by a coboundary onto a
-table of k-th roots of unity, snapped to exponents within TOL_SCALAR and
-validated exactly as a 2-cocycle; the orbit's obstruction is that exact
-CocycleTable of scale |I|, and its blocks come from the exact algebra.  A
-trivial inertia group carries only the trivial table of scale 1, so such an
-orbit builds no module.
+tree, bounds the defect of every pair by TOL_SCALAR once the measured
+intertwining and projective-law residuals are charged to it, and omega is
+extended along the tree by omega(a, bs) = omega(a, b) omega(ab, s) /
+omega(b, s).  H^2(I, C*) is killed by k = |I|, so omega is moved by a
+coboundary onto a table of k-th roots of unity, snapped to exponents within
+TOL_SCALAR and validated exactly as a 2-cocycle; the orbit's obstruction is
+that exact CocycleTable of scale |I|, and its blocks come from the exact
+algebra.  A trivial inertia group carries only the trivial table of scale 1,
+so such an orbit builds no module.
+
+Only the module depends on the orbit: the lifts, n(a, b), c(a, b) and the
+Cayley tree depend on the inertia group alone.  So the decomposition first
+stages every orbit, builds one Subgroup per inertia group, and computes the
+obstructions in one pass per class of orbits with the same inertia group
+and module dimension: the shared parts once, the class's modules stacked
+along a leading axis through the intertwiners, the composition scalars and
+the gauge.  Each module keeps its own certificates with the thresholds
+above, and each check reports its first failing module in orbit order.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -161,41 +171,47 @@ class MackeyContext:
         if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
             raise TheoremCheckError("point orbits do not partition the points")
 
-        orbits = []
+        classes: dict[tuple, list] = {}  # (inertia elements, d) -> its orbits, in orbit order
         for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
             rep = orbit[0]
             d = points[rep].dim
             if any(points[i].dim != d for i in orbit):
                 raise TheoremCheckError("orbit members disagree on module dimension")
             images = perms[:, rep]
-            inertia = Subgroup(Q, tuple(np.flatnonzero(images == rep).tolist()))
+            inertia = tuple(np.flatnonzero(images == rep).tolist())
             transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
-            if len(transversal) * inertia.order != Q.n:
+            if len(transversal) * len(inertia) != Q.n:
                 raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
-            if len(set(Q.table[np.ix_(transversal, inertia.elements)].ravel().tolist())) != Q.n:
+            if len(set(Q.table[np.ix_(transversal, inertia)].ravel().tolist())) != Q.n:
                 raise TheoremCheckError("transversal cosets do not cover the quotient")
             delta_num = G.n * G.n * d * d
-            delta_den = N.order * N.order * inertia.order
+            delta_den = N.order * N.order * len(inertia)
             if delta_num % delta_den:
                 raise TheoremCheckError("summand dimension is not an integer")
-            delta = delta_num // delta_den
-            x = Character.from_dict(Q, {t: d for t in transversal})
-            omega = self._obstruction(alpha_N, N, rep, inertia, section)
-            blocks = self.oracle.wedderburn(omega, seed).dims
-            orbits.append(
-                MackeyOrbit(
-                    point_indices=orbit,
-                    dim=d,
-                    inertia=inertia,
-                    transversal=transversal,
-                    x=x,
-                    delta=delta,
-                    omega=omega,
-                    omega_blocks=blocks,
-                    omega_trivial=all(f == 1 for f in blocks),
-                    omega_nondegenerate=len(blocks) == 1,
+            classes.setdefault((inertia, d), []).append((orbit, transversal, delta_num // delta_den))
+
+        subgroups, orbits = {}, []  # one Subgroup per inertia group, one obstruction pass per class
+        for (I, d), members in classes.items():
+            if I not in subgroups:
+                subgroups[I] = Subgroup(Q, I)
+            omegas = self._obstructions(alpha_N, N, [orbit[0] for orbit, _, _ in members], subgroups[I], section)
+            for (orbit, transversal, delta), omega in zip(members, omegas):
+                blocks = self.oracle.wedderburn(omega, seed).dims
+                orbits.append(
+                    MackeyOrbit(
+                        point_indices=orbit,
+                        dim=d,
+                        inertia=subgroups[I],
+                        transversal=transversal,
+                        x=Character.from_dict(Q, {t: d for t in transversal}),
+                        delta=delta,
+                        omega=omega,
+                        omega_blocks=blocks,
+                        omega_trivial=all(f == 1 for f in blocks),
+                        omega_nondegenerate=len(blocks) == 1,
+                    )
                 )
-            )
+        orbits.sort(key=lambda o: o.point_indices)
 
         descriptor = GradingClassDescriptor(
             Q, tuple(Summand(o.x, o.inertia, o.omega) for o in orbits)
@@ -239,46 +255,53 @@ class MackeyContext:
         matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
         return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
-    def _obstruction(self, alpha_N, N, index, inertia, section):
-        """The obstruction cocycle on the inertia group, read off the intertwiners.
+    def _obstructions(self, alpha_N, N, indices, inertia, section):
+        """The obstruction cocycles on one inertia group of the modules
+        ``indices`` of C^alpha N, all of one dimension, in one pass.
 
         For the lifts s_a = section[a], n(a, b) = s_ab^-1 s_a s_b must lie in N
-        (checked for every pair), and P_a P_b is a scalar multiple of
-        P_ab rho(n(a, b)); ``_composition_scalars`` measures the scalars on
-        generator columns and extends them along the Cayley tree, and
-        ``_exact_cocycle`` gauges them into an exact table.
+        (checked for every pair), and for each module P_a P_b is a scalar
+        multiple of P_ab rho(n(a, b)).  The modules are stacked as rho[module, n]
+        and go through ``_intertwiners``, ``_composition_scalars`` and
+        ``_exact_cocycle`` along that leading axis; the lifts, n(a, b), c(a, b)
+        and the Cayley tree are shared by the class.  Each module keeps its
+        own certificates, and each check reports its first failing module.
         """
         I_group = inertia.as_group()
         if I_group.n == 1:
-            return CocycleTable.trivial(I_group)
+            return [CocycleTable.trivial(I_group) for _ in indices]
         G = self.group
         N_embed = np.asarray(N.elements)
         N_pos = np.full(G.n, -1)
         N_pos[N_embed] = np.arange(len(N_embed))
-        rho = self.oracle.irreducible_rep(alpha_N, index, self.seed)
+        rho = np.stack([self.oracle.irreducible_rep(alpha_N, i, self.seed) for i in indices])
         gs = section[list(inertia.elements)]
 
         # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
         conj = self.conj[np.ix_(gs, N_embed)]
         kappa = self.kappa[np.ix_(gs, N_embed)]
-        P = _intertwiners(rho, kappa[:, :, None, None] * rho[N_pos[conj]])
+        P, residual = _intertwiners(rho, kappa[:, :, None, None] * rho[:, N_pos[conj]])
+        law = np.array([self.oracle.rep_defect(alpha_N, i, self.seed) for i in indices])
 
         s_ab = gs[I_group.table]
         n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
         if (N_pos[n] < 0).any():
             raise CertificationError("lifts of the inertia group do not compose inside N")
         c = self.phases[gs[:, None], gs] / self.phases[s_ab, n]  # alpha(s_a, s_b) / alpha(s_ab, n(a, b))
-        return _exact_cocycle(I_group, _composition_scalars(I_group, P, rho, N_pos[n], c, len(section)))
+        omega = _composition_scalars(I_group, P, rho, N_pos[n], c, len(section), residual + 2 * law)
+        return _exact_cocycle(I_group, omega)
 
 
-def _composition_scalars(group, P, rho, n, c, cosets):
+def _composition_scalars(group, P, rho, n, c, cosets, delta):
     """The unit scalars omega(a, b) of the intertwiners on a non-trivial
     inertia group, certified on generator columns.
 
     P[a] intertwines the lift s_a, n[a, b] is the position in N of
-    n(a, b) = s_ab^-1 s_a s_b, c[a, b] = alpha(s_a, s_b) / alpha(s_ab, n(a, b))
-    and ``cosets`` = |G : N|.  Only the columns s in {e} and
-    ``generating_sequence(group)``, r + 1 <= 1 + log2 k of them, are
+    n(a, b) = s_ab^-1 s_a s_b, c[a, b] = alpha(s_a, s_b) / alpha(s_ab, n(a, b)),
+    ``cosets`` = |G : N|, and ``delta`` is what one tree step below may add
+    to the defect.  P, rho and delta may carry a leading module axis, which
+    the scalars keep; n, c and the tree are shared.  Only the columns s in
+    {e} and ``generating_sequence(group)``, r + 1 <= 1 + log2 k of them, are
     multiplied out: mu(a, s) = <P_as rho(n), P_a P_s> / ||P_as rho(n)||_F^2
     with n = n(a, s), and omega(a, s) = c(a, s) conj(mu) / |mu|.
 
@@ -292,49 +315,69 @@ def _composition_scalars(group, P, rho, n, c, cosets):
     extended by omega(a, bs) = omega(a, b) omega(ab, s) / omega(b, s), one
     vectorized step per layer.  Writing P_a P_b P_s both ways, moving
     rho(n(a, b)) past P_s by the intertwining relation and collecting phases
-    by the cocycle identity of alpha gives, for such omega,
+    by the cocycle identity of alpha gives, for such omega, exact
+    intertwiners and an exact module,
 
         Y(a, bs) = P_a Y(b, s)^-1 P_a^-1 Y(a, b) Y(ab, s).
 
-    For unitaries ||UV - I||_F <= ||U - I||_F + ||V - I||_F, and conjugation
-    by P_a keeps the norm, so e(l) <= e(l - 1) + 2 eps_gen for the largest
-    D(a, w) over words w of length l, e(1) = eps_gen (the column e covers
-    b = e): every D(a, b) is at most (2L - 1) eps_gen.  The quantity compared
-    with TOL_SCALAR / (2L - 1) is sqrt(cosets) eps_gen, the norm of the same
-    defect on the module induced to G, which carries D once per coset block.
-    A column whose distance to mu P_as rho(n) alone exceeds the threshold is
-    not a scalar multiple; otherwise a failing column has the wrong modulus.
+    Neither is exact.  With m = s^-1 n(a, b) s, rho(n(a, b)) P_s is
+    conj(kappa(s, m)) (P_s rho(m) + rho_s(m) P_s - P_s rho(m)), and the last
+    two terms are the intertwining residual, of Frobenius norm at most r, the
+    largest ``_intertwiners`` measured for the module.  Merging
+    rho(n(ab, s)) rho(m) on one side and rho(n(a, bs)) rho(n(b, s)) on the
+    other uses the module's projective law twice, each time within eps_rep,
+    the bound ``BlockOracle.rep_defect`` keeps for it.  Every other factor is
+    unitary, so the identity holds up to a term of norm at most
+    delta = r + 2 eps_rep.  For unitaries ||UV - I||_F <= ||U - I||_F +
+    ||V - I||_F, and conjugation by P_a keeps the norm, so
+    e(l) <= e(l - 1) + 2 eps_gen + delta for the largest D(a, w) over words w
+    of length l, e(1) = eps_gen (the column e covers b = e): every D(a, b) is
+    at most (2L - 1) eps_gen + (L - 1) delta.  The module induced to G
+    carries D once per coset block, so the claim, every pair within
+    TOL_SCALAR there, holds when each column's sqrt(cosets) D(a, s) plus the
+    charge sqrt(cosets) (L - 1) delta / (2L - 1) is within
+    TOL_SCALAR / (2L - 1).  The charge is the measured delta, not a limit:
+    ``_intertwiners`` accepts up to TOL_SCALAR per entry, which alone would
+    exceed the threshold whenever L > 1.  A column whose distance to
+    mu P_as rho(n) alone exceeds the threshold is not a scalar multiple, one
+    whose defect alone exceeds it has the wrong modulus; otherwise the charge
+    leaves no room for the defect.
 
-    The identity holds up to the residuals ``_intertwiners`` and the
-    module's projective law were certified to.  Rounding, and the unitarity
-    check of ``_intertwiners`` (10 TOL_SCALAR per entry of P P^H - I), leave
-    ||P||_2, ||P^-1||_2 <= 1 + eta; each step then grows by at most
-    (1 + eta)^2, below 1 + 1e-10 over L steps for eta near the unit roundoff
-    and about 1 + 1e-6 d L at the check's limit eta <= 5e-7 d.
-    ``_exact_cocycle`` then validates the whole gauged table exactly.
+    Rounding, and the unitarity check of ``_intertwiners`` (10 TOL_SCALAR
+    per entry of P P^H - I), leave ||P||_2, ||P^-1||_2 <= 1 + eta; each step
+    then grows by at most (1 + eta)^2, below 1 + 1e-10 over L steps for eta
+    near the unit roundoff and about 1 + 1e-6 d L at the check's limit
+    eta <= 5e-7 d.  ``_exact_cocycle`` then validates the whole gauged table
+    exactly.
     """
     k = group.n
     tree = cayley_tree(group)
-    tol = TOL_SCALAR / (2 * tree.height - 1)
+    steps = tree.height
+    tol = TOL_SCALAR / (2 * steps - 1)
     cols = np.array((0, *tree.generators))
-    composed = P[:, None] @ P[cols]  # [a, s]: P_a P_s
-    target = P[group.table[:, cols]] @ rho[n[:, cols]]  # [a, s]: P_as rho(n(a, s))
-    norms = (np.abs(target) ** 2).sum(axis=(2, 3))
-    mu = np.einsum("aspq,aspq->as", target.conj(), composed) / norms
-    residual = np.sqrt(cosets * (np.abs(composed - mu[..., None, None] * target) ** 2).sum(axis=(2, 3)))
+    composed = P[..., :, None, :, :] @ P[..., None, cols, :, :]  # [..., a, s]: P_a P_s
+    target = P[..., group.table[:, cols], :, :] @ rho[..., n[:, cols], :, :]  # [..., a, s]: P_as rho(n(a, s))
+    norms = (np.abs(target) ** 2).sum(axis=(-2, -1))
+    mu = np.einsum("...aspq,...aspq->...as", target.conj(), composed) / norms
+    residual = np.sqrt(cosets * (np.abs(composed - mu[..., None, None] * target) ** 2).sum(axis=(-2, -1)))
     defect = np.sqrt(residual**2 + cosets * (np.abs(mu) - 1.0) ** 2 * norms)
-    fails = np.argwhere(defect > tol)  # row-major: the first failing a, then its first column
+    charged = defect + (np.sqrt(cosets) * (steps - 1) / (2 * steps - 1) * delta)[..., None, None]
+    fails = np.flatnonzero(charged > tol)  # row-major: the first failing module, a, then column
     if fails.size:
-        a, s = fails[0]
-        if residual[a, s] > tol:
+        i = fails[0]
+        if residual.flat[i] > tol:
             raise CertificationError("intertwiner composition is not a scalar multiple")
-        raise CertificationError(f"obstruction scalar has modulus {abs(mu[a, s]):.12f}")
-    omega = np.empty((k, k), dtype=np.complex128)
-    omega[:, cols] = c[:, cols] * (mu / np.abs(mu)).conj()
-    for level in range(2, tree.height + 1):
+        if defect.flat[i] > tol:
+            raise CertificationError(f"obstruction scalar has modulus {abs(mu.flat[i]):.12f}")
+        raise CertificationError(
+            f"intertwining residuals charge the column defect to {charged.flat[i]:.2e}, beyond {tol:.2e}"
+        )
+    omega = np.empty((*mu.shape[:-2], k, k), dtype=np.complex128)
+    omega[..., cols] = c[:, cols] * (mu / np.abs(mu)).conj()
+    for level in range(2, steps + 1):
         b = np.flatnonzero(tree.depth == level)
         p, s = tree.parent[b], tree.edge[b]
-        omega[:, b] = omega[:, p] * omega[group.table[:, p], s] / omega[p, s]
+        omega[..., b] = omega[..., p] * omega[..., group.table[:, p], s] / omega[..., None, p, s]
     return omega
 
 
@@ -358,30 +401,36 @@ def _first_occurrences(labels) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-def _exact_cocycle(group: FiniteGroup, omega: np.ndarray) -> CocycleTable:
+def _exact_cocycle(group: FiniteGroup, omega: np.ndarray):
     """The unit-modulus cocycle table omega on ``group`` as exponents of |group|-th
-    roots of unity, in its class.
+    roots of unity, in its class; for a stack omega[module] the list of the
+    modules' tables.
 
     With k = |group| and F(a) = prod_c omega(a, c), the cocycle identity gives
     omega(a, b)^k = F(a) F(b) / F(ab), so for c the principal k-th root of F
     the cohomologous table omega(a, b) c(ab) / (c(a) c(b)) has k-th roots of
     unity as values (Karpilovsky, *Projective Representations of Finite
     Groups*, 1985).  Each value is snapped to the nearest one, which must lie
-    within TOL_SCALAR, and the exponent table is validated as a 2-cocycle.
+    within TOL_SCALAR, and each exponent table is validated as a 2-cocycle.
     """
     k = group.n
-    c = np.exp(1j * np.angle(omega.prod(axis=1)) / k)
-    gauged = omega * c[group.table] / np.outer(c, c)
+    c = np.exp(1j * np.angle(omega.prod(axis=-1)) / k)
+    gauged = omega * c[..., group.table] / (c[..., :, None] * c[..., None, :])
     exps = np.round(np.angle(gauged) * k / (2 * np.pi)).astype(np.int64) % k
-    residual = float(np.abs(np.exp(2j * np.pi * exps / k) - gauged).max())
-    if residual > TOL_SCALAR:
-        raise CertificationError(f"obstruction is {residual:.2e} away from the |I|-th roots of unity")
-    return CocycleTable(group, k, exps)
+    residual = np.abs(np.exp(2j * np.pi * exps / k) - gauged).max(axis=(-2, -1))
+    bad = np.flatnonzero(residual > TOL_SCALAR)
+    if bad.size:
+        raise CertificationError(f"obstruction is {residual.flat[bad[0]]:.2e} away from the |I|-th roots of unity")
+    tables = [CocycleTable(group, k, e) for e in exps.reshape(-1, k, k)]
+    return tables if omega.ndim > 2 else tables[0]
 
 
 def _intertwiners(rho, rho_g):
-    """The unitary P[g] with rho_g[g](n) P[g] = P[g] rho(n), for every twist at once.
+    """The unitary P[g] with rho_g[g](n) P[g] = P[g] rho(n), for every twist
+    at once, and the module's intertwining residual.
 
+    rho is one module (n, d, d) and rho_g its k twists (k, n, d, d), or both
+    carry a leading module axis, which P and the residual keep.
     X -> rho_g(n) X rho(n)^-1 is a unitary representation of N, because rho_g
     and rho carry the same cocycle, so its average
     R_g = (1/|N|) sum_n rho_g(n) (x) conj(rho(n)) on row-major vec is the
@@ -389,31 +438,40 @@ def _intertwiners(rho, rho_g):
     <chi_{rho_g}, chi_rho> must be 1 within TOL_ROUND, which for the identity
     twist is the character norm of rho.  P is the largest column of R_g,
     scaled to Frobenius norm sqrt(d) with its first entry above 1e-6 made real
-    positive; it must be unitary and must intertwine.
+    positive; it must be unitary and must intertwine within TOL_SCALAR per
+    entry.  The residual returned is the largest ||rho_g(n) P - P rho(n)||_F
+    over the twists and n, which ``_composition_scalars`` charges to its
+    bound.  A failure names the first failing module's first failing twist,
+    counted within its module.
     """
-    k, n, d, _ = rho_g.shape
-    R = rho_g.reshape(k, n, d * d).transpose(0, 2, 1) @ rho.conj().reshape(n, d * d)
-    R = R.reshape(k, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d) / n
-    pairing = np.trace(R, axis1=1, axis2=2)
+    *lead, k, n, d, _ = rho_g.shape
+    rho_g, rho = rho_g.reshape(-1, k, n, d, d), rho.reshape(-1, 1, n, d, d)
+    m, twists = np.arange(len(rho))[:, None], np.arange(k)
+    R = rho_g.reshape(-1, k, n, d * d).swapaxes(-1, -2) @ rho.conj().reshape(-1, 1, n, d * d)
+    R = R.reshape(-1, k, d, d, d, d).swapaxes(-3, -2).reshape(-1, k, d * d, d * d) / n
+    pairing = np.trace(R, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.abs(pairing - 1.0) > TOL_ROUND)
     if bad.size:
         raise CertificationError(
-            f"character inner product of twist {bad[0]} with the module is "
-            f"{pairing[bad[0]]:.12f}, expected 1"
+            f"character inner product of twist {bad[0] % k} with the module is "
+            f"{pairing.flat[bad[0]]:.12f}, expected 1"
         )
-    column = np.linalg.norm(R, axis=1).argmax(axis=1)
-    P = R[np.arange(k), :, column].reshape(k, d, d)
-    P *= np.sqrt(d) / np.linalg.norm(P, axis=(1, 2))[:, None, None]
-    flat = P.reshape(k, d * d)
-    lead = flat[np.arange(k), (np.abs(flat) > 1e-6).argmax(axis=1)]
-    P *= (np.abs(lead) / lead)[:, None, None]
-    unitary = float(np.abs(P @ P.conj().transpose(0, 2, 1) - np.eye(d)).max())
-    if unitary > TOL_SCALAR * 10:
-        raise CertificationError(f"intertwiner is not unitary (defect {unitary:.2e})")
-    residual = float(np.abs(rho_g @ P[:, None] - P[:, None] @ rho).max())
-    if residual > TOL_SCALAR:
-        raise CertificationError(f"intertwiner residual {residual:.2e} beyond tolerance")
-    return P
+    P = R[m, twists, :, np.linalg.norm(R, axis=-2).argmax(axis=-1)].reshape(-1, k, d, d)
+    P *= np.sqrt(d) / np.linalg.norm(P, axis=(-2, -1))[..., None, None]
+    flat = P.reshape(-1, k, d * d)
+    first = flat[m, twists, (np.abs(flat) > 1e-6).argmax(axis=-1)]
+    P *= (np.abs(first) / first)[..., None, None]
+    unitary = np.abs(P @ P.conj().swapaxes(-1, -2) - np.eye(d)).max(axis=(-3, -2, -1))
+    bad = np.flatnonzero(unitary > TOL_SCALAR * 10)
+    if bad.size:
+        raise CertificationError(f"intertwiner is not unitary (defect {unitary[bad[0]]:.2e})")
+    error = np.abs(rho_g @ P[:, :, None] - P[:, :, None] @ rho)
+    entry = error.max(axis=(-4, -3, -2, -1))
+    bad = np.flatnonzero(entry > TOL_SCALAR)
+    if bad.size:
+        raise CertificationError(f"intertwiner residual {entry[bad[0]]:.2e} beyond tolerance")
+    residual = np.sqrt((error**2).sum(axis=(-2, -1))).max(axis=(-2, -1))
+    return P.reshape(*lead, k, d, d), residual.reshape(lead)
 
 
 def _reconstructed_dims(orbits) -> tuple[int, ...]:

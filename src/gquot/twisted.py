@@ -310,7 +310,8 @@ class BlockOracle:
     cocycle's scale and exponent bytes, and the seed.
 
     A miss builds the algebra and calls its ``wedderburn`` or
-    ``irreducible_rep``, with every certificate those calls carry; a hit
+    ``irreducible_rep``, with every certificate those calls carry, and a
+    module keeps the projective-law bound it was certified with; a hit
     returns what was certified on an identical input, which the deterministic
     oracle would reproduce exactly.  Only oracle results are kept, never an
     exact solve, so an exact certificate checked against the oracle stays
@@ -322,7 +323,7 @@ class BlockOracle:
 
     def __init__(self):
         self._blocks: dict[tuple, WedderburnData] = {}
-        self._modules: dict[tuple, np.ndarray] = {}
+        self._modules: dict[tuple, tuple[np.ndarray, float]] = {}
 
     @staticmethod
     def _key(cocycle: CocycleTable, seed: int) -> tuple:
@@ -338,13 +339,22 @@ class BlockOracle:
 
     def irreducible_rep(self, cocycle: CocycleTable, index: int, seed: int = 0) -> np.ndarray:
         """The certified module of block ``index`` of ``wedderburn(cocycle, seed)``."""
+        return self._module(cocycle, index, seed)[0]
+
+    def rep_defect(self, cocycle: CocycleTable, index: int, seed: int = 0) -> float:
+        """The projective-law bound ``TwistedAlgebra._rep_defect_bound`` of
+        that module, measured once, when the module is certified."""
+        return self._module(cocycle, index, seed)[1]
+
+    def _module(self, cocycle: CocycleTable, index: int, seed: int) -> tuple[np.ndarray, float]:
         key = (*self._key(cocycle, seed), index)
-        rho = self._modules.get(key)
-        if rho is None:
+        module = self._modules.get(key)
+        if module is None:
             point = self.wedderburn(cocycle, seed).blocks[index]
             algebra = TwistedAlgebra(cocycle.group, cocycle)
-            rho = self._modules[key] = algebra.irreducible_rep(point, seed=seed)
-        return rho
+            rho = algebra.irreducible_rep(point, seed=seed)
+            module = self._modules[key] = rho, algebra._rep_defect_bound(rho)
+        return module
 
 
 def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None) -> bool:

@@ -17,7 +17,7 @@ from gquot.cocycles import (
 )
 from gquot.errors import CertificationError, DomainError, NormalityError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
-from gquot.groups import generating_sequence
+from gquot.groups import cayley_tree, generating_sequence
 from gquot.lagrangians import maximal_elementary_quotients
 import gquot.mackey as mackey
 from gquot.mackey import (
@@ -187,7 +187,8 @@ def test_reducible_module_fails_the_character_norm():
     A = TwistedAlgebra(a.group, a)
     point = A.wedderburn(seed=0).blocks[0]
     rho = A.irreducible_rep(point, seed=0)
-    assert np.allclose(_intertwiners(rho, rho[None]), np.eye(point.dim))
+    P, _ = _intertwiners(rho, rho[None])
+    assert np.allclose(P, np.eye(point.dim))
     doubled = np.zeros((A.n, 2 * point.dim, 2 * point.dim), dtype=np.complex128)
     doubled[:, : point.dim, : point.dim] = rho
     doubled[:, point.dim :, point.dim :] = rho
@@ -425,13 +426,14 @@ def check_trivial_inertia_orbit(a, N, dec, orbit):
 def test_intertwiners_match_reference(monkeypatch, name, a):
     """Every intertwiner the Reynolds projector gives, on every orbit of every
     normal N with non-trivial inertia, is the SVD's, gauge included; every
-    orbit with trivial inertia builds none and matches the reference."""
+    orbit with trivial inertia builds none and matches the reference.  A
+    class of orbits shares one call, recorded module by module."""
     calls = []
 
     def recorded(rho, rho_g):
-        P = _intertwiners(rho, rho_g)
-        calls.append((rho, rho_g, P))
-        return P
+        P, residual = _intertwiners(rho, rho_g)
+        calls.extend(zip(rho, rho_g, P, strict=True))
+        return P, residual
 
     monkeypatch.setattr(mackey, "_intertwiners", recorded)
     G = a.group
@@ -493,12 +495,13 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
     composition scalars are the per-element reference's, and the exact table
     the gauge makes of them is in the class of the reference gauged
     independently, with the same blocks; every orbit with trivial inertia
-    gauges nothing and matches the reference."""
+    gauges nothing and matches the reference.  A class of orbits shares one
+    gauge, recorded module by module in class order."""
     raw = []
     exact_cocycle = mackey._exact_cocycle
 
     def recorded(group, omega):
-        raw.append(omega)
+        raw.extend(omega)
         return exact_cocycle(group, omega)
 
     monkeypatch.setattr(mackey, "_exact_cocycle", recorded)
@@ -510,7 +513,7 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
         alpha_N = a.restrict(N)
         A_N = TwistedAlgebra(alpha_N.group, alpha_N)
         section = gq.coset_space(G, N).representatives
-        twisted = [o for o in dec.orbits if o.inertia.order > 1]
+        twisted = in_class_order(dec.orbits)
         for o in dec.orbits:
             if o.inertia.order == 1:
                 check_trivial_inertia_orbit(a, N, dec, o)
@@ -525,6 +528,17 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
             assert TwistedAlgebra(o.omega.group, reference).wedderburn(seed=0).dims == o.omega_blocks
         orbits += len(twisted)
     assert orbits + trivial >= len(gq.normal_subgroups(G))
+
+
+def in_class_order(orbits):
+    """The orbits with non-trivial inertia in the order their obstructions
+    are computed: class by class, a class being the orbits that share the
+    inertia group and the module dimension, classes by their first orbit."""
+    classes = {}
+    for o in orbits:
+        if o.inertia.order > 1:
+            classes.setdefault((o.inertia.elements, o.dim), []).append(o)
+    return [o for members in classes.values() for o in members]
 
 
 # -- reference: the block endomorphisms the d x d intertwiners replaced ---------
@@ -617,12 +631,17 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
     - a perturbation of the same shape whose block-endomorphism defect is
       half the threshold TOL_SCALAR / (2L - 1) passes, and one at 1.5 times
       it raises, so the check compares that defect.
+
+    A class of orbits shares one call, recorded module by module in class
+    order; each perturbation is composed as that one module.
     """
     compose, calls = mackey._composition_scalars, []
 
-    def recorded(group, P, rho, n, c, cosets):
-        calls.append((group, P, rho, n, c, cosets, compose(group, P, rho, n, c, cosets)))
-        return calls[-1][-1]
+    def recorded(group, P, rho, n, c, cosets, delta):
+        omega = compose(group, P, rho, n, c, cosets, delta)
+        for module in zip(P, rho, delta, omega, strict=True):
+            calls.append((group, *module[:3], n, c, cosets, module[3]))
+        return omega
 
     monkeypatch.setattr(mackey, "_composition_scalars", recorded)
     G = a.group
@@ -633,8 +652,8 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
         dec = context.decompose(N)
         block_of = np.asarray(dec.projection.images)
         section = np.asarray(mackey._first_occurrences(dec.projection.images))
-        twisted = [o for o in dec.orbits if o.inertia.order > 1]
-        for o, (group, P, rho, n, c, cosets, omega) in zip(twisted, calls[seen:], strict=True):
+        twisted = in_class_order(dec.orbits)
+        for o, (group, P, rho, delta, n, c, cosets, omega) in zip(twisted, calls[seen:], strict=True):
             assert cosets == len(section)
             gs = section[list(o.inertia.elements)]
             j, B = reference_block_endomorphisms(G, phases, section, block_of, N.elements, rho, gs, P)
@@ -648,7 +667,7 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
             broken = P.copy()
             broken[deepest] *= 1 + 1e-6
             with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
-                compose(group, broken, rho, n, c, cosets)
+                compose(group, broken, rho, n, c, cosets, delta)
             got = np.sqrt(cosets) * intertwiner_defect(group, broken, rho, n, c, columns)
             j, B = reference_block_endomorphisms(G, phases, section, block_of, N.elements, rho, gs, broken)
             want = composition_defect(group, j, B, reference_all_pairs(group, j, B), columns)
@@ -658,9 +677,9 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
                 near[deepest] *= 1 + 1e-6 * factor * TOL_SCALAR / ((2 * L - 1) * want)
                 if factor > 1:
                     with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
-                        compose(group, near, rho, n, c, cosets)
+                        compose(group, near, rho, n, c, cosets, delta)
                 else:
-                    compose(group, near, rho, n, c, cosets)
+                    compose(group, near, rho, n, c, cosets, delta)
         seen += len(twisted)
     assert seen == len(calls) and (calls or G.n == 1)  # N = 1 has inertia G
 
@@ -679,6 +698,169 @@ def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
     omega[3, 5] *= np.exp(1e-5j)
     with pytest.raises(CertificationError, match="away from the .I.-th roots of unity"):
         mackey._exact_cocycle(G, omega)
+
+
+# -- reference: one obstruction pass per orbit, as before orbits were batched ---
+
+
+def per_orbit_obstruction(context, alpha_N, N, index, inertia, section):
+    """The obstruction of the one orbit whose module is ``index``, as the
+    context computed it before the orbits of a class shared one pass: the
+    module goes through the helpers without a leading module axis."""
+    I_group = inertia.as_group()
+    if I_group.n == 1:
+        return CocycleTable.trivial(I_group)
+    G = context.group
+    N_embed = np.asarray(N.elements)
+    N_pos = np.full(G.n, -1)
+    N_pos[N_embed] = np.arange(len(N_embed))
+    rho = context.oracle.irreducible_rep(alpha_N, index, context.seed)
+    gs = section[list(inertia.elements)]
+    conj = context.conj[np.ix_(gs, N_embed)]
+    kappa = context.kappa[np.ix_(gs, N_embed)]
+    P, residual = mackey._intertwiners(rho, kappa[:, :, None, None] * rho[N_pos[conj]])
+    law = context.oracle.rep_defect(alpha_N, index, context.seed)
+    s_ab = gs[I_group.table]
+    n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]
+    if (N_pos[n] < 0).any():
+        raise CertificationError("lifts of the inertia group do not compose inside N")
+    c = context.phases[gs[:, None], gs] / context.phases[s_ab, n]
+    omega = mackey._composition_scalars(I_group, P, rho, N_pos[n], c, len(section), residual + 2 * law)
+    return mackey._exact_cocycle(I_group, omega)
+
+
+def per_orbit_inputs(context, N):
+    """What ``per_orbit_obstruction`` reads besides the orbit: alpha on N and
+    the minimal-index section of G/N."""
+    dec = context.decompose(N)
+    return context.cocycle.restrict(N), np.asarray(mackey._first_occurrences(dec.projection.images))
+
+
+@pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
+def test_batched_obstructions_match_the_per_orbit_path(name, a):
+    """The cases hold every sweep case and both Theorem-D carriers, whose
+    normal subgroups are all their subgroups.  On every orbit of every
+    normal N, the table of the class pass has the scale, the exponent bytes
+    and the blocks of the orbit's own pass."""
+    G = a.group
+    context = MackeyContext(G, a, 0)
+    for N in gq.normal_subgroups(G):
+        dec = context.decompose(N)
+        alpha_N, section = per_orbit_inputs(context, N)
+        for o in dec.orbits:
+            want = per_orbit_obstruction(context, alpha_N, N, o.point_indices[0], o.inertia, section)
+            assert o.omega.scale == want.scale and o.omega.exps.tobytes() == want.exps.tobytes()
+            assert o.omega_blocks == context.oracle.wedderburn(want, 0).dims
+
+
+def two_module_class():
+    """The trivial class on C2xC2 with N of order 2: the quotient fixes both
+    points, so two d = 1 orbits share the inertia group Q."""
+    G = gq.make_group("C2xC2")
+    context = MackeyContext(G, CocycleTable.trivial(G), 0)
+    return context, gq.generated_subgroup(G, [1])
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ("twist", "character inner product of twist 1 with the module is"),
+        ("scale", "obstruction scalar has modulus"),
+    ],
+)
+def test_a_broken_last_member_fails_its_class_as_it_fails_alone(monkeypatch, mutation, message):
+    """Breaking only the last module of a two-module class, by a twist that
+    is not isomorphic to it or by scaling its intertwiner at the deepest
+    element of the inertia group's Cayley tree by 1 + 1e-6, makes the class
+    pass raise what the per-orbit pass raises on that module alone."""
+    context, N = two_module_class()
+    dec = context.decompose(N)
+    assert [(o.dim, o.inertia.order) for o in dec.orbits] == [(1, 2), (1, 2)]
+    last = dec.orbits[-1]
+    deepest = int(np.argmax(cayley_tree(last.inertia.as_group()).depth))
+    alpha_N, section = per_orbit_inputs(context, N)
+    intertwiners, batches = mackey._intertwiners, []
+
+    def broken(rho, rho_g):
+        module = (-1,) if rho.ndim == 4 else ()  # the last module of a stack, or the one module
+        batches.append(len(rho) if module else 1)
+        if mutation == "twist":  # twist 1 times the sign character of N = {e, x}
+            rho_g = rho_g.copy()
+            rho_g[module + (1, 1)] *= -1
+        P, residual = intertwiners(rho, rho_g)
+        if mutation == "scale":
+            P = P.copy()
+            P[module + (deepest,)] *= 1 + 1e-6
+        return P, residual
+
+    monkeypatch.setattr(mackey, "_intertwiners", broken)
+    fresh, _ = two_module_class()
+    with pytest.raises(CertificationError, match=message) as batched:
+        fresh.decompose(N)
+    with pytest.raises(CertificationError) as alone:
+        per_orbit_obstruction(context, alpha_N, N, last.point_indices[0], last.inertia, section)
+    assert batches == [2, 1]
+    assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("carrier", [(2,), (4,)])
+def test_intertwining_residual_is_charged_to_the_obstruction_bound(monkeypatch, carrier):
+    """On standard_nondegenerate(carrier) with N = 1 every element is an
+    inertia element, the module is [[1]] and every intertwiner is 1.
+    Turning kappa(g, e) of the last lift by 0.75 TOL_SCALAR radians leaves
+    that twist's intertwining residual within the per-entry limit
+    TOL_SCALAR of ``_intertwiners``, which alone accepts it, but above
+    TOL_SCALAR / (sqrt(|G|) (L - 1)), the most the column bound leaves for it
+    with no column defect; the decomposition must raise."""
+    a = standard_nondegenerate(list(carrier))
+    G = a.group
+    context = MackeyContext(G, a, 0)
+    context.kappa = context.kappa.copy()
+    context.kappa[G.n - 1, 0] *= np.exp(0.75j * TOL_SCALAR)
+    intertwiners, residuals = mackey._intertwiners, []
+
+    def recorded(rho, rho_g):
+        P, residual = intertwiners(rho, rho_g)
+        residuals.append(float(residual.max()))
+        return P, residual
+
+    monkeypatch.setattr(mackey, "_intertwiners", recorded)
+    with pytest.raises(CertificationError, match="intertwining residuals charge"):
+        context.decompose(gq.Subgroup(G, (0,)))
+    L = cayley_tree(G).height
+    assert TOL_SCALAR / (np.sqrt(G.n) * (L - 1)) < residuals[0] < TOL_SCALAR
+
+
+def test_helpers_take_an_optional_module_axis(monkeypatch):
+    """Each module of a class, passed alone, gives the bits of its slice of
+    the class pass: intertwiners, intertwining residual, composition scalars
+    and exact table.  The classes include the
+    two d = 1 modules of the two-module class and two d = 2 modules of
+    Q8xC2xC2 over a normal subgroup of order 16."""
+    G = gq.make_group("Q8xC2xC2")
+    trivial = CocycleTable.trivial(G)
+    probe = MackeyContext(G, trivial, 0)
+    N = next(M for M in gq.normal_subgroups(G) if M.order == 16 and max(o.dim for o in probe.decompose(M).orbits) == 2)
+    intertwiners, compose = mackey._intertwiners, mackey._composition_scalars
+    shapes = []
+    for context, N in (two_module_class(), (MackeyContext(G, trivial, 0), N)):
+        calls = []
+        monkeypatch.setattr(mackey, "_intertwiners", lambda *args: calls.append(args) or intertwiners(*args))
+        monkeypatch.setattr(mackey, "_composition_scalars", lambda *args: calls.append(args) or compose(*args))
+        context.decompose(N)
+        monkeypatch.undo()
+        for (rho, rho_g), (group, _, _, n, c, cosets, delta) in zip(calls[::2], calls[1::2], strict=True):
+            shapes.append(rho.shape[::3])
+            P, residual = intertwiners(rho, rho_g)
+            omega = compose(group, P, rho, n, c, cosets, delta)
+            tables = mackey._exact_cocycle(group, omega)
+            for m in range(len(rho)):
+                alone_P, alone_residual = intertwiners(rho[m], rho_g[m])
+                assert alone_P.tobytes() == P[m].tobytes() and alone_residual == residual[m]
+                alone = compose(group, P[m], rho[m], n, c, cosets, delta[m])
+                assert alone.tobytes() == omega[m].tobytes()
+                assert mackey._exact_cocycle(group, alone) == tables[m]
+    assert (2, 1) in shapes and (2, 2) in shapes  # (modules, d)
 
 
 def _orbit_signature(dec):
