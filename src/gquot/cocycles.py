@@ -108,7 +108,8 @@ class CocycleTable:
         """Restrict to H, on ``H.as_group()``, whose element i is ``H.elements[i]``."""
         if H.group is not self.group and H.group != self.group:
             raise DomainError("subgroup belongs to a different group")
-        return CocycleTable(H.as_group(), self.scale, self.exps[np.ix_(H.elements, H.elements)], _trusted=True)
+        rows = np.array(H.elements)
+        return CocycleTable(H.as_group(), self.scale, self.exps[rows[:, None], rows], _trusted=True)
 
     def __eq__(self, other) -> bool:
         return (

@@ -208,9 +208,9 @@ class Subgroup:
             raise ValidationError("subgroup does not contain the identity")
         # row a: column 0 is "a^-1 inside", column 1 + j is "a * elems[j] inside",
         # so the first failure in row-major order tests a^-1 before a's products
-        E = list(elems)
+        E = np.array(elems)
         inside = self._inside()
-        bad = ~np.column_stack([inside[self.group.inverse_table[E]], inside[self.group.table[np.ix_(E, E)]]])
+        bad = ~np.column_stack([inside[self.group.inverse_table[E]], inside[self.group.table[E[:, None], E]]])
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
             if j == 0:
@@ -252,11 +252,11 @@ class Subgroup:
         once and kept, so its own caches (generating sequence, Cayley tree)
         serve every caller."""
         if self._copy is None:
-            elems = list(self.elements)
+            elems = np.array(self.elements)
             pos = np.zeros(self.group.n, dtype=np.int64)
             pos[elems] = np.arange(len(elems))
-            table = pos[self.group.table[np.ix_(elems, elems)]]
-            copy = FiniteGroup(table, labels=[self.group.label(g) for g in elems], _trusted=True)
+            table = pos[self.group.table[elems[:, None], elems]]
+            copy = FiniteGroup(table, labels=[self.group.label(g) for g in self.elements], _trusted=True)
             object.__setattr__(self, "_copy", copy)
         return self._copy
 
@@ -525,9 +525,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         g, h = bad
         raise NormalityError(f"N is not normal: conjugating {h} by {g} leaves N")
     cs = coset_space(G, N)
-    reps = list(cs.representatives)
-    table = np.asarray(cs.block_of)[G.table[np.ix_(reps, reps)]]
-    labels = [G.label(r) + "N" for r in reps]
+    reps = np.array(cs.representatives)
+    table = np.asarray(cs.block_of)[G.table[reps[:, None], reps]]
+    labels = [G.label(r) + "N" for r in cs.representatives]
     Q = FiniteGroup(table, labels=labels, name=(G.name or "G") + "/N", _trusted=True)
     proj = GroupHom(G, Q, cs.block_of)
     return Q, proj

@@ -182,7 +182,7 @@ class MackeyContext:
             transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
             if len(transversal) * len(inertia) != Q.n:
                 raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
-            if len(set(Q.table[np.ix_(transversal, inertia)].ravel().tolist())) != Q.n:
+            if len(set(Q.table[np.array(transversal)[:, None], inertia].ravel().tolist())) != Q.n:
                 raise TheoremCheckError("transversal cosets do not cover the quotient")
             delta_num = G.n * G.n * d * d
             delta_den = N.order * N.order * len(inertia)
@@ -246,8 +246,8 @@ class MackeyContext:
         pos = np.full(self.group.n, -1)
         pos[N_elems] = np.arange(len(N_elems))
         stacked = np.array([p.coeffs for p in points])
-        targets = pos[self.conj[np.ix_(section, N_elems)]]
-        phases = self.kappa[np.ix_(section, N_elems)]
+        targets = pos[self.conj[section[:, None], N_elems]]
+        phases = self.kappa[section[:, None], N_elems]
         raw = np.empty((len(section), *stacked.shape), dtype=np.complex128)
         raw[np.arange(len(section))[:, None, None], np.arange(len(points))[:, None], targets[:, None]] = (
             stacked * phases[:, None]
@@ -278,8 +278,8 @@ class MackeyContext:
         gs = section[list(inertia.elements)]
 
         # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
-        conj = self.conj[np.ix_(gs, N_embed)]
-        kappa = self.kappa[np.ix_(gs, N_embed)]
+        conj = self.conj[gs[:, None], N_embed]
+        kappa = self.kappa[gs[:, None], N_embed]
         P, residual = _intertwiners(rho, kappa[:, :, None, None] * rho[:, N_pos[conj]])
         law = np.array([self.oracle.rep_defect(alpha_N, i, self.seed) for i in indices])
 

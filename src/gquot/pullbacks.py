@@ -11,6 +11,16 @@ computation with bounded-length certificates for the freeness claims.
 Each diagram (which classes share which quotients) is stated once, as the
 edge maps of a ``GroupDiagram``; deriving it from first principles is out
 of scope.  The admissible-tuple enumerators read the fibres of those maps.
+
+The two expression entries, ``express_rank4`` and ``express_rank5``, each
+check a tuple once on entry (every component an element of its source, all
+images in each common quotient equal) and once at the end (the word
+evaluates to the tuple).  Between them runs one construction, ``_rank4_word``,
+which reads the C2*C2 component letter by letter and decides the z3 and
+z1^2 corrections on the finite components only.  The rank-5 diagram
+contains the rank-4 edges, and on the first three components w, b and c
+are z1, z2 and z3 while g is trivial, so the final rank-5 check also
+verifies the rank-4 word inside it.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .groups import (
     direct_product,
     invariant_factor_sequences,
 )
-from .words import FactorMap, FreeProductGroup, enumerate_words
+from .words import FactorMap, FreeProductGroup, Word, enumerate_words
 
 H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_presentation_h5
 
@@ -80,8 +90,14 @@ class GroupDiagram:
                 raise ValidationError(f"edge into {e.target_key!r} is not a verified epimorphism")
 
     def is_admissible(self, t) -> bool:
+        """Whether the images of ``t`` agree in every common quotient; a
+        tuple of the wrong length or with a component outside its source
+        raises ``DomainError``."""
         if len(t) != len(self.sources):
             raise DomainError("tuple length does not match diagram sources")
+        for i, (group, x) in enumerate(zip(self.sources, t)):
+            if not _is_element(group, x):
+                raise DomainError(f"tuple component {i} is not an element of its source")
         for key in self.targets:
             images = [e.mapping(t[e.source_index]) for e in self.edges if e.target_key == key]
             if len(set(images)) > 1:
@@ -91,6 +107,14 @@ class GroupDiagram:
     def edge_maps(self) -> dict:
         """Each edge's mapping, keyed by (source_index, target_key)."""
         return {(e.source_index, e.target_key): e.mapping for e in self.edges}
+
+
+def _is_element(group, x) -> bool:
+    """Membership in a source: a reduced word of that free product, or an
+    int in ``range(n)`` for a finite group."""
+    if isinstance(group, FreeProductGroup):
+        return isinstance(x, Word) and (x.group is group or x.group == group)
+    return isinstance(x, int) and 0 <= x < group.n
 
 
 def _fibres(mapping, elements) -> dict:
@@ -189,29 +213,43 @@ def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list:
     return sorted(enumerate_words(free22, max_syllables), key=lambda w: (w.syllables[:1], len(w.syllables)))
 
 
+def _rank4_word(pb: Rank4Pullback, t) -> list[str]:
+    """The generating procedure on an admissible triple, unverified.
+
+    The free component fixes the word letter by letter, z1 for a and z2 for
+    b, so the word's own free component is t[2] and only the residue
+    t^-1 * value(word) on the C4 and Klein components is left.  It is
+    corrected first by z3 (kernel of the Klein projection) and then by z1^2
+    (kernel of the C4 projection).
+    """
+    word = ["z1" if fi == 0 else "z2" for fi, _ in t[2].syllables]
+    c4, klein = pb.c4, pb.klein
+    gens = [pb.generator(name) for name in word]
+    x = c4.mul(c4.inv(t[0]), c4.prod(gen[0] for gen in gens))
+    k = klein.mul(klein.inv(t[1]), klein.prod(gen[1] for gen in gens))
+    if k == SIGMA_TAU:
+        word.append("z3")
+        x, k = c4.mul(x, pb.z3[0]), klein.mul(k, pb.z3[1])
+    if k != 0:
+        raise CertificationError("Klein residue escaped the projection kernel")
+    if x == 2:
+        word.extend(["z1", "z1"])
+        x = c4.prod((x, pb.z1[0], pb.z1[0]))
+    if x != 0:
+        raise CertificationError("rank-4 expression did not close")
+    return word
+
+
 def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
     """Write an admissible triple as a word in z1, z2, z3.
 
-    Follows the generating procedure: substitute the free word, then correct
-    the residue first by z3 (kernel of the Klein projection) and then by
-    z1^2 (kernel of the C4 projection).  The result is verified exactly.
+    Checks membership and admissibility on entry, builds the word by
+    ``_rank4_word`` and verifies exactly that it evaluates to ``t``.
     """
     pb = pb or rank4_pullback()
     if not pb.diagram.is_admissible(t):
         raise DomainError("triple is not admissible")
-    word = ["z1" if fi == 0 else "z2" for fi, _ in t[2].syllables]
-    sources = pb.sources
-    residue = tuple_mul(sources, tuple_inv(sources, t), pb.evaluate(word))
-    if residue[1] == SIGMA_TAU:
-        word.append("z3")
-        residue = tuple_mul(sources, residue, pb.z3)
-    if residue[1] != 0:
-        raise CertificationError("Klein residue escaped the projection kernel")
-    if residue[0] == 2:
-        word.extend(["z1", "z1"])
-        residue = tuple_mul(sources, residue, tuple_pow(sources, pb.z1, 2))
-    if residue != tuple_identity(sources):
-        raise CertificationError("rank-4 expression did not close")
+    word = _rank4_word(pb, t)
     if pb.evaluate(word) != t:
         raise CertificationError("rank-4 expression failed verification")
     return word
@@ -286,15 +324,22 @@ def enumerate_admissible_rank5(max_len_22: int, max_len_32: int) -> list[tuple]:
 def express_rank5(t, pb: Rank5Pullback | None = None) -> list[str]:
     """Write an admissible 4-tuple in the four rank-5 generators.
 
-    The first three components are expressed through the rank-4 procedure;
-    copies of (e,e,e,g) are inserted coherently from left to right to spell
-    the fourth component, with h-slots provided by the w-generator and
-    padded four at a time (its fourth power is the identity tuple).
+    The first three components go through the rank-4 construction
+    ``_rank4_word``, with z1, z2, z3 renamed w, b, c; copies of (e,e,e,g) are
+    inserted coherently from left to right to spell the fourth component,
+    with h-slots provided by the w-generator and padded four at a time (its
+    fourth power is the identity tuple).
+
+    Membership and admissibility are checked once on entry: the rank-5
+    diagram contains the rank-4 edges, so the first three components are
+    rank-4 admissible.  The one exact check at the end covers the rank-4
+    word as well: on the first three components w, b, c agree with z1, z2,
+    z3 and g is trivial, so the word's value there is the rank-4 word's.
     """
     pb = pb or rank5_pullback()
     if not pb.diagram.is_admissible(t):
         raise DomainError("tuple is not admissible")
-    word4 = express_rank4((t[0], t[1], t[2]), pb.rank4)
+    word4 = _rank4_word(pb.rank4, t[:3])
     mapped = ["w" if s == "z1" else ("b" if s == "z2" else "c") for s in word4]
     target = list(t[3].syllables)  # word in g (factor 0) and h (factor 1)
     needed_h = sum(1 for fi, _ in target if fi == 1)
@@ -350,6 +395,11 @@ def _bounded_subgroup(sources, gens, max_len: int) -> set:
     return seen
 
 
+def _is_central(sources, x, gens) -> bool:
+    """Whether x commutes with every tuple in gens."""
+    return all(tuple_mul(sources, x, g) == tuple_mul(sources, g, x) for g in gens)
+
+
 def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
     """Relation, kernel and centrality checks for the rank-4 pull-back; the
     bounded checks need ``max_len`` >= 1, as no word is tried below it."""
@@ -358,49 +408,24 @@ def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
     pb = rank4_pullback()
     S = pb.sources
     ident = tuple_identity(S)
-    checks = []
-
     z1sq = tuple_pow(S, pb.z1, 2)
-    checks.append(CheckRecord("z3_order_2", tuple_pow(S, pb.z3, 2) == ident, "z3^2 = e"))
-    central = all(
-        tuple_mul(S, pb.z3, g) == tuple_mul(S, g, pb.z3) for g in (pb.z1, pb.z2)
-    )
-    checks.append(CheckRecord("z3_central", central, "z3 commutes with z1 and z2"))
-    checks.append(
-        CheckRecord("z1sq_equals_z2sq", z1sq == tuple_pow(S, pb.z2, 2) == (2, 0, pb.free22.identity()),
-                    "z1^2 = z2^2 = (x^2,e,e)")
-    )
-    checks.append(
-        CheckRecord(
-            "kernel_generator_central_order_2",
-            tuple_pow(S, z1sq, 2) == ident
-            and all(tuple_mul(S, z1sq, g) == tuple_mul(S, g, z1sq) for g in (pb.z1, pb.z2, pb.z3)),
-            "(x^2,e,e) is central of order 2",
-        )
-    )
     h4 = _bounded_subgroup(S, (pb.z1, pb.z2), max_len)
-    checks.append(
-        CheckRecord(
-            "h4_meets_z3_trivially",
-            pb.z3 not in h4,
-            f"<z1,z2> avoids z3 on words of length <= {max_len} ({len(h4)} elements)",
-        )
+    commutator = tuple_mul(S, tuple_mul(S, pb.z3, pb.z1), tuple_mul(S, tuple_inv(S, pb.z3), tuple_inv(S, pb.z1)))
+    checks = (
+        CheckRecord("z3_order_2", tuple_pow(S, pb.z3, 2) == ident, "z3^2 = e"),
+        CheckRecord("z3_central", _is_central(S, pb.z3, (pb.z1, pb.z2)), "z3 commutes with z1 and z2"),
+        CheckRecord("z1sq_equals_z2sq", z1sq == tuple_pow(S, pb.z2, 2) == (2, 0, pb.free22.identity()),
+                    "z1^2 = z2^2 = (x^2,e,e)"),
+        CheckRecord("kernel_generator_central_order_2",
+                    tuple_pow(S, z1sq, 2) == ident and _is_central(S, z1sq, (pb.z1, pb.z2, pb.z3)),
+                    "(x^2,e,e) is central of order 2"),
+        CheckRecord("h4_meets_z3_trivially", pb.z3 not in h4,
+                    f"<z1,z2> avoids z3 on words of length <= {max_len} ({len(h4)} elements)"),
+        CheckRecord("beta4_kernel", all(elem in (ident, z1sq) for elem in h4 if elem[2].is_identity()),
+                    "bounded words with trivial free component lie in <(x^2,e,e)>"),
+        CheckRecord("z3_z1_commutator", commutator == ident, "[z3, z1] = e"),
     )
-    kernel_ok = all(
-        elem in (ident, z1sq) for elem in h4 if elem[2].is_identity()
-    )
-    checks.append(
-        CheckRecord(
-            "beta4_kernel",
-            kernel_ok,
-            "bounded words with trivial free component lie in <(x^2,e,e)>",
-        )
-    )
-    commutator = tuple_mul(
-        S, tuple_mul(S, pb.z3, pb.z1), tuple_mul(S, tuple_inv(S, pb.z3), tuple_inv(S, pb.z1))
-    )
-    checks.append(CheckRecord("z3_z1_commutator", commutator == ident, "[z3, z1] = e"))
-    return PresentationReport(tuple(checks))
+    return PresentationReport(checks)
 
 
 def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
@@ -411,61 +436,30 @@ def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
     pb = rank5_pullback()
     S = pb.sources
     ident = tuple_identity(S)
-    checks = []
-
-    stau = (0, SIGMA_TAU, pb.rank4.free22.identity(), pb.free32.identity())
-    checks.append(
-        CheckRecord(
-            "central_element_identity",
-            stau == tuple_mul(S, pb.gen_c, tuple_pow(S, pb.gen_b, 2)),
-            "(e,st,e,e) = (x^2,st,e,e) * (x,s,b,e)^2",
-        )
-    )
-    central = all(
-        tuple_mul(S, stau, g) == tuple_mul(S, g, stau)
-        for g in (pb.gen_w, pb.gen_b, pb.gen_c, pb.gen_g)
-    )
-    checks.append(CheckRecord("central_element_commutes", central, "(e,st,e,e) is central"))
-    checks.append(CheckRecord("central_element_order_2", tuple_pow(S, stau, 2) == ident, "order 2"))
-
+    e22, e32 = pb.rank4.free22.identity(), pb.free32.identity()
+    stau = (0, SIGMA_TAU, e22, e32)
     zbar = tuple_mul(S, pb.gen_b, pb.gen_g)  # (x, sigma, b, g)
-    kernel_elem = (2, 0, pb.rank4.free22.identity(), pb.free32.identity())
-    checks.append(
-        CheckRecord(
-            "zbar6_wbar2",
-            tuple_pow(S, zbar, 6) == kernel_elem == tuple_pow(S, pb.gen_w, 2),
-            "zbar^6 = wbar^2 = (x^2,e,e,e)",
-        )
-    )
-    checks.append(
-        CheckRecord(
-            "kernel_b_squared",
-            tuple_pow(S, pb.gen_b, 2) == kernel_elem,
-            "(x,s,b,e)^2 = (x^2,e,e,e)",
-        )
-    )
+    kernel_elem = (2, 0, e22, e32)
     h5 = _bounded_subgroup(S, (pb.gen_w, pb.gen_b, pb.gen_g), H5_WORD_LEN)
-    checks.append(
-        CheckRecord(
-            "h5_meets_center_trivially",
-            stau not in h5,
-            f"<w,b,g> avoids (e,st,e,e) on words of length <= {H5_WORD_LEN} ({len(h5)} elements)",
-        )
-    )
-    kernel_ok = all(
-        elem in (ident, kernel_elem)
-        for elem in h5
-        if elem[2].is_identity() and elem[3].is_identity()
-    )
-    checks.append(
+    checks = (
+        CheckRecord("central_element_identity", stau == tuple_mul(S, pb.gen_c, tuple_pow(S, pb.gen_b, 2)),
+                    "(e,st,e,e) = (x^2,st,e,e) * (x,s,b,e)^2"),
+        CheckRecord("central_element_commutes", _is_central(S, stau, (pb.gen_w, pb.gen_b, pb.gen_c, pb.gen_g)),
+                    "(e,st,e,e) is central"),
+        CheckRecord("central_element_order_2", tuple_pow(S, stau, 2) == ident, "order 2"),
+        CheckRecord("zbar6_wbar2", tuple_pow(S, zbar, 6) == kernel_elem == tuple_pow(S, pb.gen_w, 2),
+                    "zbar^6 = wbar^2 = (x^2,e,e,e)"),
+        CheckRecord("kernel_b_squared", tuple_pow(S, pb.gen_b, 2) == kernel_elem, "(x,s,b,e)^2 = (x^2,e,e,e)"),
+        CheckRecord("h5_meets_center_trivially", stau not in h5,
+                    f"<w,b,g> avoids (e,st,e,e) on words of length <= {H5_WORD_LEN} ({len(h5)} elements)"),
         CheckRecord(
             "beta5_kernel",
-            kernel_ok,
+            all(elem in (ident, kernel_elem) for elem in h5 if elem[2].is_identity() and elem[3].is_identity()),
             "bounded words with trivial free components lie in <(x^2,e,e,e)>",
-        )
+        ),
+        _q5_certificate(pb, q5_len),
     )
-    checks.append(_q5_certificate(pb, q5_len))
-    return PresentationReport(tuple(checks))
+    return PresentationReport(checks)
 
 
 def _q5_certificate(pb: Rank5Pullback, max_syllables: int) -> CheckRecord:

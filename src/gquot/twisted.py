@@ -112,6 +112,7 @@ class TwistedAlgebra:
         self.n = group.n
         self.cocycle = cocycle
         self.phases = cocycle.value_matrix()
+        self.last_rep_defect: float | None = None  # the bound the last extracted module passed
 
     # -- the regular representation ------------------------------------------
 
@@ -260,6 +261,10 @@ class TwistedAlgebra:
         e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows to
         (2L - 1) eps_gen (1 + eta)^(L - 1): below 1 + 1e-10 times the stated
         one for L < 256 and eta < 1e-13, far inside the threshold.
+
+        The accepted bound is kept as ``last_rep_defect``, so a caller that
+        keeps the module with its bound (``BlockOracle``) reads it there
+        instead of measuring it again.
         """
         d = point.dim
         P = self.left_regular(point.coeffs)
@@ -285,10 +290,12 @@ class TwistedAlgebra:
             for g, row in enumerate(self.group.table):
                 # rho[g] = Q^H u_g Q, and row gh of u_g Q is a(g, h) Q[h]
                 rho[g] = (Q[row].conj().T * self.phases[g]) @ Q
-            if self._rep_defect_bound(rho) > 1e-8:
+            defect = self._rep_defect_bound(rho)
+            if defect > 1e-8:
                 last = "extracted matrices fail the twisted product law"
                 continue
             rho.setflags(write=False)  # modules are shared through a BlockOracle
+            self.last_rep_defect = defect
             return rho
         raise CertificationError(f"irreducible extraction failed: {last}")
 
@@ -343,7 +350,7 @@ class BlockOracle:
 
     def rep_defect(self, cocycle: CocycleTable, index: int, seed: int = 0) -> float:
         """The projective-law bound ``TwistedAlgebra._rep_defect_bound`` of
-        that module, measured once, when the module is certified."""
+        that module, measured once, by the extraction that certified it."""
         return self._module(cocycle, index, seed)[1]
 
     def _module(self, cocycle: CocycleTable, index: int, seed: int) -> tuple[np.ndarray, float]:
@@ -353,7 +360,7 @@ class BlockOracle:
             point = self.wedderburn(cocycle, seed).blocks[index]
             algebra = TwistedAlgebra(cocycle.group, cocycle)
             rho = algebra.irreducible_rep(point, seed=seed)
-            module = self._modules[key] = rho, algebra._rep_defect_bound(rho)
+            module = self._modules[key] = rho, algebra.last_rep_defect
         return module
 
 

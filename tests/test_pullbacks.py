@@ -4,9 +4,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gquot.errors import DomainError
+from gquot import pullbacks
+from gquot.errors import CertificationError, DomainError
 from gquot.groups import cyclic, invariant_factor_sequences
 from gquot.pullbacks import (
+    SIGMA,
+    SIGMA_TAU,
     CheckRecord,
     DiagonalClass,
     _q5_certificate,
@@ -202,6 +205,137 @@ def test_express_rank5_examples():
     assert stau == tuple_mul(S, pb.gen_c, tuple_pow(S, pb.gen_b, 2))
     word = express_rank5(stau, pb)
     assert pb.evaluate(word) == stau
+
+
+def reference_express_rank4(t, pb):
+    """The rank-4 procedure as it checked itself before the shared
+    construction: the residue on all three components, a closing test and
+    an exact evaluation."""
+    if not pb.diagram.is_admissible(t):
+        raise DomainError("triple is not admissible")
+    word = ["z1" if fi == 0 else "z2" for fi, _ in t[2].syllables]
+    sources = pb.sources
+    residue = tuple_mul(sources, tuple_inv(sources, t), pb.evaluate(word))
+    if residue[1] == SIGMA_TAU:
+        word.append("z3")
+        residue = tuple_mul(sources, residue, pb.z3)
+    if residue[1] != 0:
+        raise CertificationError("Klein residue escaped the projection kernel")
+    if residue[0] == 2:
+        word.extend(["z1", "z1"])
+        residue = tuple_mul(sources, residue, tuple_pow(sources, pb.z1, 2))
+    if residue != tuple_identity(sources):
+        raise CertificationError("rank-4 expression did not close")
+    if pb.evaluate(word) != t:
+        raise CertificationError("rank-4 expression failed verification")
+    return word
+
+
+def reference_express_rank5(t, pb):
+    """The rank-5 procedure through the verified public rank-4 entry."""
+    if not pb.diagram.is_admissible(t):
+        raise DomainError("tuple is not admissible")
+    word4 = reference_express_rank4((t[0], t[1], t[2]), pb.rank4)
+    mapped = ["w" if s == "z1" else ("b" if s == "z2" else "c") for s in word4]
+    target = list(t[3].syllables)
+    needed_h = sum(1 for fi, _ in target if fi == 1)
+    while sum(1 for s in mapped if s == "w") < needed_h:
+        mapped.extend(["w", "w", "w", "w"])
+    out = []
+    si = 0
+    for sym in mapped:
+        if sym == "w":
+            while si < len(target) and target[si][0] == 0:
+                out.extend(["g"] * target[si][1])
+                si += 1
+            if si < len(target) and target[si][0] == 1:
+                si += 1
+        out.append(sym)
+    while si < len(target) and target[si][0] == 0:
+        out.extend(["g"] * target[si][1])
+        si += 1
+    if si != len(target):
+        raise CertificationError("fourth component could not be spelled")
+    if pb.evaluate(out) != t:
+        raise CertificationError("rank-5 expression failed verification")
+    return out
+
+
+@pytest.mark.parametrize("length, count", [(6, 52), (40, 324), (60, 484)])
+def test_express_rank4_matches_the_reference(length, count):
+    """The battery's tuples (lengths 6 and 40) and the benchmark's (60)."""
+    triples = enumerate_admissible_rank4(length)
+    assert len(triples) == count
+    for t in triples:
+        assert express_rank4(t, RANK4) == reference_express_rank4(t, RANK4)
+
+
+@pytest.mark.parametrize("lengths, count", [((4, 4), 404), ((6, 6), 1316)])
+def test_express_rank5_matches_the_reference(lengths, count):
+    """The battery's tuples (4, 4) and the benchmark's (6, 6)."""
+    quads = enumerate_admissible_rank5(*lengths)
+    assert len(quads) == count
+    for t in quads:
+        assert express_rank5(t, RANK5) == reference_express_rank5(t, RANK5)
+
+
+def test_final_checks_catch_a_construction_without_z3(monkeypatch):
+    """With the z3 correction dropped from the shared construction, each
+    public entry's one exact check must refuse every tuple that needed it."""
+    original = pullbacks._rank4_word
+    monkeypatch.setattr(pullbacks, "_rank4_word", lambda pb, t: [s for s in original(pb, t) if s != "z3"])
+    triples = [t for t in enumerate_admissible_rank4(8) if "z3" in reference_express_rank4(t, RANK4)]
+    quads = [t for t in enumerate_admissible_rank5(3, 3) if "c" in reference_express_rank5(t, RANK5)]
+    assert triples and quads
+    for t in triples:
+        with pytest.raises(CertificationError, match="rank-4 expression failed verification"):
+            express_rank4(t, RANK4)
+    for t in quads:
+        with pytest.raises(CertificationError, match="rank-5 expression failed verification"):
+            express_rank5(t, RANK5)
+
+
+C3C2 = FreeProductGroup((cyclic(3), cyclic(2)))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (1, SIGMA, C3C2.word([(0, 2)])),  # a C3*C2 payload outside C2
+        (1, SIGMA, C3C2.letter(1, 1)),  # h: admissible by its image, but foreign
+        (7, 0, RANK4.free22.identity()),
+        (-1, 0, RANK4.free22.identity()),
+        (1, SIGMA + 4, RANK4.free22.letter(0, 1)),
+        (1.0, SIGMA, RANK4.free22.letter(0, 1)),
+        (1, SIGMA, (0, 1)),
+    ],
+    ids=["foreign-payload", "foreign-word", "c4-range", "negative", "klein-range", "float", "bare-syllable"],
+)
+def test_rank4_components_outside_their_sources_raise(t):
+    with pytest.raises(DomainError, match="is not an element of its source"):
+        express_rank4(t, RANK4)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (1, SIGMA, RANK4.free22.letter(1, 1), RANK4.free22.letter(0, 1)),  # a in C2*C2 where C3*C2 belongs
+        (1, SIGMA, C3C2.letter(1, 1), RANK5.free32.letter(1, 1)),
+        (4, 0, RANK4.free22.identity(), RANK5.free32.identity()),
+    ],
+    ids=["foreign-fourth", "foreign-third", "c4-range"],
+)
+def test_rank5_components_outside_their_sources_raise(t):
+    with pytest.raises(DomainError, match="is not an element of its source"):
+        express_rank5(t, RANK5)
+
+
+def test_members_of_an_equal_free_product_are_accepted():
+    """Membership compares free products by their factors, as products do."""
+    other = rank4_pullback()
+    t = (1, SIGMA, other.free22.letter(0, 1))
+    assert t[2].group is not RANK4.free22
+    assert express_rank4(t, RANK4) == ["z1"]
 
 
 def test_rank5_presentation_statuses():

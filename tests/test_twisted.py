@@ -623,3 +623,36 @@ def test_block_oracle_splits_each_exact_input_once(monkeypatch):
     rho = oracle.irreducible_rep(a, 0, 0)
     assert oracle.irreducible_rep(a, 0, 0) is rho and len(calls) == 4
     assert np.array_equal(rho, TwistedAlgebra(a.group, a).irreducible_rep(first.blocks[0], seed=0))
+
+
+def test_block_oracle_measures_each_module_law_once(monkeypatch):
+    """A module's projective-law bound is measured once, by the extraction
+    that certifies it: one ``_rep_defect_bound`` call per certified module,
+    hits included, and the kept bound is what a fresh measurement reads."""
+    calls = []
+    original = TwistedAlgebra._rep_defect_bound
+
+    def counted(self, rho):
+        calls.append(self.n)
+        return original(self, rho)
+
+    monkeypatch.setattr(TwistedAlgebra, "_rep_defect_bound", counted)
+    oracle = BlockOracle()
+    names = ["S3/trivial", "Q8/trivial", "D4/trivial", "C4xC4/nd_C4xC4", "standard_nondegenerate([2, 8])", "S4xC2xC2"]
+    modules = 0
+    for name in names:
+        a = LAW_CASES[name]
+        for index in range(len(oracle.wedderburn(a, 0).blocks)):
+            for _ in range(2):
+                rho = oracle.irreducible_rep(a, index, 0)
+                assert oracle.rep_defect(a, index, 0) == original(TwistedAlgebra(a.group, a), rho)
+            modules += 1
+    assert modules > 20 and len(calls) == modules == len(oracle._modules)
+    # the obstruction passes read the kept bounds: a decomposition adds one
+    # call per module it certifies, none per bound it charges
+    G = gq.make_group("Q8xC2xC2")
+    before = len(calls)
+    context = gq.MackeyContext(G, CocycleTable.trivial(G), oracle=oracle)
+    for N in gq.normal_subgroups(G)[:6]:
+        context.decompose(N)
+    assert len(calls) - before == len(oracle._modules) - modules > 0
