@@ -19,6 +19,8 @@ Subgroup generation is a breadth-first search along rows of
 extension (join each subgroup H with every cyclic subgroup it misses, once
 per coset of H, layer by layer) and memoized on the group instance;
 enumeration is refused above order ENUM_BOUND (64), checked on every call.
+A descriptor or table file is refused above order ORDER_BOUND (256) before
+any table is built.
 ``cayley_tree`` is the breadth-first spanning tree of the Cayley graph along
 ``generating_sequence``, which turns all-pairs checks into checks on
 generator columns.  Groups of permutations
@@ -45,6 +47,7 @@ from .errors import NormalityError, SizeBoundError, ValidationError
 from .smith import prime_powers
 
 ENUM_BOUND = 64  # largest order for subgroup enumeration and isomorphism search
+ORDER_BOUND = 256  # largest order of a group read from a descriptor or a table file
 
 
 class FiniteGroup:
@@ -390,26 +393,29 @@ def make_group(spec: str) -> FiniteGroup:
     """Construct a catalog group from a short descriptor.
 
     Accepted forms: ``C<n>``, products like ``C2xC4``, ``D<n>`` (order 2n),
-    ``S<n>`` for n <= 4, and ``Q8``.
+    ``S<n>`` for n <= 4, and ``Q8``.  The order the descriptor names is
+    checked against ORDER_BOUND before any table is built.
     """
-    s = spec.strip().replace(" ", "")
-    if not s:
+    parts = [_descriptor_part(part) for part in spec.strip().replace(" ", "").split("x")]
+    # a factor of order 0 counts as 1, so the others stay bounded; its constructor refuses it
+    if math.prod(max(_PART_ORDER[kind](k), 1) for kind, k in parts) > ORDER_BOUND:
+        raise SizeBoundError(f"group descriptor {spec!r} names a group of order above {ORDER_BOUND}")
+    return direct_product(*(_PART_GROUP[kind](k) for kind, k in parts))
+
+
+def _descriptor_part(spec: str) -> tuple[str, int]:
+    """The kind letter and number of one factor of a descriptor."""
+    if not spec:
         raise ValidationError("empty group descriptor")
-    if "x" in s:
-        return direct_product(*(make_group(part) for part in s.split("x")))
-    kind, rest = s[0].upper(), s[1:]
-    if not rest.isdigit():
-        raise ValidationError(f"unrecognized group descriptor {spec!r}")
-    k = int(rest)
-    if kind == "C":
-        return cyclic(k)
-    if kind == "D":
-        return dihedral(k)
-    if kind == "S":
-        return symmetric(k)
-    if kind == "Q" and k == 8:
-        return quaternion8()
+    kind, rest = spec[0].upper(), spec[1:]
+    if rest.isdigit() and kind in _PART_GROUP and (kind != "Q" or int(rest) == 8):
+        return kind, int(rest)
     raise ValidationError(f"unrecognized group descriptor {spec!r}")
+
+
+# S k counts as 6! = 720 past k = 6: over the bound already, without a factorial of k
+_PART_ORDER = {"C": lambda k: k, "D": lambda k: 2 * k, "S": lambda k: math.factorial(min(k, 6)), "Q": lambda k: k}
+_PART_GROUP = {"C": cyclic, "D": dihedral, "S": symmetric, "Q": lambda k: quaternion8()}
 
 
 # -- subgroup machinery ----------------------------------------------------
@@ -802,6 +808,8 @@ def parse_group_table(text: str) -> FiniteGroup:
             if not line.isdigit():
                 raise ValidationError(f"line {lineno}: expected group order")
             n = int(line)
+            if n > ORDER_BOUND:
+                raise SizeBoundError(f"line {lineno}: group order {n} above the bound {ORDER_BOUND}")
             continue
         try:
             row = [int(tok) for tok in line.split()]

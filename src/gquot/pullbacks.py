@@ -9,8 +9,13 @@ data of the resulting central extensions is verified by direct word
 computation with bounded-length certificates for the freeness claims.
 
 Each diagram (which classes share which quotients) is stated once, as the
-edge maps of a ``GroupDiagram``; deriving it from first principles is out
-of scope.  The admissible-tuple enumerators read the fibres of those maps.
+edge dict of a ``GroupDiagram``, one map per (source index, target key);
+deriving it from first principles is out of scope.  The admissible-tuple
+enumerators read the fibres of those maps.  A ``Pullback`` names generator
+tuples over the sources, and one ``ProductGroup`` multiplies tuples
+componentwise with the element protocol of finite groups and free products
+(``identity``, ``mul``, ``inv``, ``prod``): a word in the generators is one
+``prod`` per component, and t^k is the ``prod`` of k copies of t.
 
 The two expression entries, ``express_rank4`` and ``express_rank5``, each
 check a tuple once on entry (every component an element of its source, all
@@ -19,94 +24,77 @@ evaluates to the tuple).  Between them runs one construction, ``_rank4_word``,
 which reads the C2*C2 component letter by letter and decides the z3 and
 z1^2 corrections on the finite components only.  The rank-5 diagram
 contains the rank-4 edges, and on the first three components w, b and c
-are z1, z2 and z3 while g is trivial, so the final rank-5 check also
-verifies the rank-4 word inside it.
+are z1, z2 and z3 while g is trivial, so the construction runs on them
+under those names and the final rank-5 check also verifies the rank-4 word.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CertificationError, DomainError, ValidationError
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    cyclic,
-    direct_product,
-    invariant_factor_sequences,
-)
+from .groups import GroupHom, cyclic, direct_product, invariant_factor_sequences
 from .words import FactorMap, FreeProductGroup, Word, enumerate_words
 
 H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_presentation_h5
-
-# the field of each pull-back's tuple behind a generator name
-_RANK4_FIELDS = {"z1": "z1", "z2": "z2", "z3": "z3"}
-_RANK5_FIELDS = {"w": "gen_w", "b": "gen_b", "c": "gen_c", "g": "gen_g"}
-
-
-# -- componentwise arithmetic on tuples over mixed groups ---------------------
-
-
-def tuple_mul(sources, t1, t2):
-    return tuple(g.mul(a, b) for g, a, b in zip(sources, t1, t2))
-
-
-def tuple_inv(sources, t):
-    return tuple(g.inv(a) for g, a in zip(sources, t))
-
-
-def tuple_identity(sources):
-    return tuple(g.identity() for g in sources)
-
-
-def tuple_pow(sources, t, k: int):
-    return tuple(g.prod([a] * k) for g, a in zip(sources, t))
 
 
 # -- diagrams ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Edge:
-    source_index: int
-    target_key: str
-    mapping: object  # GroupHom for finite sources, FactorMap for free products
+class ProductGroup:
+    """The direct product of finite groups and free products: the element
+    protocol on tuples, one component per factor."""
+
+    factors: tuple
+
+    def identity(self) -> tuple:
+        return tuple(g.identity() for g in self.factors)
+
+    def mul(self, s, t) -> tuple:
+        return tuple(g.mul(a, b) for g, a, b in zip(self.factors, s, t))
+
+    def inv(self, t) -> tuple:
+        return tuple(g.inv(a) for g, a in zip(self.factors, t))
+
+    def prod(self, tuples) -> tuple:
+        """The product of a sequence of tuples, one ``prod`` per component;
+        the identity when empty."""
+        tuples = list(tuples)
+        return tuple(g.prod(t[i] for t in tuples) for i, g in enumerate(self.factors))
 
 
 @dataclass(frozen=True)
 class GroupDiagram:
     sources: tuple
     targets: dict
-    edges: tuple[Edge, ...]
+    edges: dict  # (source_index, target_key) -> GroupHom for finite sources, FactorMap for free products
 
     def __post_init__(self):
-        for e in self.edges:
-            target = self.targets[e.target_key]
-            m = e.mapping
+        for (_, key), m in self.edges.items():
             if not isinstance(m, (GroupHom, FactorMap)):
                 raise ValidationError("edge mapping must be a GroupHom or FactorMap")
-            if not (m.target == target and m.is_surjective()):
-                raise ValidationError(f"edge into {e.target_key!r} is not a verified epimorphism")
+            if not (m.target == self.targets[key] and m.is_surjective()):
+                raise ValidationError(f"edge into {key!r} is not a verified epimorphism")
 
     def is_admissible(self, t) -> bool:
-        """Whether the images of ``t`` agree in every common quotient; a
-        tuple of the wrong length or with a component outside its source
-        raises ``DomainError``."""
+        """Whether the images of ``t`` agree in every common quotient, by one
+        pass over the edges against the first image in each target; a tuple
+        of the wrong length or with a component outside its source raises
+        ``DomainError``."""
         if len(t) != len(self.sources):
             raise DomainError("tuple length does not match diagram sources")
         for i, (group, x) in enumerate(zip(self.sources, t)):
             if not _is_element(group, x):
                 raise DomainError(f"tuple component {i} is not an element of its source")
-        for key in self.targets:
-            images = [e.mapping(t[e.source_index]) for e in self.edges if e.target_key == key]
-            if len(set(images)) > 1:
+        first: dict = {}
+        for (i, key), m in self.edges.items():
+            image = m(t[i])
+            if first.setdefault(key, image) != image:
                 return False
         return True
-
-    def edge_maps(self) -> dict:
-        """Each edge's mapping, keyed by (source_index, target_key)."""
-        return {(e.source_index, e.target_key): e.mapping for e in self.edges}
 
 
 def _is_element(group, x) -> bool:
@@ -128,43 +116,28 @@ def _fibres(mapping, elements) -> dict:
 def _finite_pairs_over_y(diagram: GroupDiagram) -> dict:
     """The admissible (C4, Klein) components over each element of the common
     quotient y: the product of the two fibres, in index order."""
-    maps = diagram.edge_maps()
-    c4, klein = (_fibres(maps[i, "y"], diagram.sources[i].elements()) for i in (0, 1))
+    c4, klein = (_fibres(diagram.edges[i, "y"], diagram.sources[i].elements()) for i in (0, 1))
     return {y: [(g1, g2) for g1 in c4[y] for g2 in klein[y]] for y in c4}
 
 
-# -- the rank-4 diagram ---------------------------------------------------------
-
-
-class _GeneratedPullback:
-    """A pull-back of a diagram with named generators; subclasses define
-    ``diagram`` and ``generator(name)``."""
-
-    @property
-    def sources(self):
-        return self.diagram.sources
-
-    def evaluate(self, word) -> tuple:
-        """The tuple named by a word in the generators: each component is
-        one ``prod`` of its own group."""
-        gens = [self.generator(name) for name in word]
-        return tuple(g.prod(gen[i] for gen in gens) for i, g in enumerate(self.sources))
-
-
 @dataclass(frozen=True)
-class Rank4Pullback(_GeneratedPullback):
-    """Sources C4, C2xC2, C2*C2 over a common C2 quotient, with generators."""
+class Pullback:
+    """A pull-back of a diagram with named generator tuples, multiplied in
+    the product group of the diagram's sources."""
 
     diagram: GroupDiagram
-    c4: FiniteGroup
-    klein: FiniteGroup
-    free22: FreeProductGroup
-    z1: tuple
-    z2: tuple
-    z3: tuple
+    generators: dict
+    group: ProductGroup = field(init=False)
 
-    def generator(self, name: str):
-        return getattr(self, _RANK4_FIELDS[name])
+    def __post_init__(self):
+        object.__setattr__(self, "group", ProductGroup(self.diagram.sources))
+
+    def evaluate(self, word) -> tuple:
+        """The tuple named by a word in the generators."""
+        return self.group.prod(self.generators[name] for name in word)
+
+
+# -- the rank-4 diagram ---------------------------------------------------------
 
 
 SIGMA = 2      # (1,0) in C2xC2
@@ -172,39 +145,35 @@ TAU = 1        # (0,1)
 SIGMA_TAU = 3  # (1,1)
 
 
-def rank4_pullback() -> Rank4Pullback:
-    c4 = cyclic(4)
-    klein = direct_product(cyclic(2), cyclic(2))
-    free22 = FreeProductGroup((cyclic(2), cyclic(2)), name="C2*C2")
+def rank4_pullback() -> Pullback:
+    """Sources C4, C2xC2, C2*C2 over a common C2 quotient, with generators z1, z2, z3."""
     c2 = cyclic(2)
-    psi1 = GroupHom(c4, c2, (0, 1, 0, 1))
-    psi2 = GroupHom(klein, c2, (0, 1, 1, 0))
-    psi3 = FactorMap(free22, c2, (GroupHom(cyclic(2), c2, (0, 1)), GroupHom(cyclic(2), c2, (0, 1))))
+    c4, klein = cyclic(4), direct_product(c2, c2)
+    free22 = FreeProductGroup((c2, c2), name="C2*C2")
+    onto = GroupHom(c2, c2, (0, 1))
     diagram = GroupDiagram(
         sources=(c4, klein, free22),
         targets={"y": c2},
-        edges=(Edge(0, "y", psi1), Edge(1, "y", psi2), Edge(2, "y", psi3)),
+        edges={
+            (0, "y"): GroupHom(c4, c2, (0, 1, 0, 1)),
+            (1, "y"): GroupHom(klein, c2, (0, 1, 1, 0)),
+            (2, "y"): FactorMap(free22, c2, (onto, onto)),
+        },
     )
-    a = free22.letter(0, 1)
-    b = free22.letter(1, 1)
-    return Rank4Pullback(
-        diagram=diagram,
-        c4=c4,
-        klein=klein,
-        free22=free22,
-        z1=(1, SIGMA, a),
-        z2=(1, SIGMA, b),
-        z3=(2, SIGMA_TAU, free22.identity()),
-    )
+    return Pullback(diagram, {
+        "z1": (1, SIGMA, free22.letter(0, 1)),        # (x, sigma, a)
+        "z2": (1, SIGMA, free22.letter(1, 1)),        # (x, sigma, b)
+        "z3": (2, SIGMA_TAU, free22.identity()),      # (x^2, sigma tau, e)
+    })
 
 
 def enumerate_admissible_rank4(max_syllables: int) -> list[tuple]:
     """Every admissible triple whose free component has bounded length: for
     each free word w, the finite components from the fibres over its image."""
-    pb = rank4_pullback()
-    to_y = pb.diagram.edge_maps()[2, "y"]
-    pairs = _finite_pairs_over_y(pb.diagram)
-    return [(g1, g2, w) for w in _free22_words(pb.free22, max_syllables) for g1, g2 in pairs[to_y(w)]]
+    diagram = rank4_pullback().diagram
+    to_y = diagram.edges[2, "y"]
+    pairs = _finite_pairs_over_y(diagram)
+    return [(g1, g2, w) for w in _free22_words(diagram.sources[2], max_syllables) for g1, g2 in pairs[to_y(w)]]
 
 
 def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list:
@@ -213,8 +182,10 @@ def _free22_words(free22: FreeProductGroup, max_syllables: int) -> list:
     return sorted(enumerate_words(free22, max_syllables), key=lambda w: (w.syllables[:1], len(w.syllables)))
 
 
-def _rank4_word(pb: Rank4Pullback, t) -> list[str]:
-    """The generating procedure on an admissible triple, unverified.
+def _rank4_word(pb: Pullback, t, names) -> list[str]:
+    """The generating procedure on the first three components of an
+    admissible tuple, unverified, in the generators ``names`` that play
+    z1, z2 and z3.
 
     The free component fixes the word letter by letter, z1 for a and z2 for
     b, so the word's own free component is t[2] and only the residue
@@ -222,25 +193,26 @@ def _rank4_word(pb: Rank4Pullback, t) -> list[str]:
     corrected first by z3 (kernel of the Klein projection) and then by z1^2
     (kernel of the C4 projection).
     """
-    word = ["z1" if fi == 0 else "z2" for fi, _ in t[2].syllables]
-    c4, klein = pb.c4, pb.klein
-    gens = [pb.generator(name) for name in word]
+    z1, z2, z3 = names
+    word = [z1 if fi == 0 else z2 for fi, _ in t[2].syllables]
+    c4, klein = pb.diagram.sources[:2]
+    gens = [pb.generators[name] for name in word]
     x = c4.mul(c4.inv(t[0]), c4.prod(gen[0] for gen in gens))
     k = klein.mul(klein.inv(t[1]), klein.prod(gen[1] for gen in gens))
     if k == SIGMA_TAU:
-        word.append("z3")
-        x, k = c4.mul(x, pb.z3[0]), klein.mul(k, pb.z3[1])
+        word.append(z3)
+        x, k = c4.mul(x, pb.generators[z3][0]), klein.mul(k, pb.generators[z3][1])
     if k != 0:
         raise CertificationError("Klein residue escaped the projection kernel")
     if x == 2:
-        word.extend(["z1", "z1"])
-        x = c4.prod((x, pb.z1[0], pb.z1[0]))
+        word.extend([z1, z1])
+        x = c4.prod((x, pb.generators[z1][0], pb.generators[z1][0]))
     if x != 0:
         raise CertificationError("rank-4 expression did not close")
     return word
 
 
-def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
+def express_rank4(t, pb: Pullback | None = None) -> list[str]:
     """Write an admissible triple as a word in z1, z2, z3.
 
     Checks membership and admissibility on entry, builds the word by
@@ -249,7 +221,7 @@ def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
     pb = pb or rank4_pullback()
     if not pb.diagram.is_admissible(t):
         raise DomainError("triple is not admissible")
-    word = _rank4_word(pb, t)
+    word = _rank4_word(pb, t, ("z1", "z2", "z3"))
     if pb.evaluate(word) != t:
         raise CertificationError("rank-4 expression failed verification")
     return word
@@ -258,77 +230,54 @@ def express_rank4(t, pb: Rank4Pullback | None = None) -> list[str]:
 # -- the rank-5 diagram ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rank5Pullback(_GeneratedPullback):
-    diagram: GroupDiagram
-    rank4: Rank4Pullback
-    free32: FreeProductGroup
-    gen_w: tuple       # (x, sigma, a, h)
-    gen_b: tuple       # (x, sigma, b, e)
-    gen_c: tuple       # (x^2, sigma tau, e, e)
-    gen_g: tuple       # (e, e, e, g)
-
-    def generator(self, name: str):
-        return getattr(self, _RANK5_FIELDS[name])
-
-
-def rank5_pullback() -> Rank5Pullback:
-    pb4 = rank4_pullback()
-    free32 = FreeProductGroup((cyclic(3), cyclic(2)), name="C3*C2")
-    c2k = cyclic(2)
+def rank5_pullback() -> Pullback:
+    """The rank-4 sources and C3*C2 over the quotients y and kappa, with generators w, b, c, g."""
+    d4 = rank4_pullback().diagram
+    c4, klein, free22 = d4.sources
+    c2, c3, c2k = cyclic(2), cyclic(3), cyclic(2)
+    free32 = FreeProductGroup((c3, c2), name="C3*C2")
     # red sub-diagram: a and h to the common involution, b and g to the identity
-    phi1 = FactorMap(
-        pb4.free22, c2k, (GroupHom(cyclic(2), c2k, (0, 1)), GroupHom(cyclic(2), c2k, (0, 0)))
-    )
-    phi2 = FactorMap(
-        free32, c2k, (GroupHom(cyclic(3), c2k, (0, 0, 0)), GroupHom(cyclic(2), c2k, (0, 1)))
-    )
-    d4 = pb4.diagram
     diagram = GroupDiagram(
-        sources=(pb4.c4, pb4.klein, pb4.free22, free32),
-        targets={"y": d4.targets["y"], "kappa": c2k},
-        edges=(*d4.edges, Edge(2, "kappa", phi1), Edge(3, "kappa", phi2)),
+        sources=(c4, klein, free22, free32),
+        targets={**d4.targets, "kappa": c2k},
+        edges={
+            **d4.edges,
+            (2, "kappa"): FactorMap(free22, c2k, (GroupHom(c2, c2k, (0, 1)), GroupHom(c2, c2k, (0, 0)))),
+            (3, "kappa"): FactorMap(free32, c2k, (GroupHom(c3, c2k, (0, 0, 0)), GroupHom(c2, c2k, (0, 1)))),
+        },
     )
-    a = pb4.free22.letter(0, 1)
-    b = pb4.free22.letter(1, 1)
-    g = free32.letter(0, 1)
-    h = free32.letter(1, 1)
-    e32 = free32.identity()
-    e22 = pb4.free22.identity()
-    return Rank5Pullback(
-        diagram=diagram,
-        rank4=pb4,
-        free32=free32,
-        gen_w=(1, SIGMA, a, h),
-        gen_b=(1, SIGMA, b, e32),
-        gen_c=(2, SIGMA_TAU, e22, e32),
-        gen_g=(0, 0, e22, g),
-    )
+    e22, e32 = free22.identity(), free32.identity()
+    return Pullback(diagram, {
+        "w": (1, SIGMA, free22.letter(0, 1), free32.letter(1, 1)),  # (x, sigma, a, h)
+        "b": (1, SIGMA, free22.letter(1, 1), e32),                  # (x, sigma, b, e)
+        "c": (2, SIGMA_TAU, e22, e32),                              # (x^2, sigma tau, e, e)
+        "g": (0, 0, e22, free32.letter(0, 1)),                      # (e, e, e, g)
+    })
 
 
 def enumerate_admissible_rank5(max_len_22: int, max_len_32: int) -> list[tuple]:
     """Every admissible 4-tuple whose free components have bounded lengths: for
     each C2*C2 word w3, the C3*C2 words from the fibre over its image in kappa
     and the finite components from the fibres over its image in y."""
-    pb = rank5_pullback()
-    maps = pb.diagram.edge_maps()
-    pairs = _finite_pairs_over_y(pb.diagram)
-    words32 = _fibres(maps[3, "kappa"], enumerate_words(pb.free32, max_len_32))
+    diagram = rank5_pullback().diagram
+    maps = diagram.edges
+    pairs = _finite_pairs_over_y(diagram)
+    words32 = _fibres(maps[3, "kappa"], enumerate_words(diagram.sources[3], max_len_32))
     out = []
-    for w3 in _free22_words(pb.rank4.free22, max_len_22):
+    for w3 in _free22_words(diagram.sources[2], max_len_22):
         finite = pairs[maps[2, "y"](w3)]
         out.extend((g1, g2, w3, w4) for w4 in words32.get(maps[2, "kappa"](w3), ()) for g1, g2 in finite)
     return out
 
 
-def express_rank5(t, pb: Rank5Pullback | None = None) -> list[str]:
+def express_rank5(t, pb: Pullback | None = None) -> list[str]:
     """Write an admissible 4-tuple in the four rank-5 generators.
 
     The first three components go through the rank-4 construction
-    ``_rank4_word``, with z1, z2, z3 renamed w, b, c; copies of (e,e,e,g) are
-    inserted coherently from left to right to spell the fourth component,
-    with h-slots provided by the w-generator and padded four at a time (its
-    fourth power is the identity tuple).
+    ``_rank4_word`` in w, b, c; copies of (e,e,e,g) are inserted coherently
+    from left to right to spell the fourth component, with h-slots provided
+    by the w-generator and padded four at a time (its fourth power is the
+    identity tuple).
 
     Membership and admissibility are checked once on entry: the rank-5
     diagram contains the rank-4 edges, so the first three components are
@@ -339,15 +288,14 @@ def express_rank5(t, pb: Rank5Pullback | None = None) -> list[str]:
     pb = pb or rank5_pullback()
     if not pb.diagram.is_admissible(t):
         raise DomainError("tuple is not admissible")
-    word4 = _rank4_word(pb.rank4, t[:3])
-    mapped = ["w" if s == "z1" else ("b" if s == "z2" else "c") for s in word4]
+    word4 = _rank4_word(pb, t, ("w", "b", "c"))
     target = list(t[3].syllables)  # word in g (factor 0) and h (factor 1)
     needed_h = sum(1 for fi, _ in target if fi == 1)
-    while sum(1 for s in mapped if s == "w") < needed_h:
-        mapped.extend(["w", "w", "w", "w"])
+    while sum(1 for s in word4 if s == "w") < needed_h:
+        word4.extend(["w", "w", "w", "w"])
     out: list[str] = []
     si = 0
-    for sym in mapped:
+    for sym in word4:
         if sym == "w":
             while si < len(target) and target[si][0] == 0:
                 out.extend(["g"] * target[si][1])
@@ -384,20 +332,20 @@ class PresentationReport:
         return all(c.passed for c in self.checks)
 
 
-def _bounded_subgroup(sources, gens, max_len: int) -> set:
+def _bounded_subgroup(P: ProductGroup, gens, max_len: int) -> set:
     """The elements named by words of length <= max_len in the generators
     and their inverses, by breadth-first search from the identity."""
-    steps = [s for g in gens for s in (g, tuple_inv(sources, g))]
-    seen = frontier = {tuple_identity(sources)}
+    steps = [s for g in gens for s in (g, P.inv(g))]
+    seen = frontier = {P.identity()}
     for _ in range(max_len):
-        frontier = {tuple_mul(sources, e, g) for e in frontier for g in steps} - seen
+        frontier = {P.mul(e, g) for e in frontier for g in steps} - seen
         seen = seen | frontier
     return seen
 
 
-def _is_central(sources, x, gens) -> bool:
+def _is_central(P: ProductGroup, x, gens) -> bool:
     """Whether x commutes with every tuple in gens."""
-    return all(tuple_mul(sources, x, g) == tuple_mul(sources, g, x) for g in gens)
+    return all(P.mul(x, g) == P.mul(g, x) for g in gens)
 
 
 def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
@@ -406,20 +354,20 @@ def verify_presentation_h4(max_len: int = 8) -> PresentationReport:
     if max_len < 1:
         raise DomainError(f"certificate length must be at least 1, got {max_len}")
     pb = rank4_pullback()
-    S = pb.sources
-    ident = tuple_identity(S)
-    z1sq = tuple_pow(S, pb.z1, 2)
-    h4 = _bounded_subgroup(S, (pb.z1, pb.z2), max_len)
-    commutator = tuple_mul(S, tuple_mul(S, pb.z3, pb.z1), tuple_mul(S, tuple_inv(S, pb.z3), tuple_inv(S, pb.z1)))
+    P = pb.group
+    z1, z2, z3 = (pb.generators[name] for name in ("z1", "z2", "z3"))
+    ident = P.identity()
+    z1sq = P.prod((z1, z1))
+    h4 = _bounded_subgroup(P, (z1, z2), max_len)
+    commutator = P.prod((z3, z1, P.inv(z3), P.inv(z1)))
     checks = (
-        CheckRecord("z3_order_2", tuple_pow(S, pb.z3, 2) == ident, "z3^2 = e"),
-        CheckRecord("z3_central", _is_central(S, pb.z3, (pb.z1, pb.z2)), "z3 commutes with z1 and z2"),
-        CheckRecord("z1sq_equals_z2sq", z1sq == tuple_pow(S, pb.z2, 2) == (2, 0, pb.free22.identity()),
-                    "z1^2 = z2^2 = (x^2,e,e)"),
+        CheckRecord("z3_order_2", P.prod((z3, z3)) == ident, "z3^2 = e"),
+        CheckRecord("z3_central", _is_central(P, z3, (z1, z2)), "z3 commutes with z1 and z2"),
+        CheckRecord("z1sq_equals_z2sq", z1sq == P.prod((z2, z2)) == (2, 0, ident[2]), "z1^2 = z2^2 = (x^2,e,e)"),
         CheckRecord("kernel_generator_central_order_2",
-                    tuple_pow(S, z1sq, 2) == ident and _is_central(S, z1sq, (pb.z1, pb.z2, pb.z3)),
+                    P.prod((z1sq, z1sq)) == ident and _is_central(P, z1sq, (z1, z2, z3)),
                     "(x^2,e,e) is central of order 2"),
-        CheckRecord("h4_meets_z3_trivially", pb.z3 not in h4,
+        CheckRecord("h4_meets_z3_trivially", z3 not in h4,
                     f"<z1,z2> avoids z3 on words of length <= {max_len} ({len(h4)} elements)"),
         CheckRecord("beta4_kernel", all(elem in (ident, z1sq) for elem in h4 if elem[2].is_identity()),
                     "bounded words with trivial free component lie in <(x^2,e,e)>"),
@@ -434,22 +382,22 @@ def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
     if q5_len < 1:
         raise DomainError(f"certificate length must be at least 1, got {q5_len}")
     pb = rank5_pullback()
-    S = pb.sources
-    ident = tuple_identity(S)
-    e22, e32 = pb.rank4.free22.identity(), pb.free32.identity()
+    P = pb.group
+    w, b, c, g = (pb.generators[name] for name in "wbcg")
+    ident = P.identity()
+    e22, e32 = ident[2:]
     stau = (0, SIGMA_TAU, e22, e32)
-    zbar = tuple_mul(S, pb.gen_b, pb.gen_g)  # (x, sigma, b, g)
+    zbar = P.mul(b, g)  # (x, sigma, b, g)
     kernel_elem = (2, 0, e22, e32)
-    h5 = _bounded_subgroup(S, (pb.gen_w, pb.gen_b, pb.gen_g), H5_WORD_LEN)
+    h5 = _bounded_subgroup(P, (w, b, g), H5_WORD_LEN)
     checks = (
-        CheckRecord("central_element_identity", stau == tuple_mul(S, pb.gen_c, tuple_pow(S, pb.gen_b, 2)),
+        CheckRecord("central_element_identity", stau == P.prod((c, b, b)),
                     "(e,st,e,e) = (x^2,st,e,e) * (x,s,b,e)^2"),
-        CheckRecord("central_element_commutes", _is_central(S, stau, (pb.gen_w, pb.gen_b, pb.gen_c, pb.gen_g)),
-                    "(e,st,e,e) is central"),
-        CheckRecord("central_element_order_2", tuple_pow(S, stau, 2) == ident, "order 2"),
-        CheckRecord("zbar6_wbar2", tuple_pow(S, zbar, 6) == kernel_elem == tuple_pow(S, pb.gen_w, 2),
+        CheckRecord("central_element_commutes", _is_central(P, stau, (w, b, c, g)), "(e,st,e,e) is central"),
+        CheckRecord("central_element_order_2", P.prod((stau, stau)) == ident, "order 2"),
+        CheckRecord("zbar6_wbar2", P.prod([zbar] * 6) == kernel_elem == P.prod((w, w)),
                     "zbar^6 = wbar^2 = (x^2,e,e,e)"),
-        CheckRecord("kernel_b_squared", tuple_pow(S, pb.gen_b, 2) == kernel_elem, "(x,s,b,e)^2 = (x^2,e,e,e)"),
+        CheckRecord("kernel_b_squared", P.prod((b, b)) == kernel_elem, "(x,s,b,e)^2 = (x^2,e,e,e)"),
         CheckRecord("h5_meets_center_trivially", stau not in h5,
                     f"<w,b,g> avoids (e,st,e,e) on words of length <= {H5_WORD_LEN} ({len(h5)} elements)"),
         CheckRecord(
@@ -462,7 +410,7 @@ def verify_presentation_h5(q5_len: int = 8) -> PresentationReport:
     return PresentationReport(checks)
 
 
-def _q5_certificate(pb: Rank5Pullback, max_syllables: int) -> CheckRecord:
+def _q5_certificate(pb: Pullback, max_syllables: int) -> CheckRecord:
     """Bounded free-product certificate for the red sub-diagram pull-back.
 
     The claim under test: (b,g) of order 6 and (a,h) of order 2 generate a
@@ -474,15 +422,15 @@ def _q5_certificate(pb: Rank5Pullback, max_syllables: int) -> CheckRecord:
     commute and c^2 = u2^3 = e, so u2^2 u3 u1 u3 u2 u3 u1 u3 collapses,
     while its image pattern in C6 * C2 is a reduced alternating word.)
     """
-    f22, f32 = pb.rank4.free22, pb.free32
-    sources = (f22, f32)
+    f22, f32 = pb.diagram.sources[2:]
+    Q = ProductGroup((f22, f32))
     u12 = (f22.letter(1, 1), f32.letter(0, 1))
     u3 = (f22.letter(0, 1), f32.letter(1, 1))
-    ident = tuple_identity(sources)
+    ident = Q.identity()
     orders_ok = (
-        all(tuple_pow(sources, u12, k) != ident for k in range(1, 6))
-        and tuple_pow(sources, u12, 6) == ident
-        and tuple_pow(sources, u3, 2) == ident
+        all(Q.prod([u12] * k) != ident for k in range(1, 6))
+        and Q.prod([u12] * 6) == ident
+        and Q.prod((u3, u3)) == ident
     )
     if not orders_ok:
         return CheckRecord("q5_free_product", False, "generator orders are wrong")
@@ -491,14 +439,14 @@ def _q5_certificate(pb: Rank5Pullback, max_syllables: int) -> CheckRecord:
     # them lazily by length, so the first collapse is a shortest one and ends
     # the search; each word is its prefix's value times the step of its last
     # syllable
-    steps = {(0, k): (tuple_pow(sources, u12, k), f"(u1u2)^{k}") for k in range(1, 6)}
+    steps = {(0, k): (Q.prod([u12] * k), f"(u1u2)^{k}") for k in range(1, 6)}
     steps[1, 1] = (u3, "u3")
     values = {(): ident}
     words = enumerate_words(FreeProductGroup((cyclic(6), cyclic(2))), max_syllables)
     next(words)  # the identity
     for w in words:
         syl = w.syllables
-        elem = values[syl] = tuple_mul(sources, values[syl[:-1]], steps[syl[-1]][0])
+        elem = values[syl] = Q.mul(values[syl[:-1]], steps[syl[-1]][0])
         if elem == ident:
             return CheckRecord(
                 "q5_free_product",

@@ -50,13 +50,13 @@ import numpy as np
 
 from .cocycles import CocycleTable, bicharacter_of
 from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
-from .groups import FiniteGroup, cayley_tree
+from .groups import ORDER_BOUND, FiniteGroup, cayley_tree
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
 TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
 MAX_ATTEMPTS = 8
-NUMERIC_BOUND = 256     # largest order for the twisted algebra and its block oracle
+NUMERIC_BOUND = ORDER_BOUND  # largest order for the twisted algebra and its block oracle
 
 
 @dataclass(frozen=True)

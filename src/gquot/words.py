@@ -179,6 +179,8 @@ class FactorMap:
                 raise ValidationError("finite factor needs a homomorphism into the target")
 
     def __call__(self, w: Word) -> int:
+        if w.group is not self.source and w.group != self.source:
+            raise DomainError("words from different free products")
         return self.target.prod(self.maps[fi](p) for fi, p in w.syllables)
 
     def is_surjective(self) -> bool:

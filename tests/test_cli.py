@@ -177,6 +177,27 @@ def test_group_info_beyond_the_enumeration_bound_exits_2(capsys, spec):
     )
 
 
+@pytest.mark.parametrize("spec", ["C100000", "x".join(["C2"] * 20)], ids=["C100000", "C2^20"])
+def test_group_descriptor_past_the_order_bound_exits_2(capsys, spec):
+    code, out = run_cli(capsys, "group", "show", "--group", spec)
+    assert code == 2
+    assert out == f"error: SizeBoundError: group descriptor {spec!r} names a group of order above 256\n"
+
+
+def test_group_file_past_the_order_bound_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("100000\n" + " ".join(["0"] * 100000) + "\n")
+    code, out = run_cli(capsys, "group", "show", "--group", str(path))
+    assert code == 2
+    assert out == "error: SizeBoundError: line 1: group order 100000 above the bound 256\n"
+
+
+def test_group_show_at_the_order_bound(capsys):
+    code, out = run_cli(capsys, "group", "show", "--group", "C2xC2xC2xC2xC2xC2xC2xC2")
+    assert code == 0
+    assert parse_group_table(out) == gq.make_group("C2xC2xC2xC2xC2xC2xC2xC2")
+
+
 def test_mackey_deterministic_output(capsys):
     args = ["mackey", "decompose", "--group", "Q8", "--cocycle", "trivial", "--normal", "0,4", "--seed", "3"]
     _, out1 = run_cli(capsys, *args)

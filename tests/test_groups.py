@@ -235,6 +235,39 @@ def test_table_validation_peak_memory_at_order_256():
     assert G.n == 256 and peak < 8 * 2**20
 
 
+def test_descriptor_past_the_order_bound_builds_nothing():
+    """C4096 names a 4096^2 int64 table, 128 MiB; the descriptor's order is
+    checked before anything is built."""
+    gq.make_group("C4")  # first-use allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundError, match="'C4096' names a group of order above 256"):
+            gq.make_group("C4096")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec", ["C257", "D129", "S6", "C2xC2xC2xC2xC2xC2xC2xC2xC2", "Q8xD17", "C0xC300"])
+def test_descriptors_past_the_order_bound_raise(spec):
+    with pytest.raises(SizeBoundError, match="order above 256"):
+        gq.make_group(spec)
+
+
+@pytest.mark.parametrize("spec", ["C256", "D128", "Q8xD16", "C2xC2xC2xC2xC2xC2xC2xC2"])
+def test_descriptors_at_the_order_bound_build(spec):
+    assert gq.make_group(spec).n == groups.ORDER_BOUND == 256
+
+
+def test_table_header_past_the_order_bound_raises_before_the_rows():
+    """The header is checked before any row is read: the malformed row
+    after it is never reached."""
+    with pytest.raises(SizeBoundError, match="line 2: group order 257 above the bound 256"):
+        parse_group_table("# 0 e\n257\nnot a row\n")
+    assert parse_group_table(format_group_table(gq.cyclic(256))) == gq.cyclic(256)
+
+
 def test_table_validation_stops_at_log2_n_middles_on_a_monoid(monkeypatch):
     """The monoid x*y = x (x, y != e) of order 256 would take 255 middle
     elements; a group needs at most floor(log2 256) = 8, so validation stops

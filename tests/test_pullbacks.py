@@ -12,6 +12,7 @@ from gquot.pullbacks import (
     SIGMA_TAU,
     CheckRecord,
     DiagonalClass,
+    ProductGroup,
     _q5_certificate,
     _free22_words,
     enumerate_admissible_rank4,
@@ -22,21 +23,38 @@ from gquot.pullbacks import (
     pi1_report,
     rank4_pullback,
     rank5_pullback,
-    tuple_identity,
-    tuple_inv,
-    tuple_mul,
-    tuple_pow,
     verify_presentation_h4,
     verify_presentation_h5,
 )
 from gquot.words import FactorMap, FreeProductGroup, Word, enumerate_words
 
 
+# componentwise arithmetic on tuples over mixed groups, as free functions of
+# the sources: the helpers ``ProductGroup`` replaced
+
+
+def reference_tuple_mul(sources, t1, t2):
+    return tuple(g.mul(a, b) for g, a, b in zip(sources, t1, t2))
+
+
+def reference_tuple_inv(sources, t):
+    return tuple(g.inv(a) for g, a in zip(sources, t))
+
+
+def reference_tuple_identity(sources):
+    return tuple(g.identity() for g in sources)
+
+
+def reference_tuple_pow(sources, t, k: int):
+    return tuple(g.prod([a] * k) for g, a in zip(sources, t))
+
+
 def reference_evaluate(pb, word) -> tuple:
     """The tuple named by a word, as a left fold of whole-tuple products."""
-    out = tuple_identity(pb.sources)
+    sources = pb.diagram.sources
+    out = reference_tuple_identity(sources)
     for name in word:
-        out = tuple_mul(pb.sources, out, pb.generator(name))
+        out = reference_tuple_mul(sources, out, pb.generators[name])
     return out
 
 
@@ -58,10 +76,10 @@ def test_rank5_evaluate_matches_the_tuple_fold(word):
 
 def reference_evaluate_by_mul(pb, word) -> tuple:
     """The tuple named by a word, each component a left fold of its group's ``mul``."""
-    gens = [pb.generator(name) for name in word]
+    gens = [pb.generators[name] for name in word]
     return tuple(
         functools.reduce(g.mul, (gen[i] for gen in gens), g.identity())
-        for i, g in enumerate(pb.sources)
+        for i, g in enumerate(pb.diagram.sources)
     )
 
 
@@ -75,9 +93,9 @@ def reference_factor_map(fm, w) -> int:
 
 def assert_matches_the_folds(pb, t, word):
     assert pb.evaluate(word) == reference_evaluate_by_mul(pb, word) == t
-    for e in pb.diagram.edges:
-        if isinstance(e.mapping, FactorMap):
-            assert e.mapping(t[e.source_index]) == reference_factor_map(e.mapping, t[e.source_index])
+    for (i, _), mapping in pb.diagram.edges.items():
+        if isinstance(mapping, FactorMap):
+            assert mapping(t[i]) == reference_factor_map(mapping, t[i])
 
 
 def test_rank4_expressions_match_the_folds():
@@ -92,46 +110,87 @@ def test_rank5_expressions_match_the_folds():
         assert_matches_the_folds(RANK5, t, express_rank5(t, RANK5))
 
 
-def reference_tuple_pow(sources, t, k):
-    out = tuple_identity(sources)
+def reference_power_loop(sources, t, k):
+    out = reference_tuple_identity(sources)
     for _ in range(k):
-        out = tuple_mul(sources, out, t)
+        out = reference_tuple_mul(sources, out, t)
     return out
 
 
-@pytest.mark.parametrize("pb, names", [(RANK4, "z1 z2 z3"), (RANK5, "w b c g")], ids=["rank4", "rank5"])
-def test_tuple_pow_matches_the_product_loop(pb, names):
-    S = pb.sources
-    gens = [pb.generator(name) for name in names.split()]
-    for t in gens + [tuple_mul(S, gens[0], gens[1]), tuple_inv(S, gens[-1])]:
-        for k in range(-1, 9):
-            assert tuple_pow(S, t, k) == reference_tuple_pow(S, t, k)
+@pytest.mark.parametrize("pb", [RANK4, RANK5], ids=["rank4", "rank5"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_group_matches_the_tuple_helpers(pb, data):
+    """``mul``, ``inv``, ``identity`` and ``prod`` (powers k = -1..8 among
+    them) against the free functions, on values of random generator words."""
+    S, P = pb.diagram.sources, pb.group
+    assert P == ProductGroup(S)
+    word = st.lists(st.sampled_from(sorted(pb.generators)), max_size=12)
+    s, t = reference_evaluate(pb, data.draw(word)), reference_evaluate(pb, data.draw(word))
+    assert P.identity() == reference_tuple_identity(S)
+    assert P.mul(s, t) == reference_tuple_mul(S, s, t)
+    assert P.inv(t) == reference_tuple_inv(S, t)
+    tuples = [reference_evaluate(pb, w) for w in data.draw(st.lists(word, max_size=5))]
+    fold = functools.reduce(functools.partial(reference_tuple_mul, S), tuples, reference_tuple_identity(S))
+    assert P.prod(tuples) == fold
+    for k in range(-1, 9):
+        assert P.prod([t] * k) == reference_tuple_pow(S, t, k) == reference_power_loop(S, t, k)
 
 
 def test_unknown_generator_names_raise_key_error():
     with pytest.raises(KeyError):
-        RANK4.generator("w")
+        RANK4.generators["w"]
     with pytest.raises(KeyError):
-        RANK5.generator("z1")
+        RANK5.generators["z1"]
     with pytest.raises(KeyError):
         RANK5.evaluate(["w", "gen_w"])
-    assert RANK4.generator("z3") is RANK4.z3 and RANK5.generator("g") is RANK5.gen_g
+
+
+def reference_is_admissible(diagram, t) -> bool:
+    """The per-target scan ``is_admissible`` replaced: for each target, the
+    list of its edges' images and their set."""
+    for key in diagram.targets:
+        images = [mapping(t[i]) for (i, k), mapping in diagram.edges.items() if k == key]
+        if len(set(images)) > 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "pb, tuples",
+    [(RANK4, enumerate_admissible_rank4(60)), (RANK5, enumerate_admissible_rank5(6, 6))],
+    ids=["rank4", "rank5"],
+)
+def test_is_admissible_matches_the_per_target_scan(pb, tuples):
+    """Every listed tuple, and each with one finite component changed."""
+    diagram = pb.diagram
+    rejected = 0
+    for t in tuples:
+        assert diagram.is_admissible(t) and reference_is_admissible(diagram, t)
+        for i in (0, 1):
+            for x in diagram.sources[i].elements():
+                u = t[:i] + (x,) + t[i + 1:]
+                assert diagram.is_admissible(u) == reference_is_admissible(diagram, u)
+                rejected += not reference_is_admissible(diagram, u)
+    assert rejected > 0
 
 
 def test_admissibility_examples():
     pb = rank4_pullback()
-    a = pb.free22.letter(0, 1)
+    free22 = pb.diagram.sources[2]
+    a = free22.letter(0, 1)
     assert pb.diagram.is_admissible((1, 2, a))  # (x, sigma, a)
-    assert pb.diagram.is_admissible((2, 3, pb.free22.identity()))  # (x^2, sigma tau, e)
-    assert not pb.diagram.is_admissible((1, 0, pb.free22.identity()))  # (x, e, e)
+    assert pb.diagram.is_admissible((2, 3, free22.identity()))  # (x^2, sigma tau, e)
+    assert not pb.diagram.is_admissible((1, 0, free22.identity()))  # (x, e, e)
 
 
 def test_express_rank4_examples():
     pb = rank4_pullback()
-    assert express_rank4(pb.z3, pb) == ["z3"]
-    assert express_rank4((2, 0, pb.free22.identity()), pb) == ["z1", "z1"]
+    e22 = pb.diagram.sources[2].identity()
+    assert express_rank4(pb.generators["z3"], pb) == ["z3"]
+    assert express_rank4((2, 0, e22), pb) == ["z1", "z1"]
     with pytest.raises(DomainError):
-        express_rank4((1, 0, pb.free22.identity()), pb)
+        express_rank4((1, 0, e22), pb)
 
 
 def test_express_rank4_exhaustive():
@@ -147,18 +206,20 @@ def reference_admissible_rank4(max_syllables):
     """The brute-force list: the product of the candidate pools in the
     enumerator's loop order (free word, C4, Klein), filtered by admissibility."""
     pb = rank4_pullback()
-    pools = (_free22_words(pb.free22, max_syllables), pb.c4.elements(), pb.klein.elements())
+    c4, klein, free22 = pb.diagram.sources
+    pools = (_free22_words(free22, max_syllables), c4.elements(), klein.elements())
     return [(g1, g2, w) for w, g1, g2 in itertools.product(*pools) if pb.diagram.is_admissible((g1, g2, w))]
 
 
 def reference_admissible_rank5(max_len_22, max_len_32):
     """The brute-force list in the loop order (C2*C2 word, C3*C2 word, C4, Klein)."""
     pb = rank5_pullback()
+    c4, klein, free22, free32 = pb.diagram.sources
     pools = (
-        _free22_words(pb.rank4.free22, max_len_22),
-        enumerate_words(pb.free32, max_len_32),
-        pb.rank4.c4.elements(),
-        pb.rank4.klein.elements(),
+        _free22_words(free22, max_len_22),
+        enumerate_words(free32, max_len_32),
+        c4.elements(),
+        klein.elements(),
     )
     return [
         (g1, g2, w3, w4)
@@ -196,13 +257,14 @@ def test_rank5_admissible_and_exhaustive():
 
 def test_express_rank5_examples():
     pb = rank5_pullback()
-    e22 = pb.rank4.free22.identity()
-    e32 = pb.free32.identity()
-    assert express_rank5((0, 0, e22, pb.free32.letter(0, 1)), pb) == ["g"]
+    free22, free32 = pb.diagram.sources[2:]
+    e22 = free22.identity()
+    e32 = free32.identity()
+    assert express_rank5((0, 0, e22, free32.letter(0, 1)), pb) == ["g"]
     # the central element identity from the construction
     stau = (0, 3, e22, e32)
-    S = pb.sources
-    assert stau == tuple_mul(S, pb.gen_c, tuple_pow(S, pb.gen_b, 2))
+    S = pb.diagram.sources
+    assert stau == reference_tuple_mul(S, pb.generators["c"], reference_tuple_pow(S, pb.generators["b"], 2))
     word = express_rank5(stau, pb)
     assert pb.evaluate(word) == stau
 
@@ -214,17 +276,17 @@ def reference_express_rank4(t, pb):
     if not pb.diagram.is_admissible(t):
         raise DomainError("triple is not admissible")
     word = ["z1" if fi == 0 else "z2" for fi, _ in t[2].syllables]
-    sources = pb.sources
-    residue = tuple_mul(sources, tuple_inv(sources, t), pb.evaluate(word))
+    sources = pb.diagram.sources
+    residue = reference_tuple_mul(sources, reference_tuple_inv(sources, t), pb.evaluate(word))
     if residue[1] == SIGMA_TAU:
         word.append("z3")
-        residue = tuple_mul(sources, residue, pb.z3)
+        residue = reference_tuple_mul(sources, residue, pb.generators["z3"])
     if residue[1] != 0:
         raise CertificationError("Klein residue escaped the projection kernel")
     if residue[0] == 2:
         word.extend(["z1", "z1"])
-        residue = tuple_mul(sources, residue, tuple_pow(sources, pb.z1, 2))
-    if residue != tuple_identity(sources):
+        residue = reference_tuple_mul(sources, residue, reference_tuple_pow(sources, pb.generators["z1"], 2))
+    if residue != reference_tuple_identity(sources):
         raise CertificationError("rank-4 expression did not close")
     if pb.evaluate(word) != t:
         raise CertificationError("rank-4 expression failed verification")
@@ -235,7 +297,7 @@ def reference_express_rank5(t, pb):
     """The rank-5 procedure through the verified public rank-4 entry."""
     if not pb.diagram.is_admissible(t):
         raise DomainError("tuple is not admissible")
-    word4 = reference_express_rank4((t[0], t[1], t[2]), pb.rank4)
+    word4 = reference_express_rank4((t[0], t[1], t[2]), RANK4)
     mapped = ["w" if s == "z1" else ("b" if s == "z2" else "c") for s in word4]
     target = list(t[3].syllables)
     needed_h = sum(1 for fi, _ in target if fi == 1)
@@ -283,7 +345,11 @@ def test_final_checks_catch_a_construction_without_z3(monkeypatch):
     """With the z3 correction dropped from the shared construction, each
     public entry's one exact check must refuse every tuple that needed it."""
     original = pullbacks._rank4_word
-    monkeypatch.setattr(pullbacks, "_rank4_word", lambda pb, t: [s for s in original(pb, t) if s != "z3"])
+
+    def without_z3(pb, t, names):
+        return [s for s in original(pb, t, names) if s != names[2]]
+
+    monkeypatch.setattr(pullbacks, "_rank4_word", without_z3)
     triples = [t for t in enumerate_admissible_rank4(8) if "z3" in reference_express_rank4(t, RANK4)]
     quads = [t for t in enumerate_admissible_rank5(3, 3) if "c" in reference_express_rank5(t, RANK5)]
     assert triples and quads
@@ -296,6 +362,8 @@ def test_final_checks_catch_a_construction_without_z3(monkeypatch):
 
 
 C3C2 = FreeProductGroup((cyclic(3), cyclic(2)))
+F22 = RANK4.diagram.sources[2]
+F32 = RANK5.diagram.sources[3]
 
 
 @pytest.mark.parametrize(
@@ -303,10 +371,10 @@ C3C2 = FreeProductGroup((cyclic(3), cyclic(2)))
     [
         (1, SIGMA, C3C2.word([(0, 2)])),  # a C3*C2 payload outside C2
         (1, SIGMA, C3C2.letter(1, 1)),  # h: admissible by its image, but foreign
-        (7, 0, RANK4.free22.identity()),
-        (-1, 0, RANK4.free22.identity()),
-        (1, SIGMA + 4, RANK4.free22.letter(0, 1)),
-        (1.0, SIGMA, RANK4.free22.letter(0, 1)),
+        (7, 0, F22.identity()),
+        (-1, 0, F22.identity()),
+        (1, SIGMA + 4, F22.letter(0, 1)),
+        (1.0, SIGMA, F22.letter(0, 1)),
         (1, SIGMA, (0, 1)),
     ],
     ids=["foreign-payload", "foreign-word", "c4-range", "negative", "klein-range", "float", "bare-syllable"],
@@ -319,9 +387,9 @@ def test_rank4_components_outside_their_sources_raise(t):
 @pytest.mark.parametrize(
     "t",
     [
-        (1, SIGMA, RANK4.free22.letter(1, 1), RANK4.free22.letter(0, 1)),  # a in C2*C2 where C3*C2 belongs
-        (1, SIGMA, C3C2.letter(1, 1), RANK5.free32.letter(1, 1)),
-        (4, 0, RANK4.free22.identity(), RANK5.free32.identity()),
+        (1, SIGMA, F22.letter(1, 1), F22.letter(0, 1)),  # a in C2*C2 where C3*C2 belongs
+        (1, SIGMA, C3C2.letter(1, 1), F32.letter(1, 1)),
+        (4, 0, F22.identity(), F32.identity()),
     ],
     ids=["foreign-fourth", "foreign-third", "c4-range"],
 )
@@ -333,8 +401,8 @@ def test_rank5_components_outside_their_sources_raise(t):
 def test_members_of_an_equal_free_product_are_accepted():
     """Membership compares free products by their factors, as products do."""
     other = rank4_pullback()
-    t = (1, SIGMA, other.free22.letter(0, 1))
-    assert t[2].group is not RANK4.free22
+    t = (1, SIGMA, other.diagram.sources[2].letter(0, 1))
+    assert t[2].group is not F22
     assert express_rank4(t, RANK4) == ["z1"]
 
 
@@ -377,15 +445,15 @@ def reference_q5_certificate(pb, max_syllables):
     """The breadth-first word generator ``_q5_certificate`` replaced: every
     alternating word of each length, built from the level before with a
     fresh power of u1u2 per node, checked a whole level at a time."""
-    f22, f32 = pb.rank4.free22, pb.free32
+    f22, f32 = pb.diagram.sources[2:]
     sources = (f22, f32)
     u12 = (f22.letter(1, 1), f32.letter(0, 1))
     u3 = (f22.letter(0, 1), f32.letter(1, 1))
-    ident = tuple_identity(sources)
+    ident = reference_tuple_identity(sources)
     orders_ok = (
-        all(tuple_pow(sources, u12, k) != ident for k in range(1, 6))
-        and tuple_pow(sources, u12, 6) == ident
-        and tuple_pow(sources, u3, 2) == ident
+        all(reference_tuple_pow(sources, u12, k) != ident for k in range(1, 6))
+        and reference_tuple_pow(sources, u12, 6) == ident
+        and reference_tuple_pow(sources, u3, 2) == ident
     )
     if not orders_ok:
         return CheckRecord("q5_free_product", False, "generator orders are wrong")
@@ -395,11 +463,10 @@ def reference_q5_certificate(pb, max_syllables):
         for elem, last, path in frontier:
             if last != "u12":
                 for k in range(1, 6):
-                    nxt.append(
-                        (tuple_mul(sources, elem, tuple_pow(sources, u12, k)), "u12", path + (f"(u1u2)^{k}",))
-                    )
+                    step = reference_tuple_pow(sources, u12, k)
+                    nxt.append((reference_tuple_mul(sources, elem, step), "u12", path + (f"(u1u2)^{k}",)))
             if last != "u3":
-                nxt.append((tuple_mul(sources, elem, u3), "u3", path + ("u3",)))
+                nxt.append((reference_tuple_mul(sources, elem, u3), "u3", path + ("u3",)))
         for elem, _, path in nxt:
             if elem == ident:
                 return CheckRecord(
@@ -468,7 +535,7 @@ def reference_free32_words(free32, max_syllables):
 @pytest.mark.parametrize("length", range(9))
 def test_word_lists_match_the_hand_built_lists(length):
     """Same words in the same order, so the admissible lists keep their order."""
-    free22, free32 = rank4_pullback().free22, rank5_pullback().free32
+    free22, free32 = rank5_pullback().diagram.sources[2:]
     got22 = [w.syllables for w in _free22_words(free22, length)]
     assert got22 == [w.syllables for w in reference_free22_words(free22, length)]
     got32 = [w.syllables for w in enumerate_words(free32, length)]

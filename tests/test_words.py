@@ -104,6 +104,20 @@ def test_factor_map_validation():
         FactorMap(FreeProductGroup((gq.cyclic(6),)), gq.cyclic(2), (onto,))  # source is not the factor
 
 
+def test_factor_map_rejects_words_of_another_free_product():
+    """The C2*C2 map psi3 read the syllables of a C3*C2 word as its own: h
+    went to 1 silently and g^2 raised IndexError."""
+    C2 = gq.cyclic(2)
+    onto = gq.GroupHom(gq.cyclic(2), C2, (0, 1))
+    psi3 = FactorMap(c2_free_square(), C2, (onto, onto))
+    other = c3_free_c2()
+    for w in (other.letter(1, 1), other.letter(0, 2), other.identity()):
+        with pytest.raises(DomainError, match="words from different free products"):
+            psi3(w)
+    # an equal free product built separately is the same group
+    assert psi3(c2_free_square().letter(0, 1)) == 1
+
+
 def test_words_distinguished_by_finite_quotients():
     # distinct normal forms in C2*C2 map to distinct elements of a large
     # enough dihedral quotient
