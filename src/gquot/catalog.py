@@ -49,10 +49,15 @@ def build_cocycle(name: str) -> tuple[str, CocycleTable]:
 
 
 def resolve_group(token: str) -> FiniteGroup:
-    """A group from a file path or a catalog/constructor descriptor."""
+    """A group from a file path or a catalog/constructor descriptor.
+
+    A file is read line by line, the lines ``str.splitlines`` would give, so
+    a header above the order bound raises before any row is read.
+    """
     p = Path(token)
     if p.exists() and p.is_file():
-        return parse_group_table(p.read_text())
+        with p.open() as f:
+            return parse_group_table(line for raw in f for line in raw.splitlines())
     return make_group(token)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup
@@ -110,17 +112,21 @@ def induced_dims(x: Character, fine_dims: dict, group: FiniteGroup) -> dict:
     """Homogeneous dimensions of the grading induced by x from a base grading.
 
     dim at g0 = sum over g1 * g2 * g3^-1 = g0 of n_{g1} * dim(base_{g2}) * n_{g3}.
+    Every product is read off the group table in one gather over the triples
+    (g1, g2, g3), base elements of dimension 0 left out, and the keys come in
+    the order those triples first reach them, g1-major.
     """
-    out: dict = {}
-    for g1, n1 in x.mults:
-        for g2, d2 in fine_dims.items():
-            if d2 == 0:
-                continue
-            left = group.mul(g1, g2)
-            for g3, n3 in x.mults:
-                g0 = group.mul(left, group.inv(g3))
-                out[g0] = out.get(g0, 0) + n1 * d2 * n3
-    return out
+    base = [(g, d) for g, d in fine_dims.items() if d != 0]
+    if not base:
+        return {}
+    g1, n1 = np.array(x.mults, dtype=np.int64).T
+    g2, d2 = np.array(base, dtype=np.int64).T
+    T = group.table
+    g0 = T[T[g1[:, None], g2][:, :, None], group.inverse_table[g1]].ravel()  # [g1, g2, g3]
+    totals = np.zeros(group.n, dtype=np.int64)
+    np.add.at(totals, g0, (n1[:, None, None] * d2[:, None] * n1).ravel())
+    keys = g0[np.sort(np.unique(g0, return_index=True)[1])]
+    return dict(zip(keys.tolist(), totals[keys].tolist()))
 
 
 def summand_dims(s: Summand, group: FiniteGroup) -> dict:

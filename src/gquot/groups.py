@@ -14,13 +14,17 @@ Group Theory*, ch. 3-4):
 - G/N and the standalone copy of H are those arrays re-indexed through
   the coset (or position) labels.
 
-Subgroup generation is a breadth-first search along rows of
-``G.table[:, gens]``; the subgroup lattice is built by Neubüser's cyclic
+Scalar walks read ``G.rows``, the table as Python row lists
+(``table.tolist()``), built on a group's first scalar walk and kept: ``mul``,
+``prod`` and ``order_of`` step through them, and so does subgroup
+generation, a breadth-first search over the cosets of a known subgroup
+whose step from y is ``[rows[b][y] for b in base]``, with no numpy scalar
+conversion per step.  The subgroup lattice is built by Neubüser's cyclic
 extension (join each subgroup H with every cyclic subgroup it misses, once
 per coset of H, layer by layer) and memoized on the group instance;
 enumeration is refused above order ENUM_BOUND (64), checked on every call.
 A descriptor or table file is refused above order ORDER_BOUND (256) before
-any table is built.
+any table is built, a file before any row is read.
 ``cayley_tree`` is the breadth-first spanning tree of the Cayley graph along
 ``generating_sequence``, which turns all-pairs checks into checks on
 generator columns.  Groups of permutations
@@ -58,7 +62,7 @@ class FiniteGroup:
     construction unless the table was produced by a trusted constructor.
     """
 
-    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_tree", "_key")
+    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_tree", "_hash", "_rows")
 
     def __init__(self, table, labels=None, name=None, _trusted=False):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -69,6 +73,7 @@ class FiniteGroup:
             raise ValidationError("group must have at least one element")
         self.table = table
         self.n = n
+        self._rows = None  # the table as Python row lists, built by the first scalar walk
         if not _trusted:
             self._validate()
         # g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0 too
@@ -88,7 +93,7 @@ class FiniteGroup:
         self._abelian = None
         self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
         self._tree = None  # the Cayley tree, built by the first cayley_tree() call
-        self._key = None  # the table's bytes, built by the first comparison or hash
+        self._hash = None  # the hash of the table's bytes, built by the first hash
         self.table.setflags(write=False)
         self.inverse_table.setflags(write=False)
 
@@ -134,26 +139,36 @@ class FiniteGroup:
 
     # -- basic operations --------------------------------------------------
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """The table as Python row lists, ``rows[a][b]`` the product a*b as an
+        int; built on first use and kept, and only read, like the read-only
+        table it copies.  Scalar walks (``mul``, ``prod``, ``order_of``,
+        closures) read these, which costs no numpy scalar conversion per step."""
+        if self._rows is None:
+            self._rows = self.table.tolist()
+        return self._rows
+
     def identity(self) -> int:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return self.table.item(a, b)
+        return self.rows[a][b]
 
     def inv(self, a: int) -> int:
         return self.inverse_table.item(a)
 
     def prod(self, elements) -> int:
         """The product of a sequence, left to right; the identity when empty."""
-        item, out = self.table.item, 0
+        rows, out = self.rows, 0
         for a in elements:
-            out = item(out, a)
+            out = rows[out][a]
         return out
 
     def order_of(self, a: int) -> int:
-        x, k = a, 1
+        rows, x, k = self.rows, a, 1
         while x != 0:
-            x = int(self.table[x, a])
+            x = rows[x][a]
             k += 1
         return k
 
@@ -178,18 +193,22 @@ class FiniteGroup:
     def __len__(self) -> int:
         return self.n
 
-    def _table_key(self) -> bytes:
-        if self._key is None:
-            self._key = self.table.tobytes()  # the table is read-only, so the key stays valid
-        return self._key
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, FiniteGroup) and self.n == other.n and self._table_key() == other._table_key()
+        return (
+            isinstance(other, FiniteGroup)
+            and self.n == other.n
+            and hash(self) == hash(other)
+            and self.table.tobytes() == other.table.tobytes()
+        )
 
     def __hash__(self):
-        return hash((self.n, self._table_key()))
+        # the table is read-only, so the hash stays valid; its bytes are not
+        # kept, which would double the memory of every hashed table
+        if self._hash is None:
+            self._hash = hash((self.n, self.table.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.n)})"
@@ -483,19 +502,22 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
 def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
     """The subgroup generated by ``seed``, given a subgroup ``base`` of it.
 
-    Breadth-first search over right cosets of ``base``, stepping along rows
-    of ``G.table[:, seed]``; with the default trivial base it visits elements
-    and is the plain closure of {e} under right multiplication by ``seed``.
+    Breadth-first search over right cosets of ``base``, stepping along the
+    row lists ``G.rows`` at the columns of ``seed``; with the default trivial
+    base it visits elements and is the plain closure of {e} under right
+    multiplication by ``seed``.
     """
     gens = sorted({int(g) for g in seed} - {0})
-    rows = G.table[:, gens].tolist()
+    T = G.rows
     base = list(base)
     closure = set(base)
     reps = [0]
     for x in reps:
-        for y in rows[x]:
+        row = T[x]
+        for g in gens:
+            y = row[g]
             if y not in closure:
-                closure.update(G.table[base, y].tolist())
+                closure.update([T[b][y] for b in base])
                 reps.append(y)
     return closure
 
@@ -786,12 +808,17 @@ def format_group_table(G: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_group_table(text: str) -> FiniteGroup:
-    """Parse the group-table text format, validating the table fully."""
+def parse_group_table(text) -> FiniteGroup:
+    """Parse the group-table text format, validating the table fully.
+
+    ``text`` is the whole text or an iterable of its lines, read in order;
+    the order on the header line is checked against ORDER_BOUND before the
+    next line is read.
+    """
     rows: list[list[int]] = []
     labels: dict[int, tuple[int, str]] = {}  # index -> (line, label)
     n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         line = raw.strip()
         if not line:
             continue

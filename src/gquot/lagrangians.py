@@ -96,18 +96,22 @@ def is_isotropic(
 
 def lagrangian_scan(
     G: FiniteGroup, alpha: CocycleTable, normal_only: bool = False, seed: int = 0,
-    oracle: BlockOracle | None = None,
+    context: MackeyContext | None = None,
 ) -> list[LagrangianReport]:
     """All (normal) subgroups of order sqrt|G| with isotropy verdicts.
 
     Exhaustive over the subgroup lattice, so completeness is by construction.
-    Every block-oracle question goes to ``oracle``, or to one new registry.
+    With a ``context`` for (G, alpha, seed) the verdicts are the ones it
+    keeps, so a scan repeated on one context certifies nothing twice, and
+    every block-oracle question goes to its ``BlockOracle``; without one,
+    every verdict is certified by ``is_isotropic`` on one new registry.
     """
     root = math.isqrt(G.n)
     if root * root != G.n:
         raise DomainError(f"|G| = {G.n} is not a perfect square")
-    if oracle is None:
-        oracle = BlockOracle()
+    if context is not None:
+        context = _mackey_context(G, alpha, seed, context)
+    oracle = BlockOracle() if context is None else context.oracle
     if not is_nondegenerate(G, alpha, seed=seed, oracle=oracle):
         raise DomainError("lagrangian_scan expects a non-degenerate class")
     out = []
@@ -117,9 +121,23 @@ def lagrangian_scan(
         normal = H.is_normal()
         if normal_only and not normal:
             continue
-        rep = is_isotropic(G, alpha, H, seed=seed, oracle=oracle)
+        if context is None:
+            rep = is_isotropic(G, alpha, H, seed=seed, oracle=oracle)
+        else:
+            rep = _isotropy(context, H)
         out.append(LagrangianReport(H, rep.isotropic, rep.witness, normal))
     return out
+
+
+def _isotropy(context: MackeyContext, H: Subgroup) -> IsotropyReport:
+    """The isotropy verdict of H that ``context`` keeps, certified by
+    ``is_isotropic`` on first use."""
+    report = context.isotropy.get(H.elements)
+    if report is None:
+        report = context.isotropy[H.elements] = is_isotropic(
+            context.group, context.cocycle, H, seed=context.seed, oracle=context.oracle
+        )
+    return report
 
 
 def _mackey_context(G: FiniteGroup, alpha: CocycleTable, seed: int, context) -> MackeyContext:
@@ -139,12 +157,12 @@ def crossed_product_iff_lagrangian(
     Both sides are computed independently; disagreement is an implementation
     bug and raises.  Returns the shared verdict.  N is decomposed through
     ``context`` when the caller holds one for (G, alpha, seed), so a scan over
-    many N shares its work, else through a new one; the isotropy check asks
-    the context's ``BlockOracle``.
+    many N shares its work, else through a new one; the isotropy verdict is
+    the one the context keeps (``lagrangian_scan`` reads the same ones).
     """
     context = _mackey_context(G, alpha, seed, context)
     ecp = is_ecp_quotient(context.decompose(N))
-    lag = N.order * N.order == G.n and is_isotropic(G, alpha, N, seed=seed, oracle=context.oracle).isotropic
+    lag = N.order * N.order == G.n and _isotropy(context, N).isotropic
     if ecp != lag:
         raise TheoremCheckError(
             f"biconditional violated on N of order {N.order}: ECP={ecp}, Lagrangian={lag}"
@@ -174,21 +192,20 @@ def maximal_elementary_quotients(
     Lagrangian characterization.  Uniqueness is isomorphism of all maximal
     quotient groups, which determines the elementary crossed product class.
     Every subgroup is decomposed through one ``MackeyContext`` for
-    (A, alpha, seed): ``context`` when the caller holds one, else a new one.
-    The Lagrangian scan asks the context's ``BlockOracle``, so it reuses the
-    blocks the decompositions certified.
+    (A, alpha, seed), ``context`` when the caller holds one, else a new one,
+    in one ``decompose_all`` call, so the obstruction passes are shared
+    across the whole lattice.  The Lagrangian scan runs on the same context,
+    so it reuses the blocks the decompositions certified and the isotropy
+    verdicts the context keeps.
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
     if not is_nondegenerate(A, alpha, seed=seed):
         raise DomainError("expects a non-degenerate class")
     context = _mackey_context(A, alpha, seed, context)
-    decs: dict = {}
-    elementary = []
-    for N in subgroups(A):
-        dec = decs[N.elements] = context.decompose(N)
-        if is_elementary_quotient(dec):
-            elementary.append(N)
+    lattice = subgroups(A)
+    decs = {N.elements: dec for N, dec in zip(lattice, context.decompose_all(lattice))}
+    elementary = [N for N in lattice if is_elementary_quotient(decs[N.elements])]
     elem_sets = [set(N.elements) for N in elementary]
     maximal = [
         N
@@ -196,7 +213,7 @@ def maximal_elementary_quotients(
         if not any(j != i and elem_sets[j] < elem_sets[i] for j in range(len(elementary)))
     ]
     lagrangians = [
-        r.subgroup for r in lagrangian_scan(A, alpha, seed=seed, oracle=context.oracle) if r.is_lagrangian
+        r.subgroup for r in lagrangian_scan(A, alpha, seed=seed, context=context) if r.is_lagrangian
     ]
     if {N.elements for N in maximal} != {N.elements for N in lagrangians}:
         raise TheoremCheckError("maximal elementary quotients differ from Lagrangian kernels")

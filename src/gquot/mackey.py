@@ -55,14 +55,23 @@ that exact CocycleTable of scale |I|, and its blocks come from the exact
 algebra.  A trivial inertia group carries only the trivial table of scale 1,
 so such an orbit builds no module.
 
-Only the module depends on the orbit: the lifts, n(a, b), c(a, b) and the
-Cayley tree depend on the inertia group alone.  So the decomposition first
-stages every orbit, builds one Subgroup per inertia group, and computes the
-obstructions in one pass per class of orbits with the same inertia group
-and module dimension: the shared parts once, the class's modules stacked
-along a leading axis through the intertwiners, the composition scalars and
-the gauge.  Each module keeps its own certificates with the thresholds
-above, and each check reports its first failing module in orbit order.
+Only the module and the lifts depend on the orbit; the Cayley tree depends
+on the inertia group's table alone.  So a scan is staged: ``decompose_all``
+first computes, for every kernel N of the scan, the quotient, the points,
+the orbits and their classes (the orbits with the same inertia group and
+module dimension), with one Subgroup per inertia group.  It then computes
+the obstructions in one pass per batch of classes, across all the kernels,
+that share the inertia group's table, the module dimension d and |N|: the
+modules stacked along a leading axis through the intertwiners, the
+composition scalars and the gauge, the conjugation gathers, n(a, b) and
+c(a, b) read once per class and stacked along the same axis.  A batch
+stops before its |I| |N| d^2 entries per module pass OBSTRUCTION_BUDGET, so
+a scan holds no larger arrays than a few small classes do.  Each module
+keeps its own certificates with the thresholds above, and each check
+reports its first failing module.  A batch that raises is passed again one
+class at a time when each kernel is finished, classes in orbit order, so
+every N gets exactly the decomposition, or the error, it gets alone;
+``decompose(N)`` is ``decompose_all([N])``.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -73,12 +82,12 @@ dimension |N|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cocycles import CocycleTable
-from .errors import CertificationError, DomainError, TheoremCheckError
+from .errors import CertificationError, DomainError, GquotError, TheoremCheckError
 from .gradings import (
     Character,
     GradingClassDescriptor,
@@ -90,6 +99,7 @@ from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotient
 from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotent
 
 TOL_SCALAR = 1e-7
+OBSTRUCTION_BUDGET = 1 << 13  # rho_g entries, |I| |N| d^2 per module, one stacked obstruction pass may hold
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,26 @@ class MackeyDecomposition:
     seed: int
 
 
+@dataclass
+class _Stage:
+    """What the decomposition of one N computes before its obstructions: the
+    quotient, its minimal-index section, the points of C^alpha N, the
+    classes of orbits by (inertia elements, d) in orbit order with their
+    members (orbit, transversal, delta), one Subgroup per inertia group, and
+    the obstruction tables each stacked pass left for a class.  A scan
+    stages every N before any pass, so a stage keeps nothing a pass can
+    rebuild in a few gathers (alpha on N, the positions of N's elements)."""
+
+    normal: Subgroup
+    quotient_group: FiniteGroup
+    projection: GroupHom
+    section: np.ndarray
+    points: tuple[IrrPoint, ...]
+    classes: dict
+    inertia: dict
+    omegas: dict = field(default_factory=dict)
+
+
 class MackeyContext:
     """The part of every decomposition of one (G, alpha, seed) that does not
     depend on N, built once by the caller and passed to each normal N.
@@ -133,9 +163,10 @@ class MackeyContext:
     :class:`BlockOracle` that certifies the blocks of C^alpha G (``blocks``)
     and every algebra a decomposition meets.  ``oracle`` is the caller's
     registry when one is passed, so contexts and checks of one run share it,
-    else a new one owned by this context.  ``decompose`` keeps each
-    decomposition by the elements of N, for as long as the caller keeps the
-    context.
+    else a new one owned by this context.  ``decompose_all`` keeps each
+    decomposition by the elements of N, and ``isotropy`` holds the isotropy
+    verdicts ``lagrangians`` certifies on this (G, alpha, seed), by the
+    elements of the subgroup, for as long as the caller keeps the context.
     """
 
     def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
@@ -147,18 +178,46 @@ class MackeyContext:
         self.phases = alpha.value_matrix()
         self.conj, kappa = alpha.conjugation()
         self.kappa = np.exp(2j * np.pi * kappa / alpha.scale)
+        self.isotropy: dict[tuple[int, ...], object] = {}
         self._decompositions: dict[tuple[int, ...], MackeyDecomposition] = {}
 
     def decompose(self, N: Subgroup) -> MackeyDecomposition:
         """Full decomposition of [C^alpha G / N] with all consistency checks."""
-        if N.group != self.group:
-            raise DomainError("subgroup belongs to a different group")
-        dec = self._decompositions.get(N.elements)
-        if dec is None:
-            dec = self._decompositions[N.elements] = self._decompose(N)
-        return dec
+        return self.decompose_all([N])[0]
 
-    def _decompose(self, N: Subgroup) -> MackeyDecomposition:
+    def decompose_all(self, subgroups) -> list[MackeyDecomposition]:
+        """The decompositions of every N of ``subgroups``, in order, each with
+        all consistency checks.
+
+        Every N not yet kept is staged, the obstruction passes run across all
+        of them (``_stacked_obstructions``), and each N is then finished.  An
+        N that fails keeps the error it raises when decomposed alone, and the
+        first such N, in order, raises it once every other N is kept; a
+        subgroup of another group raises DomainError before any work.
+        """
+        subgroups = list(subgroups)
+        if any(N.group != self.group for N in subgroups):
+            raise DomainError("subgroup belongs to a different group")
+        stages, failed = {}, {}
+        for N in subgroups:
+            if N.elements not in self._decompositions and N.elements not in stages and N.elements not in failed:
+                try:
+                    stages[N.elements] = self._stage(N)
+                except GquotError as exc:
+                    failed[N.elements] = exc
+        self._stacked_obstructions(stages.values())
+        for key, stage in stages.items():
+            try:
+                self._decompositions[key] = self._finish(stage)
+            except GquotError as exc:
+                failed[key] = exc
+        for N in subgroups:
+            if N.elements in failed:
+                raise failed[N.elements]
+        return [self._decompositions[N.elements] for N in subgroups]
+
+    def _stage(self, N: Subgroup) -> _Stage:
+        """Quotient, points, orbits and classes of one N: everything before its obstructions."""
         G, seed = self.group, self.seed
         Q, proj = quotient(G, N)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
@@ -189,19 +248,73 @@ class MackeyContext:
             if delta_num % delta_den:
                 raise TheoremCheckError("summand dimension is not an integer")
             classes.setdefault((inertia, d), []).append((orbit, transversal, delta_num // delta_den))
+        inertia = {I: Subgroup(Q, I) for I, _ in classes}  # one Subgroup per inertia group
+        return _Stage(N, Q, proj, section, points, classes, inertia)
 
-        subgroups, orbits = {}, []  # one Subgroup per inertia group, one obstruction pass per class
-        for (I, d), members in classes.items():
-            if I not in subgroups:
-                subgroups[I] = Subgroup(Q, I)
-            omegas = self._obstructions(alpha_N, N, [orbit[0] for orbit, _, _ in members], subgroups[I], section)
+    def _stacked_obstructions(self, stages) -> None:
+        """One obstruction pass per batch of classes, across all ``stages``,
+        that share the table of the inertia group, the module dimension d and
+        |N|; a batch takes classes in stage and class order while its
+        |I| |N| d^2 entries per module stay within OBSTRUCTION_BUDGET, and a
+        class beyond it alone is a batch of its own.
+
+        A batch's tables go to its classes' stages.  When a batch raises, a
+        batch of one class keeps the error, which is the class's own, and
+        the classes of a larger batch are left to ``_finish``, which passes
+        them one class at a time.  Classes with trivial inertia need no pass.
+        """
+        batches: dict[tuple, list] = {}
+        for stage in stages:
+            for I, d in stage.classes:
+                if len(I) > 1:
+                    key = (stage.inertia[I].as_group(), d, stage.normal.order)
+                    batches.setdefault(key, []).append((stage, (I, d)))
+        for (group, d, order), entries in batches.items():
+            per_module = group.n * order * d * d
+            batch, size = [], 0
+            for stage, cls in entries:
+                entries_of_class = per_module * len(stage.classes[cls])
+                if batch and size + entries_of_class > OBSTRUCTION_BUDGET:
+                    self._stacked_pass(group, batch)
+                    batch, size = [], 0
+                batch.append((stage, cls))
+                size += entries_of_class
+            self._stacked_pass(group, batch)
+
+    def _stacked_pass(self, group: FiniteGroup, batch) -> None:
+        """One ``_obstructions`` pass over the classes ``batch`` of (stage,
+        (inertia elements, d)); the tables or the error go to the stages."""
+        classes = [(stage, stage.inertia[cls[0]], _modules(stage.classes[cls])) for stage, cls in batch]
+        try:
+            tables = iter(self._obstructions(group, classes))
+        except GquotError as exc:
+            if len(batch) == 1:
+                stage, cls = batch[0]
+                stage.omegas[cls] = exc
+            return
+        for stage, cls in batch:
+            stage.omegas[cls] = [next(tables) for _ in stage.classes[cls]]
+
+    def _finish(self, stage: _Stage) -> MackeyDecomposition:
+        """The orbits of one staged N, class by class, and the decomposition
+        with all its checks; a class without tables from a stacked pass gets
+        a pass of its own here, so the first class to fail raises."""
+        G, seed, Q = self.group, self.seed, stage.quotient_group
+        orbits = []
+        for (I, d), members in stage.classes.items():
+            inertia = stage.inertia[I]
+            omegas = stage.omegas.get((I, d))
+            if isinstance(omegas, GquotError):
+                raise omegas
+            if omegas is None:
+                omegas = self._obstructions(inertia.as_group(), [(stage, inertia, _modules(members))])
             for (orbit, transversal, delta), omega in zip(members, omegas):
                 blocks = self.oracle.wedderburn(omega, seed).dims
                 orbits.append(
                     MackeyOrbit(
                         point_indices=orbit,
                         dim=d,
-                        inertia=subgroups[I],
+                        inertia=inertia,
                         transversal=transversal,
                         x=Character.from_dict(Q, {t: d for t in transversal}),
                         delta=delta,
@@ -219,10 +332,10 @@ class MackeyContext:
         dec = MackeyDecomposition(
             group=G,
             cocycle=self.cocycle,
-            normal=N,
+            normal=stage.normal,
             quotient_group=Q,
-            projection=proj,
-            points=points,
+            projection=stage.projection,
+            points=stage.points,
             orbits=tuple(orbits),
             descriptor=descriptor,
             oracle_dims=self.blocks.dims,
@@ -243,10 +356,8 @@ class MackeyContext:
         trivial class).
         """
         N_elems = np.asarray(N.elements)
-        pos = np.full(self.group.n, -1)
-        pos[N_elems] = np.arange(len(N_elems))
         stacked = np.array([p.coeffs for p in points])
-        targets = pos[self.conj[section[:, None], N_elems]]
+        targets = _positions(self.group, N)[self.conj[section[:, None], N_elems]]
         phases = self.kappa[section[:, None], N_elems]
         raw = np.empty((len(section), *stacked.shape), dtype=np.complex128)
         raw[np.arange(len(section))[:, None, None], np.arange(len(points))[:, None], targets[:, None]] = (
@@ -255,41 +366,60 @@ class MackeyContext:
         matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
         return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
-    def _obstructions(self, alpha_N, N, indices, inertia, section):
-        """The obstruction cocycles on one inertia group of the modules
-        ``indices`` of C^alpha N, all of one dimension, in one pass.
+    def _obstructions(self, group: FiniteGroup, classes):
+        """The obstruction cocycles on the inertia group ``group`` of every
+        module of ``classes``, in one pass, in class and module order.
 
-        For the lifts s_a = section[a], n(a, b) = s_ab^-1 s_a s_b must lie in N
-        (checked for every pair), and for each module P_a P_b is a scalar
-        multiple of P_ab rho(n(a, b)).  The modules are stacked as rho[module, n]
-        and go through ``_intertwiners``, ``_composition_scalars`` and
-        ``_exact_cocycle`` along that leading axis; the lifts, n(a, b), c(a, b)
-        and the Cayley tree are shared by the class.  Each module keeps its
-        own certificates, and each check reports its first failing module.
+        Each class is (stage, inertia, indices): the modules ``indices`` of
+        C^alpha N for the staged N, all of one dimension d, whose inertia
+        group in G/N is ``inertia``, with the table of ``group``; every class
+        has the same d and |N|.  For the lifts s_a = section[a] of each class,
+        n(a, b) = s_ab^-1 s_a s_b must lie in N (checked for every pair), and
+        for each module P_a P_b is a scalar multiple of P_ab rho(n(a, b)).
+        The modules are stacked as rho[module, n] and go through
+        ``_intertwiners``, ``_composition_scalars`` and ``_exact_cocycle``
+        along that leading axis; the conjugation gathers, n(a, b) and
+        c(a, b) are read once per class, and go along it too when the pass
+        holds more than one class.  Each module keeps its own certificates,
+        and each check reports its first failing module.
         """
-        I_group = inertia.as_group()
-        if I_group.n == 1:
-            return [CocycleTable.trivial(I_group) for _ in indices]
-        G = self.group
-        N_embed = np.asarray(N.elements)
-        N_pos = np.full(G.n, -1)
-        N_pos[N_embed] = np.arange(len(N_embed))
-        rho = np.stack([self.oracle.irreducible_rep(alpha_N, i, self.seed) for i in indices])
-        gs = section[list(inertia.elements)]
+        if group.n == 1:
+            return [CocycleTable.trivial(group) for _, _, indices in classes for _ in indices]
+        G, seed = self.group, self.seed
+        alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
+        modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]
+        rho = np.stack([self.oracle.irreducible_rep(a, i, seed) for a, i in modules])
+        rho_g = np.empty((len(rho), group.n, *rho.shape[1:]), dtype=np.complex128)
+        lifts, start = [], 0
+        for stage, inertia, indices in classes:
+            gs = stage.section[list(inertia.elements)]
+            N_pos = _positions(G, stage.normal)
+            # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
+            N_embed = np.asarray(stage.normal.elements)
+            conj = self.conj[gs[:, None], N_embed]
+            kappa = self.kappa[gs[:, None], N_embed]
+            stop = start + len(indices)
+            rho_g[start:stop] = kappa[:, :, None, None] * rho[start:stop, N_pos[conj]]
+            lifts.append((gs, N_pos))
+            start = stop
+        P, residual = _intertwiners(rho, rho_g)
+        del rho_g
+        law = np.array([self.oracle.rep_defect(a, i, seed) for a, i in modules])
 
-        # rho_g(n) = kappa(g, n) rho(g n g^-1), one row of the conjugation tables per g
-        conj = self.conj[gs[:, None], N_embed]
-        kappa = self.kappa[gs[:, None], N_embed]
-        P, residual = _intertwiners(rho, kappa[:, :, None, None] * rho[:, N_pos[conj]])
-        law = np.array([self.oracle.rep_defect(alpha_N, i, self.seed) for i in indices])
-
-        s_ab = gs[I_group.table]
-        n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
-        if (N_pos[n] < 0).any():
-            raise CertificationError("lifts of the inertia group do not compose inside N")
-        c = self.phases[gs[:, None], gs] / self.phases[s_ab, n]  # alpha(s_a, s_b) / alpha(s_ab, n(a, b))
-        omega = _composition_scalars(I_group, P, rho, N_pos[n], c, len(section), residual + 2 * law)
-        return _exact_cocycle(I_group, omega)
+        n, c = [], []
+        for (_, _, indices), (gs, N_pos) in zip(classes, lifts):
+            s_ab = gs[group.table]
+            n_ab = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
+            if (N_pos[n_ab] < 0).any():
+                raise CertificationError("lifts of the inertia group do not compose inside N")
+            # alpha(s_a, s_b) / alpha(s_ab, n(a, b))
+            c_ab = self.phases[gs[:, None], gs] / self.phases[s_ab, n_ab]
+            n += [N_pos[n_ab]] * len(indices)
+            c += [c_ab] * len(indices)
+        n, c = (n[0], c[0]) if len(classes) == 1 else (np.stack(n), np.stack(c))
+        cosets = G.n // classes[0][0].normal.order
+        omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
+        return _exact_cocycle(group, omega)
 
 
 def _composition_scalars(group, P, rho, n, c, cosets, delta):
@@ -300,7 +430,8 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
     n(a, b) = s_ab^-1 s_a s_b, c[a, b] = alpha(s_a, s_b) / alpha(s_ab, n(a, b)),
     ``cosets`` = |G : N|, and ``delta`` is what one tree step below may add
     to the defect.  P, rho and delta may carry a leading module axis, which
-    the scalars keep; n, c and the tree are shared.  Only the columns s in
+    the scalars keep; n and c carry it too, or are shared by every module,
+    and the tree is shared.  Only the columns s in
     {e} and ``generating_sequence(group)``, r + 1 <= 1 + log2 k of them, are
     multiplied out: mu(a, s) = <P_as rho(n), P_a P_s> / ||P_as rho(n)||_F^2
     with n = n(a, s), and omega(a, s) = c(a, s) conj(mu) / |mu|.
@@ -356,7 +487,11 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
     tol = TOL_SCALAR / (2 * steps - 1)
     cols = np.array((0, *tree.generators))
     composed = P[..., :, None, :, :] @ P[..., None, cols, :, :]  # [..., a, s]: P_a P_s
-    target = P[..., group.table[:, cols], :, :] @ rho[..., n[:, cols], :, :]  # [..., a, s]: P_as rho(n(a, s))
+    if n.ndim == 3:  # per-module lifts: module m reads its own rows of n
+        rho_n = rho[np.arange(len(rho))[:, None, None], n[..., cols]]
+    else:
+        rho_n = rho[..., n[:, cols], :, :]
+    target = P[..., group.table[:, cols], :, :] @ rho_n  # [..., a, s]: P_as rho(n(a, s))
     norms = (np.abs(target) ** 2).sum(axis=(-2, -1))
     mu = np.einsum("...aspq,...aspq->...as", target.conj(), composed) / norms
     residual = np.sqrt(cosets * (np.abs(composed - mu[..., None, None] * target) ** 2).sum(axis=(-2, -1)))
@@ -373,7 +508,7 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
             f"intertwining residuals charge the column defect to {charged.flat[i]:.2e}, beyond {tol:.2e}"
         )
     omega = np.empty((*mu.shape[:-2], k, k), dtype=np.complex128)
-    omega[..., cols] = c[:, cols] * (mu / np.abs(mu)).conj()
+    omega[..., cols] = c[..., cols] * (mu / np.abs(mu)).conj()
     for level in range(2, steps + 1):
         b = np.flatnonzero(tree.depth == level)
         p, s = tree.parent[b], tree.edge[b]
@@ -391,6 +526,18 @@ def mackey_decompose(
     its ``decompose``.
     """
     return MackeyContext(G, alpha, seed).decompose(N)
+
+
+def _positions(G: FiniteGroup, N: Subgroup) -> np.ndarray:
+    """The position of each element of G in N's element tuple, -1 outside N."""
+    pos = np.full(G.n, -1)
+    pos[list(N.elements)] = np.arange(N.order)
+    return pos
+
+
+def _modules(members) -> list[int]:
+    """The module of each orbit of a class: the index of its first point."""
+    return [orbit[0] for orbit, _, _ in members]
 
 
 def _first_occurrences(labels) -> tuple[int, ...]:
@@ -448,7 +595,8 @@ def _intertwiners(rho, rho_g):
     rho_g, rho = rho_g.reshape(-1, k, n, d, d), rho.reshape(-1, 1, n, d, d)
     m, twists = np.arange(len(rho))[:, None], np.arange(k)
     R = rho_g.reshape(-1, k, n, d * d).swapaxes(-1, -2) @ rho.conj().reshape(-1, 1, n, d * d)
-    R = R.reshape(-1, k, d, d, d, d).swapaxes(-3, -2).reshape(-1, k, d * d, d * d) / n
+    R = R.reshape(-1, k, d, d, d, d).swapaxes(-3, -2).reshape(-1, k, d * d, d * d)
+    R /= n
     pairing = np.trace(R, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.abs(pairing - 1.0) > TOL_ROUND)
     if bad.size:
@@ -465,7 +613,10 @@ def _intertwiners(rho, rho_g):
     bad = np.flatnonzero(unitary > TOL_SCALAR * 10)
     if bad.size:
         raise CertificationError(f"intertwiner is not unitary (defect {unitary[bad[0]]:.2e})")
-    error = np.abs(rho_g @ P[:, :, None] - P[:, :, None] @ rho)
+    del R  # a stacked pass holds as few arrays of the size of rho_g as it can
+    error = rho_g @ P[:, :, None]
+    error -= P[:, :, None] @ rho
+    error = np.abs(error)
     entry = error.max(axis=(-4, -3, -2, -1))
     bad = np.flatnonzero(entry > TOL_SCALAR)
     if bad.size:

@@ -101,6 +101,17 @@ def sweep_cases():
     return [(g, groups[g], c, _cocycle(groups[g], c)) for g, c in _sweep_pairs(groups.__getitem__)]
 
 
+def _decompose_all(context: MackeyContext, normals) -> None:
+    """Decompose every N of ``normals`` through ``context`` in one
+    ``decompose_all`` call, which shares the obstruction passes across them.
+    The context keeps every N that decomposes; an N that fails raises its own
+    error again when the criterion decomposes it."""
+    try:
+        context.decompose_all(normals)
+    except GquotError:
+        pass
+
+
 def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     """Block reconstruction and quotient equi-dimensionality, one sweep."""
     rec1, rec2 = [], []
@@ -109,9 +120,9 @@ def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     for gname, cname in _sweep_pairs(run.group):
         context = run.context(gname, cname)
         G = context.group
-        for N in subgroups(G):
-            if not N.is_normal():
-                continue
+        normals = [N for N in subgroups(G) if N.is_normal()]
+        _decompose_all(context, normals)
+        for N in normals:
             cases += 1
             tag = f"{gname}/{cname}/N{list(N.elements)}"
             try:
@@ -150,6 +161,7 @@ def criterion_3(run: _Run) -> CriterionResult:
         context = run.context(gname, f"nd_{gname}")
         G, alpha = context.group, context.cocycle
         agree = 0
+        _decompose_all(context, subgroups(G))
         for N in subgroups(G):
             try:
                 crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, context=context)
@@ -329,7 +341,7 @@ def criterion_10(run: _Run) -> CriterionResult:
         context = run.context(gname, f"nd_{gname}")
         G = context.group
         found = 0
-        for rep in lagrangian_scan(G, context.cocycle, seed=run.seed, oracle=run.oracle):
+        for rep in lagrangian_scan(G, context.cocycle, seed=run.seed, context=context):
             if not rep.is_lagrangian:
                 continue
             Q, _ = quotient(G, rep.subgroup)

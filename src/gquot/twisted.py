@@ -26,7 +26,9 @@ twisted conjugacy class of g is the column conj[:, g], listed from its
 smallest element r; the candidate exponent at each member is kappa from r,
 and the class supports a central vector iff every edge (h, g) agrees with
 them mod m, all edges compared in one integer array operation.  The number
-of simple blocks is therefore known exactly before any numerics.
+of simple blocks is therefore known exactly before any numerics, and the
+random central sample is written straight from these arrays, one
+coefficient per element of a kept class.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
 dimension and the integer identity sum(d_i^2) = |G|.  A module cut out of a
@@ -131,7 +133,25 @@ class TwistedAlgebra:
     # -- exact center --------------------------------------------------------
 
     def center_classes(self) -> list[CenterClass]:
-        """Twisted conjugacy classes with their coefficient phases.
+        """Twisted conjugacy classes with their coefficient phases, in the
+        order of their smallest elements; the derivation is in
+        ``_twisted_classes``."""
+        rep, kept, phases = self._twisted_classes()
+        order = np.argsort(rep, kind="stable")
+        starts = np.flatnonzero(np.diff(rep[order])) + 1
+        return [
+            CenterClass(tuple(cls.tolist()), phases[cls] if kept[cls[0]] else None)
+            for cls in np.split(order, starts)
+        ]
+
+    def center_dimension(self) -> int:
+        rep, kept, _ = self._twisted_classes()
+        return len(np.unique(rep[kept]))
+
+    def _twisted_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every element g: the smallest element r of its twisted class,
+        whether that class supports a central vector, and the phase of g's
+        coefficient in it.
 
         A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g, with
         both tables from ``CocycleTable.conjugation``.  A class is listed from
@@ -146,28 +166,9 @@ class TwistedAlgebra:
         first = np.argmax(conj[:, rep] == np.arange(self.n), axis=0)  # smallest h with h rep h^-1 = g
         val = kappa[first, rep]
         bad = (val + kappa) % m != val[conj]
-        phases = np.exp(2j * np.pi * val / m)
         broken = np.zeros(self.n, dtype=bool)
         broken[rep[bad.any(axis=0)]] = True
-        order = np.argsort(rep, kind="stable")
-        starts = np.flatnonzero(np.diff(rep[order])) + 1
-        return [
-            CenterClass(tuple(cls.tolist()), None if broken[rep[cls[0]]] else phases[cls])
-            for cls in np.split(order, starts)
-        ]
-
-    def center_dimension(self) -> int:
-        return sum(1 for c in self.center_classes() if c.phases is not None)
-
-    def _center_basis(self) -> list[np.ndarray]:
-        basis = []
-        for c in self.center_classes():
-            if c.phases is None:
-                continue
-            v = np.zeros(self.n, dtype=np.complex128)
-            v[list(c.elements)] = c.phases
-            basis.append(v)
-        return basis
+        return rep, ~broken[rep], np.exp(2j * np.pi * val / m)
 
     # -- block oracle ----------------------------------------------------------
 
@@ -179,14 +180,17 @@ class TwistedAlgebra:
         round to a square within the guard band, otherwise a fresh
         deterministic draw is made.  Failures raise, never degrade.
         """
-        basis = self._center_basis()
-        k = len(basis)
+        rep, kept, phases = self._twisted_classes()
+        reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
+        slot, phases = np.searchsorted(reps, rep[kept]), phases[kept]
+        k = len(reps)
         rng = np.random.default_rng(seed)
         last = "no attempt"
         for _ in range(MAX_ATTEMPTS):
             # complex draws keep conjugate blocks apart after self-adjointing
             coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            z = sum(c * v for c, v in zip(coeffs, basis))
+            z = np.zeros(self.n, dtype=np.complex128)
+            z[kept] = coeffs[slot] * phases
             Z = self.left_regular(z)
             Z = Z + Z.conj().T
             evals, evecs = np.linalg.eigh(Z)

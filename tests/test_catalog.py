@@ -1,3 +1,4 @@
+import tracemalloc
 from types import ModuleType
 
 import pytest
@@ -10,8 +11,10 @@ from gquot.catalog import (
     resolve_cocycle,
     resolve_group,
 )
+from gquot.cli import main
 from gquot.cocycles import bicharacter_of
 from gquot.errors import ValidationError
+from gquot.groups import format_group_table, parse_group_table
 
 
 def cocycle_names() -> list[str]:
@@ -40,3 +43,36 @@ def test_resolvers(tmp_path):
 
 def test_package_exports_no_submodules():
     assert gq.__all__ and [name for name in gq.__all__ if isinstance(getattr(gq, name), ModuleType)] == []
+
+
+def test_group_file_past_the_order_bound_is_refused_at_its_header(tmp_path, capsys):
+    """A 20 MB file whose header says 100000 exits 2 at line 1, having read
+    little more than that line: the traced peak stays under 1 MiB."""
+    path = tmp_path / "huge.txt"
+    row = " ".join(["0"] * 1000) + "\n"
+    with path.open("w") as f:
+        f.write("100000\n")
+        f.writelines([row] * (20_000_000 // len(row)))
+    assert path.stat().st_size >= 19_000_000
+    main(["group", "show", "--group", "C2"])  # first-use allocations stay out of the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["group", "show", "--group", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "SizeBoundError: line 1: group order 100000 above the bound 256" in capsys.readouterr().out
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "text", [format_group_table(gq.make_group("S3")), "# 0 e\r\n2\r\n0 1\r\n1 0\r\n", "2\x0c0 1\n1 0"]
+)
+def test_group_file_lines_are_the_text_lines(tmp_path, text):
+    """Read line by line, a file parses as its whole text does, line
+    separators other than newline included."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    assert resolve_group(str(path)) == parse_group_table(path.read_text())

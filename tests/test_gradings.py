@@ -48,6 +48,36 @@ def test_induced_dims_examples():
     assert induced_dims(lopsided, {0: 1}, C2) == {0: 5, 1: 4}
 
 
+def reference_induced_dims(x, fine_dims, group):
+    """The triple loop the table gather replaced, one ``mul`` per product."""
+    out = {}
+    for g1, n1 in x.mults:
+        for g2, d2 in fine_dims.items():
+            if d2 == 0:
+                continue
+            left = group.mul(g1, g2)
+            for g3, n3 in x.mults:
+                g0 = group.mul(left, group.inv(g3))
+                out[g0] = out.get(g0, 0) + n1 * d2 * n3
+    return out
+
+
+@pytest.mark.parametrize("spec", ["C1", "C6", "S3", "Q8", "D6", "C2xC2xC2", "S4"])
+def test_induced_dims_match_the_triple_loop(spec):
+    """Keys, their order and values equal the loop's, on random characters
+    and base gradings with zero, repeated and large dimensions."""
+    G = gq.make_group(spec)
+    rng = np.random.default_rng(G.n)
+    for _ in range(20):
+        support = rng.choice(G.n, size=rng.integers(1, min(G.n, 6) + 1), replace=False)
+        x = Character.from_dict(G, {int(g): int(rng.integers(1, 5)) for g in support})
+        base = {int(g): int(rng.choice([0, 1, 3, 10**6])) for g in rng.choice(G.n, size=rng.integers(1, G.n + 1))}
+        got, want = induced_dims(x, base, G), reference_induced_dims(x, base, G)
+        assert list(got.items()) == list(want.items())
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
+    assert induced_dims(Character.point(G), {0: 0}, G) == {}
+
+
 def test_augmentation_dimension_law():
     rng = np.random.default_rng(0)
     for spec in ["C4", "S3", "C2xC4"]:

@@ -1116,6 +1116,75 @@ def test_prod_and_mul_refuse_indices_outside_the_table():
             call()
 
 
+# -- row lists against the numpy tables ------------------------------------------
+
+
+def reference_order(G, a):
+    """The order of a by repeated numpy indexing of the table."""
+    x, k = a, 1
+    while x != 0:
+        x = int(G.table[x, a])
+        k += 1
+    return k
+
+
+def reference_closure(G, seed, base=(0,)):
+    """The closure the row lists replaced: the same coset walk, reading
+    ``G.table[:, gens]`` and ``G.table[base, y]`` through numpy."""
+    gens = sorted({int(g) for g in seed} - {0})
+    rows = G.table[:, gens].tolist()
+    base = list(base)
+    closure, reps = set(base), [0]
+    for x in reps:
+        for y in rows[x]:
+            if y not in closure:
+                closure.update(G.table[base, y].tolist())
+                reps.append(y)
+    return closure
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_row_lists_match_the_tables(spec):
+    """The row lists are the table, built once; mul, prod and order_of read
+    them and agree with numpy indexing of the table, as Python ints."""
+    G = gq.make_group(spec)
+    assert G._rows is None  # nothing builds them before the first scalar walk
+    assert G.rows == G.table.tolist() and G.rows is G.rows
+    for a in G.elements():
+        assert type(G.order_of(a)) is int and G.order_of(a) == reference_order(G, a)
+        for b in G.elements():
+            assert G.mul(a, b) == int(G.table[a, b])
+    seq = [int(x) for x in np.random.default_rng(G.n).integers(0, G.n, 3 * G.n)]
+    want = 0
+    for a in seq:
+        want = int(G.table[want, a])
+    assert G.prod(seq) == want
+
+
+@pytest.mark.parametrize("spec", [s for s in GROUP_SPECS if gq.make_group(s).n <= 16] + ["C2xC4xC2xC4"])
+def test_closure_on_row_lists_matches_the_numpy_walk(spec):
+    """On every subgroup H as base and every element as a new generator, the
+    row-list closure is the numpy walk's."""
+    G = gq.make_group(spec)
+    lattice = gq.subgroups(G)
+    if G.n > 16:
+        lattice = lattice[:: max(1, len(lattice) // 12)]
+    for H in lattice:
+        gens = list(H.elements[1:2])
+        for c in G.elements():
+            assert groups._closure(G, gens + [c], H.elements) == reference_closure(G, gens + [c], H.elements)
+
+
+def test_equality_and_hash_keep_no_copy_of_the_table():
+    """Groups compare and hash by their tables; the hash is kept as an int,
+    and equal tables in different objects compare equal."""
+    G, H = gq.make_group("D4"), gq.make_group("D4")
+    assert G is not H and G == H and hash(G) == hash(H) and G._hash == hash(G)
+    assert not hasattr(G, "_key")
+    assert G != gq.make_group("Q8") and G != gq.make_group("C8") and G != "D4"
+    assert len({G, H, gq.make_group("Q8")}) == 2
+
+
 def test_as_group_is_built_once_per_subgroup(monkeypatch):
     G = gq.make_group("D4")
     H = gq.center(G)

@@ -1,12 +1,15 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gquot as gq
 from gquot.catalog import GROUP_SPECS
-from gquot.cocycles import CocycleTable, standard_nondegenerate
+from gquot import lagrangians
+from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
 from gquot.errors import DomainError, SizeBoundError
 from gquot import groups
 from gquot.groups import abelian_group_from_invariants, generating_sequence, invariant_factor_sequences
@@ -195,6 +198,111 @@ def test_elementary_quotient_contains_lagrangian():
         for N in rep.elementary_normals:
             ns = set(N.elements)
             assert any(ls <= ns for ls in lagrangians)
+
+
+# -- isotropy verdicts kept per context, and Theorem D under relabeling ----------
+
+
+def counted_isotropy(monkeypatch):
+    """The subgroups ``is_isotropic`` is asked about, in call order."""
+    asked, isotropic = [], lagrangians.is_isotropic
+
+    def counted(G, a, H, **kwargs):
+        asked.append(H.elements)
+        return isotropic(G, a, H, **kwargs)
+
+    monkeypatch.setattr(lagrangians, "is_isotropic", counted)
+    return asked
+
+
+def test_isotropy_verdicts_are_certified_once_per_context(monkeypatch):
+    """Criterion 3's biconditional over every N, a scan, and the scan again
+    on one context certify each subgroup of order sqrt|G| once; the scan
+    reports the verdicts ``is_isotropic`` gives, and a new context certifies
+    them again."""
+    a = standard_nondegenerate([4])
+    G = a.group
+    asked = counted_isotropy(monkeypatch)
+    context = MackeyContext(G, a, 0)
+    for N in gq.subgroups(G):
+        crossed_product_iff_lagrangian(G, a, N, context=context)
+    first = lagrangian_scan(G, a, context=context)
+    again = lagrangian_scan(G, a, context=context)
+    squares = [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
+    assert asked == squares and len(first) == len(again) == len(squares)
+    for r, s in zip(first, again):
+        assert (r.subgroup, r.isotropic, r.normal) == (s.subgroup, s.isotropic, s.normal)
+        assert r.isotropic == is_isotropic(G, a, r.subgroup).isotropic
+    assert set(context.isotropy) == set(squares)
+    asked.clear()
+    lagrangian_scan(G, a)
+    assert asked == squares
+
+
+def test_lagrangian_scan_without_a_context_builds_none(monkeypatch):
+    """Without a context the scan asks ``is_isotropic`` directly: no Mackey
+    context, and with it no split of C^alpha G, is built."""
+    a = standard_nondegenerate([2, 4])
+    G = a.group
+    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(G, a)]
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError("lagrangian_scan built a MackeyContext")
+
+    monkeypatch.setattr(MackeyContext, "__init__", refused)
+    asked = counted_isotropy(monkeypatch)
+    reports = lagrangian_scan(G, a, seed=0)
+    assert [(r.subgroup, r.isotropic, r.normal) for r in reports] == expected
+    assert asked == [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
+
+
+def test_lagrangian_scan_rejects_a_foreign_context():
+    a = standard_nondegenerate([2])
+    with pytest.raises(DomainError, match="different"):
+        lagrangian_scan(a.group, a, seed=1, context=MackeyContext(a.group, a, 0))
+
+
+THEOREM_D_INVARIANTS = [(2, 2), (4,), (2, 4), (8,)]
+
+
+@functools.cache
+def theorem_d_report(invariants):
+    a = standard_nondegenerate(list(invariants))
+    return a, maximal_elementary_quotients(a.group, a, seed=0)
+
+
+def relabeled_and_twisted(a, perm, shifts):
+    """alpha on the group with element g renamed perm[g], times the
+    coboundary of the cochain ``shifts``."""
+    G, m = a.group, a.scale
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    H = gq.FiniteGroup(table)
+    exps = np.empty_like(a.exps)
+    exps[np.ix_(perm, perm)] = a.exps
+    return CocycleTable(H, m, exps).mul(coboundary(OneCochain(H, m, [0] + shifts)))
+
+
+@given(st.sampled_from(THEOREM_D_INVARIANTS), st.data())
+@settings(max_examples=12, deadline=None)
+def test_theorem_d_is_invariant_under_relabeling_and_coboundary_twist(invariants, data):
+    """Renaming the elements and moving alpha by a coboundary moves the
+    elementary, Lagrangian and maximal kernels through the renaming, and
+    keeps the uniqueness verdict."""
+    a, report = theorem_d_report(invariants)
+    G = a.group
+    perm = np.array([0] + data.draw(st.permutations(range(1, G.n))))
+    shifts = data.draw(st.lists(st.integers(0, a.scale - 1), min_size=G.n - 1, max_size=G.n - 1))
+    b = relabeled_and_twisted(a, perm, shifts)
+    moved = maximal_elementary_quotients(b.group, b, seed=0)
+
+    def renamed(kernels):
+        return {tuple(sorted(perm[list(N.elements)].tolist())) for N in kernels}
+
+    assert renamed(report.elementary_normals) == {N.elements for N in moved.elementary_normals}
+    assert renamed(report.lagrangian_normals) == {N.elements for N in moved.lagrangian_normals}
+    assert renamed(report.maximal_normals) == {N.elements for N in moved.maximal_normals}
+    assert moved.unique_maximal_class == report.unique_maximal_class
 
 
 def test_invariant_factor_sequences():

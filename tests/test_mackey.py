@@ -29,6 +29,7 @@ from gquot.mackey import (
     is_simple_quotient,
     mackey_decompose,
 )
+import gquot.suite as suite
 from gquot.suite import sweep_cases
 from gquot.twisted import TOL_ROUND, BlockOracle, TwistedAlgebra
 
@@ -832,35 +833,180 @@ def test_intertwining_residual_is_charged_to_the_obstruction_bound(monkeypatch, 
 
 
 def test_helpers_take_an_optional_module_axis(monkeypatch):
-    """Each module of a class, passed alone, gives the bits of its slice of
-    the class pass: intertwiners, intertwining residual, composition scalars
-    and exact table.  The classes include the
-    two d = 1 modules of the two-module class and two d = 2 modules of
-    Q8xC2xC2 over a normal subgroup of order 16."""
+    """Each module of a pass, passed alone, gives the bits of its slice of
+    the pass: intertwiners, intertwining residual, composition scalars and
+    exact table.  The passes include the two d = 1 modules of the two-module
+    class and two d = 2 modules of Q8xC2xC2 over a normal subgroup of order
+    16, which share n(a, b) and c(a, b), and the six d = 1 modules of the
+    three subgroups of order 2 of C2xC2, stacked by ``decompose_all`` with n
+    and c per module.  A shared n and c, repeated along the module axis,
+    give the same bits as passing them once."""
     G = gq.make_group("Q8xC2xC2")
     trivial = CocycleTable.trivial(G)
     probe = MackeyContext(G, trivial, 0)
     N = next(M for M in gq.normal_subgroups(G) if M.order == 16 and max(o.dim for o in probe.decompose(M).orbits) == 2)
+    context, _ = two_module_class()
+    order_two = [M for M in gq.subgroups(context.group) if M.order == 2]
     intertwiners, compose = mackey._intertwiners, mackey._composition_scalars
     shapes = []
-    for context, N in (two_module_class(), (MackeyContext(G, trivial, 0), N)):
+    cases = ((context, order_two[:1]), (MackeyContext(G, trivial, 0), [N]), (two_module_class()[0], order_two))
+    for context, normals in cases:
         calls = []
         monkeypatch.setattr(mackey, "_intertwiners", lambda *args: calls.append(args) or intertwiners(*args))
         monkeypatch.setattr(mackey, "_composition_scalars", lambda *args: calls.append(args) or compose(*args))
-        context.decompose(N)
+        context.decompose_all(normals)
         monkeypatch.undo()
         for (rho, rho_g), (group, _, _, n, c, cosets, delta) in zip(calls[::2], calls[1::2], strict=True):
-            shapes.append(rho.shape[::3])
+            shapes.append((*rho.shape[::3], n.ndim))
             P, residual = intertwiners(rho, rho_g)
             omega = compose(group, P, rho, n, c, cosets, delta)
             tables = mackey._exact_cocycle(group, omega)
+            if n.ndim == 2:
+                repeated = compose(group, P, rho, np.stack([n] * len(rho)), np.stack([c] * len(rho)), cosets, delta)
+                assert repeated.tobytes() == omega.tobytes()
             for m in range(len(rho)):
                 alone_P, alone_residual = intertwiners(rho[m], rho_g[m])
                 assert alone_P.tobytes() == P[m].tobytes() and alone_residual == residual[m]
-                alone = compose(group, P[m], rho[m], n, c, cosets, delta[m])
+                n_m, c_m = (n[m], c[m]) if n.ndim == 3 else (n, c)
+                alone = compose(group, P[m], rho[m], n_m, c_m, cosets, delta[m])
                 assert alone.tobytes() == omega[m].tobytes()
                 assert mackey._exact_cocycle(group, alone) == tables[m]
-    assert (2, 1) in shapes and (2, 2) in shapes  # (modules, d)
+    assert {(2, 1, 2), (2, 2, 2), (6, 1, 3)} <= set(shapes)  # (modules, d, axes of n)
+
+
+# -- decompose_all: one obstruction pass per class across a scan ----------------
+
+
+@pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
+def test_decompose_all_matches_each_subgroup_alone(name, a):
+    """On every orbit of every normal N, the stacked scan gives the table
+    (scale and exponent bytes), the blocks and the orbit data that
+    decomposing N alone in a fresh context gives; the fresh contexts share
+    one registry of their own."""
+    G = a.group
+    normals = gq.normal_subgroups(G)
+    stacked = MackeyContext(G, a, 0).decompose_all(normals)
+    oracle = BlockOracle()
+    for N, got in zip(normals, stacked, strict=True):
+        want = MackeyContext(G, a, 0, oracle).decompose(N)
+        assert got.normal == N
+        assert_same_decomposition(got, want)
+        for o, w in zip(got.orbits, want.orbits):
+            assert o.omega.scale == w.omega.scale and o.omega.exps.tobytes() == w.omega.exps.tobytes()
+            assert o.inertia.elements == w.inertia.elements
+
+
+def recorded_passes(monkeypatch):
+    """Every non-trivial obstruction pass, as (inertia group, |N| per class,
+    d, modules per class, modules whose lifts are per class)."""
+    passes, obstructions = [], MackeyContext._obstructions
+
+    def recorded(self, group, classes):
+        if group.n > 1:
+            d = {stage.points[indices[0]].dim for stage, _, indices in classes}
+            passes.append((group, [stage.normal.order for stage, _, _ in classes], d, [len(i) for _, _, i in classes]))
+        return obstructions(self, group, classes)
+
+    monkeypatch.setattr(MackeyContext, "_obstructions", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("invariants", THEOREM_D_CARRIERS)
+def test_stacked_passes_fill_the_budget_by_inertia_table_d_and_order(monkeypatch, invariants):
+    """On a Theorem-D carrier, each pass holds classes of one inertia table,
+    one d and one |N|; passes of one key are filled in order, each closed
+    only when the next class would take it past OBSTRUCTION_BUDGET, so a
+    key has more than one pass only when its classes exceed the budget.
+    Decomposing N by N makes one pass per class instead."""
+    a = standard_nondegenerate(invariants)
+    lattice = gq.subgroups(a.group)
+    passes = recorded_passes(monkeypatch)
+    MackeyContext(a.group, a, 0).decompose_all(lattice)
+    stacked = list(passes)
+    by_key = {}
+    for group, orders, d, sizes in stacked:
+        assert len(set(orders)) == 1 and len(d) == 1
+        by_key.setdefault((group, orders[0], d.pop()), []).append(sizes)
+    for (group, order, d), batches in by_key.items():
+        per_module = group.n * order * d * d
+        for batch, following in zip(batches, batches[1:]):
+            assert per_module * (sum(batch) + following[0]) > mackey.OBSTRUCTION_BUDGET
+        assert all(per_module * sum(batch) <= mackey.OBSTRUCTION_BUDGET or len(batch) == 1 for batch in batches)
+    passes.clear()
+    context = MackeyContext(a.group, a, 0)
+    for N in lattice:
+        context.decompose(N)
+    assert len(stacked) < len(passes) == sum(len(sizes) for _, _, _, sizes in stacked)
+
+
+def break_order_two_obstructions(monkeypatch):
+    """On the trivial class of C2xC2, every obstruction pass reads kappa(1, 2)
+    as -1.  Of the subgroups of order 2 only N = {0, 2}, lifted by 1, reads
+    it, so N's twist becomes the other character of N; the points and orbits
+    of every N, staged before any pass, are untouched."""
+    obstructions = MackeyContext._obstructions
+
+    def broken(self, group, classes):
+        kappa = self.kappa
+        self.kappa = kappa.copy()
+        self.kappa[1, 2] *= -1
+        try:
+            return obstructions(self, group, classes)
+        finally:
+            self.kappa = kappa
+
+    monkeypatch.setattr(MackeyContext, "_obstructions", broken)
+
+
+def test_a_broken_subgroup_in_a_stacked_pass_fails_as_it_fails_alone(monkeypatch):
+    """The three subgroups of order 2 of C2xC2 share one stacked pass.  With
+    the module of N = {0, 2} broken, that pass raises; N raises the message
+    it raises alone, the other two decompose as they do alone, and
+    criterion 1/2 records N only."""
+    context, _ = two_module_class()
+    order_two = [N for N in gq.subgroups(context.group) if N.order == 2]
+    broken = order_two[1]
+    assert broken.elements == (0, 2)
+    want = {N.elements: two_module_class()[0].decompose(N) for N in order_two if N != broken}
+    break_order_two_obstructions(monkeypatch)
+    message = "character inner product of twist 1 with the module is -?0.0"
+    with pytest.raises(CertificationError, match=message) as alone:
+        two_module_class()[0].decompose(broken)
+    passes = recorded_passes(monkeypatch)
+    with pytest.raises(CertificationError) as stacked:
+        context.decompose_all(order_two)
+    assert str(stacked.value) == str(alone.value)
+    assert [orders for _, orders, _, _ in passes] == [[2, 2, 2], [2], [2], [2]]  # the stacked pass, then each N's own
+    for N in order_two:
+        if N != broken:
+            assert_same_decomposition(context.decompose(N), want[N.elements])
+    assert len(passes) == 4  # the two that decomposed were kept
+    with pytest.raises(CertificationError, match="character inner product of twist 1"):
+        context.decompose(broken)
+
+    run = suite._Run(0)
+    monkeypatch.setattr(suite, "_sweep_pairs", lambda group: [("C2xC2", "trivial")])
+    c1, c2 = suite.criterion_1_and_2(run)
+    assert c1.records == [("cases", "5"), ("C2xC2/trivial/N[0, 2]", f"decomposition failed: {alone.value}")]
+    assert c2.records == [("cases", "5")] and not c1.passed and not c2.passed
+
+
+def test_decompose_all_keeps_every_subgroup_that_decomposes():
+    """A non-normal subgroup in the list raises its own NormalityError after
+    the others are kept; a subgroup of another group is refused first."""
+    S3 = gq.make_group("S3")
+    context = MackeyContext(S3, CocycleTable.trivial(S3), 0)
+    normals = gq.normal_subgroups(S3)
+    not_normal = next(H for H in gq.subgroups(S3) if not H.is_normal())
+    with pytest.raises(NormalityError) as stacked:
+        context.decompose_all([normals[0], not_normal, *normals[1:]])
+    with pytest.raises(NormalityError) as alone:
+        mackey_decompose(S3, CocycleTable.trivial(S3), not_normal)
+    assert str(stacked.value) == str(alone.value)
+    assert all(N.elements in context._decompositions for N in normals)
+    assert context.decompose_all(normals) == [context.decompose(N) for N in normals]
+    with pytest.raises(DomainError):
+        context.decompose_all([normals[0], gq.Subgroup(gq.cyclic(6), (0,))])
 
 
 def _orbit_signature(dec):
