@@ -62,12 +62,17 @@ def resolve_group(token: str) -> FiniteGroup:
 
 
 def resolve_cocycle(token: str, group: FiniteGroup) -> CocycleTable:
-    """A cocycle from a file path, the word 'trivial', or a catalog name."""
+    """A cocycle from a file path, the word 'trivial', or a catalog name.
+
+    A file is read line by line, as in ``resolve_group``, so a row past the
+    table raises before the next line is read.
+    """
     if token == "trivial":
         return CocycleTable.trivial(group)
     p = Path(token)
     if p.exists() and p.is_file():
-        return parse_cocycle(p.read_text(), group)
+        with p.open() as f:
+            return parse_cocycle((line for raw in f for line in raw.splitlines()), group)
     if token.startswith("nd_"):
         carrier, table = build_cocycle(token)
         if table.group != group:

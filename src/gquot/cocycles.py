@@ -314,11 +314,15 @@ def standard_nondegenerate(invariants) -> CocycleTable:
 # -- text format -----------------------------------------------------------
 
 
-def parse_cocycle(text: str, group: FiniteGroup) -> CocycleTable:
-    """Parse the cocycle text format and validate against the given group."""
+def parse_cocycle(text, group: FiniteGroup) -> CocycleTable:
+    """Parse the cocycle text format and validate against the given group.
+
+    ``text`` is the whole text or an iterable of its lines, read in order; a
+    row past the n-th raises at its line.
+    """
     rows: list[list[int]] = []
     header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,6 +334,8 @@ def parse_cocycle(text: str, group: FiniteGroup) -> CocycleTable:
             if header[1] != group.n:
                 raise ValidationError(f"line {lineno}: cocycle is for order {header[1]}, group has {group.n}")
             continue
+        if len(rows) == group.n:
+            raise ValidationError(f"line {lineno}: cocycle row past the {group.n} rows of the table")
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .cocycles import CocycleTable, parse_cocycle
-from .errors import DomainError, TheoremCheckError, ValidationError
+from .errors import DomainError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup
+
+INT64_MAX = 2**63 - 1  # the largest total dimension the int64 gather of ``induced_dims`` holds
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,15 @@ def induced_dims(x: Character, fine_dims: dict, group: FiniteGroup) -> dict:
     dim at g0 = sum over g1 * g2 * g3^-1 = g0 of n_{g1} * dim(base_{g2}) * n_{g3}.
     Every product is read off the group table in one gather over the triples
     (g1, g2, g3), base elements of dimension 0 left out, and the keys come in
-    the order those triples first reach them, g1-major.
+    the order those triples first reach them, g1-major.  The gather sums in
+    int64, so a total dimension eps(x)^2 * sum(base dims) above INT64_MAX
+    raises SizeBoundError before any array is built.
     """
     base = [(g, d) for g, d in fine_dims.items() if d != 0]
     if not base:
         return {}
+    if x.eps**2 * sum(d for _, d in base) > INT64_MAX:
+        raise SizeBoundError(f"induced grading of total dimension above {INT64_MAX}")
     g1, n1 = np.array(x.mults, dtype=np.int64).T
     g2, d2 = np.array(base, dtype=np.int64).T
     T = group.table

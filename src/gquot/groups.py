@@ -813,7 +813,7 @@ def parse_group_table(text) -> FiniteGroup:
 
     ``text`` is the whole text or an iterable of its lines, read in order;
     the order on the header line is checked against ORDER_BOUND before the
-    next line is read.
+    next line is read, and a row past the n-th raises at its line.
     """
     rows: list[list[int]] = []
     labels: dict[int, tuple[int, str]] = {}  # index -> (line, label)
@@ -838,6 +838,8 @@ def parse_group_table(text) -> FiniteGroup:
             if n > ORDER_BOUND:
                 raise SizeBoundError(f"line {lineno}: group order {n} above the bound {ORDER_BOUND}")
             continue
+        if len(rows) == n:
+            raise ValidationError(f"line {lineno}: table row past the {n} rows of the group")
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:

@@ -194,7 +194,8 @@ def maximal_elementary_quotients(
     Every subgroup is decomposed through one ``MackeyContext`` for
     (A, alpha, seed), ``context`` when the caller holds one, else a new one,
     in one ``decompose_all`` call, so the obstruction passes are shared
-    across the whole lattice.  The Lagrangian scan runs on the same context,
+    across the whole lattice; the first N, in lattice order, that fails
+    raises its error.  The Lagrangian scan runs on the same context,
     so it reuses the blocks the decompositions certified and the isotropy
     verdicts the context keeps.
     """
@@ -204,7 +205,8 @@ def maximal_elementary_quotients(
         raise DomainError("expects a non-degenerate class")
     context = _mackey_context(A, alpha, seed, context)
     lattice = subgroups(A)
-    decs = {N.elements: dec for N, dec in zip(lattice, context.decompose_all(lattice))}
+    context.decompose_all(lattice)
+    decs = {N.elements: context.decompose(N) for N in lattice}
     elementary = [N for N in lattice if is_elementary_quotient(decs[N.elements])]
     elem_sets = [set(N.elements) for N in elementary]
     maximal = [

@@ -59,19 +59,19 @@ Only the module and the lifts depend on the orbit; the Cayley tree depends
 on the inertia group's table alone.  So a scan is staged: ``decompose_all``
 first computes, for every kernel N of the scan, the quotient, the points,
 the orbits and their classes (the orbits with the same inertia group and
-module dimension), with one Subgroup per inertia group.  It then computes
-the obstructions in one pass per batch of classes, across all the kernels,
-that share the inertia group's table, the module dimension d and |N|: the
-modules stacked along a leading axis through the intertwiners, the
-composition scalars and the gauge, the conjugation gathers, n(a, b) and
-c(a, b) read once per class and stacked along the same axis.  A batch
-stops before its |I| |N| d^2 entries per module pass OBSTRUCTION_BUDGET, so
-a scan holds no larger arrays than a few small classes do.  Each module
-keeps its own certificates with the thresholds above, and each check
-reports its first failing module.  A batch that raises is passed again one
-class at a time when each kernel is finished, classes in orbit order, so
-every N gets exactly the decomposition, or the error, it gets alone;
-``decompose(N)`` is ``decompose_all([N])``.
+module dimension), with one Subgroup per inertia group; a class with trivial
+inertia takes the trivial tables.  It then computes the other obstructions
+in one pass per batch of classes, across all the kernels, that share the
+inertia group's table, the module dimension d and |N|: the modules stacked
+along a leading axis through the intertwiners, the composition scalars and
+the gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class
+and stacked along the same axis.  A batch stops before its |I| |N| d^2
+entries per module pass OBSTRUCTION_BUDGET, so a scan holds no larger arrays
+than a few small classes do.  Each module keeps its own certificates with
+the thresholds above, and each check reports its first failing module.  A
+batch that raises is passed again right away one class at a time, so every N
+gets exactly the decomposition, or the error, it gets alone, and the context
+keeps it for ``decompose(N)``.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -82,7 +82,7 @@ dimension |N|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,9 +139,10 @@ class _Stage:
     quotient, its minimal-index section, the points of C^alpha N, the
     classes of orbits by (inertia elements, d) in orbit order with their
     members (orbit, transversal, delta), one Subgroup per inertia group, and
-    the obstruction tables each stacked pass left for a class.  A scan
-    stages every N before any pass, so a stage keeps nothing a pass can
-    rebuild in a few gathers (alpha on N, the positions of N's elements)."""
+    each class's obstruction tables (trivial ones from the start) or the
+    error of its pass.  A scan stages every N before any pass, so a stage
+    keeps nothing a pass can rebuild in a few gathers (alpha on N, the
+    positions of N's elements)."""
 
     normal: Subgroup
     quotient_group: FiniteGroup
@@ -150,7 +151,7 @@ class _Stage:
     points: tuple[IrrPoint, ...]
     classes: dict
     inertia: dict
-    omegas: dict = field(default_factory=dict)
+    omegas: dict
 
 
 class MackeyContext:
@@ -163,10 +164,10 @@ class MackeyContext:
     :class:`BlockOracle` that certifies the blocks of C^alpha G (``blocks``)
     and every algebra a decomposition meets.  ``oracle`` is the caller's
     registry when one is passed, so contexts and checks of one run share it,
-    else a new one owned by this context.  ``decompose_all`` keeps each
-    decomposition by the elements of N, and ``isotropy`` holds the isotropy
-    verdicts ``lagrangians`` certifies on this (G, alpha, seed), by the
-    elements of the subgroup, for as long as the caller keeps the context.
+    else a new one owned by this context.  ``decompose_all`` keeps each N's
+    decomposition or error by the elements of N, and ``isotropy`` holds the
+    isotropy verdicts ``lagrangians`` certifies on this (G, alpha, seed), by
+    the elements of the subgroup, for as long as the caller keeps the context.
     """
 
     def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
@@ -179,42 +180,44 @@ class MackeyContext:
         self.conj, kappa = alpha.conjugation()
         self.kappa = np.exp(2j * np.pi * kappa / alpha.scale)
         self.isotropy: dict[tuple[int, ...], object] = {}
-        self._decompositions: dict[tuple[int, ...], MackeyDecomposition] = {}
+        self._outcomes: dict[tuple[int, ...], MackeyDecomposition | GquotError] = {}
 
     def decompose(self, N: Subgroup) -> MackeyDecomposition:
-        """Full decomposition of [C^alpha G / N] with all consistency checks."""
-        return self.decompose_all([N])[0]
+        """Full decomposition of [C^alpha G / N] with all consistency checks,
+        or its error raised, as kept by ``decompose_all([N])`` on first use."""
+        if N.group != self.group or N.elements not in self._outcomes:
+            self.decompose_all([N])
+        outcome = self._outcomes[N.elements]
+        if isinstance(outcome, GquotError):
+            raise outcome
+        return outcome
 
-    def decompose_all(self, subgroups) -> list[MackeyDecomposition]:
-        """The decompositions of every N of ``subgroups``, in order, each with
-        all consistency checks.
+    def decompose_all(self, subgroups) -> None:
+        """Decompose every N of ``subgroups`` not kept yet, with all
+        consistency checks, and keep each outcome for ``decompose``.
 
-        Every N not yet kept is staged, the obstruction passes run across all
-        of them (``_stacked_obstructions``), and each N is then finished.  An
-        N that fails keeps the error it raises when decomposed alone, and the
-        first such N, in order, raises it once every other N is kept; a
-        subgroup of another group raises DomainError before any work.
+        Every such N is staged, the obstruction passes run across all of
+        them (``_stacked_obstructions``), and each N is then finished.  An N
+        that fails keeps the error it raises when decomposed alone, so it is
+        staged once per context.  A subgroup of another group raises
+        DomainError before any work.
         """
         subgroups = list(subgroups)
         if any(N.group != self.group for N in subgroups):
             raise DomainError("subgroup belongs to a different group")
-        stages, failed = {}, {}
+        stages = {}
         for N in subgroups:
-            if N.elements not in self._decompositions and N.elements not in stages and N.elements not in failed:
+            if N.elements not in self._outcomes and N.elements not in stages:
                 try:
                     stages[N.elements] = self._stage(N)
                 except GquotError as exc:
-                    failed[N.elements] = exc
+                    self._outcomes[N.elements] = exc
         self._stacked_obstructions(stages.values())
         for key, stage in stages.items():
             try:
-                self._decompositions[key] = self._finish(stage)
+                self._outcomes[key] = self._finish(stage)
             except GquotError as exc:
-                failed[key] = exc
-        for N in subgroups:
-            if N.elements in failed:
-                raise failed[N.elements]
-        return [self._decompositions[N.elements] for N in subgroups]
+                self._outcomes[key] = exc
 
     def _stage(self, N: Subgroup) -> _Stage:
         """Quotient, points, orbits and classes of one N: everything before its obstructions."""
@@ -249,7 +252,9 @@ class MackeyContext:
                 raise TheoremCheckError("summand dimension is not an integer")
             classes.setdefault((inertia, d), []).append((orbit, transversal, delta_num // delta_den))
         inertia = {I: Subgroup(Q, I) for I, _ in classes}  # one Subgroup per inertia group
-        return _Stage(N, Q, proj, section, points, classes, inertia)
+        omegas = {(I, d): [CocycleTable.trivial(inertia[I].as_group())] * len(members)  # a trivial I needs no pass
+                  for (I, d), members in classes.items() if len(I) == 1}
+        return _Stage(N, Q, proj, section, points, classes, inertia, omegas)
 
     def _stacked_obstructions(self, stages) -> None:
         """One obstruction pass per batch of classes, across all ``stages``,
@@ -258,10 +263,8 @@ class MackeyContext:
         |I| |N| d^2 entries per module stay within OBSTRUCTION_BUDGET, and a
         class beyond it alone is a batch of its own.
 
-        A batch's tables go to its classes' stages.  When a batch raises, a
-        batch of one class keeps the error, which is the class's own, and
-        the classes of a larger batch are left to ``_finish``, which passes
-        them one class at a time.  Classes with trivial inertia need no pass.
+        A batch's tables, or the errors of ``_stacked_pass``, go to its
+        classes' stages; classes with trivial inertia need no pass.
         """
         batches: dict[tuple, list] = {}
         for stage in stages:
@@ -283,7 +286,9 @@ class MackeyContext:
 
     def _stacked_pass(self, group: FiniteGroup, batch) -> None:
         """One ``_obstructions`` pass over the classes ``batch`` of (stage,
-        (inertia elements, d)); the tables or the error go to the stages."""
+        (inertia elements, d)); the tables go to the stages.  When it raises,
+        a lone class keeps the error, which is its own, and a larger batch is
+        passed again one class at a time."""
         classes = [(stage, stage.inertia[cls[0]], _modules(stage.classes[cls])) for stage, cls in batch]
         try:
             tables = iter(self._obstructions(group, classes))
@@ -291,23 +296,24 @@ class MackeyContext:
             if len(batch) == 1:
                 stage, cls = batch[0]
                 stage.omegas[cls] = exc
+            else:
+                for entry in batch:
+                    self._stacked_pass(group, [entry])
             return
         for stage, cls in batch:
             stage.omegas[cls] = [next(tables) for _ in stage.classes[cls]]
 
     def _finish(self, stage: _Stage) -> MackeyDecomposition:
-        """The orbits of one staged N, class by class, and the decomposition
-        with all its checks; a class without tables from a stacked pass gets
-        a pass of its own here, so the first class to fail raises."""
+        """The orbits of one staged N from its classes' tables, and the
+        decomposition with all its checks; the first class holding an error
+        raises it."""
         G, seed, Q = self.group, self.seed, stage.quotient_group
         orbits = []
         for (I, d), members in stage.classes.items():
             inertia = stage.inertia[I]
-            omegas = stage.omegas.get((I, d))
+            omegas = stage.omegas[(I, d)]
             if isinstance(omegas, GquotError):
                 raise omegas
-            if omegas is None:
-                omegas = self._obstructions(inertia.as_group(), [(stage, inertia, _modules(members))])
             for (orbit, transversal, delta), omega in zip(members, omegas):
                 blocks = self.oracle.wedderburn(omega, seed).dims
                 orbits.append(
@@ -367,8 +373,8 @@ class MackeyContext:
         return np.array([p.index for p in matched]).reshape(len(section), len(points))
 
     def _obstructions(self, group: FiniteGroup, classes):
-        """The obstruction cocycles on the inertia group ``group`` of every
-        module of ``classes``, in one pass, in class and module order.
+        """The obstruction cocycles on the non-trivial inertia group ``group`` of
+        every module of ``classes``, in one pass, in class and module order.
 
         Each class is (stage, inertia, indices): the modules ``indices`` of
         C^alpha N for the staged N, all of one dimension d, whose inertia
@@ -383,8 +389,6 @@ class MackeyContext:
         holds more than one class.  Each module keeps its own certificates,
         and each check reports its first failing module.
         """
-        if group.n == 1:
-            return [CocycleTable.trivial(group) for _, _, indices in classes for _ in indices]
         G, seed = self.group, self.seed
         alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
         modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]

@@ -13,7 +13,9 @@ from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_g
 from .cocycles import CocycleTable
 from .errors import GquotError, TheoremCheckError
 from .gradings import descriptor_dims, is_equidimensional_induced
-from .groups import FiniteGroup, abelian_invariants, is_homocyclic_squarefree, quotient, squarefree, subgroups
+from .groups import (
+    FiniteGroup, abelian_invariants, is_homocyclic_squarefree, normal_subgroups, quotient, squarefree, subgroups
+)
 from .lagrangians import (
     IYB_BOUND,
     crossed_product_iff_lagrangian,
@@ -52,7 +54,8 @@ class CriterionResult:
 class _Run:
     """What one battery run shares: its seed, its one block oracle, one
     carrier group per catalog name, and one Mackey context per (group name,
-    cocycle name) built on that oracle and that group."""
+    cocycle name) built on that oracle and that group, which decomposes
+    every normal subgroup, in one ``decompose_all`` call, when it is built."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -72,7 +75,8 @@ class _Run:
         subgroup lattice is built once per run."""
         if (gname, cname) not in self._contexts:
             G = self.group(gname)
-            self._contexts[(gname, cname)] = MackeyContext(G, _cocycle(G, cname), self.seed, self.oracle)
+            context = self._contexts[(gname, cname)] = MackeyContext(G, _cocycle(G, cname), self.seed, self.oracle)
+            context.decompose_all(normal_subgroups(G))
         return self._contexts[(gname, cname)]
 
 
@@ -101,17 +105,6 @@ def sweep_cases():
     return [(g, groups[g], c, _cocycle(groups[g], c)) for g, c in _sweep_pairs(groups.__getitem__)]
 
 
-def _decompose_all(context: MackeyContext, normals) -> None:
-    """Decompose every N of ``normals`` through ``context`` in one
-    ``decompose_all`` call, which shares the obstruction passes across them.
-    The context keeps every N that decomposes; an N that fails raises its own
-    error again when the criterion decomposes it."""
-    try:
-        context.decompose_all(normals)
-    except GquotError:
-        pass
-
-
 def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     """Block reconstruction and quotient equi-dimensionality, one sweep."""
     rec1, rec2 = [], []
@@ -120,9 +113,7 @@ def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
     for gname, cname in _sweep_pairs(run.group):
         context = run.context(gname, cname)
         G = context.group
-        normals = [N for N in subgroups(G) if N.is_normal()]
-        _decompose_all(context, normals)
-        for N in normals:
+        for N in normal_subgroups(G):
             cases += 1
             tag = f"{gname}/{cname}/N{list(N.elements)}"
             try:
@@ -161,7 +152,6 @@ def criterion_3(run: _Run) -> CriterionResult:
         context = run.context(gname, f"nd_{gname}")
         G, alpha = context.group, context.cocycle
         agree = 0
-        _decompose_all(context, subgroups(G))
         for N in subgroups(G):
             try:
                 crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, context=context)

@@ -76,3 +76,30 @@ def test_group_file_lines_are_the_text_lines(tmp_path, text):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode())
     assert resolve_group(str(path)) == parse_group_table(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        (["group", "info", "--group"], "2\n0 1\n1 0\n"),
+        (["cocycle", "check", "--group", "C2", "--cocycle"], "2 2\n0 0\n0 1\n"),
+    ],
+    ids=["group", "cocycle"],
+)
+def test_rows_past_the_table_are_refused_at_the_first(tmp_path, capsys, command, header):
+    """A 1.2 MB group or cocycle file for C2 with 300,000 rows past its two
+    exits 2 at line 4, the first extra row, having read little more than
+    that line: the traced peak stays under 1 MiB."""
+    path = tmp_path / "long.txt"
+    path.write_text(header + "0 1\n" * 300_000)
+    main([*command, str(path)])  # first-use allocations stay out of the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main([*command, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().out.startswith("error: ValidationError: line 4: ")
+    assert peak < 2**20

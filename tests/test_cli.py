@@ -221,6 +221,19 @@ def test_grading_subcommands(tmp_path, capsys):
     assert code == 0 and "connected: True" in out
 
 
+@pytest.mark.parametrize("action", ["dims", "classify", "equidim"])
+@pytest.mark.parametrize("x", ["0^4611686018427387904 1^4611686018427387904", "0^99999999999999999999"])
+def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
+    """A total dimension eps(x)^2 above 2^63 - 1 is refused before the int64
+    gather, which wrapped the first descriptor's dimensions to 0 and could
+    not hold the second's multiplicity."""
+    desc = tmp_path / "d.txt"
+    desc.write_text(f"x: {x}\n")
+    code, out = run_cli(capsys, "grading", action, "--group", "C2", "--descriptor", str(desc))
+    assert code == 2
+    assert out.splitlines()[-1].startswith("error: SizeBoundError: ")
+
+
 def test_lagrangian_subcommands(capsys):
     code, out = run_cli(capsys, "lagrangian", "scan", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
     assert code == 0 and "candidates: 3" in out

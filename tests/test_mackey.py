@@ -23,6 +23,7 @@ import gquot.mackey as mackey
 from gquot.mackey import (
     TOL_SCALAR,
     MackeyContext,
+    MackeyDecomposition,
     _intertwiners,
     is_ecp_quotient,
     is_elementary_quotient,
@@ -879,15 +880,17 @@ def test_helpers_take_an_optional_module_axis(monkeypatch):
 
 @pytest.mark.parametrize("name, a", OBSTRUCTION_CASES, ids=[n for n, _ in OBSTRUCTION_CASES])
 def test_decompose_all_matches_each_subgroup_alone(name, a):
-    """On every orbit of every normal N, the stacked scan gives the table
-    (scale and exponent bytes), the blocks and the orbit data that
-    decomposing N alone in a fresh context gives; the fresh contexts share
-    one registry of their own."""
+    """On every orbit of every normal N, the decomposition the stacked scan
+    keeps has the table (scale and exponent bytes), the blocks and the orbit
+    data that decomposing N alone in a fresh context gives; the fresh
+    contexts share one registry of their own."""
     G = a.group
     normals = gq.normal_subgroups(G)
-    stacked = MackeyContext(G, a, 0).decompose_all(normals)
+    context = MackeyContext(G, a, 0)
+    assert context.decompose_all(normals) is None
     oracle = BlockOracle()
-    for N, got in zip(normals, stacked, strict=True):
+    for N in normals:
+        got = context.decompose(N)
         want = MackeyContext(G, a, 0, oracle).decompose(N)
         assert got.normal == N
         assert_same_decomposition(got, want)
@@ -960,8 +963,9 @@ def break_order_two_obstructions(monkeypatch):
 
 def test_a_broken_subgroup_in_a_stacked_pass_fails_as_it_fails_alone(monkeypatch):
     """The three subgroups of order 2 of C2xC2 share one stacked pass.  With
-    the module of N = {0, 2} broken, that pass raises; N raises the message
-    it raises alone, the other two decompose as they do alone, and
+    the module of N = {0, 2} broken, that pass raises and each class is
+    passed alone right away; N keeps the message it raises alone, the other
+    two decompose as they do alone, reading them makes no fifth pass, and
     criterion 1/2 records N only."""
     context, _ = two_module_class()
     order_two = [N for N in gq.subgroups(context.group) if N.order == 2]
@@ -973,16 +977,15 @@ def test_a_broken_subgroup_in_a_stacked_pass_fails_as_it_fails_alone(monkeypatch
     with pytest.raises(CertificationError, match=message) as alone:
         two_module_class()[0].decompose(broken)
     passes = recorded_passes(monkeypatch)
-    with pytest.raises(CertificationError) as stacked:
-        context.decompose_all(order_two)
-    assert str(stacked.value) == str(alone.value)
+    context.decompose_all(order_two)
     assert [orders for _, orders, _, _ in passes] == [[2, 2, 2], [2], [2], [2]]  # the stacked pass, then each N's own
+    with pytest.raises(CertificationError) as stacked:
+        context.decompose(broken)
+    assert str(stacked.value) == str(alone.value)
     for N in order_two:
         if N != broken:
             assert_same_decomposition(context.decompose(N), want[N.elements])
-    assert len(passes) == 4  # the two that decomposed were kept
-    with pytest.raises(CertificationError, match="character inner product of twist 1"):
-        context.decompose(broken)
+    assert len(passes) == 4
 
     run = suite._Run(0)
     monkeypatch.setattr(suite, "_sweep_pairs", lambda group: [("C2xC2", "trivial")])
@@ -991,20 +994,80 @@ def test_a_broken_subgroup_in_a_stacked_pass_fails_as_it_fails_alone(monkeypatch
     assert c2.records == [("cases", "5")] and not c1.passed and not c2.passed
 
 
+def recorded_stages_and_passes(monkeypatch):
+    """Every staging, as (context, elements of N), and the inertia group of
+    every obstruction pass, trivial or not."""
+    staged, groups = [], []
+    stage, obstructions = MackeyContext._stage, MackeyContext._obstructions
+
+    def recorded_stage(self, N):
+        staged.append((self, N.elements))
+        return stage(self, N)
+
+    def recorded_obstructions(self, group, classes):
+        groups.append(group)
+        return obstructions(self, group, classes)
+
+    monkeypatch.setattr(MackeyContext, "_stage", recorded_stage)
+    monkeypatch.setattr(MackeyContext, "_obstructions", recorded_obstructions)
+    return staged, groups
+
+
+def test_a_failing_subgroup_is_staged_once_per_context(monkeypatch):
+    """With the module of N = {0, 2} broken, the context keeps N's error:
+    decomposing N again, alone or in a second scan, raises the message N
+    raises alone and stages and passes nothing more."""
+    context, _ = two_module_class()
+    order_two = [N for N in gq.subgroups(context.group) if N.order == 2]
+    broken = order_two[1]
+    break_order_two_obstructions(monkeypatch)
+    with pytest.raises(CertificationError) as alone:
+        two_module_class()[0].decompose(broken)
+    staged, groups = recorded_stages_and_passes(monkeypatch)
+    context.decompose_all(order_two)
+    assert (len(staged), len(groups)) == (3, 4)
+    for _ in range(2):
+        with pytest.raises(CertificationError) as kept:
+            context.decompose(broken)
+        assert str(kept.value) == str(alone.value)
+    context.decompose_all(order_two)
+    assert (len(staged), len(groups)) == (3, 4)
+
+
+def test_a_battery_round_stages_each_kernel_once(monkeypatch):
+    """One seed-1 battery round stages each (context, N) once, 350 in all,
+    and makes 108 obstruction passes, none of them on a trivial inertia
+    group, whose classes take the trivial table when staged; neither
+    Theorem-D carrier passes a trivial group either."""
+    staged, groups = recorded_stages_and_passes(monkeypatch)
+    suite.run_battery(1)
+    assert len(staged) == len(set(staged)) == 350
+    assert len(groups) == 108 and all(group.n > 1 for group in groups)
+    for invariants in THEOREM_D_CARRIERS:
+        a = standard_nondegenerate(invariants)
+        maximal_elementary_quotients(a.group, a, seed=0)
+    assert all(group.n > 1 for group in groups)
+
+
 def test_decompose_all_keeps_every_subgroup_that_decomposes():
-    """A non-normal subgroup in the list raises its own NormalityError after
-    the others are kept; a subgroup of another group is refused first."""
+    """A non-normal subgroup in the list keeps its own NormalityError, which
+    ``decompose`` raises, and the others keep their decompositions, which a
+    second scan leaves as they are; a subgroup of another group is refused
+    first."""
     S3 = gq.make_group("S3")
     context = MackeyContext(S3, CocycleTable.trivial(S3), 0)
     normals = gq.normal_subgroups(S3)
     not_normal = next(H for H in gq.subgroups(S3) if not H.is_normal())
+    context.decompose_all([normals[0], not_normal, *normals[1:]])
     with pytest.raises(NormalityError) as stacked:
-        context.decompose_all([normals[0], not_normal, *normals[1:]])
+        context.decompose(not_normal)
     with pytest.raises(NormalityError) as alone:
         mackey_decompose(S3, CocycleTable.trivial(S3), not_normal)
     assert str(stacked.value) == str(alone.value)
-    assert all(N.elements in context._decompositions for N in normals)
-    assert context.decompose_all(normals) == [context.decompose(N) for N in normals]
+    kept = [context.decompose(N) for N in normals]
+    assert all(isinstance(dec, MackeyDecomposition) for dec in kept)
+    context.decompose_all(normals)
+    assert all(context.decompose(N) is dec for N, dec in zip(normals, kept))
     with pytest.raises(DomainError):
         context.decompose_all([normals[0], gq.Subgroup(gq.cyclic(6), (0,))])
 
