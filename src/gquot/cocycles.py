@@ -328,7 +328,7 @@ def parse_cocycle(text, group: FiniteGroup) -> CocycleTable:
             continue
         if header is None:
             parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
                 raise ValidationError(f"line {lineno}: expected header 'm n'")
             header = (int(parts[0]), int(parts[1]))
             if header[1] != group.n:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cocycles import CocycleTable, parse_cocycle
-from .errors import DomainError, SizeBoundError, TheoremCheckError, ValidationError
+from .errors import DomainError, GquotError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup
 
 INT64_MAX = 2**63 - 1  # the largest total dimension the int64 gather of ``induced_dims`` holds
@@ -227,24 +227,27 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
             fields[key.strip().lower()] = value.strip()
         if "x" not in fields:
             raise ValidationError(f"line {lineno}: summand needs an x field")
-        mults: dict = {}
-        for tok in fields["x"].split():
-            elem, _, mult = tok.partition("^")
-            try:
-                e = int(elem)
-                k = int(mult) if mult else 1
-            except ValueError:
-                raise ValidationError(f"line {lineno}: bad character token {tok!r}") from None
-            if not 0 <= e < group.n:
-                raise ValidationError(f"line {lineno}: element {e} out of range")
-            mults[e] = mults.get(e, 0) + k
-        x = Character.from_dict(group, mults)
-        h_field = fields.get("h", "")
-        if h_field in ("", "e", "0", "trivial"):
-            fine = None
-        else:
-            elems = tuple(int(t) for t in h_field.replace(",", " ").split())
-            fine = Subgroup(group, elems)
+        try:  # the x and H fields; an error in building them names this line
+            mults: dict = {}
+            for tok in fields["x"].split():
+                elem, _, mult = tok.partition("^")
+                try:
+                    e = int(elem)
+                    k = int(mult) if mult else 1
+                except ValueError:
+                    raise ValidationError(f"bad character token {tok!r}") from None
+                if not 0 <= e < group.n:
+                    raise ValidationError(f"element {e} out of range")
+                mults[e] = mults.get(e, 0) + k
+            x = Character.from_dict(group, mults)
+            h_field = fields.get("h", "")
+            if h_field in ("", "e", "0", "trivial"):
+                fine = None
+            else:
+                elems = tuple(int(t) for t in h_field.replace(",", " ").split())
+                fine = Subgroup(group, elems)
+        except (GquotError, ValueError) as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
         alpha_field = fields.get("alpha", "trivial")
         if alpha_field == "trivial" or fine is None:
             cocycle = None

@@ -427,7 +427,7 @@ def _descriptor_part(spec: str) -> tuple[str, int]:
     if not spec:
         raise ValidationError("empty group descriptor")
     kind, rest = spec[0].upper(), spec[1:]
-    if rest.isdigit() and kind in _PART_GROUP and (kind != "Q" or int(rest) == 8):
+    if rest.isascii() and rest.isdigit() and kind in _PART_GROUP and (kind != "Q" or int(rest) == 8):
         return kind, int(rest)
     raise ValidationError(f"unrecognized group descriptor {spec!r}")
 
@@ -824,7 +824,7 @@ def parse_group_table(text) -> FiniteGroup:
             continue
         if line.startswith("#"):
             parts = line[1:].split(None, 1)
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
                 raise ValidationError(f"line {lineno}: malformed label line")
             index = int(parts[0])
             if index in labels:
@@ -832,7 +832,7 @@ def parse_group_table(text) -> FiniteGroup:
             labels[index] = (lineno, parts[1])
             continue
         if n is None:
-            if not line.isdigit():
+            if not (line.isascii() and line.isdigit()):
                 raise ValidationError(f"line {lineno}: expected group order")
             n = int(line)
             if n > ORDER_BOUND:

@@ -9,7 +9,9 @@ Yang-Baxter solutions).
 
 Every verdict is double-certified: the exact coboundary solver and the
 numeric block oracle must agree, and every theorem-level equivalence is
-computed on both sides and compared, raising on any disagreement.
+computed on both sides and compared, raising on any disagreement.  Scans
+read the isotropy verdicts and the decompositions, quotients included, that
+one ``MackeyContext`` keeps, so nothing is certified twice on one context.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .groups import (
     homomorphisms,
     invariant_factor_sequences,
     permutation_group,
-    quotient,
     subgroups,
 )
 from .mackey import (
@@ -101,18 +102,16 @@ def lagrangian_scan(
     """All (normal) subgroups of order sqrt|G| with isotropy verdicts.
 
     Exhaustive over the subgroup lattice, so completeness is by construction.
-    With a ``context`` for (G, alpha, seed) the verdicts are the ones it
-    keeps, so a scan repeated on one context certifies nothing twice, and
-    every block-oracle question goes to its ``BlockOracle``; without one,
-    every verdict is certified by ``is_isotropic`` on one new registry.
+    Every verdict is the one the Mackey context for (G, alpha, seed) keeps,
+    ``context`` when the caller holds one, else a new one built for this
+    scan; so a scan repeated on one context certifies nothing twice, and
+    every block-oracle question goes to the context's ``BlockOracle``.
     """
     root = math.isqrt(G.n)
     if root * root != G.n:
         raise DomainError(f"|G| = {G.n} is not a perfect square")
-    if context is not None:
-        context = _mackey_context(G, alpha, seed, context)
-    oracle = BlockOracle() if context is None else context.oracle
-    if not is_nondegenerate(G, alpha, seed=seed, oracle=oracle):
+    context = _mackey_context(G, alpha, seed, context)
+    if not is_nondegenerate(G, alpha, seed=seed, oracle=context.oracle):
         raise DomainError("lagrangian_scan expects a non-degenerate class")
     out = []
     for H in subgroups(G):
@@ -121,10 +120,7 @@ def lagrangian_scan(
         normal = H.is_normal()
         if normal_only and not normal:
             continue
-        if context is None:
-            rep = is_isotropic(G, alpha, H, seed=seed, oracle=oracle)
-        else:
-            rep = _isotropy(context, H)
+        rep = _isotropy(context, H)
         out.append(LagrangianReport(H, rep.isotropic, rep.witness, normal))
     return out
 
@@ -352,10 +348,13 @@ def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...
 def lagrangian_quotient_is_iyb(
     G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
 ) -> IYBSearchResult:
-    """For a normal Lagrangian N, the quotient must admit a bijective 1-cocycle."""
-    if not crossed_product_iff_lagrangian(G, alpha, N, seed=seed):
+    """For a normal Lagrangian N, the quotient must admit a bijective 1-cocycle.
+
+    N's verdicts and its quotient come from one new Mackey context."""
+    context = MackeyContext(G, alpha, seed)
+    if not crossed_product_iff_lagrangian(G, alpha, N, seed=seed, context=context):
         raise DomainError("N is not a Lagrangian; the IYB consequence does not apply")
-    Q, _ = quotient(G, N)
+    Q = context.decompose(N).quotient_group
     if Q.n > IYB_BOUND:
         raise SizeBoundError(f"quotient order {Q.n} beyond IYB search bound {IYB_BOUND}")
     return iyb_witness_search(Q)

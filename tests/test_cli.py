@@ -234,6 +234,48 @@ def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
     assert out.splitlines()[-1].startswith("error: SizeBoundError: ")
 
 
+@pytest.mark.parametrize(
+    "line, record",
+    [
+        ("x: 0 1 | H: 0 a", "line 2: invalid literal for int() with base 10: 'a'"),
+        ("x: 0 1 | H: 0 9", "line 2: subgroup element 9 outside the group of order 4"),
+        ("x: 0 1 | H: 0 1", "line 2: subgroup not closed under inversion at 1"),
+        ("x: 0^0", "line 2: character multiplicities must be >= 1"),
+        ("x: ", "line 2: character must have non-empty support"),
+    ],
+    ids=["H token", "H element", "H inverses", "x multiplicity", "x support"],
+)
+def test_descriptor_field_errors_name_their_line(tmp_path, capsys, line, record):
+    """An error in building a line's x or H field names that line."""
+    desc = tmp_path / "d.txt"
+    desc.write_text(f"# one summand\n{line}\n")
+    code, out = run_cli(capsys, "grading", "dims", "--group", "C4", "--descriptor", str(desc))
+    assert (code, out) == (2, f"error: ValidationError: {record}\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, record",
+    [
+        (["group", "info", "--group"], "²\n0\n", "line 1: expected group order"),
+        (["group", "info", "--group"], "2\n0 1\n1 0\n# ² a\n", "line 4: malformed label line"),
+        (["cocycle", "check", "--group", "C2", "--cocycle"], "2 ²\n0 0\n0 1\n", "line 1: expected header 'm n'"),
+    ],
+    ids=["group order", "label index", "cocycle header"],
+)
+def test_unicode_digits_in_headers_are_refused_at_their_line(tmp_path, capsys, command, text, record):
+    """``str.isdigit`` accepts a superscript two, which ``int`` refuses; a
+    header or label index takes ASCII digits only."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, f"error: ValidationError: {record}\n")
+
+
+def test_unicode_digit_in_a_group_descriptor_is_unrecognized(capsys):
+    code, out = run_cli(capsys, "group", "info", "--group", "C²")
+    assert (code, out) == (2, "error: ValidationError: unrecognized group descriptor 'C²'\n")
+
+
 def test_lagrangian_subcommands(capsys):
     code, out = run_cli(capsys, "lagrangian", "scan", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
     assert code == 0 and "candidates: 3" in out

@@ -239,17 +239,13 @@ def test_isotropy_verdicts_are_certified_once_per_context(monkeypatch):
     assert asked == squares
 
 
-def test_lagrangian_scan_without_a_context_builds_none(monkeypatch):
-    """Without a context the scan asks ``is_isotropic`` directly: no Mackey
-    context, and with it no split of C^alpha G, is built."""
+def test_a_scan_without_a_context_reads_the_one_it_builds(monkeypatch):
+    """Without a context the scan builds one and reads its verdicts: the
+    reports equal those of a scan on a caller's context, and ``is_isotropic``
+    is asked once per subgroup of order sqrt|G|."""
     a = standard_nondegenerate([2, 4])
     G = a.group
-    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(G, a)]
-
-    def refused(self, *args, **kwargs):
-        raise AssertionError("lagrangian_scan built a MackeyContext")
-
-    monkeypatch.setattr(MackeyContext, "__init__", refused)
+    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(G, a, context=MackeyContext(G, a, 0))]
     asked = counted_isotropy(monkeypatch)
     reports = lagrangian_scan(G, a, seed=0)
     assert [(r.subgroup, r.isotropic, r.normal) for r in reports] == expected

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from gquot.cocycles import (
     cohomologous,
     standard_nondegenerate,
 )
-from gquot.errors import CertificationError, DomainError, NormalityError
+from gquot.errors import CertificationError, DomainError, NormalityError, TheoremCheckError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.groups import cayley_tree, generating_sequence
 from gquot.lagrangians import maximal_elementary_quotients
@@ -1070,6 +1071,65 @@ def test_decompose_all_keeps_every_subgroup_that_decomposes():
     assert all(context.decompose(N) is dec for N, dec in zip(normals, kept))
     with pytest.raises(DomainError):
         context.decompose_all([normals[0], gq.Subgroup(gq.cyclic(6), (0,))])
+
+
+# -- the decomposition checks fire ----------------------------------------------
+
+
+def klein_by_itself():
+    """The decomposition of C2xC2 with the trivial class by N = G: a trivial
+    quotient and four orbits of dimension one, so |N| = 4 on its one element."""
+    G = gq.make_group("C2xC2")
+    return mackey_decompose(G, CocycleTable.trivial(G), gq.Subgroup(G, tuple(range(4))))
+
+
+def with_first_orbit(dec, **changes):
+    return dataclasses.replace(dec, orbits=(dataclasses.replace(dec.orbits[0], **changes),) + dec.orbits[1:])
+
+
+def test_each_decomposition_check_fires_with_its_message():
+    """Each check of ``_check_decomposition`` raises on a real decomposition
+    with the one quantity it reads made wrong, and passes on the real one."""
+    dec = klein_by_itself()
+    mackey._check_decomposition(dec)
+    three_summands = dataclasses.replace(dec.descriptor, summands=dec.descriptor.summands[1:])
+    broken = [
+        (with_first_orbit(dec, delta=2), "summand dimensions do not add up to |G|"),
+        (with_first_orbit(dec, dim=2), "orbit dimension count does not reproduce |N|"),
+        (dataclasses.replace(dec, descriptor=three_summands), "quotient grading is not constantly |N|: [3]"),
+        (
+            dataclasses.replace(dec, oracle_dims=(1,) * 5),
+            "reconstruction mismatch: oracle (1, 1, 1, 1, 1) vs summands (1, 1, 1, 1)",
+        ),
+    ]
+    for wrong, message in broken:
+        with pytest.raises(TheoremCheckError) as raised:
+            mackey._check_decomposition(wrong)
+        assert str(raised.value) == message
+
+
+def test_the_graded_simple_identity_fires():
+    """The one orbit of nd_C2xC2 by the trivial N has |N|^2 |I| = d^2 |G| = 4;
+    with d = 2 the identity fails."""
+    a = standard_nondegenerate([2])
+    dec = mackey_decompose(a.group, a, gq.Subgroup(a.group, (0,)))
+    assert is_simple_quotient(dec)
+    with pytest.raises(TheoremCheckError) as raised:
+        is_simple_quotient(with_first_orbit(dec, dim=2))
+    assert str(raised.value) == "graded-simple dimension identity failed"
+
+
+def test_a_reconstruction_mismatch_fails_both_sweep_criteria(monkeypatch):
+    """Criteria 1 and 2 read the checks the context ran: with every
+    reconstruction wrong, each sweep kernel fails both criteria with its
+    ``decomposition failed`` record."""
+    monkeypatch.setattr(mackey, "_reconstructed_dims", lambda orbits: (0,))
+    c1, c2 = suite.criterion_1_and_2(suite._Run(0))
+    assert not c1.passed and not c2.passed
+    (_, cases), *failed = c1.records
+    assert c2.records == [("cases", cases)] and len(failed) == int(cases) == 312
+    assert all(record.startswith("decomposition failed: reconstruction mismatch: oracle (") for _, record in failed)
+    assert all(record.endswith(") vs summands (0,)") for _, record in failed)
 
 
 def _orbit_signature(dec):

@@ -91,6 +91,8 @@ def run(workdir, text, *command):
 @FUZZ
 @given(text=GROUP_FILES)
 @example(text="2\n0 1\n1 0\n" + "0 1\n" * 3)
+@example(text="²\n0\n")
+@example(text="2\n0 1\n1 0\n# ² a\n")
 def test_group_files(workdir, text):
     run(workdir, text, "group", "info", "--group")
 
@@ -98,6 +100,7 @@ def test_group_files(workdir, text):
 @FUZZ
 @given(text=COCYCLE_FILES)
 @example(text="2 2\n0 0\n0 1\n" + "0 1\n" * 3)
+@example(text="2 ²\n0 0\n0 1\n")
 def test_cocycle_files(workdir, text):
     run(workdir, text, "cocycle", "check", "--group", "C2", "--cocycle")
 
@@ -107,5 +110,6 @@ def test_cocycle_files(workdir, text):
 @given(group=st.sampled_from(["C2", "S3", "C2xC4"]), text=DESCRIPTOR_FILES)
 @example(group="C2", text="x: 0^4611686018427387904 1^4611686018427387904")
 @example(group="C2", text="x: 0^99999999999999999999")
+@example(group="C²", text="x: 0 1\n")
 def test_descriptor_files(workdir, action, group, text):
     run(workdir, text, "grading", action, "--group", group, "--descriptor")
