@@ -10,12 +10,19 @@ computation with bounded-length certificates for the freeness claims.
 
 Each diagram (which classes share which quotients) is stated once, as the
 edge dict of a ``GroupDiagram``, one map per (source index, target key);
-deriving it from first principles is out of scope.  The admissible-tuple
-enumerators read the fibres of those maps.  A ``Pullback`` names generator
-tuples over the sources, and one ``ProductGroup`` multiplies tuples
-componentwise with the element protocol of finite groups and free products
-(``identity``, ``mul``, ``inv``, ``prod``): a word in the generators is one
-``prod`` per component, and t^k is the ``prod`` of k copies of t.
+deriving it from first principles is out of scope.  The source and quotient
+groups (C2, C3, C4, C2xC2, C2*C2 and C3*C2) are built once, at import, and
+every diagram is built on them, so tuples enumerated on one pull-back and
+expressed with another meet the same group objects and membership, factor
+maps and word products compare groups by identity; each ``rank4_pullback()``
+or ``rank5_pullback()`` call still builds its own diagram, maps and
+generators.  The admissible-tuple enumerators read the fibres of those maps;
+a factor map reads a word's image off its factors' image tables, one lookup
+per syllable.  A ``Pullback`` names generator tuples over the sources, and
+one ``ProductGroup`` multiplies tuples componentwise with the element
+protocol of finite groups and free products (``identity``, ``mul``, ``inv``,
+``prod``): a word in the generators is one ``prod`` per component, over the
+columns of its tuples, and t^k is the ``prod`` of k copies of t.
 
 The two expression entries, ``express_rank4`` and ``express_rank5``, each
 check a tuple once on entry (every component an element of its source, all
@@ -60,10 +67,15 @@ class ProductGroup:
         return tuple(g.inv(a) for g, a in zip(self.factors, t))
 
     def prod(self, tuples) -> tuple:
-        """The product of a sequence of tuples, one ``prod`` per component;
-        the identity when empty."""
+        """The product of a sequence of tuples, one ``prod`` per component
+        over the columns of the sequence; the identity when empty.  A tuple
+        whose length is not the number of factors raises ``DomainError``."""
         tuples = list(tuples)
-        return tuple(g.prod(t[i] for t in tuples) for i, g in enumerate(self.factors))
+        if not tuples:
+            return self.identity()
+        if any(len(t) != len(self.factors) for t in tuples):
+            raise DomainError("tuple length does not match the product's factors")
+        return tuple(g.prod(col) for g, col in zip(self.factors, zip(*tuples), strict=True))
 
 
 @dataclass(frozen=True)
@@ -145,25 +157,29 @@ TAU = 1        # (0,1)
 SIGMA_TAU = 3  # (1,1)
 
 
+# the source and quotient groups of both diagrams, shared by every pull-back
+_C2, _C3, _C4 = cyclic(2), cyclic(3), cyclic(4)
+_KLEIN = direct_product(_C2, _C2)
+_FREE22 = FreeProductGroup((_C2, _C2), name="C2*C2")
+_FREE32 = FreeProductGroup((_C3, _C2), name="C3*C2")
+
+
 def rank4_pullback() -> Pullback:
     """Sources C4, C2xC2, C2*C2 over a common C2 quotient, with generators z1, z2, z3."""
-    c2 = cyclic(2)
-    c4, klein = cyclic(4), direct_product(c2, c2)
-    free22 = FreeProductGroup((c2, c2), name="C2*C2")
-    onto = GroupHom(c2, c2, (0, 1))
+    onto = GroupHom(_C2, _C2, (0, 1))
     diagram = GroupDiagram(
-        sources=(c4, klein, free22),
-        targets={"y": c2},
+        sources=(_C4, _KLEIN, _FREE22),
+        targets={"y": _C2},
         edges={
-            (0, "y"): GroupHom(c4, c2, (0, 1, 0, 1)),
-            (1, "y"): GroupHom(klein, c2, (0, 1, 1, 0)),
-            (2, "y"): FactorMap(free22, c2, (onto, onto)),
+            (0, "y"): GroupHom(_C4, _C2, (0, 1, 0, 1)),
+            (1, "y"): GroupHom(_KLEIN, _C2, (0, 1, 1, 0)),
+            (2, "y"): FactorMap(_FREE22, _C2, (onto, onto)),
         },
     )
     return Pullback(diagram, {
-        "z1": (1, SIGMA, free22.letter(0, 1)),        # (x, sigma, a)
-        "z2": (1, SIGMA, free22.letter(1, 1)),        # (x, sigma, b)
-        "z3": (2, SIGMA_TAU, free22.identity()),      # (x^2, sigma tau, e)
+        "z1": (1, SIGMA, _FREE22.letter(0, 1)),       # (x, sigma, a)
+        "z2": (1, SIGMA, _FREE22.letter(1, 1)),       # (x, sigma, b)
+        "z3": (2, SIGMA_TAU, _FREE22.identity()),     # (x^2, sigma tau, e)
     })
 
 
@@ -233,25 +249,22 @@ def express_rank4(t, pb: Pullback | None = None) -> list[str]:
 def rank5_pullback() -> Pullback:
     """The rank-4 sources and C3*C2 over the quotients y and kappa, with generators w, b, c, g."""
     d4 = rank4_pullback().diagram
-    c4, klein, free22 = d4.sources
-    c2, c3, c2k = cyclic(2), cyclic(3), cyclic(2)
-    free32 = FreeProductGroup((c3, c2), name="C3*C2")
     # red sub-diagram: a and h to the common involution, b and g to the identity
     diagram = GroupDiagram(
-        sources=(c4, klein, free22, free32),
-        targets={**d4.targets, "kappa": c2k},
+        sources=(*d4.sources, _FREE32),
+        targets={**d4.targets, "kappa": _C2},
         edges={
             **d4.edges,
-            (2, "kappa"): FactorMap(free22, c2k, (GroupHom(c2, c2k, (0, 1)), GroupHom(c2, c2k, (0, 0)))),
-            (3, "kappa"): FactorMap(free32, c2k, (GroupHom(c3, c2k, (0, 0, 0)), GroupHom(c2, c2k, (0, 1)))),
+            (2, "kappa"): FactorMap(_FREE22, _C2, (GroupHom(_C2, _C2, (0, 1)), GroupHom(_C2, _C2, (0, 0)))),
+            (3, "kappa"): FactorMap(_FREE32, _C2, (GroupHom(_C3, _C2, (0, 0, 0)), GroupHom(_C2, _C2, (0, 1)))),
         },
     )
-    e22, e32 = free22.identity(), free32.identity()
+    e22, e32 = _FREE22.identity(), _FREE32.identity()
     return Pullback(diagram, {
-        "w": (1, SIGMA, free22.letter(0, 1), free32.letter(1, 1)),  # (x, sigma, a, h)
-        "b": (1, SIGMA, free22.letter(1, 1), e32),                  # (x, sigma, b, e)
-        "c": (2, SIGMA_TAU, e22, e32),                              # (x^2, sigma tau, e, e)
-        "g": (0, 0, e22, free32.letter(0, 1)),                      # (e, e, e, g)
+        "w": (1, SIGMA, _FREE22.letter(0, 1), _FREE32.letter(1, 1)),  # (x, sigma, a, h)
+        "b": (1, SIGMA, _FREE22.letter(1, 1), e32),                    # (x, sigma, b, e)
+        "c": (2, SIGMA_TAU, e22, e32),                                # (x^2, sigma tau, e, e)
+        "g": (0, 0, e22, _FREE32.letter(0, 1)),                       # (e, e, e, g)
     })
 
 

@@ -164,7 +164,9 @@ class FactorMap:
     """A homomorphism from a free product to a finite group.
 
     Each factor carries a full homomorphism, so factor relations are checked
-    at build time.
+    at build time.  A word's image is read off image tables: each syllable
+    (fi, p) is one lookup ``maps[fi].images[p]`` and one step through the
+    target's row lists, multiplying left to right from the identity.
     """
 
     source: FreeProductGroup
@@ -181,7 +183,10 @@ class FactorMap:
     def __call__(self, w: Word) -> int:
         if w.group is not self.source and w.group != self.source:
             raise DomainError("words from different free products")
-        return self.target.prod(self.maps[fi](p) for fi, p in w.syllables)
+        rows, images, out = self.target.rows, [m.images for m in self.maps], 0
+        for fi, p in w.syllables:
+            out = rows[out][images[fi][p]]
+        return out
 
     def is_surjective(self) -> bool:
         gens = {g for m in self.maps for g in m.images}

@@ -5,13 +5,19 @@ deleted, repeated or inserted), or lines of noise.  It goes through
 ``cli.main`` with a command that only parses and validates it (``group
 info``, ``cocycle check``, ``grading dims``, ``classify`` and ``equidim``,
 none of which runs the numeric oracle).  Every run exits 0 or 2, never 1 and
-never with an exception, and an exit of 2 ends in an ``error:`` record.
+never with an exception, and an exit of 2 ends in an ``error: <Name>:``
+record whose ``<Name>`` is a subclass of ``GquotError``: an input the
+parsers do not catch themselves surfaces as a ``ValueError`` or another
+built-in error there, and fails.
 """
+
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gquot as gq
+from gquot import errors
 from gquot.cli import main
 from gquot.groups import format_group_table
 
@@ -66,6 +72,10 @@ DESCRIPTOR_FILES = files(
         "x: 0 1 2 3 4 5 | H: 0 1 2 | alpha: trivial\n",
     ]
 )
+ERROR_NAMES = {
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.GquotError) and cls is not errors.GquotError
+}
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
 
 
@@ -78,14 +88,17 @@ def workdir(tmp_path_factory):
 
 def run(workdir, text, *command):
     """``main`` on ``text`` written as the file the command reads; the exit
-    must be 0 or 2, and an exit of 2 must end in an ``error:`` record."""
+    must be 0 or 2, and an exit of 2 must end in an ``error: <Name>:``
+    record naming a ``GquotError`` subclass."""
     path, out = workdir / "input.txt", workdir / "out.txt"
     path.write_bytes(text.encode())
     out.unlink(missing_ok=True)
     code = main([*command, str(path), "--out", str(out)])
     assert code in (0, 2)
     if code == 2:
-        assert out.read_text().splitlines()[-1].startswith("error: ")
+        record = out.read_text().splitlines()[-1]
+        match = re.match(r"error: (\w+): ", record)
+        assert match and match[1] in ERROR_NAMES, record
 
 
 @FUZZ

@@ -137,6 +137,71 @@ def test_product_group_matches_the_tuple_helpers(pb, data):
         assert P.prod([t] * k) == reference_tuple_pow(S, t, k) == reference_power_loop(S, t, k)
 
 
+def generator_sequences(pb, length):
+    """Every sequence of ``length`` tuples from the generators and their inverses."""
+    steps = [s for t in pb.generators.values() for s in (t, pb.group.inv(t))]
+    return itertools.product(steps, repeat=length)
+
+
+@pytest.mark.parametrize("pb", [RANK4, RANK5], ids=["rank4", "rank5"])
+@pytest.mark.parametrize("length", range(5))
+def test_product_group_prod_matches_the_mul_fold(pb, length):
+    """``prod`` by columns against a left fold of ``mul`` from the identity,
+    on every sequence of generators and inverses of length 0 to 4."""
+    P = pb.group
+    for tuples in generator_sequences(pb, length):
+        assert P.prod(tuples) == functools.reduce(P.mul, tuples, P.identity())
+        assert P.prod(iter(tuples)) == P.prod(list(tuples))
+
+
+@pytest.mark.parametrize("pb", [RANK4, RANK5], ids=["rank4", "rank5"])
+def test_product_group_prod_refuses_tuples_of_the_wrong_length(pb):
+    """A short or long tuple anywhere in the sequence raises; ``zip`` never
+    truncates it."""
+    P = pb.group
+    t = pb.generators[sorted(pb.generators)[0]]
+    for bad in (t[:-1], t + t[-1:], ()):
+        for tuples in ([bad], [t, bad], [bad, t], [t, bad, t], [bad, bad]):
+            with pytest.raises(DomainError, match="tuple length"):
+                P.prod(tuples)
+
+
+def test_pullbacks_share_their_source_groups():
+    """Two pull-backs of each rank have the same source and target objects,
+    and the rank-5 sources extend the rank-4 ones; each call has its own
+    generators dict."""
+    first, second = rank4_pullback(), rank4_pullback()
+    assert all(a is b for a, b in zip(first.diagram.sources, second.diagram.sources, strict=True))
+    assert first.diagram.targets["y"] is second.diagram.targets["y"]
+    assert first.generators is not second.generators and first.generators == second.generators
+    five, again = rank5_pullback(), rank5_pullback()
+    assert all(a is b for a, b in zip(five.diagram.sources, again.diagram.sources, strict=True))
+    assert all(a is b for a, b in zip(five.diagram.sources, first.diagram.sources))
+    assert five.generators is not again.generators
+
+
+def test_expressions_compare_no_group_tables(monkeypatch):
+    """Tuples enumerated on one pull-back and expressed with another reach
+    no ``FiniteGroup.__eq__`` that compares two distinct groups' tables."""
+    from gquot.groups import FiniteGroup
+
+    compared, eq = [], FiniteGroup.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            compared.append((self, other))
+        return eq(self, other)
+
+    rank4, rank5 = enumerate_admissible_rank4(60), enumerate_admissible_rank5(6, 6)
+    pb4, pb5 = rank4_pullback(), rank5_pullback()
+    monkeypatch.setattr(FiniteGroup, "__eq__", counted)
+    for t in rank4:
+        express_rank4(t, pb4)
+    for t in rank5:
+        express_rank5(t, pb5)
+    assert compared == []
+
+
 def test_unknown_generator_names_raise_key_error():
     with pytest.raises(KeyError):
         RANK4.generators["w"]
@@ -400,8 +465,8 @@ def test_rank5_components_outside_their_sources_raise(t):
 
 def test_members_of_an_equal_free_product_are_accepted():
     """Membership compares free products by their factors, as products do."""
-    other = rank4_pullback()
-    t = (1, SIGMA, other.diagram.sources[2].letter(0, 1))
+    other = FreeProductGroup((cyclic(2), cyclic(2)), name="C2*C2")
+    t = (1, SIGMA, other.letter(0, 1))
     assert t[2].group is not F22
     assert express_rank4(t, RANK4) == ["z1"]
 

@@ -302,3 +302,15 @@ def test_factor_map_matches_the_syllable_fold():
     fm = FactorMap(F, S3, (onto_s3, c2_in_s3))
     for w in enumerate_words(F, 4):
         assert fm(w) == reference_factor_map(fm, w)
+
+
+def test_factor_maps_of_the_rank5_diagram_match_the_prod_fold():
+    """Every factor map of the rank-5 diagram, on every word of at most six
+    syllables of its source, against ``target.prod`` of the factor images."""
+    from gquot.pullbacks import rank5_pullback
+
+    edges = [(i, m) for (i, _), m in rank5_pullback().diagram.edges.items() if isinstance(m, FactorMap)]
+    assert sorted({m.source.name for _, m in edges}) == ["C2*C2", "C3*C2"]
+    for i, fm in edges:
+        for w in enumerate_words(fm.source, 6):
+            assert fm(w) == fm.target.prod(fm.maps[fi](p) for fi, p in w.syllables)
