@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .catalog import resolve_cocycle, resolve_group
 from .cocycles import bicharacter_of, cohomologous
-from .errors import CertificationError, GquotError, TheoremCheckError
+from .errors import CertificationError, GquotError, TheoremCheckError, ValidationError
 from .gradings import (
     descriptor_dims,
     is_connected,
@@ -109,8 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_subgroup(G, spec: str) -> Subgroup:
-    elems = tuple(int(tok) for tok in spec.replace(",", " ").split())
-    return Subgroup(G, elems)
+    """The subgroup of G listed by ``spec``, element indices separated by
+    commas or blanks.  A token other than ASCII digits after an optional minus
+    sign raises ValidationError; Subgroup refuses an index out of range."""
+    tokens = spec.replace(",", " ").split()
+    for tok in tokens:
+        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+            raise ValidationError(f"subgroup element {tok!r} is not an integer")
+    return Subgroup(G, tuple(int(tok) for tok in tokens))
 
 
 def _cmd_group(args, em: _Emitter) -> int:

@@ -379,22 +379,25 @@ class MackeyContext:
         Each class is (stage, inertia, indices): the modules ``indices`` of
         C^alpha N for the staged N, all of one dimension d, whose inertia
         group in G/N is ``inertia``, with the table of ``group``; every class
-        has the same d and |N|.  For the lifts s_a = section[a] of each class,
-        n(a, b) = s_ab^-1 s_a s_b must lie in N (checked for every pair), and
-        for each module P_a P_b is a scalar multiple of P_ab rho(n(a, b)).
-        The modules are stacked as rho[module, n] and go through
-        ``_intertwiners``, ``_composition_scalars`` and ``_exact_cocycle``
-        along that leading axis; the conjugation gathers, n(a, b) and
-        c(a, b) are read once per class, and go along it too when the pass
-        holds more than one class.  Each module keeps its own certificates,
-        and each check reports its first failing module.
+        has the same d and |N|.  The M modules of the pass are stacked as
+        rho[module, n], and one loop over the classes fills, for each class's
+        slice of that leading axis, the twists rho_g[module, a], and for the
+        lifts s_a = section[a] the positions n[module, a, b] in N of
+        n(a, b) = s_ab^-1 s_a s_b and the phases c[module, a, b] =
+        alpha(s_a, s_b) / alpha(s_ab, n(a, b)).  Every n(a, b) must lie in N,
+        and for each module P_a P_b is a scalar multiple of P_ab rho(n(a, b)).
+        The stacks go through ``_intertwiners``, ``_composition_scalars`` and
+        ``_exact_cocycle`` along that axis.  Each module keeps its own
+        certificates, and each check reports its first failing module.
         """
-        G, seed = self.group, self.seed
+        G, seed, k = self.group, self.seed, group.n
         alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
         modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]
         rho = np.stack([self.oracle.irreducible_rep(a, i, seed) for a, i in modules])
-        rho_g = np.empty((len(rho), group.n, *rho.shape[1:]), dtype=np.complex128)
-        lifts, start = [], 0
+        rho_g = np.empty((len(rho), k, *rho.shape[1:]), dtype=np.complex128)
+        n = np.empty((len(rho), k, k), dtype=np.int64)
+        c = np.empty((len(rho), k, k), dtype=np.complex128)
+        start = 0
         for stage, inertia, indices in classes:
             gs = stage.section[list(inertia.elements)]
             N_pos = _positions(G, stage.normal)
@@ -404,38 +407,31 @@ class MackeyContext:
             kappa = self.kappa[gs[:, None], N_embed]
             stop = start + len(indices)
             rho_g[start:stop] = kappa[:, :, None, None] * rho[start:stop, N_pos[conj]]
-            lifts.append((gs, N_pos))
+            s_ab = gs[group.table]
+            n_ab = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
+            n[start:stop] = N_pos[n_ab]
+            c[start:stop] = self.phases[gs[:, None], gs] / self.phases[s_ab, n_ab]
             start = stop
         P, residual = _intertwiners(rho, rho_g)
         del rho_g
+        if (n < 0).any():
+            raise CertificationError("lifts of the inertia group do not compose inside N")
         law = np.array([self.oracle.rep_defect(a, i, seed) for a, i in modules])
-
-        n, c = [], []
-        for (_, _, indices), (gs, N_pos) in zip(classes, lifts):
-            s_ab = gs[group.table]
-            n_ab = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]  # n(a, b) = s_ab^-1 s_a s_b
-            if (N_pos[n_ab] < 0).any():
-                raise CertificationError("lifts of the inertia group do not compose inside N")
-            # alpha(s_a, s_b) / alpha(s_ab, n(a, b))
-            c_ab = self.phases[gs[:, None], gs] / self.phases[s_ab, n_ab]
-            n += [N_pos[n_ab]] * len(indices)
-            c += [c_ab] * len(indices)
-        n, c = (n[0], c[0]) if len(classes) == 1 else (np.stack(n), np.stack(c))
         cosets = G.n // classes[0][0].normal.order
         omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
         return _exact_cocycle(group, omega)
 
 
 def _composition_scalars(group, P, rho, n, c, cosets, delta):
-    """The unit scalars omega(a, b) of the intertwiners on a non-trivial
-    inertia group, certified on generator columns.
+    """The unit scalars omega[module, a, b] of the intertwiners of M modules
+    on one non-trivial inertia group, certified on generator columns.
 
-    P[a] intertwines the lift s_a, n[a, b] is the position in N of
-    n(a, b) = s_ab^-1 s_a s_b, c[a, b] = alpha(s_a, s_b) / alpha(s_ab, n(a, b)),
-    ``cosets`` = |G : N|, and ``delta`` is what one tree step below may add
-    to the defect.  P, rho and delta may carry a leading module axis, which
-    the scalars keep; n and c carry it too, or are shared by every module,
-    and the tree is shared.  Only the columns s in
+    For module m, P[m, a] intertwines the lift s_a, n[m, a, b] is the
+    position in N of n(a, b) = s_ab^-1 s_a s_b, c[m, a, b] =
+    alpha(s_a, s_b) / alpha(s_ab, n(a, b)), and delta[m] is what one tree
+    step below may add to the defect; P is (M, k, d, d), rho (M, |N|, d, d),
+    n and c (M, k, k), delta (M,), and ``cosets`` = |G : N| and the tree are
+    shared.  Only the columns s in
     {e} and ``generating_sequence(group)``, r + 1 <= 1 + log2 k of them, are
     multiplied out: mu(a, s) = <P_as rho(n), P_a P_s> / ||P_as rho(n)||_F^2
     with n = n(a, s), and omega(a, s) = c(a, s) conj(mu) / |mu|.
@@ -490,17 +486,14 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
     steps = tree.height
     tol = TOL_SCALAR / (2 * steps - 1)
     cols = np.array((0, *tree.generators))
-    composed = P[..., :, None, :, :] @ P[..., None, cols, :, :]  # [..., a, s]: P_a P_s
-    if n.ndim == 3:  # per-module lifts: module m reads its own rows of n
-        rho_n = rho[np.arange(len(rho))[:, None, None], n[..., cols]]
-    else:
-        rho_n = rho[..., n[:, cols], :, :]
-    target = P[..., group.table[:, cols], :, :] @ rho_n  # [..., a, s]: P_as rho(n(a, s))
+    composed = P[:, :, None] @ P[:, None, cols]  # [m, a, s]: P_a P_s
+    rho_n = rho[np.arange(len(rho))[:, None, None], n[:, :, cols]]  # module m reads its own rows of n
+    target = P[:, group.table[:, cols]] @ rho_n  # [m, a, s]: P_as rho(n(a, s))
     norms = (np.abs(target) ** 2).sum(axis=(-2, -1))
-    mu = np.einsum("...aspq,...aspq->...as", target.conj(), composed) / norms
+    mu = np.einsum("masij,masij->mas", target.conj(), composed) / norms
     residual = np.sqrt(cosets * (np.abs(composed - mu[..., None, None] * target) ** 2).sum(axis=(-2, -1)))
     defect = np.sqrt(residual**2 + cosets * (np.abs(mu) - 1.0) ** 2 * norms)
-    charged = defect + (np.sqrt(cosets) * (steps - 1) / (2 * steps - 1) * delta)[..., None, None]
+    charged = defect + (np.sqrt(cosets) * (steps - 1) / (2 * steps - 1) * delta)[:, None, None]
     fails = np.flatnonzero(charged > tol)  # row-major: the first failing module, a, then column
     if fails.size:
         i = fails[0]
@@ -511,12 +504,12 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
         raise CertificationError(
             f"intertwining residuals charge the column defect to {charged.flat[i]:.2e}, beyond {tol:.2e}"
         )
-    omega = np.empty((*mu.shape[:-2], k, k), dtype=np.complex128)
-    omega[..., cols] = c[..., cols] * (mu / np.abs(mu)).conj()
+    omega = np.empty((len(mu), k, k), dtype=np.complex128)
+    omega[:, :, cols] = c[:, :, cols] * (mu / np.abs(mu)).conj()
     for level in range(2, steps + 1):
         b = np.flatnonzero(tree.depth == level)
         p, s = tree.parent[b], tree.edge[b]
-        omega[..., b] = omega[..., p] * omega[..., group.table[:, p], s] / omega[..., None, p, s]
+        omega[:, :, b] = omega[:, :, p] * omega[:, group.table[:, p], s] / omega[:, None, p, s]
     return omega
 
 
@@ -552,10 +545,10 @@ def _first_occurrences(labels) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-def _exact_cocycle(group: FiniteGroup, omega: np.ndarray):
-    """The unit-modulus cocycle table omega on ``group`` as exponents of |group|-th
-    roots of unity, in its class; for a stack omega[module] the list of the
-    modules' tables.
+def _exact_cocycle(group: FiniteGroup, omega: np.ndarray) -> list[CocycleTable]:
+    """The unit-modulus cocycle tables omega[module] on ``group``, (M, k, k), as
+    exponents of |group|-th roots of unity, each in its class: the list of the
+    M modules' tables.
 
     With k = |group| and F(a) = prod_c omega(a, c), the cocycle identity gives
     omega(a, b)^k = F(a) F(b) / F(ab), so for c the principal k-th root of F
@@ -566,22 +559,22 @@ def _exact_cocycle(group: FiniteGroup, omega: np.ndarray):
     """
     k = group.n
     c = np.exp(1j * np.angle(omega.prod(axis=-1)) / k)
-    gauged = omega * c[..., group.table] / (c[..., :, None] * c[..., None, :])
+    gauged = omega * c[:, group.table] / (c[:, :, None] * c[:, None, :])
     exps = np.round(np.angle(gauged) * k / (2 * np.pi)).astype(np.int64) % k
     residual = np.abs(np.exp(2j * np.pi * exps / k) - gauged).max(axis=(-2, -1))
     bad = np.flatnonzero(residual > TOL_SCALAR)
     if bad.size:
-        raise CertificationError(f"obstruction is {residual.flat[bad[0]]:.2e} away from the |I|-th roots of unity")
-    tables = [CocycleTable(group, k, e) for e in exps.reshape(-1, k, k)]
-    return tables if omega.ndim > 2 else tables[0]
+        raise CertificationError(f"obstruction is {residual[bad[0]]:.2e} away from the |I|-th roots of unity")
+    return [CocycleTable(group, k, e) for e in exps]
 
 
 def _intertwiners(rho, rho_g):
-    """The unitary P[g] with rho_g[g](n) P[g] = P[g] rho(n), for every twist
-    at once, and the module's intertwining residual.
+    """The unitary P[m, g] with rho_g[m, g](n) P[m, g] = P[m, g] rho[m](n), for
+    every twist of every module at once, and each module's intertwining
+    residual.
 
-    rho is one module (n, d, d) and rho_g its k twists (k, n, d, d), or both
-    carry a leading module axis, which P and the residual keep.
+    rho holds M modules (M, n, d, d) and rho_g their k twists (M, k, n, d, d);
+    P is (M, k, d, d) and the residual (M,).
     X -> rho_g(n) X rho(n)^-1 is a unitary representation of N, because rho_g
     and rho carry the same cocycle, so its average
     R_g = (1/|N|) sum_n rho_g(n) (x) conj(rho(n)) on row-major vec is the
@@ -595,11 +588,11 @@ def _intertwiners(rho, rho_g):
     bound.  A failure names the first failing module's first failing twist,
     counted within its module.
     """
-    *lead, k, n, d, _ = rho_g.shape
-    rho_g, rho = rho_g.reshape(-1, k, n, d, d), rho.reshape(-1, 1, n, d, d)
-    m, twists = np.arange(len(rho))[:, None], np.arange(k)
-    R = rho_g.reshape(-1, k, n, d * d).swapaxes(-1, -2) @ rho.conj().reshape(-1, 1, n, d * d)
-    R = R.reshape(-1, k, d, d, d, d).swapaxes(-3, -2).reshape(-1, k, d * d, d * d)
+    M, k, n, d, _ = rho_g.shape
+    rho = rho[:, None]
+    m, twists = np.arange(M)[:, None], np.arange(k)
+    R = rho_g.reshape(M, k, n, d * d).swapaxes(-1, -2) @ rho.conj().reshape(M, 1, n, d * d)
+    R = R.reshape(M, k, d, d, d, d).swapaxes(-3, -2).reshape(M, k, d * d, d * d)
     R /= n
     pairing = np.trace(R, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.abs(pairing - 1.0) > TOL_ROUND)
@@ -608,9 +601,9 @@ def _intertwiners(rho, rho_g):
             f"character inner product of twist {bad[0] % k} with the module is "
             f"{pairing.flat[bad[0]]:.12f}, expected 1"
         )
-    P = R[m, twists, :, np.linalg.norm(R, axis=-2).argmax(axis=-1)].reshape(-1, k, d, d)
+    P = R[m, twists, :, np.linalg.norm(R, axis=-2).argmax(axis=-1)].reshape(M, k, d, d)
     P *= np.sqrt(d) / np.linalg.norm(P, axis=(-2, -1))[..., None, None]
-    flat = P.reshape(-1, k, d * d)
+    flat = P.reshape(M, k, d * d)
     first = flat[m, twists, (np.abs(flat) > 1e-6).argmax(axis=-1)]
     P *= (np.abs(first) / first)[..., None, None]
     unitary = np.abs(P @ P.conj().swapaxes(-1, -2) - np.eye(d)).max(axis=(-3, -2, -1))
@@ -626,7 +619,7 @@ def _intertwiners(rho, rho_g):
     if bad.size:
         raise CertificationError(f"intertwiner residual {entry[bad[0]]:.2e} beyond tolerance")
     residual = np.sqrt((error**2).sum(axis=(-2, -1))).max(axis=(-2, -1))
-    return P.reshape(*lead, k, d, d), residual.reshape(lead)
+    return P, residual
 
 
 def _reconstructed_dims(orbits) -> tuple[int, ...]:

@@ -45,6 +45,7 @@ from .groups import GroupHom, cyclic, direct_product, invariant_factor_sequences
 from .words import FactorMap, FreeProductGroup, Word, enumerate_words
 
 H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_presentation_h5
+_WIDTH_ERROR = "tuple length does not match the product's factors"
 
 
 # -- diagrams ------------------------------------------------------------------
@@ -53,7 +54,9 @@ H5_WORD_LEN = 6  # word length of the bounded <w,b,g> certificate in verify_pres
 @dataclass(frozen=True)
 class ProductGroup:
     """The direct product of finite groups and free products: the element
-    protocol on tuples, one component per factor."""
+    protocol on tuples, one component per factor.  A tuple whose length is
+    not the number of factors raises ``DomainError`` in ``mul``, ``inv`` and
+    ``prod``."""
 
     factors: tuple
 
@@ -61,20 +64,23 @@ class ProductGroup:
         return tuple(g.identity() for g in self.factors)
 
     def mul(self, s, t) -> tuple:
+        if not len(s) == len(t) == len(self.factors):
+            raise DomainError(_WIDTH_ERROR)
         return tuple(g.mul(a, b) for g, a, b in zip(self.factors, s, t))
 
     def inv(self, t) -> tuple:
+        if len(t) != len(self.factors):
+            raise DomainError(_WIDTH_ERROR)
         return tuple(g.inv(a) for g, a in zip(self.factors, t))
 
     def prod(self, tuples) -> tuple:
         """The product of a sequence of tuples, one ``prod`` per component
-        over the columns of the sequence; the identity when empty.  A tuple
-        whose length is not the number of factors raises ``DomainError``."""
+        over the columns of the sequence; the identity when empty."""
         tuples = list(tuples)
         if not tuples:
             return self.identity()
         if any(len(t) != len(self.factors) for t in tuples):
-            raise DomainError("tuple length does not match the product's factors")
+            raise DomainError(_WIDTH_ERROR)
         return tuple(g.prod(col) for g, col in zip(self.factors, zip(*tuples), strict=True))
 
 

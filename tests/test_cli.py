@@ -160,11 +160,23 @@ def test_twisted_and_mackey(capsys):
     assert "reconstruction_check: True" in out
 
 
-@pytest.mark.parametrize("normal, bad", [("0,9", 9), ("0,-2", -2)])
+@pytest.mark.parametrize("normal, bad", [("0,9", 9), ("0,-2", -2), ("0,99", 99), ("0,-1", -1)])
 def test_mackey_subgroup_outside_group_exits_2(capsys, normal, bad):
     code, out = run_cli(capsys, "mackey", "decompose", "--group", "C4", "--normal", normal)
     assert code == 2
     assert f"error: ValidationError: subgroup element {bad} outside the group of order 4" in out
+
+
+@pytest.mark.parametrize("token", ["a", "²", "١", "1.5", "1_0", "+1", "--1"])
+def test_normal_tokens_that_are_not_integers_exit_2(capsys, token):
+    """Only ASCII digits after an optional minus sign read as an element index;
+    ``int`` alone would read a non-ASCII digit such as ``١`` as 1."""
+    record = f"error: ValidationError: subgroup element {token!r} is not an integer\n"
+    code, out = run_cli(capsys, "mackey", "decompose", "--group", "C4", f"--normal=0,{token}")
+    assert (code, out) == (2, record)
+    theorem_c = ["lagrangian", "theoremC", "--group", "C2xC2", "--cocycle", "nd_C2xC2"]
+    code, out = run_cli(capsys, *theorem_c, f"--normal=0,{token}")
+    assert (code, out) == (2, "seed: 0\n" + record)
 
 
 @pytest.mark.parametrize("spec", ["C2xC64", "C2xC2xC2xC2xC2xC2xC2"])

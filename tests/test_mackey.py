@@ -190,14 +190,14 @@ def test_reducible_module_fails_the_character_norm():
     A = TwistedAlgebra(a.group, a)
     point = A.wedderburn(seed=0).blocks[0]
     rho = A.irreducible_rep(point, seed=0)
-    P, _ = _intertwiners(rho, rho[None])
-    assert np.allclose(P, np.eye(point.dim))
+    P, _ = _intertwiners(rho[None], rho[None, None])
+    assert np.allclose(P[0], np.eye(point.dim))
     doubled = np.zeros((A.n, 2 * point.dim, 2 * point.dim), dtype=np.complex128)
     doubled[:, : point.dim, : point.dim] = rho
     doubled[:, point.dim :, point.dim :] = rho
     # the identity twist of rho + rho pairs to <chi, chi> = 4
     with pytest.raises(CertificationError, match="character inner product .* is 4.0"):
-        _intertwiners(doubled, doubled[None])
+        _intertwiners(doubled[None], doubled[None, None])
 
 
 def test_non_isomorphic_twist_fails_the_character_pairing():
@@ -210,7 +210,7 @@ def test_non_isomorphic_twist_fails_the_character_pairing():
     rho = A.irreducible_rep(next(p for p in blocks if p.dim == 3), seed=0)
     # the two 3-dimensional irreducibles differ by the sign character, so the pairing is 0
     with pytest.raises(CertificationError, match="character inner product .* is 0.0"):
-        _intertwiners(rho, np.stack([rho, sign[:, None, None] * rho]))
+        _intertwiners(rho[None], np.stack([rho, sign[:, None, None] * rho])[None])
 
 
 def assert_same_decomposition(got, want):
@@ -636,15 +636,19 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
       it raises, so the check compares that defect.
 
     A class of orbits shares one call, recorded module by module in class
-    order; each perturbation is composed as that one module.
+    order, with the module's own n and c; each perturbation is composed as
+    that one module, a stack of one.
     """
     compose, calls = mackey._composition_scalars, []
 
     def recorded(group, P, rho, n, c, cosets, delta):
         omega = compose(group, P, rho, n, c, cosets, delta)
-        for module in zip(P, rho, delta, omega, strict=True):
-            calls.append((group, *module[:3], n, c, cosets, module[3]))
+        for module in zip(P, rho, delta, n, c, omega, strict=True):
+            calls.append((group, *module[:5], cosets, module[5]))
         return omega
+
+    def compose_one(group, P, rho, n, c, cosets, delta):
+        return compose(group, P[None], rho[None], n[None], c[None], cosets, np.array([delta]))
 
     monkeypatch.setattr(mackey, "_composition_scalars", recorded)
     G = a.group
@@ -670,7 +674,7 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
             broken = P.copy()
             broken[deepest] *= 1 + 1e-6
             with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
-                compose(group, broken, rho, n, c, cosets, delta)
+                compose_one(group, broken, rho, n, c, cosets, delta)
             got = np.sqrt(cosets) * intertwiner_defect(group, broken, rho, n, c, columns)
             j, B = reference_block_endomorphisms(G, phases, section, block_of, N.elements, rho, gs, broken)
             want = composition_defect(group, j, B, reference_all_pairs(group, j, B), columns)
@@ -680,9 +684,9 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
                 near[deepest] *= 1 + 1e-6 * factor * TOL_SCALAR / ((2 * L - 1) * want)
                 if factor > 1:
                     with pytest.raises(CertificationError, match="obstruction scalar has modulus"):
-                        compose(group, near, rho, n, c, cosets, delta)
+                        compose_one(group, near, rho, n, c, cosets, delta)
                 else:
-                    compose(group, near, rho, n, c, cosets, delta)
+                    compose_one(group, near, rho, n, c, cosets, delta)
         seen += len(twisted)
     assert seen == len(calls) and (calls or G.n == 1)  # N = 1 has inertia G
 
@@ -696,11 +700,11 @@ def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
     f = np.exp(1j * rng.uniform(0, 2 * np.pi, G.n))
     f[0] = 1
     omega = a.value_matrix() * np.outer(f, f) / f[G.table]
-    gauged = mackey._exact_cocycle(G, omega)
+    (gauged,) = mackey._exact_cocycle(G, omega[None])
     assert gauged.scale == G.n and cohomologous(gauged, a)[0]
     omega[3, 5] *= np.exp(1e-5j)
     with pytest.raises(CertificationError, match="away from the .I.-th roots of unity"):
-        mackey._exact_cocycle(G, omega)
+        mackey._exact_cocycle(G, omega[None])
 
 
 # -- reference: one obstruction pass per orbit, as before orbits were batched ---
@@ -709,7 +713,7 @@ def test_gauge_recovers_the_class_and_refuses_a_perturbed_table():
 def per_orbit_obstruction(context, alpha_N, N, index, inertia, section):
     """The obstruction of the one orbit whose module is ``index``, as the
     context computed it before the orbits of a class shared one pass: the
-    module goes through the helpers without a leading module axis."""
+    module goes through the helpers alone, as a stack of one module."""
     I_group = inertia.as_group()
     if I_group.n == 1:
         return CocycleTable.trivial(I_group)
@@ -721,15 +725,16 @@ def per_orbit_obstruction(context, alpha_N, N, index, inertia, section):
     gs = section[list(inertia.elements)]
     conj = context.conj[np.ix_(gs, N_embed)]
     kappa = context.kappa[np.ix_(gs, N_embed)]
-    P, residual = mackey._intertwiners(rho, kappa[:, :, None, None] * rho[N_pos[conj]])
+    P, residual = mackey._intertwiners(rho[None], (kappa[:, :, None, None] * rho[N_pos[conj]])[None])
     law = context.oracle.rep_defect(alpha_N, index, context.seed)
     s_ab = gs[I_group.table]
     n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]
     if (N_pos[n] < 0).any():
         raise CertificationError("lifts of the inertia group do not compose inside N")
     c = context.phases[gs[:, None], gs] / context.phases[s_ab, n]
-    omega = mackey._composition_scalars(I_group, P, rho, N_pos[n], c, len(section), residual + 2 * law)
-    return mackey._exact_cocycle(I_group, omega)
+    delta = residual + 2 * law
+    omega = mackey._composition_scalars(I_group, P, rho[None], N_pos[n][None], c[None], len(section), delta)
+    return mackey._exact_cocycle(I_group, omega)[0]
 
 
 def per_orbit_inputs(context, N):
@@ -784,16 +789,15 @@ def test_a_broken_last_member_fails_its_class_as_it_fails_alone(monkeypatch, mut
     alpha_N, section = per_orbit_inputs(context, N)
     intertwiners, batches = mackey._intertwiners, []
 
-    def broken(rho, rho_g):
-        module = (-1,) if rho.ndim == 4 else ()  # the last module of a stack, or the one module
-        batches.append(len(rho) if module else 1)
+    def broken(rho, rho_g):  # the last module of the stack
+        batches.append(len(rho))
         if mutation == "twist":  # twist 1 times the sign character of N = {e, x}
             rho_g = rho_g.copy()
-            rho_g[module + (1, 1)] *= -1
+            rho_g[-1, 1, 1] *= -1
         P, residual = intertwiners(rho, rho_g)
         if mutation == "scale":
             P = P.copy()
-            P[module + (deepest,)] *= 1 + 1e-6
+            P[-1, deepest] *= 1 + 1e-6
         return P, residual
 
     monkeypatch.setattr(mackey, "_intertwiners", broken)
@@ -834,15 +838,14 @@ def test_intertwining_residual_is_charged_to_the_obstruction_bound(monkeypatch, 
     assert TOL_SCALAR / (np.sqrt(G.n) * (L - 1)) < residuals[0] < TOL_SCALAR
 
 
-def test_helpers_take_an_optional_module_axis(monkeypatch):
-    """Each module of a pass, passed alone, gives the bits of its slice of
-    the pass: intertwiners, intertwining residual, composition scalars and
-    exact table.  The passes include the two d = 1 modules of the two-module
-    class and two d = 2 modules of Q8xC2xC2 over a normal subgroup of order
-    16, which share n(a, b) and c(a, b), and the six d = 1 modules of the
-    three subgroups of order 2 of C2xC2, stacked by ``decompose_all`` with n
-    and c per module.  A shared n and c, repeated along the module axis,
-    give the same bits as passing them once."""
+def test_each_module_as_a_stack_of_one_gives_its_slice(monkeypatch):
+    """Each module of a pass, passed as a stack of one, gives the bits of
+    its slice of the pass: intertwiners, intertwining residual, composition
+    scalars and exact table.  The passes include the two d = 1 modules of
+    the two-module class and two d = 2 modules of Q8xC2xC2 over a normal
+    subgroup of order 16, each pass one class, and the six d = 1 modules of
+    the three subgroups of order 2 of C2xC2, stacked by ``decompose_all``
+    across three classes."""
     G = gq.make_group("Q8xC2xC2")
     trivial = CocycleTable.trivial(G)
     probe = MackeyContext(G, trivial, 0)
@@ -859,21 +862,104 @@ def test_helpers_take_an_optional_module_axis(monkeypatch):
         context.decompose_all(normals)
         monkeypatch.undo()
         for (rho, rho_g), (group, _, _, n, c, cosets, delta) in zip(calls[::2], calls[1::2], strict=True):
-            shapes.append((*rho.shape[::3], n.ndim))
+            shapes.append(rho.shape[::3])
             P, residual = intertwiners(rho, rho_g)
             omega = compose(group, P, rho, n, c, cosets, delta)
             tables = mackey._exact_cocycle(group, omega)
-            if n.ndim == 2:
-                repeated = compose(group, P, rho, np.stack([n] * len(rho)), np.stack([c] * len(rho)), cosets, delta)
-                assert repeated.tobytes() == omega.tobytes()
             for m in range(len(rho)):
-                alone_P, alone_residual = intertwiners(rho[m], rho_g[m])
+                one = slice(m, m + 1)
+                alone_P, alone_residual = intertwiners(rho[one], rho_g[one])
                 assert alone_P.tobytes() == P[m].tobytes() and alone_residual == residual[m]
-                n_m, c_m = (n[m], c[m]) if n.ndim == 3 else (n, c)
-                alone = compose(group, P[m], rho[m], n_m, c_m, cosets, delta[m])
+                alone = compose(group, P[one], rho[one], n[one], c[one], cosets, delta[one])
                 assert alone.tobytes() == omega[m].tobytes()
-                assert mackey._exact_cocycle(group, alone) == tables[m]
-    assert {(2, 1, 2), (2, 2, 2), (6, 1, 3)} <= set(shapes)  # (modules, d, axes of n)
+                assert mackey._exact_cocycle(group, alone) == [tables[m]]
+    assert {(2, 1), (2, 2), (6, 1)} <= set(shapes)  # (modules, d)
+
+
+# -- every raise of the obstruction pass fires ----------------------------------
+
+
+def obstruction_error(decompose):
+    """The message of the CertificationError ``decompose()`` raises."""
+    with pytest.raises(CertificationError) as info:
+        decompose()
+    return str(info.value)
+
+
+def test_lifts_that_leave_n_fail_the_lift_check(monkeypatch):
+    """On the two-module class, a staged section whose identity lift is the
+    lift of the other coset, outside N, makes n(e, e) = s_e leave N; the
+    twists of an abelian group with the trivial class are the module itself,
+    so the intertwiners pass and the lift check raises."""
+    context, N = two_module_class()
+    stage = MackeyContext._stage
+
+    def staged(self, N):
+        out = stage(self, N)
+        assert N.order == 2 and out.section[1] not in N.elements
+        out.section = np.array([out.section[1], out.section[1]])
+        return out
+
+    monkeypatch.setattr(MackeyContext, "_stage", staged)
+    assert obstruction_error(lambda: context.decompose(N)) == "lifts of the inertia group do not compose inside N"
+
+
+def d2_module_with_inertia():
+    """Q8xC2 over the subgroup of its even elements, of order 8: its one d = 2
+    module has inertia of order 2 and is a pass of its own."""
+    G = gq.make_group("Q8xC2")
+    N, trivial = gq.Subgroup(G, tuple(range(0, 16, 2))), CocycleTable.trivial(G)
+    probe = MackeyContext(G, trivial, 0).decompose(N)
+    assert [(o.dim, o.inertia.order) for o in probe.orbits if o.dim == 2] == [(2, 2)]
+    return MackeyContext(G, trivial, 0), N
+
+
+def test_a_non_scalar_intertwiner_fails_the_composition(monkeypatch):
+    """Right-multiplying the d = 2 module's intertwiner at the non-trivial
+    inertia element by diag(1, i) keeps it unitary, but its square is no
+    longer a scalar multiple of P_e rho(n)."""
+    context, N = d2_module_with_inertia()
+    intertwiners = mackey._intertwiners
+
+    def broken(rho, rho_g):
+        P, residual = intertwiners(rho, rho_g)
+        if rho.shape[-1] == 2:
+            P = P.copy()
+            P[-1, 1] = P[-1, 1] @ np.diag([1.0, 1j])
+        return P, residual
+
+    monkeypatch.setattr(mackey, "_intertwiners", broken)
+    assert obstruction_error(lambda: context.decompose(N)) == "intertwiner composition is not a scalar multiple"
+
+
+def test_a_non_unitary_similar_twist_fails_the_unitarity_check(monkeypatch):
+    """The identity twist of the d = 2 module replaced by S rho S^-1, S =
+    diag(1, 2), keeps the character pairing at 1, but its intertwiner is S
+    scaled to Frobenius norm sqrt(2), so P P^H - I = diag(-0.6, 0.6)."""
+    context, N = d2_module_with_inertia()
+    intertwiners = mackey._intertwiners
+
+    def similar(rho, rho_g):
+        if rho.shape[-1] == 2:
+            S = np.diag([1.0, 2.0])
+            rho_g = rho_g.copy()
+            rho_g[-1, 0] = S @ rho_g[-1, 0] @ np.linalg.inv(S)
+        return intertwiners(rho, rho_g)
+
+    monkeypatch.setattr(mackey, "_intertwiners", similar)
+    assert obstruction_error(lambda: context.decompose(N)) == "intertwiner is not unitary (defect 6.00e-01)"
+
+
+def test_a_twist_off_by_a_small_phase_fails_the_residual():
+    """On the two-module class, kappa(s, n) of the non-trivial lift s and the
+    non-trivial n of N turned by 1e-6 radians moves the character pairing of
+    each module's twist by sin(5e-7), within TOL_ROUND, and leaves each
+    intertwiner 1; its residual |e^(1e-6 i) - 1| is ten times TOL_SCALAR."""
+    context, N = two_module_class()
+    section = np.asarray(mackey._first_occurrences(gq.quotient(context.group, N)[1].images))
+    context.kappa = context.kappa.copy()
+    context.kappa[section[1], N.elements[1]] *= np.exp(1e-6j)
+    assert obstruction_error(lambda: context.decompose(N)) == "intertwiner residual 1.00e-06 beyond tolerance"
 
 
 # -- decompose_all: one obstruction pass per class across a scan ----------------

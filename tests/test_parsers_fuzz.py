@@ -1,10 +1,14 @@
-"""Malformed group, cocycle and descriptor files through the command line.
+"""Malformed group, cocycle and descriptor files, and ``--normal`` texts,
+through the command line.
 
 Each file is a valid one with up to three edits (a token replaced, a line
 deleted, repeated or inserted), or lines of noise.  It goes through
 ``cli.main`` with a command that only parses and validates it (``group
 info``, ``cocycle check``, ``grading dims``, ``classify`` and ``equidim``,
-none of which runs the numeric oracle).  Every run exits 0 or 2, never 1 and
+none of which runs the numeric oracle).  A ``--normal`` text is a list of
+tokens, some of them no integer, or noise; it goes to ``mackey decompose``
+on C4 and ``lagrangian theoremC`` on C2xC2, which decompose the few texts
+that name a normal subgroup.  Every run exits 0 or 2, never 1 and
 never with an exception, and an exit of 2 ends in an ``error: <Name>:``
 record whose ``<Name>`` is a subclass of ``GquotError``: an input the
 parsers do not catch themselves surfaces as a ``ValueError`` or another
@@ -87,13 +91,18 @@ def workdir(tmp_path_factory):
 
 
 def run(workdir, text, *command):
-    """``main`` on ``text`` written as the file the command reads; the exit
-    must be 0 or 2, and an exit of 2 must end in an ``error: <Name>:``
-    record naming a ``GquotError`` subclass."""
-    path, out = workdir / "input.txt", workdir / "out.txt"
+    """``main`` on ``text`` written as the file the command reads."""
+    path = workdir / "input.txt"
     path.write_bytes(text.encode())
+    run_main(workdir, *command, str(path))
+
+
+def run_main(workdir, *argv):
+    """``main`` on ``argv``; the exit must be 0 or 2, and an exit of 2 must end
+    in an ``error: <Name>:`` record naming a ``GquotError`` subclass."""
+    out = workdir / "out.txt"
     out.unlink(missing_ok=True)
-    code = main([*command, str(path), "--out", str(out)])
+    code = main([*argv, "--out", str(out)])
     assert code in (0, 2)
     if code == 2:
         record = out.read_text().splitlines()[-1]
@@ -116,6 +125,36 @@ def test_group_files(workdir, text):
 @example(text="2 ²\n0 0\n0 1\n")
 def test_cocycle_files(workdir, text):
     run(workdir, text, "cocycle", "check", "--group", "C2", "--cocycle")
+
+
+# --normal texts: index lists with commas and blanks, some tokens no integer
+NORMAL_TEXTS = st.one_of(
+    st.builds(
+        str.join,
+        st.sampled_from([",", " ", ", "]),
+        st.lists(st.one_of(TOKENS, st.sampled_from(["١", "+1", "--1", ""])), max_size=5),
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mackey", "decompose", "--group", "C4"],
+        ["lagrangian", "theoremC", "--group", "C2xC2", "--cocycle", "nd_C2xC2"],
+    ],
+    ids=["mackey", "theoremC"],
+)
+@FUZZ
+@given(text=NORMAL_TEXTS)
+@example(text="0,a")
+@example(text="0,²")
+@example(text="0,١")
+@example(text="0,x")
+def test_normal_texts(workdir, command, text):
+    """The text goes as ``--normal=TEXT``, so a leading minus sign starts no option."""
+    run_main(workdir, *command, f"--normal={text}")
 
 
 @pytest.mark.parametrize("action", ["dims", "classify", "equidim"])

@@ -156,14 +156,20 @@ def test_product_group_prod_matches_the_mul_fold(pb, length):
 
 @pytest.mark.parametrize("pb", [RANK4, RANK5], ids=["rank4", "rank5"])
 def test_product_group_prod_refuses_tuples_of_the_wrong_length(pb):
-    """A short or long tuple anywhere in the sequence raises; ``zip`` never
+    """A short or long tuple anywhere in the sequence of ``prod``, as either
+    argument of ``mul`` or as the argument of ``inv`` raises; ``zip`` never
     truncates it."""
     P = pb.group
     t = pb.generators[sorted(pb.generators)[0]]
     for bad in (t[:-1], t + t[-1:], ()):
         for tuples in ([bad], [t, bad], [bad, t], [t, bad, t], [bad, bad]):
-            with pytest.raises(DomainError, match="tuple length"):
+            with pytest.raises(DomainError, match="^tuple length does not match the product's factors$"):
                 P.prod(tuples)
+        for s, u in ((bad, t), (t, bad), (bad, bad)):
+            with pytest.raises(DomainError, match="^tuple length does not match the product's factors$"):
+                P.mul(s, u)
+        with pytest.raises(DomainError, match="^tuple length does not match the product's factors$"):
+            P.inv(bad)
 
 
 def test_pullbacks_share_their_source_groups():
