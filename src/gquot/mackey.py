@@ -599,7 +599,7 @@ def _intertwiners(rho, rho_g):
     if bad.size:
         raise CertificationError(
             f"character inner product of twist {bad[0] % k} with the module is "
-            f"{pairing.flat[bad[0]]:.12f}, expected 1"
+            f"{np.round(pairing.flat[bad[0]], 12) + 0:.12f}, expected 1"  # + 0 turns -0.0 into 0.0
         )
     P = R[m, twists, :, np.linalg.norm(R, axis=-2).argmax(axis=-1)].reshape(M, k, d, d)
     P *= np.sqrt(d) / np.linalg.norm(P, axis=(-2, -1))[..., None, None]

@@ -21,6 +21,13 @@ that question is a linear system over Z/m.
   only the rows the pivot meets keeps fill-in small on sparse systems such
   as the coboundary rows e_g + e_h - e_gh.  No divisibility iteration is
   needed.
+- **Column layout.**  The augmented matrix is stored by columns: array row j
+  holds column j of [A | rhs], so a column scan reads contiguous memory.
+  Each block of input rows is written into it transposed; no full-size
+  transpose copy is made.  Each equation's count of nonzero coefficients is
+  kept current through every shear, which changes only the block of the
+  rows the pivot meets by the pivot row's nonzero columns, so choosing the
+  pivot row reads one count per candidate instead of recounting their rows.
 - **No overflow.**  Residues mod q are stored in the narrowest integer dtype
   that holds q^2 (int16, int32, int64; Python integers beyond that), so every
   product of two residues and every difference fits before it is reduced.
@@ -106,10 +113,13 @@ def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | Non
     q = p**e
     nrows = len(rows)
     dtype = next((dt for dt, top in _DTYPES if q * q <= top), object)
-    Ab = np.empty((nrows, ncols + 1), dtype)  # the augmented matrix [A | rhs]
+    cols = np.empty((ncols + 1, nrows), dtype)  # the augmented matrix [A | rhs], one array row per column
+    counts = np.empty(nrows, np.intp)  # nonzero coefficients per equation, kept through every shear
     for s in range(0, nrows, _CHUNK_ROWS):
-        Ab[s:s + _CHUNK_ROWS, :ncols] = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype)
-    Ab[:, ncols] = _residues([rhs], q, nrows, dtype)[0]
+        block = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype)
+        cols[:ncols, s:s + _CHUNK_ROWS] = block.T
+        counts[s:s + _CHUNK_ROWS] = np.count_nonzero(block, axis=1)
+    cols[ncols] = _residues([rhs], q, nrows, dtype)[0]
 
     pivots = []  # (column, p^v, unit part's inverse, rhs, the pivot row's columns and coefficients)
     open_cols = range(ncols)
@@ -117,7 +127,7 @@ def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | Non
         pv, step = p**v, p ** (v + 1)
         left = []
         for j in open_cols:
-            col = Ab[:, j]
+            col = cols[j]
             hits = col.nonzero()[0]
             if not len(hits):
                 continue
@@ -126,20 +136,24 @@ def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | Non
             if not len(cand):
                 left.append(j)
                 continue
-            r = cand[np.count_nonzero(Ab[cand, :ncols], axis=1).argmin()] if len(cand) > 1 else cand[0]
+            r = cand[counts[cand].argmin()] if len(cand) > 1 else cand[0]
             uinv = pow(int(col[r]) // pv, -1, q)
-            nzc = Ab[r].nonzero()[0]
-            row = Ab[r, nzc]
+            nzc = cols[:, r].nonzero()[0]
+            row = cols[nzc, r]
+            k = len(nzc) - (nzc[-1] == ncols)  # the coefficient columns among nzc
             # the shear also meets row r itself and zeroes it: its multiplier is 1
-            block = (hits[:, None], nzc)
-            Ab[block] = (Ab[block] - (cv // pv * uinv % q)[:, None] * row) % q
+            block = (nzc[:, None], hits)
+            old = cols[block]
+            new = (old - row[:, None] * (cv // pv * uinv % q)) % q
+            counts[hits] += (new[:k] != 0).sum(axis=0) - (old[:k] != 0).sum(axis=0)
+            cols[block] = new
             coeffs = row.tolist()
-            b = coeffs.pop() if nzc[-1] == ncols else 0
+            b = coeffs.pop() if k < len(nzc) else 0
             if b % pv:  # p^v divides the whole coefficient row but not b
                 return None
-            pivots.append((j, pv, uinv, b, nzc[:len(coeffs)].tolist(), coeffs))
+            pivots.append((j, pv, uinv, b, nzc[:k].tolist(), coeffs))
         open_cols = left
-    if Ab[:, ncols].any():  # an equation 0 = b with b != 0 is left
+    if cols[ncols].any():  # an equation 0 = b with b != 0 is left
         return None
     # back substitution, last pivot first: a pivot row only reaches columns
     # pivoted after it or never (those stay 0); p^v divides every term

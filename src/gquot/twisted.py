@@ -31,11 +31,16 @@ random central sample is written straight from these arrays, one
 coefficient per element of a kept class.
 Floating point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
-dimension and the integer identity sum(d_i^2) = |G|.  A module cut out of a
-block is certified by the twisted product law on generator columns: the
-defect of rho(x) rho(s) against a(x, s) rho(xs) for every x and every
-generator s, scaled by the depth of the Cayley breadth-first tree, bounds the
-defect of every pair (the derivation is in ``irreducible_rep``).
+dimension and the integer identity sum(d_i^2) = |G|.  Each block keeps the
+orthonormal eigenvectors that span it as ``IrrPoint.basis``: its idempotent
+and trace are read from them without an n x n projector, and its module is
+cut out of them without a second factorization of the block.  The trace
+certificate gives the basis exactly d^2 columns, so no rank check is needed
+(``irreducible_rep``).  A module is certified by the twisted product law on
+generator columns: the defect of rho(x) rho(s) against a(x, s) rho(xs) for
+every x and every generator s, scaled by the depth of the Cayley
+breadth-first tree, bounds the defect of every pair (the derivation is in
+``irreducible_rep``).
 
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
@@ -72,14 +77,21 @@ class CenterClass:
 
 @dataclass(frozen=True)
 class IrrPoint:
-    """A primitive central idempotent standing for one irreducible type."""
+    """A primitive central idempotent standing for one irreducible type.
+
+    basis holds dim^2 orthonormal columns spanning the block (the image of
+    left multiplication by the idempotent), as ``wedderburn`` certified them;
+    ``irreducible_rep`` cuts the module out of it.
+    """
 
     coeffs: np.ndarray
     dim: int
     index: int
+    basis: np.ndarray
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)  # points are shared through a BlockOracle
+        self.basis.setflags(write=False)
 
     def __eq__(self, other):
         return isinstance(other, IrrPoint) and self.index == other.index and self.dim == other.dim
@@ -179,6 +191,11 @@ class TwistedAlgebra:
         must reproduce the exact center dimension and every block trace must
         round to a square within the guard band, otherwise a fresh
         deterministic draw is made.  Failures raise, never degrade.
+
+        A cluster's orthonormal eigenvectors V span its block, whose
+        projector V V^H is left multiplication by the block's idempotent e,
+        so e = V V^H u_e = V conj(V[0]) and the trace is ||V||_F^2; neither
+        forms the n x n projector.  Each point keeps V as its ``basis``.
         """
         rep, kept, phases = self._twisted_classes()
         reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
@@ -201,15 +218,14 @@ class TwistedAlgebra:
             points, dims, ok = [], [], True
             for ci, idx in enumerate(clusters):
                 V = evecs[:, idx]
-                P = V @ V.conj().T
-                tr = float(np.trace(P).real)
+                tr = float(np.vdot(V, V).real)
                 d = np.sqrt(max(tr, 0.0))
                 di = int(round(d))
                 if di < 1 or abs(d - di) > TOL_ROUND:
                     ok, last = False, f"block trace {tr:.12f} does not certify as a square"
                     break
                 dims.append(di)
-                points.append(IrrPoint(P[:, 0].copy(), di, ci))
+                points.append(IrrPoint(V @ V[0].conj(), di, ci, V))
             if not ok:
                 continue
             if sum(d * d for d in dims) != self.n:
@@ -224,7 +240,7 @@ class TwistedAlgebra:
                 continue
             order = sorted(range(len(points)), key=lambda i: (dims[i], i))
             blocks = tuple(
-                IrrPoint(points[i].coeffs, points[i].dim, rank) for rank, i in enumerate(order)
+                IrrPoint(points[i].coeffs, points[i].dim, rank, points[i].basis) for rank, i in enumerate(order)
             )
             return WedderburnData(tuple(sorted(dims)), blocks, residual, seed)
         raise CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {last}")
@@ -236,7 +252,15 @@ class TwistedAlgebra:
 
         One copy of the simple module is cut out of the block by the
         eigenspace of a random self-adjoint right multiplication, which
-        commutes with the left action.
+        commutes with the left action, compressed onto ``point.basis``.
+
+        The basis has exactly d^2 orthonormal columns, so the block needs no
+        rank check.  Its c columns are the eigenvectors of one eigh cluster,
+        orthonormal up to a small multiple of n times the unit roundoff, so
+        the trace ||V||_F^2 that ``wedderburn`` certified is c within 1e-9.
+        Its square certificate |sqrt(tr) - d| <= TOL_ROUND = 1e-6 gives
+        |tr - d^2| <= 2e-6 d + 1e-12 < 1e-4, as d <= 16 (c <= n <= 256);
+        c and d^2 are integers less than 1/2 apart, so c = d^2.
 
         The projective law is certified on generator columns only.  Let
         E(g, h) = rho(g) rho(h) - a(g, h) rho(gh), eps_gen the largest
@@ -259,7 +283,7 @@ class TwistedAlgebra:
         the entrywise all-pairs test, at r batched products instead of n.
 
         Rounding enters through the columns of Q, which are orthonormal only
-        up to eta = ||Q^H Q - I||_2 after the SVD and eigh, and through the
+        up to eta = ||Q^H Q - I||_2 after the two eigh calls, and through the
         products that form each rho(x); both are of order n times the unit
         roundoff.  Then ||rho(x)||_2 <= 1 + eta, the recursion reads
         e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows to
@@ -270,13 +294,7 @@ class TwistedAlgebra:
         keeps the module with its bound (``BlockOracle``) reads it there
         instead of measuring it again.
         """
-        d = point.dim
-        P = self.left_regular(point.coeffs)
-        U, s, _ = np.linalg.svd(P)
-        rank = int(np.sum(s > 0.5))
-        if rank != d * d:
-            raise CertificationError(f"block projector rank {rank} != d^2 = {d * d}")
-        B = U[:, :rank]
+        d, B = point.dim, point.basis
         rng = np.random.default_rng(seed)
         last = "no attempt"
         for _ in range(MAX_ATTEMPTS):
@@ -327,9 +345,10 @@ class BlockOracle:
     oracle would reproduce exactly.  Only oracle results are kept, never an
     exact solve, so an exact certificate checked against the oracle stays
     independent of it.  Results are shared between callers, so they are
-    read-only: point coefficients and module matrices are frozen.  The caller
-    creates the registry, passes it to every computation that should share
-    it, and drops it when done; nothing is kept at module level.
+    read-only: point coefficients, block bases and module matrices are
+    frozen.  Every module is cut out of the basis its kept point carries.
+    The caller creates the registry, passes it to every computation that
+    should share it, and drops it when done; nothing is kept at module level.
     """
 
     def __init__(self):

@@ -17,6 +17,8 @@ def test_readme_python_blocks_run_and_give_the_stated_values():
     assert len(dec.orbits) == 1
     assert dec.orbits[0].x.mults == tuple((q, 1) for q in dec.quotient_group.elements())  # the crossed-product character
     assert dec.oracle_dims == dec.reconstructed_dims == (4,)
+    point = namespace["point"]
+    assert (point.dim, point.basis.shape) == (4, (16, 16))
     decs = namespace["decs"]
     assert len(decs) == 15
     assert sum(namespace["is_elementary_quotient"](d) for d in decs.values()) == 11

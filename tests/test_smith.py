@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gquot as gq
-from gquot import cocycles
+from gquot import cocycles, smith
 from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
 from gquot.cocycles import CocycleTable, OneCochain, coboundary, cohomologous, standard_nondegenerate
 from gquot.errors import ValidationError
 from gquot.smith import prime_powers, solve_mod
+from gquot.suite import sweep_cases
 
 
 def reference_solve_mod(rows, rhs, m):
@@ -253,3 +254,145 @@ def test_cohomologous_verdicts_match_reference_solver(a, b, monkeypatch):
     verdict, witness = cohomologous(a, b)  # the witness is certified inside
     monkeypatch.setattr(cocycles, "solve_mod", reference_solve_mod)
     assert cohomologous(a, b)[0] == verdict
+
+
+# -- the column layout against the row-major elimination it replaced ------------
+
+
+def reference_solve_prime_power(rows, rhs, ncols, p, e):
+    """The row-major elimination: the same pivots, chosen by recounting the
+    nonzero coefficients of every candidate row at each pivot."""
+    q = p**e
+    nrows = len(rows)
+    dtype = next((dt for dt, top in smith._DTYPES if q * q <= top), object)
+    Ab = np.empty((nrows, ncols + 1), dtype)
+    if nrows:
+        Ab[:, :ncols] = smith._residues(rows, q, ncols, dtype)
+    Ab[:, ncols] = smith._residues([rhs], q, nrows, dtype)[0]
+    pivots = []
+    open_cols = range(ncols)
+    for v in range(e):
+        pv, step = p**v, p ** (v + 1)
+        left = []
+        for j in open_cols:
+            col = Ab[:, j]
+            hits = col.nonzero()[0]
+            if not len(hits):
+                continue
+            cv = col[hits]
+            cand = hits[cv % step != 0]
+            if not len(cand):
+                left.append(j)
+                continue
+            r = cand[np.count_nonzero(Ab[cand, :ncols], axis=1).argmin()] if len(cand) > 1 else cand[0]
+            uinv = pow(int(col[r]) // pv, -1, q)
+            nzc = Ab[r].nonzero()[0]
+            row = Ab[r, nzc]
+            block = (hits[:, None], nzc)
+            Ab[block] = (Ab[block] - (cv // pv * uinv % q)[:, None] * row) % q
+            coeffs = row.tolist()
+            b = coeffs.pop() if nzc[-1] == ncols else 0
+            if b % pv:
+                return None
+            pivots.append((j, pv, uinv, b, nzc[:len(coeffs)].tolist(), coeffs))
+        open_cols = left
+    if Ab[:, ncols].any():
+        return None
+    x = [0] * ncols
+    for j, pv, uinv, b, cols, coeffs in reversed(pivots):
+        x[j] = (b - sum(a * x[k] for k, a in zip(cols, coeffs) if k != j)) // pv * uinv % q
+    return x
+
+
+def assert_same_elimination(rows, rhs, m):
+    ncols = len(rows[0]) if len(rows) else 0
+    for p, e in prime_powers(m):
+        got = smith._solve_prime_power(rows, rhs, ncols, p, e)
+        assert got == reference_solve_prime_power(rows, rhs, ncols, p, e), (m, p, e)
+
+
+def _recorded_systems(pairs, monkeypatch):
+    """The systems ``cohomologous`` hands to ``solve_mod`` on the given pairs."""
+    systems = []
+
+    def recording(rows, rhs, m):
+        systems.append((rows, rhs, m))
+        return solve_mod(rows, rhs, m)
+
+    monkeypatch.setattr(cocycles, "solve_mod", recording)
+    for a, b in pairs:
+        cohomologous(a, b)
+    return systems
+
+
+def _twisted_by_a_coboundary(rng, a):
+    c = rng.integers(0, a.scale, a.group.n)
+    c[0] = 0
+    return a.mul(coboundary(OneCochain(a.group, a.scale, tuple(c))))
+
+
+def test_column_layout_matches_the_row_major_elimination_on_the_certify_systems(monkeypatch):
+    """The five solves of the certify benchmark round: a class against itself
+    times a coboundary and the trivial class against the non-degenerate one
+    on C8xC8 and C2xC4xC2xC4, and a bilinear class on C2xC8xC8 times a
+    coboundary (orders 64 and 128, 3,969 and 16,129 rows)."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for invs in ([8], [2, 4]):
+        a = standard_nondegenerate(invs)
+        pairs += [(a, _twisted_by_a_coboundary(rng, a)), (CocycleTable.trivial(a.group, a.scale), a)]
+    G = gq.make_group("C2xC8xC8")
+    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
+    a = CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]) % 8)
+    pairs.append((a, _twisted_by_a_coboundary(rng, a)))
+    systems = _recorded_systems(pairs, monkeypatch)
+    assert [(len(rows), len(rows[0])) for rows, _, _ in systems] == [(3969, 63)] * 4 + [(16129, 127)]
+    for system in systems:
+        assert_same_elimination(*system)
+
+
+def test_column_layout_matches_the_row_major_elimination_on_the_sweep(monkeypatch):
+    """Every sweep case against itself times a coboundary and against the
+    trivial class."""
+    rng = np.random.default_rng(1)
+    pairs = []
+    for _, G, _, a in sweep_cases():
+        pairs += [(a, _twisted_by_a_coboundary(rng, a)), (CocycleTable.trivial(G, a.scale), a)]
+    systems = _recorded_systems(pairs, monkeypatch)
+    assert len(systems) == 2 * len(sweep_cases())
+    for system in systems:
+        assert_same_elimination(*system)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        2**7,  # int16, seven valuation levels
+        181,  # int16
+        3**9,  # int32
+        46337,  # int32
+        2**31,  # int64, 31 levels
+        3037000493,  # int64
+        3**40,  # Python integers
+        2**70,  # Python integers
+    ],
+)
+def test_column_layout_matches_the_row_major_elimination_on_random_systems(m):
+    """Sparse random systems on every dtype rung, with columns scaled by
+    powers of p so that pivots come from several valuation levels, solvable
+    by construction or not."""
+    rng = np.random.default_rng(m % 2**32)
+    p = prime_powers(m)[0][0]
+    for trial in range(40):
+        nrows, ncols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        top = min(m, 2**62)
+        A = [[int(v) for v in rng.integers(-top, top, ncols)] for _ in range(nrows)]
+        keep = rng.random((nrows, ncols)) < 0.3
+        scale = [p ** int(rng.integers(0, 4)) for _ in range(ncols)]
+        rows = [[a * s if k else 0 for a, s, k in zip(row, scale, mask)] for row, mask in zip(A, keep)]
+        if trial % 2:
+            x0 = [int(v) for v in rng.integers(0, top, ncols)]
+            rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+        else:
+            rhs = [int(v) for v in rng.integers(-top, top, nrows)]
+        assert_same_elimination(rows, rhs, m)

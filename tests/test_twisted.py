@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gquot as gq
+from gquot import twisted
 from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
 from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
 from gquot.errors import CertificationError, SizeBoundError, ValidationError
@@ -488,10 +489,9 @@ def reference_u_matrix(A, g):
 
 
 def reference_irreducible_rep(A, point, seed):
-    """The extraction with one dense u_g matrix per element."""
-    d = point.dim
-    U, s, _ = np.linalg.svd(reference_left_regular(A, point.coeffs))
-    B = U[:, : d * d]
+    """The extraction with one dense u_g matrix per element, on the block
+    basis the point carries."""
+    d, B = point.dim, point.basis
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         R = reference_right_regular(A, rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n))
@@ -563,6 +563,22 @@ def test_regular_representation_matches_reference(name):
         assert np.max(np.abs(rho - reference_irreducible_rep(A, p, seed=1))) <= 1e-12
 
 
+@pytest.mark.parametrize("name", list(REGULAR_REP_ALGEBRAS))
+def test_block_basis_spans_the_block(name):
+    """Each point's basis is orthonormal and spans the image of left
+    multiplication by its idempotent: its projector is the SVD projector of
+    that matrix.  The algebras include the four of the certify workload
+    (S4xC2xC2, D8xC4xC2, and the non-degenerate classes on (C2xC8)^2 and
+    (C4xC4)^2)."""
+    A = REGULAR_REP_ALGEBRAS[name]
+    for p in A.wedderburn(seed=0).blocks:
+        B = p.basis
+        assert B.shape == (A.n, p.dim**2) and not B.flags.writeable
+        assert np.max(np.abs(B.conj().T @ B - np.eye(p.dim**2))) <= 1e-12
+        U = np.linalg.svd(reference_left_regular(A, p.coeffs))[0][:, : p.dim**2]
+        assert np.max(np.abs(B @ B.conj().T - U @ U.conj().T)) <= 1e-12
+
+
 def _match_outcome(match, rows, points):
     try:
         return match(rows, points)
@@ -577,7 +593,7 @@ def test_match_idempotent_matches_reference(spec):
     first)."""
     G = gq.make_group(spec)
     points = TwistedAlgebra(G, CocycleTable.trivial(G)).wedderburn(seed=0).blocks
-    twin = IrrPoint(points[0].coeffs + 1e-9, points[0].dim, len(points))
+    twin = IrrPoint(points[0].coeffs + 1e-9, points[0].dim, len(points), basis=points[0].basis)
     known = np.array([p.coeffs for p in points])
     rng = np.random.default_rng(0)
     exact = known[rng.permutation(len(points))]
@@ -656,3 +672,50 @@ def test_block_oracle_measures_each_module_law_once(monkeypatch):
     for N in gq.normal_subgroups(G)[:6]:
         context.decompose(N)
     assert len(calls) - before == len(oracle._modules) - modules > 0
+
+
+# -- give-up raises: every attempt fails a certificate -------------------------
+
+
+def _s3_algebra():
+    S3 = gq.symmetric(3)
+    return TwistedAlgebra(S3, CocycleTable.trivial(S3))
+
+
+@pytest.mark.parametrize(
+    "clusters, reason",
+    [
+        (lambda vals, tol: [list(range(len(vals)))], "cluster count 1 != center dimension 3"),
+        (lambda vals, tol: [[0, 1], [2], [3, 4, 5]], "block trace 2.000000000000 does not certify as a square"),
+        (lambda vals, tol: [[0], [1], [2]], "sum of squared dimensions misses the group order"),
+    ],
+)
+def test_block_oracle_gives_up_after_every_attempt_fails(monkeypatch, clusters, reason):
+    """No draw of the central sample certifies: wedderburn raises after
+    MAX_ATTEMPTS with the last attempt's reason."""
+    draws = []
+    monkeypatch.setattr(twisted, "_cluster", lambda vals, tol: draws.append(tol) or clusters(vals, tol))
+    with pytest.raises(CertificationError) as info:
+        _s3_algebra().wedderburn(seed=0)
+    assert str(info.value) == f"block oracle failed after {MAX_ATTEMPTS} attempts: {reason}"
+    assert len(draws) == MAX_ATTEMPTS
+
+
+def test_irreducible_extraction_gives_up_without_a_cluster_of_the_module_dimension(monkeypatch):
+    A = _s3_algebra()
+    block = next(p for p in A.wedderburn(seed=0).blocks if p.dim == 2)
+    monkeypatch.setattr(twisted, "_cluster", lambda vals, tol: [[i] for i in range(len(vals))])
+    with pytest.raises(CertificationError) as info:
+        A.irreducible_rep(block, seed=0)
+    assert str(info.value) == "irreducible extraction failed: no eigencluster of the module dimension"
+
+
+def test_irreducible_extraction_gives_up_when_the_product_law_fails(monkeypatch):
+    A = _s3_algebra()
+    block = next(p for p in A.wedderburn(seed=0).blocks if p.dim == 2)
+    bounds = []
+    monkeypatch.setattr(TwistedAlgebra, "_rep_defect_bound", lambda self, rho: bounds.append(rho) or 2e-8)
+    with pytest.raises(CertificationError) as info:
+        A.irreducible_rep(block, seed=0)
+    assert str(info.value) == "irreducible extraction failed: extracted matrices fail the twisted product law"
+    assert len(bounds) == MAX_ATTEMPTS and A.last_rep_defect is None
