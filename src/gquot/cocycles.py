@@ -163,7 +163,9 @@ def group_exponent(G: FiniteGroup) -> int:
     return math.lcm(*G.element_orders())
 
 
-def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | None]:
+def cohomologous(
+    a: CocycleTable, b: CocycleTable, factors: dict | None = None
+) -> tuple[bool, OneCochain | None]:
     """Decide whether two cocycles represent the same class over C*.
 
     The additive system  c(g) + c(h) - c(gh) = t(g, h),  t = b - a,  is
@@ -180,7 +182,13 @@ def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | N
       (g, h) of non-identity elements, g-major, and one unknown per
       non-identity element.  Its entries are -1, 1 and 2, so it is built as
       one int8 array by three scatters (the g, h and gh columns) and handed
-      over as a list of that array's rows.
+      over as a list of that array's rows.  The rows depend only on the
+      table of G and M1 only on that table and the scale; only the
+      right-hand side depends on the cocycles.  So a caller that asks about
+      many cocycles on one table passes ``factors``, a dict it keeps, and
+      ``solve_mod`` factors each system once in it and replays it for every
+      later call (``smith``, "factor once, replay per right-hand side"),
+      with the verdict and witness a fresh solve gives.
     - **Mod M2** there is nothing to solve: H^2(G, Z/p^e) = 0 for p not
       dividing n (Brown, *Cohomology of Groups*, III.10), and the witness is
       explicit.  Summing the cocycle identity
@@ -211,7 +219,7 @@ def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | N
     live = gh != 0  # c(e) = 0 is not an unknown; gh = g or h only when the other is e
     rows[eq[live], gh[live] - 1] -= 1
     rhs = target[1:, 1:].ravel().tolist()
-    x = solve_mod(list(rows), rhs, m1)
+    x = solve_mod(list(rows), rhs, m1, factors=factors)
     if x is None:
         return False, None
     # x + m1 * y is x mod m1 and n^-1 S mod m2 when y = (n^-1 S - x) m1^-1 mod m2
@@ -224,8 +232,9 @@ def cohomologous(a: CocycleTable, b: CocycleTable) -> tuple[bool, OneCochain | N
     return True, witness
 
 
-def is_cohomologically_trivial(a: CocycleTable) -> tuple[bool, OneCochain | None]:
-    return cohomologous(CocycleTable.trivial(a.group, a.scale), a)
+def is_cohomologically_trivial(a: CocycleTable, factors: dict | None = None) -> tuple[bool, OneCochain | None]:
+    """``cohomologous`` against the trivial class, with the same ``factors``."""
+    return cohomologous(CocycleTable.trivial(a.group, a.scale), a, factors=factors)
 
 
 class Bicharacter:

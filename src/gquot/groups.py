@@ -76,12 +76,14 @@ class FiniteGroup:
         self._rows = None  # the table as Python row lists, built by the first scalar walk
         if not _trusted:
             self._validate()
-        # g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0 too
-        rows, cols = np.nonzero(table == 0)
-        inv = np.zeros(n, dtype=np.int64)
-        inv[rows] = cols
-        bad = (np.bincount(rows, minlength=n) != 1) | (table[inv, np.arange(n)] != 0)
-        if bad.any():
+        # g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0 too.  The
+        # entries lie in range(n), so a row's 0 is its least entry; when every row meets
+        # a 0 there, whose column meets a 0 back, and the table holds n zeros, each row
+        # holds exactly one
+        inv = table.argmin(axis=1)
+        at, back = table[np.arange(n), inv], table[inv, np.arange(n)]
+        if at.any() or back.any() or np.count_nonzero(table == 0) != n:
+            bad = (np.count_nonzero(table == 0, axis=1) != 1) | (at != 0) | (back != 0)
             raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
         self.inverse_table = inv
         if labels is not None:

@@ -67,7 +67,8 @@ class LagrangianReport:
 
 
 def is_isotropic(
-    G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0, oracle: BlockOracle | None = None
+    G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0, oracle: BlockOracle | None = None,
+    factors: dict | None = None,
 ) -> IsotropyReport:
     """Whether the class restricts trivially to H, with two certificates.
 
@@ -75,12 +76,15 @@ def is_isotropic(
     one asks the block oracle (``oracle``, or a new registry) for a
     one-dimensional block of the restricted algebra (existence of a
     one-dimensional module is equivalent to a trivial restricted class, for
-    abelian and non-abelian H alike).  The two must agree.
+    abelian and non-abelian H alike).  The two must agree.  ``factors`` is
+    the caller's registry of factored coboundary systems (``cohomologous``),
+    so subgroups with one table share one factorization; a replayed verdict
+    meets the same cross-checks as a fresh one.
     """
     if alpha.group != G:
         raise DomainError("cocycle lives on a different group")
     rest = alpha.restrict(H)
-    trivial, witness = is_cohomologically_trivial(rest)
+    trivial, witness = is_cohomologically_trivial(rest, factors=factors)
     dims = (BlockOracle() if oracle is None else oracle).wedderburn(rest, seed).dims
     ones = sum(1 for d in dims if d == 1)
     oracle_verdict = ones >= 1
@@ -131,7 +135,8 @@ def _isotropy(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     report = context.isotropy.get(H.elements)
     if report is None:
         report = context.isotropy[H.elements] = is_isotropic(
-            context.group, context.cocycle, H, seed=context.seed, oracle=context.oracle
+            context.group, context.cocycle, H, seed=context.seed, oracle=context.oracle,
+            factors=context.factors,
         )
     return report
 

@@ -168,6 +168,9 @@ class MackeyContext:
     decomposition or error by the elements of N, and ``isotropy`` holds the
     isotropy verdicts ``lagrangians`` certifies on this (G, alpha, seed), by
     the elements of the subgroup, for as long as the caller keeps the context.
+    ``factors`` is the registry of factored coboundary systems those
+    isotropy checks share (``cohomologous``): the restrictions of alpha to
+    subgroups with one table pose one system, factored once per context.
     """
 
     def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
@@ -180,6 +183,7 @@ class MackeyContext:
         self.conj, kappa = alpha.conjugation()
         self.kappa = np.exp(2j * np.pi * kappa / alpha.scale)
         self.isotropy: dict[tuple[int, ...], object] = {}
+        self.factors: dict = {}
         self._outcomes: dict[tuple[int, ...], MackeyDecomposition | GquotError] = {}
 
     def decompose(self, N: Subgroup) -> MackeyDecomposition:

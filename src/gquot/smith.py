@@ -21,13 +21,31 @@ that question is a linear system over Z/m.
   only the rows the pivot meets keeps fill-in small on sparse systems such
   as the coboundary rows e_g + e_h - e_gh.  No divisibility iteration is
   needed.
-- **Column layout.**  The augmented matrix is stored by columns: array row j
-  holds column j of [A | rhs], so a column scan reads contiguous memory.
+- **Column layout.**  The coefficient matrix is stored by columns: array
+  row j holds column j of A, so a column scan reads contiguous memory.
   Each block of input rows is written into it transposed; no full-size
   transpose copy is made.  Each equation's count of nonzero coefficients is
   kept current through every shear, which changes only the block of the
   rows the pivot meets by the pivot row's nonzero columns, so choosing the
   pivot row reads one count per candidate instead of recounting their rows.
+- **Factor once, replay per right-hand side.**  Every pivot is chosen from
+  the coefficient columns and the kept row counts, never from the
+  right-hand side, and every shear changes the right-hand side only by
+  b_i -= b_r * mu_i over the rows i the shear meets, with the multipliers mu
+  read off the coefficients.  So the elimination of a system is recorded
+  without its right-hand side (per prime power and per pivot: the pivot row
+  r, the rows it meets, their multipliers, p^v, the unit inverse and the
+  pivot row's coefficients) and then replayed on the right-hand side with
+  the same integers mod q: b_r at each pivot is the entry the augmented
+  elimination [A | b] would meet there, the replay returns None at its two
+  tests (p^v does not divide b_r, or a nonzero b is left), and back
+  substitution reads the same terms, so one record answers every
+  right-hand side exactly (Holt, Eick and O'Brien, *Handbook of
+  Computational Group Theory*, one reduction per coefficient matrix).  A
+  caller that keeps a registry (a dict) has each system recorded in it
+  once, keyed by m and the exact coefficient entries, and replayed on every
+  later call; without one each shear is replayed as the elimination makes
+  it and then dropped, so a one-off solve keeps no record.
 - **No overflow.**  Residues mod q are stored in the narrowest integer dtype
   that holds q^2 (int16, int32, int64; Python integers beyond that), so every
   product of two residues and every difference fits before it is reduced.
@@ -52,7 +70,9 @@ _CHUNK_ROWS = 4096
 _DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
 
-def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None:
+def solve_mod(
+    rows: list[list[int]], rhs: list[int], m: int, factors: dict | None = None
+) -> list[int] | None:
     """Solve ``A x = rhs (mod m)`` for integer x, or return None if unsolvable.
 
     ``rows`` is a dense integer matrix given as a list of equal-length rows,
@@ -60,6 +80,11 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
     arrays.  The solution is returned with entries in ``range(m)``; a
     homogeneous system gets the zero solution.  m is factored by trial
     division, so its prime factors should be small.
+
+    ``factors`` is a registry the caller keeps, a dict, or None.  With one,
+    the system's elimination is recorded in it on first use, keyed by m and
+    the exact coefficient entries, and every later call on that system
+    replays the record on ``rhs`` instead of eliminating again.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -69,15 +94,32 @@ def solve_mod(rows: list[list[int]], rhs: list[int], m: int) -> list[int] | None
     ncols = len(rows[0]) if nrows else 0
     if len(set(map(len, rows))) > 1:
         raise ValidationError("coefficient rows have unequal lengths")
+    if factors is None:  # each shear is replayed as the elimination makes it, then dropped
+        records = ((p**e, _eliminate(rows, ncols, p, e)) for p, e in prime_powers(m))
+    else:
+        key = _system_key(rows, m)
+        records = factors.get(key)
+        if records is None:
+            records = factors[key] = [(p**e, list(_eliminate(rows, ncols, p, e))) for p, e in prime_powers(m)]
     x = [0] * ncols
-    for p, e in prime_powers(m):
-        q = p**e
-        xq = _solve_prime_power(rows, rhs, ncols, p, e)
+    for q, shears in records:
+        xq = _replay(q, shears, rhs, ncols)
         if xq is None:
             return None
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the other prime powers
         x = [(a + lift * b) % m for a, b in zip(x, xq)]
     return x
+
+
+def _system_key(rows, m: int) -> tuple:
+    """The exact system as a registry key: m and the coefficient entries,
+    as one integer array's shape, dtype and bytes, or as Python integers
+    when no numpy integer dtype holds them all (numpy would then give an
+    object or an inexact float array)."""
+    block = np.asarray(rows)
+    if block.dtype.kind not in "iu":
+        return m, tuple(tuple(int(v) for v in row) for row in rows)
+    return m, block.shape, block.dtype.str, block.tobytes()
 
 
 def prime_powers(m: int) -> list[tuple[int, int]]:
@@ -108,20 +150,25 @@ def _residues(values, q: int, width: int, dtype) -> np.ndarray:
     return np.array([[int(v) % q for v in row] for row in values], dtype=object).reshape(len(values), width)
 
 
-def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | None:
-    """Solve the system mod q = p**e: a solution in range(q), or None."""
+def _dtype(q: int):
+    """The narrowest residue dtype that holds q * q."""
+    return next((dt for dt, top in _DTYPES if q * q <= top), object)
+
+
+def _eliminate(rows, ncols: int, p: int, e: int):
+    """The elimination of the coefficient matrix mod q = p**e: yields one
+    shear per pivot, as it is made, as (pivot row, rows met, multipliers,
+    pivot), the pivot as ``_replay`` back-substitutes it."""
     q = p**e
     nrows = len(rows)
-    dtype = next((dt for dt, top in _DTYPES if q * q <= top), object)
-    cols = np.empty((ncols + 1, nrows), dtype)  # the augmented matrix [A | rhs], one array row per column
+    dtype = _dtype(q)
+    cols = np.empty((ncols, nrows), dtype)  # the coefficient matrix, one array row per column
     counts = np.empty(nrows, np.intp)  # nonzero coefficients per equation, kept through every shear
     for s in range(0, nrows, _CHUNK_ROWS):
         block = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype)
-        cols[:ncols, s:s + _CHUNK_ROWS] = block.T
+        cols[:, s:s + _CHUNK_ROWS] = block.T
         counts[s:s + _CHUNK_ROWS] = np.count_nonzero(block, axis=1)
-    cols[ncols] = _residues([rhs], q, nrows, dtype)[0]
 
-    pivots = []  # (column, p^v, unit part's inverse, rhs, the pivot row's columns and coefficients)
     open_cols = range(ncols)
     for v in range(e):
         pv, step = p**v, p ** (v + 1)
@@ -140,24 +187,38 @@ def _solve_prime_power(rows, rhs, ncols: int, p: int, e: int) -> list[int] | Non
             uinv = pow(int(col[r]) // pv, -1, q)
             nzc = cols[:, r].nonzero()[0]
             row = cols[nzc, r]
-            k = len(nzc) - (nzc[-1] == ncols)  # the coefficient columns among nzc
             # the shear also meets row r itself and zeroes it: its multiplier is 1
             block = (nzc[:, None], hits)
             old = cols[block]
-            new = (old - row[:, None] * (cv // pv * uinv % q)) % q
-            counts[hits] += (new[:k] != 0).sum(axis=0) - (old[:k] != 0).sum(axis=0)
+            mults = cv // pv * uinv % q
+            new = (old - row[:, None] * mults) % q
+            counts[hits] += (new != 0).sum(axis=0) - (old != 0).sum(axis=0)
             cols[block] = new
-            coeffs = row.tolist()
-            b = coeffs.pop() if k < len(nzc) else 0
-            if b % pv:  # p^v divides the whole coefficient row but not b
-                return None
-            pivots.append((j, pv, uinv, b, nzc[:k].tolist(), coeffs))
+            yield int(r), hits, mults, (j, pv, uinv, nzc.tolist(), row.tolist())
         open_cols = left
-    if cols[ncols].any():  # an equation 0 = b with b != 0 is left
+
+
+def _replay(q: int, shears, rhs, ncols: int) -> list[int] | None:
+    """The elimination mod q, its shears recorded or in the making, run on
+    ``rhs``: a solution in range(q), or None.
+
+    Each shear subtracts b_r times its multipliers from the rows it meets,
+    r among them with multiplier 1, in the residue dtype of q, so every
+    product and difference fits as in the elimination.  Back substitution
+    runs last pivot first: a pivot row only reaches columns pivoted after it
+    or never (those stay 0); p^v divides every term."""
+    b = _residues([rhs], q, len(rhs), _dtype(q))[0]
+    pivots = []
+    for r, hits, mults, pivot in shears:
+        br = int(b[r])
+        if br:
+            if br % pivot[1]:  # p^v divides the whole coefficient row but not b
+                return None
+            b[hits] = (b[hits] - br * mults) % q
+        pivots.append((pivot, br))
+    if b.any():  # an equation 0 = b with b != 0 is left
         return None
-    # back substitution, last pivot first: a pivot row only reaches columns
-    # pivoted after it or never (those stay 0); p^v divides every term
     x = [0] * ncols
-    for j, pv, uinv, b, cols, coeffs in reversed(pivots):
-        x[j] = (b - sum(a * x[k] for k, a in zip(cols, coeffs) if k != j)) // pv * uinv % q
+    for (j, pv, uinv, cols, coeffs), br in reversed(pivots):
+        x[j] = (br - sum(a * x[k] for k, a in zip(cols, coeffs) if k != j)) // pv * uinv % q
     return x

@@ -449,9 +449,9 @@ def _system_cases():
 def test_coboundary_system_matches_reference_rows(a, b, monkeypatch):
     calls = []
 
-    def recording(rows, rhs, m):
+    def recording(rows, rhs, m, factors=None):
         calls.append((rows, rhs, m))
-        return solve_mod(rows, rhs, m)
+        return solve_mod(rows, rhs, m, factors=factors)
 
     monkeypatch.setattr(cocycles, "solve_mod", recording)
     same, witness = cohomologous(a, b)
@@ -467,6 +467,46 @@ def test_coboundary_system_matches_reference_rows(a, b, monkeypatch):
     x = solve_mod(ref_rows, ref_rhs, ref_m)  # the whole-scale solve, as before the split
     assert same == (x is not None)
     assert witness is None if x is None else witness.exps == (0,) + tuple(x)
+
+
+def counted_solves(monkeypatch):
+    """Every ``cocycles.solve_mod`` call, as (rows, factors)."""
+    calls = []
+
+    def counted(rows, rhs, m, factors=None):
+        calls.append((rows, factors))
+        return solve_mod(rows, rhs, m, factors=factors)
+
+    monkeypatch.setattr(cocycles, "solve_mod", counted)
+    return calls
+
+
+def test_a_bare_solve_on_c2xc2_is_one_call_of_nine_int8_rows(monkeypatch):
+    """The shape the benchmark tracer pins: one ``solve_mod`` call, with a list
+    of 9 int8 rows of 3 columns, and no registry."""
+    alpha = standard_nondegenerate([2])
+    calls = counted_solves(monkeypatch)
+    cohomologous(CocycleTable.trivial(alpha.group), alpha)
+    [(rows, factors)] = calls
+    assert factors is None and isinstance(rows, list) and len(rows) == 9
+    assert all(row.dtype == np.int8 and row.shape == (3,) for row in rows)
+
+
+def test_a_registry_solve_is_still_one_call_per_solve(monkeypatch):
+    """With a registry, each ``cohomologous`` call still makes one
+    ``cocycles.solve_mod`` call; the system is factored on the first and
+    replayed on the others, with the verdicts and witnesses of bare calls."""
+    alpha = standard_nondegenerate([2, 2])
+    G, rng = alpha.group, np.random.default_rng(5)
+    others = [alpha, times_random_coboundary(alpha, rng), CocycleTable.trivial(G, alpha.scale)]
+    others.append(times_random_coboundary(others[-1], rng))
+    bare = [cohomologous(alpha, b) for b in others]
+    calls, factors = counted_solves(monkeypatch), {}
+    replayed = [cohomologous(alpha, b, factors=factors) for b in others]
+    assert len(calls) == len(others) and all(f is factors for _, f in calls)
+    assert len(factors) == 1
+    assert [v for v, _ in replayed] == [True, True, False, False]
+    assert [(v, w and w.exps) for v, w in replayed] == [(v, w and w.exps) for v, w in bare]
 
 
 def test_cohomologous_peak_memory_at_order_128():

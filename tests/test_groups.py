@@ -301,6 +301,20 @@ def test_inverse_table_matches_row_loop(spec):
     assert np.array_equal(gq.FiniteGroup(G.table).inverse_table, reference_inverse_table(G.table))
 
 
+@pytest.mark.parametrize("spec", [s for s in GROUP_SPECS if gq.make_group(s).n <= 64] + ["C8xC8", "C2xC4xC2xC4"])
+def test_copies_and_quotients_have_the_row_loop_inverses(spec):
+    """Every subgroup copy and every quotient by a normal subgroup is built
+    trusted, each inverse read at its row's least entry: they equal the row
+    loop's on its own table."""
+    G = gq.make_group(spec)
+    for H in groups.subgroups(G):
+        copy = H.as_group()
+        assert np.array_equal(copy.inverse_table, reference_inverse_table(copy.table))
+        if H.is_normal():
+            Q, _ = groups.quotient(G, H)
+            assert np.array_equal(Q.inverse_table, reference_inverse_table(Q.table))
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -308,6 +322,7 @@ def test_inverse_table_matches_row_loop(spec):
         [[0, 1, 2], [1, 0, 0], [2, 1, 1]],  # row 1 has two zeros, row 2 none
         [[0, 1, 2], [1, 2, 0], [2, 2, 1]],  # 1*2 = 0 but 2*1 != 0
         [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]],  # 1 is fine; 2 has two zeros
+        [[0, 1, 2], [1, 0, 0], [2, 0, 0]],  # every row's least entry is a 0 with a 0 back; 1 has two zeros
     ],
 )
 def test_missing_inverse_reported_like_row_loop(table):

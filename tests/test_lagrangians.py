@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import gquot as gq
 from gquot.catalog import GROUP_SPECS
-from gquot import lagrangians
-from gquot.cocycles import CocycleTable, OneCochain, coboundary, standard_nondegenerate
-from gquot.errors import DomainError, SizeBoundError
+from gquot import lagrangians, smith
+from gquot.cocycles import Bicharacter, CocycleTable, OneCochain, coboundary, standard_nondegenerate
+from gquot.errors import DomainError, SizeBoundError, TheoremCheckError
 from gquot import groups
 from gquot.groups import abelian_group_from_invariants, generating_sequence, invariant_factor_sequences
 from gquot.lagrangians import (
@@ -250,6 +251,105 @@ def test_a_scan_without_a_context_reads_the_one_it_builds(monkeypatch):
     reports = lagrangian_scan(G, a, seed=0)
     assert [(r.subgroup, r.isotropic, r.normal) for r in reports] == expected
     assert asked == [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
+
+
+# -- the isotropy cross-checks fire ------------------------------------------------
+
+
+def scanned_context(monkeypatch):
+    """A context on C2^4 whose scan factored every coboundary system of its
+    Lagrangian candidates (15 of the 35 are isotropic); from then on a
+    factorization is a failure, so every later solve on it is a replay."""
+    a = standard_nondegenerate([2, 2])
+    context = MackeyContext(a.group, a, 0)
+    lagrangian_scan(a.group, a, context=context)
+    assert context.factors
+    forbid_factoring(monkeypatch)
+    return context
+
+
+def forbid_factoring(monkeypatch):
+    monkeypatch.setattr(smith, "_eliminate", lambda *args: pytest.fail("a system was factored again"))
+
+
+def candidates(context, isotropic):
+    """The scanned subgroups of order sqrt|G| with the given verdict."""
+    kept = context.isotropy
+    return [H for H in gq.subgroups(context.group) if H.elements in kept and kept[H.elements].isotropic == isotropic]
+
+
+def isotropy_on(context, H, oracle=None):
+    """``is_isotropic`` of H on the context's registry, with its oracle or ``oracle``."""
+    return is_isotropic(
+        context.group, context.cocycle, H, oracle=context.oracle if oracle is None else oracle,
+        factors=context.factors,
+    )
+
+
+class DimsOracle:
+    """A block oracle whose every answer reports the given dims."""
+
+    def __init__(self, dims):
+        self.dims = dims
+
+    def wedderburn(self, cocycle, seed=0):
+        return SimpleNamespace(dims=self.dims)
+
+
+def test_a_replayed_verdict_meets_the_bicharacter_check(monkeypatch):
+    """Replays certify as fresh solves do: each replayed report equals the
+    bare call's, witness included, and a bicharacter that reads the other way
+    fires the check on a replayed verdict."""
+    context = scanned_context(monkeypatch)
+    G, a = context.group, context.cocycle
+    scanned = candidates(context, True) + candidates(context, False)
+    monkeypatch.undo()  # a bare call factors its own system
+    bares = [is_isotropic(G, a, H) for H in scanned]
+    forbid_factoring(monkeypatch)
+    for H, bare in zip(scanned, bares):
+        replayed = isotropy_on(context, H)
+        assert (replayed.isotropic, replayed.block_dims) == (bare.isotropic, bare.block_dims)
+        assert replayed.witness == bare.witness
+    zero = Bicharacter.is_zero
+    monkeypatch.setattr(Bicharacter, "is_zero", lambda self: not zero(self))
+    with pytest.raises(TheoremCheckError, match="^bicharacter and coboundary certificates disagree$"):
+        isotropy_on(context, candidates(context, True)[0])
+
+
+def test_a_corrupt_replay_meets_the_bicharacter_check(monkeypatch):
+    """A replay that reads a trivial class as unsolvable is refused by the
+    bicharacter certificate."""
+    context = scanned_context(monkeypatch)
+    monkeypatch.setattr(smith, "_replay", lambda *args: None)
+    with pytest.raises(TheoremCheckError, match="^bicharacter and coboundary certificates disagree$"):
+        isotropy_on(context, candidates(context, True)[0])
+
+
+def test_abelian_isotropy_fires_when_the_oracle_misses_a_block(monkeypatch):
+    """An isotropic abelian H must show |H| one-dimensional blocks."""
+    context = scanned_context(monkeypatch)
+    H = candidates(context, True)[0]
+    with pytest.raises(TheoremCheckError, match="^abelian isotropy: oracle disagrees with exact solve$"):
+        isotropy_on(context, H, DimsOracle((1,) * (H.order - 1)))
+
+
+def test_isotropy_fires_when_the_oracle_finds_a_module_the_exact_solve_refutes(monkeypatch):
+    """A non-isotropic abelian H with one one-dimensional block passes the
+    abelian count and fails the exact-against-oracle check, on a replay."""
+    context = scanned_context(monkeypatch)
+    H = candidates(context, False)[0]
+    with pytest.raises(TheoremCheckError, match=r"^isotropy certificates disagree \(exact vs oracle\)$"):
+        isotropy_on(context, H, DimsOracle((1,)))
+
+
+def test_non_abelian_isotropy_fires_when_the_exact_verdict_flips(monkeypatch):
+    """On a non-abelian H only the exact-against-oracle check applies."""
+    G = gq.symmetric(3)
+    a, H = CocycleTable.trivial(G), gq.Subgroup(G, tuple(range(G.n)))
+    assert is_isotropic(G, a, H).isotropic
+    monkeypatch.setattr(lagrangians, "is_cohomologically_trivial", lambda *args, **kw: (False, None))
+    with pytest.raises(TheoremCheckError, match=r"^isotropy certificates disagree \(exact vs oracle\)$"):
+        is_isotropic(G, a, H)
 
 
 def test_lagrangian_scan_rejects_a_foreign_context():

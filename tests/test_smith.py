@@ -252,7 +252,7 @@ def _catalog_pairs():
 @pytest.mark.parametrize("a, b", _catalog_pairs())
 def test_cohomologous_verdicts_match_reference_solver(a, b, monkeypatch):
     verdict, witness = cohomologous(a, b)  # the witness is certified inside
-    monkeypatch.setattr(cocycles, "solve_mod", reference_solve_mod)
+    monkeypatch.setattr(cocycles, "solve_mod", lambda rows, rhs, m, factors=None: reference_solve_mod(rows, rhs, m))
     assert cohomologous(a, b)[0] == verdict
 
 
@@ -304,10 +304,16 @@ def reference_solve_prime_power(rows, rhs, ncols, p, e):
     return x
 
 
+def solve_prime_power(rows, rhs, ncols, p, e):
+    """The system mod p**e as ``solve_mod`` solves it: factored, then
+    replayed on ``rhs``."""
+    return smith._replay(p**e, smith._eliminate(rows, ncols, p, e), rhs, ncols)
+
+
 def assert_same_elimination(rows, rhs, m):
     ncols = len(rows[0]) if len(rows) else 0
     for p, e in prime_powers(m):
-        got = smith._solve_prime_power(rows, rhs, ncols, p, e)
+        got = solve_prime_power(rows, rhs, ncols, p, e)
         assert got == reference_solve_prime_power(rows, rhs, ncols, p, e), (m, p, e)
 
 
@@ -315,9 +321,9 @@ def _recorded_systems(pairs, monkeypatch):
     """The systems ``cohomologous`` hands to ``solve_mod`` on the given pairs."""
     systems = []
 
-    def recording(rows, rhs, m):
+    def recording(rows, rhs, m, factors=None):
         systems.append((rows, rhs, m))
-        return solve_mod(rows, rhs, m)
+        return solve_mod(rows, rhs, m, factors=factors)
 
     monkeypatch.setattr(cocycles, "solve_mod", recording)
     for a, b in pairs:
@@ -396,3 +402,139 @@ def test_column_layout_matches_the_row_major_elimination_on_random_systems(m):
         else:
             rhs = [int(v) for v in rng.integers(-top, top, nrows)]
         assert_same_elimination(rows, rhs, m)
+
+
+# -- factor once, replay per right-hand side ------------------------------------
+
+
+def factor(rows, m):
+    """The recorded elimination of each prime power of m, as ``solve_mod``
+    keeps it in a registry."""
+    ncols = len(rows[0]) if len(rows) else 0
+    return [(p**e, list(smith._eliminate(rows, ncols, p, e))) for p, e in prime_powers(m)]
+
+
+def assert_same_replay(rows, rhs_list, m, records=None):
+    """On each right-hand side, per prime power, the replay of one record
+    kept across the right-hand sides against a fresh factorization and
+    against the row-major reference, which eliminates the augmented matrix;
+    then the registry solve against the bare one."""
+    ncols = len(rows[0]) if len(rows) else 0
+    records = factor(rows, m) if records is None else records
+    factors = {}
+    for rhs in rhs_list:
+        for (p, e), (q, shears) in zip(prime_powers(m), records):
+            got = smith._replay(q, shears, rhs, ncols)
+            assert got == solve_prime_power(rows, rhs, ncols, p, e), (m, p, e)
+            assert got == reference_solve_prime_power(rows, rhs, ncols, p, e), (m, p, e)
+        assert solve_mod(rows, rhs, m, factors=factors) == solve_mod(rows, rhs, m)
+    assert len(factors) == 1
+
+
+def right_hand_sides(rng, rows, rhs, m, count=3):
+    """``rhs``, ``count`` random right-hand sides in range(m) and one
+    solvable by construction."""
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if len(rows) else 0)
+    x0 = rng.integers(0, m, A.shape[1])
+    return [list(rhs)] + [rng.integers(0, m, len(rows)).tolist() for _ in range(count)] + [(A @ x0 % m).tolist()]
+
+
+def test_replay_matches_a_fresh_solve_on_the_certify_systems(monkeypatch):
+    """The five solves of the certify benchmark round (orders 64 and 128),
+    each replayed on its own right-hand side and on four others."""
+    rng = np.random.default_rng(2)
+    pairs = []
+    for invs in ([8], [2, 4]):
+        a = standard_nondegenerate(invs)
+        pairs += [(a, _twisted_by_a_coboundary(rng, a)), (CocycleTable.trivial(a.group, a.scale), a)]
+    G = gq.make_group("C2xC8xC8")
+    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
+    a = CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]) % 8)
+    pairs.append((a, _twisted_by_a_coboundary(rng, a)))
+    systems = _recorded_systems(pairs, monkeypatch)
+    assert len(systems) == 5
+    for rows, rhs, m in systems:
+        assert m < 2**40  # the solvable right-hand side is built in int64
+        assert_same_replay(rows, right_hand_sides(rng, rows, rhs, m), m)
+
+
+def test_replay_matches_a_fresh_solve_on_the_sweep(monkeypatch):
+    rng = np.random.default_rng(3)
+    pairs = []
+    for _, G, _, a in sweep_cases():
+        pairs += [(a, _twisted_by_a_coboundary(rng, a)), (CocycleTable.trivial(G, a.scale), a)]
+    systems = _recorded_systems(pairs, monkeypatch)
+    assert len(systems) == 2 * len(sweep_cases())
+    for rows, rhs, m in systems:
+        assert m < 2**40
+        assert_same_replay(rows, right_hand_sides(rng, rows, rhs, m), m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        2**7,  # int16, seven valuation levels
+        181,  # int16
+        3**9,  # int32
+        46337,  # int32
+        2**31,  # int64, 31 levels
+        3037000493,  # int64
+        3**40,  # Python integers
+        2**70,  # Python integers
+        2**6 * 3**3 * 181,  # three prime powers, int16 and int32
+    ],
+)
+def test_replay_matches_a_fresh_solve_on_random_systems(m):
+    """The sparse random systems of the column-layout test, on every dtype
+    rung, each with four random right-hand sides, two of them solvable by
+    construction."""
+    rng = np.random.default_rng(m % 2**32 + 1)
+    p = prime_powers(m)[0][0]
+    top = min(m, 2**62)
+    for _ in range(30):
+        nrows, ncols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        A = [[int(v) for v in rng.integers(-top, top, ncols)] for _ in range(nrows)]
+        keep = rng.random((nrows, ncols)) < 0.3
+        scale = [p ** int(rng.integers(0, 4)) for _ in range(ncols)]
+        rows = [[a * s if k else 0 for a, s, k in zip(row, scale, mask)] for row, mask in zip(A, keep)]
+        rhs_list = []
+        for trial in range(4):
+            if trial % 2:
+                x0 = [int(v) for v in rng.integers(0, top, ncols)]
+                rhs_list.append([sum(a * v for a, v in zip(row, x0)) for row in rows])
+            else:
+                rhs_list.append([int(v) for v in rng.integers(-top, top, nrows)])
+        assert_same_replay(rows, rhs_list, m)
+
+
+def test_a_record_with_one_multiplier_off_fails_the_comparison(monkeypatch):
+    """One multiplier of the first shear of the C2xC2 coboundary system, off
+    by one, must change the replay of a solvable right-hand side."""
+    alpha = standard_nondegenerate([2])
+    [(rows, rhs, m)] = _recorded_systems([(CocycleTable.trivial(alpha.group), alpha)], monkeypatch)
+    rhs_list = right_hand_sides(np.random.default_rng(4), rows, rhs, m)
+    records = factor(rows, m)
+    assert_same_replay(rows, rhs_list, m, records)
+    [(q, shears)] = records
+    r, hits, mults, pivot = shears[0]
+    off = mults.copy()
+    off[np.flatnonzero(hits != r)[0]] += 1
+    mutated = [(q, [(r, hits, off, pivot)] + shears[1:])]
+    with pytest.raises(AssertionError):
+        assert_same_replay(rows, rhs_list, m, mutated)
+
+
+def test_one_registry_entry_per_exact_system():
+    """A registry keys a system by m and the exact coefficients: the same rows
+    under two moduli make two entries; a second call on one system factors
+    nothing; rows that agree only as floats are two systems."""
+    rows, factors = [[1, 2], [3, 4], [0, 6]], {}
+    assert solve_mod(rows, [1, 2, 3], 12, factors=factors) == solve_mod(rows, [1, 2, 3], 12)
+    assert solve_mod(rows, [1, 2, 3], 10, factors=factors) == solve_mod(rows, [1, 2, 3], 10)
+    assert len(factors) == 2
+    assert solve_mod(rows, [2, 0, 6], 12, factors=factors) == solve_mod(rows, [2, 0, 6], 12)
+    assert len(factors) == 2
+    big = [[2**63, -1], [2**63 + 1, -1]]  # numpy reads both rows as one float64 row
+    for rows in ([big[0]], [big[1]]):
+        assert solve_mod(rows, [5], 2**70, factors=factors) == solve_mod(rows, [5], 2**70)
+    assert len(factors) == 4
