@@ -144,7 +144,7 @@ def _cmd_cocycle(args, em: _Emitter) -> int:
         return 0
     if args.action == "nondeg":
         em.emit("seed", args.seed)
-        verdict = is_nondegenerate(G, alpha, seed=args.seed)
+        verdict = is_nondegenerate(G, alpha)
         em.emit("nondegenerate", verdict)
         return 0
     if args.action == "cohomologous":

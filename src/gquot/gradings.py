@@ -213,7 +213,9 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
 
     Each line reads ``x: elem^mult ... | H: elems | alpha: FILE-or-trivial``;
     elements are group indices, H may be omitted or ``e`` for a trivial fine
-    part, and alpha paths are resolved relative to ``base_dir``.
+    part, and alpha paths are resolved relative to ``base_dir``.  Keys are
+    read case-insensitively; a repeated field or another key raises, naming
+    its line, so a typo cannot silently change the grading class.
     """
     summands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -224,7 +226,12 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
         fields = {}
         for part in parts:
             key, _, value = part.partition(":")
-            fields[key.strip().lower()] = value.strip()
+            key = key.strip()
+            if key.lower() not in ("x", "h", "alpha"):
+                raise ValidationError(f"line {lineno}: unknown field {key!r}")
+            if key.lower() in fields:
+                raise ValidationError(f"line {lineno}: repeated field {key!r}")
+            fields[key.lower()] = value.strip()
         if "x" not in fields:
             raise ValidationError(f"line {lineno}: summand needs an x field")
         try:  # the x and H fields; an error in building them names this line

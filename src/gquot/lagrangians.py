@@ -7,11 +7,14 @@ kernels of the elementary crossed-product quotients, which ties twisted
 gradings to the groups admitting bijective 1-cocycles (set-theoretic
 Yang-Baxter solutions).
 
-Every verdict is double-certified: the exact coboundary solver and the
-numeric block oracle must agree, and every theorem-level equivalence is
-computed on both sides and compared, raising on any disagreement.  Scans
-read the isotropy verdicts and the decompositions, quotients included, that
-one ``MackeyContext`` keeps, so nothing is certified twice on one context.
+Every isotropy verdict is double-certified: the exact coboundary solver and
+the numeric block oracle must agree, and every theorem-level equivalence is
+computed on both sides and compared, raising on any disagreement.  The
+non-degeneracy a scan starts from is read off the exact center
+(``is_nondegenerate``).  ``is_isotropic`` takes the ``MackeyContext`` of
+the class it asks about, and scans read the isotropy verdicts and the
+decompositions, quotients included, that one context keeps, so nothing is
+certified twice on one context.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .mackey import (
     is_ecp_quotient,
     is_elementary_quotient,
 )
-from .twisted import BlockOracle, is_nondegenerate
+from .twisted import is_nondegenerate
 
 IYB_BOUND = 12  # largest order the bijective 1-cocycle search accepts
 
@@ -66,26 +69,23 @@ class LagrangianReport:
         return self.isotropic
 
 
-def is_isotropic(
-    G: FiniteGroup, alpha: CocycleTable, H: Subgroup, seed: int = 0, oracle: BlockOracle | None = None,
-    factors: dict | None = None,
-) -> IsotropyReport:
-    """Whether the class restricts trivially to H, with two certificates.
+def is_isotropic(context: MackeyContext, H: Subgroup) -> IsotropyReport:
+    """Whether the class of ``context`` restricts trivially to H, with two
+    certificates.
 
-    The exact certificate solves the coboundary system over Z/m; the numeric
-    one asks the block oracle (``oracle``, or a new registry) for a
+    The exact certificate solves the coboundary system over Z/m in the
+    context's registry of factored systems, ``context.factors``
+    (``cohomologous``), so subgroups with one table share one factorization;
+    a replayed verdict meets the same cross-checks as a fresh one.  The
+    numeric one asks the context's block oracle, at its seed, for a
     one-dimensional block of the restricted algebra (existence of a
     one-dimensional module is equivalent to a trivial restricted class, for
-    abelian and non-abelian H alike).  The two must agree.  ``factors`` is
-    the caller's registry of factored coboundary systems (``cohomologous``),
-    so subgroups with one table share one factorization; a replayed verdict
-    meets the same cross-checks as a fresh one.
+    abelian and non-abelian H alike).  The two must agree.  An H of another
+    group is refused by ``CocycleTable.restrict``.
     """
-    if alpha.group != G:
-        raise DomainError("cocycle lives on a different group")
-    rest = alpha.restrict(H)
-    trivial, witness = is_cohomologically_trivial(rest, factors=factors)
-    dims = (BlockOracle() if oracle is None else oracle).wedderburn(rest, seed).dims
+    rest = context.cocycle.restrict(H)
+    trivial, witness = is_cohomologically_trivial(rest, factors=context.factors)
+    dims = context.oracle.wedderburn(rest, context.seed).dims
     ones = sum(1 for d in dims if d == 1)
     oracle_verdict = ones >= 1
     if rest.group.is_abelian:
@@ -115,7 +115,7 @@ def lagrangian_scan(
     if root * root != G.n:
         raise DomainError(f"|G| = {G.n} is not a perfect square")
     context = _mackey_context(G, alpha, seed, context)
-    if not is_nondegenerate(G, alpha, seed=seed, oracle=context.oracle):
+    if not is_nondegenerate(G, alpha):
         raise DomainError("lagrangian_scan expects a non-degenerate class")
     out = []
     for H in subgroups(G):
@@ -134,10 +134,7 @@ def _isotropy(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     ``is_isotropic`` on first use."""
     report = context.isotropy.get(H.elements)
     if report is None:
-        report = context.isotropy[H.elements] = is_isotropic(
-            context.group, context.cocycle, H, seed=context.seed, oracle=context.oracle,
-            factors=context.factors,
-        )
+        report = context.isotropy[H.elements] = is_isotropic(context, H)
     return report
 
 
@@ -202,7 +199,7 @@ def maximal_elementary_quotients(
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
-    if not is_nondegenerate(A, alpha, seed=seed):
+    if not is_nondegenerate(A, alpha):
         raise DomainError("expects a non-degenerate class")
     context = _mackey_context(A, alpha, seed, context)
     lattice = subgroups(A)

@@ -45,8 +45,9 @@ breadth-first tree, bounds the defect of every pair (the derivation is in
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
 identical algebra is split once per registry.  The caller creates it and
-passes it along.  ``is_nondegenerate`` asks it for a single block when the
-group is not abelian, and NUMERIC_BOUND caps the order of every algebra here.
+passes it along.  ``is_nondegenerate`` never asks it: the exact center
+dimension decides simplicity.  NUMERIC_BOUND caps the order of every algebra
+here.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import CocycleTable, bicharacter_of
-from .errors import CertificationError, DomainError, SizeBoundError, ValidationError
+from .errors import CertificationError, DomainError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import ORDER_BOUND, FiniteGroup, cayley_tree
 
 TOL_CLUSTER = 1e-9      # eigenvalue clustering
@@ -387,20 +388,24 @@ class BlockOracle:
         return module
 
 
-def is_nondegenerate(G: FiniteGroup, a: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None) -> bool:
+def is_nondegenerate(G: FiniteGroup, a: CocycleTable) -> bool:
     """Whether the twisted group algebra over ``a`` is a full matrix algebra.
 
-    Abelian groups use the exact radical criterion; the general case asks
-    the numeric block oracle, ``oracle`` or a new registry, for a single
-    simple block.
+    C^a G is semisimple, and a semisimple algebra is simple exactly when its
+    center is C, so the verdict is an exact center dimension of one
+    (Karpilovsky, *Projective Representations of Finite Groups*, 1985); no
+    numerics enter.  On abelian G the independent radical criterion (the
+    commutator bicharacter has a trivial radical) must give the same
+    verdict, and a disagreement raises.
     """
     if G.n > NUMERIC_BOUND:
         raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
     if a.group != G:
         raise DomainError("cocycle lives on a different group")
-    if G.is_abelian:
-        return bicharacter_of(a).radical().order == 1
-    return len((BlockOracle() if oracle is None else oracle).wedderburn(a, seed).dims) == 1
+    simple = TwistedAlgebra(G, a).center_dimension() == 1
+    if G.is_abelian and simple != (bicharacter_of(a).radical().order == 1):
+        raise TheoremCheckError("non-degeneracy: center dimension and bicharacter radical disagree")
+    return simple
 
 
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:

@@ -254,11 +254,18 @@ def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
         ("x: 0 1 | H: 0 1", "line 2: subgroup not closed under inversion at 1"),
         ("x: 0^0", "line 2: character multiplicities must be >= 1"),
         ("x: ", "line 2: character must have non-empty support"),
+        ("x: 0 | x: 1", "line 2: repeated field 'x'"),
+        ("x: 0 1 | H: 0 2 | H: 0", "line 2: repeated field 'H'"),
+        ("x: 1 | alhpa: c.txt", "line 2: unknown field 'alhpa'"),
+        ("x: 1 | garbage", "line 2: unknown field 'garbage'"),
     ],
-    ids=["H token", "H element", "H inverses", "x multiplicity", "x support"],
+    ids=["H token", "H element", "H inverses", "x multiplicity", "x support", "x repeated", "H repeated",
+         "misspelt key", "no key"],
 )
 def test_descriptor_field_errors_name_their_line(tmp_path, capsys, line, record):
-    """An error in building a line's x or H field names that line."""
+    """An error in building a line's x or H field names that line, and so
+    does a repeated field or a key other than x, H and alpha, which would
+    otherwise change the grading class without a word."""
     desc = tmp_path / "d.txt"
     desc.write_text(f"# one summand\n{line}\n")
     code, out = run_cli(capsys, "grading", "dims", "--group", "C4", "--descriptor", str(desc))

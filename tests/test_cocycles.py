@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gquot as gq
 from gquot import cocycles
-from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS
+from gquot.catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_group, resolve_cocycle
 from gquot.cocycles import (
     MAX_SCALE,
     Bicharacter,
@@ -23,10 +23,10 @@ from gquot.cocycles import (
     reconcile_scales,
     standard_nondegenerate,
 )
-from gquot.errors import DomainError, ScaleError, ValidationError
+from gquot.errors import DomainError, ScaleError, TheoremCheckError, ValidationError
 from gquot.smith import solve_mod
 from gquot.suite import sweep_cases
-from gquot.twisted import TwistedAlgebra, is_nondegenerate
+from gquot.twisted import BlockOracle, TwistedAlgebra, is_nondegenerate
 
 
 def format_cocycle(a: CocycleTable) -> str:
@@ -188,6 +188,40 @@ def test_is_nondegenerate_c6xc6():
     a = standard_nondegenerate([6])
     assert is_nondegenerate(a.group, a)
     assert TwistedAlgebra(a.group, a).wedderburn(seed=0).dims == (6,)
+
+
+def numeric_nondegenerate(a):
+    """The verdict ``is_nondegenerate`` once asked the block oracle for on
+    non-abelian groups: C^a G splits into a single block."""
+    return len(BlockOracle().wedderburn(a).dims) == 1
+
+
+def test_exact_nondegeneracy_matches_the_numeric_verdict():
+    """The exact center decides what the oracle's block count decided, on
+    every sweep case, the trivial class of every catalog group, and the
+    standard non-degenerate class on C2^6 and C8 x C8."""
+    cases = [(f"{gname}/{cname}", a) for gname, _, cname, a in sweep_cases()]
+    cases += [(f"{name}/trivial", CocycleTable.trivial(build_group(name))) for name in GROUP_SPECS]
+    cases += [(f"nd_{invs}", standard_nondegenerate(invs)) for invs in ([2, 2, 2], [8])]
+    verdicts = {tag: is_nondegenerate(a.group, a) for tag, a in cases}
+    assert verdicts == {tag: numeric_nondegenerate(a) for tag, a in cases}
+    assert verdicts["nd_[2, 2, 2]"] and verdicts["nd_[8]"] and not verdicts["S3/trivial"]
+
+
+@pytest.mark.parametrize("cname", ["nd_C2xC2", "trivial"])
+def test_nondegeneracy_cross_check_fires_when_the_radical_flips(monkeypatch, cname):
+    """A radical that reads the other way contradicts the exact center."""
+    G = build_group("C2xC2")
+    a = resolve_cocycle(cname, G)
+    radical = Bicharacter.radical
+
+    def flipped(self):
+        whole = radical(self).order > 1
+        return gq.Subgroup(self.group, (0,) if whole else tuple(range(self.group.n)))
+
+    monkeypatch.setattr(Bicharacter, "radical", flipped)
+    with pytest.raises(TheoremCheckError, match="^non-degeneracy: center dimension and bicharacter radical disagree$"):
+        is_nondegenerate(G, a)
 
 
 def test_cohomologous_is_equivalence_on_samples():

@@ -3,7 +3,8 @@ import pytest
 
 import gquot as gq
 from gquot.cocycles import CocycleTable, cohomologous, standard_nondegenerate
-from gquot.errors import DomainError, ValidationError
+from gquot import gradings
+from gquot.errors import DomainError, TheoremCheckError, ValidationError
 from gquot.gradings import (
     Character,
     GradingClassDescriptor,
@@ -228,6 +229,17 @@ def test_equidimensional_criterion_both_paths():
     x = Character.from_dict(S3, {0: 1, transposition: 1})
     ok3, masses3 = is_equidimensional_induced(x, a3)
     assert ok3 and sorted(masses3.values()) == [1, 1]
+
+
+def test_coset_mass_check_fires_when_the_masses_flip(monkeypatch):
+    """Masses that read unequal against equal direct dimensions raise."""
+    C2 = gq.cyclic(2)
+    masses = gradings.coset_masses
+    monkeypatch.setattr(gradings, "coset_masses", lambda x, H: {**masses(x, H), 0: 2})
+    with pytest.raises(
+        TheoremCheckError, match=r"^coset-mass criterion \(False\) disagrees with direct dimensions \(True\)$"
+    ):
+        is_equidimensional_induced(Character.regular(C2), gq.Subgroup(C2, (0,)))
 
 
 def test_elementary_and_ecp_recognition():

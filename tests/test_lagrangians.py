@@ -33,22 +33,23 @@ from gquot.twisted import BlockOracle, TwistedAlgebra
 def test_isotropy_trivial_class_any_subgroup():
     S3 = gq.symmetric(3)
     t = CocycleTable.trivial(S3)
+    context = MackeyContext(S3, t)
     for H in gq.subgroups(S3):
-        assert is_isotropic(S3, t, H).isotropic
+        assert is_isotropic(context, H).isotropic
 
 
 def test_isotropy_spec_cases():
     a44 = standard_nondegenerate([4])
     G = a44.group
-    assert is_isotropic(G, a44, gq.generated_subgroup(G, [4])).isotropic
+    assert is_isotropic(MackeyContext(G, a44), gq.generated_subgroup(G, [4])).isotropic
     a = standard_nondegenerate([2])
-    assert not is_isotropic(a.group, a, gq.Subgroup(a.group, tuple(range(4)))).isotropic
+    assert not is_isotropic(MackeyContext(a.group, a), gq.Subgroup(a.group, tuple(range(4)))).isotropic
 
 
 def test_isotropy_witness_is_checkable():
     a44 = standard_nondegenerate([4])
     G = a44.group
-    rep = is_isotropic(G, a44, gq.generated_subgroup(G, [8, 2]))
+    rep = is_isotropic(MackeyContext(G, a44), gq.generated_subgroup(G, [8, 2]))
     assert rep.isotropic and rep.witness is not None
     assert rep.one_dim_blocks == 4 and rep.block_dims == (1, 1, 1, 1)
 
@@ -208,9 +209,9 @@ def counted_isotropy(monkeypatch):
     """The subgroups ``is_isotropic`` is asked about, in call order."""
     asked, isotropic = [], lagrangians.is_isotropic
 
-    def counted(G, a, H, **kwargs):
+    def counted(context, H):
         asked.append(H.elements)
-        return isotropic(G, a, H, **kwargs)
+        return isotropic(context, H)
 
     monkeypatch.setattr(lagrangians, "is_isotropic", counted)
     return asked
@@ -231,9 +232,10 @@ def test_isotropy_verdicts_are_certified_once_per_context(monkeypatch):
     again = lagrangian_scan(G, a, context=context)
     squares = [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
     assert asked == squares and len(first) == len(again) == len(squares)
+    fresh = MackeyContext(G, a, 0)
     for r, s in zip(first, again):
         assert (r.subgroup, r.isotropic, r.normal) == (s.subgroup, s.isotropic, s.normal)
-        assert r.isotropic == is_isotropic(G, a, r.subgroup).isotropic
+        assert r.isotropic == is_isotropic(fresh, r.subgroup).isotropic
     assert set(context.isotropy) == set(squares)
     asked.clear()
     lagrangian_scan(G, a)
@@ -278,14 +280,6 @@ def candidates(context, isotropic):
     return [H for H in gq.subgroups(context.group) if H.elements in kept and kept[H.elements].isotropic == isotropic]
 
 
-def isotropy_on(context, H, oracle=None):
-    """``is_isotropic`` of H on the context's registry, with its oracle or ``oracle``."""
-    return is_isotropic(
-        context.group, context.cocycle, H, oracle=context.oracle if oracle is None else oracle,
-        factors=context.factors,
-    )
-
-
 class DimsOracle:
     """A block oracle whose every answer reports the given dims."""
 
@@ -303,17 +297,17 @@ def test_a_replayed_verdict_meets_the_bicharacter_check(monkeypatch):
     context = scanned_context(monkeypatch)
     G, a = context.group, context.cocycle
     scanned = candidates(context, True) + candidates(context, False)
-    monkeypatch.undo()  # a bare call factors its own system
-    bares = [is_isotropic(G, a, H) for H in scanned]
+    monkeypatch.undo()  # a call on a new context factors its own system
+    bares = [is_isotropic(MackeyContext(G, a, 0), H) for H in scanned]
     forbid_factoring(monkeypatch)
     for H, bare in zip(scanned, bares):
-        replayed = isotropy_on(context, H)
+        replayed = is_isotropic(context, H)
         assert (replayed.isotropic, replayed.block_dims) == (bare.isotropic, bare.block_dims)
         assert replayed.witness == bare.witness
     zero = Bicharacter.is_zero
     monkeypatch.setattr(Bicharacter, "is_zero", lambda self: not zero(self))
     with pytest.raises(TheoremCheckError, match="^bicharacter and coboundary certificates disagree$"):
-        isotropy_on(context, candidates(context, True)[0])
+        is_isotropic(context, candidates(context, True)[0])
 
 
 def test_a_corrupt_replay_meets_the_bicharacter_check(monkeypatch):
@@ -322,15 +316,16 @@ def test_a_corrupt_replay_meets_the_bicharacter_check(monkeypatch):
     context = scanned_context(monkeypatch)
     monkeypatch.setattr(smith, "_replay", lambda *args: None)
     with pytest.raises(TheoremCheckError, match="^bicharacter and coboundary certificates disagree$"):
-        isotropy_on(context, candidates(context, True)[0])
+        is_isotropic(context, candidates(context, True)[0])
 
 
 def test_abelian_isotropy_fires_when_the_oracle_misses_a_block(monkeypatch):
     """An isotropic abelian H must show |H| one-dimensional blocks."""
     context = scanned_context(monkeypatch)
     H = candidates(context, True)[0]
+    monkeypatch.setattr(context, "oracle", DimsOracle((1,) * (H.order - 1)))
     with pytest.raises(TheoremCheckError, match="^abelian isotropy: oracle disagrees with exact solve$"):
-        isotropy_on(context, H, DimsOracle((1,) * (H.order - 1)))
+        is_isotropic(context, H)
 
 
 def test_isotropy_fires_when_the_oracle_finds_a_module_the_exact_solve_refutes(monkeypatch):
@@ -338,18 +333,65 @@ def test_isotropy_fires_when_the_oracle_finds_a_module_the_exact_solve_refutes(m
     abelian count and fails the exact-against-oracle check, on a replay."""
     context = scanned_context(monkeypatch)
     H = candidates(context, False)[0]
+    monkeypatch.setattr(context, "oracle", DimsOracle((1,)))
     with pytest.raises(TheoremCheckError, match=r"^isotropy certificates disagree \(exact vs oracle\)$"):
-        isotropy_on(context, H, DimsOracle((1,)))
+        is_isotropic(context, H)
 
 
 def test_non_abelian_isotropy_fires_when_the_exact_verdict_flips(monkeypatch):
     """On a non-abelian H only the exact-against-oracle check applies."""
     G = gq.symmetric(3)
-    a, H = CocycleTable.trivial(G), gq.Subgroup(G, tuple(range(G.n)))
-    assert is_isotropic(G, a, H).isotropic
+    context, H = MackeyContext(G, CocycleTable.trivial(G)), gq.Subgroup(G, tuple(range(G.n)))
+    assert is_isotropic(context, H).isotropic
     monkeypatch.setattr(lagrangians, "is_cohomologically_trivial", lambda *args, **kw: (False, None))
     with pytest.raises(TheoremCheckError, match=r"^isotropy certificates disagree \(exact vs oracle\)$"):
-        is_isotropic(G, a, H)
+        is_isotropic(context, H)
+
+
+def test_isotropy_refuses_a_subgroup_of_another_group():
+    a = standard_nondegenerate([2])
+    with pytest.raises(DomainError, match="^subgroup belongs to a different group$"):
+        is_isotropic(MackeyContext(a.group, a), gq.Subgroup(gq.cyclic(4), (0, 2)))
+
+
+# -- the theorem checks fire -------------------------------------------------------
+
+
+def flipped(monkeypatch, name):
+    """Replace ``lagrangians.<name>`` by its negation."""
+    original = getattr(lagrangians, name)
+    monkeypatch.setattr(lagrangians, name, lambda *args: not original(*args))
+
+
+def test_theorem_c_biconditional_fires_when_the_ecp_verdict_flips(monkeypatch):
+    a = standard_nondegenerate([2])
+    N = gq.generated_subgroup(a.group, [2])
+    flipped(monkeypatch, "is_ecp_quotient")
+    with pytest.raises(
+        TheoremCheckError, match="^biconditional violated on N of order 2: ECP=False, Lagrangian=True$"
+    ):
+        crossed_product_iff_lagrangian(a.group, a, N)
+
+
+def test_theorem_d_fires_when_the_elementary_verdicts_flip(monkeypatch):
+    a = standard_nondegenerate([2])
+    flipped(monkeypatch, "is_elementary_quotient")
+    with pytest.raises(TheoremCheckError, match="^maximal elementary quotients differ from Lagrangian kernels$"):
+        maximal_elementary_quotients(a.group, a)
+
+
+def test_theorem_d_fires_when_the_ecp_verdicts_flip(monkeypatch):
+    a = standard_nondegenerate([2])
+    flipped(monkeypatch, "is_ecp_quotient")
+    with pytest.raises(TheoremCheckError, match="^a maximal elementary quotient is not a crossed product$"):
+        maximal_elementary_quotients(a.group, a)
+
+
+def test_iyb_search_refuses_a_witness_that_fails_verification(monkeypatch):
+    """The raise that lets criterion 10 count every returned witness as verified."""
+    monkeypatch.setattr(IYBWitness, "verify", lambda self: False)
+    with pytest.raises(TheoremCheckError, match="^IYB witness failed exact verification$"):
+        iyb_witness_search(gq.cyclic(2))
 
 
 def test_lagrangian_scan_rejects_a_foreign_context():

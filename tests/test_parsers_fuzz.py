@@ -163,5 +163,6 @@ def test_normal_texts(workdir, command, text):
 @example(group="C2", text="x: 0^4611686018427387904 1^4611686018427387904")
 @example(group="C2", text="x: 0^99999999999999999999")
 @example(group="C²", text="x: 0 1\n")
+@example(group="C2", text="x: 0 | x: 1\nx: 1 | alhpa: c.txt\n")
 def test_descriptor_files(workdir, action, group, text):
     run(workdir, text, "grading", action, "--group", group, "--descriptor")
