@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cocycle", help="validate and classify 2-cocycles")
     c.add_argument("action", choices=["check", "nondeg", "cohomologous", "bichar"])
-    _add_common(c)
+    _add_common(c, seed=False)
     c.add_argument("--cocycle2", default=None, help="second cocycle for 'cohomologous'")
 
     t = sub.add_parser("twisted", help="block structure of twisted group algebras")
@@ -143,9 +143,7 @@ def _cmd_cocycle(args, em: _Emitter) -> int:
         em.emit("scale", alpha.scale)
         return 0
     if args.action == "nondeg":
-        em.emit("seed", args.seed)
-        verdict = is_nondegenerate(G, alpha)
-        em.emit("nondegenerate", verdict)
+        em.emit("nondegenerate", is_nondegenerate(G, alpha))
         return 0
     if args.action == "cohomologous":
         if args.cocycle2 is None:

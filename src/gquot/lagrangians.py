@@ -81,7 +81,9 @@ def is_isotropic(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     one-dimensional block of the restricted algebra (existence of a
     one-dimensional module is equivalent to a trivial restricted class, for
     abelian and non-abelian H alike).  The two must agree.  An H of another
-    group is refused by ``CocycleTable.restrict``.
+    group is refused by ``CocycleTable.restrict``.  Building the context
+    splits C^alpha G once, so a lone question about a small H pays for that
+    split; scans and the suite ask every question of one context.
     """
     rest = context.cocycle.restrict(H)
     trivial, witness = is_cohomologically_trivial(rest, factors=context.factors)

@@ -53,6 +53,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,7 +115,8 @@ class WedderburnData:
 
 class TwistedAlgebra:
     """C^a G for a finite group G and a normalized 2-cocycle a, given as an
-    exact :class:`CocycleTable`; phases holds its complex values."""
+    exact :class:`CocycleTable`; phases holds its complex values, computed
+    on first use, so the exact center never pays for them."""
 
     def __init__(self, group: FiniteGroup, cocycle: CocycleTable):
         if group.n > NUMERIC_BOUND:
@@ -126,8 +128,11 @@ class TwistedAlgebra:
         self.group = group
         self.n = group.n
         self.cocycle = cocycle
-        self.phases = cocycle.value_matrix()
         self.last_rep_defect: float | None = None  # the bound the last extracted module passed
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        return self.cocycle.value_matrix()
 
     # -- the regular representation ------------------------------------------
 

@@ -101,9 +101,9 @@ def test_group_entry_beyond_int64_exits_2(tmp_path, capsys):
 
 def test_cocycle_commands(capsys):
     code, out = run_cli(capsys, "cocycle", "nondeg", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
-    assert code == 0 and "nondegenerate: True" in out
+    assert code == 0 and out == "nondegenerate: True\n"
     code, out = run_cli(capsys, "cocycle", "nondeg", "--group", "C2xC2", "--cocycle", "trivial")
-    assert code == 0 and "nondegenerate: False" in out
+    assert code == 0 and out == "nondegenerate: False\n"
     code, out = run_cli(
         capsys,
         "cocycle",
@@ -118,6 +118,14 @@ def test_cocycle_commands(capsys):
     assert code == 0 and "cohomologous: False" in out
     code, out = run_cli(capsys, "cocycle", "bichar", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
     assert code == 0 and "radical: [0]" in out
+
+
+def test_cocycle_has_no_seed_option(capsys):
+    # every cocycle action is exact, so no seed could change its report
+    with pytest.raises(SystemExit) as exc:
+        main(["cocycle", "nondeg", "--group", "S3", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_twisted_wedderburn_has_no_tolerance_option(capsys):

@@ -26,7 +26,7 @@ from gquot.cocycles import (
 from gquot.errors import DomainError, ScaleError, TheoremCheckError, ValidationError
 from gquot.smith import solve_mod
 from gquot.suite import sweep_cases
-from gquot.twisted import BlockOracle, TwistedAlgebra, is_nondegenerate
+from gquot.twisted import TwistedAlgebra, is_nondegenerate
 
 
 def format_cocycle(a: CocycleTable) -> str:
@@ -167,45 +167,33 @@ def test_restriction_to_sub_products_stays_nondegenerate():
 
 
 def test_is_nondegenerate_paths_agree():
-    # the exact radical criterion and the block oracle must coincide on
-    # every abelian catalog class, trivial and non-degenerate alike
+    # the exact center decides what the block oracle's count decided, and on
+    # abelian groups the radical criterion agrees: every abelian catalog
+    # class, every sweep case, the trivial class of every catalog group, and
+    # the standard non-degenerate class on C2^6 and C8 x C8
+    def oracle_verdict(a):
+        return len(TwistedAlgebra(a.group, a).wedderburn(seed=0).dims) == 1
+
     for invs in ([2], [3], [4], [5], [6], [2, 2]):
         a = standard_nondegenerate(invs)
         radical_verdict = bicharacter_of(a).radical().order == 1
-        oracle_verdict = len(TwistedAlgebra(a.group, a).wedderburn(seed=0).dims) == 1
-        assert radical_verdict == oracle_verdict == is_nondegenerate(a.group, a)
+        assert radical_verdict == oracle_verdict(a) == is_nondegenerate(a.group, a)
         t = CocycleTable.trivial(a.group)
-        assert (
-            (bicharacter_of(t).radical().order == 1)
-            == (len(TwistedAlgebra(a.group, t).wedderburn(seed=0).dims) == 1)
-            == is_nondegenerate(a.group, t)
-        )
+        assert (bicharacter_of(t).radical().order == 1) == oracle_verdict(t) == is_nondegenerate(a.group, t)
     G = gq.make_group("C3xC3")
     assert not is_nondegenerate(G, CocycleTable.trivial(G))
+    cases = [(f"{gname}/{cname}", a) for gname, _, cname, a in sweep_cases()]
+    cases += [(f"{name}/trivial", CocycleTable.trivial(build_group(name))) for name in GROUP_SPECS]
+    cases += [(f"nd_{invs}", standard_nondegenerate(invs)) for invs in ([2, 2, 2], [8])]
+    verdicts = {tag: is_nondegenerate(a.group, a) for tag, a in cases}
+    assert verdicts == {tag: oracle_verdict(a) for tag, a in cases}
+    assert verdicts["nd_[2, 2, 2]"] and verdicts["nd_[8]"] and not verdicts["S3/trivial"]
 
 
 def test_is_nondegenerate_c6xc6():
     a = standard_nondegenerate([6])
     assert is_nondegenerate(a.group, a)
     assert TwistedAlgebra(a.group, a).wedderburn(seed=0).dims == (6,)
-
-
-def numeric_nondegenerate(a):
-    """The verdict ``is_nondegenerate`` once asked the block oracle for on
-    non-abelian groups: C^a G splits into a single block."""
-    return len(BlockOracle().wedderburn(a).dims) == 1
-
-
-def test_exact_nondegeneracy_matches_the_numeric_verdict():
-    """The exact center decides what the oracle's block count decided, on
-    every sweep case, the trivial class of every catalog group, and the
-    standard non-degenerate class on C2^6 and C8 x C8."""
-    cases = [(f"{gname}/{cname}", a) for gname, _, cname, a in sweep_cases()]
-    cases += [(f"{name}/trivial", CocycleTable.trivial(build_group(name))) for name in GROUP_SPECS]
-    cases += [(f"nd_{invs}", standard_nondegenerate(invs)) for invs in ([2, 2, 2], [8])]
-    verdicts = {tag: is_nondegenerate(a.group, a) for tag, a in cases}
-    assert verdicts == {tag: numeric_nondegenerate(a) for tag, a in cases}
-    assert verdicts["nd_[2, 2, 2]"] and verdicts["nd_[8]"] and not verdicts["S3/trivial"]
 
 
 @pytest.mark.parametrize("cname", ["nd_C2xC2", "trivial"])
