@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ScaleError, ValidationError
 from .groups import FiniteGroup, Subgroup, cyclic, direct_product, generating_sequence
-from .smith import solve_mod
+from .smith import SystemRows, solve_mod
 
 # Exponents are int64 residues below MAX_SCALE, so every exponent expression
 # here, at most two residues added and two subtracted, stays inside int64.
@@ -180,15 +180,15 @@ def cohomologous(
 
     - **Mod M1** the system goes to ``solve_mod``.  It has one row per pair
       (g, h) of non-identity elements, g-major, and one unknown per
-      non-identity element.  Its entries are -1, 1 and 2, so it is built as
-      one int8 array by three scatters (the g, h and gh columns) and handed
-      over as a list of that array's rows.  The rows depend only on the
-      table of G and M1 only on that table and the scale; only the
+      non-identity element (``_coboundary_rows``).  The rows depend only on
+      the table of G and M1 only on that table and the scale; only the
       right-hand side depends on the cocycles.  So a caller that asks about
-      many cocycles on one table passes ``factors``, a dict it keeps, and
-      ``solve_mod`` factors each system once in it and replays it for every
-      later call (``smith``, "factor once, replay per right-hand side"),
-      with the verdict and witness a fresh solve gives.
+      many cocycles on one table passes ``factors``, a dict it keeps: the
+      rows are built once per (table core, M1) and kept in it, with the
+      registry key ``solve_mod`` derives from them, and ``solve_mod``
+      factors each system once in it and replays it for every later call
+      (``smith``, "factor once, replay per right-hand side"), with the
+      verdict and witness a fresh solve gives.
     - **Mod M2** there is nothing to solve: H^2(G, Z/p^e) = 0 for p not
       dividing n (Brown, *Cohomology of Groups*, III.10), and the witness is
       explicit.  Summing the cocycle identity
@@ -210,16 +210,13 @@ def cohomologous(
     while (d := math.gcd(m2, n)) > 1:
         m2 //= d
     m1 = m // m2
-    g, h = (x.ravel() for x in np.indices((n - 1, n - 1)) + 1)
-    gh = a.group.table[g, h]
-    eq = np.arange(len(g))
-    rows = np.zeros((len(g), n - 1), dtype=np.int8)
-    rows[eq, g - 1] = 1
-    rows[eq, h - 1] += 1  # 2 on the diagonal g = h
-    live = gh != 0  # c(e) = 0 is not an unknown; gh = g or h only when the other is e
-    rows[eq[live], gh[live] - 1] -= 1
+    rows = None if factors is None else factors.get((a.group.core, m1))
+    if rows is None:
+        rows = _coboundary_rows(a.group)
+        if factors is not None:
+            factors[(a.group.core, m1)] = rows
     rhs = target[1:, 1:].ravel().tolist()
-    x = solve_mod(list(rows), rhs, m1, factors=factors)
+    x = solve_mod(rows, rhs, m1, factors=factors)
     if x is None:
         return False, None
     # x + m1 * y is x mod m1 and n^-1 S mod m2 when y = (n^-1 S - x) m1^-1 mod m2
@@ -230,6 +227,24 @@ def cohomologous(
     if not np.array_equal(coboundary(witness).exps, target):
         raise ValidationError("coboundary witness failed verification")  # solver bug guard
     return True, witness
+
+
+def _coboundary_rows(G: FiniteGroup) -> SystemRows:
+    """The rows c(g) + c(h) - c(gh) of the coboundary system on G, one per
+    pair (g, h) of non-identity elements, g-major, over the non-identity
+    unknowns.  The entries are -1, 1 and 2, so they are built as one int8
+    array by three scatters (the g, h and gh columns) and handed over as a
+    list of that array's rows."""
+    n = G.n
+    g, h = (x.ravel() for x in np.indices((n - 1, n - 1)) + 1)
+    gh = G.table[g, h]
+    eq = np.arange(len(g))
+    rows = np.zeros((len(g), n - 1), dtype=np.int8)
+    rows[eq, g - 1] = 1
+    rows[eq, h - 1] += 1  # 2 on the diagonal g = h
+    live = gh != 0  # c(e) = 0 is not an unknown; gh = g or h only when the other is e
+    rows[eq[live], gh[live] - 1] -= 1
+    return SystemRows(rows)
 
 
 def is_cohomologically_trivial(a: CocycleTable, factors: dict | None = None) -> tuple[bool, OneCochain | None]:

@@ -14,8 +14,25 @@ Group Theory*, ch. 3-4):
 - G/N and the standalone copy of H are those arrays re-indexed through
   the coset (or position) labels.
 
+A table is certified once, not once per group.  Every ``FiniteGroup`` holds
+a table core, shared by all live groups whose tables have the same entries
+(``subgroups``' copies and quotients relabel into positional order, so the
+copies of one abstract subgroup met across a lattice often do): the
+read-only table, its inverse table, certified when the core is first built,
+its hash, and, on first use, its row lists, ``is_abelian`` and its Cayley
+tree.  Sharing is safe because the core holds only what the entries
+determine, all of it read-only, and a core is found only by a table with
+its very entries (the registry compares entries whenever hashes match); it
+holds no labels, name or lattice, which stay on each group, since a
+lattice's subgroups belong to one group object.  Cores are kept weakly, so
+a core goes with the last group holding it.  A table from outside (a file,
+a public constructor without ``_trusted``) is validated in full whether or
+not its core is live.  Two groups are equal exactly when they share a core.
+Homomorphisms are certified on generator columns, and normality on an
+abelian group needs no conjugates.
+
 Scalar walks read ``G.rows``, the table as Python row lists
-(``table.tolist()``), built on a group's first scalar walk and kept: ``mul``,
+(``table.tolist()``), built on a core's first scalar walk and kept: ``mul``,
 ``prod`` and ``order_of`` step through them, and so does subgroup
 generation, a breadth-first search over the cosets of a known subgroup
 whose step from y is ``[rows[b][y] for b in base]``, with no numpy scalar
@@ -42,8 +59,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,50 +73,35 @@ ENUM_BOUND = 64  # largest order for subgroup enumeration and isomorphism search
 ORDER_BOUND = 256  # largest order of a group read from a descriptor or a table file
 
 
-class FiniteGroup:
-    """A finite group given by its full multiplication table.
+class _TableKey:
+    """A table as a key of the core registry: its hash, and equality by its
+    entries, so two tables whose hashes collide stay two keys.  It holds the
+    core's own read-only table, no copy of it."""
 
-    ``table[a, b]`` is the index of the product ``a*b``.  Index 0 must be a
-    two-sided identity; associativity and invertibility are checked at
-    construction unless the table was produced by a trusted constructor.
-    """
+    __slots__ = ("table", "hash")
 
-    __slots__ = ("table", "n", "inverse_table", "labels", "name", "_abelian", "_lattice", "_tree", "_hash", "_rows")
+    def __init__(self, table: np.ndarray, hash_: int):
+        self.table, self.hash = table, hash_
 
-    def __init__(self, table, labels=None, name=None, _trusted=False):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValidationError(f"multiplication table must be square, got shape {table.shape}")
-        n = table.shape[0]
-        if n == 0:
-            raise ValidationError("group must have at least one element")
-        self.table = table
-        self.n = n
-        self._rows = None  # the table as Python row lists, built by the first scalar walk
-        if not _trusted:
-            self._validate()
-        # g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0 too.  The
-        # entries lie in range(n), so a row's 0 is its least entry; when every row meets
-        # a 0 there, whose column meets a 0 back, and the table holds n zeros, each row
-        # holds exactly one
-        inv = table.argmin(axis=1)
-        at, back = table[np.arange(n), inv], table[inv, np.arange(n)]
-        if at.any() or back.any() or np.count_nonzero(table == 0) != n:
-            bad = (np.count_nonzero(table == 0, axis=1) != 1) | (at != 0) | (back != 0)
-            raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
-        self.inverse_table = inv
-        if labels is not None:
-            labels = [str(x) for x in labels]
-            if len(labels) != n:
-                raise ValidationError("label count does not match group order")
-        self.labels = labels
-        self.name = name
-        self._abelian = None
-        self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
-        self._tree = None  # the Cayley tree, built by the first cayley_tree() call
-        self._hash = None  # the hash of the table's bytes, built by the first hash
-        self.table.setflags(write=False)
-        self.inverse_table.setflags(write=False)
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return np.array_equal(self.table, other.table)
+
+
+def _table_hash(table: np.ndarray) -> int:
+    return hash((len(table), table.tobytes()))
+
+
+class _TableCore:
+    """What a multiplication table determines, certified or built once per
+    table and shared by every group whose table has the same entries: the
+    read-only table and its certified inverse table, the hash, and, on first
+    use, the row lists, ``is_abelian`` and the Cayley tree."""
+
+    def __init__(self, table: np.ndarray, hash_: int):
+        self.table, self.n, self.hash = table, len(table), hash_
 
     def _validate(self):
         """Range, identity, then Light's associativity test (Clifford and
@@ -139,36 +143,121 @@ class FiniteGroup:
         if len(reached) == n:
             raise AssertionError("a middle element failed Light's test but no triple does")
 
+    def _certify_inverses(self):
+        """Set the inverse table, or raise ValidationError naming an element without one.
+
+        g has an inverse iff row g holds exactly one 0, at h say, and h*g = 0
+        too.  The entries lie in range(n), so a row's 0 is its least entry;
+        when every row meets a 0 there, whose column meets a 0 back, and the
+        table holds n zeros, each row holds exactly one."""
+        table, n = self.table, self.n
+        inv = table.argmin(axis=1)
+        at, back = table[np.arange(n), inv], table[inv, np.arange(n)]
+        if at.any() or back.any() or np.count_nonzero(table == 0) != n:
+            bad = (np.count_nonzero(table == 0, axis=1) != 1) | (at != 0) | (back != 0)
+            raise ValidationError(f"element {int(bad.argmax())} has no two-sided inverse")
+        self.inverse_table = inv
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return self.table.tolist()
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        return bool(np.array_equal(self.table, self.table.T))
+
+    @cached_property
+    def tree(self) -> "CayleyTree":
+        return _cayley_tree(self)
+
+
+# every live table core, by its table: a core goes when the last group holding it does
+_CORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _table_core(table: np.ndarray, trusted: bool) -> _TableCore:
+    """The core of ``table``: the live one with the same entries, or a new one.
+
+    An untrusted table is validated whether or not its core is live, so a
+    table from outside raises exactly what it raised alone.  A new core
+    certifies its inverses before it is kept, so a table with an element
+    that has no inverse never gets into the registry, and a kept core
+    answers only for tables with its very entries."""
+    key = _TableKey(table, _table_hash(table))
+    core = _CORES.get(key)
+    fresh = core is None
+    if fresh:
+        core = _TableCore(table, key.hash)
+    if not trusted:
+        core._validate()
+    if fresh:
+        core._certify_inverses()
+        table.setflags(write=False)
+        core.inverse_table.setflags(write=False)
+        _CORES[key] = core
+    return core
+
+
+class FiniteGroup:
+    """A finite group given by its full multiplication table.
+
+    ``table[a, b]`` is the index of the product ``a*b``.  Index 0 must be a
+    two-sided identity; associativity and invertibility are checked at
+    construction unless the table was produced by a trusted constructor.
+
+    The table and what it determines live in a core shared by every group
+    with the same table (``core``); the group itself holds its ``labels``,
+    ``name`` and subgroup lattice.  Two groups are equal exactly when they
+    share a core, that is, when their tables are equal.
+    """
+
+    __slots__ = ("core", "table", "n", "inverse_table", "labels", "name", "_lattice")
+
+    def __init__(self, table, labels=None, name=None, _trusted=False):
+        table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValidationError(f"multiplication table must be square, got shape {table.shape}")
+        if table.shape[0] == 0:
+            raise ValidationError("group must have at least one element")
+        core = self.core = _table_core(table, _trusted)
+        self.table, self.n, self.inverse_table = core.table, core.n, core.inverse_table
+        if labels is not None:
+            labels = [str(x) for x in labels]
+            if len(labels) != self.n:
+                raise ValidationError("label count does not match group order")
+        self.labels = labels
+        self.name = name
+        self._lattice = None  # tuple of all subgroups, built by the first subgroups() call
+
     # -- basic operations --------------------------------------------------
 
     @property
     def rows(self) -> list[list[int]]:
         """The table as Python row lists, ``rows[a][b]`` the product a*b as an
-        int; built on first use and kept, and only read, like the read-only
-        table it copies.  Scalar walks (``mul``, ``prod``, ``order_of``,
-        closures) read these, which costs no numpy scalar conversion per step."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
+        int; built on the core's first use and kept, and only read, like the
+        read-only table it copies.  Scalar walks (``mul``, ``prod``,
+        ``order_of``, closures) read these, which costs no numpy scalar
+        conversion per step."""
+        return self.core.rows
 
     def identity(self) -> int:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
+        return self.core.rows[a][b]
 
     def inv(self, a: int) -> int:
         return self.inverse_table.item(a)
 
     def prod(self, elements) -> int:
         """The product of a sequence, left to right; the identity when empty."""
-        rows, out = self.rows, 0
+        rows, out = self.core.rows, 0
         for a in elements:
             out = rows[out][a]
         return out
 
     def order_of(self, a: int) -> int:
-        rows, x, k = self.rows, a, 1
+        rows, x, k = self.core.rows, a, 1
         while x != 0:
             x = rows[x][a]
             k += 1
@@ -185,9 +274,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
-        return self._abelian
+        return self.core.is_abelian
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
@@ -196,21 +283,10 @@ class FiniteGroup:
         return self.n
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, FiniteGroup)
-            and self.n == other.n
-            and hash(self) == hash(other)
-            and self.table.tobytes() == other.table.tobytes()
-        )
+        return isinstance(other, FiniteGroup) and self.core is other.core
 
     def __hash__(self):
-        # the table is read-only, so the hash stays valid; its bytes are not
-        # kept, which would double the memory of every hashed table
-        if self._hash is None:
-            self._hash = hash((self.n, self.table.tobytes()))
-        return self._hash
+        return self.core.hash
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.n)})"
@@ -261,7 +337,10 @@ class Subgroup:
         return self.violating_conjugation() is None
 
     def violating_conjugation(self):
-        """The first pair (g, h), g-major, with g h g^-1 outside the subgroup, else None."""
+        """The first pair (g, h), g-major, with g h g^-1 outside the subgroup, else
+        None; on an abelian group g h g^-1 = h, so there is none."""
+        if self.group.is_abelian:
+            return None
         t, inv = self.group.table, self.group.inverse_table
         conj = t[t[:, list(self.elements)], inv[:, None]]  # conj[g, i] = g h_i g^-1
         bad = ~self._inside()[conj]
@@ -287,7 +366,18 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A homomorphism given by the image of every source element."""
+    """A homomorphism given by the image of every source element.
+
+    It is certified at construction on generator columns: f(e) = e and
+    f(x s) = f(x) f(s) for every x and every s in ``generating_sequence(source)``,
+    n r compares for r generators instead of n^2.  That is enough: if
+    f(x y) = f(x) f(y) for every x, then f(x y s) = f((x y) s) = f(x y) f(s)
+    = f(x) f(y) f(s) = f(x) f(y s), and f(x e) = f(x) = f(x) f(e), so by
+    induction on the length of a word for y in the generators (in a finite
+    group every element is a positive word) f is multiplicative on all
+    pairs.  When a column fails, the all-pairs scan names the first failing
+    pair (a, b) in row-major order.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
@@ -303,8 +393,10 @@ class GroupHom:
         img = np.asarray(images, dtype=np.int64)
         if img.min() < 0 or img.max() >= self.target.n:
             raise ValidationError("homomorphism image outside the target")
-        bad = img[self.source.table] != self.target.table[img[:, None], img[None, :]]
-        if bad.any():
+        source, target = self.source.table, self.target.table
+        gens = list(cayley_tree(self.source).generators)
+        if not np.array_equal(img[source[:, gens]], target[img[:, None], img[gens]]):
+            bad = img[source] != target[img[:, None], img[None, :]]
             a, b = (int(x) for x in np.argwhere(bad)[0])
             raise ValidationError(f"not multiplicative at ({a},{b})")
 
@@ -505,9 +597,9 @@ def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
     """The subgroup generated by ``seed``, given a subgroup ``base`` of it.
 
     Breadth-first search over right cosets of ``base``, stepping along the
-    row lists ``G.rows`` at the columns of ``seed``; with the default trivial
-    base it visits elements and is the plain closure of {e} under right
-    multiplication by ``seed``.
+    row lists ``G.rows`` (G a group or a table core) at the columns of
+    ``seed``; with the default trivial base it visits elements and is the
+    plain closure of {e} under right multiplication by ``seed``.
     """
     gens = sorted({int(g) for g in seed} - {0})
     T = G.rows
@@ -692,17 +784,21 @@ def cayley_tree(G: FiniteGroup) -> CayleyTree:
     Each generator is the smallest element outside the span of those before.
     Every element of depth l > 0 is h s for some h of depth l - 1 and some
     generator s; its parent edge is the first such (h, s), with h in the
-    order the search reached it and s in generator order.  The tree is built
-    once per group object and kept on it, its arrays read-only.
+    order the search reached it and s in generator order.  The tree depends
+    on the table alone, so it is built once per table core and shared by
+    every group with that table, its arrays read-only.
     """
-    if G._tree is not None:
-        return G._tree
+    return G.core.tree
+
+
+def _cayley_tree(core: _TableCore) -> CayleyTree:
+    n = core.n
     gens, span = [], {0}
-    while len(span) < G.n:
-        gens.append(next(x for x in G.elements() if x not in span))
-        span = _closure(G, gens, base=sorted(span))
-    rows = G.table[:, gens].tolist()
-    parent, edge, depth = [-1] * G.n, [-1] * G.n, [-1] * G.n
+    while len(span) < n:
+        gens.append(next(x for x in range(n) if x not in span))
+        span = _closure(core, gens, base=sorted(span))
+    rows = core.table[:, gens].tolist()
+    parent, edge, depth = [-1] * n, [-1] * n, [-1] * n
     depth[0] = 0
     frontier = [0]
     while frontier:
@@ -714,9 +810,8 @@ def cayley_tree(G: FiniteGroup) -> CayleyTree:
                     reached.append(g)
         frontier = reached
     arrays = np.array([parent, edge, depth])
-    arrays.setflags(write=False)  # shared by every caller of this group's tree
-    G._tree = CayleyTree(tuple(gens), *arrays)
-    return G._tree
+    arrays.setflags(write=False)  # shared by every caller of this table's tree
+    return CayleyTree(tuple(gens), *arrays)
 
 
 def extend_hom(G1: FiniteGroup, G2: FiniteGroup, pairs: list[tuple[int, int]]):

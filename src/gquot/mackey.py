@@ -250,11 +250,9 @@ class MackeyContext:
                 raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
             if len(set(Q.table[np.array(transversal)[:, None], inertia].ravel().tolist())) != Q.n:
                 raise TheoremCheckError("transversal cosets do not cover the quotient")
-            delta_num = G.n * G.n * d * d
-            delta_den = N.order * N.order * len(inertia)
-            if delta_num % delta_den:
-                raise TheoremCheckError("summand dimension is not an integer")
-            classes.setdefault((inertia, d), []).append((orbit, transversal, delta_num // delta_den))
+            # the summand dimension |G|^2 d^2 / (|N|^2 |I|) is |Q| |T| d^2, an integer:
+            # |G| = |N| |Q| (the cosets of N partition G) and |Q| = |T| |I| (checked above)
+            classes.setdefault((inertia, d), []).append((orbit, transversal, Q.n * len(transversal) * d * d))
         inertia = {I: Subgroup(Q, I) for I, _ in classes}  # one Subgroup per inertia group
         omegas = {(I, d): [CocycleTable.trivial(inertia[I].as_group())] * len(members)  # a trivial I needs no pass
                   for (I, d), members in classes.items() if len(I) == 1}

@@ -51,9 +51,11 @@ that question is a linear system over Z/m.
   product of two residues and every difference fits before it is reduced.
 - **Row input.**  The rows arrive as a list, of lists of Python integers or of
   one-dimensional integer arrays (``cohomologous`` passes the rows of one int8
-  array).  A list, not a bare 2-D array, because a caller that wraps
-  ``solve_mod`` may read its shape as ``len(rows)`` and ``len(rows[0])``
-  behind an ``if rows``, and the truth value of an array is ambiguous.  Each
+  array as ``SystemRows``, which keeps the registry key derived from them, so
+  a caller that keeps the rows derives the key once).  A list, not a bare
+  2-D array, because a caller that wraps ``solve_mod`` may read its shape as
+  ``len(rows)`` and ``len(rows[0])`` behind an ``if rows``, and the truth
+  value of an array is ambiguous.  Each
   block of rows goes through ``np.asarray`` and straight into the residue
   dtype, without per-entry Python iteration and without a full-size int64
   copy; a block with an entry no int64 holds is reduced in Python integers.
@@ -97,7 +99,7 @@ def solve_mod(
     if factors is None:  # each shear is replayed as the elimination makes it, then dropped
         records = ((p**e, _eliminate(rows, ncols, p, e)) for p, e in prime_powers(m))
     else:
-        key = _system_key(rows, m)
+        key = rows.key(m) if isinstance(rows, SystemRows) else _system_key(rows, m)
         records = factors.get(key)
         if records is None:
             records = factors[key] = [(p**e, list(_eliminate(rows, ncols, p, e))) for p, e in prime_powers(m)]
@@ -109,6 +111,29 @@ def solve_mod(
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod the other prime powers
         x = [(a + lift * b) % m for a, b in zip(x, xq)]
     return x
+
+
+class SystemRows(list):
+    """The rows of one coefficient matrix, as the list of the rows of one
+    read-only integer array, for a caller that poses the system again and
+    again and keeps it: ``solve_mod`` reads it like any list of rows, and
+    takes its registry key from ``key``, derived once per modulus and kept.
+    No entry can change: the array is read-only, and the list is not to be
+    changed after it is built."""
+
+    __slots__ = ("_keys",)
+
+    def __init__(self, block: np.ndarray):
+        block.setflags(write=False)
+        super().__init__(block)
+        self._keys = {}
+
+    def key(self, m: int) -> tuple:
+        """``_system_key(self, m)``, derived on the first call for m."""
+        key = self._keys.get(m)
+        if key is None:
+            key = self._keys[m] = _system_key(self, m)
+        return key
 
 
 def _system_key(rows, m: int) -> tuple:

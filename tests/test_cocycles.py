@@ -516,8 +516,11 @@ def test_a_bare_solve_on_c2xc2_is_one_call_of_nine_int8_rows(monkeypatch):
 
 def test_a_registry_solve_is_still_one_call_per_solve(monkeypatch):
     """With a registry, each ``cohomologous`` call still makes one
-    ``cocycles.solve_mod`` call; the system is factored on the first and
-    replayed on the others, with the verdicts and witnesses of bare calls."""
+    ``cocycles.solve_mod`` call; the rows are built on the first and kept in
+    the registry by table core and modulus, the system is factored on the
+    first and replayed on the others, with the verdicts and witnesses of
+    bare calls.  So the registry holds two entries: the rows and the
+    elimination."""
     alpha = standard_nondegenerate([2, 2])
     G, rng = alpha.group, np.random.default_rng(5)
     others = [alpha, times_random_coboundary(alpha, rng), CocycleTable.trivial(G, alpha.scale)]
@@ -526,7 +529,9 @@ def test_a_registry_solve_is_still_one_call_per_solve(monkeypatch):
     calls, factors = counted_solves(monkeypatch), {}
     replayed = [cohomologous(alpha, b, factors=factors) for b in others]
     assert len(calls) == len(others) and all(f is factors for _, f in calls)
-    assert len(factors) == 1
+    assert len(factors) == 2
+    [(core, m1)] = [key for key in factors if len(key) == 2]
+    assert core is G.core and all(rows is factors[core, m1] for rows, _ in calls)
     assert [v for v, _ in replayed] == [True, True, False, False]
     assert [(v, w and w.exps) for v, w in replayed] == [(v, w and w.exps) for v, w in bare]
 

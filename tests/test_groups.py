@@ -1160,11 +1160,14 @@ def reference_closure(G, seed, base=(0,)):
 
 @pytest.mark.parametrize("spec", GROUP_SPECS)
 def test_row_lists_match_the_tables(spec):
-    """The row lists are the table, built once; mul, prod and order_of read
-    them and agree with numpy indexing of the table, as Python ints."""
+    """The row lists are the table, built once per table core; mul, prod and
+    order_of read them and agree with numpy indexing of the table, as Python
+    ints."""
     G = gq.make_group(spec)
-    assert G._rows is None  # nothing builds them before the first scalar walk
-    assert G.rows == G.table.tolist() and G.rows is G.rows
+    core = groups._TableCore(G.table, hash(G))  # a core no group holds yet
+    assert "rows" not in vars(core)  # nothing builds them before the first scalar walk
+    assert core.rows == G.table.tolist() and core.rows is core.rows
+    assert G.rows == G.table.tolist() and G.rows is G.rows is G.core.rows
     for a in G.elements():
         assert type(G.order_of(a)) is int and G.order_of(a) == reference_order(G, a)
         for b in G.elements():
@@ -1191,11 +1194,14 @@ def test_closure_on_row_lists_matches_the_numpy_walk(spec):
 
 
 def test_equality_and_hash_keep_no_copy_of_the_table():
-    """Groups compare and hash by their tables; the hash is kept as an int,
-    and equal tables in different objects compare equal."""
+    """Groups compare and hash by their tables; the hash is kept as an int on
+    the table core both share, and the core registry keys each core by its
+    own table, no copy of it."""
     G, H = gq.make_group("D4"), gq.make_group("D4")
-    assert G is not H and G == H and hash(G) == hash(H) and G._hash == hash(G)
-    assert not hasattr(G, "_key")
+    assert G is not H and G == H and hash(G) == hash(H) and G.core.hash == hash(G)
+    assert G.core is H.core and G.table is H.table
+    assert not hasattr(G, "_key") and not hasattr(G.core, "_key")
+    assert all(key.table is core.table for key, core in groups._CORES.items())
     assert G != gq.make_group("Q8") and G != gq.make_group("C8") and G != "D4"
     assert len({G, H, gq.make_group("Q8")}) == 2
 
@@ -1227,3 +1233,194 @@ def test_table_format_errors_name_line():
         parse_group_table("2\n0 1\n1 0\n# 5 ghost\n")
     with pytest.raises(ValidationError, match="line 5: label index 1 repeats line 4"):
         parse_group_table("2\n0 1\n1 0\n# 1 a\n# 1 b\n")
+
+
+# -- table cores and generator-column homomorphism checks ---------------------
+
+
+def reference_hom_error(G, T, images):
+    """The first error of the all-pairs homomorphism check, the one ``GroupHom``
+    made before it read generator columns: every (a, b) in row-major order."""
+    if len(images) != G.n:
+        return "homomorphism image list has wrong length"
+    if images[0] != 0:
+        return "homomorphism does not fix the identity"
+    img = np.asarray(images, dtype=np.int64)
+    if img.min() < 0 or img.max() >= T.n:
+        return "homomorphism image outside the target"
+    bad = img[G.table] != T.table[img[:, None], img[None, :]]
+    if bad.any():
+        a, b = (int(x) for x in np.argwhere(bad)[0])
+        return f"not multiplicative at ({a},{b})"
+    return None
+
+
+def _hom_error(G, T, images):
+    try:
+        gq.GroupHom(G, T, images)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(images, n_target, rng):
+    """An image list with one entry moved, one with two entries swapped, and
+    one composed with a permutation of the target that fixes the identity."""
+    out = []
+    if len(images) > 1:
+        moved = list(images)
+        p = int(rng.integers(1, len(images)))
+        moved[p] = (moved[p] + 1 + int(rng.integers(0, max(n_target - 1, 1)))) % n_target
+        out.append(tuple(moved))
+    if len(images) > 2:
+        swapped = list(images)
+        p, q = (int(x) for x in 1 + rng.choice(len(images) - 1, 2, replace=False))
+        swapped[p], swapped[q] = swapped[q], swapped[p]
+        out.append(tuple(swapped))
+    perm = np.concatenate([[0], 1 + rng.permutation(n_target - 1)])
+    out.append(tuple(int(perm[x]) for x in images))
+    return out
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_generator_columns_decide_homomorphisms_like_all_pairs(spec):
+    """On every quotient projection of a catalog group, every homomorphism
+    ``homomorphisms`` finds into a few small targets, and perturbed copies of
+    both, the generator-column check accepts exactly what the all-pairs check
+    accepts, and names the same first failing pair with the same message."""
+    G, rng = gq.make_group(spec), np.random.default_rng(len(spec) * 1009 + 7)
+    cases = []
+    for N in gq.normal_subgroups(G):
+        Q, proj = gq.quotient(G, N)
+        cases += [(Q, proj.images)] + [(Q, images) for images in _perturbed(proj.images, Q.n, rng)]
+    if G.n <= 16:
+        for T in map(gq.make_group, ["C2", "C4", "C2xC2", "S3"]):
+            for hom in itertools.islice(gq.homomorphisms(G, T), 24):
+                cases += [(T, hom.images)] + [(T, images) for images in _perturbed(hom.images, T.n, rng)]
+    for T, images in cases:
+        assert _hom_error(G, T, images) == reference_hom_error(G, T, images), (spec, images)
+    assert reference_hom_error(G, *cases[0]) is None  # the projection onto G/{e}
+
+
+def test_a_failing_generator_column_names_the_first_failing_pair():
+    """On C4 = <1>, f = (0, 1, 2, 0) first fails on the generator column at
+    (2, 1), but the first failing pair in row-major order is (1, 2), off the
+    generator columns: the all-pairs scan names it."""
+    C4 = gq.cyclic(4)
+    assert groups.generating_sequence(C4) == [1]
+    with pytest.raises(ValidationError) as raised:
+        gq.GroupHom(C4, C4, (0, 1, 2, 0))
+    assert str(raised.value) == "not multiplicative at (1,2)" == reference_hom_error(C4, C4, (0, 1, 2, 0))
+
+
+def _fully_validated(table) -> np.ndarray:
+    """The untrusted validation of a table on a core of its own, no registry:
+    Light's test, then the inverse certificate; returns the inverse table."""
+    core = groups._TableCore(np.array(table), 0)
+    core._validate()
+    core._certify_inverses()
+    return core.inverse_table
+
+
+@pytest.mark.parametrize("name", list(GROUP_SPECS) + ["nd_C2xC2xC2xC2xC2xC2"])
+def test_every_lattice_subgroup_copy_and_quotient_passes_full_validation(name):
+    """Every subgroup of the lattice, its standalone copy, and, for a normal
+    one, its quotient and projection, pass the full validation that untrusted
+    input gets, on a core of their own: closure element by element, Light's
+    test and the inverse certificate on each table, and the all-pairs
+    homomorphism check; C2^6 has 2,825 subgroups."""
+    G = standard_nondegenerate([2, 2, 2]).group if name.startswith("nd_") else gq.make_group(name)
+    lattice = gq.subgroups(G)
+    if name.startswith("nd_"):
+        assert len(lattice) == 2825
+    for H in lattice:
+        if G.n <= 24:
+            assert reference_closure_error(G, H.elements) is None
+        copy = H.as_group()
+        assert np.array_equal(_fully_validated(copy.table), copy.inverse_table)
+        if H.is_normal():
+            Q, proj = gq.quotient(G, H)
+            assert np.array_equal(_fully_validated(Q.table), Q.inverse_table)
+            assert reference_hom_error(G, Q, proj.images) is None
+
+
+def test_equal_tables_share_one_core_and_keep_their_own_labels_and_lattices():
+    """A relabelled copy of a table shares its core, the table and what it
+    determines, and keeps its own labels, name and lattice, whose subgroups
+    belong to it."""
+    G = gq.make_group("D4")
+    H = gq.FiniteGroup(G.table.copy(), labels=[f"h{g}" for g in G.elements()], name="copy")
+    assert H.core is G.core and H == G and hash(H) == hash(G)
+    assert H.table is G.table and H.inverse_table is G.inverse_table and H.rows is G.rows
+    assert groups.cayley_tree(H) is groups.cayley_tree(G)
+    assert (G.name, H.name) == ("D4", "copy") and G.labels != H.labels
+    LG, LH = gq.subgroups(G), gq.subgroups(H)
+    assert [S.elements for S in LG] == [S.elements for S in LH]
+    assert all(S.group is G for S in LG) and all(S.group is H for S in LH)
+    assert [S.as_group().labels for S in LH] == [[H.label(g) for g in S.elements] for S in LH]
+    Q, proj = gq.quotient(H, LH[1])
+    assert Q.labels[0] == "h0N" and proj.source is H
+
+
+def test_a_dropped_groups_core_goes_with_it(monkeypatch):
+    """The registry holds its cores weakly: once the last group with a table
+    is collected, its core is gone, and the next group with that table gets a
+    new core, certified anew."""
+    import gc
+    import weakref
+
+    table = _relabeled(gq.make_group("C2xC2xC3"), np.array([0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6])).table.copy()
+    gc.collect()
+    assert not any(np.array_equal(key.table, table) for key in list(groups._CORES.keys()))
+    G = gq.FiniteGroup(table)
+    gq.subgroups(G)  # the lattice holds the group through its subgroups: a cycle only gc clears
+    groups.cayley_tree(G)
+    old = weakref.ref(G.core)
+    del G
+    gc.collect()
+    assert old() is None
+    assert not any(np.array_equal(key.table, table) for key in list(groups._CORES.keys()))
+    certified = []
+    certify = groups._TableCore._certify_inverses
+    monkeypatch.setattr(groups._TableCore, "_certify_inverses", lambda core: certified.append(core) or certify(core))
+    G = gq.FiniteGroup(table)
+    assert certified == [G.core]
+
+
+def test_tables_whose_hashes_collide_stay_apart(monkeypatch):
+    """With every table hashing alike, distinct tables keep distinct cores and
+    compare unequal, and an equal table still finds its core."""
+    import gc
+
+    monkeypatch.setattr(groups, "_table_hash", lambda table: 0)
+    perm = np.array([0, 5, 3, 1, 4, 2])
+    A, B = (_relabeled(gq.make_group(spec), perm) for spec in ["C6", "S3"])
+    assert hash(A) == hash(B) == 0
+    assert A.core is not B.core and A != B and B != A and len({A, B}) == 2
+    again = gq.FiniteGroup(A.table.copy())
+    assert again.core is A.core and again == A != B
+    del A, B, again
+    gc.collect()
+    assert all(core.hash != 0 for core in list(groups._CORES.values()))
+
+
+def test_untrusted_tables_are_validated_even_when_their_core_is_live():
+    """A table from outside is validated whether or not a group with its
+    entries is live: a non-associative table built trusted gets a core, and
+    the same entries untrusted still raise the associativity error."""
+    tab = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    loop = groups.FiniteGroup(tab, _trusted=True)  # a loop: inverses, no associativity
+    with pytest.raises(ValidationError, match=r"^not associative: \(1\*1\)\*2 != 1\*\(1\*2\)$"):
+        gq.FiniteGroup(tab)
+    assert loop.core in list(groups._CORES.values())
+
+
+def test_normality_on_an_abelian_group_reads_no_conjugates(monkeypatch):
+    """On an abelian group every subgroup is normal, answered without the
+    n x |H| conjugation gather; on a non-abelian one the gather still runs."""
+    lattice, not_normal = gq.subgroups(gq.make_group("C4xC4")), gq.subgroups(gq.make_group("S3"))[1]
+    assert not_normal.violating_conjugation() == (2, 1)
+    monkeypatch.setattr(groups.Subgroup, "_inside", None)  # the gather reads it: it would fail here
+    assert all(H.violating_conjugation() is None for H in lattice)
+    with pytest.raises(TypeError):
+        not_normal.violating_conjugation()

@@ -904,6 +904,57 @@ def test_lifts_that_leave_n_fail_the_lift_check(monkeypatch):
     assert obstruction_error(lambda: context.decompose(N)) == "lifts of the inertia group do not compose inside N"
 
 
+def four_points_over_c4():
+    """C4xC4 with the trivial class over its second factor N: the quotient is
+    C4 with the table of Z/4, and C^alpha N has four points of dimension 1,
+    each fixed by conjugation.  A fresh context, so nothing is kept yet."""
+    G = gq.make_group("C4xC4")
+    N = gq.Subgroup(G, (0, 1, 2, 3))
+    Q, _ = gq.quotient(G, N)
+    assert np.array_equal(Q.table, (np.arange(4)[:, None] + np.arange(4)) % 4)
+    probe = MackeyContext(G, CocycleTable.trivial(G), 0).decompose(N)
+    assert [o.point_indices for o in probe.orbits] == [(0,), (1,), (2,), (3,)]
+    return MackeyContext(G, CocycleTable.trivial(G), 0), N
+
+
+# perms[q, i], the point conjugation by the lift of q sends point i to, given by
+# its columns i; points 2 and 3 stay fixed
+STAGING_FAULTS = [
+    pytest.param([[1, 1, 1, 1], [1, 1, 1, 1]], False, "point orbits do not partition the points", id="partition"),
+    pytest.param([[0, 1, 0, 1], [1, 0, 1, 0]], True, "orbit members disagree on module dimension", id="dims"),
+    # point 0 is fixed by q = 0, 1, 2 and moved by q = 3: |T| |I| = 2 * 3 != 4
+    pytest.param([[0, 0, 0, 1], [1, 1, 1, 0]], False, "orbit-stabilizer bookkeeping failed", id="stabilizer"),
+    # point 0 is fixed by I = {1, 2}, T = (0, 1): 2 * 2 = 4, but T + I = {1, 2, 3} misses 0
+    pytest.param([[1, 0, 0, 1], [0, 1, 1, 0]], False, "transversal cosets do not cover the quotient", id="cover"),
+]
+
+
+@pytest.mark.parametrize("columns, second_point_of_dim_two, message", STAGING_FAULTS)
+def test_each_staging_check_fires_with_its_message(monkeypatch, columns, second_point_of_dim_two, message):
+    """Each check ``_stage`` makes on the point action raises on the four
+    points over C4 once the value it reads is made wrong: the action table
+    (``_conjugation_permutations``), and for the dimension check also the
+    dimension of point 1."""
+    context, N = four_points_over_c4()
+    perms = np.array(columns + [[2] * 4, [3] * 4]).T
+    monkeypatch.setattr(MackeyContext, "_conjugation_permutations", lambda self, N, points, section: perms)
+    if second_point_of_dim_two:
+        wedderburn = context.oracle.wedderburn
+
+        def wider(cocycle, seed=0):
+            data = wedderburn(cocycle, seed)
+            if cocycle.group.n != N.order:
+                return data
+            blocks = list(data.blocks)
+            blocks[1] = dataclasses.replace(blocks[1], dim=2)
+            return dataclasses.replace(data, blocks=tuple(blocks))
+
+        monkeypatch.setattr(context.oracle, "wedderburn", wider)
+    with pytest.raises(TheoremCheckError) as raised:
+        context.decompose(N)
+    assert str(raised.value) == message
+
+
 def d2_module_with_inertia():
     """Q8xC2 over the subgroup of its even elements, of order 8: its one d = 2
     module has inertia of order 2 and is a pass of its own."""

@@ -22,4 +22,4 @@ def test_readme_python_blocks_run_and_give_the_stated_values():
     decs = namespace["decs"]
     assert len(decs) == 15
     assert sum(namespace["is_elementary_quotient"](d) for d in decs.values()) == 11
-    assert len(namespace["context"].factors) == 3
+    assert len(namespace["context"].factors) == 6  # 3 systems, each its rows and its elimination
