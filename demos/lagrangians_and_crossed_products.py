@@ -15,12 +15,15 @@ from gquot.lagrangians import (
     lagrangian_scan,
     maximal_elementary_quotients,
 )
+from gquot.mackey import MackeyContext
 
-# Scan C4 x C4: seven Lagrangians, of two different isomorphism types.
-alpha = standard_nondegenerate([4])
-G = alpha.group
+# Scan C4 x C4: seven Lagrangians, of two different isomorphism types.  One
+# context names the class, and every question about it below reads the
+# verdicts and decompositions that context keeps.
+context = MackeyContext(standard_nondegenerate([4]))
+G = context.group
 print("Lagrangians of the non-degenerate class on C4xC4:")
-for rep in lagrangian_scan(G, alpha):
+for rep in lagrangian_scan(context):
     if rep.is_lagrangian:
         invs = gq.abelian_invariants(rep.subgroup.as_group())
         print(f"  {rep.subgroup.elements}  =~ C{'xC'.join(map(str, invs))}")
@@ -28,14 +31,19 @@ for rep in lagrangian_scan(G, alpha):
 # The two-sided check: quotient is a crossed product over the quotient group
 # if and only if the kernel is a Lagrangian.  Both sides are computed.
 L = gq.generated_subgroup(G, [8, 2])  # <x^2, y^2>
-print(f"\n<x^2,y^2> verdict (both sides agree): {crossed_product_iff_lagrangian(G, alpha, L)}")
-print(f"order-2 kernel verdict: {crossed_product_iff_lagrangian(G, alpha, gq.generated_subgroup(G, [8]))}")
+print(f"\n<x^2,y^2> verdict (both sides agree): {crossed_product_iff_lagrangian(context, L)}")
+print(f"order-2 kernel verdict: {crossed_product_iff_lagrangian(context, gq.generated_subgroup(G, [8]))}")
 
 # Maximal elementary quotients: C4xC4 yields two inequivalent ones (C4 and
 # C2xC2 quotients), while homocyclic square-free carriers yield exactly one.
-for invs, name in [([4], "C4xC4"), ([2], "C2xC2"), ([6], "C6xC6")]:
-    a = standard_nondegenerate(invs)
-    rep = maximal_elementary_quotients(a.group, a)
+# Each carrier has one context, C4xC4 the one scanned above.
+carriers = {
+    "C4xC4": context,
+    "C2xC2": MackeyContext(standard_nondegenerate([2])),
+    "C6xC6": MackeyContext(standard_nondegenerate([6])),
+}
+for name, c in carriers.items():
+    rep = maximal_elementary_quotients(c.group, c.cocycle, context=c)
     kinds = sorted({gq.abelian_invariants(Q) for Q in rep.quotient_groups})
     print(
         f"\n{name}: {len(rep.maximal_normals)} maximal elementary quotients, "

@@ -33,14 +33,14 @@ def show(dec, title):
 # commutative part C[Q8/Z] = C[C2xC2]), the other a non-degenerate one (the
 # 2x2 block), and together they rebuild the block structure 1,1,1,1,2.
 Q8 = gq.quaternion8()
-show(mackey_decompose(Q8, CocycleTable.trivial(Q8), gq.center(Q8), seed=0), "Q8 over its center")
+show(mackey_decompose(CocycleTable.trivial(Q8), gq.center(Q8), seed=0), "Q8 over its center")
 
 # A non-degenerate class on C2xC2 over an order-2 kernel: the two characters
 # of the kernel are swapped, inertia is trivial, and the quotient grading is
 # the elementary crossed product of C2 -- the 2x2 matrix units picture.
 alpha = standard_nondegenerate([2])
 G = alpha.group
-show(mackey_decompose(G, alpha, gq.generated_subgroup(G, [2]), seed=0), "twisted C2xC2 over <x>")
+show(mackey_decompose(alpha, gq.generated_subgroup(G, [2]), seed=0), "twisted C2xC2 over <x>")
 
 # Order 36: the kernel <(x^3, y^3)> of order 4 carries a non-degenerate
 # restriction, so the quotient group of order 9 must again carry a
@@ -48,4 +48,4 @@ show(mackey_decompose(G, alpha, gq.generated_subgroup(G, [2]), seed=0), "twisted
 alpha66 = standard_nondegenerate([6])
 G66 = alpha66.group
 N4 = gq.generated_subgroup(G66, [3 * 6 + 0, 0 * 6 + 3])  # <x^3, y^3>
-show(mackey_decompose(G66, alpha66, N4, seed=0), "twisted C6xC6 over an order-4 kernel")
+show(mackey_decompose(alpha66, N4, seed=0), "twisted C6xC6 over an order-4 kernel")

@@ -10,6 +10,7 @@ backtracking over modules, actions, and generator values.
 import gquot as gq
 from gquot.cocycles import standard_nondegenerate
 from gquot.lagrangians import iyb_witness_search, lagrangian_quotient_is_iyb, lagrangian_scan
+from gquot.mackey import MackeyContext
 
 # Direct searches.  Abelian groups are witnessed by the identity cocycle on
 # themselves; the symmetric group on three letters needs a twisted action on
@@ -27,15 +28,15 @@ for spec in ["C2", "C2xC2", "C4", "C6", "S3", "D4"]:
     print(f"{spec}: {status}")
 
 # The bridge: every Lagrangian quotient of a non-degenerate abelian class
-# must be witnessed, and is.
+# must be witnessed, and is.  The scan and the bridge share one context per
+# carrier, so the bridge reads the Lagrangian verdict the scan certified.
 print()
 for invs, name in [([2], "C2xC2"), ([4], "C4xC4"), ([6], "C6xC6")]:
-    alpha = standard_nondegenerate(invs)
-    G = alpha.group
-    for rep in lagrangian_scan(G, alpha):
+    context = MackeyContext(standard_nondegenerate(invs))
+    for rep in lagrangian_scan(context):
         if not rep.is_lagrangian:
             continue
-        res = lagrangian_quotient_is_iyb(G, alpha, rep.subgroup)
+        res = lagrangian_quotient_is_iyb(context, rep.subgroup)
         print(f"{name} / {rep.subgroup.elements}: witness on module "
               f"C{'xC'.join(map(str, res.witness.module_invariants))}")
         break  # one representative per carrier keeps the demo short

@@ -74,8 +74,21 @@ def resolve_cocycle(token: str, group: FiniteGroup) -> CocycleTable:
         with p.open() as f:
             return parse_cocycle((line for raw in f for line in raw.splitlines()), group)
     if token.startswith("nd_"):
-        carrier, table = build_cocycle(token)
-        if table.group != group:
-            raise ValidationError(f"catalog cocycle {token} lives on {carrier}, not this group")
-        return table
+        return catalog_cocycle(token, group)
     raise ValidationError(f"cannot resolve cocycle {token!r}")
+
+
+def catalog_cocycle(name: str, group: FiniteGroup) -> CocycleTable:
+    """The catalog cocycle ``name``, "trivial" or "nd_<carrier>", on ``group``
+    itself; a carrier with another table raises.
+
+    A Mackey context reads its group off its cocycle, so a class built on the
+    caller's group object shares that object's subgroup lattice with every
+    other question the caller asks about the group.
+    """
+    if name == "trivial":
+        return CocycleTable.trivial(group)
+    carrier, table = build_cocycle(name)
+    if table.group != group:
+        raise ValidationError(f"catalog cocycle {name} lives on {carrier}, not this group")
+    return CocycleTable(group, table.scale, table.exps, _trusted=True)  # validated on an equal table

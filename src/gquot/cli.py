@@ -3,6 +3,11 @@
 Exit codes: 0 all checks passed, 1 a theorem-consistency or certification
 check failed, 2 input errors.  Every oracle-invoking subcommand takes a seed
 (defaulted and echoed) so reports are reproducible byte for byte.
+``lagrangian scan`` and ``theoremC`` ask their question of one
+``MackeyContext`` built on the resolved class at that seed, ``theoremD``
+hands (group, cocycle, seed) to ``maximal_elementary_quotients``, and
+``lagrangian iyb`` asks about the group alone, so it resolves no
+``--cocycle``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from pathlib import Path
 
 from .catalog import resolve_cocycle, resolve_group
 from .cocycles import bicharacter_of, cohomologous
-from .errors import CertificationError, GquotError, TheoremCheckError, ValidationError
+from .errors import CertificationError, GquotError, TheoremCheckError
 from .gradings import (
     descriptor_dims,
     is_connected,
@@ -22,14 +27,14 @@ from .gradings import (
     is_equidimensional_induced,
     parse_descriptor,
 )
-from .groups import Subgroup, abelian_invariants, normal_subgroups, format_group_table
+from .groups import Subgroup, abelian_invariants, format_group_table, normal_subgroups, parse_subgroup
 from .lagrangians import (
     crossed_product_iff_lagrangian,
     iyb_witness_search,
     lagrangian_scan,
     maximal_elementary_quotients,
 )
-from .mackey import is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
+from .mackey import MackeyContext, is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
 from .twisted import TOL_IDEMPOTENT, TwistedAlgebra, is_nondegenerate
@@ -108,17 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_subgroup(G, spec: str) -> Subgroup:
-    """The subgroup of G listed by ``spec``, element indices separated by
-    commas or blanks.  A token other than ASCII digits after an optional minus
-    sign raises ValidationError; Subgroup refuses an index out of range."""
-    tokens = spec.replace(",", " ").split()
-    for tok in tokens:
-        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
-            raise ValidationError(f"subgroup element {tok!r} is not an integer")
-    return Subgroup(G, tuple(int(tok) for tok in tokens))
-
-
 def _cmd_group(args, em: _Emitter) -> int:
     G = resolve_group(args.group)
     if args.action == "show":
@@ -143,7 +137,7 @@ def _cmd_cocycle(args, em: _Emitter) -> int:
         em.emit("scale", alpha.scale)
         return 0
     if args.action == "nondeg":
-        em.emit("nondegenerate", is_nondegenerate(G, alpha))
+        em.emit("nondegenerate", is_nondegenerate(alpha))
         return 0
     if args.action == "cohomologous":
         if args.cocycle2 is None:
@@ -209,9 +203,9 @@ def _cmd_grading(args, em: _Emitter) -> int:
 def _cmd_mackey(args, em: _Emitter) -> int:
     G = resolve_group(args.group)
     alpha = resolve_cocycle(args.cocycle, G)
-    N = _parse_subgroup(G, args.normal)
+    N = parse_subgroup(G, args.normal)
     em.emit("seed", args.seed)
-    dec = mackey_decompose(G, alpha, N, seed=args.seed)
+    dec = mackey_decompose(alpha, N, seed=args.seed)
     em.emit("orbits", len(dec.orbits))
     for i, o in enumerate(dec.orbits):
         em.emit(f"orbit_{i}", f"d={o.dim} inertia_order={o.inertia.order} transversal_size={len(o.transversal)}")
@@ -233,24 +227,19 @@ def _cmd_mackey(args, em: _Emitter) -> int:
 
 def _cmd_lagrangian(args, em: _Emitter) -> int:
     G = resolve_group(args.group)
+    if args.action == "iyb":  # a question about G alone: no cocycle, no context
+        em.emit("seed", args.seed)
+        result = iyb_witness_search(G)
+        em.emit("witness_found", result.witness is not None)
+        em.emit("modules_tried", result.modules_tried)
+        em.emit("actions_tried", result.actions_tried)
+        if result.witness is not None:
+            em.emit("module_invariants", list(result.witness.module_invariants))
+            em.emit("delta", list(result.witness.delta))
+            em.emit("verified", result.witness.verify())
+        return 0
     alpha = resolve_cocycle(args.cocycle, G)
     em.emit("seed", args.seed)
-    if args.action == "scan":
-        reports = lagrangian_scan(G, alpha, normal_only=args.normal_only, seed=args.seed)
-        em.emit("candidates", len(reports))
-        for r in reports:
-            em.emit(
-                f"subgroup_{','.join(map(str, r.subgroup.elements))}",
-                f"isotropic={r.isotropic} normal={r.normal} lagrangian={r.is_lagrangian}",
-            )
-        return 0
-    if args.action == "theoremC":
-        if args.normal is None:
-            raise GquotError("theoremC needs --normal")
-        N = _parse_subgroup(G, args.normal)
-        verdict = crossed_product_iff_lagrangian(G, alpha, N, seed=args.seed)
-        em.emit("ecp_iff_lagrangian", verdict)
-        return 0
     if args.action == "theoremD":
         report = maximal_elementary_quotients(G, alpha, seed=args.seed)
         em.emit("elementary_quotients", len(report.elementary_normals))
@@ -259,14 +248,19 @@ def _cmd_lagrangian(args, em: _Emitter) -> int:
             em.emit(f"maximal_{','.join(map(str, N.elements))}", "lagrangian")
         em.emit("unique_maximal_class", report.unique_maximal_class)
         return 0
-    result = iyb_witness_search(G)
-    em.emit("witness_found", result.witness is not None)
-    em.emit("modules_tried", result.modules_tried)
-    em.emit("actions_tried", result.actions_tried)
-    if result.witness is not None:
-        em.emit("module_invariants", list(result.witness.module_invariants))
-        em.emit("delta", list(result.witness.delta))
-        em.emit("verified", result.witness.verify())
+    if args.action == "scan":
+        reports = lagrangian_scan(MackeyContext(alpha, args.seed), normal_only=args.normal_only)
+        em.emit("candidates", len(reports))
+        for r in reports:
+            em.emit(
+                f"subgroup_{','.join(map(str, r.subgroup.elements))}",
+                f"isotropic={r.isotropic} normal={r.normal} lagrangian={r.is_lagrangian}",
+            )
+        return 0
+    if args.normal is None:
+        raise GquotError("theoremC needs --normal")
+    N = parse_subgroup(G, args.normal)
+    em.emit("ecp_iff_lagrangian", crossed_product_iff_lagrangian(MackeyContext(alpha, args.seed), N))
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, GquotError, SizeBoundError, TheoremCheckError, ValidationError
-from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup
+from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup, parse_subgroup
 
 INT64_MAX = 2**63 - 1  # the largest total dimension the int64 gather of ``induced_dims`` holds
 
@@ -215,7 +215,10 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
     elements are group indices, H may be omitted or ``e`` for a trivial fine
     part, and alpha paths are resolved relative to ``base_dir``.  Keys are
     read case-insensitively; a repeated field or another key raises, naming
-    its line, so a typo cannot silently change the grading class.
+    its line, and so does an x token whose element or multiplicity is not
+    ASCII digits (``int`` would read ``1_0`` as 10, ``٣`` as 3 and ``+1`` as
+    1) or an H token ``parse_subgroup`` refuses, so a typo cannot silently
+    change the grading class.
     """
     summands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,12 +240,10 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
         try:  # the x and H fields; an error in building them names this line
             mults: dict = {}
             for tok in fields["x"].split():
-                elem, _, mult = tok.partition("^")
-                try:
-                    e = int(elem)
-                    k = int(mult) if mult else 1
-                except ValueError:
-                    raise ValidationError(f"bad character token {tok!r}") from None
+                elem, caret, mult = tok.partition("^")
+                if not all(p.isascii() and p.isdigit() for p in ((elem, mult) if caret else (elem,))):
+                    raise ValidationError(f"bad character token {tok!r}")
+                e, k = int(elem), int(mult) if caret else 1
                 if not 0 <= e < group.n:
                     raise ValidationError(f"element {e} out of range")
                 mults[e] = mults.get(e, 0) + k
@@ -251,9 +252,8 @@ def parse_descriptor(text: str, group: FiniteGroup, base_dir=None) -> GradingCla
             if h_field in ("", "e", "0", "trivial"):
                 fine = None
             else:
-                elems = tuple(int(t) for t in h_field.replace(",", " ").split())
-                fine = Subgroup(group, elems)
-        except (GquotError, ValueError) as exc:
+                fine = parse_subgroup(group, h_field)
+        except (GquotError, ValueError) as exc:  # int refuses a digit string past its length limit
             raise ValidationError(f"line {lineno}: {exc}") from None
         alpha_field = fields.get("alpha", "trivial")
         if alpha_field == "trivial" or fine is None:

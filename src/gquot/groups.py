@@ -956,3 +956,15 @@ def parse_group_table(text) -> FiniteGroup:
     if any(not 0 <= x < n for row in rows for x in row):
         raise ValidationError("table entries out of range")
     return FiniteGroup(rows, labels=label_list)
+
+
+def parse_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
+    """The subgroup of G listed by ``spec``, element indices separated by
+    commas or blanks.  A token other than ASCII digits after an optional minus
+    sign raises ValidationError, where ``int`` would read ``٣`` as 3, ``1_0``
+    as 10 and ``+1`` as 1; Subgroup refuses an index out of range."""
+    tokens = spec.replace(",", " ").split()
+    for tok in tokens:
+        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+            raise ValidationError(f"subgroup element {tok!r} is not an integer")
+    return Subgroup(G, tuple(int(tok) for tok in tokens))

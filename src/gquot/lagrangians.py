@@ -11,10 +11,15 @@ Every isotropy verdict is double-certified: the exact coboundary solver and
 the numeric block oracle must agree, and every theorem-level equivalence is
 computed on both sides and compared, raising on any disagreement.  The
 non-degeneracy a scan starts from is read off the exact center
-(``is_nondegenerate``).  ``is_isotropic`` takes the ``MackeyContext`` of
-the class it asks about, and scans read the isotropy verdicts and the
-decompositions, quotients included, that one context keeps, so nothing is
-certified twice on one context.
+(``is_nondegenerate``).  A question about one class names it once, by its
+``MackeyContext``, which holds the class, its group ``alpha.group``, the
+seed, the block oracle and the registries: ``is_isotropic``,
+``lagrangian_scan``, ``crossed_product_iff_lagrangian`` and
+``lagrangian_quotient_is_iyb`` take the context and nothing it holds.  They
+read the isotropy verdicts and the decompositions, quotients included, that
+the context keeps, so nothing is certified twice on one context.
+``maximal_elementary_quotients`` also takes (A, alpha, seed), builds a
+context when given none, and checks a given one against them.
 """
 
 from __future__ import annotations
@@ -101,23 +106,20 @@ def is_isotropic(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     return IsotropyReport(H, trivial, witness, ones, dims)
 
 
-def lagrangian_scan(
-    G: FiniteGroup, alpha: CocycleTable, normal_only: bool = False, seed: int = 0,
-    context: MackeyContext | None = None,
-) -> list[LagrangianReport]:
-    """All (normal) subgroups of order sqrt|G| with isotropy verdicts.
+def lagrangian_scan(context: MackeyContext, normal_only: bool = False) -> list[LagrangianReport]:
+    """All (normal) subgroups of order sqrt|G| of the class of ``context``,
+    with isotropy verdicts.
 
     Exhaustive over the subgroup lattice, so completeness is by construction.
-    Every verdict is the one the Mackey context for (G, alpha, seed) keeps,
-    ``context`` when the caller holds one, else a new one built for this
-    scan; so a scan repeated on one context certifies nothing twice, and
-    every block-oracle question goes to the context's ``BlockOracle``.
+    Every verdict is the one the context keeps, so a scan repeated on one
+    context certifies nothing twice, and every block-oracle question goes to
+    the context's ``BlockOracle``.
     """
+    G = context.group
     root = math.isqrt(G.n)
     if root * root != G.n:
         raise DomainError(f"|G| = {G.n} is not a perfect square")
-    context = _mackey_context(G, alpha, seed, context)
-    if not is_nondegenerate(G, alpha):
+    if not is_nondegenerate(context.cocycle):
         raise DomainError("lagrangian_scan expects a non-degenerate class")
     out = []
     for H in subgroups(G):
@@ -140,29 +142,17 @@ def _isotropy(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     return report
 
 
-def _mackey_context(G: FiniteGroup, alpha: CocycleTable, seed: int, context) -> MackeyContext:
-    """``context`` when the caller holds one for (G, alpha, seed), else a new one."""
-    if context is None:
-        return MackeyContext(G, alpha, seed)
-    if (context.group, context.cocycle, context.seed) != (G, alpha, seed):
-        raise DomainError("Mackey context is for a different (group, cocycle, seed)")
-    return context
-
-
-def crossed_product_iff_lagrangian(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0, context: MackeyContext | None = None
-) -> bool:
-    """ECP verdict of the quotient equals the Lagrangian verdict of N.
+def crossed_product_iff_lagrangian(context: MackeyContext, N: Subgroup) -> bool:
+    """ECP verdict of the quotient by N equals the Lagrangian verdict of N,
+    for the class of ``context``.
 
     Both sides are computed independently; disagreement is an implementation
-    bug and raises.  Returns the shared verdict.  N is decomposed through
-    ``context`` when the caller holds one for (G, alpha, seed), so a scan over
-    many N shares its work, else through a new one; the isotropy verdict is
-    the one the context keeps (``lagrangian_scan`` reads the same ones).
+    bug and raises.  Returns the shared verdict.  N is decomposed through the
+    context, so a scan over many N shares its work, and the isotropy verdict
+    is the one the context keeps (``lagrangian_scan`` reads the same ones).
     """
-    context = _mackey_context(G, alpha, seed, context)
     ecp = is_ecp_quotient(context.decompose(N))
-    lag = N.order * N.order == G.n and _isotropy(context, N).isotropic
+    lag = N.order * N.order == context.group.n and _isotropy(context, N).isotropic
     if ecp != lag:
         raise TheoremCheckError(
             f"biconditional violated on N of order {N.order}: ECP={ecp}, Lagrangian={lag}"
@@ -192,19 +182,26 @@ def maximal_elementary_quotients(
     Lagrangian characterization.  Uniqueness is isomorphism of all maximal
     quotient groups, which determines the elementary crossed product class.
     Every subgroup is decomposed through one ``MackeyContext`` for
-    (A, alpha, seed), ``context`` when the caller holds one, else a new one,
+    (alpha, seed), ``context`` when the caller holds one, else a new one,
     in one ``decompose_all`` call, so the obstruction passes are shared
     across the whole lattice; the first N, in lattice order, that fails
     raises its error.  The Lagrangian scan runs on the same context,
     so it reuses the blocks the decompositions certified and the isotropy
-    verdicts the context keeps.
+    verdicts the context keeps.  This is the one Lagrangian question that
+    names its class apart from a context, so it is the one that checks a
+    caller's context against (A, alpha, seed).
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
-    if not is_nondegenerate(A, alpha):
+    if alpha.group != A:
+        raise DomainError("cocycle lives on a different group")
+    if not is_nondegenerate(alpha):
         raise DomainError("expects a non-degenerate class")
-    context = _mackey_context(A, alpha, seed, context)
-    lattice = subgroups(A)
+    if context is None:
+        context = MackeyContext(alpha, seed)
+    elif (context.cocycle, context.seed) != (alpha, seed):
+        raise DomainError("Mackey context is for a different (group, cocycle, seed)")
+    lattice = subgroups(context.group)  # the scan below reads the same lattice
     context.decompose_all(lattice)
     decs = {N.elements: context.decompose(N) for N in lattice}
     elementary = [N for N in lattice if is_elementary_quotient(decs[N.elements])]
@@ -214,9 +211,7 @@ def maximal_elementary_quotients(
         for i, N in enumerate(elementary)
         if not any(j != i and elem_sets[j] < elem_sets[i] for j in range(len(elementary)))
     ]
-    lagrangians = [
-        r.subgroup for r in lagrangian_scan(A, alpha, seed=seed, context=context) if r.is_lagrangian
-    ]
+    lagrangians = [r.subgroup for r in lagrangian_scan(context) if r.is_lagrangian]
     if {N.elements for N in maximal} != {N.elements for N in lagrangians}:
         raise TheoremCheckError("maximal elementary quotients differ from Lagrangian kernels")
     for N in maximal:
@@ -349,14 +344,13 @@ def _bijective_cocycle(H: FiniteGroup, A: FiniteGroup, action) -> tuple[int, ...
     return rec([])
 
 
-def lagrangian_quotient_is_iyb(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
-) -> IYBSearchResult:
-    """For a normal Lagrangian N, the quotient must admit a bijective 1-cocycle.
+def lagrangian_quotient_is_iyb(context: MackeyContext, N: Subgroup) -> IYBSearchResult:
+    """For a normal Lagrangian N of the class of ``context``, the quotient
+    must admit a bijective 1-cocycle.
 
-    N's verdicts and its quotient come from one new Mackey context."""
-    context = MackeyContext(G, alpha, seed)
-    if not crossed_product_iff_lagrangian(G, alpha, N, seed=seed, context=context):
+    N's verdicts and its quotient are the ones the context keeps, so a
+    caller that scanned on the context first certifies nothing again."""
+    if not crossed_product_iff_lagrangian(context, N):
         raise DomainError("N is not a Lagrangian; the IYB consequence does not apply")
     Q = context.decompose(N).quotient_group
     if Q.n > IYB_BOUND:

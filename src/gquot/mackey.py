@@ -7,19 +7,21 @@ transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
 What does not depend on N is built once, in a ``MackeyContext`` for one
-(G, alpha, seed): the certified blocks of C^alpha G and the twisted
-conjugation tables conj[h, g] = h g h^-1 and kappa(h, g), read exactly from
-``CocycleTable.conjugation``, kappa then turned into phases by one
-exponential.  The caller builds the context and passes it every N of a scan
-(Theorem D decomposes every subgroup of one (G, alpha));
-``mackey_decompose`` builds a fresh one for its one N.  Every block and
-module the decomposition needs (C^alpha G, C^alpha N, the obstruction
-algebra of each orbit) comes from the context's ``BlockOracle``, a registry
-keyed by each algebra's exact inputs.  A context takes the registry from its
-caller or makes its own; the acceptance battery shares one registry among
-all its contexts and its isotropy and non-degeneracy checks for one run, so
-an algebra that several kernels, orbits or checks meet is split once, with
-the certificates of its first split.
+class alpha at one seed.  Its group G is ``alpha.group``, so a context cannot
+disagree with its own cocycle.  It holds the certified blocks of C^alpha G
+and the twisted conjugation tables conj[h, g] = h g h^-1 and kappa(h, g),
+read exactly from ``CocycleTable.conjugation``, kappa then turned into
+phases by one exponential.  The caller builds the context and passes it
+every N of a scan (Theorem D decomposes every subgroup of one class); the
+Lagrangian questions of ``lagrangians`` take the same context as the one
+name of their class, and ``mackey_decompose`` builds a fresh one for its
+one N.  Every block and module the decomposition needs (C^alpha G,
+C^alpha N, the obstruction algebra of each orbit) comes from the context's
+``BlockOracle``, a registry keyed by each algebra's exact inputs.  A context
+takes the registry from its caller or makes its own; the acceptance battery
+shares one registry among all its contexts and their isotropy checks for
+one run, so an algebra that several kernels, orbits or checks meet is split
+once, with the certificates of its first split.
 
 Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
@@ -155,8 +157,9 @@ class _Stage:
 
 
 class MackeyContext:
-    """The part of every decomposition of one (G, alpha, seed) that does not
-    depend on N, built once by the caller and passed to each normal N.
+    """The part of every decomposition of one class alpha at one seed that
+    does not depend on N, built once by the caller and passed to each normal
+    N; ``group`` is ``alpha.group``.
 
     It holds the cocycle values ``alpha.value_matrix()``, the n x n twisted
     conjugation tables conj[h, g] = h g h^-1 and kappa(h, g) of
@@ -166,15 +169,15 @@ class MackeyContext:
     registry when one is passed, so contexts and checks of one run share it,
     else a new one owned by this context.  ``decompose_all`` keeps each N's
     decomposition or error by the elements of N, and ``isotropy`` holds the
-    isotropy verdicts ``lagrangians`` certifies on this (G, alpha, seed), by
+    isotropy verdicts ``lagrangians`` certifies on this class and seed, by
     the elements of the subgroup, for as long as the caller keeps the context.
     ``factors`` is the registry of factored coboundary systems those
     isotropy checks share (``cohomologous``): the restrictions of alpha to
     subgroups with one table pose one system, factored once per context.
     """
 
-    def __init__(self, G: FiniteGroup, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
-        self.group = G
+    def __init__(self, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
+        self.group = alpha.group
         self.cocycle = alpha
         self.seed = seed
         self.oracle = BlockOracle() if oracle is None else oracle
@@ -515,16 +518,15 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
     return omega
 
 
-def mackey_decompose(
-    G: FiniteGroup, alpha: CocycleTable, N: Subgroup, seed: int = 0
-) -> MackeyDecomposition:
-    """Full decomposition of [C^alpha G / N] with all consistency checks.
+def mackey_decompose(alpha: CocycleTable, N: Subgroup, seed: int = 0) -> MackeyDecomposition:
+    """Full decomposition of [C^alpha G / N], G = ``alpha.group``, with all
+    consistency checks.
 
     Builds a context, with a new block oracle, for this one N; to decompose
-    several N of the same (G, alpha), build one ``MackeyContext`` and call
-    its ``decompose``.
+    several N of the same class, build one ``MackeyContext`` and call its
+    ``decompose``.
     """
-    return MackeyContext(G, alpha, seed).decompose(N)
+    return MackeyContext(alpha, seed).decompose(N)
 
 
 def _positions(G: FiniteGroup, N: Subgroup) -> np.ndarray:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_cocycle, build_group
-from .cocycles import CocycleTable
+from .catalog import GROUP_SPECS, NONDEGENERATE_CARRIERS, build_group, catalog_cocycle
 from .errors import GquotError, TheoremCheckError
 from .gradings import is_equidimensional_induced
 from .groups import (
@@ -78,16 +77,10 @@ class _Run:
         subgroup lattice is built once per run."""
         if (gname, cname) not in self._contexts:
             G = self.group(gname)
-            context = self._contexts[(gname, cname)] = MackeyContext(G, _cocycle(G, cname), self.seed, self.oracle)
+            context = self._contexts[(gname, cname)] = MackeyContext(catalog_cocycle(cname, G), self.seed, self.oracle)
             normals = self.normals[(gname, cname)] = normal_subgroups(G)
             context.decompose_all(normals)
         return self._contexts[(gname, cname)]
-
-
-def _cocycle(G: FiniteGroup, cname: str) -> CocycleTable:
-    """The catalog cocycle on G by name: "trivial", or the standard
-    non-degenerate class "nd_<carrier>" of the carrier G."""
-    return CocycleTable.trivial(G) if cname == "trivial" else build_cocycle(cname)[1]
 
 
 def _sweep_pairs(group) -> list[tuple[str, str]]:
@@ -106,7 +99,7 @@ def _sweep_pairs(group) -> list[tuple[str, str]]:
 def sweep_cases():
     """The sweep's catalog cases as (group name, group, cocycle name, cocycle)."""
     groups = {name: build_group(name) for name in GROUP_SPECS}
-    return [(g, groups[g], c, _cocycle(groups[g], c)) for g, c in _sweep_pairs(groups.__getitem__)]
+    return [(g, groups[g], c, catalog_cocycle(c, groups[g])) for g, c in _sweep_pairs(groups.__getitem__)]
 
 
 def criterion_1_and_2(run: _Run) -> tuple[CriterionResult, CriterionResult]:
@@ -146,11 +139,10 @@ def criterion_3(run: _Run) -> CriterionResult:
     groups = ("C2xC2", "C4xC4", "C2xC2xC2xC2", "C6xC6")
     for gname in groups:
         context = run.context(gname, f"nd_{gname}")
-        G, alpha = context.group, context.cocycle
         agree = 0
-        for N in subgroups(G):
+        for N in subgroups(context.group):
             try:
-                crossed_product_iff_lagrangian(G, alpha, N, seed=run.seed, context=context)
+                crossed_product_iff_lagrangian(context, N)
                 agree += 1
             except TheoremCheckError as exc:
                 ok = False
@@ -201,7 +193,7 @@ def criterion_5(run: _Run) -> CriterionResult:
         context = run.context(gname, f"nd_{gname}")
         for N in subgroups(context.group):
             rest = context.cocycle.restrict(N)
-            if not is_nondegenerate(rest.group, rest):
+            if not is_nondegenerate(rest):
                 continue
             cases += 1
             dec = context.decompose(N)
@@ -329,9 +321,8 @@ def criterion_10(run: _Run) -> CriterionResult:
     inconclusive = 0
     for gname in NONDEGENERATE_CARRIERS:
         context = run.context(gname, f"nd_{gname}")
-        G = context.group
         found = 0
-        for rep in lagrangian_scan(G, context.cocycle, seed=run.seed, context=context):
+        for rep in lagrangian_scan(context):
             if not rep.is_lagrangian:
                 continue
             Q = context.decompose(rep.subgroup).quotient_group

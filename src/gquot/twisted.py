@@ -393,8 +393,9 @@ class BlockOracle:
         return module
 
 
-def is_nondegenerate(G: FiniteGroup, a: CocycleTable) -> bool:
-    """Whether the twisted group algebra over ``a`` is a full matrix algebra.
+def is_nondegenerate(a: CocycleTable) -> bool:
+    """Whether the twisted group algebra of ``a`` on ``a.group`` is a full
+    matrix algebra.
 
     C^a G is semisimple, and a semisimple algebra is simple exactly when its
     center is C, so the verdict is an exact center dimension of one
@@ -403,10 +404,9 @@ def is_nondegenerate(G: FiniteGroup, a: CocycleTable) -> bool:
     commutator bicharacter has a trivial radical) must give the same
     verdict, and a disagreement raises.
     """
+    G = a.group
     if G.n > NUMERIC_BOUND:
         raise SizeBoundError(f"non-degeneracy bounded at order {NUMERIC_BOUND}")
-    if a.group != G:
-        raise DomainError("cocycle lives on a different group")
     simple = TwistedAlgebra(G, a).center_dimension() == 1
     if G.is_abelian and simple != (bicharacter_of(a).radical().order == 1):
         raise TheoremCheckError("non-degeneracy: center dimension and bicharacter radical disagree")

@@ -27,6 +27,23 @@ def battery():
     return {r.number: r for r in results}, report
 
 
+def test_a_run_builds_one_lattice_per_carrier(monkeypatch):
+    """Every context of a run lives on the run's group object, so the trivial
+    and the non-degenerate class of a carrier and all the criteria that ask
+    about them read one subgroup lattice."""
+    from gquot import groups
+
+    builds = []
+    build = groups._cyclic_extension
+    monkeypatch.setattr(groups, "_cyclic_extension", lambda G: builds.append(G) or build(G))
+    run = suite._Run(SEED)
+    G = run.group("C2xC2")
+    contexts = [run.context("C2xC2", cname) for cname in ("trivial", "nd_C2xC2")]
+    suite.criterion_3(run)
+    assert all(context.group is G for context in contexts)
+    assert builds[0] is G and G not in builds[1:]
+
+
 def _assert_criterion(battery, number):
     results, _ = battery
     r = results[number]

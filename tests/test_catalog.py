@@ -8,6 +8,7 @@ from gquot.catalog import (
     NONDEGENERATE_CARRIERS,
     build_cocycle,
     build_group,
+    catalog_cocycle,
     resolve_cocycle,
     resolve_group,
 )
@@ -26,6 +27,19 @@ def test_catalog_cocycles_are_nondegenerate():
         carrier, table = build_cocycle(name)
         assert table.group == build_group(carrier)
         assert bicharacter_of(table).radical().order == 1
+
+
+def test_a_catalog_class_lives_on_the_callers_group():
+    """A Mackey context reads its group off its cocycle, so a catalog class
+    is built on the very group object it was asked for: the context then
+    shares that object's subgroup lattice."""
+    G = build_group("C4xC4")
+    for name in ("trivial", "nd_C4xC4"):
+        assert catalog_cocycle(name, G).group is G
+        assert resolve_cocycle(name, G).group is G
+    assert catalog_cocycle("nd_C4xC4", G) == build_cocycle("nd_C4xC4")[1]
+    with pytest.raises(ValidationError, match="^catalog cocycle nd_C2xC2 lives on C2xC2, not this group$"):
+        catalog_cocycle("nd_C2xC2", G)
 
 
 def test_resolvers(tmp_path):

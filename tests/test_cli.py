@@ -257,7 +257,7 @@ def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
 @pytest.mark.parametrize(
     "line, record",
     [
-        ("x: 0 1 | H: 0 a", "line 2: invalid literal for int() with base 10: 'a'"),
+        ("x: 0 1 | H: 0 a", "line 2: subgroup element 'a' is not an integer"),
         ("x: 0 1 | H: 0 9", "line 2: subgroup element 9 outside the group of order 4"),
         ("x: 0 1 | H: 0 1", "line 2: subgroup not closed under inversion at 1"),
         ("x: 0^0", "line 2: character multiplicities must be >= 1"),
@@ -277,6 +277,32 @@ def test_descriptor_field_errors_name_their_line(tmp_path, capsys, line, record)
     desc = tmp_path / "d.txt"
     desc.write_text(f"# one summand\n{line}\n")
     code, out = run_cli(capsys, "grading", "dims", "--group", "C4", "--descriptor", str(desc))
+    assert (code, out) == (2, f"error: ValidationError: {record}\n")
+
+
+@pytest.mark.parametrize(
+    "line, record",
+    [
+        ("x: 1_0", "line 2: bad character token '1_0'"),
+        ("x: ٣", "line 2: bad character token '٣'"),
+        ("x: +1", "line 2: bad character token '+1'"),
+        ("x: 1^+2", "line 2: bad character token '1^+2'"),
+        ("x: 1^", "line 2: bad character token '1^'"),
+        ("x: -1", "line 2: bad character token '-1'"),
+        ("x: 1 | H: 0 ٦", "line 2: subgroup element '٦' is not an integer"),
+        ("x: 1 | H: 0 +6", "line 2: subgroup element '+6' is not an integer"),
+    ],
+    ids=["x underscore", "x Arabic-Indic digit", "x plus sign", "multiplicity plus sign", "empty multiplicity",
+         "x minus sign", "H Arabic-Indic digit", "H plus sign"],
+)
+def test_descriptor_tokens_take_ascii_digits_only(tmp_path, capsys, line, record):
+    """``int`` reads ``1_0`` as 10, ``٣`` as 3 and ``+1`` as 1, so on C12 each
+    of these lines would name another grading class than it was typed as;
+    an element index or multiplicity is ASCII digits, and an H token is
+    refused as ``--normal`` refuses it."""
+    desc = tmp_path / "d.txt"
+    desc.write_text(f"# one summand\n{line}\n")
+    code, out = run_cli(capsys, "grading", "dims", "--group", "C12", "--descriptor", str(desc))
     assert (code, out) == (2, f"error: ValidationError: {record}\n")
 
 
@@ -320,6 +346,14 @@ def test_lagrangian_subcommands(capsys):
     assert code == 0 and "ecp_iff_lagrangian: True" in out
     code, out = run_cli(capsys, "lagrangian", "iyb", "--group", "S3")
     assert code == 0 and "witness_found: True" in out
+
+
+def test_lagrangian_iyb_reads_no_cocycle(capsys):
+    """The IYB search asks about the group alone, so a ``--cocycle`` on
+    another group is never resolved and changes no byte."""
+    code, out = run_cli(capsys, "lagrangian", "iyb", "--group", "C6")
+    assert code == 0 and "witness_found: True" in out
+    assert run_cli(capsys, "lagrangian", "iyb", "--group", "C6", "--cocycle", "nd_C2xC2") == (0, out)
 
 
 def test_pi1_subcommands(capsys):

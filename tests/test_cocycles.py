@@ -177,22 +177,22 @@ def test_is_nondegenerate_paths_agree():
     for invs in ([2], [3], [4], [5], [6], [2, 2]):
         a = standard_nondegenerate(invs)
         radical_verdict = bicharacter_of(a).radical().order == 1
-        assert radical_verdict == oracle_verdict(a) == is_nondegenerate(a.group, a)
+        assert radical_verdict == oracle_verdict(a) == is_nondegenerate(a)
         t = CocycleTable.trivial(a.group)
-        assert (bicharacter_of(t).radical().order == 1) == oracle_verdict(t) == is_nondegenerate(a.group, t)
+        assert (bicharacter_of(t).radical().order == 1) == oracle_verdict(t) == is_nondegenerate(t)
     G = gq.make_group("C3xC3")
-    assert not is_nondegenerate(G, CocycleTable.trivial(G))
+    assert not is_nondegenerate(CocycleTable.trivial(G))
     cases = [(f"{gname}/{cname}", a) for gname, _, cname, a in sweep_cases()]
     cases += [(f"{name}/trivial", CocycleTable.trivial(build_group(name))) for name in GROUP_SPECS]
     cases += [(f"nd_{invs}", standard_nondegenerate(invs)) for invs in ([2, 2, 2], [8])]
-    verdicts = {tag: is_nondegenerate(a.group, a) for tag, a in cases}
+    verdicts = {tag: is_nondegenerate(a) for tag, a in cases}
     assert verdicts == {tag: oracle_verdict(a) for tag, a in cases}
     assert verdicts["nd_[2, 2, 2]"] and verdicts["nd_[8]"] and not verdicts["S3/trivial"]
 
 
 def test_is_nondegenerate_c6xc6():
     a = standard_nondegenerate([6])
-    assert is_nondegenerate(a.group, a)
+    assert is_nondegenerate(a)
     assert TwistedAlgebra(a.group, a).wedderburn(seed=0).dims == (6,)
 
 
@@ -209,7 +209,7 @@ def test_nondegeneracy_cross_check_fires_when_the_radical_flips(monkeypatch, cna
 
     monkeypatch.setattr(Bicharacter, "radical", flipped)
     with pytest.raises(TheoremCheckError, match="^non-degeneracy: center dimension and bicharacter radical disagree$"):
-        is_nondegenerate(G, a)
+        is_nondegenerate(a)
 
 
 def test_cohomologous_is_equivalence_on_samples():

@@ -33,7 +33,7 @@ from gquot.twisted import BlockOracle, TwistedAlgebra
 def test_isotropy_trivial_class_any_subgroup():
     S3 = gq.symmetric(3)
     t = CocycleTable.trivial(S3)
-    context = MackeyContext(S3, t)
+    context = MackeyContext(t)
     for H in gq.subgroups(S3):
         assert is_isotropic(context, H).isotropic
 
@@ -41,22 +41,22 @@ def test_isotropy_trivial_class_any_subgroup():
 def test_isotropy_spec_cases():
     a44 = standard_nondegenerate([4])
     G = a44.group
-    assert is_isotropic(MackeyContext(G, a44), gq.generated_subgroup(G, [4])).isotropic
+    assert is_isotropic(MackeyContext(a44), gq.generated_subgroup(G, [4])).isotropic
     a = standard_nondegenerate([2])
-    assert not is_isotropic(MackeyContext(a.group, a), gq.Subgroup(a.group, tuple(range(4)))).isotropic
+    assert not is_isotropic(MackeyContext(a), gq.Subgroup(a.group, tuple(range(4)))).isotropic
 
 
 def test_isotropy_witness_is_checkable():
     a44 = standard_nondegenerate([4])
     G = a44.group
-    rep = is_isotropic(MackeyContext(G, a44), gq.generated_subgroup(G, [8, 2]))
+    rep = is_isotropic(MackeyContext(a44), gq.generated_subgroup(G, [8, 2]))
     assert rep.isotropic and rep.witness is not None
     assert rep.one_dim_blocks == 4 and rep.block_dims == (1, 1, 1, 1)
 
 
 def test_lagrangian_scan_c2xc2():
     a = standard_nondegenerate([2])
-    reports = lagrangian_scan(a.group, a)
+    reports = lagrangian_scan(MackeyContext(a))
     assert len(reports) == 3
     assert all(r.is_lagrangian and r.normal for r in reports)
 
@@ -64,7 +64,7 @@ def test_lagrangian_scan_c2xc2():
 def test_lagrangian_scan_c4xc4_contains_both_types():
     a = standard_nondegenerate([4])
     G = a.group
-    found = {r.subgroup.elements for r in lagrangian_scan(G, a) if r.is_lagrangian}
+    found = {r.subgroup.elements for r in lagrangian_scan(MackeyContext(a)) if r.is_lagrangian}
     assert gq.generated_subgroup(G, [4]).elements in found  # the cyclic <x>
     assert gq.generated_subgroup(G, [8, 2]).elements in found  # the Klein <x^2, y^2>
     kinds = set()
@@ -75,31 +75,31 @@ def test_lagrangian_scan_c4xc4_contains_both_types():
 
 def test_lagrangian_scan_requires_square_and_nondegenerate():
     with pytest.raises(DomainError):
-        lagrangian_scan(gq.cyclic(2), CocycleTable.trivial(gq.cyclic(2)))
+        lagrangian_scan(MackeyContext(CocycleTable.trivial(gq.cyclic(2))))
     G = gq.make_group("C2xC2")
     with pytest.raises(DomainError):
-        lagrangian_scan(G, CocycleTable.trivial(G))
+        lagrangian_scan(MackeyContext(CocycleTable.trivial(G)))
 
 
 def test_crossed_product_iff_lagrangian_cases():
     a = standard_nondegenerate([2])
     G = a.group
-    assert crossed_product_iff_lagrangian(G, a, gq.generated_subgroup(G, [2]))
+    assert crossed_product_iff_lagrangian(MackeyContext(a), gq.generated_subgroup(G, [2]))
     a44 = standard_nondegenerate([4])
     G44 = a44.group
     L = gq.generated_subgroup(G44, [8, 2])
-    assert crossed_product_iff_lagrangian(G44, a44, L)
+    assert crossed_product_iff_lagrangian(MackeyContext(a44), L)
     Q, _ = gq.quotient(G44, L)
     assert gq.are_isomorphic(Q, gq.make_group("C2xC2")).isomorphic
     # an order-2 kernel fails the size condition
-    assert not crossed_product_iff_lagrangian(G44, a44, gq.generated_subgroup(G44, [8]))
+    assert not crossed_product_iff_lagrangian(MackeyContext(a44), gq.generated_subgroup(G44, [8]))
 
 
 @pytest.mark.parametrize("oracle", [None, BlockOracle()], ids=["own registry", "caller registry"])
 def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, oracle):
     """The decomposition and the isotropy check share the context's block
-    oracle, whether the function builds the context or the caller builds it
-    on its own registry: on nd_C4xC4 with the Klein Lagrangian, each distinct
+    oracle, whether the context builds its own registry or takes the
+    caller's: on nd_C4xC4 with the Klein Lagrangian, each distinct
     (table, scale, exponents) is split exactly once."""
     splits = []
     original = TwistedAlgebra.wedderburn
@@ -111,44 +111,53 @@ def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, or
     monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
     a44 = standard_nondegenerate([4])
     L = gq.generated_subgroup(a44.group, [8, 2])
-    context = None if oracle is None else MackeyContext(a44.group, a44, 0, oracle)
-    assert crossed_product_iff_lagrangian(a44.group, a44, L, context=context)
+    assert crossed_product_iff_lagrangian(MackeyContext(a44, 0, oracle), L)
     assert len(splits) == len(set(splits)) == 3  # C^a G, C^a L and the trivial obstruction on C1
 
 
 def test_crossed_product_iff_lagrangian_shares_one_context_across_subgroups():
-    """One context serves every N of (G, alpha, seed); a subgroup asked again
+    """One context serves every N of (alpha, seed); a subgroup asked again
     is a memo hit."""
     a44 = standard_nondegenerate([4])
     G = a44.group
     L, other = gq.generated_subgroup(G, [8, 2]), gq.generated_subgroup(G, [8])
-    context = MackeyContext(G, a44, 0)
-    assert crossed_product_iff_lagrangian(G, a44, L, context=context)
-    assert not crossed_product_iff_lagrangian(G, a44, other, context=context)
+    context = MackeyContext(a44, 0)
+    assert crossed_product_iff_lagrangian(context, L)
+    assert not crossed_product_iff_lagrangian(context, other)
     dec = context.decompose(L)
-    assert crossed_product_iff_lagrangian(G, a44, L, context=context)
+    assert crossed_product_iff_lagrangian(context, L)
     assert context.decompose(L) is dec
 
 
-def test_crossed_product_iff_lagrangian_rejects_a_foreign_context():
+def test_a_context_reads_its_group_off_the_cocycle():
+    a = standard_nondegenerate([4])
+    context = MackeyContext(a)
+    assert context.group is a.group and context.cocycle is a
+
+
+def test_maximal_elementary_quotients_rejects_a_foreign_context():
+    """The one Lagrangian question that names its class apart from its
+    context checks the two against each other, and the class against A."""
     a44 = standard_nondegenerate([4])
     G = a44.group
-    L = gq.generated_subgroup(G, [8, 2])
-    context = MackeyContext(G, a44, 0)
-    with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(G, a44, L, seed=1, context=context)  # another seed
-    with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(G, CocycleTable.trivial(G), L, context=context)  # another cocycle
+    context = MackeyContext(a44, 0)
+    foreign = r"^Mackey context is for a different \(group, cocycle, seed\)$"
+    with pytest.raises(DomainError, match=foreign):
+        maximal_elementary_quotients(G, a44, seed=1, context=context)  # another seed
+    inverse = CocycleTable(G, a44.scale, -a44.exps % a44.scale)  # another non-degenerate class
+    with pytest.raises(DomainError, match=foreign):
+        maximal_elementary_quotients(G, inverse, context=context)  # another cocycle
     a = standard_nondegenerate([2])
-    N = gq.generated_subgroup(a.group, [2])
-    with pytest.raises(DomainError, match="different"):
-        crossed_product_iff_lagrangian(a.group, a, N, context=context)  # another group
+    with pytest.raises(DomainError, match=foreign):
+        maximal_elementary_quotients(a.group, a, context=context)  # another group
+    with pytest.raises(DomainError, match="^cocycle lives on a different group$"):
+        maximal_elementary_quotients(a.group, a44)
 
 
 def test_biconditional_full_sweep_c2xc2():
     a = standard_nondegenerate([2])
     for N in gq.subgroups(a.group):
-        crossed_product_iff_lagrangian(a.group, a, N)  # raises on any one-sided disagreement
+        crossed_product_iff_lagrangian(MackeyContext(a), N)  # raises on any one-sided disagreement
 
 
 def test_maximal_elementary_quotients_c2xc2():
@@ -168,6 +177,19 @@ def test_maximal_elementary_quotients_builds_lattice_once(monkeypatch):
     a = standard_nondegenerate([2])
     maximal_elementary_quotients(a.group, a)
     assert builds == [a.group]
+
+
+def test_theorem_d_on_an_equal_copy_of_the_carrier_builds_one_lattice(monkeypatch):
+    """A carrier passed as another object with the same table is decomposed
+    and scanned on the one lattice of the context's group."""
+    builds = []
+    build = groups._cyclic_extension
+    monkeypatch.setattr(groups, "_cyclic_extension", lambda G: builds.append(G) or build(G))
+    a = standard_nondegenerate([2])
+    copy = gq.FiniteGroup(a.group.table)
+    assert copy is not a.group and copy == a.group
+    maximal_elementary_quotients(copy, a)
+    assert len(builds) == 1
 
 
 def test_maximal_elementary_quotients_c4xc4():
@@ -196,7 +218,7 @@ def test_elementary_quotient_contains_lagrangian():
         a = standard_nondegenerate(invs)
         G = a.group
         rep = maximal_elementary_quotients(G, a)
-        lagrangians = [set(r.subgroup.elements) for r in lagrangian_scan(G, a) if r.is_lagrangian]
+        lagrangians = [set(r.subgroup.elements) for r in lagrangian_scan(MackeyContext(a)) if r.is_lagrangian]
         for N in rep.elementary_normals:
             ns = set(N.elements)
             assert any(ls <= ns for ls in lagrangians)
@@ -225,34 +247,53 @@ def test_isotropy_verdicts_are_certified_once_per_context(monkeypatch):
     a = standard_nondegenerate([4])
     G = a.group
     asked = counted_isotropy(monkeypatch)
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     for N in gq.subgroups(G):
-        crossed_product_iff_lagrangian(G, a, N, context=context)
-    first = lagrangian_scan(G, a, context=context)
-    again = lagrangian_scan(G, a, context=context)
+        crossed_product_iff_lagrangian(context, N)
+    first = lagrangian_scan(context)
+    again = lagrangian_scan(context)
     squares = [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
     assert asked == squares and len(first) == len(again) == len(squares)
-    fresh = MackeyContext(G, a, 0)
+    fresh = MackeyContext(a, 0)
     for r, s in zip(first, again):
         assert (r.subgroup, r.isotropic, r.normal) == (s.subgroup, s.isotropic, s.normal)
         assert r.isotropic == is_isotropic(fresh, r.subgroup).isotropic
     assert set(context.isotropy) == set(squares)
     asked.clear()
-    lagrangian_scan(G, a)
+    lagrangian_scan(MackeyContext(a, 0))
     assert asked == squares
 
 
-def test_a_scan_without_a_context_reads_the_one_it_builds(monkeypatch):
-    """Without a context the scan builds one and reads its verdicts: the
-    reports equal those of a scan on a caller's context, and ``is_isotropic``
+def test_a_scan_on_a_new_context_certifies_each_candidate_once(monkeypatch):
+    """A scan on a new context reads the verdicts it certifies there: the
+    reports equal those of a scan on another context, and ``is_isotropic``
     is asked once per subgroup of order sqrt|G|."""
     a = standard_nondegenerate([2, 4])
     G = a.group
-    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(G, a, context=MackeyContext(G, a, 0))]
+    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(MackeyContext(a, 0))]
     asked = counted_isotropy(monkeypatch)
-    reports = lagrangian_scan(G, a, seed=0)
+    reports = lagrangian_scan(MackeyContext(a, 0))
     assert [(r.subgroup, r.isotropic, r.normal) for r in reports] == expected
     assert asked == [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
+
+
+def test_the_iyb_bridge_reads_what_its_scan_certified(monkeypatch):
+    """After a scan, ``lagrangian_quotient_is_iyb`` on the scan's context
+    builds no second context and certifies no subgroup again."""
+    a = standard_nondegenerate([4])
+    context = MackeyContext(a)
+    lagrangian_normals = [r.subgroup for r in lagrangian_scan(context) if r.is_lagrangian and r.normal]
+    asked, built = counted_isotropy(monkeypatch), []
+    init = MackeyContext.__init__
+
+    def counted_init(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(MackeyContext, "__init__", counted_init)
+    for N in lagrangian_normals:
+        assert lagrangian_quotient_is_iyb(context, N).witness is not None
+    assert len(lagrangian_normals) == 7 and asked == [] and built == []
 
 
 # -- the isotropy cross-checks fire ------------------------------------------------
@@ -263,8 +304,8 @@ def scanned_context(monkeypatch):
     Lagrangian candidates (15 of the 35 are isotropic); from then on a
     factorization is a failure, so every later solve on it is a replay."""
     a = standard_nondegenerate([2, 2])
-    context = MackeyContext(a.group, a, 0)
-    lagrangian_scan(a.group, a, context=context)
+    context = MackeyContext(a, 0)
+    lagrangian_scan(context)
     assert context.factors
     forbid_factoring(monkeypatch)
     return context
@@ -298,7 +339,7 @@ def test_a_replayed_verdict_meets_the_bicharacter_check(monkeypatch):
     G, a = context.group, context.cocycle
     scanned = candidates(context, True) + candidates(context, False)
     monkeypatch.undo()  # a call on a new context factors its own system
-    bares = [is_isotropic(MackeyContext(G, a, 0), H) for H in scanned]
+    bares = [is_isotropic(MackeyContext(a, 0), H) for H in scanned]
     forbid_factoring(monkeypatch)
     for H, bare in zip(scanned, bares):
         replayed = is_isotropic(context, H)
@@ -341,7 +382,7 @@ def test_isotropy_fires_when_the_oracle_finds_a_module_the_exact_solve_refutes(m
 def test_non_abelian_isotropy_fires_when_the_exact_verdict_flips(monkeypatch):
     """On a non-abelian H only the exact-against-oracle check applies."""
     G = gq.symmetric(3)
-    context, H = MackeyContext(G, CocycleTable.trivial(G)), gq.Subgroup(G, tuple(range(G.n)))
+    context, H = MackeyContext(CocycleTable.trivial(G)), gq.Subgroup(G, tuple(range(G.n)))
     assert is_isotropic(context, H).isotropic
     monkeypatch.setattr(lagrangians, "is_cohomologically_trivial", lambda *args, **kw: (False, None))
     with pytest.raises(TheoremCheckError, match=r"^isotropy certificates disagree \(exact vs oracle\)$"):
@@ -351,7 +392,7 @@ def test_non_abelian_isotropy_fires_when_the_exact_verdict_flips(monkeypatch):
 def test_isotropy_refuses_a_subgroup_of_another_group():
     a = standard_nondegenerate([2])
     with pytest.raises(DomainError, match="^subgroup belongs to a different group$"):
-        is_isotropic(MackeyContext(a.group, a), gq.Subgroup(gq.cyclic(4), (0, 2)))
+        is_isotropic(MackeyContext(a), gq.Subgroup(gq.cyclic(4), (0, 2)))
 
 
 # -- the theorem checks fire -------------------------------------------------------
@@ -370,7 +411,7 @@ def test_theorem_c_biconditional_fires_when_the_ecp_verdict_flips(monkeypatch):
     with pytest.raises(
         TheoremCheckError, match="^biconditional violated on N of order 2: ECP=False, Lagrangian=True$"
     ):
-        crossed_product_iff_lagrangian(a.group, a, N)
+        crossed_product_iff_lagrangian(MackeyContext(a), N)
 
 
 def test_theorem_d_fires_when_the_elementary_verdicts_flip(monkeypatch):
@@ -392,12 +433,6 @@ def test_iyb_search_refuses_a_witness_that_fails_verification(monkeypatch):
     monkeypatch.setattr(IYBWitness, "verify", lambda self: False)
     with pytest.raises(TheoremCheckError, match="^IYB witness failed exact verification$"):
         iyb_witness_search(gq.cyclic(2))
-
-
-def test_lagrangian_scan_rejects_a_foreign_context():
-    a = standard_nondegenerate([2])
-    with pytest.raises(DomainError, match="different"):
-        lagrangian_scan(a.group, a, seed=1, context=MackeyContext(a.group, a, 0))
 
 
 THEOREM_D_INVARIANTS = [(2, 2), (4,), (2, 4), (8,)]
@@ -752,14 +787,14 @@ def test_iyb_bound():
 def test_lagrangian_quotients_are_iyb():
     a = standard_nondegenerate([2])
     G = a.group
-    res = lagrangian_quotient_is_iyb(G, a, gq.generated_subgroup(G, [2]))
+    res = lagrangian_quotient_is_iyb(MackeyContext(a), gq.generated_subgroup(G, [2]))
     assert res.witness is not None
     a44 = standard_nondegenerate([4])
-    res2 = lagrangian_quotient_is_iyb(a44.group, a44, gq.generated_subgroup(a44.group, [4]))
+    res2 = lagrangian_quotient_is_iyb(MackeyContext(a44), gq.generated_subgroup(a44.group, [4]))
     assert res2.witness is not None and res2.witness.group.n == 4
     a66 = standard_nondegenerate([6])
     L = gq.generated_subgroup(a66.group, [7])
-    res3 = lagrangian_quotient_is_iyb(a66.group, a66, L)
+    res3 = lagrangian_quotient_is_iyb(MackeyContext(a66), L)
     assert res3.witness is not None and res3.witness.group.n == 6
     with pytest.raises(DomainError):
-        lagrangian_quotient_is_iyb(G, a, gq.Subgroup(G, (0,)))
+        lagrangian_quotient_is_iyb(MackeyContext(a), gq.Subgroup(G, (0,)))

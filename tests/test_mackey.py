@@ -39,7 +39,7 @@ from gquot.twisted import TOL_ROUND, BlockOracle, TwistedAlgebra
 def test_trivial_kernel_recovers_the_class():
     a = standard_nondegenerate([2])
     G = a.group
-    dec = mackey_decompose(G, a, gq.Subgroup(G, (0,)), seed=0)
+    dec = mackey_decompose(a, gq.Subgroup(G, (0,)), seed=0)
     assert len(dec.orbits) == 1
     o = dec.orbits[0]
     assert o.dim == 1 and o.inertia.order == G.n
@@ -54,7 +54,7 @@ def test_lagrangian_kernel_gives_ecp():
     a = standard_nondegenerate([2])
     G = a.group
     N = gq.generated_subgroup(G, [2])
-    dec = mackey_decompose(G, a, N, seed=0)
+    dec = mackey_decompose(a, N, seed=0)
     assert len(dec.orbits) == 1
     o = dec.orbits[0]
     assert len(o.point_indices) == 2 and o.dim == 1 and o.inertia.order == 1
@@ -65,7 +65,7 @@ def test_lagrangian_kernel_gives_ecp():
 def test_quaternion_center_quotient():
     Q8 = gq.quaternion8()
     t = CocycleTable.trivial(Q8)
-    dec = mackey_decompose(Q8, t, gq.center(Q8), seed=0)
+    dec = mackey_decompose(t, gq.center(Q8), seed=0)
     assert len(dec.orbits) == 2
     kinds = sorted((o.dim, o.inertia.order, o.omega_blocks) for o in dec.orbits)
     assert kinds == [(1, 4, (1, 1, 1, 1)), (1, 4, (2,))]
@@ -80,10 +80,10 @@ def test_quaternion_center_quotient():
 def test_whole_group_kernel():
     a = standard_nondegenerate([2])
     G = a.group
-    dec = mackey_decompose(G, a, gq.Subgroup(G, tuple(range(4))), seed=0)
+    dec = mackey_decompose(a, gq.Subgroup(G, tuple(range(4))), seed=0)
     assert len(dec.orbits) == 1 and is_simple_quotient(dec)
     t = CocycleTable.trivial(G)
-    dec2 = mackey_decompose(G, t, gq.Subgroup(G, tuple(range(4))), seed=0)
+    dec2 = mackey_decompose(t, gq.Subgroup(G, tuple(range(4))), seed=0)
     assert len(dec2.orbits) == 4  # one orbit per character
 
 
@@ -91,7 +91,7 @@ def test_normality_enforced():
     S3 = gq.symmetric(3)
     H = next(h for h in gq.subgroups(S3) if h.order == 2)
     with pytest.raises(NormalityError):
-        mackey_decompose(S3, CocycleTable.trivial(S3), H, seed=0)
+        mackey_decompose(CocycleTable.trivial(S3), H, seed=0)
 
 
 @pytest.mark.parametrize("spec", ["C6", "C2xC4", "S3", "S4", "D4", "D6", "Q8", "C12"])
@@ -99,7 +99,7 @@ def test_reconstruction_across_catalog(spec):
     G = gq.make_group(spec)
     t = CocycleTable.trivial(G)
     for N in gq.normal_subgroups(G):
-        dec = mackey_decompose(G, t, N, seed=0)
+        dec = mackey_decompose(t, N, seed=0)
         assert dec.oracle_dims == dec.reconstructed_dims
         assert sum(o.delta for o in dec.orbits) == G.n
         assert sum(o.dim ** 2 * len(o.transversal) for o in dec.orbits) == N.order
@@ -114,7 +114,7 @@ def test_quotient_components_all_have_dimension_n():
     a = standard_nondegenerate([4])
     G = a.group
     for N in list(gq.normal_subgroups(G))[:8]:
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         dims = descriptor_dims(dec.descriptor)
         assert {dims.get(q, 0) for q in dec.quotient_group.elements()} == {N.order}
         for o in dec.orbits:
@@ -127,7 +127,7 @@ def test_simple_quotient_dimension_identity():
     a = standard_nondegenerate([6])
     G = a.group
     N = gq.generated_subgroup(G, [7])  # (1,1) generates a diagonal C6
-    dec = mackey_decompose(G, a, N, seed=0)
+    dec = mackey_decompose(a, N, seed=0)
     assert is_simple_quotient(dec)
     assert is_ecp_quotient(dec)
 
@@ -136,7 +136,7 @@ def test_elementary_iff_free_action_cube_free_case():
     a = standard_nondegenerate([2])
     G = a.group
     for N in gq.subgroups(G):
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         elementary = is_elementary_quotient(dec)
         assert elementary == gq.groups.squarefree(G.n // N.order)
         if elementary:
@@ -155,7 +155,7 @@ def test_doubly_nondegenerate_has_ct_quotient():
         if bicharacter_of(rest).radical().order != 1:
             continue
         hits += 1
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         assert len(dec.orbits) == 1
         o = dec.orbits[0]
         q = dec.quotient_group.n
@@ -169,8 +169,8 @@ def test_determinism_of_decomposition():
     Q8 = gq.quaternion8()
     t = CocycleTable.trivial(Q8)
     Z = gq.center(Q8)
-    d1 = mackey_decompose(Q8, t, Z, seed=5)
-    d2 = mackey_decompose(Q8, t, Z, seed=5)
+    d1 = mackey_decompose(t, Z, seed=5)
+    d2 = mackey_decompose(t, Z, seed=5)
     assert d1.oracle_dims == d2.oracle_dims
     for o1, o2 in zip(d1.orbits, d2.orbits):
         assert o1.omega == o2.omega
@@ -180,7 +180,7 @@ def test_whole_group_kernel_at_order_256():
     # the only inertia element is the identity, whose intertwiner is I
     a = standard_nondegenerate([2, 8])
     G = a.group
-    dec = mackey_decompose(G, a, gq.Subgroup(G, tuple(G.elements())), seed=0)
+    dec = mackey_decompose(a, gq.Subgroup(G, tuple(G.elements())), seed=0)
     assert dec.oracle_dims == dec.reconstructed_dims == (16,)
     assert len(dec.orbits) == 1 and dec.orbits[0].inertia.order == 1
 
@@ -237,7 +237,7 @@ def test_shared_context_matches_fresh_decompositions(case):
     per-element Python-integer one, and its phases the product of three
     cocycle values, within 1e-12."""
     _, G, _, a = case
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     A_G = TwistedAlgebra(G, a)
     assert context.blocks.dims == A_G.wedderburn(seed=0).dims
     _, kappa = a.conjugation()
@@ -249,7 +249,7 @@ def test_shared_context_matches_fresh_decompositions(case):
             assert kappa[h, g] == (c[h][g] + c[hg][hinv] - c[h][hinv]) % m
             assert abs(context.kappa[h, g] - reference_kappa(A_G, h, g)) <= 1e-12
     for N in gq.normal_subgroups(G):
-        assert_same_decomposition(context.decompose(N), mackey_decompose(G, a, N, seed=0))
+        assert_same_decomposition(context.decompose(N), mackey_decompose(a, N, seed=0))
     assert context.decompose(N) is context.decompose(N)
 
 
@@ -274,10 +274,10 @@ def test_shared_oracle_matches_fresh_decompositions(case, shared_oracle):
     the bits of every point coefficient."""
     _, a = case
     G = a.group
-    context = MackeyContext(G, a, 0, shared_oracle)
+    context = MackeyContext(a, 0, shared_oracle)
     assert context.oracle is shared_oracle
     for N in gq.normal_subgroups(G):
-        got, want = context.decompose(N), mackey_decompose(G, a, N, seed=0)
+        got, want = context.decompose(N), mackey_decompose(a, N, seed=0)
         assert_same_decomposition(got, want)
         assert [o.inertia.elements for o in got.orbits] == [o.inertia.elements for o in want.orbits]
         for o, w in zip(got.orbits, want.orbits):
@@ -303,14 +303,14 @@ def test_shared_results_are_read_only():
     again = oracle.irreducible_rep(a, 0)
     assert again is rho and np.array_equal(again, before_rho)
     assert np.array_equal(oracle.wedderburn(a).blocks[0].coeffs, before_point)
-    context = MackeyContext(a.group, a, 0, oracle)
+    context = MackeyContext(a, 0, oracle)
     dec = context.decompose(gq.Subgroup(a.group, (0,)))
     with pytest.raises(ValueError):
         dec.points[0].coeffs[0] = 5.0
 
 
 def test_context_refuses_a_subgroup_of_another_group():
-    context = MackeyContext(gq.make_group("C4"), CocycleTable.trivial(gq.make_group("C4")), 0)
+    context = MackeyContext(CocycleTable.trivial(gq.make_group("C4")), 0)
     other = gq.make_group("C2xC2")
     with pytest.raises(DomainError):
         context.decompose(gq.Subgroup(other, (0, 1)))
@@ -442,7 +442,7 @@ def test_intertwiners_match_reference(monkeypatch, name, a):
     G = a.group
     orbits = trivial = 0
     for N in gq.normal_subgroups(G):
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         for o in dec.orbits:
             if o.inertia.order > 1:
                 orbits += 1
@@ -512,7 +512,7 @@ def test_obstruction_matches_reference(monkeypatch, name, a):
     A_G = TwistedAlgebra(G, a)
     orbits = trivial = 0
     for N in gq.normal_subgroups(G):
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         alpha_N = a.restrict(N)
         A_N = TwistedAlgebra(alpha_N.group, alpha_N)
         section = gq.coset_space(G, N).representatives
@@ -653,7 +653,7 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
     monkeypatch.setattr(mackey, "_composition_scalars", recorded)
     G = a.group
     phases = a.value_matrix()
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     seen = 0
     for N in gq.normal_subgroups(G):
         dec = context.decompose(N)
@@ -751,7 +751,7 @@ def test_batched_obstructions_match_the_per_orbit_path(name, a):
     normal N, the table of the class pass has the scale, the exponent bytes
     and the blocks of the orbit's own pass."""
     G = a.group
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     for N in gq.normal_subgroups(G):
         dec = context.decompose(N)
         alpha_N, section = per_orbit_inputs(context, N)
@@ -765,7 +765,7 @@ def two_module_class():
     """The trivial class on C2xC2 with N of order 2: the quotient fixes both
     points, so two d = 1 orbits share the inertia group Q."""
     G = gq.make_group("C2xC2")
-    context = MackeyContext(G, CocycleTable.trivial(G), 0)
+    context = MackeyContext(CocycleTable.trivial(G), 0)
     return context, gq.generated_subgroup(G, [1])
 
 
@@ -821,7 +821,7 @@ def test_intertwining_residual_is_charged_to_the_obstruction_bound(monkeypatch, 
     with no column defect; the decomposition must raise."""
     a = standard_nondegenerate(list(carrier))
     G = a.group
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     context.kappa = context.kappa.copy()
     context.kappa[G.n - 1, 0] *= np.exp(0.75j * TOL_SCALAR)
     intertwiners, residuals = mackey._intertwiners, []
@@ -848,13 +848,13 @@ def test_each_module_as_a_stack_of_one_gives_its_slice(monkeypatch):
     across three classes."""
     G = gq.make_group("Q8xC2xC2")
     trivial = CocycleTable.trivial(G)
-    probe = MackeyContext(G, trivial, 0)
+    probe = MackeyContext(trivial, 0)
     N = next(M for M in gq.normal_subgroups(G) if M.order == 16 and max(o.dim for o in probe.decompose(M).orbits) == 2)
     context, _ = two_module_class()
     order_two = [M for M in gq.subgroups(context.group) if M.order == 2]
     intertwiners, compose = mackey._intertwiners, mackey._composition_scalars
     shapes = []
-    cases = ((context, order_two[:1]), (MackeyContext(G, trivial, 0), [N]), (two_module_class()[0], order_two))
+    cases = ((context, order_two[:1]), (MackeyContext(trivial, 0), [N]), (two_module_class()[0], order_two))
     for context, normals in cases:
         calls = []
         monkeypatch.setattr(mackey, "_intertwiners", lambda *args: calls.append(args) or intertwiners(*args))
@@ -912,9 +912,9 @@ def four_points_over_c4():
     N = gq.Subgroup(G, (0, 1, 2, 3))
     Q, _ = gq.quotient(G, N)
     assert np.array_equal(Q.table, (np.arange(4)[:, None] + np.arange(4)) % 4)
-    probe = MackeyContext(G, CocycleTable.trivial(G), 0).decompose(N)
+    probe = MackeyContext(CocycleTable.trivial(G), 0).decompose(N)
     assert [o.point_indices for o in probe.orbits] == [(0,), (1,), (2,), (3,)]
-    return MackeyContext(G, CocycleTable.trivial(G), 0), N
+    return MackeyContext(CocycleTable.trivial(G), 0), N
 
 
 # perms[q, i], the point conjugation by the lift of q sends point i to, given by
@@ -960,9 +960,9 @@ def d2_module_with_inertia():
     module has inertia of order 2 and is a pass of its own."""
     G = gq.make_group("Q8xC2")
     N, trivial = gq.Subgroup(G, tuple(range(0, 16, 2))), CocycleTable.trivial(G)
-    probe = MackeyContext(G, trivial, 0).decompose(N)
+    probe = MackeyContext(trivial, 0).decompose(N)
     assert [(o.dim, o.inertia.order) for o in probe.orbits if o.dim == 2] == [(2, 2)]
-    return MackeyContext(G, trivial, 0), N
+    return MackeyContext(trivial, 0), N
 
 
 def test_a_non_scalar_intertwiner_fails_the_composition(monkeypatch):
@@ -1024,12 +1024,12 @@ def test_decompose_all_matches_each_subgroup_alone(name, a):
     contexts share one registry of their own."""
     G = a.group
     normals = gq.normal_subgroups(G)
-    context = MackeyContext(G, a, 0)
+    context = MackeyContext(a, 0)
     assert context.decompose_all(normals) is None
     oracle = BlockOracle()
     for N in normals:
         got = context.decompose(N)
-        want = MackeyContext(G, a, 0, oracle).decompose(N)
+        want = MackeyContext(a, 0, oracle).decompose(N)
         assert got.normal == N
         assert_same_decomposition(got, want)
         for o, w in zip(got.orbits, want.orbits):
@@ -1062,7 +1062,7 @@ def test_stacked_passes_fill_the_budget_by_inertia_table_d_and_order(monkeypatch
     a = standard_nondegenerate(invariants)
     lattice = gq.subgroups(a.group)
     passes = recorded_passes(monkeypatch)
-    MackeyContext(a.group, a, 0).decompose_all(lattice)
+    MackeyContext(a, 0).decompose_all(lattice)
     stacked = list(passes)
     by_key = {}
     for group, orders, d, sizes in stacked:
@@ -1074,7 +1074,7 @@ def test_stacked_passes_fill_the_budget_by_inertia_table_d_and_order(monkeypatch
             assert per_module * (sum(batch) + following[0]) > mackey.OBSTRUCTION_BUDGET
         assert all(per_module * sum(batch) <= mackey.OBSTRUCTION_BUDGET or len(batch) == 1 for batch in batches)
     passes.clear()
-    context = MackeyContext(a.group, a, 0)
+    context = MackeyContext(a, 0)
     for N in lattice:
         context.decompose(N)
     assert len(stacked) < len(passes) == sum(len(sizes) for _, _, _, sizes in stacked)
@@ -1193,14 +1193,14 @@ def test_decompose_all_keeps_every_subgroup_that_decomposes():
     second scan leaves as they are; a subgroup of another group is refused
     first."""
     S3 = gq.make_group("S3")
-    context = MackeyContext(S3, CocycleTable.trivial(S3), 0)
+    context = MackeyContext(CocycleTable.trivial(S3), 0)
     normals = gq.normal_subgroups(S3)
     not_normal = next(H for H in gq.subgroups(S3) if not H.is_normal())
     context.decompose_all([normals[0], not_normal, *normals[1:]])
     with pytest.raises(NormalityError) as stacked:
         context.decompose(not_normal)
     with pytest.raises(NormalityError) as alone:
-        mackey_decompose(S3, CocycleTable.trivial(S3), not_normal)
+        mackey_decompose(CocycleTable.trivial(S3), not_normal)
     assert str(stacked.value) == str(alone.value)
     kept = [context.decompose(N) for N in normals]
     assert all(isinstance(dec, MackeyDecomposition) for dec in kept)
@@ -1217,7 +1217,7 @@ def klein_by_itself():
     """The decomposition of C2xC2 with the trivial class by N = G: a trivial
     quotient and four orbits of dimension one, so |N| = 4 on its one element."""
     G = gq.make_group("C2xC2")
-    return mackey_decompose(G, CocycleTable.trivial(G), gq.Subgroup(G, tuple(range(4))))
+    return mackey_decompose(CocycleTable.trivial(G), gq.Subgroup(G, tuple(range(4))))
 
 
 def with_first_orbit(dec, **changes):
@@ -1249,7 +1249,7 @@ def test_the_graded_simple_identity_fires():
     """The one orbit of nd_C2xC2 by the trivial N has |N|^2 |I| = d^2 |G| = 4;
     with d = 2 the identity fails."""
     a = standard_nondegenerate([2])
-    dec = mackey_decompose(a.group, a, gq.Subgroup(a.group, (0,)))
+    dec = mackey_decompose(a, gq.Subgroup(a.group, (0,)))
     assert is_simple_quotient(dec)
     with pytest.raises(TheoremCheckError) as raised:
         is_simple_quotient(with_first_orbit(dec, dim=2))
@@ -1296,8 +1296,8 @@ def test_invariants_under_relabeling_and_coboundary_twist(name, data):
     assert A.wedderburn(seed=0).dims == B.wedderburn(seed=0).dims
     N = data.draw(st.sampled_from(gq.normal_subgroups(G)))
     N_moved = gq.Subgroup(H, tuple(sorted(perm[list(N.elements)].tolist())))
-    assert _orbit_signature(mackey_decompose(G, a, N, seed=0)) == _orbit_signature(
-        mackey_decompose(H, b, N_moved, seed=0)
+    assert _orbit_signature(mackey_decompose(a, N, seed=0)) == _orbit_signature(
+        mackey_decompose(b, N_moved, seed=0)
     )
 
 
@@ -1403,7 +1403,7 @@ def test_orbits_match_reference(name):
     G = a.group
     A_G = TwistedAlgebra(G, a)
     for N in normals:
-        dec = mackey_decompose(G, a, N, seed=0)
+        dec = mackey_decompose(a, N, seed=0)
         Q = dec.quotient_group
         reps = gq.coset_space(G, N).representatives
         stacked = np.array([p.coeffs for p in dec.points])

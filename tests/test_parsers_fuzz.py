@@ -164,5 +164,10 @@ def test_normal_texts(workdir, command, text):
 @example(group="C2", text="x: 0^99999999999999999999")
 @example(group="C²", text="x: 0 1\n")
 @example(group="C2", text="x: 0 | x: 1\nx: 1 | alhpa: c.txt\n")
+@example(group="C12", text="x: 1_0\n")
+@example(group="C12", text="x: ٣\n")
+@example(group="C12", text="x: +1\n")
+@example(group="C12", text="x: 1^+2\n")
+@example(group="C12", text="x: 1 | H: 0 ٦\n")
 def test_descriptor_files(workdir, action, group, text):
     run(workdir, text, "grading", action, "--group", group, "--descriptor")

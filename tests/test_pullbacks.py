@@ -13,6 +13,7 @@ from gquot.pullbacks import (
     CheckRecord,
     DiagonalClass,
     ProductGroup,
+    Pullback,
     _q5_certificate,
     _free22_words,
     enumerate_admissible_rank4,
@@ -430,6 +431,29 @@ def test_final_checks_catch_a_construction_without_z3(monkeypatch):
     for t in quads:
         with pytest.raises(CertificationError, match="rank-5 expression failed verification"):
             express_rank5(t, RANK5)
+
+
+def corrupted_rank4(name, value):
+    """The rank-4 pull-back with the generator ``name`` replaced by ``value``."""
+    return Pullback(RANK4.diagram, {**RANK4.generators, name: value})
+
+
+def test_a_z3_off_the_klein_kernel_leaves_a_klein_residue():
+    """z3 = (x^2, sigma tau, e) corrects the Klein residue sigma tau; with
+    its Klein component sigma instead, the residue of the admissible triple
+    z3 itself becomes tau, outside the projection kernel."""
+    pb = corrupted_rank4("z3", (2, SIGMA, RANK4.diagram.sources[2].identity()))
+    with pytest.raises(CertificationError, match="^Klein residue escaped the projection kernel$"):
+        express_rank4(RANK4.generators["z3"], pb)
+
+
+def test_a_z1_with_an_even_c4_component_does_not_close():
+    """z1 = (x, sigma, a) spells the letter a; with the C4 component x^2
+    instead, the C4 residue of the admissible triple z1 itself is x, which
+    neither z3 nor z1^2 can correct."""
+    pb = corrupted_rank4("z1", (2, SIGMA, RANK4.diagram.sources[2].letter(0, 1)))
+    with pytest.raises(CertificationError, match="^rank-4 expression did not close$"):
+        express_rank4(RANK4.generators["z1"], pb)
 
 
 C3C2 = FreeProductGroup((cyclic(3), cyclic(2)))

@@ -106,7 +106,7 @@ def test_size_bound():
     with pytest.raises(SizeBoundError, match="bounded at order 256, group has 257"):
         TwistedAlgebra(C257, CocycleTable.trivial(C257))
     with pytest.raises(SizeBoundError, match="bounded at order 256"):
-        is_nondegenerate(C257, CocycleTable.trivial(C257))
+        is_nondegenerate(CocycleTable.trivial(C257))
 
 
 def test_complex_cocycle_is_refused():
@@ -435,7 +435,7 @@ def _obstruction_algebras():
         ("nd_C4xC4", standard_nondegenerate([4]), (0,)),
         ("Q8", CocycleTable.trivial(gq.quaternion8()), gq.center(gq.quaternion8()).elements),
     ]:
-        for o in mackey_decompose(a.group, a, gq.Subgroup(a.group, N), seed=0).orbits:
+        for o in mackey_decompose(a, gq.Subgroup(a.group, N), seed=0).orbits:
             yield f"omega of {name}/{N}", TwistedAlgebra(o.omega.group, o.omega)
 
 
@@ -668,7 +668,7 @@ def test_block_oracle_measures_each_module_law_once(monkeypatch):
     # call per module it certifies, none per bound it charges
     G = gq.make_group("Q8xC2xC2")
     before = len(calls)
-    context = gq.MackeyContext(G, CocycleTable.trivial(G), oracle=oracle)
+    context = gq.MackeyContext(CocycleTable.trivial(G), oracle=oracle)
     for N in gq.normal_subgroups(G)[:6]:
         context.decompose(N)
     assert len(calls) - before == len(oracle._modules) - modules > 0
