@@ -129,6 +129,20 @@ def test_crossed_product_iff_lagrangian_shares_one_context_across_subgroups():
     assert context.decompose(L) is dec
 
 
+def test_crossed_product_iff_lagrangian_rejects_a_foreign_context():
+    """A subgroup of another group than the context's is refused before any
+    decomposition or isotropy work, in either direction."""
+    a44 = standard_nondegenerate([4])
+    a = standard_nondegenerate([2])
+    foreign = "^subgroup belongs to a different group$"
+    with pytest.raises(DomainError, match=foreign):
+        crossed_product_iff_lagrangian(MackeyContext(a44, 0), gq.generated_subgroup(a.group, [2]))
+    context = MackeyContext(a, 0)
+    with pytest.raises(DomainError, match=foreign):
+        crossed_product_iff_lagrangian(context, gq.generated_subgroup(a44.group, [8, 2]))
+    assert not context.isotropy
+
+
 def test_a_context_reads_its_group_off_the_cocycle():
     a = standard_nondegenerate([4])
     context = MackeyContext(a)
