@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ScaleError, ValidationError
-from .groups import FiniteGroup, Subgroup, cyclic, direct_product, generating_sequence
+from .groups import FiniteGroup, Subgroup, cyclic, direct_product, generating_sequence, parse_row
 from .smith import SystemRows, solve_mod
 
 # Exponents are int64 residues below MAX_SCALE, so every exponent expression
@@ -342,7 +342,8 @@ def parse_cocycle(text, group: FiniteGroup) -> CocycleTable:
     """Parse the cocycle text format and validate against the given group.
 
     ``text`` is the whole text or an iterable of its lines, read in order; a
-    row past the n-th raises at its line.
+    row past the n-th raises at its line, as does a row entry that is not an
+    integer (``groups.parse_row``; a negative exponent is read mod m).
     """
     rows: list[list[int]] = []
     header = None
@@ -360,10 +361,7 @@ def parse_cocycle(text, group: FiniteGroup) -> CocycleTable:
             continue
         if len(rows) == group.n:
             raise ValidationError(f"line {lineno}: cocycle row past the {group.n} rows of the table")
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-integer entry") from None
+        row = parse_row(line, lineno, "entry")
         if len(row) != group.n:
             raise ValidationError(f"line {lineno}: expected {group.n} entries, got {len(row)}")
         rows.append(row)

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, GquotError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup, parse_subgroup
 
-INT64_MAX = 2**63 - 1  # the largest total dimension the int64 gather of ``induced_dims`` holds
+INT64_MAX = 2**63 - 1  # the largest total dimension ``induced_dims`` accepts
 
 
 @dataclass(frozen=True)
@@ -114,25 +112,29 @@ def induced_dims(x: Character, fine_dims: dict, group: FiniteGroup) -> dict:
     """Homogeneous dimensions of the grading induced by x from a base grading.
 
     dim at g0 = sum over g1 * g2 * g3^-1 = g0 of n_{g1} * dim(base_{g2}) * n_{g3}.
-    Every product is read off the group table in one gather over the triples
-    (g1, g2, g3), base elements of dimension 0 left out, and the keys come in
-    the order those triples first reach them, g1-major.  The gather sums in
-    int64, so a total dimension eps(x)^2 * sum(base dims) above INT64_MAX
-    raises SizeBoundError before any array is built.
+    The triples (g1, g2, g3) are walked g1-major on the row lists
+    ``group.rows``, base elements of dimension 0 left out, so the keys come
+    in the order those triples first reach them; every product and sum is a
+    Python int, so nothing overflows.  A total dimension
+    eps(x)^2 * sum(base dims) above INT64_MAX is refused with SizeBoundError
+    before the walk: an input bound on gradings, not an overflow guard.
     """
-    base = [(g, d) for g, d in fine_dims.items() if d != 0]
+    base = [(g, int(d)) for g, d in fine_dims.items() if d != 0]
     if not base:
         return {}
     if x.eps**2 * sum(d for _, d in base) > INT64_MAX:
         raise SizeBoundError(f"induced grading of total dimension above {INT64_MAX}")
-    g1, n1 = np.array(x.mults, dtype=np.int64).T
-    g2, d2 = np.array(base, dtype=np.int64).T
-    T = group.table
-    g0 = T[T[g1[:, None], g2][:, :, None], group.inverse_table[g1]].ravel()  # [g1, g2, g3]
-    totals = np.zeros(group.n, dtype=np.int64)
-    np.add.at(totals, g0, (n1[:, None, None] * d2[:, None] * n1).ravel())
-    keys = g0[np.sort(np.unique(g0, return_index=True)[1])]
-    return dict(zip(keys.tolist(), totals[keys].tolist()))
+    rows = group.rows
+    right = [(group.inv(g3), n3) for g3, n3 in x.mults]  # g0 = (g1 g2) g3^-1
+    out: dict = {}
+    for g1, n1 in x.mults:
+        row1 = rows[g1]
+        for g2, d2 in base:
+            row, w = rows[row1[g2]], n1 * d2
+            for h, n3 in right:
+                g0 = row[h]
+                out[g0] = out.get(g0, 0) + w * n3
+    return out
 
 
 def summand_dims(s: Summand, group: FiniteGroup) -> dict:

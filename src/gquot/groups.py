@@ -19,21 +19,24 @@ a table core, shared by all live groups whose tables have the same entries
 (``subgroups``' copies and quotients relabel into positional order, so the
 copies of one abstract subgroup met across a lattice often do): the
 read-only table, its inverse table, certified when the core is first built,
-its hash, and, on first use, its row lists, ``is_abelian`` and its Cayley
-tree.  Sharing is safe because the core holds only what the entries
-determine, all of it read-only, and a core is found only by a table with
-its very entries (the registry compares entries whenever hashes match); it
-holds no labels, name or lattice, which stay on each group, since a
-lattice's subgroups belong to one group object.  Cores are kept weakly, so
-a core goes with the last group holding it.  A table from outside (a file,
-a public constructor without ``_trusted``) is validated in full whether or
-not its core is live.  Two groups are equal exactly when they share a core.
-Homomorphisms are certified on generator columns, and normality on an
-abelian group needs no conjugates.
+its hash, and, on first use, its row lists, ``is_abelian``, its element
+orders and its Cayley tree.  Sharing is safe because the core holds only
+what the entries determine, all of it read-only, and a core is found only
+by a table with its very entries (the registry compares entries whenever
+hashes match); it holds no labels, name or lattice, which stay on each
+group, since a lattice's subgroups belong to one group object.  Cores are
+kept weakly, so a core goes with the last group holding it.  A table from
+outside (a file, a public constructor without ``_trusted``) is validated in
+full whether or not its core is live.  Two groups are equal exactly when
+they share a core.  Homomorphisms are certified on generator columns, and
+normality on an abelian group needs no conjugates.  What is closed or
+multiplicative by construction is not checked again: the lattice's
+subgroups come out of ``_closure`` and the projection of ``quotient`` out
+of the cosets of a normal N, each with its proof where it is built.
 
 Scalar walks read ``G.rows``, the table as Python row lists
 (``table.tolist()``), built on a core's first scalar walk and kept: ``mul``,
-``prod`` and ``order_of`` step through them, and so does subgroup
+``prod`` and the element orders step through them, and so does subgroup
 generation, a breadth-first search over the cosets of a known subgroup
 whose step from y is ``[rows[b][y] for b in base]``, with no numpy scalar
 conversion per step.  The subgroup lattice is built by Neubüser's cyclic
@@ -98,7 +101,8 @@ class _TableCore:
     """What a multiplication table determines, certified or built once per
     table and shared by every group whose table has the same entries: the
     read-only table and its certified inverse table, the hash, and, on first
-    use, the row lists, ``is_abelian`` and the Cayley tree."""
+    use, the row lists, ``is_abelian``, the element orders and the Cayley
+    tree."""
 
     def __init__(self, table: np.ndarray, hash_: int):
         self.table, self.n, self.hash = table, len(table), hash_
@@ -165,6 +169,17 @@ class _TableCore:
     @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
+
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        rows, orders = self.rows, []
+        for a in range(self.n):  # step x -> x a until e
+            x, k = a, 1
+            while x != 0:
+                x = rows[x][a]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
 
     @cached_property
     def tree(self) -> "CayleyTree":
@@ -235,8 +250,8 @@ class FiniteGroup:
     def rows(self) -> list[list[int]]:
         """The table as Python row lists, ``rows[a][b]`` the product a*b as an
         int; built on the core's first use and kept, and only read, like the
-        read-only table it copies.  Scalar walks (``mul``, ``prod``,
-        ``order_of``, closures) read these, which costs no numpy scalar
+        read-only table it copies.  Scalar walks (``mul``, ``prod``, the
+        element orders, closures) read these, which costs no numpy scalar
         conversion per step."""
         return self.core.rows
 
@@ -257,17 +272,15 @@ class FiniteGroup:
         return out
 
     def order_of(self, a: int) -> int:
-        rows, x, k = self.core.rows, a, 1
-        while x != 0:
-            x = rows[x][a]
-            k += 1
-        return k
+        return self.core.element_orders[a]
 
     def elements(self) -> range:
         return range(self.n)
 
-    def element_orders(self) -> list[int]:
-        return [self.order_of(g) for g in range(self.n)]
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element, by index: walked once per table core
+        and kept, read-only, since it depends on the table alone."""
+        return self.core.element_orders
 
     def order_census(self) -> Counter:
         return Counter(self.element_orders())
@@ -408,6 +421,16 @@ class GroupHom:
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.n
+
+
+def _proved(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` (``Subgroup`` or
+    ``GroupHom``) with every field given in its normal form, built without
+    its ``__post_init__`` check; each caller proves what that check tests."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -569,6 +592,16 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
     (Neubüser, *Numer. Math.* 2, 1960).  Skipping it drops no subgroup and
     keeps the order of discovery, so the rule stays complete for every
     group, non-solvable tables included.
+
+    Every set kept is a subgroup, so its ``Subgroup`` skips the closure
+    check.  By induction, each key K is ``<gens>`` for its kept generators
+    ``gens``: {e} = <()>, and a new K is ``_closure(G, gens, H)`` with
+    gens = gens(H) + (c,), so H = <gens(H)> lies in <gens>.  That closure
+    holds H and is closed under right multiplication by ``gens`` (its
+    docstring), so it holds every positive word in ``gens``, which in a
+    finite group is all of <gens> (s^-1 = s^(ord s - 1)); and every element
+    it reaches is h w with h in H and w such a word, inside <gens>.  So K is
+    the subgroup <gens>: closed, holding e, its entries table indices.
     """
     cyclic_gens: dict[frozenset, int] = {}
     for g in G.elements():
@@ -590,7 +623,8 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
                         lattice[K] = gens
                         nxt.append(K)
         layer = nxt
-    return sorted((Subgroup(G, tuple(K)) for K in lattice), key=lambda s: (s.order, s.elements))
+    lattice = (_proved(Subgroup, group=G, elements=tuple(sorted(K)), _copy=None) for K in lattice)
+    return sorted(lattice, key=lambda s: (s.order, s.elements))
 
 
 def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
@@ -641,7 +675,16 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """The quotient group G/N plus the projection homomorphism."""
+    """The quotient group G/N plus the projection homomorphism.
+
+    The projection p(g) = ``block_of[g]`` is multiplicative by construction,
+    so its ``GroupHom`` skips the generator-column check.  Coset i of the
+    table is r_i N with r_i its representative, and the table's entry
+    (i, j) is the coset of r_i r_j.  For g in r_i N and h in r_j N, normality
+    gives g h in r_i N r_j N = r_i r_j N, so p(g h) is entry (p(g), p(h)):
+    p(g h) = p(g) p(h).  And p(e) = 0, the identity coset's representative
+    being e, the least element.
+    """
     bad = N.violating_conjugation()
     if bad is not None:
         g, h = bad
@@ -651,8 +694,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = np.asarray(cs.block_of)[G.table[reps[:, None], reps]]
     labels = [G.label(r) + "N" for r in cs.representatives]
     Q = FiniteGroup(table, labels=labels, name=(G.name or "G") + "/N", _trusted=True)
-    proj = GroupHom(G, Q, cs.block_of)
-    return Q, proj
+    return Q, _proved(GroupHom, source=G, target=Q, images=cs.block_of)
 
 
 # -- abelian invariants ----------------------------------------------------
@@ -910,7 +952,8 @@ def parse_group_table(text) -> FiniteGroup:
 
     ``text`` is the whole text or an iterable of its lines, read in order;
     the order on the header line is checked against ORDER_BOUND before the
-    next line is read, and a row past the n-th raises at its line.
+    next line is read, and a row past the n-th raises at its line, as does
+    a row entry that is not an integer (``parse_row``).
     """
     rows: list[list[int]] = []
     labels: dict[int, tuple[int, str]] = {}  # index -> (line, label)
@@ -937,10 +980,7 @@ def parse_group_table(text) -> FiniteGroup:
             continue
         if len(rows) == n:
             raise ValidationError(f"line {lineno}: table row past the {n} rows of the group")
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-integer table entry") from None
+        row = parse_row(line, lineno, "table entry")
         if len(row) != n:
             raise ValidationError(f"line {lineno}: expected {n} entries, got {len(row)}")
         rows.append(row)
@@ -958,13 +998,35 @@ def parse_group_table(text) -> FiniteGroup:
     return FiniteGroup(rows, labels=label_list)
 
 
+def is_integer_token(tok: str) -> bool:
+    """Whether ``tok`` is ASCII digits after an optional minus sign, the
+    integer token of the group-table, cocycle and subgroup formats: ``int``
+    alone would also read ``٣`` as 3, ``1_0`` as 10 and ``+1`` as 1, so a
+    typo could silently change a table, a class or a subgroup."""
+    return tok.isascii() and tok.removeprefix("-").isdigit()
+
+
+def parse_row(line: str, lineno: int, entry: str) -> list[int]:
+    """The integers of one table row at line ``lineno``; a token that is no
+    integer token, or that ``int`` refuses for its length, raises
+    ValidationError naming the line and, as ``entry``, what the row holds."""
+    tokens = line.split()
+    bad = next((tok for tok in tokens if not is_integer_token(tok)), None)
+    if bad is not None:
+        raise ValidationError(f"line {lineno}: non-integer {entry} {bad!r}")
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:  # int refuses a digit string past its length limit
+        raise ValidationError(f"line {lineno}: non-integer {entry}") from None
+
+
 def parse_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
     """The subgroup of G listed by ``spec``, element indices separated by
-    commas or blanks.  A token other than ASCII digits after an optional minus
-    sign raises ValidationError, where ``int`` would read ``٣`` as 3, ``1_0``
-    as 10 and ``+1`` as 1; Subgroup refuses an index out of range."""
+    commas or blanks.  A token that is not an integer token
+    (``is_integer_token``) raises ValidationError; Subgroup refuses an index
+    out of range."""
     tokens = spec.replace(",", " ").split()
     for tok in tokens:
-        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+        if not is_integer_token(tok):
             raise ValidationError(f"subgroup element {tok!r} is not an integer")
     return Subgroup(G, tuple(int(tok) for tok in tokens))

@@ -29,7 +29,10 @@ them mod m, all edges compared in one integer array operation.  The number
 of simple blocks is therefore known exactly before any numerics, and the
 random central sample is written straight from these arrays, one
 coefficient per element of a kept class.
-Floating point enters only to split a random self-adjoint central sample
+A center of dimension one needs no numerics at all: the algebra is simple,
+so its one block is the whole algebra, with idempotent u_e, basis the
+identity and dimension sqrt(|G|), read off exactly.  Otherwise floating
+point enters only to split a random self-adjoint central sample
 into eigenprojectors, which are then certified against the exact center
 dimension and the integer identity sum(d_i^2) = |G|.  Each block keeps the
 orthonormal eigenvectors that span it as ``IrrPoint.basis``: its idempotent
@@ -52,6 +55,7 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,8 +206,23 @@ class TwistedAlgebra:
         projector V V^H is left multiplication by the block's idempotent e,
         so e = V V^H u_e = V conj(V[0]) and the trace is ||V||_F^2; neither
         forms the n x n projector.  Each point keeps V as its ``basis``.
+
+        A center of dimension k = 1 needs no eigensplit.  C^a G is
+        semisimple, and a semisimple algebra with center C is simple
+        (Karpilovsky, *Projective Representations of Finite Groups*, 1985),
+        so it is M_d(C) with d^2 = n: its one block is the whole algebra,
+        whose idempotent is u_e (u_e u_e = a(e, e) u_e = u_e, a being
+        normalized), spanned by the identity basis, with residual exactly 0.
+        An n that is not a square contradicts that and raises.
         """
         rep, kept, phases = self._twisted_classes()
+        if len(np.unique(rep[kept])) == 1:
+            return self._simple_block(seed)
+        return self._eigensplit(rep, kept, phases, seed)
+
+    def _eigensplit(self, rep, kept, phases, seed: int) -> WedderburnData:
+        """The numeric split of ``wedderburn``, on the exact classes
+        ``_twisted_classes`` gives; it is certified for any center dimension."""
         reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
         slot, phases = np.searchsorted(reps, rep[kept]), phases[kept]
         k = len(reps)
@@ -251,6 +270,17 @@ class TwistedAlgebra:
             return WedderburnData(tuple(sorted(dims)), blocks, residual, seed)
         raise CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {last}")
 
+    def _simple_block(self, seed: int) -> WedderburnData:
+        """The one block of a simple C^a G, read off the exact center: the
+        derivation is in ``wedderburn``."""
+        d = math.isqrt(self.n)
+        if d * d != self.n:
+            raise CertificationError(f"simple algebra of dimension {self.n} is not a square")
+        unit = np.zeros(self.n, dtype=np.complex128)
+        unit[0] = 1.0
+        point = IrrPoint(unit, d, 0, np.eye(self.n, dtype=np.complex128))
+        return WedderburnData((d,), (point,), 0.0, seed)
+
     # -- irreducible representation extraction ---------------------------------
 
     def irreducible_rep(self, point: IrrPoint, seed: int = 0) -> np.ndarray:
@@ -261,8 +291,9 @@ class TwistedAlgebra:
         commutes with the left action, compressed onto ``point.basis``.
 
         The basis has exactly d^2 orthonormal columns, so the block needs no
-        rank check.  Its c columns are the eigenvectors of one eigh cluster,
-        orthonormal up to a small multiple of n times the unit roundoff, so
+        rank check.  For a simple algebra they are the n = d^2 columns of the
+        identity.  Otherwise its c columns are the eigenvectors of one eigh
+        cluster, orthonormal up to a small multiple of n times the unit roundoff, so
         the trace ||V||_F^2 that ``wedderburn`` certified is c within 1e-9.
         Its square certificate |sqrt(tr) - d| <= TOL_ROUND = 1e-6 gives
         |tr - d^2| <= 2e-6 d + 1e-12 < 1e-4, as d <= 16 (c <= n <= 256);

@@ -99,6 +99,18 @@ def test_group_entry_beyond_int64_exits_2(tmp_path, capsys):
     assert out == "error: ValidationError: table entries out of range\n"
 
 
+def test_table_rows_with_non_ascii_digits_exit_2(tmp_path, capsys):
+    """Group and cocycle files that ``int`` read as valid tables (C2, and the
+    class with exponents [[0, 0], [0, 1]]) are refused at their line."""
+    path = tmp_path / "rows.txt"
+    path.write_text("2\n0 ١\n+1 0_0\n")
+    code, out = run_cli(capsys, "group", "info", "--group", str(path))
+    assert code == 2 and out == "error: ValidationError: line 2: non-integer table entry '١'\n"
+    path.write_text("2 2\n0 0\n0 ١\n")
+    code, out = run_cli(capsys, "cocycle", "check", "--group", "C2", "--cocycle", str(path))
+    assert code == 2 and out == "error: ValidationError: line 3: non-integer entry '١'\n"
+
+
 def test_cocycle_commands(capsys):
     code, out = run_cli(capsys, "cocycle", "nondeg", "--group", "C2xC2", "--cocycle", "nd_C2xC2")
     assert code == 0 and out == "nondegenerate: True\n"

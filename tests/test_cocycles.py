@@ -315,6 +315,25 @@ def test_cocycle_file_round_trip_and_errors():
         parse_cocycle("2 3\n0 0 0\n0 0 0\n0 0 0\n", klein)
 
 
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        ("2 2\n0 0\n0 ١\n", "line 3: non-integer entry '١'"),
+        ("2 2\n0 0\n0 +1\n", "line 3: non-integer entry '+1'"),
+        ("2 2\n0_0 0\n0 1\n", "line 2: non-integer entry '0_0'"),
+    ],
+)
+def test_cocycle_rows_take_ascii_digits_only(text, record):
+    """A row entry must be ASCII digits after an optional minus sign: ``int``
+    alone read the first text as the exponents [[0, 0], [0, 1]].  A negative
+    exponent is still read mod the scale."""
+    C2 = gq.cyclic(2)
+    with pytest.raises(ValidationError) as raised:
+        parse_cocycle(text, C2)
+    assert str(raised.value) == record
+    assert parse_cocycle("2 2\n0 0\n0 -1\n", C2).exps.tolist() == [[0, 0], [0, 1]]
+
+
 def test_invalid_cocycle_rejected():
     G = gq.cyclic(3)
     bad = np.zeros((3, 3), dtype=int)

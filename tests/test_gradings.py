@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import gquot as gq
+from gquot.catalog import GROUP_SPECS
 from gquot.cocycles import CocycleTable, cohomologous, standard_nondegenerate
 from gquot import gradings
 from gquot.errors import DomainError, TheoremCheckError, ValidationError
@@ -61,6 +64,52 @@ def reference_induced_dims(x, fine_dims, group):
                 g0 = group.mul(left, group.inv(g3))
                 out[g0] = out.get(g0, 0) + n1 * d2 * n3
     return out
+
+
+def reference_gather_dims(x, fine_dims, group):
+    """The int64 table gather the row-list walk replaced: every product read
+    in one gather over the triples (g1, g2, g3), summed by ``np.add.at``,
+    keys in first-reached order by ``np.unique``."""
+    base = [(g, d) for g, d in fine_dims.items() if d != 0]
+    if not base:
+        return {}
+    g1, n1 = np.array(x.mults, dtype=np.int64).T
+    g2, d2 = np.array(base, dtype=np.int64).T
+    T = group.table
+    g0 = T[T[g1[:, None], g2][:, :, None], group.inverse_table[g1]].ravel()  # [g1, g2, g3]
+    totals = np.zeros(group.n, dtype=np.int64)
+    np.add.at(totals, g0, (n1[:, None, None] * d2[:, None] * n1).ravel())
+    keys = g0[np.sort(np.unique(g0, return_index=True)[1])]
+    return dict(zip(keys.tolist(), totals[keys].tolist()))
+
+
+GATHER_LADDER = ["C16", "C4xC8", "D16", "Q8xC4", "S4xC2", "C2xC2xC2xC2xC3", "C8xC8", "C2xC4xC2xC4", "D32"]
+
+
+@pytest.mark.parametrize("spec", list(GROUP_SPECS) + GATHER_LADDER)
+def test_induced_dims_match_the_int64_gather(spec):
+    """Keys, their order and values equal the gather's across the catalog and
+    a ladder up to order 64: small characters as the battery makes them,
+    larger ones, and multiplicities that bring eps(x)^2 * sum(base dims) to
+    just under INT64_MAX, where the gather still holds every sum."""
+    G = gq.make_group(spec)
+    rng = np.random.default_rng(G.n * 31 + len(spec))
+    for trial in range(12):
+        size = int(rng.integers(1, min(G.n, 4 if trial < 6 else 9) + 1))
+        support = [int(g) for g in rng.choice(G.n, size=size, replace=False)]
+        base = {int(g): int(rng.integers(0, 4)) for g in rng.choice(G.n, size=rng.integers(1, G.n + 1))}
+        if not any(base.values()):
+            base[0] = 1
+        mults = [int(k) for k in rng.integers(1, 5, size=size)]
+        if trial % 3 == 2:  # scale eps(x) up to the largest the bound allows
+            eps = math.isqrt(gradings.INT64_MAX // sum(base.values()))
+            weights = [int(w) for w in rng.integers(1, 1000, size=size)]
+            mults = [eps * w // sum(weights) for w in weights]  # eps - size < sum(mults) <= eps
+            assert (eps - size) ** 2 * sum(base.values()) < sum(mults) ** 2 * sum(base.values()) <= gradings.INT64_MAX
+        x = Character(G, tuple(zip(support, mults)))
+        got, want = induced_dims(x, base, G), reference_gather_dims(x, base, G)
+        assert list(got.items()) == list(want.items())
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
 
 
 @pytest.mark.parametrize("spec", ["C1", "C6", "S3", "Q8", "D6", "C2xC2xC2", "S4"])

@@ -1,6 +1,9 @@
+import collections
 import functools
 import itertools
+import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gquot as gq
-from gquot import groups
+from gquot import cocycles, groups
 from gquot.catalog import GROUP_SPECS
 from gquot.cocycles import standard_nondegenerate
 from gquot.errors import NormalityError, SizeBoundError, ValidationError
@@ -1179,6 +1182,25 @@ def test_row_lists_match_the_tables(spec):
     assert G.prod(seq) == want
 
 
+@pytest.mark.parametrize("spec", list(GROUP_SPECS) + ["C8xC8", "C2xC4xC2xC4", "D32"])
+def test_element_orders_are_walked_once_per_core(spec):
+    """The element orders are the walk's, kept read-only on the table core:
+    every group with the table reads the same tuple, and a core builds it on
+    the first call only."""
+    G = gq.make_group(spec)
+    core = groups._TableCore(G.table, hash(G))  # a core no group holds yet
+    assert "element_orders" not in vars(core)
+    assert core.element_orders == tuple(reference_order(G, a) for a in G.elements())
+    assert core.element_orders is core.element_orders
+    orders = G.element_orders()
+    assert type(orders) is tuple and all(type(k) is int for k in orders)
+    assert orders == core.element_orders and orders is G.element_orders() is G.core.element_orders
+    twin = gq.FiniteGroup(G.table.copy(), name="twin")
+    assert twin.element_orders() is orders
+    assert G.order_census() == collections.Counter(orders)
+    assert cocycles.group_exponent(G) == math.lcm(*orders)
+
+
 @pytest.mark.parametrize("spec", [s for s in GROUP_SPECS if gq.make_group(s).n <= 16] + ["C2xC4xC2xC4"])
 def test_closure_on_row_lists_matches_the_numpy_walk(spec):
     """On every subgroup H as base and every element as a new generator, the
@@ -1233,6 +1255,38 @@ def test_table_format_errors_name_line():
         parse_group_table("2\n0 1\n1 0\n# 5 ghost\n")
     with pytest.raises(ValidationError, match="line 5: label index 1 repeats line 4"):
         parse_group_table("2\n0 1\n1 0\n# 1 a\n# 1 b\n")
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        ("2\n0 ١\n+1 0_0\n", "line 2: non-integer table entry '١'"),
+        ("2\n0 1\n+1 0\n", "line 3: non-integer table entry '+1'"),
+        ("2\n0 1\n1 0_0\n", "line 3: non-integer table entry '0_0'"),
+        ("2\n0 1\n1 ０\n", "line 3: non-integer table entry '０'"),
+        ("2\n0 -1\n1 0\n", "table entries out of range"),
+    ],
+)
+def test_table_rows_take_ascii_digits_only(text, record):
+    """A row entry must be ASCII digits after an optional minus sign, which
+    ``int`` alone does not require: it read the first text as the C2 table.
+    A minus sign still reaches the range check, as before."""
+    with pytest.raises(ValidationError) as raised:
+        parse_group_table(text)
+    assert str(raised.value) == record
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int reads digits of any length")
+def test_a_row_entry_past_the_int_digit_limit_names_its_line():
+    """An entry of ASCII digits that ``int`` refuses for its length is
+    refused at its line, in group tables and cocycle files alike."""
+    huge = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValidationError) as raised:
+        parse_group_table(f"2\n0 1\n1 {huge}\n")
+    assert str(raised.value) == "line 3: non-integer table entry"
+    with pytest.raises(ValidationError) as raised:
+        cocycles.parse_cocycle(f"2 2\n0 0\n0 {huge}\n", gq.cyclic(2))
+    assert str(raised.value) == "line 3: non-integer entry"
 
 
 # -- table cores and generator-column homomorphism checks ---------------------
@@ -1326,9 +1380,10 @@ def _fully_validated(table) -> np.ndarray:
 def test_every_lattice_subgroup_copy_and_quotient_passes_full_validation(name):
     """Every subgroup of the lattice, its standalone copy, and, for a normal
     one, its quotient and projection, pass the full validation that untrusted
-    input gets, on a core of their own: closure element by element, Light's
-    test and the inverse certificate on each table, and the all-pairs
-    homomorphism check; C2^6 has 2,825 subgroups."""
+    input gets, on a core of their own: closure element by element (and the
+    ``Subgroup`` closure check, which the lattice skips), Light's test and the
+    inverse certificate on each table, and the all-pairs homomorphism check
+    (which ``quotient`` skips); C2^6 has 2,825 subgroups."""
     G = standard_nondegenerate([2, 2, 2]).group if name.startswith("nd_") else gq.make_group(name)
     lattice = gq.subgroups(G)
     if name.startswith("nd_"):
@@ -1336,12 +1391,34 @@ def test_every_lattice_subgroup_copy_and_quotient_passes_full_validation(name):
     for H in lattice:
         if G.n <= 24:
             assert reference_closure_error(G, H.elements) is None
+        assert type(H.elements) is tuple and list(H.elements) == sorted(set(H.elements))
+        assert gq.Subgroup(G, H.elements) == H  # the closure check the lattice skips by its proof
         copy = H.as_group()
         assert np.array_equal(_fully_validated(copy.table), copy.inverse_table)
         if H.is_normal():
             Q, proj = gq.quotient(G, H)
             assert np.array_equal(_fully_validated(Q.table), Q.inverse_table)
             assert reference_hom_error(G, Q, proj.images) is None
+
+
+def test_lattice_and_quotients_skip_the_checks_their_construction_proves(monkeypatch):
+    """Building a lattice runs no ``Subgroup`` closure check and a quotient no
+    ``GroupHom`` check; a subgroup or a map from a caller still gets both."""
+    checks = collections.Counter()
+    for cls in (groups.Subgroup, groups.GroupHom):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, f=original, c=cls.__name__: checks.update([c]) or f(self))
+    G = gq.FiniteGroup(gq.make_group("S4").table.copy())  # a lattice of its own
+    lattice = gq.subgroups(G)
+    for N in lattice:
+        if N.is_normal():
+            gq.quotient(G, N)
+    assert len(lattice) == 30 and checks == {}
+    gq.Subgroup(G, lattice[1].elements)
+    gq.GroupHom(G, gq.trivial_group(), (0,) * G.n)
+    assert checks == {"Subgroup": 1, "GroupHom": 1}
+    with pytest.raises(ValidationError, match="not closed"):
+        gq.Subgroup(G, (0, 1, 2))
 
 
 def test_equal_tables_share_one_core_and_keep_their_own_labels_and_lattices():

@@ -115,6 +115,7 @@ def run_main(workdir, *argv):
 @example(text="2\n0 1\n1 0\n" + "0 1\n" * 3)
 @example(text="²\n0\n")
 @example(text="2\n0 1\n1 0\n# ² a\n")
+@example(text="2\n0 ١\n+1 0_0\n")
 def test_group_files(workdir, text):
     run(workdir, text, "group", "info", "--group")
 
@@ -123,6 +124,7 @@ def test_group_files(workdir, text):
 @given(text=COCYCLE_FILES)
 @example(text="2 2\n0 0\n0 1\n" + "0 1\n" * 3)
 @example(text="2 ²\n0 0\n0 1\n")
+@example(text="2 2\n0 0\n0 ١\n")
 def test_cocycle_files(workdir, text):
     run(workdir, text, "cocycle", "check", "--group", "C2", "--cocycle")
 

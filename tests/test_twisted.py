@@ -719,3 +719,67 @@ def test_irreducible_extraction_gives_up_when_the_product_law_fails(monkeypatch)
         A.irreducible_rep(block, seed=0)
     assert str(info.value) == "irreducible extraction failed: extracted matrices fail the twisted product law"
     assert len(bounds) == MAX_ATTEMPTS and A.last_rep_defect is None
+
+
+# -- simple algebras: the one block read off the exact center ------------------
+
+
+def _simple_algebras():
+    """Every algebra of the regular-representation list with a center of
+    dimension one, and the non-degenerate obstructions of the sweep."""
+    for name, A in REGULAR_REP_ALGEBRAS.items():
+        if A.center_dimension() == 1:
+            yield name, A
+    for gname, _, cname, a in sweep_cases():
+        context = gq.MackeyContext(a)
+        for N in gq.normal_subgroups(a.group):
+            for i, o in enumerate(context.decompose(N).orbits):
+                if o.omega_nondegenerate and o.omega.group.n > 1:
+                    yield f"omega {i} of {gname}/{cname}/N{list(N.elements)}", TwistedAlgebra(o.omega.group, o.omega)
+
+
+SIMPLE_ALGEBRAS = dict(_simple_algebras())
+
+
+@pytest.mark.parametrize("name", list(SIMPLE_ALGEBRAS))
+def test_simple_block_matches_a_forced_eigensplit(name):
+    """With center dimension one, ``wedderburn`` reads the block off exactly:
+    dims (sqrt n,), idempotent u_e, identity basis, residual 0.  The numeric
+    split it skips, forced on the same algebra, gives the same dims and an
+    idempotent within TOL_ROUND of u_e, and a module cut out of either block
+    passes the projective law."""
+    A = SIMPLE_ALGEBRAS[name]
+    exact = A.wedderburn(seed=0)
+    forced = A._eigensplit(*A._twisted_classes(), 0)
+    d = int(round(A.n**0.5))
+    assert exact.dims == forced.dims == (d,) and exact.residual == 0.0 and exact.seed == 0
+    (point,) = exact.blocks
+    assert (point.dim, point.index) == (d, 0)
+    assert np.array_equal(point.coeffs, np.eye(A.n)[0]) and np.array_equal(point.basis, np.eye(A.n))
+    assert not point.coeffs.flags.writeable and not point.basis.flags.writeable
+    assert np.max(np.abs(forced.blocks[0].coeffs - point.coeffs)) <= TOL_ROUND
+    if A.n <= 64:
+        for p in (point, forced.blocks[0]):
+            assert A.irreducible_rep(p, seed=1).shape == (A.n, d, d)
+
+
+def test_simple_blocks_cover_the_catalog_carriers():
+    """The cases above include every non-degenerate carrier, the order-256
+    algebras of the certify workload and obstructions of several sizes."""
+    names = set(SIMPLE_ALGEBRAS)
+    assert {"nd_" + c for c in NONDEGENERATE_CARRIERS} <= names
+    assert {"standard_nondegenerate([2, 8])", "standard_nondegenerate([4, 4])"} <= names
+    assert len({A.n for A in SIMPLE_ALGEBRAS.values()}) >= 4
+
+
+def test_a_simple_algebra_of_non_square_dimension_raises(monkeypatch):
+    """Fault injection: a center reported as one-dimensional on C2, whose
+    algebra C + C is not simple, meets the square certificate."""
+    C2 = gq.cyclic(2)
+    A = TwistedAlgebra(C2, CocycleTable.trivial(C2))
+    rep, kept, phases = A._twisted_classes()
+    assert A.wedderburn(seed=0).dims == (1, 1)
+    monkeypatch.setattr(TwistedAlgebra, "_twisted_classes", lambda self: (rep, np.array([True, False]), phases))
+    with pytest.raises(CertificationError) as raised:
+        A.wedderburn(seed=0)
+    assert str(raised.value) == "simple algebra of dimension 2 is not a square"
