@@ -13,9 +13,14 @@ and r its generators; the all-pairs check it replaced compared n^2.  A
 `Subgroup` closure check is one run of its `__post_init__`; the lattice and
 quotient projections skip theirs by proof.  A `TwistedAlgebra.wedderburn`
 call splits exactly when the center is one-dimensional (one block) and by
-an eigensplit otherwise.  The script reports and does not gate.
+an eigensplit otherwise.  The garbage collector is disabled for the counted
+call: ``groups._CORES`` keeps table cores weakly, so a collection during the
+call could drop a core that a later group of the same table then builds
+again, and the core and tree counts would move with the collector rather
+than with the code.  The script reports and does not gate.
 """
 
+import gc
 import sys
 
 from gquot import groups, twisted
@@ -68,9 +73,11 @@ def counted_call(alpha) -> dict:
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
+    gc.disable()
     try:
         maximal_elementary_quotients(alpha.group, alpha, seed=0)
     finally:
+        gc.enable()
         for owner, name, original in originals:
             setattr(owner, name, original)
     return {**counts, "tables": len(tables)}

@@ -4,8 +4,9 @@ Exit codes: 0 all checks passed, 1 a theorem-consistency or certification
 check failed, 2 input errors.  Every oracle-invoking subcommand takes a seed
 (defaulted and echoed) so reports are reproducible byte for byte.
 ``lagrangian scan`` and ``theoremC`` ask their question of one
-``MackeyContext`` built on the resolved class at that seed, ``theoremD``
-hands (group, cocycle, seed) to ``maximal_elementary_quotients``, and
+``MackeyContext`` built on the resolved class and a ``BlockOracle`` at that
+seed, ``theoremD`` hands (group, cocycle, seed) to
+``maximal_elementary_quotients``, and
 ``lagrangian iyb`` asks about the group alone, so it resolves no
 ``--cocycle``.
 """
@@ -37,7 +38,7 @@ from .lagrangians import (
 from .mackey import MackeyContext, is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
-from .twisted import TOL_IDEMPOTENT, TwistedAlgebra, is_nondegenerate
+from .twisted import TOL_IDEMPOTENT, BlockOracle, TwistedAlgebra, is_nondegenerate
 
 
 class _Emitter:
@@ -249,7 +250,7 @@ def _cmd_lagrangian(args, em: _Emitter) -> int:
         em.emit("unique_maximal_class", report.unique_maximal_class)
         return 0
     if args.action == "scan":
-        reports = lagrangian_scan(MackeyContext(alpha, args.seed), normal_only=args.normal_only)
+        reports = lagrangian_scan(MackeyContext(alpha, oracle=BlockOracle(args.seed)), normal_only=args.normal_only)
         em.emit("candidates", len(reports))
         for r in reports:
             em.emit(
@@ -260,7 +261,8 @@ def _cmd_lagrangian(args, em: _Emitter) -> int:
     if args.normal is None:
         raise GquotError("theoremC needs --normal")
     N = parse_subgroup(G, args.normal)
-    em.emit("ecp_iff_lagrangian", crossed_product_iff_lagrangian(MackeyContext(alpha, args.seed), N))
+    context = MackeyContext(alpha, oracle=BlockOracle(args.seed))
+    em.emit("ecp_iff_lagrangian", crossed_product_iff_lagrangian(context, N))
     return 0
 
 

@@ -13,13 +13,14 @@ computed on both sides and compared, raising on any disagreement.  The
 non-degeneracy a scan starts from is read off the exact center
 (``is_nondegenerate``).  A question about one class names it once, by its
 ``MackeyContext``, which holds the class, its group ``alpha.group``, the
-seed, the block oracle and the registries: ``is_isotropic``,
+block oracle (which holds the seed) and the registries: ``is_isotropic``,
 ``lagrangian_scan``, ``crossed_product_iff_lagrangian`` and
 ``lagrangian_quotient_is_iyb`` take the context and nothing it holds.  They
 read the isotropy verdicts and the decompositions, quotients included, that
 the context keeps, so nothing is certified twice on one context.
 ``maximal_elementary_quotients`` also takes (A, alpha, seed), builds a
-context when given none, and checks a given one against them.
+context on a ``BlockOracle(seed)`` when given none, and checks a given one,
+and its oracle's seed, against them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .mackey import (
     is_ecp_quotient,
     is_elementary_quotient,
 )
-from .twisted import is_nondegenerate
+from .twisted import BlockOracle, is_nondegenerate
 
 IYB_BOUND = 12  # largest order the bijective 1-cocycle search accepts
 
@@ -82,7 +83,7 @@ def is_isotropic(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     context's registry of factored systems, ``context.factors``
     (``cohomologous``), so subgroups with one table share one factorization;
     a replayed verdict meets the same cross-checks as a fresh one.  The
-    numeric one asks the context's block oracle, at its seed, for a
+    numeric one asks the context's block oracle, at the oracle's seed, for a
     one-dimensional block of the restricted algebra (existence of a
     one-dimensional module is equivalent to a trivial restricted class, for
     abelian and non-abelian H alike).  The two must agree.  An H of another
@@ -92,7 +93,7 @@ def is_isotropic(context: MackeyContext, H: Subgroup) -> IsotropyReport:
     """
     rest = context.cocycle.restrict(H)
     trivial, witness = is_cohomologically_trivial(rest, factors=context.factors)
-    dims = context.oracle.wedderburn(rest, context.seed).dims
+    dims = context.oracle.wedderburn(rest).dims
     ones = sum(1 for d in dims if d == 1)
     oracle_verdict = ones >= 1
     if rest.group.is_abelian:
@@ -181,15 +182,16 @@ def maximal_elementary_quotients(
     classes under the quotient order), and compares the result against the
     Lagrangian characterization.  Uniqueness is isomorphism of all maximal
     quotient groups, which determines the elementary crossed product class.
-    Every subgroup is decomposed through one ``MackeyContext`` for
-    (alpha, seed), ``context`` when the caller holds one, else a new one,
+    Every subgroup is decomposed through one ``MackeyContext`` for alpha on
+    a block oracle at ``seed``, ``context`` when the caller holds one, else a
+    new one,
     in one ``decompose_all`` call, so the obstruction passes are shared
     across the whole lattice; the first N, in lattice order, that fails
     raises its error.  The Lagrangian scan runs on the same context,
     so it reuses the blocks the decompositions certified and the isotropy
     verdicts the context keeps.  This is the one Lagrangian question that
     names its class apart from a context, so it is the one that checks a
-    caller's context against (A, alpha, seed).
+    caller's context, and its oracle's seed, against (A, alpha, seed).
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
@@ -198,8 +200,8 @@ def maximal_elementary_quotients(
     if not is_nondegenerate(alpha):
         raise DomainError("expects a non-degenerate class")
     if context is None:
-        context = MackeyContext(alpha, seed)
-    elif (context.cocycle, context.seed) != (alpha, seed):
+        context = MackeyContext(alpha, oracle=BlockOracle(seed))
+    elif (context.cocycle, context.oracle.seed) != (alpha, seed):
         raise DomainError("Mackey context is for a different (group, cocycle, seed)")
     lattice = subgroups(context.group)  # the scan below reads the same lattice
     context.decompose_all(lattice)

@@ -7,21 +7,23 @@ transversal, an elementary character d * sum(t), and an obstruction cocycle
 on the inertia group.
 
 What does not depend on N is built once, in a ``MackeyContext`` for one
-class alpha at one seed.  Its group G is ``alpha.group``, so a context cannot
-disagree with its own cocycle.  It holds the certified blocks of C^alpha G
-and the twisted conjugation tables conj[h, g] = h g h^-1 and kappa(h, g),
-read exactly from ``CocycleTable.conjugation``, kappa then turned into
-phases by one exponential.  The caller builds the context and passes it
-every N of a scan (Theorem D decomposes every subgroup of one class); the
-Lagrangian questions of ``lagrangians`` take the same context as the one
-name of their class, and ``mackey_decompose`` builds a fresh one for its
-one N.  Every block and module the decomposition needs (C^alpha G,
-C^alpha N, the obstruction algebra of each orbit) comes from the context's
-``BlockOracle``, a registry keyed by each algebra's exact inputs.  A context
-takes the registry from its caller or makes its own; the acceptance battery
-shares one registry among all its contexts and their isotropy checks for
-one run, so an algebra that several kernels, orbits or checks meet is split
-once, with the certificates of its first split.
+class alpha.  Its group G is ``alpha.group``, so a context cannot disagree
+with its own cocycle.  It holds the certified blocks of C^alpha G and the
+twisted conjugation tables conj[h, g] = h g h^-1 and kappa(h, g), read
+exactly from ``CocycleTable.conjugation``, kappa then turned into phases by
+one exponential.  The caller builds the context and passes it every N of a
+scan (Theorem D decomposes every subgroup of one class); the Lagrangian
+questions of ``lagrangians`` take the same context as the one name of their
+class, and ``mackey_decompose`` builds a fresh one for its one N.  Every
+block and module the decomposition needs (C^alpha G, C^alpha N, the
+obstruction algebra of each orbit) comes from the context's
+``BlockOracle``, a registry keyed by each algebra's exact inputs.  The seed
+of the oracle's random draws belongs to the registry, so a context names no
+seed and cannot disagree with its oracle.  A context takes the registry from
+its caller or makes its own; the acceptance battery shares one registry
+among all its contexts and their isotropy checks for one run, so an algebra
+that several kernels, orbits or checks meet is split once, with the
+certificates of its first split.
 
 Each step reads a table built once.  ``quotient`` tests normality; the
 image list of its projection labels the coset block of every element, and
@@ -132,7 +134,6 @@ class MackeyDecomposition:
     descriptor: GradingClassDescriptor
     oracle_dims: tuple[int, ...]
     reconstructed_dims: tuple[int, ...]
-    seed: int
 
 
 @dataclass
@@ -157,9 +158,9 @@ class _Stage:
 
 
 class MackeyContext:
-    """The part of every decomposition of one class alpha at one seed that
-    does not depend on N, built once by the caller and passed to each normal
-    N; ``group`` is ``alpha.group``.
+    """The part of every decomposition of one class alpha that does not
+    depend on N, built once by the caller and passed to each normal N;
+    ``group`` is ``alpha.group``.
 
     It holds the cocycle values ``alpha.value_matrix()``, the n x n twisted
     conjugation tables conj[h, g] = h g h^-1 and kappa(h, g) of
@@ -167,21 +168,23 @@ class MackeyContext:
     :class:`BlockOracle` that certifies the blocks of C^alpha G (``blocks``)
     and every algebra a decomposition meets.  ``oracle`` is the caller's
     registry when one is passed, so contexts and checks of one run share it,
-    else a new one owned by this context.  ``decompose_all`` keeps each N's
-    decomposition or error by the elements of N, and ``isotropy`` holds the
-    isotropy verdicts ``lagrangians`` certifies on this class and seed, by
-    the elements of the subgroup, for as long as the caller keeps the context.
-    ``factors`` is the registry of factored coboundary systems those
-    isotropy checks share (``cohomologous``): the restrictions of alpha to
-    subgroups with one table pose one system, factored once per context.
+    else a new one at seed 0 owned by this context.  The seed belongs to the
+    oracle, so a context takes none; ``oracle`` is keyword-only, so a second
+    positional argument, such as a seed, is refused where it is passed.
+    ``decompose_all`` keeps each N's decomposition or error by the elements
+    of N, and ``isotropy`` holds the isotropy verdicts ``lagrangians``
+    certifies on this class, by the elements of the subgroup, for as long as
+    the caller keeps the context.  ``factors`` is the registry of factored
+    coboundary systems those isotropy checks share (``cohomologous``): the
+    restrictions of alpha to subgroups with one table pose one system,
+    factored once per context.
     """
 
-    def __init__(self, alpha: CocycleTable, seed: int = 0, oracle: BlockOracle | None = None):
+    def __init__(self, alpha: CocycleTable, *, oracle: BlockOracle | None = None):
         self.group = alpha.group
         self.cocycle = alpha
-        self.seed = seed
         self.oracle = BlockOracle() if oracle is None else oracle
-        self.blocks = self.oracle.wedderburn(alpha, seed)
+        self.blocks = self.oracle.wedderburn(alpha)
         self.phases = alpha.value_matrix()
         self.conj, kappa = alpha.conjugation()
         self.kappa = np.exp(2j * np.pi * kappa / alpha.scale)
@@ -228,12 +231,12 @@ class MackeyContext:
 
     def _stage(self, N: Subgroup) -> _Stage:
         """Quotient, points, orbits and classes of one N: everything before its obstructions."""
-        G, seed = self.group, self.seed
+        G = self.group
         Q, proj = quotient(G, N)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
         alpha_N = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
-        points = self.oracle.wedderburn(alpha_N, seed).blocks
+        points = self.oracle.wedderburn(alpha_N).blocks
 
         perms = self._conjugation_permutations(N, points, section)
         orbit_of = [frozenset(col) for col in perms.T.tolist()]
@@ -312,7 +315,7 @@ class MackeyContext:
         """The orbits of one staged N from its classes' tables, and the
         decomposition with all its checks; the first class holding an error
         raises it."""
-        G, seed, Q = self.group, self.seed, stage.quotient_group
+        G, Q = self.group, stage.quotient_group
         orbits = []
         for (I, d), members in stage.classes.items():
             inertia = stage.inertia[I]
@@ -320,7 +323,7 @@ class MackeyContext:
             if isinstance(omegas, GquotError):
                 raise omegas
             for (orbit, transversal, delta), omega in zip(members, omegas):
-                blocks = self.oracle.wedderburn(omega, seed).dims
+                blocks = self.oracle.wedderburn(omega).dims
                 orbits.append(
                     MackeyOrbit(
                         point_indices=orbit,
@@ -351,7 +354,6 @@ class MackeyContext:
             descriptor=descriptor,
             oracle_dims=self.blocks.dims,
             reconstructed_dims=_reconstructed_dims(orbits),
-            seed=seed,
         )
         _check_decomposition(dec)
         return dec
@@ -395,10 +397,10 @@ class MackeyContext:
         ``_exact_cocycle`` along that axis.  Each module keeps its own
         certificates, and each check reports its first failing module.
         """
-        G, seed, k = self.group, self.seed, group.n
+        G, k = self.group, group.n
         alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
         modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]
-        rho = np.stack([self.oracle.irreducible_rep(a, i, seed) for a, i in modules])
+        rho = np.stack([self.oracle.irreducible_rep(a, i) for a, i in modules])
         rho_g = np.empty((len(rho), k, *rho.shape[1:]), dtype=np.complex128)
         n = np.empty((len(rho), k, k), dtype=np.int64)
         c = np.empty((len(rho), k, k), dtype=np.complex128)
@@ -421,7 +423,7 @@ class MackeyContext:
         del rho_g
         if (n < 0).any():
             raise CertificationError("lifts of the inertia group do not compose inside N")
-        law = np.array([self.oracle.rep_defect(a, i, seed) for a, i in modules])
+        law = np.array([self.oracle.rep_defect(a, i) for a, i in modules])
         cosets = G.n // classes[0][0].normal.order
         omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
         return _exact_cocycle(group, omega)
@@ -522,11 +524,11 @@ def mackey_decompose(alpha: CocycleTable, N: Subgroup, seed: int = 0) -> MackeyD
     """Full decomposition of [C^alpha G / N], G = ``alpha.group``, with all
     consistency checks.
 
-    Builds a context, with a new block oracle, for this one N; to decompose
-    several N of the same class, build one ``MackeyContext`` and call its
-    ``decompose``.
+    Builds a context, with a new block oracle at ``seed``, for this one N;
+    to decompose several N of the same class, build one ``MackeyContext``
+    and call its ``decompose``.
     """
-    return MackeyContext(alpha, seed).decompose(N)
+    return MackeyContext(alpha, oracle=BlockOracle(seed)).decompose(N)
 
 
 def _positions(G: FiniteGroup, N: Subgroup) -> np.ndarray:

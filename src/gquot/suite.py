@@ -51,16 +51,15 @@ class CriterionResult:
 
 
 class _Run:
-    """What one battery run shares: its seed, its one block oracle, one
-    carrier group per catalog name, and one Mackey context per (group name,
-    cocycle name) built on that oracle and that group, which decomposes
-    every normal subgroup, in one ``decompose_all`` call, when it is built;
-    ``normals`` keeps, by the same key, the list of normal subgroups it
-    decomposed."""
+    """What one battery run shares: its one block oracle, which holds the
+    run's seed, one carrier group per catalog name, and one Mackey context
+    per (group name, cocycle name) built on that oracle and that group, which
+    decomposes every normal subgroup, in one ``decompose_all`` call, when it
+    is built; ``normals`` keeps, by the same key, the list of normal
+    subgroups it decomposed."""
 
     def __init__(self, seed: int):
-        self.seed = seed
-        self.oracle = BlockOracle()
+        self.oracle = BlockOracle(seed)
         self._groups: dict[str, FiniteGroup] = {}
         self._contexts: dict[tuple[str, str], MackeyContext] = {}
         self.normals: dict[tuple[str, str], list[Subgroup]] = {}
@@ -77,7 +76,7 @@ class _Run:
         subgroup lattice is built once per run."""
         if (gname, cname) not in self._contexts:
             G = self.group(gname)
-            context = self._contexts[(gname, cname)] = MackeyContext(catalog_cocycle(cname, G), self.seed, self.oracle)
+            context = self._contexts[(gname, cname)] = MackeyContext(catalog_cocycle(cname, G), oracle=self.oracle)
             normals = self.normals[(gname, cname)] = normal_subgroups(G)
             context.decompose_all(normals)
         return self._contexts[(gname, cname)]
@@ -159,7 +158,7 @@ def criterion_4(run: _Run) -> CriterionResult:
         try:
             context = run.context(gname, f"nd_{gname}")
             G = context.group
-            report = maximal_elementary_quotients(G, context.cocycle, seed=run.seed, context=context)
+            report = maximal_elementary_quotients(G, context.cocycle, seed=run.oracle.seed, context=context)
         except GquotError as exc:
             ok = False
             records.append((gname, f"failed: {exc}"))

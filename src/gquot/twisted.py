@@ -114,7 +114,6 @@ class WedderburnData:
     dims: tuple[int, ...]
     blocks: tuple[IrrPoint, ...]
     residual: float
-    seed: int
 
 
 class TwistedAlgebra:
@@ -217,7 +216,7 @@ class TwistedAlgebra:
         """
         rep, kept, phases = self._twisted_classes()
         if len(np.unique(rep[kept])) == 1:
-            return self._simple_block(seed)
+            return self._simple_block()
         return self._eigensplit(rep, kept, phases, seed)
 
     def _eigensplit(self, rep, kept, phases, seed: int) -> WedderburnData:
@@ -267,10 +266,10 @@ class TwistedAlgebra:
             blocks = tuple(
                 IrrPoint(points[i].coeffs, points[i].dim, rank, points[i].basis) for rank, i in enumerate(order)
             )
-            return WedderburnData(tuple(sorted(dims)), blocks, residual, seed)
+            return WedderburnData(tuple(sorted(dims)), blocks, residual)
         raise CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {last}")
 
-    def _simple_block(self, seed: int) -> WedderburnData:
+    def _simple_block(self) -> WedderburnData:
         """The one block of a simple C^a G, read off the exact center: the
         derivation is in ``wedderburn``."""
         d = math.isqrt(self.n)
@@ -279,7 +278,7 @@ class TwistedAlgebra:
         unit = np.zeros(self.n, dtype=np.complex128)
         unit[0] = 1.0
         point = IrrPoint(unit, d, 0, np.eye(self.n, dtype=np.complex128))
-        return WedderburnData((d,), (point,), 0.0, seed)
+        return WedderburnData((d,), (point,), 0.0)
 
     # -- irreducible representation extraction ---------------------------------
 
@@ -371,55 +370,60 @@ class TwistedAlgebra:
 
 
 class BlockOracle:
-    """Certified blocks and modules of twisted group algebras, keyed by their
-    exact inputs: the group (which compares and hashes by its table), the
-    cocycle's scale and exponent bytes, and the seed.
+    """Certified blocks and modules of twisted group algebras at one seed,
+    keyed by their exact inputs: the group (which compares and hashes by its
+    table) and the cocycle's scale and exponent bytes.
 
-    A miss builds the algebra and calls its ``wedderburn`` or
-    ``irreducible_rep``, with every certificate those calls carry, and a
-    module keeps the projective-law bound it was certified with; a hit
-    returns what was certified on an identical input, which the deterministic
-    oracle would reproduce exactly.  Only oracle results are kept, never an
-    exact solve, so an exact certificate checked against the oracle stays
-    independent of it.  Results are shared between callers, so they are
-    read-only: point coefficients, block bases and module matrices are
-    frozen.  Every module is cut out of the basis its kept point carries.
-    The caller creates the registry, passes it to every computation that
-    should share it, and drops it when done; nothing is kept at module level.
+    The seed fixes the oracle's random draws, its only free input; it is
+    named once, here, so every split and every module of one registry is
+    drawn at it, and a context or caller built on the registry cannot
+    disagree with it.  A miss builds the algebra and calls its
+    ``wedderburn`` or ``irreducible_rep`` at ``seed``, with every
+    certificate those calls carry, and a module keeps the projective-law
+    bound it was certified with; a hit returns what was certified on an
+    identical input, which the deterministic oracle would reproduce exactly.
+    Only oracle results are kept, never an exact solve, so an exact
+    certificate checked against the oracle stays independent of it.  Results
+    are shared between callers, so they are read-only: point coefficients,
+    block bases and module matrices are frozen.  Every module is cut out of
+    the basis its kept point carries.  The caller creates the registry,
+    passes it to every computation that should share it, and drops it when
+    done; nothing is kept at module level.
     """
 
-    def __init__(self):
+    def __init__(self, seed: int = 0):
+        self.seed = seed
         self._blocks: dict[tuple, WedderburnData] = {}
         self._modules: dict[tuple, tuple[np.ndarray, float]] = {}
 
     @staticmethod
-    def _key(cocycle: CocycleTable, seed: int) -> tuple:
-        return (cocycle.group, cocycle.scale, cocycle.exps.tobytes(), seed)
+    def _key(cocycle: CocycleTable) -> tuple:
+        return (cocycle.group, cocycle.scale, cocycle.exps.tobytes())
 
-    def wedderburn(self, cocycle: CocycleTable, seed: int = 0) -> WedderburnData:
+    def wedderburn(self, cocycle: CocycleTable) -> WedderburnData:
         """The certified blocks of C^cocycle G, G the cocycle's group."""
-        key = self._key(cocycle, seed)
+        key = self._key(cocycle)
         data = self._blocks.get(key)
         if data is None:
-            data = self._blocks[key] = TwistedAlgebra(cocycle.group, cocycle).wedderburn(seed=seed)
+            data = self._blocks[key] = TwistedAlgebra(cocycle.group, cocycle).wedderburn(seed=self.seed)
         return data
 
-    def irreducible_rep(self, cocycle: CocycleTable, index: int, seed: int = 0) -> np.ndarray:
-        """The certified module of block ``index`` of ``wedderburn(cocycle, seed)``."""
-        return self._module(cocycle, index, seed)[0]
+    def irreducible_rep(self, cocycle: CocycleTable, index: int) -> np.ndarray:
+        """The certified module of block ``index`` of ``wedderburn(cocycle)``."""
+        return self._module(cocycle, index)[0]
 
-    def rep_defect(self, cocycle: CocycleTable, index: int, seed: int = 0) -> float:
+    def rep_defect(self, cocycle: CocycleTable, index: int) -> float:
         """The projective-law bound ``TwistedAlgebra._rep_defect_bound`` of
         that module, measured once, by the extraction that certified it."""
-        return self._module(cocycle, index, seed)[1]
+        return self._module(cocycle, index)[1]
 
-    def _module(self, cocycle: CocycleTable, index: int, seed: int) -> tuple[np.ndarray, float]:
-        key = (*self._key(cocycle, seed), index)
+    def _module(self, cocycle: CocycleTable, index: int) -> tuple[np.ndarray, float]:
+        key = (*self._key(cocycle), index)
         module = self._modules.get(key)
         if module is None:
-            point = self.wedderburn(cocycle, seed).blocks[index]
+            point = self.wedderburn(cocycle).blocks[index]
             algebra = TwistedAlgebra(cocycle.group, cocycle)
-            rho = algebra.irreducible_rep(point, seed=seed)
+            rho = algebra.irreducible_rep(point, seed=self.seed)
             module = self._modules[key] = rho, algebra.last_rep_defect
         return module
 

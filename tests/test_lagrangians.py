@@ -111,17 +111,17 @@ def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, or
     monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
     a44 = standard_nondegenerate([4])
     L = gq.generated_subgroup(a44.group, [8, 2])
-    assert crossed_product_iff_lagrangian(MackeyContext(a44, 0, oracle), L)
+    assert crossed_product_iff_lagrangian(MackeyContext(a44, oracle=oracle), L)
     assert len(splits) == len(set(splits)) == 3  # C^a G, C^a L and the trivial obstruction on C1
 
 
 def test_crossed_product_iff_lagrangian_shares_one_context_across_subgroups():
-    """One context serves every N of (alpha, seed); a subgroup asked again
+    """One context serves every N of alpha; a subgroup asked again
     is a memo hit."""
     a44 = standard_nondegenerate([4])
     G = a44.group
     L, other = gq.generated_subgroup(G, [8, 2]), gq.generated_subgroup(G, [8])
-    context = MackeyContext(a44, 0)
+    context = MackeyContext(a44)
     assert crossed_product_iff_lagrangian(context, L)
     assert not crossed_product_iff_lagrangian(context, other)
     dec = context.decompose(L)
@@ -136,8 +136,8 @@ def test_crossed_product_iff_lagrangian_rejects_a_foreign_context():
     a = standard_nondegenerate([2])
     foreign = "^subgroup belongs to a different group$"
     with pytest.raises(DomainError, match=foreign):
-        crossed_product_iff_lagrangian(MackeyContext(a44, 0), gq.generated_subgroup(a.group, [2]))
-    context = MackeyContext(a, 0)
+        crossed_product_iff_lagrangian(MackeyContext(a44), gq.generated_subgroup(a.group, [2]))
+    context = MackeyContext(a)
     with pytest.raises(DomainError, match=foreign):
         crossed_product_iff_lagrangian(context, gq.generated_subgroup(a44.group, [8, 2]))
     assert not context.isotropy
@@ -151,13 +151,22 @@ def test_a_context_reads_its_group_off_the_cocycle():
 
 def test_maximal_elementary_quotients_rejects_a_foreign_context():
     """The one Lagrangian question that names its class apart from its
-    context checks the two against each other, and the class against A."""
+    context checks the two against each other, the seed against the
+    context's oracle, and the class against A; a context whose oracle is
+    at the asked seed is accepted and gives what a fresh one gives."""
     a44 = standard_nondegenerate([4])
     G = a44.group
-    context = MackeyContext(a44, 0)
+    context = MackeyContext(a44)
     foreign = r"^Mackey context is for a different \(group, cocycle, seed\)$"
     with pytest.raises(DomainError, match=foreign):
         maximal_elementary_quotients(G, a44, seed=1, context=context)  # another seed
+    at_one = MackeyContext(a44, oracle=BlockOracle(1))
+    with pytest.raises(DomainError, match=foreign):
+        maximal_elementary_quotients(G, a44, context=at_one)  # seed 0 on a seed-1 oracle
+    report = maximal_elementary_quotients(G, a44, seed=1, context=at_one)
+    fresh = maximal_elementary_quotients(G, a44, seed=1)
+    assert [N.elements for N in report.maximal_normals] == [N.elements for N in fresh.maximal_normals]
+    assert report.decompositions.keys() == fresh.decompositions.keys()
     inverse = CocycleTable(G, a44.scale, -a44.exps % a44.scale)  # another non-degenerate class
     with pytest.raises(DomainError, match=foreign):
         maximal_elementary_quotients(G, inverse, context=context)  # another cocycle
@@ -261,20 +270,20 @@ def test_isotropy_verdicts_are_certified_once_per_context(monkeypatch):
     a = standard_nondegenerate([4])
     G = a.group
     asked = counted_isotropy(monkeypatch)
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     for N in gq.subgroups(G):
         crossed_product_iff_lagrangian(context, N)
     first = lagrangian_scan(context)
     again = lagrangian_scan(context)
     squares = [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
     assert asked == squares and len(first) == len(again) == len(squares)
-    fresh = MackeyContext(a, 0)
+    fresh = MackeyContext(a)
     for r, s in zip(first, again):
         assert (r.subgroup, r.isotropic, r.normal) == (s.subgroup, s.isotropic, s.normal)
         assert r.isotropic == is_isotropic(fresh, r.subgroup).isotropic
     assert set(context.isotropy) == set(squares)
     asked.clear()
-    lagrangian_scan(MackeyContext(a, 0))
+    lagrangian_scan(MackeyContext(a))
     assert asked == squares
 
 
@@ -284,9 +293,9 @@ def test_a_scan_on_a_new_context_certifies_each_candidate_once(monkeypatch):
     is asked once per subgroup of order sqrt|G|."""
     a = standard_nondegenerate([2, 4])
     G = a.group
-    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(MackeyContext(a, 0))]
+    expected = [(r.subgroup, r.isotropic, r.normal) for r in lagrangian_scan(MackeyContext(a))]
     asked = counted_isotropy(monkeypatch)
-    reports = lagrangian_scan(MackeyContext(a, 0))
+    reports = lagrangian_scan(MackeyContext(a))
     assert [(r.subgroup, r.isotropic, r.normal) for r in reports] == expected
     assert asked == [H.elements for H in gq.subgroups(G) if H.order**2 == G.n]
 
@@ -318,7 +327,7 @@ def scanned_context(monkeypatch):
     Lagrangian candidates (15 of the 35 are isotropic); from then on a
     factorization is a failure, so every later solve on it is a replay."""
     a = standard_nondegenerate([2, 2])
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     lagrangian_scan(context)
     assert context.factors
     forbid_factoring(monkeypatch)
@@ -353,7 +362,7 @@ def test_a_replayed_verdict_meets_the_bicharacter_check(monkeypatch):
     G, a = context.group, context.cocycle
     scanned = candidates(context, True) + candidates(context, False)
     monkeypatch.undo()  # a call on a new context factors its own system
-    bares = [is_isotropic(MackeyContext(a, 0), H) for H in scanned]
+    bares = [is_isotropic(MackeyContext(a), H) for H in scanned]
     forbid_factoring(monkeypatch)
     for H, bare in zip(scanned, bares):
         replayed = is_isotropic(context, H)

@@ -237,7 +237,7 @@ def test_shared_context_matches_fresh_decompositions(case):
     per-element Python-integer one, and its phases the product of three
     cocycle values, within 1e-12."""
     _, G, _, a = case
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     A_G = TwistedAlgebra(G, a)
     assert context.blocks.dims == A_G.wedderburn(seed=0).dims
     _, kappa = a.conjugation()
@@ -274,7 +274,7 @@ def test_shared_oracle_matches_fresh_decompositions(case, shared_oracle):
     the bits of every point coefficient."""
     _, a = case
     G = a.group
-    context = MackeyContext(a, 0, shared_oracle)
+    context = MackeyContext(a, oracle=shared_oracle)
     assert context.oracle is shared_oracle
     for N in gq.normal_subgroups(G):
         got, want = context.decompose(N), mackey_decompose(a, N, seed=0)
@@ -303,14 +303,14 @@ def test_shared_results_are_read_only():
     again = oracle.irreducible_rep(a, 0)
     assert again is rho and np.array_equal(again, before_rho)
     assert np.array_equal(oracle.wedderburn(a).blocks[0].coeffs, before_point)
-    context = MackeyContext(a, 0, oracle)
+    context = MackeyContext(a, oracle=oracle)
     dec = context.decompose(gq.Subgroup(a.group, (0,)))
     with pytest.raises(ValueError):
         dec.points[0].coeffs[0] = 5.0
 
 
 def test_context_refuses_a_subgroup_of_another_group():
-    context = MackeyContext(CocycleTable.trivial(gq.make_group("C4")), 0)
+    context = MackeyContext(CocycleTable.trivial(gq.make_group("C4")))
     other = gq.make_group("C2xC2")
     with pytest.raises(DomainError):
         context.decompose(gq.Subgroup(other, (0, 1)))
@@ -653,7 +653,7 @@ def test_column_bound_dominates_the_all_pairs_defect(monkeypatch, name, a):
     monkeypatch.setattr(mackey, "_composition_scalars", recorded)
     G = a.group
     phases = a.value_matrix()
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     seen = 0
     for N in gq.normal_subgroups(G):
         dec = context.decompose(N)
@@ -721,12 +721,12 @@ def per_orbit_obstruction(context, alpha_N, N, index, inertia, section):
     N_embed = np.asarray(N.elements)
     N_pos = np.full(G.n, -1)
     N_pos[N_embed] = np.arange(len(N_embed))
-    rho = context.oracle.irreducible_rep(alpha_N, index, context.seed)
+    rho = context.oracle.irreducible_rep(alpha_N, index)
     gs = section[list(inertia.elements)]
     conj = context.conj[np.ix_(gs, N_embed)]
     kappa = context.kappa[np.ix_(gs, N_embed)]
     P, residual = mackey._intertwiners(rho[None], (kappa[:, :, None, None] * rho[N_pos[conj]])[None])
-    law = context.oracle.rep_defect(alpha_N, index, context.seed)
+    law = context.oracle.rep_defect(alpha_N, index)
     s_ab = gs[I_group.table]
     n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]
     if (N_pos[n] < 0).any():
@@ -751,21 +751,52 @@ def test_batched_obstructions_match_the_per_orbit_path(name, a):
     normal N, the table of the class pass has the scale, the exponent bytes
     and the blocks of the orbit's own pass."""
     G = a.group
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     for N in gq.normal_subgroups(G):
         dec = context.decompose(N)
         alpha_N, section = per_orbit_inputs(context, N)
         for o in dec.orbits:
             want = per_orbit_obstruction(context, alpha_N, N, o.point_indices[0], o.inertia, section)
             assert o.omega.scale == want.scale and o.omega.exps.tobytes() == want.exps.tobytes()
-            assert o.omega_blocks == context.oracle.wedderburn(want, 0).dims
+            assert o.omega_blocks == context.oracle.wedderburn(want).dims
+
+
+@pytest.mark.parametrize("name", ["nd_C4xC4", "S4"])
+def test_the_oracle_seed_reaches_every_cache_miss(monkeypatch, name):
+    """The seed is named once, in the block oracle: every split and every
+    module a context's oracle certifies is drawn at the oracle's seed, each
+    decomposition is the one ``mackey_decompose`` gives at that seed, and a
+    seed passed to the context in the oracle's place is refused."""
+    a = dict(OBSTRUCTION_CASES)[name]
+    seeds = []
+    wedderburn, irreducible_rep = TwistedAlgebra.wedderburn, TwistedAlgebra.irreducible_rep
+
+    def split(self, seed=0):
+        seeds.append(("wedderburn", seed))
+        return wedderburn(self, seed=seed)
+
+    def module(self, point, seed=0):
+        seeds.append(("irreducible_rep", seed))
+        return irreducible_rep(self, point, seed=seed)
+
+    monkeypatch.setattr(TwistedAlgebra, "wedderburn", split)
+    monkeypatch.setattr(TwistedAlgebra, "irreducible_rep", module)
+    context = MackeyContext(a, oracle=BlockOracle(7))
+    normals = gq.normal_subgroups(a.group)
+    context.decompose_all(normals)
+    assert {kind for kind, _ in seeds} == {"wedderburn", "irreducible_rep"}
+    assert all(seed == 7 for _, seed in seeds)
+    for N in normals:
+        assert_same_decomposition(context.decompose(N), mackey_decompose(a, N, seed=7))
+    with pytest.raises(TypeError):
+        MackeyContext(a, 0)
 
 
 def two_module_class():
     """The trivial class on C2xC2 with N of order 2: the quotient fixes both
     points, so two d = 1 orbits share the inertia group Q."""
     G = gq.make_group("C2xC2")
-    context = MackeyContext(CocycleTable.trivial(G), 0)
+    context = MackeyContext(CocycleTable.trivial(G))
     return context, gq.generated_subgroup(G, [1])
 
 
@@ -821,7 +852,7 @@ def test_intertwining_residual_is_charged_to_the_obstruction_bound(monkeypatch, 
     with no column defect; the decomposition must raise."""
     a = standard_nondegenerate(list(carrier))
     G = a.group
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     context.kappa = context.kappa.copy()
     context.kappa[G.n - 1, 0] *= np.exp(0.75j * TOL_SCALAR)
     intertwiners, residuals = mackey._intertwiners, []
@@ -848,13 +879,13 @@ def test_each_module_as_a_stack_of_one_gives_its_slice(monkeypatch):
     across three classes."""
     G = gq.make_group("Q8xC2xC2")
     trivial = CocycleTable.trivial(G)
-    probe = MackeyContext(trivial, 0)
+    probe = MackeyContext(trivial)
     N = next(M for M in gq.normal_subgroups(G) if M.order == 16 and max(o.dim for o in probe.decompose(M).orbits) == 2)
     context, _ = two_module_class()
     order_two = [M for M in gq.subgroups(context.group) if M.order == 2]
     intertwiners, compose = mackey._intertwiners, mackey._composition_scalars
     shapes = []
-    cases = ((context, order_two[:1]), (MackeyContext(trivial, 0), [N]), (two_module_class()[0], order_two))
+    cases = ((context, order_two[:1]), (MackeyContext(trivial), [N]), (two_module_class()[0], order_two))
     for context, normals in cases:
         calls = []
         monkeypatch.setattr(mackey, "_intertwiners", lambda *args: calls.append(args) or intertwiners(*args))
@@ -912,9 +943,9 @@ def four_points_over_c4():
     N = gq.Subgroup(G, (0, 1, 2, 3))
     Q, _ = gq.quotient(G, N)
     assert np.array_equal(Q.table, (np.arange(4)[:, None] + np.arange(4)) % 4)
-    probe = MackeyContext(CocycleTable.trivial(G), 0).decompose(N)
+    probe = MackeyContext(CocycleTable.trivial(G)).decompose(N)
     assert [o.point_indices for o in probe.orbits] == [(0,), (1,), (2,), (3,)]
-    return MackeyContext(CocycleTable.trivial(G), 0), N
+    return MackeyContext(CocycleTable.trivial(G)), N
 
 
 # perms[q, i], the point conjugation by the lift of q sends point i to, given by
@@ -941,8 +972,8 @@ def test_each_staging_check_fires_with_its_message(monkeypatch, columns, second_
     if second_point_of_dim_two:
         wedderburn = context.oracle.wedderburn
 
-        def wider(cocycle, seed=0):
-            data = wedderburn(cocycle, seed)
+        def wider(cocycle):
+            data = wedderburn(cocycle)
             if cocycle.group.n != N.order:
                 return data
             blocks = list(data.blocks)
@@ -960,9 +991,9 @@ def d2_module_with_inertia():
     module has inertia of order 2 and is a pass of its own."""
     G = gq.make_group("Q8xC2")
     N, trivial = gq.Subgroup(G, tuple(range(0, 16, 2))), CocycleTable.trivial(G)
-    probe = MackeyContext(trivial, 0).decompose(N)
+    probe = MackeyContext(trivial).decompose(N)
     assert [(o.dim, o.inertia.order) for o in probe.orbits if o.dim == 2] == [(2, 2)]
-    return MackeyContext(trivial, 0), N
+    return MackeyContext(trivial), N
 
 
 def test_a_non_scalar_intertwiner_fails_the_composition(monkeypatch):
@@ -1024,12 +1055,12 @@ def test_decompose_all_matches_each_subgroup_alone(name, a):
     contexts share one registry of their own."""
     G = a.group
     normals = gq.normal_subgroups(G)
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     assert context.decompose_all(normals) is None
     oracle = BlockOracle()
     for N in normals:
         got = context.decompose(N)
-        want = MackeyContext(a, 0, oracle).decompose(N)
+        want = MackeyContext(a, oracle=oracle).decompose(N)
         assert got.normal == N
         assert_same_decomposition(got, want)
         for o, w in zip(got.orbits, want.orbits):
@@ -1062,7 +1093,7 @@ def test_stacked_passes_fill_the_budget_by_inertia_table_d_and_order(monkeypatch
     a = standard_nondegenerate(invariants)
     lattice = gq.subgroups(a.group)
     passes = recorded_passes(monkeypatch)
-    MackeyContext(a, 0).decompose_all(lattice)
+    MackeyContext(a).decompose_all(lattice)
     stacked = list(passes)
     by_key = {}
     for group, orders, d, sizes in stacked:
@@ -1074,7 +1105,7 @@ def test_stacked_passes_fill_the_budget_by_inertia_table_d_and_order(monkeypatch
             assert per_module * (sum(batch) + following[0]) > mackey.OBSTRUCTION_BUDGET
         assert all(per_module * sum(batch) <= mackey.OBSTRUCTION_BUDGET or len(batch) == 1 for batch in batches)
     passes.clear()
-    context = MackeyContext(a, 0)
+    context = MackeyContext(a)
     for N in lattice:
         context.decompose(N)
     assert len(stacked) < len(passes) == sum(len(sizes) for _, _, _, sizes in stacked)
@@ -1193,7 +1224,7 @@ def test_decompose_all_keeps_every_subgroup_that_decomposes():
     second scan leaves as they are; a subgroup of another group is refused
     first."""
     S3 = gq.make_group("S3")
-    context = MackeyContext(CocycleTable.trivial(S3), 0)
+    context = MackeyContext(CocycleTable.trivial(S3))
     normals = gq.normal_subgroups(S3)
     not_normal = next(H for H in gq.subgroups(S3) if not H.is_normal())
     context.decompose_all([normals[0], not_normal, *normals[1:]])

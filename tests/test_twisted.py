@@ -615,7 +615,9 @@ def test_match_idempotent_matches_reference(spec):
 
 
 def test_block_oracle_splits_each_exact_input_once(monkeypatch):
-    """A repeated (group table, scale, exponents, seed) is a hit; any change is a miss."""
+    """A repeated (group table, scale, exponents) is a hit on one oracle; any
+    change is a miss, and an oracle at another seed splits the same input
+    again, at its own seed, while the first still hits."""
     calls = []
     original = TwistedAlgebra.wedderburn
 
@@ -626,18 +628,20 @@ def test_block_oracle_splits_each_exact_input_once(monkeypatch):
     monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
     oracle = BlockOracle()
     a = standard_nondegenerate([2])
-    first = oracle.wedderburn(a, 0)
-    assert oracle.wedderburn(a, 0) is first and len(calls) == 1
+    first = oracle.wedderburn(a)
+    assert oracle.wedderburn(a) is first and len(calls) == 1
     # an equal table in another group object, with an equal exponent table, is the same input
     H = gq.FiniteGroup(a.group.table.copy(), name="relabeled")
-    assert oracle.wedderburn(CocycleTable(H, a.scale, a.exps.copy()), 0) is first and len(calls) == 1
-    oracle.wedderburn(a, 1)  # another seed
-    oracle.wedderburn(a.rescale(4), 0)  # another scale, the same values
-    oracle.wedderburn(CocycleTable.trivial(a.group, a.scale), 0)  # other exponents
+    assert oracle.wedderburn(CocycleTable(H, a.scale, a.exps.copy())) is first and len(calls) == 1
+    BlockOracle(1).wedderburn(a)  # another seed, on another oracle
+    assert calls[-1] == (a.group.n, 1) and len(calls) == 2
+    assert oracle.wedderburn(a) is first and len(calls) == 2
+    oracle.wedderburn(a.rescale(4))  # another scale, the same values
+    oracle.wedderburn(CocycleTable.trivial(a.group, a.scale))  # other exponents
     assert len(calls) == 4
-    assert oracle.wedderburn(a.rescale(4), 0).dims == first.dims
-    rho = oracle.irreducible_rep(a, 0, 0)
-    assert oracle.irreducible_rep(a, 0, 0) is rho and len(calls) == 4
+    assert oracle.wedderburn(a.rescale(4)).dims == first.dims
+    rho = oracle.irreducible_rep(a, 0)
+    assert oracle.irreducible_rep(a, 0) is rho and len(calls) == 4
     assert np.array_equal(rho, TwistedAlgebra(a.group, a).irreducible_rep(first.blocks[0], seed=0))
 
 
@@ -658,10 +662,10 @@ def test_block_oracle_measures_each_module_law_once(monkeypatch):
     modules = 0
     for name in names:
         a = LAW_CASES[name]
-        for index in range(len(oracle.wedderburn(a, 0).blocks)):
+        for index in range(len(oracle.wedderburn(a).blocks)):
             for _ in range(2):
-                rho = oracle.irreducible_rep(a, index, 0)
-                assert oracle.rep_defect(a, index, 0) == original(TwistedAlgebra(a.group, a), rho)
+                rho = oracle.irreducible_rep(a, index)
+                assert oracle.rep_defect(a, index) == original(TwistedAlgebra(a.group, a), rho)
             modules += 1
     assert modules > 20 and len(calls) == modules == len(oracle._modules)
     # the obstruction passes read the kept bounds: a decomposition adds one
@@ -752,7 +756,7 @@ def test_simple_block_matches_a_forced_eigensplit(name):
     exact = A.wedderburn(seed=0)
     forced = A._eigensplit(*A._twisted_classes(), 0)
     d = int(round(A.n**0.5))
-    assert exact.dims == forced.dims == (d,) and exact.residual == 0.0 and exact.seed == 0
+    assert exact.dims == forced.dims == (d,) and exact.residual == 0.0
     (point,) = exact.blocks
     assert (point.dim, point.index) == (d, 0)
     assert np.array_equal(point.coeffs, np.eye(A.n)[0]) and np.array_equal(point.basis, np.eye(A.n))
