@@ -1,7 +1,8 @@
 """How many groups, table cores, homomorphism checks, subgroup closure checks
-and Cayley trees one Theorem-D call builds, and how many block splits it
-makes numerically and exactly, on each carrier of the `theorem_d` benchmark
-workload (C8xC8 and C2xC4xC2xC4) at seed 0: ROADMAP items 6 and 12.
+and Cayley trees one Theorem-D call builds, how many block splits it makes
+numerically and exactly, and in how many stacked eigh calls, on each carrier
+of the `theorem_d` benchmark workload (C8xC8 and C2xC4xC2xC4) at seed 0:
+ROADMAP items 6 and 12.
 
     PYTHONPATH=src python .github/group_counts.py            # the report on standard output
     PYTHONPATH=src python .github/group_counts.py SUMMARY    # the report appended to the file SUMMARY
@@ -11,9 +12,13 @@ Counts are taken by wrapping the constructors for the duration of one
 before.  A `GroupHom` check compares n r entries, n the order of its source
 and r its generators; the all-pairs check it replaced compared n^2.  A
 `Subgroup` closure check is one run of its `__post_init__`; the lattice and
-quotient projections skip theirs by proof.  A `TwistedAlgebra.wedderburn`
-call splits exactly when the center is one-dimensional (one block) and by
-an eigensplit otherwise.  The garbage collector is disabled for the counted
+quotient projections skip theirs by proof.  Every split goes through
+`twisted.split_algebras`, which takes a list of algebras; each algebra of
+the list splits exactly when its center is one-dimensional (one block) and
+by an eigensplit otherwise, and the eigensplits of one order share one
+stacked `np.linalg.eigh` call per attempt, counted as the eigh calls on a
+stack of matrices (the module extractions make theirs on single matrices).
+The garbage collector is disabled for the counted
 call: ``groups._CORES`` keeps table cores weakly, so a collection during the
 call could drop a core that a later group of the same table then builds
 again, and the core and tree counts would move with the collector rather
@@ -22,6 +27,8 @@ than with the code.  The script reports and does not gate.
 
 import gc
 import sys
+
+import numpy as np
 
 from gquot import groups, twisted
 from gquot.cocycles import standard_nondegenerate
@@ -32,11 +39,11 @@ CARRIERS = ((8,), (2, 4))
 
 def counted_call(alpha) -> dict:
     counts = dict.fromkeys(["groups", "cores", "homs", "compares", "all_pairs", "trees", "subgroups",
-                            "numeric", "exact"], 0)
+                            "numeric", "exact", "stacked_eigh"], 0)
     tables = set()
     group_init, core_init = groups.FiniteGroup.__init__, groups._TableCore.__init__
     hom_check, build_tree = groups.GroupHom.__post_init__, groups._cayley_tree
-    subgroup_check, split = groups.Subgroup.__post_init__, twisted.TwistedAlgebra.wedderburn
+    subgroup_check, split, eigh = groups.Subgroup.__post_init__, twisted.split_algebras, np.linalg.eigh
 
     def count_group(self, *args, **kwargs):
         group_init(self, *args, **kwargs)
@@ -62,14 +69,21 @@ def counted_call(alpha) -> dict:
         subgroup_check(self)
         counts["subgroups"] += 1
 
-    def count_split(self, seed=0):
-        data = split(self, seed=seed)
-        counts["exact" if len(data.blocks) == 1 else "numeric"] += 1
-        return data
+    def count_split(algebras, seed):
+        outcomes = split(algebras, seed)
+        for data in outcomes:
+            if isinstance(data, twisted.WedderburnData):
+                counts["exact" if len(data.blocks) == 1 else "numeric"] += 1
+        return outcomes
+
+    def count_eigh(a, *args, **kwargs):
+        counts["stacked_eigh"] += np.ndim(a) == 3
+        return eigh(a, *args, **kwargs)
 
     patches = [(groups.FiniteGroup, "__init__", count_group), (groups._TableCore, "__init__", count_core),
                (groups.GroupHom, "__post_init__", count_hom), (groups, "_cayley_tree", count_tree),
-               (groups.Subgroup, "__post_init__", count_subgroup), (twisted.TwistedAlgebra, "wedderburn", count_split)]
+               (groups.Subgroup, "__post_init__", count_subgroup), (twisted, "split_algebras", count_split),
+               (np.linalg, "eigh", count_eigh)]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
@@ -86,11 +100,12 @@ def counted_call(alpha) -> dict:
 def report() -> str:
     lines = [
         "Theorem D at seed 0 (ROADMAP items 6 and 12): groups built against their distinct tables and the cores"
-        " built, the checks run, and the block splits made numerically and exactly",
+        " built, the checks run, the block splits made numerically and exactly, and the stacked eigh calls"
+        " of the numeric ones",
         "",
         "| carrier | FiniteGroups | distinct tables | cores built | GroupHom checks | compares (all pairs) "
-        "| Subgroup closure checks | Cayley trees | wedderburn numeric / exact |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| Subgroup closure checks | Cayley trees | splits numeric / exact | stacked eigh calls |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for invariants in CARRIERS:
         alpha = standard_nondegenerate(invariants)
@@ -98,7 +113,7 @@ def report() -> str:
         name = "x".join(f"C{k}" for k in invariants + invariants)
         lines.append(f"| {name} | {c['groups']} | {c['tables']} | {c['cores']} | {c['homs']} "
                      f"| {c['compares']} ({c['all_pairs']}) | {c['subgroups']} | {c['trees']} "
-                     f"| {c['numeric']} / {c['exact']} |")
+                     f"| {c['numeric']} / {c['exact']} | {c['stacked_eigh']} |")
     return "\n".join(lines) + "\n"
 
 

@@ -19,8 +19,9 @@ block oracle (which holds the seed) and the registries: ``is_isotropic``,
 read the isotropy verdicts and the decompositions, quotients included, that
 the context keeps, so nothing is certified twice on one context.
 ``maximal_elementary_quotients`` also takes (A, alpha, seed), builds a
-context on a ``BlockOracle(seed)`` when given none, and checks a given one,
-and its oracle's seed, against them.
+context on a ``BlockOracle(seed)`` (seed 0 when None) when given none, and
+checks a given one against (A, alpha), and its oracle's seed against a seed
+that is passed.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class MaximalElementaryReport:
 
 
 def maximal_elementary_quotients(
-    A: FiniteGroup, alpha: CocycleTable, seed: int = 0, context: MackeyContext | None = None
+    A: FiniteGroup, alpha: CocycleTable, seed: int | None = None, context: MackeyContext | None = None
 ) -> MaximalElementaryReport:
     """Maximal elementary quotient classes of a non-degenerate abelian class.
 
@@ -182,16 +183,17 @@ def maximal_elementary_quotients(
     classes under the quotient order), and compares the result against the
     Lagrangian characterization.  Uniqueness is isomorphism of all maximal
     quotient groups, which determines the elementary crossed product class.
-    Every subgroup is decomposed through one ``MackeyContext`` for alpha on
-    a block oracle at ``seed``, ``context`` when the caller holds one, else a
-    new one,
-    in one ``decompose_all`` call, so the obstruction passes are shared
-    across the whole lattice; the first N, in lattice order, that fails
-    raises its error.  The Lagrangian scan runs on the same context,
-    so it reuses the blocks the decompositions certified and the isotropy
-    verdicts the context keeps.  This is the one Lagrangian question that
-    names its class apart from a context, so it is the one that checks a
-    caller's context, and its oracle's seed, against (A, alpha, seed).
+    Every subgroup is decomposed through one ``MackeyContext`` for alpha,
+    ``context`` when the caller holds one, else a new one on a block oracle
+    at ``seed`` (0 when None), in one ``decompose_all`` call, so the
+    obstruction passes are shared across the whole lattice; the first N, in
+    lattice order, that fails raises its error.  The Lagrangian scan runs on
+    the same context, so it reuses the blocks the decompositions certified
+    and the isotropy verdicts the context keeps.  This is the one Lagrangian
+    question that names its class apart from a context, so it is the one
+    that checks a caller's context against (A, alpha), and its oracle's seed
+    against ``seed`` when one is passed: a given context draws at its own
+    oracle's seed.
     """
     if not A.is_abelian:
         raise DomainError("maximal_elementary_quotients expects an abelian group")
@@ -200,8 +202,8 @@ def maximal_elementary_quotients(
     if not is_nondegenerate(alpha):
         raise DomainError("expects a non-degenerate class")
     if context is None:
-        context = MackeyContext(alpha, oracle=BlockOracle(seed))
-    elif (context.cocycle, context.oracle.seed) != (alpha, seed):
+        context = MackeyContext(alpha, oracle=BlockOracle(0 if seed is None else seed))
+    elif context.cocycle != alpha or (seed is not None and seed != context.oracle.seed):
         raise DomainError("Mackey context is for a different (group, cocycle, seed)")
     lattice = subgroups(context.group)  # the scan below reads the same lattice
     context.decompose_all(lattice)

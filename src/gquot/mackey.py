@@ -61,10 +61,11 @@ so such an orbit builds no module.
 
 Only the module and the lifts depend on the orbit; the Cayley tree depends
 on the inertia group's table alone.  So a scan is staged: ``decompose_all``
-first computes, for every kernel N of the scan, the quotient, the points,
-the orbits and their classes (the orbits with the same inertia group and
-module dimension), with one Subgroup per inertia group; a class with trivial
-inertia takes the trivial tables.  It then computes the other obstructions
+first splits the algebras C^alpha N of every kernel N of the scan in one
+stacked oracle pass (``BlockOracle.wedderburn_all``), then computes, for
+every N, the quotient, the points, the orbits and their classes (the orbits
+with the same inertia group and module dimension), with one Subgroup per
+inertia group; a class with trivial inertia takes the trivial tables.  It then computes the other obstructions
 in one pass per batch of classes, across all the kernels, that share the
 inertia group's table, the module dimension d and |N|: the modules stacked
 along a leading axis through the intertwiners, the composition scalars and
@@ -206,22 +207,32 @@ class MackeyContext:
         """Decompose every N of ``subgroups`` not kept yet, with all
         consistency checks, and keep each outcome for ``decompose``.
 
-        Every such N is staged, the obstruction passes run across all of
-        them (``_stacked_obstructions``), and each N is then finished.  An N
-        that fails keeps the error it raises when decomposed alone, so it is
+        alpha is restricted once to every such N, and the oracle splits all
+        the restrictions it has not kept in one ``BlockOracle.wedderburn_all``
+        pass, so staging an N reads its points as a hit.  A restriction whose
+        split fails is left unkept, and its N's stage splits it alone and
+        keeps the error that split raises.  Every such N is staged, the
+        obstruction passes run across all of them
+        (``_stacked_obstructions``), and each N is then finished.  An N that
+        fails keeps the error it raises when decomposed alone, so it is
         staged once per context.  A subgroup of another group raises
         DomainError before any work.
         """
         subgroups = list(subgroups)
         if any(N.group != self.group for N in subgroups):
             raise DomainError("subgroup belongs to a different group")
-        stages = {}
+        todo = {}
         for N in subgroups:
-            if N.elements not in self._outcomes and N.elements not in stages:
-                try:
-                    stages[N.elements] = self._stage(N)
-                except GquotError as exc:
-                    self._outcomes[N.elements] = exc
+            if N.elements not in self._outcomes:
+                todo.setdefault(N.elements, N)
+        restrictions = {key: self.cocycle.restrict(N) for key, N in todo.items()}
+        self.oracle.wedderburn_all(restrictions.values())
+        stages = {}
+        for key, N in todo.items():
+            try:
+                stages[key] = self._stage(N, restrictions[key])
+            except GquotError as exc:
+                self._outcomes[key] = exc
         self._stacked_obstructions(stages.values())
         for key, stage in stages.items():
             try:
@@ -229,14 +240,14 @@ class MackeyContext:
             except GquotError as exc:
                 self._outcomes[key] = exc
 
-    def _stage(self, N: Subgroup) -> _Stage:
-        """Quotient, points, orbits and classes of one N: everything before its obstructions."""
+    def _stage(self, N: Subgroup, alpha_N: CocycleTable) -> _Stage:
+        """Quotient, points, orbits and classes of one N, alpha_N the
+        restriction of alpha to it: everything before its obstructions."""
         G = self.group
         Q, proj = quotient(G, N)
         section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
 
-        alpha_N = self.cocycle.restrict(N)  # for N = G this is alpha, whose blocks are self.blocks
-        points = self.oracle.wedderburn(alpha_N).blocks
+        points = self.oracle.wedderburn(alpha_N).blocks  # for N = G alpha_N is alpha, whose blocks are self.blocks
 
         perms = self._conjugation_permutations(N, points, section)
         orbit_of = [frozenset(col) for col in perms.T.tolist()]

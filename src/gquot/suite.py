@@ -158,7 +158,7 @@ def criterion_4(run: _Run) -> CriterionResult:
         try:
             context = run.context(gname, f"nd_{gname}")
             G = context.group
-            report = maximal_elementary_quotients(G, context.cocycle, seed=run.oracle.seed, context=context)
+            report = maximal_elementary_quotients(G, context.cocycle, context=context)
         except GquotError as exc:
             ok = False
             records.append((gname, f"failed: {exc}"))

@@ -30,11 +30,17 @@ of simple blocks is therefore known exactly before any numerics, and the
 random central sample is written straight from these arrays, one
 coefficient per element of a kept class.
 A center of dimension one needs no numerics at all: the algebra is simple,
-so its one block is the whole algebra, with idempotent u_e, basis the
-identity and dimension sqrt(|G|), read off exactly.  Otherwise floating
-point enters only to split a random self-adjoint central sample
-into eigenprojectors, which are then certified against the exact center
-dimension and the integer identity sum(d_i^2) = |G|.  Each block keeps the
+so its one block is the whole algebra in its standard basis, with
+idempotent u_e and dimension sqrt(|G|), read off exactly; no n x n identity
+is stored for it.  Otherwise floating point enters only to split a random
+self-adjoint central sample into eigenprojectors, which are then certified
+against the exact center dimension and the integer identity
+sum(d_i^2) = |G|.  Every split goes through ``split_algebras``, which takes
+a list of algebras at one seed: each algebra draws its samples from its own
+random stream, as it would alone, the samples of one order share one
+stacked eigh per attempt, and each algebra passes its own certificates, so
+a list splits each algebra to the bits of its lone split at a fraction of
+the per-call cost.  Each block keeps the
 orthonormal eigenvectors that span it as ``IrrPoint.basis``: its idempotent
 and trace are read from them without an n x n projector, and its module is
 cut out of them without a second factorization of the block.  The trace
@@ -47,7 +53,8 @@ breadth-first tree, bounds the defect of every pair (the derivation is in
 
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
-identical algebra is split once per registry.  The caller creates it and
+identical algebra is split once per registry; ``wedderburn_all`` splits a
+whole list of misses in one stacked pass.  The caller creates it and
 passes it along.  ``is_nondegenerate`` never asks it: the exact center
 dimension decides simplicity.  NUMERIC_BOUND caps the order of every algebra
 here.
@@ -69,6 +76,7 @@ TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
 TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
 MAX_ATTEMPTS = 8
+SPLIT_BUDGET = 1 << 14  # sample entries, n^2 per algebra, one stacked eigh of ``split_algebras`` may hold
 NUMERIC_BOUND = ORDER_BOUND  # largest order for the twisted algebra and its block oracle
 
 
@@ -87,17 +95,19 @@ class IrrPoint:
 
     basis holds dim^2 orthonormal columns spanning the block (the image of
     left multiplication by the idempotent), as ``wedderburn`` certified them;
-    ``irreducible_rep`` cuts the module out of it.
+    ``irreducible_rep`` cuts the module out of it.  It is None for the one
+    block of a simple algebra: the whole algebra in its standard basis.
     """
 
     coeffs: np.ndarray
     dim: int
     index: int
-    basis: np.ndarray
+    basis: np.ndarray | None
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)  # points are shared through a BlockOracle
-        self.basis.setflags(write=False)
+        if self.basis is not None:
+            self.basis.setflags(write=False)
 
     def __eq__(self, other):
         return isinstance(other, IrrPoint) and self.index == other.index and self.dim == other.dim
@@ -194,7 +204,8 @@ class TwistedAlgebra:
     # -- block oracle ----------------------------------------------------------
 
     def wedderburn(self, seed: int = 0) -> WedderburnData:
-        """Simple-block dimensions and primitive central idempotents.
+        """Simple-block dimensions and primitive central idempotents:
+        ``split_algebras`` on this algebra alone, its error raised.
 
         A random self-adjoint central sample is eigensplit; the cluster count
         must reproduce the exact center dimension and every block trace must
@@ -211,63 +222,13 @@ class TwistedAlgebra:
         (Karpilovsky, *Projective Representations of Finite Groups*, 1985),
         so it is M_d(C) with d^2 = n: its one block is the whole algebra,
         whose idempotent is u_e (u_e u_e = a(e, e) u_e = u_e, a being
-        normalized), spanned by the identity basis, with residual exactly 0.
-        An n that is not a square contradicts that and raises.
+        normalized), in the standard basis (``basis`` None), with residual
+        exactly 0.  An n that is not a square contradicts that and raises.
         """
-        rep, kept, phases = self._twisted_classes()
-        if len(np.unique(rep[kept])) == 1:
-            return self._simple_block()
-        return self._eigensplit(rep, kept, phases, seed)
-
-    def _eigensplit(self, rep, kept, phases, seed: int) -> WedderburnData:
-        """The numeric split of ``wedderburn``, on the exact classes
-        ``_twisted_classes`` gives; it is certified for any center dimension."""
-        reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
-        slot, phases = np.searchsorted(reps, rep[kept]), phases[kept]
-        k = len(reps)
-        rng = np.random.default_rng(seed)
-        last = "no attempt"
-        for _ in range(MAX_ATTEMPTS):
-            # complex draws keep conjugate blocks apart after self-adjointing
-            coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            z = np.zeros(self.n, dtype=np.complex128)
-            z[kept] = coeffs[slot] * phases
-            Z = self.left_regular(z)
-            Z = Z + Z.conj().T
-            evals, evecs = np.linalg.eigh(Z)
-            clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
-            if len(clusters) != k:
-                last = f"cluster count {len(clusters)} != center dimension {k}"
-                continue
-            points, dims, ok = [], [], True
-            for ci, idx in enumerate(clusters):
-                V = evecs[:, idx]
-                tr = float(np.vdot(V, V).real)
-                d = np.sqrt(max(tr, 0.0))
-                di = int(round(d))
-                if di < 1 or abs(d - di) > TOL_ROUND:
-                    ok, last = False, f"block trace {tr:.12f} does not certify as a square"
-                    break
-                dims.append(di)
-                points.append(IrrPoint(V @ V[0].conj(), di, ci, V))
-            if not ok:
-                continue
-            if sum(d * d for d in dims) != self.n:
-                last = "sum of squared dimensions misses the group order"
-                continue
-            residual = 0.0
-            for p in points:
-                defect = self.left_regular(p.coeffs) @ p.coeffs - p.coeffs
-                residual = max(residual, float(np.max(np.abs(defect))))
-            if residual > TOL_IDEMPOTENT:
-                last = f"idempotent residual {residual:.2e} beyond tolerance"
-                continue
-            order = sorted(range(len(points)), key=lambda i: (dims[i], i))
-            blocks = tuple(
-                IrrPoint(points[i].coeffs, points[i].dim, rank, points[i].basis) for rank, i in enumerate(order)
-            )
-            return WedderburnData(tuple(sorted(dims)), blocks, residual)
-        raise CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {last}")
+        (data,) = split_algebras([self], seed)
+        if isinstance(data, CertificationError):
+            raise data
+        return data
 
     def _simple_block(self) -> WedderburnData:
         """The one block of a simple C^a G, read off the exact center: the
@@ -277,8 +238,7 @@ class TwistedAlgebra:
             raise CertificationError(f"simple algebra of dimension {self.n} is not a square")
         unit = np.zeros(self.n, dtype=np.complex128)
         unit[0] = 1.0
-        point = IrrPoint(unit, d, 0, np.eye(self.n, dtype=np.complex128))
-        return WedderburnData((d,), (point,), 0.0)
+        return WedderburnData((d,), (IrrPoint(unit, d, 0, None),), 0.0)
 
     # -- irreducible representation extraction ---------------------------------
 
@@ -287,11 +247,13 @@ class TwistedAlgebra:
 
         One copy of the simple module is cut out of the block by the
         eigenspace of a random self-adjoint right multiplication, which
-        commutes with the left action, compressed onto ``point.basis``.
+        commutes with the left action, compressed onto ``point.basis``; a
+        simple algebra's block is the whole algebra in its standard basis
+        (``basis`` None), so there it is not compressed at all.
 
         The basis has exactly d^2 orthonormal columns, so the block needs no
-        rank check.  For a simple algebra they are the n = d^2 columns of the
-        identity.  Otherwise its c columns are the eigenvectors of one eigh
+        rank check.  For a simple algebra the standard basis has n = d^2
+        columns.  Otherwise its c columns are the eigenvectors of one eigh
         cluster, orthonormal up to a small multiple of n times the unit roundoff, so
         the trace ||V||_F^2 that ``wedderburn`` certified is c within 1e-9.
         Its square certificate |sqrt(tr) - d| <= TOL_ROUND = 1e-6 gives
@@ -336,14 +298,16 @@ class TwistedAlgebra:
         for _ in range(MAX_ATTEMPTS):
             raw = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
             R = self.right_regular(raw)
-            M = B.conj().T @ (R + R.conj().T) @ B
+            M = R + R.conj().T
+            if B is not None:
+                M = B.conj().T @ M @ B
             evals, evecs = np.linalg.eigh(M)
             clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
             chosen = next((idx for idx in clusters if len(idx) == d), None)
             if chosen is None:
                 last = "no eigencluster of the module dimension"
                 continue
-            Q = B @ evecs[:, chosen]
+            Q = evecs[:, chosen] if B is None else B @ evecs[:, chosen]
             rho = np.empty((self.n, d, d), dtype=np.complex128)
             for g, row in enumerate(self.group.table):
                 # rho[g] = Q^H u_g Q, and row gh of u_g Q is a(g, h) Q[h]
@@ -369,6 +333,114 @@ class TwistedAlgebra:
         return max(float(np.linalg.norm(rho[0] - np.eye(rho.shape[1]))), (2 * tree.height - 1) * eps_gen)
 
 
+def split_algebras(algebras, seed: int) -> list[WedderburnData | CertificationError]:
+    """The certified blocks of every algebra of ``algebras``, in order, each
+    as ``TwistedAlgebra.wedderburn(seed)`` gives it alone, or the
+    CertificationError that call raises.
+
+    A simple algebra takes its one block off the exact center.  Every other
+    algebra draws its central samples from its own
+    ``np.random.default_rng(seed)`` stream, exactly as it would alone, and
+    the samples of one order n go into one stacked ``np.linalg.eigh`` per
+    attempt, in stacks of at most SPLIT_BUDGET entries (a sample beyond it
+    alone is a stack of its own).  Each algebra is then certified by its own
+    checks in ``_Split.certify``, and one that fails redraws from its
+    stream on its next attempt, so a failure elsewhere in its stack never
+    moves its draws.  numpy's stacked eigh solves each matrix of a stack on
+    its own and returns the bits of a lone call (checked against lone splits
+    over the sweep's restrictions and the Theorem-D lattices), so the result
+    of each algebra does not depend on the others it was split with.
+    """
+    splits = [_Split(A, seed) for A in algebras]
+    for s in splits:
+        if s.k == 1:
+            try:
+                s.outcome = s.algebra._simple_block()
+            except CertificationError as exc:
+                s.outcome = exc
+    _stacked_eigensplits([s for s in splits if s.k > 1])
+    return [s.outcome for s in splits]
+
+
+def _stacked_eigensplits(splits) -> None:
+    """The numeric stage of ``split_algebras``: every split of ``splits``
+    gets its blocks, or its CertificationError, as its ``outcome``; the
+    stacking is described there."""
+    orders: dict[int, list[_Split]] = {}
+    for s in splits:
+        orders.setdefault(s.algebra.n, []).append(s)
+    for n, pending in orders.items():
+        per_stack = max(1, SPLIT_BUDGET // (n * n))
+        for _ in range(MAX_ATTEMPTS):
+            pending = [s for s in pending if s.outcome is None]
+            for start in range(0, len(pending), per_stack):
+                stack = pending[start:start + per_stack]
+                evals, evecs = np.linalg.eigh(np.stack([s.sample() for s in stack]))
+                for s, values, vectors in zip(stack, evals, evecs):
+                    s.certify(values, vectors)
+        for s in pending:
+            if s.outcome is None:
+                s.outcome = CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {s.last}")
+
+
+class _Split:
+    """One algebra of ``split_algebras``: the exact classes of
+    ``_twisted_classes`` with k, the center dimension, its own random
+    stream, the reason its last attempt failed, and its ``outcome``, the
+    certified blocks or the error, None while it is pending."""
+
+    def __init__(self, algebra: TwistedAlgebra, seed: int):
+        rep, kept, phases = algebra._twisted_classes()
+        reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
+        self.algebra, self.kept = algebra, kept
+        self.slot, self.phases = np.searchsorted(reps, rep[kept]), phases[kept]
+        self.k = len(reps)
+        self.rng = np.random.default_rng(seed)
+        self.last = "no attempt"
+        self.outcome: WedderburnData | CertificationError | None = None
+
+    def sample(self) -> np.ndarray:
+        """The next random self-adjoint central sample, as a left multiplication."""
+        # complex draws keep conjugate blocks apart after self-adjointing
+        coeffs = self.rng.standard_normal(self.k) + 1j * self.rng.standard_normal(self.k)
+        z = np.zeros(self.algebra.n, dtype=np.complex128)
+        z[self.kept] = coeffs[self.slot] * self.phases
+        Z = self.algebra.left_regular(z)
+        return Z + Z.conj().T
+
+    def certify(self, evals, evecs) -> None:
+        """Keep the blocks of the sample's eigensplit as ``outcome`` when
+        every check passes, else the failing check as ``last``."""
+        A = self.algebra
+        clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
+        if len(clusters) != self.k:
+            self.last = f"cluster count {len(clusters)} != center dimension {self.k}"
+            return
+        points = []
+        for ci, idx in enumerate(clusters):
+            V = evecs[:, idx]
+            tr = float(np.vdot(V, V).real)
+            d = np.sqrt(max(tr, 0.0))
+            di = int(round(d))
+            if di < 1 or abs(d - di) > TOL_ROUND:
+                self.last = f"block trace {tr:.12f} does not certify as a square"
+                return
+            points.append(IrrPoint(V @ V[0].conj(), di, ci, V))
+        if sum(p.dim * p.dim for p in points) != A.n:
+            self.last = "sum of squared dimensions misses the group order"
+            return
+        residual = 0.0
+        for p in points:
+            defect = A.left_regular(p.coeffs) @ p.coeffs - p.coeffs
+            residual = max(residual, float(np.max(np.abs(defect))))
+        if residual > TOL_IDEMPOTENT:
+            self.last = f"idempotent residual {residual:.2e} beyond tolerance"
+            return
+        points.sort(key=lambda p: (p.dim, p.index))
+        blocks = tuple(IrrPoint(p.coeffs, p.dim, rank, p.basis) for rank, p in enumerate(points))
+        self.outcome = WedderburnData(tuple(p.dim for p in blocks), blocks, residual)
+
+
 class BlockOracle:
     """Certified blocks and modules of twisted group algebras at one seed,
     keyed by their exact inputs: the group (which compares and hashes by its
@@ -382,6 +454,12 @@ class BlockOracle:
     certificate those calls carry, and a module keeps the projective-law
     bound it was certified with; a hit returns what was certified on an
     identical input, which the deterministic oracle would reproduce exactly.
+    ``wedderburn_all`` splits every miss of a list in one
+    ``split_algebras`` pass, one stacked eigh per order and attempt with
+    each algebra on its own random stream, so each kept result is the one
+    ``wedderburn`` would have split alone.  It keeps only certified results:
+    an algebra that fails in the pass is left unkept, and the next
+    ``wedderburn`` on it splits it alone and raises that split's error.
     Only oracle results are kept, never an exact solve, so an exact
     certificate checked against the oracle stays independent of it.  Results
     are shared between callers, so they are read-only: point coefficients,
@@ -407,6 +485,20 @@ class BlockOracle:
         if data is None:
             data = self._blocks[key] = TwistedAlgebra(cocycle.group, cocycle).wedderburn(seed=self.seed)
         return data
+
+    def wedderburn_all(self, cocycles) -> None:
+        """Split every algebra of ``cocycles`` not kept yet in one
+        ``split_algebras`` pass, and keep the certified ones; an algebra
+        that fails is left unkept, for ``wedderburn`` to split alone."""
+        misses = {}
+        for cocycle in cocycles:
+            key = self._key(cocycle)
+            if key not in self._blocks:
+                misses.setdefault(key, cocycle)
+        algebras = [TwistedAlgebra(c.group, c) for c in misses.values()]
+        for key, data in zip(misses, split_algebras(algebras, self.seed)):
+            if isinstance(data, WedderburnData):
+                self._blocks[key] = data
 
     def irreducible_rep(self, cocycle: CocycleTable, index: int) -> np.ndarray:
         """The certified module of block ``index`` of ``wedderburn(cocycle)``."""

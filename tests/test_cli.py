@@ -5,7 +5,7 @@ import pytest
 import gquot as gq
 from gquot.cli import main
 from gquot.groups import format_group_table, parse_group_table
-from gquot.twisted import TwistedAlgebra
+from gquot import twisted
 
 
 def run_cli(capsys, *args):
@@ -150,11 +150,11 @@ def test_twisted_wedderburn_has_no_tolerance_option(capsys):
 
 def test_twisted_wedderburn_certifies_every_accepted_residual(capsys, monkeypatch):
     # the oracle accepts an idempotent residual up to 1e-8; the CLI reads the same threshold
-    original = TwistedAlgebra.wedderburn
+    original = twisted.split_algebras
     monkeypatch.setattr(
-        TwistedAlgebra,
-        "wedderburn",
-        lambda self, seed=0: dataclasses.replace(original(self, seed=seed), residual=5e-9),
+        twisted,
+        "split_algebras",
+        lambda algebras, seed: [dataclasses.replace(data, residual=5e-9) for data in original(algebras, seed)],
     )
     code, out = run_cli(capsys, "twisted", "wedderburn", "--group", "S3")
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gquot as gq
 from gquot.catalog import GROUP_SPECS
-from gquot import lagrangians, smith
+from gquot import lagrangians, smith, twisted
 from gquot.cocycles import Bicharacter, CocycleTable, OneCochain, coboundary, standard_nondegenerate
 from gquot.errors import DomainError, SizeBoundError, TheoremCheckError
 from gquot import groups
@@ -100,15 +100,16 @@ def test_crossed_product_iff_lagrangian_splits_each_algebra_once(monkeypatch, or
     """The decomposition and the isotropy check share the context's block
     oracle, whether the context builds its own registry or takes the
     caller's: on nd_C4xC4 with the Klein Lagrangian, each distinct
-    (table, scale, exponents) is split exactly once."""
+    (table, scale, exponents) is split exactly once, counted per algebra at
+    the one entry every split goes through."""
     splits = []
-    original = TwistedAlgebra.wedderburn
+    original = twisted.split_algebras
 
-    def counted(self, seed=0):
-        splits.append((self.group.table.tobytes(), self.cocycle.scale, self.cocycle.exps.tobytes()))
-        return original(self, seed=seed)
+    def counted(algebras, seed):
+        splits.extend((A.group.table.tobytes(), A.cocycle.scale, A.cocycle.exps.tobytes()) for A in algebras)
+        return original(algebras, seed)
 
-    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    monkeypatch.setattr(twisted, "split_algebras", counted)
     a44 = standard_nondegenerate([4])
     L = gq.generated_subgroup(a44.group, [8, 2])
     assert crossed_product_iff_lagrangian(MackeyContext(a44, oracle=oracle), L)
@@ -151,9 +152,10 @@ def test_a_context_reads_its_group_off_the_cocycle():
 
 def test_maximal_elementary_quotients_rejects_a_foreign_context():
     """The one Lagrangian question that names its class apart from its
-    context checks the two against each other, the seed against the
-    context's oracle, and the class against A; a context whose oracle is
-    at the asked seed is accepted and gives what a fresh one gives."""
+    context checks the two against each other, a seed that is passed
+    against the context's oracle, and the class against A; a context whose
+    oracle is at the asked seed, or asked with no seed, is accepted and
+    gives what a fresh one at its oracle's seed gives."""
     a44 = standard_nondegenerate([4])
     G = a44.group
     context = MackeyContext(a44)
@@ -162,11 +164,18 @@ def test_maximal_elementary_quotients_rejects_a_foreign_context():
         maximal_elementary_quotients(G, a44, seed=1, context=context)  # another seed
     at_one = MackeyContext(a44, oracle=BlockOracle(1))
     with pytest.raises(DomainError, match=foreign):
-        maximal_elementary_quotients(G, a44, context=at_one)  # seed 0 on a seed-1 oracle
-    report = maximal_elementary_quotients(G, a44, seed=1, context=at_one)
+        maximal_elementary_quotients(G, a44, seed=0, context=at_one)  # seed 0 on a seed-1 oracle
     fresh = maximal_elementary_quotients(G, a44, seed=1)
-    assert [N.elements for N in report.maximal_normals] == [N.elements for N in fresh.maximal_normals]
-    assert report.decompositions.keys() == fresh.decompositions.keys()
+    unseeded = maximal_elementary_quotients(G, a44, context=MackeyContext(a44, oracle=BlockOracle(1)))
+    report = maximal_elementary_quotients(G, a44, seed=1, context=at_one)
+    def points(report):
+        return {key: [p.coeffs.tobytes() for p in dec.points] for key, dec in report.decompositions.items()}
+
+    for got in (unseeded, report):  # no seed: the given context's own seed
+        assert [N.elements for N in got.maximal_normals] == [N.elements for N in fresh.maximal_normals]
+        assert got.decompositions.keys() == fresh.decompositions.keys()
+        assert points(got) == points(fresh)
+    assert points(maximal_elementary_quotients(G, a44, context=context)) != points(fresh)  # seed 0 draws others
     inverse = CocycleTable(G, a44.scale, -a44.exps % a44.scale)  # another non-degenerate class
     with pytest.raises(DomainError, match=foreign):
         maximal_elementary_quotients(G, inverse, context=context)  # another cocycle

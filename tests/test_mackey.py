@@ -32,8 +32,9 @@ from gquot.mackey import (
     mackey_decompose,
 )
 import gquot.suite as suite
+import gquot.twisted as twisted
 from gquot.suite import sweep_cases
-from gquot.twisted import TOL_ROUND, BlockOracle, TwistedAlgebra
+from gquot.twisted import MAX_ATTEMPTS, TOL_ROUND, BlockOracle, TwistedAlgebra
 
 
 def test_trivial_kernel_recovers_the_class():
@@ -318,18 +319,48 @@ def test_context_refuses_a_subgroup_of_another_group():
 
 def test_theorem_d_certifies_the_ambient_oracle_once(monkeypatch):
     a = standard_nondegenerate([2, 4])
-    original = TwistedAlgebra.wedderburn
+    original = twisted.split_algebras
     ambient_calls = []
 
-    def counted(self, *args, **kwargs):
-        if self.cocycle == a:
-            ambient_calls.append(self.n)
-        return original(self, *args, **kwargs)
+    def counted(algebras, seed):
+        ambient_calls.extend(A.n for A in algebras if A.cocycle == a)
+        return original(algebras, seed)
 
-    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    monkeypatch.setattr(twisted, "split_algebras", counted)
     report = maximal_elementary_quotients(a.group, a, seed=0)
     assert len(report.decompositions) == len(gq.subgroups(a.group)) > 1
     assert ambient_calls == [64]
+
+
+def test_a_split_that_fails_in_a_scan_gives_its_n_the_lone_error(monkeypatch):
+    """One restriction of the nd_C4xC4 lattice never certifies (its sample
+    is zero on every attempt): the scan's one stacked split pass leaves it
+    unkept, every N on it gets the error it raises decomposed alone, and
+    every other N the decomposition a scan without the fault gives."""
+    a = standard_nondegenerate([4])
+    lattice = gq.subgroups(a.group)
+    restrictions = [a.restrict(N) for N in lattice]
+    bad = next(r for r in restrictions if 1 < TwistedAlgebra(r.group, r).center_dimension() < r.group.n)
+    clean = MackeyContext(a)
+    clean.decompose_all(lattice)
+    sample = twisted._Split.sample
+    monkeypatch.setattr(
+        twisted._Split, "sample", lambda self: sample(self) * (0 if self.algebra.cocycle == bad else 1)
+    )
+    context = MackeyContext(a)
+    context.decompose_all(lattice)
+    failing = {N.elements for N in lattice if a.restrict(N) == bad}
+    assert 0 < len(failing) < len(lattice)
+    for N in lattice:
+        if N.elements in failing:
+            with pytest.raises(CertificationError) as alone:
+                MackeyContext(a).decompose(N)
+            with pytest.raises(CertificationError) as kept:
+                context.decompose(N)
+            assert str(kept.value) == str(alone.value)
+            assert str(alone.value).startswith(f"block oracle failed after {MAX_ATTEMPTS} attempts: cluster count 1")
+        else:
+            assert_same_decomposition(context.decompose(N), clean.decompose(N))
 
 
 # -- reference: the per-element obstruction the table-driven one replaced -------
@@ -769,17 +800,17 @@ def test_the_oracle_seed_reaches_every_cache_miss(monkeypatch, name):
     seed passed to the context in the oracle's place is refused."""
     a = dict(OBSTRUCTION_CASES)[name]
     seeds = []
-    wedderburn, irreducible_rep = TwistedAlgebra.wedderburn, TwistedAlgebra.irreducible_rep
+    split_algebras, irreducible_rep = twisted.split_algebras, TwistedAlgebra.irreducible_rep
 
-    def split(self, seed=0):
-        seeds.append(("wedderburn", seed))
-        return wedderburn(self, seed=seed)
+    def split(algebras, seed):
+        seeds.extend(("wedderburn", seed) for _ in algebras)
+        return split_algebras(algebras, seed)
 
     def module(self, point, seed=0):
         seeds.append(("irreducible_rep", seed))
         return irreducible_rep(self, point, seed=seed)
 
-    monkeypatch.setattr(TwistedAlgebra, "wedderburn", split)
+    monkeypatch.setattr(twisted, "split_algebras", split)
     monkeypatch.setattr(TwistedAlgebra, "irreducible_rep", module)
     context = MackeyContext(a, oracle=BlockOracle(7))
     normals = gq.normal_subgroups(a.group)
@@ -925,8 +956,8 @@ def test_lifts_that_leave_n_fail_the_lift_check(monkeypatch):
     context, N = two_module_class()
     stage = MackeyContext._stage
 
-    def staged(self, N):
-        out = stage(self, N)
+    def staged(self, N, alpha_N):
+        out = stage(self, N, alpha_N)
         assert N.order == 2 and out.section[1] not in N.elements
         out.section = np.array([out.section[1], out.section[1]])
         return out
@@ -1169,9 +1200,9 @@ def recorded_stages_and_passes(monkeypatch):
     staged, groups = [], []
     stage, obstructions = MackeyContext._stage, MackeyContext._obstructions
 
-    def recorded_stage(self, N):
+    def recorded_stage(self, N, alpha_N):
         staged.append((self, N.elements))
-        return stage(self, N)
+        return stage(self, N, alpha_N)
 
     def recorded_obstructions(self, group, classes):
         groups.append(group)

@@ -490,8 +490,8 @@ def reference_u_matrix(A, g):
 
 def reference_irreducible_rep(A, point, seed):
     """The extraction with one dense u_g matrix per element, on the block
-    basis the point carries."""
-    d, B = point.dim, point.basis
+    basis the point carries, the identity for a simple algebra's block."""
+    d, B = point.dim, np.eye(A.n) if point.basis is None else point.basis
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         R = reference_right_regular(A, rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n))
@@ -567,13 +567,19 @@ def test_regular_representation_matches_reference(name):
 def test_block_basis_spans_the_block(name):
     """Each point's basis is orthonormal and spans the image of left
     multiplication by its idempotent: its projector is the SVD projector of
-    that matrix.  The algebras include the four of the certify workload
-    (S4xC2xC2, D8xC4xC2, and the non-degenerate classes on (C2xC8)^2 and
-    (C4xC4)^2)."""
+    that matrix.  A simple algebra's one block carries no basis, standing
+    for the standard basis of the whole algebra, which is what that
+    projector then is.  The algebras include the four of the certify
+    workload (S4xC2xC2, D8xC4xC2, and the non-degenerate classes on
+    (C2xC8)^2 and (C4xC4)^2)."""
     A = REGULAR_REP_ALGEBRAS[name]
     for p in A.wedderburn(seed=0).blocks:
-        B = p.basis
-        assert B.shape == (A.n, p.dim**2) and not B.flags.writeable
+        if p.basis is None:  # the whole algebra in its standard basis
+            assert p.dim**2 == A.n and A.center_dimension() == 1
+            B = np.eye(A.n)
+        else:
+            B = p.basis
+            assert B.shape == (A.n, p.dim**2) and not B.flags.writeable
         assert np.max(np.abs(B.conj().T @ B - np.eye(p.dim**2))) <= 1e-12
         U = np.linalg.svd(reference_left_regular(A, p.coeffs))[0][:, : p.dim**2]
         assert np.max(np.abs(B @ B.conj().T - U @ U.conj().T)) <= 1e-12
@@ -619,13 +625,13 @@ def test_block_oracle_splits_each_exact_input_once(monkeypatch):
     change is a miss, and an oracle at another seed splits the same input
     again, at its own seed, while the first still hits."""
     calls = []
-    original = TwistedAlgebra.wedderburn
+    original = twisted.split_algebras
 
-    def counted(self, seed=0):
-        calls.append((self.n, seed))
-        return original(self, seed=seed)
+    def counted(algebras, seed):
+        calls.extend((A.n, seed) for A in algebras)
+        return original(algebras, seed)
 
-    monkeypatch.setattr(TwistedAlgebra, "wedderburn", counted)
+    monkeypatch.setattr(twisted, "split_algebras", counted)
     oracle = BlockOracle()
     a = standard_nondegenerate([2])
     first = oracle.wedderburn(a)
@@ -748,19 +754,23 @@ SIMPLE_ALGEBRAS = dict(_simple_algebras())
 @pytest.mark.parametrize("name", list(SIMPLE_ALGEBRAS))
 def test_simple_block_matches_a_forced_eigensplit(name):
     """With center dimension one, ``wedderburn`` reads the block off exactly:
-    dims (sqrt n,), idempotent u_e, identity basis, residual 0.  The numeric
-    split it skips, forced on the same algebra, gives the same dims and an
-    idempotent within TOL_ROUND of u_e, and a module cut out of either block
-    passes the projective law."""
+    dims (sqrt n,), idempotent u_e, the standard basis (``basis`` None),
+    residual 0.  The numeric split it skips, forced on the same algebra
+    through the stacked stage of ``split_algebras`` at k = 1, gives the same
+    dims and an idempotent within TOL_ROUND of u_e, and a module cut out of
+    either block passes the projective law."""
     A = SIMPLE_ALGEBRAS[name]
     exact = A.wedderburn(seed=0)
-    forced = A._eigensplit(*A._twisted_classes(), 0)
+    split = twisted._Split(A, 0)
+    twisted._stacked_eigensplits([split])
+    forced = split.outcome
     d = int(round(A.n**0.5))
+    assert split.k == 1
     assert exact.dims == forced.dims == (d,) and exact.residual == 0.0
     (point,) = exact.blocks
     assert (point.dim, point.index) == (d, 0)
-    assert np.array_equal(point.coeffs, np.eye(A.n)[0]) and np.array_equal(point.basis, np.eye(A.n))
-    assert not point.coeffs.flags.writeable and not point.basis.flags.writeable
+    assert np.array_equal(point.coeffs, np.eye(A.n)[0]) and point.basis is None
+    assert not point.coeffs.flags.writeable
     assert np.max(np.abs(forced.blocks[0].coeffs - point.coeffs)) <= TOL_ROUND
     if A.n <= 64:
         for p in (point, forced.blocks[0]):
@@ -787,3 +797,140 @@ def test_a_simple_algebra_of_non_square_dimension_raises(monkeypatch):
     with pytest.raises(CertificationError) as raised:
         A.wedderburn(seed=0)
     assert str(raised.value) == "simple algebra of dimension 2 is not a square"
+
+
+@pytest.mark.parametrize("name", list(SIMPLE_ALGEBRAS))
+def test_a_simple_block_cuts_the_module_of_the_identity_basis(name):
+    """The simple block stores no n x n identity: the module it cuts out
+    uncompressed equals, by value, the one cut out through the identity
+    basis it stood for, on every catalog square, the order-256 algebras of
+    the certify workload and the sweep's non-degenerate obstructions."""
+    A = SIMPLE_ALGEBRAS[name]
+    (point,) = A.wedderburn(seed=0).blocks
+    dense = IrrPoint(point.coeffs, point.dim, point.index, np.eye(A.n, dtype=np.complex128))
+    assert np.array_equal(A.irreducible_rep(point, seed=0), A.irreducible_rep(dense, seed=0))
+
+
+# -- stacked splits: one eigh per order and attempt -----------------------------
+
+
+def reference_eigensplit(A, seed):
+    """The numeric split with one eigh per algebra and attempt, as it was
+    before the samples of one order were stacked."""
+    rep, kept, phases = A._twisted_classes()
+    reps = np.unique(rep[kept])
+    slot, phases = np.searchsorted(reps, rep[kept]), phases[kept]
+    k = len(reps)
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_ATTEMPTS):
+        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        z = np.zeros(A.n, dtype=np.complex128)
+        z[kept] = coeffs[slot] * phases
+        Z = A.left_regular(z)
+        evals, evecs = np.linalg.eigh(Z + Z.conj().T)
+        clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
+        if len(clusters) != k:
+            continue
+        points = []
+        for ci, idx in enumerate(clusters):
+            V = evecs[:, idx]
+            d = np.sqrt(max(float(np.vdot(V, V).real), 0.0))
+            if round(d) < 1 or abs(d - round(d)) > TOL_ROUND:
+                break
+            points.append(IrrPoint(V @ V[0].conj(), int(round(d)), ci, V))
+        else:
+            if sum(p.dim**2 for p in points) != A.n:
+                continue
+            residual = max(float(np.max(np.abs(A.left_regular(p.coeffs) @ p.coeffs - p.coeffs))) for p in points)
+            if residual > twisted.TOL_IDEMPOTENT:
+                continue
+            points.sort(key=lambda p: (p.dim, p.index))
+            blocks = tuple(IrrPoint(p.coeffs, p.dim, rank, p.basis) for rank, p in enumerate(points))
+            return twisted.WedderburnData(tuple(p.dim for p in points), blocks, residual)
+    raise CertificationError("reference split failed")
+
+
+def _lattice_algebras():
+    """One algebra per exact input among the restrictions of the sweep's
+    classes to their normal subgroups and of both theorem_d carriers'
+    classes, on C8xC8 and C2xC4xC2xC4, to every subgroup: orders 1 to 64."""
+    seen = {}
+    cases = [(a, gq.normal_subgroups(a.group)) for _, _, _, a in sweep_cases()]
+    cases += [(a, gq.subgroups(a.group)) for a in map(standard_nondegenerate, ([8], [2, 4]))]
+    for a, normals in cases:
+        for N in normals:
+            r = a.restrict(N)
+            seen.setdefault((r.group.table.tobytes(), r.scale, r.exps.tobytes()), r)
+    return [TwistedAlgebra(r.group, r) for r in seen.values()]
+
+
+LATTICE_ALGEBRAS = _lattice_algebras()
+
+
+def assert_same_split(got, want):
+    """Equal dims and residual, and every point equal bit for bit."""
+    assert isinstance(got, twisted.WedderburnData) and got.dims == want.dims and got.residual == want.residual
+    assert len(got.blocks) == len(want.blocks)
+    for p, q in zip(got.blocks, want.blocks):
+        assert (p.index, p.dim, p.coeffs.tobytes()) == (q.index, q.dim, q.coeffs.tobytes())
+        assert (p.basis is None and q.basis is None) or p.basis.tobytes() == q.basis.tobytes()
+
+
+@pytest.mark.parametrize("budget", [twisted.SPLIT_BUDGET, 700])
+def test_a_stacked_split_equals_each_algebra_split_alone(monkeypatch, budget):
+    """One ``split_algebras`` pass over the lattice algebras, in stacks of
+    the module budget and of one that cuts every order above 8 into stacks
+    of two or of one, equals each algebra split alone, and each numeric
+    split equals the one-eigh-per-algebra reference, bit for bit."""
+    algebras = LATTICE_ALGEBRAS
+    numeric = [A for A in algebras if A.center_dimension() > 1]
+    orders = {}
+    for A in numeric:
+        orders[A.n] = orders.get(A.n, 0) + 1
+    assert len(orders) >= 5 and any(count > max(1, budget // (n * n)) for n, count in orders.items())
+    stacks, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(twisted, "SPLIT_BUDGET", budget)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or eigh(a))
+    outcomes = twisted.split_algebras(algebras, 1)
+    monkeypatch.undo()
+    assert len(stacks) < len(numeric) and max(stacks) > 1  # the samples were stacked
+    for A, got in zip(algebras, outcomes):
+        assert_same_split(got, A.wedderburn(seed=1))
+        if A.center_dimension() > 1:
+            assert_same_split(got, reference_eigensplit(A, 1))
+
+
+def never_certifies(monkeypatch, bad):
+    """Fault injection: the algebra on the cocycle ``bad`` draws the zero
+    sample on every attempt, whose one eigencluster misses its center
+    dimension; every other algebra draws as before."""
+    sample = twisted._Split.sample
+    monkeypatch.setattr(
+        twisted._Split, "sample", lambda self: sample(self) * (0 if self.algebra.cocycle == bad else 1)
+    )
+
+
+def test_an_algebra_that_never_certifies_leaves_its_stack_alone(monkeypatch):
+    """One algebra of a stack fails every attempt: the others equal their
+    lone splits, the failing one gets the error it raises alone, the oracle
+    keeps all but it, and its next ``wedderburn`` raises that error."""
+    algebras = [A for A in LATTICE_ALGEBRAS if A.n == 16]
+    bad = next(A for A in algebras if A.center_dimension() > 2)
+    alone = {id(A): A.wedderburn(seed=0) for A in algebras if A is not bad}
+    never_certifies(monkeypatch, bad.cocycle)
+    with pytest.raises(CertificationError) as lone:
+        bad.wedderburn(seed=0)
+    message = f"block oracle failed after {MAX_ATTEMPTS} attempts: cluster count 1 != center dimension "
+    assert str(lone.value) == message + str(bad.center_dimension())
+    outcomes = twisted.split_algebras(algebras, 0)
+    for A, got in zip(algebras, outcomes):
+        if A is bad:
+            assert isinstance(got, CertificationError) and str(got) == str(lone.value)
+        else:
+            assert_same_split(got, alone[id(A)])
+    oracle = BlockOracle(0)
+    oracle.wedderburn_all([A.cocycle for A in algebras])
+    assert len(oracle._blocks) == len(algebras) - 1 and oracle._key(bad.cocycle) not in oracle._blocks
+    with pytest.raises(CertificationError) as kept:
+        oracle.wedderburn(bad.cocycle)
+    assert str(kept.value) == str(lone.value) and oracle._key(bad.cocycle) not in oracle._blocks
