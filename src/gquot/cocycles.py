@@ -60,10 +60,7 @@ class CocycleTable:
         exps, m, mul = self.exps, self.scale, self.group.table
         if exps[0].any() or exps[:, 0].any():
             raise ValidationError("cocycle is not normalized at the identity")
-        for s in generating_sequence(self.group):
-            if ((exps + exps[mul, s] - exps[:, s] - exps[:, mul[:, s]]) % m).any():
-                break
-        else:
+        if cocycles_hold(self.group, m, exps):
             return
         # one (h, k) slab per g keeps the scan at O(n^2) memory
         for g in range(self.group.n):
@@ -124,6 +121,21 @@ class CocycleTable:
 
     def __repr__(self):
         return f"CocycleTable(order {self.group.n}, scale {self.scale})"
+
+
+def cocycles_hold(group: FiniteGroup, scale: int, exps: np.ndarray) -> bool:
+    """Whether every exponent table of ``exps``, one (n, n) table or a stack
+    (..., n, n) of them, is normalized and satisfies the 2-cocycle identity
+    mod ``scale`` on the generator columns, in one array pass per generator:
+    by ``CocycleTable._validate``, exactly when every table is a normalized
+    2-cocycle."""
+    mul = group.table
+    if exps[..., 0, :].any() or exps[..., :, 0].any():
+        return False
+    return not any(
+        ((exps + exps[..., mul, s] - exps[..., None, :, s] - exps[..., :, mul[:, s]]) % scale).any()
+        for s in generating_sequence(group)
+    )
 
 
 def reconcile_scales(a: CocycleTable, b: CocycleTable) -> tuple[CocycleTable, CocycleTable]:

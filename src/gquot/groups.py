@@ -675,26 +675,60 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """The quotient group G/N plus the projection homomorphism.
+    """The quotient group G/N plus the projection homomorphism: ``quotients``
+    on N alone, its NormalityError raised."""
+    (out,) = quotients(G, [N])
+    if isinstance(out, NormalityError):
+        raise out
+    return out
 
-    The projection p(g) = ``block_of[g]`` is multiplicative by construction,
-    so its ``GroupHom`` skips the generator-column check.  Coset i of the
-    table is r_i N with r_i its representative, and the table's entry
-    (i, j) is the coset of r_i r_j.  For g in r_i N and h in r_j N, normality
-    gives g h in r_i N r_j N = r_i r_j N, so p(g h) is entry (p(g), p(h)):
-    p(g h) = p(g) p(h).  And p(e) = 0, the identity coset's representative
-    being e, the least element.
+
+def quotients(G: FiniteGroup, subgroups) -> list[tuple[FiniteGroup, GroupHom] | NormalityError]:
+    """For each N of ``subgroups``, all of one order, the quotient group G/N
+    plus the projection homomorphism, or the NormalityError naming the first
+    pair (g, h), g-major, with g h g^-1 outside N; one array pass serves the
+    whole list.
+
+    Row b of ``table[table[:, E], inverse_table]``, E the element rows of the
+    list, holds the conjugates of N_b (none on an abelian G, where each is
+    h).  The left cosets of N_b are the rows of ``table[:, E_b]``, each
+    numbered by its minimum, its representative, in increasing order, as in
+    ``coset_space``, so the identity coset comes first.  The projection
+    p(g) = ``block_of[g]`` is multiplicative by construction, so its
+    ``GroupHom`` skips the generator-column check.  Coset i of the table is r_i N with r_i its
+    representative, and the table's entry (i, j) is the coset of r_i r_j.
+    For g in r_i N and h in r_j N, normality gives g h in r_i N r_j N =
+    r_i r_j N, so p(g h) is entry (p(g), p(h)): p(g h) = p(g) p(h).  And
+    p(e) = 0, the identity coset's representative being e, the least
+    element.
     """
-    bad = N.violating_conjugation()
-    if bad is not None:
-        g, h = bad
-        raise NormalityError(f"N is not normal: conjugating {h} by {g} leaves N")
-    cs = coset_space(G, N)
-    reps = np.array(cs.representatives)
-    table = np.asarray(cs.block_of)[G.table[reps[:, None], reps]]
-    labels = [G.label(r) + "N" for r in cs.representatives]
-    Q = FiniteGroup(table, labels=labels, name=(G.name or "G") + "/N", _trusted=True)
-    return Q, _proved(GroupHom, source=G, target=Q, images=cs.block_of)
+    subgroups = list(subgroups)
+    if not subgroups:
+        return []
+    E = np.array([N.elements for N in subgroups], dtype=np.int64)
+    out: list = [None] * len(E)
+    if not G.is_abelian:
+        inside = np.zeros((len(E), G.n), dtype=bool)
+        inside[np.arange(len(E))[:, None], E] = True
+        conj = G.table[G.table[:, E], G.inverse_table[:, None, None]]  # conj[g, b, i] = g h g^-1, h = E[b, i]
+        bad = ~inside[np.arange(len(E))[:, None, None], conj.transpose(1, 0, 2)]  # [b, g, i]
+        for b in np.flatnonzero(bad.any(axis=(1, 2))):
+            g, i = np.unravel_index(np.argmax(bad[b]), bad[b].shape)
+            out[b] = NormalityError(f"N is not normal: conjugating {E[b, i]} by {g} leaves N")
+    normal = [b for b, o in enumerate(out) if o is None]
+    if not normal:
+        return out
+    rep_of = G.table[:, E[normal]].min(axis=2).T  # [b, g]: the least element of g N_b
+    is_rep = rep_of == np.arange(G.n)
+    block_of = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, rep_of, axis=1)
+    reps = np.nonzero(is_rep)[1].reshape(len(normal), -1)
+    products = G.table[reps[:, :, None], reps[:, None, :]].reshape(len(normal), -1)
+    tables = np.take_along_axis(block_of, products, axis=1).reshape(len(normal), reps.shape[1], -1)
+    name = (G.name or "G") + "/N"
+    for b, table, r, images in zip(normal, tables, reps.tolist(), block_of.tolist()):
+        Q = FiniteGroup(table, labels=[G.label(x) + "N" for x in r], name=name, _trusted=True)
+        out[b] = Q, _proved(GroupHom, source=G, target=Q, images=tuple(images))
+    return out
 
 
 # -- abelian invariants ----------------------------------------------------
@@ -1022,9 +1056,14 @@ def parse_row(line: str, lineno: int, entry: str) -> list[int]:
 
 def parse_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
     """The subgroup of G listed by ``spec``, element indices separated by
-    commas or blanks.  A token that is not an integer token
-    (``is_integer_token``) raises ValidationError; Subgroup refuses an index
+    commas or blanks.  A comma-separated field with no token, between two
+    commas or at either end, and a token that is not an integer token
+    (``is_integer_token``) raise ValidationError; Subgroup refuses an index
     out of range."""
+    fields = spec.split(",")
+    empty = next((i for i, f in enumerate(fields) if not f.strip()), None) if len(fields) > 1 else None
+    if empty is not None:
+        raise ValidationError(f"subgroup element field {empty + 1} of {spec!r} is empty")
     tokens = spec.replace(",", " ").split()
     for tok in tokens:
         if not is_integer_token(tok):

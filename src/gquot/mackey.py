@@ -25,15 +25,14 @@ among all its contexts and their isotropy checks for one run, so an algebra
 that several kernels, orbits or checks meet is split once, with the
 certificates of its first split.
 
-Each step reads a table built once.  ``quotient`` tests normality; the
-image list of its projection labels the coset block of every element, and
+Each step reads a table built once.  ``quotients`` tests normality; the
+image list of each projection labels the coset block of every element, and
 the first element of each block gives the minimal-index section Q -> G.  One
 algebra C^alpha N gives the points and the module.  Matching the conjugated
-points, read off the context's conjugation tables and matched in one batch,
-gives the action table perms[q, i] of all of Q, so the orbit of point i is
-column i (the columns must partition the points), the inertia group is where
-it is fixed, and the first q reaching each orbit point forms the
-transversal.
+points, read off the context's conjugation tables, gives the action table
+perms[q, i] of all of Q, so the orbit of point i is column i (the columns
+must partition the points), the inertia group is where it is fixed, and the
+first q reaching each orbit point forms the transversal.
 
 The obstruction is computed, not postulated: an irreducible module rho of the
 base algebra is realized explicitly, and for every inertia element g at once
@@ -62,21 +61,30 @@ so such an orbit builds no module.
 Only the module and the lifts depend on the orbit; the Cayley tree depends
 on the inertia group's table alone.  So a scan is staged: ``decompose_all``
 first splits the algebras C^alpha N of every kernel N of the scan in one
-stacked oracle pass (``BlockOracle.wedderburn_all``), then computes, for
-every N, the quotient, the points, the orbits and their classes (the orbits
-with the same inertia group and module dimension), with one Subgroup per
-inertia group; a class with trivial inertia takes the trivial tables.  It then computes the other obstructions
-in one pass per batch of classes, across all the kernels, that share the
-inertia group's table, the module dimension d and |N|: the modules stacked
-along a leading axis through the intertwiners, the composition scalars and
-the gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class
-and stacked along the same axis.  A batch stops before its |I| |N| d^2
-entries per module pass OBSTRUCTION_BUDGET, so a scan holds no larger arrays
-than a few small classes do.  Each module keeps its own certificates with
-the thresholds above, and each check reports its first failing module.  A
-batch that raises is passed again right away one class at a time, so every N
-gets exactly the decomposition, or the error, it gets alone, and the context
-keeps it for ``decompose(N)``.
+stacked oracle pass (``BlockOracle.wedderburn_all``) and reads each N's
+points, then stages the kernels of one shape, |N| and the point count P,
+together, in scan order, in stacks that stop before their |G| P^2 match
+entries per kernel pass MATCH_BUDGET (a kernel beyond it alone is a stack of
+its own).  A stack takes its quotients in one ``quotients`` call and matches
+the conjugated points of all its normal kernels in one
+``match_idempotents`` call; each kernel keeps its own normality error or
+match error, and each N's orbits and their classes (the orbits with the same
+inertia group and module dimension) are then computed for that N, with one
+Subgroup per inertia group; a class with trivial inertia takes the trivial
+tables.  The scan then computes the other obstructions in one pass per batch
+of classes, across all the kernels, that share the inertia group's table,
+the module dimension d and |N|: the modules of a pass extracted in one
+oracle call (``BlockOracle.irreducible_rep_all``) and stacked along a
+leading axis through the intertwiners, the composition scalars and the
+gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class and
+stacked along the same axis, and the gauged tables validated as one stack.
+A batch stops before its |I| |N| d^2 entries per module pass
+OBSTRUCTION_BUDGET, so a scan holds no larger arrays than a few small
+classes do.  Each module keeps its own certificates with the thresholds
+above, and each check reports its first failing module.  A batch that raises
+is passed again right away one class at a time, so every N gets exactly the
+decomposition, or the error, it gets alone, and the context keeps it for
+``decompose(N)``.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -91,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CocycleTable
+from .cocycles import CocycleTable, cocycles_hold
 from .errors import CertificationError, DomainError, GquotError, TheoremCheckError
 from .gradings import (
     Character,
@@ -100,11 +108,12 @@ from .gradings import (
     descriptor_dims,
     is_elementary_crossed_product,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotient
-from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotent
+from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotients
+from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotents
 
 TOL_SCALAR = 1e-7
 OBSTRUCTION_BUDGET = 1 << 13  # rho_g entries, |I| |N| d^2 per module, one stacked obstruction pass may hold
+MATCH_BUDGET = 1 << 14  # match entries, |G:N| P^2 |N| per kernel of P points, one staged stack may compare
 
 
 @dataclass(frozen=True)
@@ -209,14 +218,17 @@ class MackeyContext:
 
         alpha is restricted once to every such N, and the oracle splits all
         the restrictions it has not kept in one ``BlockOracle.wedderburn_all``
-        pass, so staging an N reads its points as a hit.  A restriction whose
-        split fails is left unkept, and its N's stage splits it alone and
-        keeps the error that split raises.  Every such N is staged, the
-        obstruction passes run across all of them
-        (``_stacked_obstructions``), and each N is then finished.  An N that
-        fails keeps the error it raises when decomposed alone, so it is
-        staged once per context.  A subgroup of another group raises
-        DomainError before any work.
+        pass, so reading an N's points is a hit.  A restriction whose split
+        fails is left unkept; reading its points splits it alone, and its N
+        keeps the error of that split, or the NormalityError of its quotient,
+        which comes first.  The other kernels are staged in stacks of one
+        shape, |N| and the point count P, in scan order, each stack within
+        MATCH_BUDGET entries of its match array, |G| P^2 per kernel
+        (``_stage_stack``).  The obstruction passes then run across all
+        the stages, in scan order (``_stacked_obstructions``), and each N is
+        finished.  An N that fails keeps the error it raises when decomposed
+        alone, so it is staged once per context.  A subgroup of another group
+        raises DomainError before any work.
         """
         subgroups = list(subgroups)
         if any(N.group != self.group for N in subgroups):
@@ -227,12 +239,26 @@ class MackeyContext:
                 todo.setdefault(N.elements, N)
         restrictions = {key: self.cocycle.restrict(N) for key, N in todo.items()}
         self.oracle.wedderburn_all(restrictions.values())
-        stages = {}
+        shapes: dict[tuple[int, int], list] = {}
         for key, N in todo.items():
             try:
-                stages[key] = self._stage(N, restrictions[key])
+                points = self.oracle.wedderburn(restrictions[key]).blocks  # for N = G, the blocks of alpha
             except GquotError as exc:
-                self._outcomes[key] = exc
+                (normality,) = quotients(self.group, [N])
+                self._outcomes[key] = normality if isinstance(normality, GquotError) else exc
+                continue
+            shapes.setdefault((N.order, len(points)), []).append((N, points))
+        staged = {}
+        for (_, count), kernels in shapes.items():
+            per_stack = max(1, MATCH_BUDGET // (self.group.n * count * count))
+            for start in range(0, len(kernels), per_stack):
+                stack = kernels[start:start + per_stack]
+                for (N, _), outcome in zip(stack, self._stage_stack(stack)):
+                    if isinstance(outcome, GquotError):
+                        self._outcomes[N.elements] = outcome
+                    else:
+                        staged[N.elements] = outcome
+        stages = {key: staged[key] for key in todo if key in staged}  # scan order, as the passes batch it
         self._stacked_obstructions(stages.values())
         for key, stage in stages.items():
             try:
@@ -240,40 +266,57 @@ class MackeyContext:
             except GquotError as exc:
                 self._outcomes[key] = exc
 
-    def _stage(self, N: Subgroup, alpha_N: CocycleTable) -> _Stage:
-        """Quotient, points, orbits and classes of one N, alpha_N the
-        restriction of alpha to it: everything before its obstructions."""
-        G = self.group
-        Q, proj = quotient(G, N)
-        section = np.asarray(_first_occurrences(proj.images))  # minimal-index lift Q -> G, identity first
+    def _stage_stack(self, kernels) -> list:
+        """The stage of every (N, points) of ``kernels``, all of one |N| and
+        point count, or the error its staging raises: the quotients in one
+        ``quotients`` call, the point actions of the normal kernels in one
+        match (``_point_actions``), and then each N's orbits and classes
+        (``_classify``).  The section of a quotient, the least element of
+        each coset in coset order, is read off its projection's images
+        sorted stably, at every |N|-th place."""
+        outcomes = quotients(self.group, [N for N, _ in kernels])
+        normal = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, GquotError)]
+        if not normal:
+            return outcomes
+        images = np.array([outcomes[i][1].images for i in normal])
+        sections = np.argsort(images, axis=1, kind="stable")[:, :: kernels[0][0].order]
+        actions = self._point_actions([(*kernels[i], section) for i, section in zip(normal, sections)])
+        for i, section, perms in zip(normal, sections, actions):
+            if isinstance(perms, GquotError):
+                outcomes[i] = perms
+                continue
+            try:
+                outcomes[i] = _classify(*kernels[i], *outcomes[i], section, perms)
+            except GquotError as exc:
+                outcomes[i] = exc
+        return outcomes
 
-        points = self.oracle.wedderburn(alpha_N).blocks  # for N = G alpha_N is alpha, whose blocks are self.blocks
+    def _point_actions(self, kernels) -> list:
+        """perms[q, i], the point that conjugation by section[q] sends point
+        i to, for every (N, points, section) of ``kernels``, all of one |N|
+        and point count, or the CertificationError of its match.
 
-        perms = self._conjugation_permutations(N, points, section)
-        orbit_of = [frozenset(col) for col in perms.T.tolist()]
-        if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
-            raise TheoremCheckError("point orbits do not partition the points")
-
-        classes: dict[tuple, list] = {}  # (inertia elements, d) -> its orbits, in orbit order
-        for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
-            rep = orbit[0]
-            d = points[rep].dim
-            if any(points[i].dim != d for i in orbit):
-                raise TheoremCheckError("orbit members disagree on module dimension")
-            images = perms[:, rep]
-            inertia = tuple(np.flatnonzero(images == rep).tolist())
-            transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
-            if len(transversal) * len(inertia) != Q.n:
-                raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
-            if len(set(Q.table[np.array(transversal)[:, None], inertia].ravel().tolist())) != Q.n:
-                raise TheoremCheckError("transversal cosets do not cover the quotient")
-            # the summand dimension |G|^2 d^2 / (|N|^2 |I|) is |Q| |T| d^2, an integer:
-            # |G| = |N| |Q| (the cosets of N partition G) and |Q| = |T| |I| (checked above)
-            classes.setdefault((inertia, d), []).append((orbit, transversal, Q.n * len(transversal) * d * d))
-        inertia = {I: Subgroup(Q, I) for I, _ in classes}  # one Subgroup per inertia group
-        omegas = {(I, d): [CocycleTable.trivial(inertia[I].as_group())] * len(members)  # a trivial I needs no pass
-                  for (I, d), members in classes.items() if len(I) == 1}
-        return _Stage(N, Q, proj, section, points, classes, inertia, omegas)
+        u_g iota u_g^-1 moves the coefficient of iota at n to g n g^-1, times
+        kappa(g, n); N is normal (``quotients`` checked it), so every target
+        lies in N.  The |Q| P conjugated points of every kernel are matched
+        in one ``match_idempotents`` call, which compares |Q| P^2 |N| =
+        |G| P^2 entries per kernel, |G| P at a time; ``decompose_all`` keeps
+        a stack within MATCH_BUDGET of them, or at one kernel.
+        """
+        N_elems = np.array([N.elements for N, _, _ in kernels])  # (B, |N|)
+        coeffs = np.array([[p.coeffs for p in points] for _, points, _ in kernels])  # (B, P, |N|)
+        lifts = np.array([section for _, _, section in kernels])  # (B, |Q|)
+        (B, n), q, P = N_elems.shape, lifts.shape[1], coeffs.shape[1]
+        positions = np.full((B, self.group.n), -1)
+        positions[np.arange(B)[:, None], N_elems] = np.arange(n)
+        g, h, b = lifts[:, :, None], N_elems[:, None], np.arange(B)[:, None, None]
+        targets = positions[b, self.conj[g, h]]  # (B, |Q|, |N|)
+        raw = np.empty((B, q, P, n), dtype=np.complex128)
+        raw[b[..., None], np.arange(q)[:, None, None], np.arange(P)[:, None], targets[:, :, None]] = (
+            coeffs[:, None] * self.kappa[g, h][:, :, None]
+        )
+        matched = match_idempotents(raw.reshape(B, q * P, n), coeffs)
+        return [m if isinstance(m, GquotError) else m.reshape(q, P) for m in matched]
 
     def _stacked_obstructions(self, stages) -> None:
         """One obstruction pass per batch of classes, across all ``stages``,
@@ -369,27 +412,6 @@ class MackeyContext:
         _check_decomposition(dec)
         return dec
 
-    def _conjugation_permutations(self, N, points, section):
-        """perms[q, i]: the point that conjugation by section[q] sends point i to.
-
-        u_g iota u_g^-1 moves the coefficient of iota at n to g n g^-1, times
-        kappa(g, n); N is normal (``quotient`` checked it), so every target
-        lies in N.  All |Q| P conjugated points are matched in one call; its
-        temporary holds |Q| P^2 |N| <= |G| |N|^2 entries, no more than one
-        match at N = G reaches on its own (|G|^3 for an abelian G with the
-        trivial class).
-        """
-        N_elems = np.asarray(N.elements)
-        stacked = np.array([p.coeffs for p in points])
-        targets = _positions(self.group, N)[self.conj[section[:, None], N_elems]]
-        phases = self.kappa[section[:, None], N_elems]
-        raw = np.empty((len(section), *stacked.shape), dtype=np.complex128)
-        raw[np.arange(len(section))[:, None, None], np.arange(len(points))[:, None], targets[:, None]] = (
-            stacked * phases[:, None]
-        )
-        matched = match_idempotent(raw.reshape(-1, len(N_elems)), points)
-        return np.array([p.index for p in matched]).reshape(len(section), len(points))
-
     def _obstructions(self, group: FiniteGroup, classes):
         """The obstruction cocycles on the non-trivial inertia group ``group`` of
         every module of ``classes``, in one pass, in class and module order.
@@ -411,6 +433,7 @@ class MackeyContext:
         G, k = self.group, group.n
         alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
         modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]
+        self.oracle.irreducible_rep_all(modules)
         rho = np.stack([self.oracle.irreducible_rep(a, i) for a, i in modules])
         rho_g = np.empty((len(rho), k, *rho.shape[1:]), dtype=np.complex128)
         n = np.empty((len(rho), k, k), dtype=np.int64)
@@ -438,6 +461,37 @@ class MackeyContext:
         cosets = G.n // classes[0][0].normal.order
         omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
         return _exact_cocycle(group, omega)
+
+
+def _classify(N, points, Q, proj, section, perms) -> _Stage:
+    """The stage of one N from its quotient Q, projection and section, its
+    points and their action table perms[q, i]: the orbit of point i is
+    column i (the columns must partition the points), the inertia group is
+    where it is fixed, and the first q reaching each orbit point forms the
+    transversal."""
+    orbit_of = [frozenset(col) for col in perms.T.tolist()]
+    if any(i not in o or any(orbit_of[j] != o for j in o) for i, o in enumerate(orbit_of)):
+        raise TheoremCheckError("point orbits do not partition the points")
+    classes: dict[tuple, list] = {}  # (inertia elements, d) -> its orbits, in orbit order
+    for orbit in sorted({tuple(sorted(o)) for o in orbit_of}):
+        rep = orbit[0]
+        d = points[rep].dim
+        if any(points[i].dim != d for i in orbit):
+            raise TheoremCheckError("orbit members disagree on module dimension")
+        images = perms[:, rep]
+        inertia = tuple(np.flatnonzero(images == rep).tolist())
+        transversal = _first_occurrences(images.tolist())  # one minimal q per coset q * inertia
+        if len(transversal) * len(inertia) != Q.n:
+            raise TheoremCheckError("orbit-stabilizer bookkeeping failed")
+        if len(set(Q.table[np.array(transversal)[:, None], inertia].ravel().tolist())) != Q.n:
+            raise TheoremCheckError("transversal cosets do not cover the quotient")
+        # the summand dimension |G|^2 d^2 / (|N|^2 |I|) is |Q| |T| d^2, an integer:
+        # |G| = |N| |Q| (the cosets of N partition G) and |Q| = |T| |I| (checked above)
+        classes.setdefault((inertia, d), []).append((orbit, transversal, Q.n * len(transversal) * d * d))
+    inertia = {I: Subgroup(Q, I) for I, _ in classes}  # one Subgroup per inertia group
+    omegas = {(I, d): [CocycleTable.trivial(inertia[I].as_group())] * len(members)  # a trivial I needs no pass
+              for (I, d), members in classes.items() if len(I) == 1}
+    return _Stage(N, Q, proj, section, points, classes, inertia, omegas)
 
 
 def _composition_scalars(group, P, rho, n, c, cosets, delta):
@@ -572,7 +626,10 @@ def _exact_cocycle(group: FiniteGroup, omega: np.ndarray) -> list[CocycleTable]:
     the cohomologous table omega(a, b) c(ab) / (c(a) c(b)) has k-th roots of
     unity as values (Karpilovsky, *Projective Representations of Finite
     Groups*, 1985).  Each value is snapped to the nearest one, which must lie
-    within TOL_SCALAR, and each exponent table is validated as a 2-cocycle.
+    within TOL_SCALAR.  The exponent tables are validated as 2-cocycles in
+    one stack (``cocycles_hold``) and built trusted; only a stack that fails
+    is validated table by table, so the first failing table raises with its
+    own triple.
     """
     k = group.n
     c = np.exp(1j * np.angle(omega.prod(axis=-1)) / k)
@@ -582,7 +639,8 @@ def _exact_cocycle(group: FiniteGroup, omega: np.ndarray) -> list[CocycleTable]:
     bad = np.flatnonzero(residual > TOL_SCALAR)
     if bad.size:
         raise CertificationError(f"obstruction is {residual[bad[0]]:.2e} away from the |I|-th roots of unity")
-    return [CocycleTable(group, k, e) for e in exps]
+    trusted = cocycles_hold(group, k, exps)
+    return [CocycleTable(group, k, e, _trusted=trusted) for e in exps]
 
 
 def _intertwiners(rho, rho_g):

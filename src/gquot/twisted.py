@@ -45,16 +45,22 @@ orthonormal eigenvectors that span it as ``IrrPoint.basis``: its idempotent
 and trace are read from them without an n x n projector, and its module is
 cut out of them without a second factorization of the block.  The trace
 certificate gives the basis exactly d^2 columns, so no rank check is needed
-(``irreducible_rep``).  A module is certified by the twisted product law on
+(``irreducible_rep``).  Every module goes through ``extract_modules``, which
+takes a list of (algebra, point) at one seed in the same way: each module
+draws from its own random stream, the d^2 x d^2 samples of one shape share
+one stacked eigh per attempt, rho is built by batched products over chunks
+of at most MODULE_BUDGET gathered entries, and each module passes its own
+certificates.  A module is certified by the twisted product law on
 generator columns: the defect of rho(x) rho(s) against a(x, s) rho(xs) for
 every x and every generator s, scaled by the depth of the Cayley
 breadth-first tree, bounds the defect of every pair (the derivation is in
-``irreducible_rep``).
+``irreducible_rep``); the bound comes back with the module.
 
 A :class:`BlockOracle` holds the certified blocks and modules of every
 algebra a computation asks about, keyed by the algebra's exact inputs, so an
 identical algebra is split once per registry; ``wedderburn_all`` splits a
-whole list of misses in one stacked pass.  The caller creates it and
+whole list of misses in one stacked pass, and ``irreducible_rep_all``
+extracts a list of missing modules in one ``extract_modules`` call.  The caller creates it and
 passes it along.  ``is_nondegenerate`` never asks it: the exact center
 dimension decides simplicity.  NUMERIC_BOUND caps the order of every algebra
 here.
@@ -76,7 +82,8 @@ TOL_CLUSTER = 1e-9      # eigenvalue clustering
 TOL_ROUND = 1e-6        # integer certification guard
 TOL_IDEMPOTENT = 1e-8   # idempotent residual a certified block may carry
 MAX_ATTEMPTS = 8
-SPLIT_BUDGET = 1 << 14  # sample entries, n^2 per algebra, one stacked eigh of ``split_algebras`` may hold
+SPLIT_BUDGET = 1 << 14  # sample entries, m^2 per m x m sample, one stacked eigh of a split or extraction may hold
+MODULE_BUDGET = 1 << 14  # entries of the gather Q[t[g]], n d per element g, one chunk of a module's rho build holds
 NUMERIC_BOUND = ORDER_BOUND  # largest order for the twisted algebra and its block oracle
 
 
@@ -141,7 +148,6 @@ class TwistedAlgebra:
         self.group = group
         self.n = group.n
         self.cocycle = cocycle
-        self.last_rep_defect: float | None = None  # the bound the last extracted module passed
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -243,7 +249,8 @@ class TwistedAlgebra:
     # -- irreducible representation extraction ---------------------------------
 
     def irreducible_rep(self, point: IrrPoint, seed: int = 0) -> np.ndarray:
-        """Unitary matrices rho[g] with rho[g] rho[h] = a(g,h) rho[gh].
+        """Unitary matrices rho[g] with rho[g] rho[h] = a(g,h) rho[gh]:
+        ``extract_modules`` on this block alone, its error raised.
 
         One copy of the simple module is cut out of the block by the
         eigenspace of a random self-adjoint right multiplication, which
@@ -287,39 +294,24 @@ class TwistedAlgebra:
         e(l) <= (1 + eta) e(l - 1) + (2 + eta) eps_gen, and the bound grows to
         (2L - 1) eps_gen (1 + eta)^(L - 1): below 1 + 1e-10 times the stated
         one for L < 256 and eta < 1e-13, far inside the threshold.
-
-        The accepted bound is kept as ``last_rep_defect``, so a caller that
-        keeps the module with its bound (``BlockOracle``) reads it there
-        instead of measuring it again.
         """
-        d, B = point.dim, point.basis
-        rng = np.random.default_rng(seed)
-        last = "no attempt"
-        for _ in range(MAX_ATTEMPTS):
-            raw = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-            R = self.right_regular(raw)
-            M = R + R.conj().T
-            if B is not None:
-                M = B.conj().T @ M @ B
-            evals, evecs = np.linalg.eigh(M)
-            clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
-            chosen = next((idx for idx in clusters if len(idx) == d), None)
-            if chosen is None:
-                last = "no eigencluster of the module dimension"
-                continue
-            Q = evecs[:, chosen] if B is None else B @ evecs[:, chosen]
-            rho = np.empty((self.n, d, d), dtype=np.complex128)
-            for g, row in enumerate(self.group.table):
-                # rho[g] = Q^H u_g Q, and row gh of u_g Q is a(g, h) Q[h]
-                rho[g] = (Q[row].conj().T * self.phases[g]) @ Q
-            defect = self._rep_defect_bound(rho)
-            if defect > 1e-8:
-                last = "extracted matrices fail the twisted product law"
-                continue
-            rho.setflags(write=False)  # modules are shared through a BlockOracle
-            self.last_rep_defect = defect
-            return rho
-        raise CertificationError(f"irreducible extraction failed: {last}")
+        (module,) = extract_modules([(self, point)], seed)
+        if isinstance(module, CertificationError):
+            raise module
+        return module[0]
+
+    def _module_matrices(self, Q: np.ndarray) -> np.ndarray:
+        """rho[g] = Q^H u_g Q for every g, Q the (n, d) isometry onto the
+        module: row gh of u_g Q is a(g, h) Q[h], so rho[g] is
+        (Q[t[g]]^H * a(g, .)) Q, formed for a chunk of g at a time whose
+        gather Q[t[g]] holds at most MODULE_BUDGET entries."""
+        n, d = Q.shape
+        rho = np.empty((n, d, d), dtype=np.complex128)
+        step = max(1, MODULE_BUDGET // (n * d))
+        for start in range(0, n, step):
+            chunk = slice(start, start + step)
+            rho[chunk] = (Q[self.group.table[chunk]].conj().swapaxes(-1, -2) * self.phases[chunk, None]) @ Q
+        return rho
 
     def _rep_defect_bound(self, rho: np.ndarray) -> float:
         """max(||rho(e) - I||_F, (2L - 1) eps_gen), which bounds every entry of
@@ -342,15 +334,15 @@ def split_algebras(algebras, seed: int) -> list[WedderburnData | CertificationEr
     algebra draws its central samples from its own
     ``np.random.default_rng(seed)`` stream, exactly as it would alone, and
     the samples of one order n go into one stacked ``np.linalg.eigh`` per
-    attempt, in stacks of at most SPLIT_BUDGET entries (a sample beyond it
-    alone is a stack of its own).  Each algebra is then certified by its own
-    checks in ``_Split.certify``, and one that fails redraws from its
+    attempt (``_stacked_attempts``).  Each algebra is then certified by its
+    own checks in ``_Split.certify``, and one that fails redraws from its
     stream on its next attempt, so a failure elsewhere in its stack never
     moves its draws.  numpy's stacked eigh solves each matrix of a stack on
     its own and returns the bits of a lone call (checked against lone splits
     over the sweep's restrictions and the Theorem-D lattices), so the result
     of each algebra does not depend on the others it was split with.
     """
+    _check_seed(seed)
     splits = [_Split(A, seed) for A in algebras]
     for s in splits:
         if s.k == 1:
@@ -358,41 +350,72 @@ def split_algebras(algebras, seed: int) -> list[WedderburnData | CertificationEr
                 s.outcome = s.algebra._simple_block()
             except CertificationError as exc:
                 s.outcome = exc
-    _stacked_eigensplits([s for s in splits if s.k > 1])
+    _stacked_attempts([s for s in splits if s.k > 1], f"block oracle failed after {MAX_ATTEMPTS} attempts: ")
     return [s.outcome for s in splits]
 
 
-def _stacked_eigensplits(splits) -> None:
-    """The numeric stage of ``split_algebras``: every split of ``splits``
-    gets its blocks, or its CertificationError, as its ``outcome``; the
-    stacking is described there."""
-    orders: dict[int, list[_Split]] = {}
-    for s in splits:
-        orders.setdefault(s.algebra.n, []).append(s)
-    for n, pending in orders.items():
-        per_stack = max(1, SPLIT_BUDGET // (n * n))
+def extract_modules(modules, seed: int) -> list[tuple[np.ndarray, float] | CertificationError]:
+    """The certified module of every (algebra, point) of ``modules``, in
+    order, with the projective-law bound it passed (``_rep_defect_bound``),
+    as ``TwistedAlgebra.irreducible_rep(point, seed)`` cuts it out alone, or
+    the CertificationError that call raises.
+
+    Each module draws its samples from its own ``np.random.default_rng(seed)``
+    stream, exactly as it would alone; the d^2 x d^2 samples of one shape go
+    into one stacked ``np.linalg.eigh`` per attempt (``_stacked_attempts``),
+    and each module is certified by its own cluster and product-law checks
+    in ``_Module.certify``, so, as in ``split_algebras``, the result of each
+    module does not depend on the others it was extracted with.
+    """
+    _check_seed(seed)
+    extractions = [_Module(A, point, seed) for A, point in modules]
+    _stacked_attempts(extractions, "irreducible extraction failed: ")
+    return [m.outcome for m in extractions]
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer; numpy's ``default_rng`` refuses a
+    negative one with a built-in error, so it is refused here first."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _stacked_attempts(jobs, failure: str) -> None:
+    """Every job of ``jobs`` (``_Split`` or ``_Module``) gets its
+    ``outcome``: what its ``certify`` keeps from the eigensplit of one of
+    its ``sample`` draws, within MAX_ATTEMPTS attempts, or a
+    CertificationError of ``failure`` and the reason its last attempt
+    failed.  The samples of one size m, pending at one attempt, go into one
+    stacked eigh per SPLIT_BUDGET entries, m^2 per sample (a sample beyond it
+    alone is a stack of its own)."""
+    sizes: dict[int, list] = {}
+    for job in jobs:
+        sizes.setdefault(job.size, []).append(job)
+    for m, pending in sizes.items():
+        per_stack = max(1, SPLIT_BUDGET // (m * m))
         for _ in range(MAX_ATTEMPTS):
-            pending = [s for s in pending if s.outcome is None]
+            pending = [job for job in pending if job.outcome is None]
             for start in range(0, len(pending), per_stack):
                 stack = pending[start:start + per_stack]
-                evals, evecs = np.linalg.eigh(np.stack([s.sample() for s in stack]))
-                for s, values, vectors in zip(stack, evals, evecs):
-                    s.certify(values, vectors)
-        for s in pending:
-            if s.outcome is None:
-                s.outcome = CertificationError(f"block oracle failed after {MAX_ATTEMPTS} attempts: {s.last}")
+                evals, evecs = np.linalg.eigh(np.stack([job.sample() for job in stack]))
+                for job, values, vectors in zip(stack, evals, evecs):
+                    job.certify(values, vectors)
+        for job in pending:
+            if job.outcome is None:
+                job.outcome = CertificationError(failure + job.last)
 
 
 class _Split:
     """One algebra of ``split_algebras``: the exact classes of
-    ``_twisted_classes`` with k, the center dimension, its own random
-    stream, the reason its last attempt failed, and its ``outcome``, the
-    certified blocks or the error, None while it is pending."""
+    ``_twisted_classes`` with k, the center dimension, the size n of its
+    samples, its own random stream, the reason its last attempt failed, and
+    its ``outcome``, the certified blocks or the error, None while it is
+    pending."""
 
     def __init__(self, algebra: TwistedAlgebra, seed: int):
         rep, kept, phases = algebra._twisted_classes()
         reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
-        self.algebra, self.kept = algebra, kept
+        self.algebra, self.kept, self.size = algebra, kept, algebra.n
         self.slot, self.phases = np.searchsorted(reps, rep[kept]), phases[kept]
         self.k = len(reps)
         self.rng = np.random.default_rng(seed)
@@ -441,6 +464,46 @@ class _Split:
         self.outcome = WedderburnData(tuple(p.dim for p in blocks), blocks, residual)
 
 
+class _Module:
+    """One module of ``extract_modules``: its algebra and point, the size
+    d^2 of its samples (the block's basis has d^2 columns, a simple
+    algebra's whole standard basis n = d^2), its own random stream, the
+    reason its last attempt failed, and its ``outcome``, the module with its
+    bound or the error, None while it is pending."""
+
+    def __init__(self, algebra: TwistedAlgebra, point: IrrPoint, seed: int):
+        self.algebra, self.point, self.size = algebra, point, point.dim * point.dim
+        self.rng = np.random.default_rng(seed)
+        self.last = "no attempt"
+        self.outcome: tuple[np.ndarray, float] | CertificationError | None = None
+
+    def sample(self) -> np.ndarray:
+        """The next random self-adjoint right multiplication, compressed onto
+        the block's basis."""
+        A, B = self.algebra, self.point.basis
+        R = A.right_regular(self.rng.standard_normal(A.n) + 1j * self.rng.standard_normal(A.n))
+        M = R + R.conj().T
+        return M if B is None else B.conj().T @ M @ B
+
+    def certify(self, evals, evecs) -> None:
+        """Keep the module of the first eigencluster of the module dimension,
+        with its bound, as ``outcome`` when it passes the product law, else
+        the failing check as ``last``."""
+        A, d, B = self.algebra, self.point.dim, self.point.basis
+        clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
+        chosen = next((idx for idx in clusters if len(idx) == d), None)
+        if chosen is None:
+            self.last = "no eigencluster of the module dimension"
+            return
+        rho = A._module_matrices(evecs[:, chosen] if B is None else B @ evecs[:, chosen])
+        defect = A._rep_defect_bound(rho)
+        if defect > 1e-8:
+            self.last = "extracted matrices fail the twisted product law"
+            return
+        rho.setflags(write=False)  # modules are shared through a BlockOracle
+        self.outcome = rho, defect
+
+
 class BlockOracle:
     """Certified blocks and modules of twisted group algebras at one seed,
     keyed by their exact inputs: the group (which compares and hashes by its
@@ -449,18 +512,23 @@ class BlockOracle:
     The seed fixes the oracle's random draws, its only free input; it is
     named once, here, so every split and every module of one registry is
     drawn at it, and a context or caller built on the registry cannot
-    disagree with it.  A miss builds the algebra and calls its
-    ``wedderburn`` or ``irreducible_rep`` at ``seed``, with every
-    certificate those calls carry, and a module keeps the projective-law
-    bound it was certified with; a hit returns what was certified on an
-    identical input, which the deterministic oracle would reproduce exactly.
-    ``wedderburn_all`` splits every miss of a list in one
-    ``split_algebras`` pass, one stacked eigh per order and attempt with
-    each algebra on its own random stream, so each kept result is the one
-    ``wedderburn`` would have split alone.  It keeps only certified results:
-    an algebra that fails in the pass is left unkept, and the next
-    ``wedderburn`` on it splits it alone and raises that split's error.
-    Only oracle results are kept, never an exact solve, so an exact
+    disagree with it; a negative seed is refused here, before any draw.  A
+    miss splits the algebra, or extracts the module, at ``seed`` with every
+    certificate ``split_algebras`` and ``extract_modules`` carry, and a
+    module keeps the projective-law bound it was certified with; a hit
+    returns what was certified on an identical input, which the
+    deterministic oracle would reproduce exactly.  ``wedderburn_all`` splits
+    every miss of a list in one ``split_algebras`` pass, one stacked eigh
+    per order and attempt with each algebra on its own random stream, so
+    each kept result is the one ``wedderburn`` would have split alone.
+    ``irreducible_rep_all`` extracts every missing module of a list (one
+    obstruction pass's) whose blocks are kept in one ``extract_modules``
+    call, in stacks of one sample shape with each module on its own random
+    stream, so each kept module is the one ``irreducible_rep`` would have
+    extracted alone.  Both keep only certified results: an algebra or a
+    module that fails in its pass is left unkept, and the next
+    ``wedderburn`` or ``irreducible_rep`` on it works alone and raises that
+    error.  Only oracle results are kept, never an exact solve, so an exact
     certificate checked against the oracle stays independent of it.  Results
     are shared between callers, so they are read-only: point coefficients,
     block bases and module matrices are frozen.  Every module is cut out of
@@ -470,6 +538,7 @@ class BlockOracle:
     """
 
     def __init__(self, seed: int = 0):
+        _check_seed(seed)
         self.seed = seed
         self._blocks: dict[tuple, WedderburnData] = {}
         self._modules: dict[tuple, tuple[np.ndarray, float]] = {}
@@ -509,14 +578,31 @@ class BlockOracle:
         that module, measured once, by the extraction that certified it."""
         return self._module(cocycle, index)[1]
 
+    def irreducible_rep_all(self, modules) -> None:
+        """Extract the module of every (cocycle, index) of ``modules`` not
+        kept yet, whose blocks are kept, in one ``extract_modules`` call, and
+        keep the certified ones; a module that fails is left unkept, for
+        ``irreducible_rep`` to extract alone."""
+        misses, algebras = {}, {}
+        for cocycle, index in modules:
+            key = self._key(cocycle)
+            if key in self._blocks and (*key, index) not in self._modules:
+                if key not in algebras:
+                    algebras[key] = TwistedAlgebra(cocycle.group, cocycle)
+                misses.setdefault((*key, index), (algebras[key], self._blocks[key].blocks[index]))
+        for key, module in zip(misses, extract_modules(misses.values(), self.seed)):
+            if not isinstance(module, CertificationError):
+                self._modules[key] = module
+
     def _module(self, cocycle: CocycleTable, index: int) -> tuple[np.ndarray, float]:
         key = (*self._key(cocycle), index)
         module = self._modules.get(key)
         if module is None:
             point = self.wedderburn(cocycle).blocks[index]
-            algebra = TwistedAlgebra(cocycle.group, cocycle)
-            rho = algebra.irreducible_rep(point, seed=self.seed)
-            module = self._modules[key] = rho, algebra.last_rep_defect
+            (module,) = extract_modules([(TwistedAlgebra(cocycle.group, cocycle), point)], self.seed)
+            if isinstance(module, CertificationError):
+                raise module
+            self._modules[key] = module
         return module
 
 
@@ -554,11 +640,29 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...]) -> tuple[IrrPoint, ...]:
-    """The unique point within TOL_ROUND of each stacked row; ambiguity raises, never guesses."""
-    known = np.array([p.coeffs for p in points])
-    hits = np.abs(known - rows[:, None]).max(axis=2) <= TOL_ROUND  # hits[r, i]: row r is near point i
-    counts = hits.sum(axis=1)
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        raise CertificationError(f"idempotent match found {counts[bad[0]]} candidates within {TOL_ROUND}")
-    return tuple(points[i] for i in hits.argmax(axis=1))
+    """The unique point within TOL_ROUND of each stacked row: ``match_idempotents``
+    on this one stack, its error raised; ambiguity raises, never guesses."""
+    (index,) = match_idempotents(rows[None], np.array([p.coeffs for p in points])[None])
+    if isinstance(index, CertificationError):
+        raise index
+    return tuple(points[i] for i in index)
+
+
+def match_idempotents(rows: np.ndarray, known: np.ndarray) -> list[np.ndarray | CertificationError]:
+    """For each b, the index in known[b] of the unique point within TOL_ROUND
+    of each row of rows[b], or the CertificationError naming the candidate
+    count of its first row with none or several; rows is (B, R, m) and known
+    (B, P, m).  Each point is compared with the rows of all B stacks in one
+    array operation, so a temporary holds B R m entries, not B R P m."""
+    hits = np.stack(  # hits[b, r, i]: row r near point i
+        [np.abs(known[:, None, i] - rows).max(axis=2) <= TOL_ROUND for i in range(known.shape[1])], axis=2
+    )
+    counts = hits.sum(axis=2)
+    out = []
+    for b, index in enumerate(hits.argmax(axis=2)):
+        bad = np.flatnonzero(counts[b] != 1)
+        out.append(
+            CertificationError(f"idempotent match found {counts[b, bad[0]]} candidates within {TOL_ROUND}")
+            if bad.size else index
+        )
+    return out

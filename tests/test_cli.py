@@ -199,6 +199,40 @@ def test_normal_tokens_that_are_not_integers_exit_2(capsys, token):
     assert (code, out) == (2, "seed: 0\n" + record)
 
 
+@pytest.mark.parametrize("normal, field", [("0,,2", 2), (",0,2", 1), ("0,2,", 3), ("0 , ,2", 2)])
+def test_normal_lists_with_an_empty_field_exit_2(capsys, normal, field):
+    """An empty field between two commas or at either end is refused, naming
+    its place, where splitting on commas and blanks would drop it and
+    decompose N = {0, 2}; blanks around a comma stay allowed."""
+    record = f"error: ValidationError: subgroup element field {field} of {normal!r} is empty\n"
+    code, out = run_cli(capsys, "mackey", "decompose", "--group", "C4", f"--normal={normal}")
+    assert (code, out) == (2, record)
+    theorem_c = ["lagrangian", "theoremC", "--group", "C2xC2", "--cocycle", "nd_C2xC2"]
+    code, out = run_cli(capsys, *theorem_c, f"--normal={normal}")
+    assert (code, out) == (2, "seed: 0\n" + record)
+    blanks = run_cli(capsys, "mackey", "decompose", "--group", "C4", "--normal=0 , 2")
+    assert blanks == run_cli(capsys, "mackey", "decompose", "--group", "C4", "--normal=0,2") and blanks[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        (["twisted", "wedderburn", "--group", "C4", "--seed", "-1"], "seed: -1\n"),
+        (["mackey", "decompose", "--group", "C4", "--normal", "0,2", "--seed", "-1"], "seed: -1\n"),
+        (["lagrangian", "scan", "--group", "C2xC2", "--cocycle", "nd_C2xC2", "--seed", "-1"], "seed: -1\n"),
+        (["lagrangian", "theoremD", "--group", "C2xC2", "--cocycle", "nd_C2xC2", "--seed", "-1"], "seed: -1\n"),
+        (["suite", "--seed", "-3"], ""),
+    ],
+    ids=["wedderburn", "decompose", "scan", "theoremD", "suite"],
+)
+def test_a_negative_seed_exits_2(capsys, argv, echo):
+    """A negative seed is refused where it enters the block oracle, with an
+    input error naming it, instead of numpy's built-in ValueError."""
+    seed = argv[-1]
+    code, out = run_cli(capsys, *argv)
+    assert (code, out) == (2, f"{echo}error: ValidationError: seed must be a non-negative integer, got {seed}\n")
+
+
 @pytest.mark.parametrize("spec", ["C2xC64", "C2xC2xC2xC2xC2xC2xC2"])
 def test_group_info_beyond_the_enumeration_bound_exits_2(capsys, spec):
     code, out = run_cli(capsys, "group", "info", "--group", spec)
@@ -272,6 +306,7 @@ def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
         ("x: 0 1 | H: 0 a", "line 2: subgroup element 'a' is not an integer"),
         ("x: 0 1 | H: 0 9", "line 2: subgroup element 9 outside the group of order 4"),
         ("x: 0 1 | H: 0 1", "line 2: subgroup not closed under inversion at 1"),
+        ("x: 0 1 | H: 0,,2", "line 2: subgroup element field 2 of '0,,2' is empty"),
         ("x: 0^0", "line 2: character multiplicities must be >= 1"),
         ("x: ", "line 2: character must have non-empty support"),
         ("x: 0 | x: 1", "line 2: repeated field 'x'"),
@@ -279,8 +314,8 @@ def test_descriptor_dimension_beyond_int64_exits_2(tmp_path, capsys, action, x):
         ("x: 1 | alhpa: c.txt", "line 2: unknown field 'alhpa'"),
         ("x: 1 | garbage", "line 2: unknown field 'garbage'"),
     ],
-    ids=["H token", "H element", "H inverses", "x multiplicity", "x support", "x repeated", "H repeated",
-         "misspelt key", "no key"],
+    ids=["H token", "H element", "H inverses", "H empty field", "x multiplicity", "x support", "x repeated",
+         "H repeated", "misspelt key", "no key"],
 )
 def test_descriptor_field_errors_name_their_line(tmp_path, capsys, line, record):
     """An error in building a line's x or H field names that line, and so

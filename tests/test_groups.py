@@ -724,6 +724,28 @@ def test_table_routines_match_reference(name):
         assert [tuple(p) for p in act.perms.tolist()] == perms
         image = act.image_group
         assert (image.table.tolist(), image.labels, list(act.hom.images)) == reference_coset_image(perms)
+    # one ``quotients`` call per order, normal and other subgroups mixed, gives what each N gets alone
+    orders = {}
+    for H in gq.subgroups(G):
+        orders.setdefault(H.order, []).append(H)
+    for same in orders.values():
+        for H, got in zip(same, groups.quotients(G, same)):
+            assert quotient_outcome(got) == quotient_outcome(lone_quotient(G, H))
+
+
+def lone_quotient(G, H):
+    try:
+        return gq.quotient(G, H)
+    except NormalityError as exc:
+        return exc
+
+
+def quotient_outcome(outcome):
+    """(table, labels, name, projection images) of a quotient, or its error's message."""
+    if isinstance(outcome, NormalityError):
+        return str(outcome)
+    Q, proj = outcome
+    return Q.table.tobytes(), Q.labels, Q.name, proj.images
 
 
 @pytest.mark.parametrize("spec", ["C1", "C2", "C4", "C6", "C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C2xC2xC4"])

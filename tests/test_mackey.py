@@ -16,7 +16,7 @@ from gquot.cocycles import (
     cohomologous,
     standard_nondegenerate,
 )
-from gquot.errors import CertificationError, DomainError, NormalityError, TheoremCheckError
+from gquot.errors import CertificationError, DomainError, NormalityError, TheoremCheckError, ValidationError
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.groups import cayley_tree, generating_sequence
 from gquot.lagrangians import maximal_elementary_quotients
@@ -800,22 +800,23 @@ def test_the_oracle_seed_reaches_every_cache_miss(monkeypatch, name):
     seed passed to the context in the oracle's place is refused."""
     a = dict(OBSTRUCTION_CASES)[name]
     seeds = []
-    split_algebras, irreducible_rep = twisted.split_algebras, TwistedAlgebra.irreducible_rep
+    split_algebras, extract_modules = twisted.split_algebras, twisted.extract_modules
 
     def split(algebras, seed):
         seeds.extend(("wedderburn", seed) for _ in algebras)
         return split_algebras(algebras, seed)
 
-    def module(self, point, seed=0):
-        seeds.append(("irreducible_rep", seed))
-        return irreducible_rep(self, point, seed=seed)
+    def extract(modules, seed):
+        modules = list(modules)
+        seeds.extend(("extract_modules", seed) for _ in modules)
+        return extract_modules(modules, seed)
 
     monkeypatch.setattr(twisted, "split_algebras", split)
-    monkeypatch.setattr(TwistedAlgebra, "irreducible_rep", module)
+    monkeypatch.setattr(twisted, "extract_modules", extract)
     context = MackeyContext(a, oracle=BlockOracle(7))
     normals = gq.normal_subgroups(a.group)
     context.decompose_all(normals)
-    assert {kind for kind, _ in seeds} == {"wedderburn", "irreducible_rep"}
+    assert {kind for kind, _ in seeds} == {"wedderburn", "extract_modules"}
     assert all(seed == 7 for _, seed in seeds)
     for N in normals:
         assert_same_decomposition(context.decompose(N), mackey_decompose(a, N, seed=7))
@@ -954,15 +955,15 @@ def test_lifts_that_leave_n_fail_the_lift_check(monkeypatch):
     twists of an abelian group with the trivial class are the module itself,
     so the intertwiners pass and the lift check raises."""
     context, N = two_module_class()
-    stage = MackeyContext._stage
+    stage_stack = MackeyContext._stage_stack
 
-    def staged(self, N, alpha_N):
-        out = stage(self, N, alpha_N)
-        assert N.order == 2 and out.section[1] not in N.elements
+    def staged(self, kernels):
+        (out,) = stage_stack(self, kernels)
+        assert out.normal.order == 2 and out.section[1] not in out.normal.elements
         out.section = np.array([out.section[1], out.section[1]])
-        return out
+        return [out]
 
-    monkeypatch.setattr(MackeyContext, "_stage", staged)
+    monkeypatch.setattr(MackeyContext, "_stage_stack", staged)
     assert obstruction_error(lambda: context.decompose(N)) == "lifts of the inertia group do not compose inside N"
 
 
@@ -993,13 +994,13 @@ STAGING_FAULTS = [
 
 @pytest.mark.parametrize("columns, second_point_of_dim_two, message", STAGING_FAULTS)
 def test_each_staging_check_fires_with_its_message(monkeypatch, columns, second_point_of_dim_two, message):
-    """Each check ``_stage`` makes on the point action raises on the four
+    """Each check ``_classify`` makes on the point action raises on the four
     points over C4 once the value it reads is made wrong: the action table
-    (``_conjugation_permutations``), and for the dimension check also the
-    dimension of point 1."""
+    of the one kernel of the stack (``_point_actions``), and for the
+    dimension check also the dimension of point 1."""
     context, N = four_points_over_c4()
     perms = np.array(columns + [[2] * 4, [3] * 4]).T
-    monkeypatch.setattr(MackeyContext, "_conjugation_permutations", lambda self, N, points, section: perms)
+    monkeypatch.setattr(MackeyContext, "_point_actions", lambda self, kernels: [perms] * len(kernels))
     if second_point_of_dim_two:
         wedderburn = context.oracle.wedderburn
 
@@ -1195,20 +1196,21 @@ def test_a_broken_subgroup_in_a_stacked_pass_fails_as_it_fails_alone(monkeypatch
 
 
 def recorded_stages_and_passes(monkeypatch):
-    """Every staging, as (context, elements of N), and the inertia group of
-    every obstruction pass, trivial or not."""
+    """Every staging, as (context, elements of N), in the stacks of
+    ``_stage_stack``, and the inertia group of every obstruction pass,
+    trivial or not."""
     staged, groups = [], []
-    stage, obstructions = MackeyContext._stage, MackeyContext._obstructions
+    stage_stack, obstructions = MackeyContext._stage_stack, MackeyContext._obstructions
 
-    def recorded_stage(self, N, alpha_N):
-        staged.append((self, N.elements))
-        return stage(self, N, alpha_N)
+    def recorded_stage(self, kernels):
+        staged.extend((self, N.elements) for N, _ in kernels)
+        return stage_stack(self, kernels)
 
     def recorded_obstructions(self, group, classes):
         groups.append(group)
         return obstructions(self, group, classes)
 
-    monkeypatch.setattr(MackeyContext, "_stage", recorded_stage)
+    monkeypatch.setattr(MackeyContext, "_stage_stack", recorded_stage)
     monkeypatch.setattr(MackeyContext, "_obstructions", recorded_obstructions)
     return staged, groups
 
@@ -1247,6 +1249,175 @@ def test_a_battery_round_stages_each_kernel_once(monkeypatch):
         a = standard_nondegenerate(invariants)
         maximal_elementary_quotients(a.group, a, seed=0)
     assert all(group.n > 1 for group in groups)
+
+
+# -- staged stacks: kernels of one shape staged together -------------------------
+
+
+class Staged(Exception):
+    """Raised by the spy on ``_stacked_obstructions`` once it has the stages."""
+
+
+def reference_stage(context, N):
+    """The per-N staging: the quotient from the coset space, the
+    minimal-index section, the points, and the conjugated points of this one
+    kernel matched against its own points; (table, labels, name, images,
+    section, points, perms)."""
+    G = context.group
+    cs = gq.coset_space(G, N)
+    reps = np.array(cs.representatives)
+    table = np.asarray(cs.block_of)[G.table[reps[:, None], reps]]
+    section = np.asarray(mackey._first_occurrences(cs.block_of))
+    points = context.oracle.wedderburn(context.cocycle.restrict(N)).blocks
+    N_elems = np.asarray(N.elements)
+    stacked = np.array([p.coeffs for p in points])
+    targets = mackey._positions(G, N)[context.conj[section[:, None], N_elems]]
+    phases = context.kappa[section[:, None], N_elems]
+    raw = np.empty((len(section), *stacked.shape), dtype=np.complex128)
+    raw[np.arange(len(section))[:, None, None], np.arange(len(points))[:, None], targets[:, None]] = (
+        stacked * phases[:, None]
+    )
+    hits = np.abs(stacked - raw.reshape(-1, N.order)[:, None]).max(axis=2) <= TOL_ROUND
+    assert (hits.sum(axis=1) == 1).all()
+    perms = hits.argmax(axis=1).reshape(len(section), len(points))
+    labels = [G.label(r) + "N" for r in cs.representatives]
+    return table.tobytes(), labels, (G.name or "G") + "/N", cs.block_of, section.tolist(), points, perms.tolist()
+
+
+def staged_scan(monkeypatch, a):
+    """The stages and point actions of one scan of every normal N of
+    ``a.group``, in a fresh context, stopped before the obstruction passes;
+    with the sizes of the stacks staged."""
+    stages, actions, stacks = [], {}, []
+    stage_stack, point_actions = MackeyContext._stage_stack, MackeyContext._point_actions
+
+    def stacked(self, kernels):
+        stacks.append(len(kernels))
+        return stage_stack(self, kernels)
+
+    def acted(self, kernels):
+        out = point_actions(self, kernels)
+        actions.update((N.elements, perms.tolist()) for (N, _, _), perms in zip(kernels, out))
+        return out
+
+    def stop(self, staged):
+        stages.extend(staged)
+        raise Staged
+
+    monkeypatch.setattr(MackeyContext, "_stage_stack", stacked)
+    monkeypatch.setattr(MackeyContext, "_point_actions", acted)
+    monkeypatch.setattr(MackeyContext, "_stacked_obstructions", stop)
+    context = MackeyContext(a)
+    normals = gq.normal_subgroups(a.group)
+    with pytest.raises(Staged):
+        context.decompose_all(normals)
+    monkeypatch.undo()
+    return context, normals, stages, actions, stacks
+
+
+STAGING_CASES = [(f"{c[0]}/{c[2]}", c[3]) for c in sweep_cases()] + [
+    (f"standard_nondegenerate({list(i)})", standard_nondegenerate(i)) for i in THEOREM_D_CARRIERS
+]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 62], ids=["one kernel per stack", "unbounded"])
+def test_staged_stacks_match_the_per_kernel_reference(monkeypatch, budget):
+    """Over the sweep and both Theorem-D carriers, every N of a scan is
+    staged, in scan order, with the quotient table, labels, name and
+    projection, the section, the points and the point action of the per-N
+    reference, and the classes, inertia groups and trivial tables its
+    classification of those gives; with stacks of one kernel and with one
+    stack per shape."""
+    stacks_seen = []
+    for _, a in STAGING_CASES:
+        monkeypatch.setattr(mackey, "MATCH_BUDGET", budget)
+        context, normals, stages, actions, stacks = staged_scan(monkeypatch, a)
+        stacks_seen += stacks
+        assert [stage.normal.elements for stage in stages] == [N.elements for N in normals]
+        for N, stage in zip(normals, stages):
+            table, labels, name, images, section, points, perms = reference_stage(context, N)
+            Q, proj = stage.quotient_group, stage.projection
+            assert (Q.table.tobytes(), Q.labels, Q.name, proj.images) == (table, labels, name, images)
+            assert stage.section.tolist() == section and actions[N.elements] == perms
+            assert all(p is q for p, q in zip(stage.points, points)) and len(stage.points) == len(points)
+            want = mackey._classify(N, points, Q, proj, np.array(section), np.array(perms))
+            assert stage.classes == want.classes and stage.inertia == want.inertia
+            assert stage.omegas.keys() == want.omegas.keys()
+            for key, tables in stage.omegas.items():
+                assert [t.exps.tobytes() for t in tables] == [t.exps.tobytes() for t in want.omegas[key]]
+    assert max(stacks_seen) == 1 if budget == 1 else max(stacks_seen) > 10
+
+
+def test_an_ambiguous_match_fails_its_kernel_alone(monkeypatch):
+    """C2xC2xC2 with the trivial class: its seven subgroups of order 2 are
+    one stack of shape (2, 2).  With the second point of one of them made a
+    twin of the first, every conjugated point of that kernel lies near two
+    points: it keeps the error it raises alone, and the six beside it get
+    the decompositions of a fresh context."""
+    G = gq.make_group("C2xC2xC2")
+    a = CocycleTable.trivial(G)
+    order_two = [N for N in gq.subgroups(G) if N.order == 2]
+    bad = order_two[3]
+
+    def twinned():
+        context = MackeyContext(a)
+        wedderburn = context.oracle.wedderburn
+
+        def twin(cocycle):
+            data = wedderburn(cocycle)
+            if cocycle.group is not bad.as_group():
+                return data
+            first, second = data.blocks
+            return dataclasses.replace(data, blocks=(first, dataclasses.replace(second, coeffs=first.coeffs)))
+
+        monkeypatch.setattr(context.oracle, "wedderburn", twin)
+        return context
+
+    with pytest.raises(CertificationError) as alone:
+        twinned().decompose(bad)
+    assert str(alone.value) == f"idempotent match found 2 candidates within {TOL_ROUND}"
+    stacks, stage_stack = [], MackeyContext._stage_stack
+    monkeypatch.setattr(
+        MackeyContext, "_stage_stack", lambda self, kernels: stacks.append(len(kernels)) or stage_stack(self, kernels)
+    )
+    context = twinned()
+    context.decompose_all(order_two)
+    assert stacks == [7]
+    with pytest.raises(CertificationError) as kept:
+        context.decompose(bad)
+    assert str(kept.value) == str(alone.value)
+    fresh = MackeyContext(a)
+    for N in order_two:
+        if N is not bad:
+            assert_same_decomposition(context.decompose(N), fresh.decompose(N))
+
+
+def test_a_bad_table_in_a_gauged_stack_raises_its_own_triple(monkeypatch):
+    """A stack of gauged obstruction tables on C2xC2 that holds two
+    normalized tables failing the 2-cocycle identity, with row products 1 so
+    the gauge keeps them, raises the message of the first bad table alone,
+    which names its own triple; a stack of valid tables is built with no
+    table validated on its own."""
+    a = standard_nondegenerate([2])
+    group, k = a.group, a.group.n
+    good = a.rescale(k).exps
+    bad, worse = np.zeros((2, k, k), dtype=np.int64)
+    bad[1, 1], bad[1, 2] = 1, 3
+    worse[2, 3], worse[2, 2] = 1, 3
+    omega = np.exp(2j * np.pi * np.stack([good, bad, worse, good]) / k)
+    messages = []
+    for table in (bad, worse):
+        with pytest.raises(ValidationError) as lone:
+            CocycleTable(group, k, table)
+        messages.append(str(lone.value))
+    assert messages[0] != messages[1] and messages[0].startswith("2-cocycle identity fails at triple (")
+    with pytest.raises(ValidationError) as stacked:
+        mackey._exact_cocycle(group, omega)
+    assert str(stacked.value) == messages[0]
+    validated, validate = [], CocycleTable._validate
+    monkeypatch.setattr(CocycleTable, "_validate", lambda self: validated.append(self) or validate(self))
+    tables = mackey._exact_cocycle(group, omega[[0, 3]])
+    assert validated == [] and [t.exps.tobytes() for t in tables] == [good.tobytes()] * 2
 
 
 def test_decompose_all_keeps_every_subgroup_that_decomposes():

@@ -154,6 +154,7 @@ NORMAL_TEXTS = st.one_of(
 @example(text="0,²")
 @example(text="0,١")
 @example(text="0,x")
+@example(text="0,,2")
 def test_normal_texts(workdir, command, text):
     """The text goes as ``--normal=TEXT``, so a leading minus sign starts no option."""
     run_main(workdir, *command, f"--normal={text}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -728,7 +730,11 @@ def test_irreducible_extraction_gives_up_when_the_product_law_fails(monkeypatch)
     with pytest.raises(CertificationError) as info:
         A.irreducible_rep(block, seed=0)
     assert str(info.value) == "irreducible extraction failed: extracted matrices fail the twisted product law"
-    assert len(bounds) == MAX_ATTEMPTS and A.last_rep_defect is None
+    assert len(bounds) == MAX_ATTEMPTS
+    # the bound comes back only with a certified module: the failed one returns its error alone
+    (outcome,) = twisted.extract_modules([(A, block)], 0)
+    assert isinstance(outcome, CertificationError) and str(outcome) == str(info.value)
+    assert len(bounds) == 2 * MAX_ATTEMPTS
 
 
 # -- simple algebras: the one block read off the exact center ------------------
@@ -762,7 +768,7 @@ def test_simple_block_matches_a_forced_eigensplit(name):
     A = SIMPLE_ALGEBRAS[name]
     exact = A.wedderburn(seed=0)
     split = twisted._Split(A, 0)
-    twisted._stacked_eigensplits([split])
+    twisted._stacked_attempts([split], "")
     forced = split.outcome
     d = int(round(A.n**0.5))
     assert split.k == 1
@@ -934,3 +940,138 @@ def test_an_algebra_that_never_certifies_leaves_its_stack_alone(monkeypatch):
     with pytest.raises(CertificationError) as kept:
         oracle.wedderburn(bad.cocycle)
     assert str(kept.value) == str(lone.value) and oracle._key(bad.cocycle) not in oracle._blocks
+
+
+# -- stacked module extraction --------------------------------------------------
+
+
+def reference_module(A, point, seed):
+    """The extraction with one eigh per attempt and rho built one element at
+    a time, with the bound it passed."""
+    d, B = point.dim, point.basis
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_ATTEMPTS):
+        R = A.right_regular(rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n))
+        M = R + R.conj().T
+        if B is not None:
+            M = B.conj().T @ M @ B
+        evals, evecs = np.linalg.eigh(M)
+        clusters = _cluster(evals, TOL_CLUSTER * max(1.0, float(np.max(np.abs(evals)))))
+        chosen = next((idx for idx in clusters if len(idx) == d), None)
+        if chosen is None:
+            continue
+        Q = evecs[:, chosen] if B is None else B @ evecs[:, chosen]
+        rho = np.empty((A.n, d, d), dtype=np.complex128)
+        for g, row in enumerate(A.group.table):
+            rho[g] = (Q[row].conj().T * A.phases[g]) @ Q
+        defect = A._rep_defect_bound(rho)
+        if defect <= 1e-8:
+            return rho, defect
+    raise CertificationError("reference extraction failed")
+
+
+def assert_same_module(got, want):
+    """Equal bound, and the module equal bit for bit and read-only."""
+    assert isinstance(got, tuple) and got[1] == want[1]
+    assert got[0].tobytes() == want[0].tobytes() and not got[0].flags.writeable
+
+
+@pytest.mark.parametrize("budget", [twisted.MODULE_BUDGET, 700, 1])
+def test_a_stacked_extraction_equals_each_module_extracted_alone(monkeypatch, budget):
+    """One ``extract_modules`` call over every module of the lattice
+    algebras, with rho built in chunks of the module budget, of 700 gather
+    entries (chunks of 5 elements and a remainder of 2 at n = 32, d = 4) and
+    of one element, equals each module extracted alone and the reference
+    extraction, bit for bit, bound included; the d^2 x d^2 samples of one d
+    share their eigh calls."""
+    modules = [(A, p) for A in LATTICE_ALGEBRAS for p in A.wedderburn(seed=0).blocks]
+    assert {p.dim for _, p in modules} >= {1, 2, 4}
+    stacks, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(twisted, "MODULE_BUDGET", budget)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or eigh(a))
+    outcomes = twisted.extract_modules(modules, 2)
+    assert len(stacks) < len(modules) and max(stacks) > 1
+    for (A, p), got in zip(modules, outcomes):
+        (alone,) = twisted.extract_modules([(A, p)], 2)
+        assert_same_module(got, alone)
+        assert_same_module(got, reference_module(A, p, 2))
+
+
+def test_order_256_modules_are_built_in_chunks_bit_for_bit():
+    """The modules of the certify workload's algebras, orders 96 to 256 and
+    d up to 16, extracted in one call, equal the reference bit for bit.  At
+    n = 256, d = 16 a chunk gathers 4 elements, 2^14 entries of Q[t], so
+    building rho holds a few MiB at most (rho itself is 1 MiB), never the
+    16 MiB of the whole gather."""
+    algebras = [TwistedAlgebra(a.group, a) for a in map(standard_nondegenerate, ([2, 8], [4, 4]))]
+    algebras += [TwistedAlgebra(G, CocycleTable.trivial(G)) for G in map(gq.make_group, ["S4xC2xC2", "D8xC4xC2"])]
+    modules = [(A, max(A.wedderburn(seed=0).blocks, key=lambda p: p.dim)) for A in algebras]
+    assert [(A.n, p.dim) for A, p in modules] == [(256, 16), (256, 16), (96, 3), (128, 2)]
+    for (A, p), got in zip(modules, twisted.extract_modules(modules, 0)):
+        assert_same_module(got, reference_module(A, p, 0))
+    A = algebras[0]
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((256, 16)) + 0j)[0]
+    tracemalloc.start()
+    rho = A._module_matrices(Q)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 << 20
+    for g, row in enumerate(A.group.table):
+        assert rho[g].tobytes() == ((Q[row].conj().T * A.phases[g]) @ Q).tobytes()
+
+
+def test_a_module_that_never_certifies_leaves_its_stack_alone(monkeypatch):
+    """One module of a stack draws the zero sample on every attempt, whose
+    one eigencluster is the whole block: the others equal their lone
+    extractions, the failing one gets the error it raises alone, the
+    oracle's list entry keeps all but it, and its next ``irreducible_rep``
+    extracts it alone and raises that error."""
+    algebras = [A for A in LATTICE_ALGEBRAS if A.n == 16]
+    modules = [(A, p) for A in algebras for p in A.wedderburn(seed=0).blocks]
+    bad = next((A, p) for A, p in modules if p.dim == 2)
+    alone = [twisted.extract_modules([m], 0)[0] for m in modules]
+
+    def is_bad(A, p):  # by exact input, so the oracle's own copies of the bad module fail too
+        return A.cocycle == bad[0].cocycle and p.index == bad[1].index
+
+    sample = twisted._Module.sample
+    monkeypatch.setattr(
+        twisted._Module, "sample",
+        lambda self: sample(self) * (0 if is_bad(self.algebra, self.point) else 1),
+    )
+    (lone,) = twisted.extract_modules([bad], 0)
+    assert str(lone) == "irreducible extraction failed: no eigencluster of the module dimension"
+    for m, got, want in zip(modules, twisted.extract_modules(modules, 0), alone):
+        if is_bad(*m):
+            assert isinstance(got, CertificationError) and str(got) == str(lone)
+        else:
+            assert_same_module(got, want)
+    oracle = BlockOracle(0)
+    oracle.wedderburn_all([A.cocycle for A in algebras])
+    oracle.irreducible_rep_all([(A.cocycle, p.index) for A, p in modules])
+    bad_key = (*oracle._key(bad[0].cocycle), bad[1].index)
+    assert len(oracle._modules) == len(modules) - 1 and bad_key not in oracle._modules
+    with pytest.raises(CertificationError) as kept:
+        oracle.irreducible_rep(bad[0].cocycle, bad[1].index)
+    assert str(kept.value) == str(lone) and bad_key not in oracle._modules
+
+
+def test_a_negative_seed_is_refused_where_it_enters():
+    """numpy's ``default_rng`` refuses a negative seed with a built-in
+    ValueError; the oracle, the split routine and the module routine refuse
+    it first, naming it, so a context on such an oracle is never built."""
+    message = "seed must be a non-negative integer, got -1"
+    A = _s3_algebra()
+    block = A.wedderburn(seed=0).blocks[-1]
+    calls = [
+        lambda: BlockOracle(-1),
+        lambda: gq.MackeyContext(CocycleTable.trivial(A.group), oracle=BlockOracle(-1)),
+        lambda: twisted.split_algebras([A], -1),
+        lambda: twisted.extract_modules([(A, block)], -1),
+        lambda: A.wedderburn(seed=-1),
+        lambda: A.irreducible_rep(block, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
