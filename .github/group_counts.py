@@ -1,10 +1,11 @@
 """How many groups, table cores, homomorphism checks, subgroup closure checks
 and Cayley trees one Theorem-D call builds, how many block splits it makes
 numerically and exactly, in how many stacked eigh calls, in how many stacks
-it matches the conjugated points of its kernels, and how many modules it
-extracts in how many stacked eigh calls, on each carrier of the `theorem_d`
-benchmark workload (C8xC8 and C2xC4xC2xC4) at seed 0: ROADMAP items 6 and
-12.
+it matches the conjugated points of its kernels, how many modules it
+extracts in how many stacked eigh calls, and how many split and extraction
+calls it makes, with how many of them carried a single item, on each carrier
+of the `theorem_d` benchmark workload (C8xC8 and C2xC4xC2xC4) at seed 0:
+ROADMAP items 6 and 12.
 
     PYTHONPATH=src python .github/group_counts.py            # the report on standard output
     PYTHONPATH=src python .github/group_counts.py SUMMARY    # the report appended to the file SUMMARY
@@ -46,7 +47,7 @@ CARRIERS = ((8,), (2, 4))
 def counted_call(alpha) -> dict:
     counts = dict.fromkeys(["groups", "cores", "homs", "compares", "all_pairs", "trees", "subgroups",
                             "numeric", "exact", "stacked_eigh", "match_stacks", "kernels", "modules",
-                            "module_eigh"], 0)
+                            "module_eigh", "split_calls", "lone_splits", "extract_calls", "lone_extracts"], 0)
     tables = set()
     extracting = []
     group_init, core_init = groups.FiniteGroup.__init__, groups._TableCore.__init__
@@ -80,6 +81,8 @@ def counted_call(alpha) -> dict:
 
     def count_split(algebras, seed):
         outcomes = split(algebras, seed)
+        counts["split_calls"] += 1
+        counts["lone_splits"] += len(outcomes) == 1
         for data in outcomes:
             if isinstance(data, twisted.WedderburnData):
                 counts["exact" if len(data.blocks) == 1 else "numeric"] += 1
@@ -92,6 +95,8 @@ def counted_call(alpha) -> dict:
         finally:
             extracting.pop()
         counts["modules"] += sum(not isinstance(m, twisted.CertificationError) for m in outcomes)
+        counts["extract_calls"] += 1
+        counts["lone_extracts"] += len(outcomes) == 1
         return outcomes
 
     def count_point_actions(self, kernels):
@@ -126,12 +131,13 @@ def report() -> str:
         "Theorem D at seed 0 (ROADMAP items 6 and 12): groups built against their distinct tables and the cores"
         " built, the checks run, the block splits made numerically and exactly, and the stacked eigh calls"
         " of the numeric ones, the match stacks with the kernels they match, and the modules extracted with"
-        " the stacked eigh calls of their extractions",
+        " the stacked eigh calls of their extractions, and the split and extraction calls with those of one item",
         "",
         "| carrier | FiniteGroups | distinct tables | cores built | GroupHom checks | compares (all pairs) "
         "| Subgroup closure checks | Cayley trees | splits numeric / exact | stacked eigh calls "
-        "| match stacks (kernels) | modules | module eigh calls |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "| match stacks (kernels) | modules | module eigh calls | split calls (one algebra) "
+        "| extraction calls (one module) |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for invariants in CARRIERS:
         alpha = standard_nondegenerate(invariants)
@@ -140,7 +146,8 @@ def report() -> str:
         lines.append(f"| {name} | {c['groups']} | {c['tables']} | {c['cores']} | {c['homs']} "
                      f"| {c['compares']} ({c['all_pairs']}) | {c['subgroups']} | {c['trees']} "
                      f"| {c['numeric']} / {c['exact']} | {c['stacked_eigh']} "
-                     f"| {c['match_stacks']} ({c['kernels']}) | {c['modules']} | {c['module_eigh']} |")
+                     f"| {c['match_stacks']} ({c['kernels']}) | {c['modules']} | {c['module_eigh']} "
+                     f"| {c['split_calls']} ({c['lone_splits']}) | {c['extract_calls']} ({c['lone_extracts']}) |")
     return "\n".join(lines) + "\n"
 
 

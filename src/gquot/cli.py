@@ -8,7 +8,8 @@ check failed, 2 input errors.  Every oracle-invoking subcommand takes a seed
 seed, ``theoremD`` hands (group, cocycle, seed) to
 ``maximal_elementary_quotients``, and
 ``lagrangian iyb`` asks about the group alone, so it resolves no
-``--cocycle``.
+``--cocycle``.  Every ``lagrangian`` subcommand, ``iyb`` included, refuses
+a negative seed with the oracle's own check before it asks anything.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .lagrangians import (
 from .mackey import MackeyContext, is_ecp_quotient, is_elementary_quotient, is_simple_quotient, mackey_decompose
 from .pullbacks import maximal_gradings_diagonal, pi1_report, verify_presentation_h4, verify_presentation_h5
 from .suite import run_all
-from .twisted import TOL_IDEMPOTENT, BlockOracle, TwistedAlgebra, is_nondegenerate
+from .twisted import TOL_IDEMPOTENT, BlockOracle, TwistedAlgebra, _check_seed, is_nondegenerate
 
 
 class _Emitter:
@@ -228,8 +229,10 @@ def _cmd_mackey(args, em: _Emitter) -> int:
 
 def _cmd_lagrangian(args, em: _Emitter) -> int:
     G = resolve_group(args.group)
-    if args.action == "iyb":  # a question about G alone: no cocycle, no context
-        em.emit("seed", args.seed)
+    alpha = None if args.action == "iyb" else resolve_cocycle(args.cocycle, G)  # iyb asks about G alone
+    em.emit("seed", args.seed)
+    _check_seed(args.seed)
+    if args.action == "iyb":
         result = iyb_witness_search(G)
         em.emit("witness_found", result.witness is not None)
         em.emit("modules_tried", result.modules_tried)
@@ -239,8 +242,6 @@ def _cmd_lagrangian(args, em: _Emitter) -> int:
             em.emit("delta", list(result.witness.delta))
             em.emit("verified", result.witness.verify())
         return 0
-    alpha = resolve_cocycle(args.cocycle, G)
-    em.emit("seed", args.seed)
     if args.action == "theoremD":
         report = maximal_elementary_quotients(G, alpha, seed=args.seed)
         em.emit("elementary_quotients", len(report.elementary_normals))

@@ -61,12 +61,14 @@ so such an orbit builds no module.
 Only the module and the lifts depend on the orbit; the Cayley tree depends
 on the inertia group's table alone.  So a scan is staged: ``decompose_all``
 first splits the algebras C^alpha N of every kernel N of the scan in one
-stacked oracle pass (``BlockOracle.wedderburn_all``) and reads each N's
-points, then stages the kernels of one shape, |N| and the point count P,
-together, in scan order, in stacks that stop before their |G| P^2 match
-entries per kernel pass MATCH_BUDGET (a kernel beyond it alone is a stack of
-its own).  A stack takes its quotients in one ``quotients`` call and matches
-the conjugated points of all its normal kernels in one
+stacked oracle pass (``BlockOracle.wedderburn_all``), whose outcomes give
+each N its points or the error of its split, then stages the kernels of one
+shape, |N| and the point count P, together, in scan order, in stacks that
+stop before their |G| P^2 match entries per kernel pass MATCH_BUDGET (a
+kernel beyond it alone is a stack of its own; ``twisted.stacks`` cuts these
+stacks and the batches below by that one rule).  A stack takes its
+quotients in one ``quotients`` call and matches the conjugated points of
+all its normal kernels in one
 ``match_idempotents`` call; each kernel keeps its own normality error or
 match error, and each N's orbits and their classes (the orbits with the same
 inertia group and module dimension) are then computed for that N, with one
@@ -74,7 +76,7 @@ Subgroup per inertia group; a class with trivial inertia takes the trivial
 tables.  The scan then computes the other obstructions in one pass per batch
 of classes, across all the kernels, that share the inertia group's table,
 the module dimension d and |N|: the modules of a pass extracted in one
-oracle call (``BlockOracle.irreducible_rep_all``) and stacked along a
+oracle call (``BlockOracle.irreducible_reps``) and stacked along a
 leading axis through the intertwiners, the composition scalars and the
 gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class and
 stacked along the same axis, and the gauged tables validated as one stack.
@@ -109,7 +111,7 @@ from .gradings import (
     is_elementary_crossed_product,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, cayley_tree, quotients
-from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotents
+from .twisted import TOL_ROUND, BlockOracle, IrrPoint, match_idempotents, stacks
 
 TOL_SCALAR = 1e-7
 OBSTRUCTION_BUDGET = 1 << 13  # rho_g entries, |I| |N| d^2 per module, one stacked obstruction pass may hold
@@ -218,10 +220,10 @@ class MackeyContext:
 
         alpha is restricted once to every such N, and the oracle splits all
         the restrictions it has not kept in one ``BlockOracle.wedderburn_all``
-        pass, so reading an N's points is a hit.  A restriction whose split
-        fails is left unkept; reading its points splits it alone, and its N
-        keeps the error of that split, or the NormalityError of its quotient,
-        which comes first.  The other kernels are staged in stacks of one
+        pass, whose outcomes are read in order.  An N whose restriction
+        failed to split keeps the error of that split, the one the oracle
+        keeps for it, or the NormalityError of its quotient, which comes
+        first.  The other kernels are staged in ``twisted.stacks`` of one
         shape, |N| and the point count P, in scan order, each stack within
         MATCH_BUDGET entries of its match array, |G| P^2 per kernel
         (``_stage_stack``).  The obstruction passes then run across all
@@ -237,27 +239,22 @@ class MackeyContext:
         for N in subgroups:
             if N.elements not in self._outcomes:
                 todo.setdefault(N.elements, N)
-        restrictions = {key: self.cocycle.restrict(N) for key, N in todo.items()}
-        self.oracle.wedderburn_all(restrictions.values())
-        shapes: dict[tuple[int, int], list] = {}
-        for key, N in todo.items():
-            try:
-                points = self.oracle.wedderburn(restrictions[key]).blocks  # for N = G, the blocks of alpha
-            except GquotError as exc:
+        splits = self.oracle.wedderburn_all([self.cocycle.restrict(N) for N in todo.values()])
+        kernels = []
+        for (key, N), data in zip(todo.items(), splits):
+            if isinstance(data, GquotError):
                 (normality,) = quotients(self.group, [N])
-                self._outcomes[key] = normality if isinstance(normality, GquotError) else exc
-                continue
-            shapes.setdefault((N.order, len(points)), []).append((N, points))
+                self._outcomes[key] = normality if isinstance(normality, GquotError) else data
+            else:  # for N = G, the blocks of alpha
+                P = len(data.blocks)
+                kernels.append(((N.order, P), self.group.n * P * P, (N, data.blocks)))
         staged = {}
-        for (_, count), kernels in shapes.items():
-            per_stack = max(1, MATCH_BUDGET // (self.group.n * count * count))
-            for start in range(0, len(kernels), per_stack):
-                stack = kernels[start:start + per_stack]
-                for (N, _), outcome in zip(stack, self._stage_stack(stack)):
-                    if isinstance(outcome, GquotError):
-                        self._outcomes[N.elements] = outcome
-                    else:
-                        staged[N.elements] = outcome
+        for _, stack in stacks(kernels, MATCH_BUDGET):
+            for (N, _), outcome in zip(stack, self._stage_stack(stack)):
+                if isinstance(outcome, GquotError):
+                    self._outcomes[N.elements] = outcome
+                else:
+                    staged[N.elements] = outcome
         stages = {key: staged[key] for key in todo if key in staged}  # scan order, as the passes batch it
         self._stacked_obstructions(stages.values())
         for key, stage in stages.items():
@@ -321,29 +318,21 @@ class MackeyContext:
     def _stacked_obstructions(self, stages) -> None:
         """One obstruction pass per batch of classes, across all ``stages``,
         that share the table of the inertia group, the module dimension d and
-        |N|; a batch takes classes in stage and class order while its
-        |I| |N| d^2 entries per module stay within OBSTRUCTION_BUDGET, and a
-        class beyond it alone is a batch of its own.
+        |N|, cut by ``twisted.stacks``: a batch takes classes in stage and
+        class order while its |I| |N| d^2 entries per module stay within
+        OBSTRUCTION_BUDGET, and a class beyond it alone is a batch of its
+        own.
 
         A batch's tables, or the errors of ``_stacked_pass``, go to its
         classes' stages; classes with trivial inertia need no pass.
         """
-        batches: dict[tuple, list] = {}
+        classes = []
         for stage in stages:
-            for I, d in stage.classes:
+            for (I, d), members in stage.classes.items():
                 if len(I) > 1:
-                    key = (stage.inertia[I].as_group(), d, stage.normal.order)
-                    batches.setdefault(key, []).append((stage, (I, d)))
-        for (group, d, order), entries in batches.items():
-            per_module = group.n * order * d * d
-            batch, size = [], 0
-            for stage, cls in entries:
-                entries_of_class = per_module * len(stage.classes[cls])
-                if batch and size + entries_of_class > OBSTRUCTION_BUDGET:
-                    self._stacked_pass(group, batch)
-                    batch, size = [], 0
-                batch.append((stage, cls))
-                size += entries_of_class
+                    group, order = stage.inertia[I].as_group(), stage.normal.order
+                    classes.append(((group, d, order), group.n * order * d * d * len(members), (stage, (I, d))))
+        for (group, _, _), batch in stacks(classes, OBSTRUCTION_BUDGET):
             self._stacked_pass(group, batch)
 
     def _stacked_pass(self, group: FiniteGroup, batch) -> None:
@@ -432,9 +421,8 @@ class MackeyContext:
         """
         G, k = self.group, group.n
         alphas = [self.cocycle.restrict(stage.normal) for stage, _, _ in classes]
-        modules = [(a, i) for a, (_, _, indices) in zip(alphas, classes) for i in indices]
-        self.oracle.irreducible_rep_all(modules)
-        rho = np.stack([self.oracle.irreducible_rep(a, i) for a, i in modules])
+        modules = self.oracle.irreducible_reps([(a, i) for a, (_, _, ind) in zip(alphas, classes) for i in ind])
+        rho = np.stack([module for module, _ in modules])
         rho_g = np.empty((len(rho), k, *rho.shape[1:]), dtype=np.complex128)
         n = np.empty((len(rho), k, k), dtype=np.int64)
         c = np.empty((len(rho), k, k), dtype=np.complex128)
@@ -457,7 +445,7 @@ class MackeyContext:
         del rho_g
         if (n < 0).any():
             raise CertificationError("lifts of the inertia group do not compose inside N")
-        law = np.array([self.oracle.rep_defect(a, i) for a, i in modules])
+        law = np.array([bound for _, bound in modules])
         cosets = G.n // classes[0][0].normal.order
         omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
         return _exact_cocycle(group, omega)
@@ -529,8 +517,8 @@ def _composition_scalars(group, P, rho, n, c, cosets, delta):
     largest ``_intertwiners`` measured for the module.  Merging
     rho(n(ab, s)) rho(m) on one side and rho(n(a, bs)) rho(n(b, s)) on the
     other uses the module's projective law twice, each time within eps_rep,
-    the bound ``BlockOracle.rep_defect`` keeps for it.  Every other factor is
-    unitary, so the identity holds up to a term of norm at most
+    the bound ``BlockOracle.irreducible_reps`` keeps with it.  Every other
+    factor is unitary, so the identity holds up to a term of norm at most
     delta = r + 2 eps_rep.  For unitaries ||UV - I||_F <= ||U - I||_F +
     ||V - I||_F, and conjugation by P_a keeps the norm, so
     e(l) <= e(l - 1) + 2 eps_gen + delta for the largest D(a, w) over words w

@@ -56,11 +56,13 @@ every x and every generator s, scaled by the depth of the Cayley
 breadth-first tree, bounds the defect of every pair (the derivation is in
 ``irreducible_rep``); the bound comes back with the module.
 
-A :class:`BlockOracle` holds the certified blocks and modules of every
-algebra a computation asks about, keyed by the algebra's exact inputs, so an
-identical algebra is split once per registry; ``wedderburn_all`` splits a
-whole list of misses in one stacked pass, and ``irreducible_rep_all``
-extracts a list of missing modules in one ``extract_modules`` call.  The caller creates it and
+A :class:`BlockOracle` holds the outcome of every algebra and module a
+computation asks about, certified or failed, keyed by the exact inputs, so
+an identical algebra is split once per registry; every miss goes through a
+list call, ``wedderburn_all`` splitting a list of misses in one stacked pass
+and ``irreducible_reps`` extracting a list of missing modules in one
+``extract_modules`` call.  One rule, ``stacks``, cuts every stack of this
+module and of ``mackey`` to its budget.  The caller creates the oracle and
 passes it along.  ``is_nondegenerate`` never asks it: the exact center
 dimension decides simplicity.  NUMERIC_BOUND caps the order of every algebra
 here.
@@ -350,7 +352,7 @@ def split_algebras(algebras, seed: int) -> list[WedderburnData | CertificationEr
                 s.outcome = s.algebra._simple_block()
             except CertificationError as exc:
                 s.outcome = exc
-    _stacked_attempts([s for s in splits if s.k > 1], f"block oracle failed after {MAX_ATTEMPTS} attempts: ")
+    _stacked_attempts(splits, f"block oracle failed after {MAX_ATTEMPTS} attempts: ")
     return [s.outcome for s in splits]
 
 
@@ -381,28 +383,39 @@ def _check_seed(seed) -> None:
 
 
 def _stacked_attempts(jobs, failure: str) -> None:
-    """Every job of ``jobs`` (``_Split`` or ``_Module``) gets its
-    ``outcome``: what its ``certify`` keeps from the eigensplit of one of
-    its ``sample`` draws, within MAX_ATTEMPTS attempts, or a
+    """Every job of ``jobs`` (``_Split`` or ``_Module``) without an
+    ``outcome`` gets one: what its ``certify`` keeps from the eigensplit of
+    one of its ``sample`` draws, within MAX_ATTEMPTS attempts, or a
     CertificationError of ``failure`` and the reason its last attempt
     failed.  The samples of one size m, pending at one attempt, go into one
-    stacked eigh per SPLIT_BUDGET entries, m^2 per sample (a sample beyond it
-    alone is a stack of its own)."""
-    sizes: dict[int, list] = {}
+    stacked eigh per ``stacks`` stack of SPLIT_BUDGET entries, m^2 per
+    sample."""
+    for _ in range(MAX_ATTEMPTS):
+        pending = [(job.size, job.size * job.size, job) for job in jobs if job.outcome is None]
+        for _, stack in stacks(pending, SPLIT_BUDGET):
+            evals, evecs = np.linalg.eigh(np.stack([job.sample() for job in stack]))
+            for job, values, vectors in zip(stack, evals, evecs):
+                job.certify(values, vectors)
     for job in jobs:
-        sizes.setdefault(job.size, []).append(job)
-    for m, pending in sizes.items():
-        per_stack = max(1, SPLIT_BUDGET // (m * m))
-        for _ in range(MAX_ATTEMPTS):
-            pending = [job for job in pending if job.outcome is None]
-            for start in range(0, len(pending), per_stack):
-                stack = pending[start:start + per_stack]
-                evals, evecs = np.linalg.eigh(np.stack([job.sample() for job in stack]))
-                for job, values, vectors in zip(stack, evals, evecs):
-                    job.certify(values, vectors)
-        for job in pending:
-            if job.outcome is None:
-                job.outcome = CertificationError(failure + job.last)
+        if job.outcome is None:
+            job.outcome = CertificationError(failure + job.last)
+
+
+def stacks(entries, budget: int) -> list[tuple]:
+    """The items of ``entries``, (key, cost, item) triples, cut greedily
+    into stacks: each key's items in order, a stack closed only when the
+    next item would take its total cost past ``budget``, so an item beyond
+    it alone is a stack of its own.  The (key, items) of every stack, keys
+    in order of first appearance; for a uniform cost c a stack holds
+    max(1, budget // c) items."""
+    cut: dict = {}
+    for key, cost, item in entries:
+        of_key = cut.setdefault(key, [])
+        if not of_key or of_key[-1][0] + cost > budget:
+            of_key.append([0, []])
+        of_key[-1][0] += cost
+        of_key[-1][1].append(item)
+    return [(key, items) for key, of_key in cut.items() for _, items in of_key]
 
 
 class _Split:
@@ -512,98 +525,83 @@ class BlockOracle:
     The seed fixes the oracle's random draws, its only free input; it is
     named once, here, so every split and every module of one registry is
     drawn at it, and a context or caller built on the registry cannot
-    disagree with it; a negative seed is refused here, before any draw.  A
-    miss splits the algebra, or extracts the module, at ``seed`` with every
-    certificate ``split_algebras`` and ``extract_modules`` carry, and a
-    module keeps the projective-law bound it was certified with; a hit
-    returns what was certified on an identical input, which the
-    deterministic oracle would reproduce exactly.  ``wedderburn_all`` splits
-    every miss of a list in one ``split_algebras`` pass, one stacked eigh
-    per order and attempt with each algebra on its own random stream, so
-    each kept result is the one ``wedderburn`` would have split alone.
-    ``irreducible_rep_all`` extracts every missing module of a list (one
-    obstruction pass's) whose blocks are kept in one ``extract_modules``
-    call, in stacks of one sample shape with each module on its own random
-    stream, so each kept module is the one ``irreducible_rep`` would have
-    extracted alone.  Both keep only certified results: an algebra or a
-    module that fails in its pass is left unkept, and the next
-    ``wedderburn`` or ``irreducible_rep`` on it works alone and raises that
-    error.  Only oracle results are kept, never an exact solve, so an exact
-    certificate checked against the oracle stays independent of it.  Results
-    are shared between callers, so they are read-only: point coefficients,
-    block bases and module matrices are frozen.  Every module is cut out of
-    the basis its kept point carries.  The caller creates the registry,
-    passes it to every computation that should share it, and drops it when
-    done; nothing is kept at module level.
+    disagree with it; a negative seed is refused here, before any draw.
+    Every miss goes through a list call: ``wedderburn_all`` splits the
+    misses of a list in one ``split_algebras`` pass, one stacked eigh per
+    order and attempt with each algebra on its own random stream, and
+    ``irreducible_reps`` extracts the missing modules of a list (one
+    obstruction pass's) in one ``extract_modules`` call, in stacks of one
+    sample shape with each module on its own random stream; ``wedderburn``
+    is a hit or ``wedderburn_all`` on one cocycle.  So each result is the
+    one its algebra or module gets alone, and it is kept whether it is
+    certified blocks, a certified module with the projective-law bound it
+    passed, or the CertificationError of its failure: a hit returns what was
+    certified on an identical input, or raises what failed on it, as the
+    deterministic oracle would again.  Only oracle results are kept, never
+    an exact solve, so an exact certificate checked against the oracle stays
+    independent of it.  Results are shared between callers, so they are
+    read-only: point coefficients, block bases and module matrices are
+    frozen.  Every module is cut out of the basis its kept point carries.
+    The caller creates the registry, passes it to every computation that
+    should share it, and drops it when done; nothing is kept at module
+    level.
     """
 
     def __init__(self, seed: int = 0):
         _check_seed(seed)
         self.seed = seed
-        self._blocks: dict[tuple, WedderburnData] = {}
-        self._modules: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._blocks: dict[tuple, WedderburnData | CertificationError] = {}
+        self._modules: dict[tuple, tuple[np.ndarray, float] | CertificationError] = {}
 
     @staticmethod
     def _key(cocycle: CocycleTable) -> tuple:
         return (cocycle.group, cocycle.scale, cocycle.exps.tobytes())
 
     def wedderburn(self, cocycle: CocycleTable) -> WedderburnData:
-        """The certified blocks of C^cocycle G, G the cocycle's group."""
-        key = self._key(cocycle)
-        data = self._blocks.get(key)
+        """The certified blocks of C^cocycle G, G the cocycle's group, or the
+        kept error of its split raised."""
+        data = self._blocks.get(self._key(cocycle))
         if data is None:
-            data = self._blocks[key] = TwistedAlgebra(cocycle.group, cocycle).wedderburn(seed=self.seed)
+            (data,) = self.wedderburn_all([cocycle])
+        if isinstance(data, CertificationError):
+            raise data
         return data
 
-    def wedderburn_all(self, cocycles) -> None:
-        """Split every algebra of ``cocycles`` not kept yet in one
-        ``split_algebras`` pass, and keep the certified ones; an algebra
-        that fails is left unkept, for ``wedderburn`` to split alone."""
-        misses = {}
+    def wedderburn_all(self, cocycles) -> list[WedderburnData | CertificationError]:
+        """The outcome of every algebra of ``cocycles``, in order, its
+        certified blocks or the CertificationError of its split; the
+        algebras not kept yet are split in one ``split_algebras`` pass, and
+        every outcome is kept."""
+        keys, misses = [], {}
         for cocycle in cocycles:
-            key = self._key(cocycle)
-            if key not in self._blocks:
-                misses.setdefault(key, cocycle)
-        algebras = [TwistedAlgebra(c.group, c) for c in misses.values()]
-        for key, data in zip(misses, split_algebras(algebras, self.seed)):
-            if isinstance(data, WedderburnData):
-                self._blocks[key] = data
+            keys.append(self._key(cocycle))
+            if keys[-1] not in self._blocks and keys[-1] not in misses:
+                misses[keys[-1]] = TwistedAlgebra(cocycle.group, cocycle)
+        if misses:
+            self._blocks.update(zip(misses, split_algebras(misses.values(), self.seed)))
+        return [self._blocks[key] for key in keys]
 
-    def irreducible_rep(self, cocycle: CocycleTable, index: int) -> np.ndarray:
-        """The certified module of block ``index`` of ``wedderburn(cocycle)``."""
-        return self._module(cocycle, index)[0]
-
-    def rep_defect(self, cocycle: CocycleTable, index: int) -> float:
-        """The projective-law bound ``TwistedAlgebra._rep_defect_bound`` of
-        that module, measured once, by the extraction that certified it."""
-        return self._module(cocycle, index)[1]
-
-    def irreducible_rep_all(self, modules) -> None:
-        """Extract the module of every (cocycle, index) of ``modules`` not
-        kept yet, whose blocks are kept, in one ``extract_modules`` call, and
-        keep the certified ones; a module that fails is left unkept, for
-        ``irreducible_rep`` to extract alone."""
-        misses, algebras = {}, {}
+    def irreducible_reps(self, modules) -> list[tuple[np.ndarray, float]]:
+        """The certified module of block ``index`` of ``wedderburn(cocycle)``
+        for every (cocycle, index) of ``modules``, in order, with the
+        projective-law bound ``TwistedAlgebra._rep_defect_bound`` it passed;
+        the modules not kept yet are extracted in one ``extract_modules``
+        call, every outcome is kept, and the first that failed raises."""
+        keys, misses, algebras = [], {}, {}
         for cocycle, index in modules:
             key = self._key(cocycle)
-            if key in self._blocks and (*key, index) not in self._modules:
+            keys.append((*key, index))
+            if keys[-1] not in self._modules and keys[-1] not in misses:
                 if key not in algebras:
                     algebras[key] = TwistedAlgebra(cocycle.group, cocycle)
-                misses.setdefault((*key, index), (algebras[key], self._blocks[key].blocks[index]))
-        for key, module in zip(misses, extract_modules(misses.values(), self.seed)):
-            if not isinstance(module, CertificationError):
-                self._modules[key] = module
-
-    def _module(self, cocycle: CocycleTable, index: int) -> tuple[np.ndarray, float]:
-        key = (*self._key(cocycle), index)
-        module = self._modules.get(key)
-        if module is None:
-            point = self.wedderburn(cocycle).blocks[index]
-            (module,) = extract_modules([(TwistedAlgebra(cocycle.group, cocycle), point)], self.seed)
+                misses[keys[-1]] = (algebras[key], self.wedderburn(cocycle).blocks[index])
+        if misses:
+            self._modules.update(zip(misses, extract_modules(misses.values(), self.seed)))
+        outcomes = [self._modules[key] for key in keys]
+        for module in outcomes:
             if isinstance(module, CertificationError):
                 raise module
-            self._modules[key] = module
-        return module
+        return outcomes
 
 
 def is_nondegenerate(a: CocycleTable) -> bool:
@@ -637,15 +635,6 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
 
 
 # -- idempotents matched against a certified set ------------------------------
-
-
-def match_idempotent(rows: np.ndarray, points: tuple[IrrPoint, ...]) -> tuple[IrrPoint, ...]:
-    """The unique point within TOL_ROUND of each stacked row: ``match_idempotents``
-    on this one stack, its error raised; ambiguity raises, never guesses."""
-    (index,) = match_idempotents(rows[None], np.array([p.coeffs for p in points])[None])
-    if isinstance(index, CertificationError):
-        raise index
-    return tuple(points[i] for i in index)
 
 
 def match_idempotents(rows: np.ndarray, known: np.ndarray) -> list[np.ndarray | CertificationError]:

@@ -221,9 +221,10 @@ def test_normal_lists_with_an_empty_field_exit_2(capsys, normal, field):
         (["mackey", "decompose", "--group", "C4", "--normal", "0,2", "--seed", "-1"], "seed: -1\n"),
         (["lagrangian", "scan", "--group", "C2xC2", "--cocycle", "nd_C2xC2", "--seed", "-1"], "seed: -1\n"),
         (["lagrangian", "theoremD", "--group", "C2xC2", "--cocycle", "nd_C2xC2", "--seed", "-1"], "seed: -1\n"),
+        (["lagrangian", "iyb", "--group", "C2xC2", "--seed", "-1"], "seed: -1\n"),
         (["suite", "--seed", "-3"], ""),
     ],
-    ids=["wedderburn", "decompose", "scan", "theoremD", "suite"],
+    ids=["wedderburn", "decompose", "scan", "theoremD", "iyb", "suite"],
 )
 def test_a_negative_seed_exits_2(capsys, argv, echo):
     """A negative seed is refused where it enters the block oracle, with an

@@ -292,7 +292,7 @@ def test_shared_results_are_read_only():
     """A caller cannot write into a module or a point another caller shares."""
     a = standard_nondegenerate([2])
     oracle = BlockOracle()
-    rho = oracle.irreducible_rep(a, 0)
+    ((rho, _),) = oracle.irreducible_reps([(a, 0)])
     point = oracle.wedderburn(a).blocks[0]
     before_rho, before_point = rho.copy(), point.coeffs.copy()
     with pytest.raises(ValueError):
@@ -301,7 +301,7 @@ def test_shared_results_are_read_only():
         rho[1] *= 2
     with pytest.raises(ValueError):
         point.coeffs[0] = 5.0
-    again = oracle.irreducible_rep(a, 0)
+    ((again, _),) = oracle.irreducible_reps([(a, 0)])
     assert again is rho and np.array_equal(again, before_rho)
     assert np.array_equal(oracle.wedderburn(a).blocks[0].coeffs, before_point)
     context = MackeyContext(a, oracle=oracle)
@@ -752,12 +752,11 @@ def per_orbit_obstruction(context, alpha_N, N, index, inertia, section):
     N_embed = np.asarray(N.elements)
     N_pos = np.full(G.n, -1)
     N_pos[N_embed] = np.arange(len(N_embed))
-    rho = context.oracle.irreducible_rep(alpha_N, index)
+    ((rho, law),) = context.oracle.irreducible_reps([(alpha_N, index)])
     gs = section[list(inertia.elements)]
     conj = context.conj[np.ix_(gs, N_embed)]
     kappa = context.kappa[np.ix_(gs, N_embed)]
     P, residual = mackey._intertwiners(rho[None], (kappa[:, :, None, None] * rho[N_pos[conj]])[None])
-    law = context.oracle.rep_defect(alpha_N, index)
     s_ab = gs[I_group.table]
     n = G.table[G.inverse_table[s_ab], G.table[gs[:, None], gs]]
     if (N_pos[n] < 0).any():
@@ -1002,17 +1001,18 @@ def test_each_staging_check_fires_with_its_message(monkeypatch, columns, second_
     perms = np.array(columns + [[2] * 4, [3] * 4]).T
     monkeypatch.setattr(MackeyContext, "_point_actions", lambda self, kernels: [perms] * len(kernels))
     if second_point_of_dim_two:
-        wedderburn = context.oracle.wedderburn
+        wedderburn_all = context.oracle.wedderburn_all
 
-        def wider(cocycle):
-            data = wedderburn(cocycle)
-            if cocycle.group.n != N.order:
-                return data
+        def wider(data):
             blocks = list(data.blocks)
             blocks[1] = dataclasses.replace(blocks[1], dim=2)
             return dataclasses.replace(data, blocks=tuple(blocks))
 
-        monkeypatch.setattr(context.oracle, "wedderburn", wider)
+        monkeypatch.setattr(
+            context.oracle, "wedderburn_all",
+            lambda cocycles: [wider(data) if c.group.n == N.order else data
+                              for c, data in zip(cocycles, wedderburn_all(cocycles))],
+        )
     with pytest.raises(TheoremCheckError) as raised:
         context.decompose(N)
     assert str(raised.value) == message
@@ -1361,16 +1361,18 @@ def test_an_ambiguous_match_fails_its_kernel_alone(monkeypatch):
 
     def twinned():
         context = MackeyContext(a)
-        wedderburn = context.oracle.wedderburn
+        wedderburn_all = context.oracle.wedderburn_all
 
-        def twin(cocycle):
-            data = wedderburn(cocycle)
+        def twin(cocycle, data):
             if cocycle.group is not bad.as_group():
                 return data
             first, second = data.blocks
             return dataclasses.replace(data, blocks=(first, dataclasses.replace(second, coeffs=first.coeffs)))
 
-        monkeypatch.setattr(context.oracle, "wedderburn", twin)
+        monkeypatch.setattr(
+            context.oracle, "wedderburn_all",
+            lambda cocycles: [twin(c, data) for c, data in zip(cocycles, wedderburn_all(cocycles))],
+        )
         return context
 
     with pytest.raises(CertificationError) as alone:

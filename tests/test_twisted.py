@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gquot as gq
 from gquot import twisted
@@ -20,7 +21,7 @@ from gquot.twisted import (
     IrrPoint,
     TwistedAlgebra,
     is_nondegenerate,
-    match_idempotent,
+    match_idempotents,
     _cluster,
 )
 
@@ -135,7 +136,10 @@ def conjugate_idempotent(A, N, g, point, points):
         target, gn, ginv = conjugate(G, g, n), G.mul(g, n), G.inv(g)
         assert target in pos, f"conjugating {n} by {g} leaves N"
         raw[pos[target]] = point.coeffs[i] * W[g, n] * W[gn, ginv] / W[g, ginv]
-    return match_idempotent(raw[None], points)[0]
+    (index,) = match_idempotents(raw[None, None], np.array([[p.coeffs for p in points]]))
+    if isinstance(index, CertificationError):
+        raise index
+    return points[index[0]]
 
 
 def same_orbit(A, N, p1, p2, points):
@@ -255,8 +259,8 @@ def test_transitive_action_for_nondegenerate():
 def test_match_idempotent_rejects_garbage():
     C2 = gq.cyclic(2)
     pts = central_idempotents(C2, CocycleTable.trivial(C2), seed=0)
-    with pytest.raises(CertificationError):
-        match_idempotent(np.array([[0.3 + 0j, 0.1]]), pts)
+    (outcome,) = match_idempotents(np.array([[[0.3 + 0j, 0.1]]]), np.array([[p.coeffs for p in pts]]))
+    assert isinstance(outcome, CertificationError)
 
 
 def test_irreducible_rep_of_s3_block():
@@ -587,9 +591,9 @@ def test_block_basis_spans_the_block(name):
         assert np.max(np.abs(B @ B.conj().T - U @ U.conj().T)) <= 1e-12
 
 
-def _match_outcome(match, rows, points):
+def _match_outcome(rows, points):
     try:
-        return match(rows, points)
+        return reference_match_rows(rows, points)
     except CertificationError as exc:
         return str(exc)
 
@@ -612,11 +616,9 @@ def test_match_idempotent_matches_reference(spec):
         stacks.append(np.vstack([garbage, exact]))
     for rows in stacks:
         for known_points in (points, points + (twin,)):
-            got = _match_outcome(match_idempotent, rows, known_points)
-            want = _match_outcome(reference_match_rows, rows, known_points)
-            if isinstance(got, tuple):
-                got = tuple(p.index for p in got)
-            assert got == want
+            (got,) = match_idempotents(rows[None], np.array([[p.coeffs for p in known_points]]))
+            got = str(got) if isinstance(got, CertificationError) else tuple(got.tolist())
+            assert got == _match_outcome(rows, known_points)
 
 
 # -- the block oracle registry --------------------------------------------------
@@ -648,8 +650,8 @@ def test_block_oracle_splits_each_exact_input_once(monkeypatch):
     oracle.wedderburn(CocycleTable.trivial(a.group, a.scale))  # other exponents
     assert len(calls) == 4
     assert oracle.wedderburn(a.rescale(4)).dims == first.dims
-    rho = oracle.irreducible_rep(a, 0)
-    assert oracle.irreducible_rep(a, 0) is rho and len(calls) == 4
+    ((rho, _),) = oracle.irreducible_reps([(a, 0)])
+    assert oracle.irreducible_reps([(a, 0)])[0][0] is rho and len(calls) == 4
     assert np.array_equal(rho, TwistedAlgebra(a.group, a).irreducible_rep(first.blocks[0], seed=0))
 
 
@@ -672,8 +674,8 @@ def test_block_oracle_measures_each_module_law_once(monkeypatch):
         a = LAW_CASES[name]
         for index in range(len(oracle.wedderburn(a).blocks)):
             for _ in range(2):
-                rho = oracle.irreducible_rep(a, index)
-                assert oracle.rep_defect(a, index) == original(TwistedAlgebra(a.group, a), rho)
+                ((rho, bound),) = oracle.irreducible_reps([(a, index)])
+                assert bound == original(TwistedAlgebra(a.group, a), rho)
             modules += 1
     assert modules > 20 and len(calls) == modules == len(oracle._modules)
     # the obstruction passes read the kept bounds: a decomposition adds one
@@ -906,6 +908,31 @@ def test_a_stacked_split_equals_each_algebra_split_alone(monkeypatch, budget):
             assert_same_split(got, reference_eigensplit(A, 1))
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=30), st.integers(1, 100), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_stacks_cut_each_key_greedily_within_the_budget(pairs, budget, uniform):
+    """Over random keys, costs and budgets: each key's stacks, joined, give
+    its items in order, keys in order of first appearance; every stack is
+    within the budget or holds a single item; every stack but a key's last
+    would pass the budget with the key's next item; and for a uniform cost c
+    every such stack holds max(1, budget // c) items."""
+    if uniform and pairs:
+        pairs = [(key, pairs[0][1]) for key, _ in pairs]
+    entries = [(key, cost, i) for i, (key, cost) in enumerate(pairs)]
+    cost = {i: c for _, c, i in entries}
+    cut = twisted.stacks(entries, budget)
+    keys = list(dict.fromkeys(key for key, _, _ in entries))
+    assert [key for key, _ in cut] == sorted((key for key, _ in cut), key=keys.index)
+    for key in keys:
+        own = [items for k, items in cut if k == key]
+        assert [i for items in own for i in items] == [i for k, _, i in entries if k == key]
+        for items, following in zip(own, own[1:]):
+            assert sum(cost[i] for i in items) + cost[following[0]] > budget
+            if uniform:
+                assert len(items) == max(1, budget // pairs[0][1])
+    assert all(sum(cost[i] for i in items) <= budget or len(items) == 1 for _, items in cut)
+
+
 def never_certifies(monkeypatch, bad):
     """Fault injection: the algebra on the cocycle ``bad`` draws the zero
     sample on every attempt, whose one eigencluster misses its center
@@ -919,7 +946,8 @@ def never_certifies(monkeypatch, bad):
 def test_an_algebra_that_never_certifies_leaves_its_stack_alone(monkeypatch):
     """One algebra of a stack fails every attempt: the others equal their
     lone splits, the failing one gets the error it raises alone, the oracle
-    keeps all but it, and its next ``wedderburn`` raises that error."""
+    keeps every outcome, the failing one's error too, and its next
+    ``wedderburn`` raises that error without splitting again."""
     algebras = [A for A in LATTICE_ALGEBRAS if A.n == 16]
     bad = next(A for A in algebras if A.center_dimension() > 2)
     alone = {id(A): A.wedderburn(seed=0) for A in algebras if A is not bad}
@@ -935,11 +963,18 @@ def test_an_algebra_that_never_certifies_leaves_its_stack_alone(monkeypatch):
         else:
             assert_same_split(got, alone[id(A)])
     oracle = BlockOracle(0)
-    oracle.wedderburn_all([A.cocycle for A in algebras])
-    assert len(oracle._blocks) == len(algebras) - 1 and oracle._key(bad.cocycle) not in oracle._blocks
+    for A, got in zip(algebras, oracle.wedderburn_all([A.cocycle for A in algebras])):
+        if A is bad:
+            assert isinstance(got, CertificationError) and str(got) == str(lone.value)
+        else:
+            assert_same_split(got, alone[id(A)])
+    assert len(oracle._blocks) == len(algebras)
+    assert str(oracle._blocks[oracle._key(bad.cocycle)]) == str(lone.value)
+    calls, split = [], twisted.split_algebras
+    monkeypatch.setattr(twisted, "split_algebras", lambda algs, seed: calls.append(algs) or split(algs, seed))
     with pytest.raises(CertificationError) as kept:
         oracle.wedderburn(bad.cocycle)
-    assert str(kept.value) == str(lone.value) and oracle._key(bad.cocycle) not in oracle._blocks
+    assert str(kept.value) == str(lone.value) and calls == []
 
 
 # -- stacked module extraction --------------------------------------------------
@@ -1024,8 +1059,9 @@ def test_a_module_that_never_certifies_leaves_its_stack_alone(monkeypatch):
     """One module of a stack draws the zero sample on every attempt, whose
     one eigencluster is the whole block: the others equal their lone
     extractions, the failing one gets the error it raises alone, the
-    oracle's list entry keeps all but it, and its next ``irreducible_rep``
-    extracts it alone and raises that error."""
+    oracle keeps every outcome, the failing one's error too, its list call
+    raises that error, and so does its next ``irreducible_reps`` without
+    extracting again."""
     algebras = [A for A in LATTICE_ALGEBRAS if A.n == 16]
     modules = [(A, p) for A in algebras for p in A.wedderburn(seed=0).blocks]
     bad = next((A, p) for A, p in modules if p.dim == 2)
@@ -1048,12 +1084,19 @@ def test_a_module_that_never_certifies_leaves_its_stack_alone(monkeypatch):
             assert_same_module(got, want)
     oracle = BlockOracle(0)
     oracle.wedderburn_all([A.cocycle for A in algebras])
-    oracle.irreducible_rep_all([(A.cocycle, p.index) for A, p in modules])
+    with pytest.raises(CertificationError) as listed:
+        oracle.irreducible_reps([(A.cocycle, p.index) for A, p in modules])
+    assert str(listed.value) == str(lone)
     bad_key = (*oracle._key(bad[0].cocycle), bad[1].index)
-    assert len(oracle._modules) == len(modules) - 1 and bad_key not in oracle._modules
+    assert len(oracle._modules) == len(modules) and str(oracle._modules[bad_key]) == str(lone)
+    for (A, p), want in zip(modules, alone):
+        if not is_bad(A, p):
+            assert_same_module(oracle._modules[(*oracle._key(A.cocycle), p.index)], want)
+    calls, extract = [], twisted.extract_modules
+    monkeypatch.setattr(twisted, "extract_modules", lambda mods, seed: calls.append(mods) or extract(mods, seed))
     with pytest.raises(CertificationError) as kept:
-        oracle.irreducible_rep(bad[0].cocycle, bad[1].index)
-    assert str(kept.value) == str(lone) and bad_key not in oracle._modules
+        oracle.irreducible_reps([(bad[0].cocycle, bad[1].index)])
+    assert str(kept.value) == str(lone) and calls == []
 
 
 def test_a_negative_seed_is_refused_where_it_enters():
