@@ -192,7 +192,9 @@ def cohomologous(
 
     - **Mod M1** the system goes to ``solve_mod``.  It has one row per pair
       (g, h) of non-identity elements, g-major, and one unknown per
-      non-identity element (``_coboundary_rows``).  The rows depend only on
+      non-identity element (``_coboundary_rows``): the rows are one int8
+      array and the right-hand side t one int64 array, with no Python
+      object per equation.  The rows depend only on
       the table of G and M1 only on that table and the scale; only the
       right-hand side depends on the cocycles.  So a caller that asks about
       many cocycles on one table passes ``factors``, a dict it keeps: the
@@ -227,8 +229,7 @@ def cohomologous(
         rows = _coboundary_rows(a.group)
         if factors is not None:
             factors[(a.group.core, m1)] = rows
-    rhs = target[1:, 1:].ravel().tolist()
-    x = solve_mod(rows, rhs, m1, factors=factors)
+    x = solve_mod(rows, target[1:, 1:].ravel(), m1, factors=factors)
     if x is None:
         return False, None
     # x + m1 * y is x mod m1 and n^-1 S mod m2 when y = (n^-1 S - x) m1^-1 mod m2
@@ -245,8 +246,8 @@ def _coboundary_rows(G: FiniteGroup) -> SystemRows:
     """The rows c(g) + c(h) - c(gh) of the coboundary system on G, one per
     pair (g, h) of non-identity elements, g-major, over the non-identity
     unknowns.  The entries are -1, 1 and 2, so they are built as one int8
-    array by three scatters (the g, h and gh columns) and handed over as a
-    list of that array's rows."""
+    array by three scatters (the g, h and gh columns) and handed over as
+    that one array, read-only, in ``SystemRows``."""
     n = G.n
     g, h = (x.ravel() for x in np.indices((n - 1, n - 1)) + 1)
     gh = G.table[g, h]

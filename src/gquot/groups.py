@@ -566,7 +566,8 @@ def _check_range(elems, n: int) -> None:
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     _check_range(sorted(int(g) for g in gens), G.n)
-    return Subgroup(G, tuple(sorted(_closure(G, gens))))
+    # closed under products, so under inverses too: G is finite
+    return _proved(Subgroup, group=G, elements=tuple(sorted(_closure(G, gens))), _copy=None)
 
 
 def subgroups(G: FiniteGroup) -> list[Subgroup]:

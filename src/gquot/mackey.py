@@ -86,7 +86,8 @@ classes do.  Each module keeps its own certificates with the thresholds
 above, and each check reports its first failing module.  A batch that raises
 is passed again right away one class at a time, so every N gets exactly the
 decomposition, or the error, it gets alone, and the context keeps it for
-``decompose(N)``.
+``decompose(N)``.  The tables of every class of the scan are then split in
+one more oracle pass (``wedderburn_all``), so no N's tables are split alone.
 
 Everything the decomposition claims is cross-checked against the independent
 block oracle: the ungraded Wedderburn multiset of C^alpha G must equal the
@@ -227,10 +228,12 @@ class MackeyContext:
         shape, |N| and the point count P, in scan order, each stack within
         MATCH_BUDGET entries of its match array, |G| P^2 per kernel
         (``_stage_stack``).  The obstruction passes then run across all
-        the stages, in scan order (``_stacked_obstructions``), and each N is
-        finished.  An N that fails keeps the error it raises when decomposed
-        alone, so it is staged once per context.  A subgroup of another group
-        raises DomainError before any work.
+        the stages, in scan order (``_stacked_obstructions``), the oracle
+        splits every obstruction table they give in one more
+        ``wedderburn_all`` pass (a class holding an error gives none), and
+        each N is finished.  An N that fails keeps the error it raises when
+        decomposed alone, so it is staged once per context.  A subgroup of
+        another group raises DomainError before any work.
         """
         subgroups = list(subgroups)
         if any(N.group != self.group for N in subgroups):
@@ -257,6 +260,8 @@ class MackeyContext:
                     staged[N.elements] = outcome
         stages = {key: staged[key] for key in todo if key in staged}  # scan order, as the passes batch it
         self._stacked_obstructions(stages.values())
+        tables = (omegas for stage in stages.values() for omegas in stage.omegas.values())
+        self.oracle.wedderburn_all([w for omegas in tables if not isinstance(omegas, GquotError) for w in omegas])
         for key, stage in stages.items():
             try:
                 self._outcomes[key] = self._finish(stage)
@@ -355,9 +360,10 @@ class MackeyContext:
             stage.omegas[cls] = [next(tables) for _ in stage.classes[cls]]
 
     def _finish(self, stage: _Stage) -> MackeyDecomposition:
-        """The orbits of one staged N from its classes' tables, and the
-        decomposition with all its checks; the first class holding an error
-        raises it."""
+        """The orbits of one staged N from its classes' tables, with the
+        blocks of each table as the oracle keeps them, and the decomposition
+        with all its checks; the first class holding an error raises it, as
+        does the first table whose split failed."""
         G, Q = self.group, stage.quotient_group
         orbits = []
         for (I, d), members in stage.classes.items():

@@ -49,16 +49,19 @@ that question is a linear system over Z/m.
 - **No overflow.**  Residues mod q are stored in the narrowest integer dtype
   that holds q^2 (int16, int32, int64; Python integers beyond that), so every
   product of two residues and every difference fits before it is reduced.
-- **Row input.**  The rows arrive as a list, of lists of Python integers or of
-  one-dimensional integer arrays (``cohomologous`` passes the rows of one int8
-  array as ``SystemRows``, which keeps the registry key derived from them, so
-  a caller that keeps the rows derives the key once).  A list, not a bare
-  2-D array, because a caller that wraps ``solve_mod`` may read its shape as
-  ``len(rows)`` and ``len(rows[0])`` behind an ``if rows``, and the truth
-  value of an array is ambiguous.  Each
-  block of rows goes through ``np.asarray`` and straight into the residue
-  dtype, without per-entry Python iteration and without a full-size int64
-  copy; a block with an entry no int64 holds is reduced in Python integers.
+- **Row input.**  The rows arrive as a sequence of equal-length rows: a
+  list of lists of Python integers or of one-dimensional integer arrays, or
+  ``SystemRows``, one read-only 2-D integer array that also keeps the
+  registry key derived from it (``cohomologous`` passes its int8 coboundary
+  array so, and a caller that keeps the rows derives the key once).  A
+  sequence, not a bare 2-D array, because a caller that wraps ``solve_mod``
+  may read its shape as ``len(rows)`` and ``len(rows[0])`` behind an ``if
+  rows``, and the truth value of an array is ambiguous.  Each block of rows
+  goes through ``np.asarray`` (a view of a ``SystemRows`` array) and is
+  reduced mod q straight into the column array, in the residue dtype, without
+  per-entry Python iteration and without a widened copy of the block; a
+  block with an entry no int64 holds is reduced in Python integers.  The
+  right-hand side is a list of integers or a 1-D integer array.
 """
 
 from __future__ import annotations
@@ -72,16 +75,15 @@ _CHUNK_ROWS = 4096
 _DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
 
-def solve_mod(
-    rows: list[list[int]], rhs: list[int], m: int, factors: dict | None = None
-) -> list[int] | None:
+def solve_mod(rows, rhs, m: int, factors: dict | None = None) -> list[int] | None:
     """Solve ``A x = rhs (mod m)`` for integer x, or return None if unsolvable.
 
-    ``rows`` is a dense integer matrix given as a list of equal-length rows,
-    one per entry of ``rhs``: lists of integers of any size, or 1-D integer
-    arrays.  The solution is returned with entries in ``range(m)``; a
-    homogeneous system gets the zero solution.  m is factored by trial
-    division, so its prime factors should be small.
+    ``rows`` is a dense integer matrix given as a sequence of equal-length
+    rows, one per entry of ``rhs``: a list of lists of integers of any size
+    or of 1-D integer arrays, or ``SystemRows``; ``rhs`` is a list of
+    integers or a 1-D integer array.  The solution is returned with entries
+    in ``range(m)``; a homogeneous system gets the zero solution.  m is
+    factored by trial division, so its prime factors should be small.
 
     ``factors`` is a registry the caller keeps, a dict, or None.  With one,
     the system's elimination is recorded in it on first use, keyed by m and
@@ -94,12 +96,13 @@ def solve_mod(
     if len(rhs) != nrows:
         raise ValidationError(f"{nrows} equations but {len(rhs)} right-hand sides")
     ncols = len(rows[0]) if nrows else 0
-    if len(set(map(len, rows))) > 1:
+    one_array = isinstance(rows, SystemRows)  # so its rows have one length
+    if not one_array and len(set(map(len, rows))) > 1:
         raise ValidationError("coefficient rows have unequal lengths")
     if factors is None:  # each shear is replayed as the elimination makes it, then dropped
         records = ((p**e, _eliminate(rows, ncols, p, e)) for p, e in prime_powers(m))
     else:
-        key = rows.key(m) if isinstance(rows, SystemRows) else _system_key(rows, m)
+        key = rows.key(m) if one_array else _system_key(rows, m)
         records = factors.get(key)
         if records is None:
             records = factors[key] = [(p**e, list(_eliminate(rows, ncols, p, e))) for p, e in prime_powers(m)]
@@ -113,26 +116,32 @@ def solve_mod(
     return x
 
 
-class SystemRows(list):
-    """The rows of one coefficient matrix, as the list of the rows of one
-    read-only integer array, for a caller that poses the system again and
-    again and keeps it: ``solve_mod`` reads it like any list of rows, and
-    takes its registry key from ``key``, derived once per modulus and kept.
-    No entry can change: the array is read-only, and the list is not to be
-    changed after it is built."""
+class SystemRows:
+    """The rows of one coefficient matrix, held as one read-only 2-D integer
+    array, for a caller that poses the system again and again and keeps it:
+    a sequence of its rows (``len``, and indexing, where a slice is a view of
+    the array), which ``solve_mod`` reads like any list of rows, with its
+    registry key from ``key``, derived once per modulus and kept.  No entry
+    can change: the array is read-only."""
 
-    __slots__ = ("_keys",)
+    __slots__ = ("_array", "_keys")
 
     def __init__(self, block: np.ndarray):
         block.setflags(write=False)
-        super().__init__(block)
+        self._array = block
         self._keys = {}
 
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, index) -> np.ndarray:
+        return self._array[index]
+
     def key(self, m: int) -> tuple:
-        """``_system_key(self, m)``, derived on the first call for m."""
+        """``_system_key`` of the array and m, derived on the first call for m."""
         key = self._keys.get(m)
         if key is None:
-            key = self._keys[m] = _system_key(self, m)
+            key = self._keys[m] = _system_key(self._array, m)
         return key
 
 
@@ -165,14 +174,19 @@ def prime_powers(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _residues(values, q: int, width: int, dtype) -> np.ndarray:
-    """The rows ``values`` (each of length ``width``) reduced mod q."""
+def _residues(values, q: int, width: int, dtype, out=None) -> np.ndarray:
+    """The rows ``values`` (each of length ``width``) reduced mod q, in
+    ``dtype``, written into ``out`` when it is given (an array of their
+    shape in that dtype) and returned."""
+    out = np.empty((len(values), width), dtype) if out is None else out
     if dtype is not object:  # then q * q, and so q, fits in int64
         block = np.asarray(values)
         if block.ndim == 2 and np.can_cast(block.dtype, np.int64):
             wide = np.promote_types(block.dtype, dtype)  # holds both the entries and q
-            return (block.astype(wide, copy=False) % q).astype(dtype, copy=False)
-    return np.array([[int(v) % q for v in row] for row in values], dtype=object).reshape(len(values), width)
+            # reduced in `wide` and cast buffer by buffer: every residue fits in `dtype`
+            return np.remainder(block, q, out=out, dtype=wide, casting="unsafe")
+    out[...] = [[int(v) % q for v in row] for row in values]
+    return out
 
 
 def _dtype(q: int):
@@ -190,8 +204,7 @@ def _eliminate(rows, ncols: int, p: int, e: int):
     cols = np.empty((ncols, nrows), dtype)  # the coefficient matrix, one array row per column
     counts = np.empty(nrows, np.intp)  # nonzero coefficients per equation, kept through every shear
     for s in range(0, nrows, _CHUNK_ROWS):
-        block = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype)
-        cols[:, s:s + _CHUNK_ROWS] = block.T
+        block = _residues(rows[s:s + _CHUNK_ROWS], q, ncols, dtype, out=cols[:, s:s + _CHUNK_ROWS].T)
         counts[s:s + _CHUNK_ROWS] = np.count_nonzero(block, axis=1)
 
     open_cols = range(ncols)

@@ -498,10 +498,12 @@ def test_coboundary_system_matches_reference_rows(a, b, monkeypatch):
     same, witness = cohomologous(a, b)
     [(rows, rhs, m)] = calls
     ref_rows, ref_rhs, ref_m = reference_coboundary_rows(a, b)
-    # a list of int8 rows: a wrapper may read len(rows[0]) behind `if rows`
-    assert isinstance(rows, list) and all(row.dtype == np.int8 for row in rows[:1])
-    # the solver gets the part of the lifted scale whose primes divide |G|
+    # what a wrapper reads: len(rows) and len(rows[0]) behind `if rows`, over int8 rows
     n = a.group.n
+    assert bool(rows) == (n > 1) and len(rows) == (n - 1) ** 2
+    assert not rows or len(rows[0]) == n - 1
+    assert all(row.dtype == np.int8 for row in rows)
+    # the solver gets the part of the lifted scale whose primes divide |G|
     assert ref_m % m == 0 and pow(n, m.bit_length(), m) == 0 and math.gcd(ref_m // m, n) == 1
     assert list(rhs) == ref_rhs
     assert [row.tolist() for row in rows] == ref_rows
@@ -523,13 +525,14 @@ def counted_solves(monkeypatch):
 
 
 def test_a_bare_solve_on_c2xc2_is_one_call_of_nine_int8_rows(monkeypatch):
-    """The shape the benchmark tracer pins: one ``solve_mod`` call, with a list
-    of 9 int8 rows of 3 columns, and no registry."""
+    """The shape the benchmark tracer pins: one ``solve_mod`` call, with 9
+    int8 rows of 3 columns, read as the tracer reads them (``len(rows)`` and
+    ``len(rows[0])`` behind ``if rows``), and no registry."""
     alpha = standard_nondegenerate([2])
     calls = counted_solves(monkeypatch)
     cohomologous(CocycleTable.trivial(alpha.group), alpha)
     [(rows, factors)] = calls
-    assert factors is None and isinstance(rows, list) and len(rows) == 9
+    assert factors is None and bool(rows) and len(rows) == 9 and len(rows[0]) == 3
     assert all(row.dtype == np.int8 and row.shape == (3,) for row in rows)
 
 
@@ -567,6 +570,27 @@ def test_cohomologous_peak_memory_at_order_128():
         tracemalloc.stop()
     # half the 29.0 MiB the system peaked at as 16,129 Python lists
     assert same and peak <= 14.5 * 2**20
+
+
+@pytest.mark.parametrize("verdict", [True, False], ids=["perturbed", "trivial~bilinear"])
+def test_the_order_128_certify_solve_holds_one_array_per_system(verdict):
+    """The order-128 solve of the certify benchmark, C2xC8xC8 against itself
+    times a coboundary (and, with the verdict False, the trivial class
+    against it): 16,129 equations over 127 unknowns.  The int8 rows (2.0 MiB)
+    and the int16 residue columns (4.0 MiB) are its only full-size arrays,
+    so it peaks below 8 MiB; a numpy view per equation and a widened copy of
+    each block of rows took it to 11.9 MiB."""
+    a = bilinear_c2xc8xc8()
+    pair = (a, times_random_coboundary(a, np.random.default_rng(2))) if verdict else (CocycleTable.trivial(a.group), a)
+    cohomologous(*pair)  # first-use allocations of numpy stay out of the measurement
+    tracemalloc.start()
+    try:
+        same, witness = cohomologous(*pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same == verdict and (witness is not None) == verdict
+    assert peak < 8 * 2**20
 
 
 def test_bicharacter_validation_peak_memory_at_order_256():

@@ -804,6 +804,25 @@ def test_generated_subgroup_rejects_indices_outside_the_group(gens, bad):
         gq.generated_subgroup(gq.cyclic(4), gens)
 
 
+@pytest.mark.parametrize("spec", [spec for spec in GROUP_SPECS if gq.make_group(spec).n <= 24])
+def test_generated_subgroup_equals_the_checked_subgroup(spec, monkeypatch):
+    """Every one- and two-element generator set of the catalog groups up to
+    order 24: the closure, built without the closure check, is the subgroup
+    the checked constructor accepts on the same elements."""
+    G = gq.make_group(spec)
+    gen_sets = [(g,) for g in range(G.n)] + list(itertools.combinations(range(G.n), 2))
+    checks = []
+    check = groups.Subgroup.__post_init__
+    monkeypatch.setattr(groups.Subgroup, "__post_init__", lambda self: checks.append(self))
+    built = [gq.generated_subgroup(G, gens) for gens in gen_sets]
+    assert not checks
+    monkeypatch.setattr(groups.Subgroup, "__post_init__", check)
+    for gens, H in zip(gen_sets, built):
+        checked = gq.Subgroup(G, tuple(groups._closure(G, gens)))
+        assert H == checked and H.elements == checked.elements and set(gens) <= set(H.elements)
+        assert all(type(x) is int for x in H.elements) and H.as_group() == checked.as_group()
+
+
 def reference_abelian_split(G):
     """The lattice-scan decomposition (invariants, generators): a maximal-order
     element generates a direct factor, a complement is found by scanning

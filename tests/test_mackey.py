@@ -332,6 +332,24 @@ def test_theorem_d_certifies_the_ambient_oracle_once(monkeypatch):
     assert ambient_calls == [64]
 
 
+@pytest.mark.parametrize("invariants", THEOREM_D_CARRIERS)
+def test_theorem_d_splits_the_obstruction_tables_of_its_scan_in_one_pass(monkeypatch, invariants):
+    """A Theorem-D call makes at most three ``split_algebras`` calls: the
+    ambient algebra, the restrictions of the lattice, and the obstruction
+    tables of every staged N together; no N's tables are split alone."""
+    a = standard_nondegenerate(invariants)
+    calls, original = [], twisted.split_algebras
+
+    def counted(algebras, seed):
+        calls.append(len(algebras))
+        return original(algebras, seed)
+
+    monkeypatch.setattr(twisted, "split_algebras", counted)
+    report = maximal_elementary_quotients(a.group, a, seed=0)
+    assert len(report.decompositions) == len(gq.subgroups(a.group))
+    assert len(calls) <= 3, calls
+
+
 def test_a_split_that_fails_in_a_scan_gives_its_n_the_lone_error(monkeypatch):
     """One restriction of the nd_C4xC4 lattice never certifies (its sample
     is zero on every attempt): the scan's one stacked split pass leaves it

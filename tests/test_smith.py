@@ -404,6 +404,126 @@ def test_column_layout_matches_the_row_major_elimination_on_random_systems(m):
         assert_same_elimination(rows, rhs, m)
 
 
+# -- one array per system, loaded straight into the columns --------------------
+
+
+def list_load_eliminate(rows, ncols, p, e):
+    """``smith._eliminate`` with the load it had when a system's rows came as a
+    list: each block of rows stacked by ``np.asarray``, widened, reduced mod
+    q and cast to the residue dtype as a new array, then copied transposed
+    into the columns; the shears as a list."""
+    q = p**e
+    nrows = len(rows)
+    dtype = smith._dtype(q)
+    cols = np.empty((ncols, nrows), dtype)
+    counts = np.empty(nrows, np.intp)
+    for s in range(0, nrows, smith._CHUNK_ROWS):
+        values = rows[s:s + smith._CHUNK_ROWS]
+        block = np.asarray(values)
+        if dtype is not object and block.ndim == 2 and np.can_cast(block.dtype, np.int64):
+            wide = np.promote_types(block.dtype, dtype)
+            block = (block.astype(wide, copy=False) % q).astype(dtype, copy=False)
+        else:
+            block = np.array([[int(v) % q for v in row] for row in values], dtype=object).reshape(len(values), ncols)
+        cols[:, s:s + smith._CHUNK_ROWS] = block.T
+        counts[s:s + smith._CHUNK_ROWS] = np.count_nonzero(block, axis=1)
+    shears = []
+    open_cols = range(ncols)
+    for v in range(e):
+        pv, step = p**v, p ** (v + 1)
+        left = []
+        for j in open_cols:
+            col = cols[j]
+            hits = col.nonzero()[0]
+            if not len(hits):
+                continue
+            cv = col[hits]
+            cand = hits[cv % step != 0]
+            if not len(cand):
+                left.append(j)
+                continue
+            r = cand[counts[cand].argmin()] if len(cand) > 1 else cand[0]
+            uinv = pow(int(col[r]) // pv, -1, q)
+            nzc = cols[:, r].nonzero()[0]
+            row = cols[nzc, r]
+            block = (nzc[:, None], hits)
+            old = cols[block]
+            mults = cv // pv * uinv % q
+            new = (old - row[:, None] * mults) % q
+            counts[hits] += (new != 0).sum(axis=0) - (old != 0).sum(axis=0)
+            cols[block] = new
+            shears.append((int(r), hits, mults, (j, pv, uinv, nzc.tolist(), row.tolist())))
+        open_cols = left
+    return shears
+
+
+def assert_same_shears(rows, m):
+    """Per prime power of m, every shear of ``_eliminate`` on the
+    ``SystemRows`` ``rows`` equals the shear the list load makes of the
+    same rows as lists of Python integers."""
+    assert isinstance(rows, smith.SystemRows)
+    ncols = len(rows[0]) if rows else 0
+    as_lists = [row.tolist() for row in rows]
+    for p, e in prime_powers(m):
+        got, want = list(smith._eliminate(rows, ncols, p, e)), list_load_eliminate(as_lists, ncols, p, e)
+        assert len(got) == len(want), (m, p, e)
+        for (r, hits, mults, pivot), (r0, hits0, mults0, pivot0) in zip(got, want):
+            assert (r, pivot) == (r0, pivot0), (m, p, e)
+            assert np.array_equal(hits, hits0) and np.array_equal(mults, mults0) and mults.dtype == mults0.dtype
+
+
+def _certify_pairs(rng):
+    """The five pairs of the certify benchmark round: the non-degenerate class
+    on C8xC8 and C2xC4xC2xC4 against itself times a coboundary and the
+    trivial class against it, and the bilinear class on C2xC8xC8 against
+    itself times a coboundary."""
+    pairs = []
+    for invs in ([8], [2, 4]):
+        a = standard_nondegenerate(invs)
+        pairs += [(a, _twisted_by_a_coboundary(rng, a)), (CocycleTable.trivial(a.group, a.scale), a)]
+    G = gq.make_group("C2xC8xC8")
+    coords = np.array([(g // 64, g // 8 % 8, g % 8) for g in range(G.n)])
+    a = CocycleTable(G, 8, np.outer(coords[:, 1], coords[:, 2]) % 8)
+    return pairs + [(a, _twisted_by_a_coboundary(rng, a))]
+
+
+def test_the_column_load_gives_the_list_load_shears_on_the_catalog(monkeypatch):
+    """Every catalog group's coboundary system at the modulus of a scale-12
+    solve, at each of its prime powers."""
+    rng = np.random.default_rng(6)
+    pairs = []
+    for spec in GROUP_SPECS:
+        trivial = CocycleTable.trivial(gq.make_group(spec), 12)
+        pairs.append((trivial, _twisted_by_a_coboundary(rng, trivial)))
+    systems = _recorded_systems(pairs, monkeypatch)
+    assert len(systems) == len(GROUP_SPECS)
+    for rows, _, m in systems:
+        assert_same_shears(rows, m)
+
+
+def test_the_column_load_gives_the_list_load_shears_on_the_certify_systems(monkeypatch):
+    """The five certify systems (orders 64 and 128), at each prime power."""
+    systems = _recorded_systems(_certify_pairs(np.random.default_rng(7)), monkeypatch)
+    assert [(len(rows), len(rows[0])) for rows, _, _ in systems] == [(3969, 63)] * 4 + [(16129, 127)]
+    for rows, _, m in systems:
+        assert_same_shears(rows, m)
+
+
+def test_system_rows_are_one_read_only_array():
+    """``SystemRows`` is a sequence of the rows of one array: a slice is a view
+    of it, nothing in it can be written, and its registry key is the one a
+    list of the same rows gets."""
+    block = np.arange(12, dtype=np.int8).reshape(4, 3)
+    rows = smith.SystemRows(block)
+    assert bool(rows) and len(rows) == 4 and len(rows[0]) == 3 and not smith.SystemRows(np.zeros((0, 0), np.int8))
+    assert [row.tolist() for row in rows] == block.tolist()
+    part = rows[1:3]
+    assert isinstance(part, np.ndarray) and np.shares_memory(part, block) and part.shape == (2, 3)
+    with pytest.raises(ValueError):
+        rows[0][0] = 1
+    assert rows.key(6) == smith._system_key(list(block), 6) and rows.key(6) is rows.key(6)
+
+
 # -- factor once, replay per right-hand side ------------------------------------
 
 
