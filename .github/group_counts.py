@@ -2,8 +2,9 @@
 and Cayley trees one Theorem-D call builds, how many block splits it makes
 numerically and exactly, in how many stacked eigh calls, in how many stacks
 it matches the conjugated points of its kernels, how many modules it
-extracts in how many stacked eigh calls, and how many split and extraction
-calls it makes, with how many of them carried a single item, on each carrier
+extracts in how many stacked eigh calls, how many split and extraction
+calls it makes, with how many of them carried a single item, and how many
+of its stacks raised and were passed again one item at a time, on each carrier
 of the `theorem_d` benchmark workload (C8xC8 and C2xC4xC2xC4) at seed 0:
 ROADMAP items 6 and 12.
 
@@ -24,7 +25,10 @@ stack of matrices.  Every module goes through `twisted.extract_modules`,
 whose samples of one size share one stacked eigh per attempt too; those
 calls are counted apart.  A match stack is one
 `MackeyContext._point_actions` call, which matches the conjugated points of
-a stack of kernels of one shape at once.
+a stack of kernels of one shape at once.  Every staging stack and every
+obstruction batch goes through `mackey._run_stack`, which passes a stack
+that raises again one item at a time; such a stack counts once, however
+many lone runs it makes.
 The garbage collector is disabled for the counted
 call: ``groups._CORES`` keeps table cores weakly, so a collection during the
 call could drop a core that a later group of the same table then builds
@@ -47,13 +51,15 @@ CARRIERS = ((8,), (2, 4))
 def counted_call(alpha) -> dict:
     counts = dict.fromkeys(["groups", "cores", "homs", "compares", "all_pairs", "trees", "subgroups",
                             "numeric", "exact", "stacked_eigh", "match_stacks", "kernels", "modules",
-                            "module_eigh", "split_calls", "lone_splits", "extract_calls", "lone_extracts"], 0)
+                            "module_eigh", "split_calls", "lone_splits", "extract_calls", "lone_extracts",
+                            "passed_again"], 0)
     tables = set()
-    extracting = []
+    extracting, running = [], []
     group_init, core_init = groups.FiniteGroup.__init__, groups._TableCore.__init__
     hom_check, build_tree = groups.GroupHom.__post_init__, groups._cayley_tree
     subgroup_check, split, eigh = groups.Subgroup.__post_init__, twisted.split_algebras, np.linalg.eigh
     extract, point_actions = twisted.extract_modules, mackey.MackeyContext._point_actions
+    run_stack = mackey._run_stack
 
     def count_group(self, *args, **kwargs):
         group_init(self, *args, **kwargs)
@@ -104,6 +110,16 @@ def counted_call(alpha) -> dict:
         counts["kernels"] += len(kernels)
         return point_actions(self, kernels)
 
+    def count_run_stack(run, stack):
+        if running:  # an item of a stack that raised, passed again alone
+            running[-1] = True
+            return run_stack(run, stack)
+        running.append(False)
+        try:
+            return run_stack(run, stack)
+        finally:
+            counts["passed_again"] += running.pop()
+
     def count_eigh(a, *args, **kwargs):
         counts["module_eigh" if extracting else "stacked_eigh"] += np.ndim(a) == 3
         return eigh(a, *args, **kwargs)
@@ -112,7 +128,8 @@ def counted_call(alpha) -> dict:
                (groups.GroupHom, "__post_init__", count_hom), (groups, "_cayley_tree", count_tree),
                (groups.Subgroup, "__post_init__", count_subgroup), (twisted, "split_algebras", count_split),
                (twisted, "extract_modules", count_extract),
-               (mackey.MackeyContext, "_point_actions", count_point_actions), (np.linalg, "eigh", count_eigh)]
+               (mackey.MackeyContext, "_point_actions", count_point_actions), (mackey, "_run_stack", count_run_stack),
+               (np.linalg, "eigh", count_eigh)]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
@@ -131,13 +148,14 @@ def report() -> str:
         "Theorem D at seed 0 (ROADMAP items 6 and 12): groups built against their distinct tables and the cores"
         " built, the checks run, the block splits made numerically and exactly, and the stacked eigh calls"
         " of the numeric ones, the match stacks with the kernels they match, and the modules extracted with"
-        " the stacked eigh calls of their extractions, and the split and extraction calls with those of one item",
+        " the stacked eigh calls of their extractions, the split and extraction calls with those of one item,"
+        " and the stacks passed again one item at a time",
         "",
         "| carrier | FiniteGroups | distinct tables | cores built | GroupHom checks | compares (all pairs) "
         "| Subgroup closure checks | Cayley trees | splits numeric / exact | stacked eigh calls "
         "| match stacks (kernels) | modules | module eigh calls | split calls (one algebra) "
-        "| extraction calls (one module) |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "| extraction calls (one module) | stacks passed again one item at a time |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for invariants in CARRIERS:
         alpha = standard_nondegenerate(invariants)
@@ -147,7 +165,8 @@ def report() -> str:
                      f"| {c['compares']} ({c['all_pairs']}) | {c['subgroups']} | {c['trees']} "
                      f"| {c['numeric']} / {c['exact']} | {c['stacked_eigh']} "
                      f"| {c['match_stacks']} ({c['kernels']}) | {c['modules']} | {c['module_eigh']} "
-                     f"| {c['split_calls']} ({c['lone_splits']}) | {c['extract_calls']} ({c['lone_extracts']}) |")
+                     f"| {c['split_calls']} ({c['lone_splits']}) | {c['extract_calls']} ({c['lone_extracts']}) "
+                     f"| {c['passed_again']} |")
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cocycles import CocycleTable, parse_cocycle
 from .errors import DomainError, GquotError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_space, generated_subgroup, parse_subgroup
@@ -20,14 +22,20 @@ INT64_MAX = 2**63 - 1  # the largest total dimension ``induced_dims`` accepts
 
 @dataclass(frozen=True)
 class Character:
-    """An element of N[Gamma]: finitely many elements with multiplicities >= 1."""
+    """An element of N[Gamma]: finitely many elements with multiplicities >= 1.
+
+    Each element is an integer index 0..n-1 of the group of order n; any
+    other element raises ValidationError naming it and the group order."""
 
     group: FiniteGroup
     mults: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         acc: dict = {}
+        n = self.group.n
         for elem, k in self.mults:
+            if isinstance(elem, bool) or not isinstance(elem, (int, np.integer)) or not 0 <= elem < n:
+                raise ValidationError(f"character element {elem!r} is not an index of the group of order {n}")
             k = int(k)
             if k < 1:
                 raise ValidationError("character multiplicities must be >= 1")
@@ -101,8 +109,15 @@ def _cocycle_is_trivial_on_trivial_group(cocycle: CocycleTable | None) -> bool:
 
 @dataclass(frozen=True)
 class GradingClassDescriptor:
+    """Simply-graded summands over one grading group; a summand whose
+    character lives on another group raises DomainError."""
+
     group: FiniteGroup
     summands: tuple[Summand, ...]
+
+    def __post_init__(self):
+        if any(s.x.group != self.group for s in self.summands):
+            raise DomainError("summand character lives on another group than the grading group")
 
 
 # -- dimensions of induced gradings -----------------------------------------

@@ -677,18 +677,15 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """The quotient group G/N plus the projection homomorphism: ``quotients``
-    on N alone, its NormalityError raised."""
-    (out,) = quotients(G, [N])
-    if isinstance(out, NormalityError):
-        raise out
-    return out
+    on N alone."""
+    return quotients(G, [N])[0]
 
 
-def quotients(G: FiniteGroup, subgroups) -> list[tuple[FiniteGroup, GroupHom] | NormalityError]:
+def quotients(G: FiniteGroup, subgroups) -> list[tuple[FiniteGroup, GroupHom]]:
     """For each N of ``subgroups``, all of one order, the quotient group G/N
-    plus the projection homomorphism, or the NormalityError naming the first
-    pair (g, h), g-major, with g h g^-1 outside N; one array pass serves the
-    whole list.
+    plus the projection homomorphism; one array pass serves the whole list.
+    The first non-normal N of the list raises the NormalityError it raises
+    alone, naming its first pair (g, h), g-major, with g h g^-1 outside N.
 
     Row b of ``table[table[:, E], inverse_table]``, E the element rows of the
     list, holds the conjugates of N_b (none on an abelian G, where each is
@@ -703,32 +700,28 @@ def quotients(G: FiniteGroup, subgroups) -> list[tuple[FiniteGroup, GroupHom] | 
     p(e) = 0, the identity coset's representative being e, the least
     element.
     """
-    subgroups = list(subgroups)
-    if not subgroups:
-        return []
     E = np.array([N.elements for N in subgroups], dtype=np.int64)
-    out: list = [None] * len(E)
+    if not len(E):
+        return []
     if not G.is_abelian:
         inside = np.zeros((len(E), G.n), dtype=bool)
         inside[np.arange(len(E))[:, None], E] = True
         conj = G.table[G.table[:, E], G.inverse_table[:, None, None]]  # conj[g, b, i] = g h g^-1, h = E[b, i]
         bad = ~inside[np.arange(len(E))[:, None, None], conj.transpose(1, 0, 2)]  # [b, g, i]
-        for b in np.flatnonzero(bad.any(axis=(1, 2))):
-            g, i = np.unravel_index(np.argmax(bad[b]), bad[b].shape)
-            out[b] = NormalityError(f"N is not normal: conjugating {E[b, i]} by {g} leaves N")
-    normal = [b for b, o in enumerate(out) if o is None]
-    if not normal:
-        return out
-    rep_of = G.table[:, E[normal]].min(axis=2).T  # [b, g]: the least element of g N_b
+        if bad.any():  # the first non-normal N_b, and its first pair g-major
+            b, g, i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NormalityError(f"N is not normal: conjugating {E[b, i]} by {g} leaves N")
+    rep_of = G.table[:, E].min(axis=2).T  # [b, g]: the least element of g N_b
     is_rep = rep_of == np.arange(G.n)
     block_of = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, rep_of, axis=1)
-    reps = np.nonzero(is_rep)[1].reshape(len(normal), -1)
-    products = G.table[reps[:, :, None], reps[:, None, :]].reshape(len(normal), -1)
-    tables = np.take_along_axis(block_of, products, axis=1).reshape(len(normal), reps.shape[1], -1)
+    reps = np.nonzero(is_rep)[1].reshape(len(E), -1)
+    products = G.table[reps[:, :, None], reps[:, None, :]].reshape(len(E), -1)
+    tables = np.take_along_axis(block_of, products, axis=1).reshape(len(E), reps.shape[1], -1)
     name = (G.name or "G") + "/N"
-    for b, table, r, images in zip(normal, tables, reps.tolist(), block_of.tolist()):
+    out = []
+    for table, r, images in zip(tables, reps.tolist(), block_of.tolist()):
         Q = FiniteGroup(table, labels=[G.label(x) + "N" for x in r], name=name, _trusted=True)
-        out[b] = Q, _proved(GroupHom, source=G, target=Q, images=tuple(images))
+        out.append((Q, _proved(GroupHom, source=G, target=Q, images=tuple(images))))
     return out
 
 

@@ -63,28 +63,32 @@ on the inertia group's table alone.  So a scan is staged: ``decompose_all``
 first splits the algebras C^alpha N of every kernel N of the scan in one
 stacked oracle pass (``BlockOracle.wedderburn_all``), whose outcomes give
 each N its points or the error of its split, then stages the kernels of one
-shape, |N| and the point count P, together, in scan order, in stacks that
-stop before their |G| P^2 match entries per kernel pass MATCH_BUDGET (a
-kernel beyond it alone is a stack of its own; ``twisted.stacks`` cuts these
-stacks and the batches below by that one rule).  A stack takes its
-quotients in one ``quotients`` call and matches the conjugated points of
-all its normal kernels in one
-``match_idempotents`` call; each kernel keeps its own normality error or
-match error, and each N's orbits and their classes (the orbits with the same
-inertia group and module dimension) are then computed for that N, with one
-Subgroup per inertia group; a class with trivial inertia takes the trivial
-tables.  The scan then computes the other obstructions in one pass per batch
-of classes, across all the kernels, that share the inertia group's table,
-the module dimension d and |N|: the modules of a pass extracted in one
-oracle call (``BlockOracle.irreducible_reps``) and stacked along a
-leading axis through the intertwiners, the composition scalars and the
-gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class and
-stacked along the same axis, and the gauged tables validated as one stack.
+shape, |N| and the point count P (0 for a failed split), together, in scan
+order, in stacks that stop before their |G| P^2 match entries per kernel
+pass MATCH_BUDGET (a kernel beyond it alone is a stack of its own;
+``twisted.stacks`` cuts these stacks and the batches below by that one
+rule).  A stack takes its quotients in one ``quotients`` call, raises the
+error of a failed split, matches the conjugated points of all its kernels
+in one ``match_idempotents`` call, and computes each N's orbits and their
+classes (the orbits with the same inertia group and module dimension), with
+one Subgroup per inertia group; a class with trivial inertia takes the
+trivial tables.  The scan then computes the other obstructions in one pass
+per batch of classes, across all the kernels, that share the inertia
+group's table, the module dimension d and |N|: the modules of a pass
+extracted in one oracle call (``BlockOracle.irreducible_reps``) and stacked
+along a leading axis through the intertwiners, the composition scalars and
+the gauge, the conjugation gathers, n(a, b) and c(a, b) read once per class
+and stacked along the same axis, and the gauged tables validated as one
+stack.
 A batch stops before its |I| |N| d^2 entries per module pass
 OBSTRUCTION_BUDGET, so a scan holds no larger arrays than a few small
 classes do.  Each module keeps its own certificates with the thresholds
-above, and each check reports its first failing module.  A batch that raises
-is passed again right away one class at a time, so every N gets exactly the
+above, and each check reports its first failing module.
+
+Each step of a staging stack or an obstruction batch raises the error of its
+first failing item, and one rule (``_run_stack``) serves both: a stack that
+raises is passed again right away one item at a time, and an item that
+raises alone keeps its own error.  So every N gets exactly the
 decomposition, or the error, it gets alone, and the context keeps it for
 ``decompose(N)``.  The tables of every class of the scan are then split in
 one more oracle pass (``wedderburn_all``), so no N's tables are split alone.
@@ -221,13 +225,15 @@ class MackeyContext:
 
         alpha is restricted once to every such N, and the oracle splits all
         the restrictions it has not kept in one ``BlockOracle.wedderburn_all``
-        pass, whose outcomes are read in order.  An N whose restriction
-        failed to split keeps the error of that split, the one the oracle
-        keeps for it, or the NormalityError of its quotient, which comes
-        first.  The other kernels are staged in ``twisted.stacks`` of one
-        shape, |N| and the point count P, in scan order, each stack within
-        MATCH_BUDGET entries of its match array, |G| P^2 per kernel
-        (``_stage_stack``).  The obstruction passes then run across all
+        pass, whose outcomes are read in order.  Every kernel is staged with
+        its split's outcome in ``twisted.stacks`` of one shape, |N| and the
+        point count P, in scan order, each stack within MATCH_BUDGET entries
+        of its match array, |G| P^2 per kernel (``_stage_stack``); a kernel
+        whose split failed, the error the oracle keeps for it, is staged
+        under P = 0.  A stack that raises is staged again one kernel at a
+        time (``_run_stack``), so a kernel whose split failed keeps the
+        NormalityError of its quotient, which comes first, or else the error
+        of its split.  The obstruction passes then run across all
         the stages, in scan order (``_stacked_obstructions``), the oracle
         splits every obstruction table they give in one more
         ``wedderburn_all`` pass (a class holding an error gives none), and
@@ -244,16 +250,12 @@ class MackeyContext:
                 todo.setdefault(N.elements, N)
         splits = self.oracle.wedderburn_all([self.cocycle.restrict(N) for N in todo.values()])
         kernels = []
-        for (key, N), data in zip(todo.items(), splits):
-            if isinstance(data, GquotError):
-                (normality,) = quotients(self.group, [N])
-                self._outcomes[key] = normality if isinstance(normality, GquotError) else data
-            else:  # for N = G, the blocks of alpha
-                P = len(data.blocks)
-                kernels.append(((N.order, P), self.group.n * P * P, (N, data.blocks)))
+        for N, split in zip(todo.values(), splits):  # for N = G, the blocks of alpha
+            P = 0 if isinstance(split, GquotError) else len(split.blocks)
+            kernels.append(((N.order, P), self.group.n * P * P, (N, split)))
         staged = {}
         for _, stack in stacks(kernels, MATCH_BUDGET):
-            for (N, _), outcome in zip(stack, self._stage_stack(stack)):
+            for (N, _), outcome in zip(stack, _run_stack(self._stage_stack, stack)):
                 if isinstance(outcome, GquotError):
                     self._outcomes[N.elements] = outcome
                 else:
@@ -268,35 +270,32 @@ class MackeyContext:
             except GquotError as exc:
                 self._outcomes[key] = exc
 
-    def _stage_stack(self, kernels) -> list:
-        """The stage of every (N, points) of ``kernels``, all of one |N| and
-        point count, or the error its staging raises: the quotients in one
-        ``quotients`` call, the point actions of the normal kernels in one
-        match (``_point_actions``), and then each N's orbits and classes
-        (``_classify``).  The section of a quotient, the least element of
-        each coset in coset order, is read off its projection's images
-        sorted stably, at every |N|-th place."""
-        outcomes = quotients(self.group, [N for N, _ in kernels])
-        normal = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, GquotError)]
-        if not normal:
-            return outcomes
-        images = np.array([outcomes[i][1].images for i in normal])
+    def _stage_stack(self, kernels) -> list[_Stage]:
+        """The stage of every (N, split) of ``kernels``, all of one |N| and
+        point count, split being what the oracle keeps for N's restriction,
+        its blocks or its error: the quotients in one ``quotients`` call,
+        then the first failed split's error raised, then the point actions
+        in one match (``_point_actions``), and then each N's orbits and
+        classes (``_classify``).  The first check that fails raises, in the
+        order a lone N meets them.  The section of a quotient, the least
+        element of each coset in coset order, is read off its projection's
+        images sorted stably, at every |N|-th place."""
+        quotient_of = quotients(self.group, [N for N, _ in kernels])
+        for _, split in kernels:
+            if isinstance(split, GquotError):
+                raise split
+        points = [split.blocks for _, split in kernels]
+        images = np.array([proj.images for _, proj in quotient_of])
         sections = np.argsort(images, axis=1, kind="stable")[:, :: kernels[0][0].order]
-        actions = self._point_actions([(*kernels[i], section) for i, section in zip(normal, sections)])
-        for i, section, perms in zip(normal, sections, actions):
-            if isinstance(perms, GquotError):
-                outcomes[i] = perms
-                continue
-            try:
-                outcomes[i] = _classify(*kernels[i], *outcomes[i], section, perms)
-            except GquotError as exc:
-                outcomes[i] = exc
-        return outcomes
+        actions = self._point_actions([(N, p, s) for (N, _), p, s in zip(kernels, points, sections)])
+        return [_classify(N, p, Q, proj, s, perms)
+                for (N, _), p, (Q, proj), s, perms in zip(kernels, points, quotient_of, sections, actions)]
 
-    def _point_actions(self, kernels) -> list:
+    def _point_actions(self, kernels) -> np.ndarray:
         """perms[q, i], the point that conjugation by section[q] sends point
         i to, for every (N, points, section) of ``kernels``, all of one |N|
-        and point count, or the CertificationError of its match.
+        and point count, as one (B, |Q|, P) array; the first kernel whose
+        match fails raises its CertificationError.
 
         u_g iota u_g^-1 moves the coefficient of iota at n to g n g^-1, times
         kappa(g, n); N is normal (``quotients`` checked it), so every target
@@ -317,8 +316,7 @@ class MackeyContext:
         raw[b[..., None], np.arange(q)[:, None, None], np.arange(P)[:, None], targets[:, :, None]] = (
             coeffs[:, None] * self.kappa[g, h][:, :, None]
         )
-        matched = match_idempotents(raw.reshape(B, q * P, n), coeffs)
-        return [m if isinstance(m, GquotError) else m.reshape(q, P) for m in matched]
+        return match_idempotents(raw.reshape(B, q * P, n), coeffs).reshape(B, q, P)
 
     def _stacked_obstructions(self, stages) -> None:
         """One obstruction pass per batch of classes, across all ``stages``,
@@ -328,36 +326,21 @@ class MackeyContext:
         OBSTRUCTION_BUDGET, and a class beyond it alone is a batch of its
         own.
 
-        A batch's tables, or the errors of ``_stacked_pass``, go to its
-        classes' stages; classes with trivial inertia need no pass.
+        Each batch goes through ``_run_stack``: a batch that raises is
+        passed again one class at a time.  Each class's tables, or the error
+        it raises alone, go to its stage; classes with trivial inertia need
+        no pass.
         """
         classes = []
         for stage in stages:
             for (I, d), members in stage.classes.items():
                 if len(I) > 1:
                     group, order = stage.inertia[I].as_group(), stage.normal.order
-                    classes.append(((group, d, order), group.n * order * d * d * len(members), (stage, (I, d))))
-        for (group, _, _), batch in stacks(classes, OBSTRUCTION_BUDGET):
-            self._stacked_pass(group, batch)
-
-    def _stacked_pass(self, group: FiniteGroup, batch) -> None:
-        """One ``_obstructions`` pass over the classes ``batch`` of (stage,
-        (inertia elements, d)); the tables go to the stages.  When it raises,
-        a lone class keeps the error, which is its own, and a larger batch is
-        passed again one class at a time."""
-        classes = [(stage, stage.inertia[cls[0]], _modules(stage.classes[cls])) for stage, cls in batch]
-        try:
-            tables = iter(self._obstructions(group, classes))
-        except GquotError as exc:
-            if len(batch) == 1:
-                stage, cls = batch[0]
-                stage.omegas[cls] = exc
-            else:
-                for entry in batch:
-                    self._stacked_pass(group, [entry])
-            return
-        for stage, cls in batch:
-            stage.omegas[cls] = [next(tables) for _ in stage.classes[cls]]
+                    entry = (stage, stage.inertia[I], _modules(members))
+                    classes.append(((group, d, order), group.n * order * d * d * len(members), entry))
+        for (group, d, _), batch in stacks(classes, OBSTRUCTION_BUDGET):
+            for (stage, inertia, _), omegas in zip(batch, _run_stack(lambda b: self._obstructions(group, b), batch)):
+                stage.omegas[inertia.elements, d] = omegas
 
     def _finish(self, stage: _Stage) -> MackeyDecomposition:
         """The orbits of one staged N from its classes' tables, with the
@@ -409,7 +392,8 @@ class MackeyContext:
 
     def _obstructions(self, group: FiniteGroup, classes):
         """The obstruction cocycles on the non-trivial inertia group ``group`` of
-        every module of ``classes``, in one pass, in class and module order.
+        every module of ``classes``, in one pass: the tables of each class,
+        in module order.
 
         Each class is (stage, inertia, indices): the modules ``indices`` of
         C^alpha N for the staged N, all of one dimension d, whose inertia
@@ -454,7 +438,20 @@ class MackeyContext:
         law = np.array([bound for _, bound in modules])
         cosets = G.n // classes[0][0].normal.order
         omega = _composition_scalars(group, P, rho, n, c, cosets, residual + 2 * law)
-        return _exact_cocycle(group, omega)
+        tables = iter(_exact_cocycle(group, omega))
+        return [[next(tables) for _ in indices] for _, _, indices in classes]
+
+
+def _run_stack(run, stack) -> list:
+    """``run(stack)``, one outcome per item of ``stack``; when it raises a
+    GquotError, each item is run again alone, and a lone item that raises
+    keeps its own error as its outcome."""
+    try:
+        return run(stack)
+    except GquotError as exc:
+        if len(stack) == 1:
+            return [exc]
+    return [outcome for item in stack for outcome in _run_stack(run, [item])]
 
 
 def _classify(N, points, Q, proj, section, perms) -> _Stage:

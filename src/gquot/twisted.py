@@ -637,21 +637,18 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
 # -- idempotents matched against a certified set ------------------------------
 
 
-def match_idempotents(rows: np.ndarray, known: np.ndarray) -> list[np.ndarray | CertificationError]:
-    """For each b, the index in known[b] of the unique point within TOL_ROUND
-    of each row of rows[b], or the CertificationError naming the candidate
-    count of its first row with none or several; rows is (B, R, m) and known
-    (B, P, m).  Each point is compared with the rows of all B stacks in one
-    array operation, so a temporary holds B R m entries, not B R P m."""
+def match_idempotents(rows: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """index[b, r], the index in known[b] of the unique point within
+    TOL_ROUND of row r of rows[b]; rows is (B, R, m) and known (B, P, m).
+    The first b with a row near none or several points raises the
+    CertificationError naming the candidate count of its first such row.
+    Each point is compared with the rows of all B stacks in one array
+    operation, so a temporary holds B R m entries, not B R P m."""
     hits = np.stack(  # hits[b, r, i]: row r near point i
         [np.abs(known[:, None, i] - rows).max(axis=2) <= TOL_ROUND for i in range(known.shape[1])], axis=2
     )
     counts = hits.sum(axis=2)
-    out = []
-    for b, index in enumerate(hits.argmax(axis=2)):
-        bad = np.flatnonzero(counts[b] != 1)
-        out.append(
-            CertificationError(f"idempotent match found {counts[b, bad[0]]} candidates within {TOL_ROUND}")
-            if bad.size else index
-        )
-    return out
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise CertificationError(f"idempotent match found {counts.flat[bad[0]]} candidates within {TOL_ROUND}")
+    return hits.argmax(axis=2)

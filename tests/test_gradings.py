@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,31 @@ def test_character_mod():
     assert reduced.mults == ((0, 1), (1, 1))
     trivial_n = gq.Subgroup(C4, (0,))
     assert character_mod(x, trivial_n).mults == x.mults
+
+
+@pytest.mark.parametrize("elem", [-1, 4, 9, "a", "1", 1.0, True, None])
+def test_a_character_refuses_an_element_that_is_not_an_index(elem):
+    """An element outside 0..n-1 or not an integer raises ValidationError
+    naming it and the group order: no -1 read as 3 by ``induced_dims`` or
+    ``coset_masses``, and no numpy IndexError for 9.  numpy integers are
+    indices too, and ``parse_descriptor`` keeps its own message."""
+    C4 = gq.cyclic(4)
+    message = f"^character element {re.escape(repr(elem))} is not an index of the group of order 4$"
+    with pytest.raises(ValidationError, match=message):
+        Character(C4, ((elem, 2),))
+    with pytest.raises(ValidationError, match=message):
+        Character.from_dict(C4, {0: 1, elem: 1})
+    assert Character(C4, ((np.int64(3), 1), (0, 1))).mults == ((0, 1), (3, 1))
+    with pytest.raises(ValidationError, match="^line 1: element 9 out of range$"):
+        parse_descriptor("x: 9\n", C4)
+
+
+def test_a_descriptor_refuses_a_character_over_another_group():
+    """A summand whose character lives on another group raises DomainError
+    when the descriptor is built, not an IndexError in ``induced_dims``."""
+    C4, C8 = gq.cyclic(4), gq.cyclic(8)
+    with pytest.raises(DomainError, match="^summand character lives on another group than the grading group$"):
+        GradingClassDescriptor(C4, (Summand(Character.point(C4)), Summand(Character.point(C8, 5))))
 
 
 def test_equidimensional_criterion_both_paths():

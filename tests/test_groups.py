@@ -724,13 +724,23 @@ def test_table_routines_match_reference(name):
         assert [tuple(p) for p in act.perms.tolist()] == perms
         image = act.image_group
         assert (image.table.tolist(), image.labels, list(act.hom.images)) == reference_coset_image(perms)
-    # one ``quotients`` call per order, normal and other subgroups mixed, gives what each N gets alone
+    # one ``quotients`` call per order: on the normal subgroups it gives what each N gets alone, and on
+    # all of them, in either order, it raises what the first non-normal N of the list raises alone
     orders = {}
     for H in gq.subgroups(G):
         orders.setdefault(H.order, []).append(H)
     for same in orders.values():
-        for H, got in zip(same, groups.quotients(G, same)):
+        normal = [H for H in same if H.is_normal()]
+        for H, got in zip(normal, groups.quotients(G, normal), strict=True):
             assert quotient_outcome(got) == quotient_outcome(lone_quotient(G, H))
+        for mixed in (same, same[::-1]):
+            first = next((lone_quotient(G, H) for H in mixed if not H.is_normal()), None)
+            if first is None:
+                assert len(groups.quotients(G, mixed)) == len(mixed)
+            else:
+                with pytest.raises(NormalityError) as raised:
+                    groups.quotients(G, mixed)
+                assert str(raised.value) == str(first)
 
 
 def lone_quotient(G, H):

@@ -16,7 +16,14 @@ from gquot.cocycles import (
     cohomologous,
     standard_nondegenerate,
 )
-from gquot.errors import CertificationError, DomainError, NormalityError, TheoremCheckError, ValidationError
+from gquot.errors import (
+    CertificationError,
+    DomainError,
+    GquotError,
+    NormalityError,
+    TheoremCheckError,
+    ValidationError,
+)
 from gquot.gradings import descriptor_dims, is_equidimensional_induced
 from gquot.groups import cayley_tree, generating_sequence
 from gquot.lagrangians import maximal_elementary_quotients
@@ -1370,8 +1377,9 @@ def test_an_ambiguous_match_fails_its_kernel_alone(monkeypatch):
     """C2xC2xC2 with the trivial class: its seven subgroups of order 2 are
     one stack of shape (2, 2).  With the second point of one of them made a
     twin of the first, every conjugated point of that kernel lies near two
-    points: it keeps the error it raises alone, and the six beside it get
-    the decompositions of a fresh context."""
+    points, so the stack raises and each kernel is staged again alone: the
+    bad one keeps the error it raises alone, and the six beside it get the
+    decompositions of a fresh context."""
     G = gq.make_group("C2xC2xC2")
     a = CocycleTable.trivial(G)
     order_two = [N for N in gq.subgroups(G) if N.order == 2]
@@ -1402,7 +1410,7 @@ def test_an_ambiguous_match_fails_its_kernel_alone(monkeypatch):
     )
     context = twinned()
     context.decompose_all(order_two)
-    assert stacks == [7]
+    assert stacks == [7, 1, 1, 1, 1, 1, 1, 1]
     with pytest.raises(CertificationError) as kept:
         context.decompose(bad)
     assert str(kept.value) == str(alone.value)
@@ -1461,6 +1469,91 @@ def test_decompose_all_keeps_every_subgroup_that_decomposes():
     assert all(context.decompose(N) is dec for N, dec in zip(normals, kept))
     with pytest.raises(DomainError):
         context.decompose_all([normals[0], gq.Subgroup(gq.cyclic(6), (0,))])
+
+
+def kept_outcome(context, N):
+    """What ``context.decompose(N)`` gives: the decomposition, or the type
+    and message of the error it raises."""
+    try:
+        return context.decompose(N)
+    except GquotError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, MackeyDecomposition):
+        assert isinstance(got, MackeyDecomposition), got
+        assert_same_decomposition(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D4", "D6", "Q8"])
+def test_a_scan_of_every_subgroup_gives_each_its_lone_outcome(monkeypatch, spec):
+    """Every subgroup of a non-abelian group with the trivial class, normal
+    or not, in lattice order and reversed, in one ``decompose_all``: each N
+    keeps the decomposition a fresh context gives it alone, or the same
+    error type and message.  The oracle splits alpha, then the restriction
+    of every N of the scan, normal or not, in one pass in scan order, and it
+    keeps those and the obstruction tables of the decompositions, nothing
+    else."""
+    G = gq.make_group(spec)
+    a = CocycleTable.trivial(G)
+    lattice = gq.subgroups(G)
+    alone = {N.elements: kept_outcome(MackeyContext(a), N) for N in lattice}
+    failing = [w for w in alone.values() if not isinstance(w, MackeyDecomposition)]
+    assert [error for error, _ in failing] == [NormalityError] * sum(not N.is_normal() for N in lattice)
+    key, split, splits = BlockOracle._key, twisted.split_algebras, []
+
+    def recorded(algebras, seed):
+        splits.append([key(A.cocycle) for A in algebras])
+        return split(algebras, seed)
+
+    monkeypatch.setattr(twisted, "split_algebras", recorded)
+    for scan in (lattice, lattice[::-1]):
+        splits.clear()
+        context = MackeyContext(a)
+        context.decompose_all(scan)
+        restrictions = list(dict.fromkeys(key(a.restrict(N)) for N in scan))
+        assert splits[:2] == [[key(a)], [k for k in restrictions if k != key(a)]]
+        tables = set()
+        for N in scan:
+            got = kept_outcome(context, N)
+            assert_same_outcome(got, alone[N.elements])
+            if isinstance(got, MackeyDecomposition):
+                tables.update(key(o.omega) for o in got.orbits)
+        assert context.oracle._blocks.keys() == {key(a), *restrictions, *tables}
+
+
+def test_a_kernel_whose_split_fails_keeps_the_error_it_meets_first_alone(monkeypatch):
+    """S4 with the trivial class, the split of every subgroup of order 6 or
+    12 made to fail (its sample is zero on every attempt): a non-normal S3,
+    center dimension 3 of 6, keeps the NormalityError a lone N meets before
+    its split, and the normal A4, center dimension 4 of 12, the error of its
+    split; in a scan of the whole lattice, in either order, and alone.
+    Every other N keeps what it gets alone."""
+    G = gq.make_group("S4")
+    a = CocycleTable.trivial(G)
+    lattice = gq.subgroups(G)
+    bad = [a.restrict(N) for N in lattice if N.order in (6, 12)]
+    assert {(TwistedAlgebra(r.group, r).center_dimension(), r.group.n) for r in bad} == {(3, 6), (4, 12)}
+    sample = twisted._Split.sample
+    monkeypatch.setattr(twisted._Split, "sample", lambda self: sample(self) * (0 if self.algebra.cocycle in bad else 1))
+    alone = {N.elements: kept_outcome(MackeyContext(a), N) for N in lattice}
+    for N in lattice:
+        if N.order == 6:
+            with pytest.raises(NormalityError) as normality:
+                gq.quotient(G, N)
+            assert alone[N.elements] == (NormalityError, str(normality.value))
+        elif N.order == 12:
+            error, message = alone[N.elements]
+            assert error is CertificationError
+            assert message.startswith(f"block oracle failed after {MAX_ATTEMPTS} attempts: cluster count 1")
+    for scan in (lattice, lattice[::-1]):
+        context = MackeyContext(a)
+        context.decompose_all(scan)
+        for N in lattice:
+            assert_same_outcome(kept_outcome(context, N), alone[N.elements])
 
 
 # -- the decomposition checks fire ----------------------------------------------

@@ -136,10 +136,8 @@ def conjugate_idempotent(A, N, g, point, points):
         target, gn, ginv = conjugate(G, g, n), G.mul(g, n), G.inv(g)
         assert target in pos, f"conjugating {n} by {g} leaves N"
         raw[pos[target]] = point.coeffs[i] * W[g, n] * W[gn, ginv] / W[g, ginv]
-    (index,) = match_idempotents(raw[None, None], np.array([[p.coeffs for p in points]]))
-    if isinstance(index, CertificationError):
-        raise index
-    return points[index[0]]
+    ((index,),) = match_idempotents(raw[None, None], np.array([[p.coeffs for p in points]]))
+    return points[index]
 
 
 def same_orbit(A, N, p1, p2, points):
@@ -259,8 +257,8 @@ def test_transitive_action_for_nondegenerate():
 def test_match_idempotent_rejects_garbage():
     C2 = gq.cyclic(2)
     pts = central_idempotents(C2, CocycleTable.trivial(C2), seed=0)
-    (outcome,) = match_idempotents(np.array([[[0.3 + 0j, 0.1]]]), np.array([[p.coeffs for p in pts]]))
-    assert isinstance(outcome, CertificationError)
+    with pytest.raises(CertificationError, match=rf"^idempotent match found 0 candidates within {TOL_ROUND}$"):
+        match_idempotents(np.array([[[0.3 + 0j, 0.1]]]), np.array([[p.coeffs for p in pts]]))
 
 
 def test_irreducible_rep_of_s3_block():
@@ -591,9 +589,22 @@ def test_block_basis_spans_the_block(name):
         assert np.max(np.abs(B @ B.conj().T - U @ U.conj().T)) <= 1e-12
 
 
-def _match_outcome(rows, points):
+def _stacked_match(rows, points):
+    """One ``match_idempotents`` call on the stacks ``rows`` against the
+    point tuples ``points``: the indices of each stack, or the message of
+    the error it raises."""
+    known = np.array([[p.coeffs for p in stack] for stack in points])
     try:
-        return reference_match_rows(rows, points)
+        return [tuple(index.tolist()) for index in match_idempotents(np.array(rows), known)]
+    except CertificationError as exc:
+        return str(exc)
+
+
+def _match_outcome(rows, points):
+    """The one-point loop over each stack in order: the indices of each, or
+    the message of the first stack whose match fails."""
+    try:
+        return [reference_match_rows(r, p) for r, p in zip(rows, points)]
     except CertificationError as exc:
         return str(exc)
 
@@ -602,7 +613,8 @@ def _match_outcome(rows, points):
 def test_match_idempotent_matches_reference(spec):
     """Stacked matches equal the one-point loop, errors included: rows near
     no point, near one, and near two (the points plus a twin 1e-9 from the
-    first)."""
+    first), one stack per call and every two stacks of one shape in one
+    call, where the first stack that fails raises its own message."""
     G = gq.make_group(spec)
     points = TwistedAlgebra(G, CocycleTable.trivial(G)).wedderburn(seed=0).blocks
     twin = IrrPoint(points[0].coeffs + 1e-9, points[0].dim, len(points), basis=points[0].basis)
@@ -614,11 +626,14 @@ def test_match_idempotent_matches_reference(spec):
     for garbage in (np.zeros(G.n), (known[0] + known[-1]) / 2, np.full(G.n, np.nan), rng.standard_normal(G.n)):
         stacks.append(np.vstack([exact, garbage]))
         stacks.append(np.vstack([garbage, exact]))
-    for rows in stacks:
-        for known_points in (points, points + (twin,)):
-            (got,) = match_idempotents(rows[None], np.array([[p.coeffs for p in known_points]]))
-            got = str(got) if isinstance(got, CertificationError) else tuple(got.tolist())
-            assert got == _match_outcome(rows, known_points)
+    cases = [(rows, known_points) for rows in stacks for known_points in (points, points + (twin,))]
+    for rows, known_points in cases:
+        assert _stacked_match([rows], [known_points]) == _match_outcome([rows], [known_points])
+    for first_rows, first_points in cases:
+        for rows, known_points in cases:
+            if rows.shape == first_rows.shape and len(known_points) == len(first_points):
+                pair = [first_rows, rows], [first_points, known_points]
+                assert _stacked_match(*pair) == _match_outcome(*pair)
 
 
 # -- the block oracle registry --------------------------------------------------
