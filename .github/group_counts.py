@@ -1,6 +1,7 @@
 """How many groups, table cores, homomorphism checks, subgroup closure checks
 and Cayley trees one Theorem-D call builds, how many block splits it makes
-numerically and exactly, in how many stacked eigh calls, in how many stacks
+numerically and exactly, in how many exact-centre stacks covering how many
+algebras, in how many stacked eigh calls, in how many stacks
 it matches the conjugated points of its kernels, how many modules it
 extracts in how many stacked eigh calls, how many split and extraction
 calls it makes, with how many of them carried a single item, and how many
@@ -21,7 +22,10 @@ quotient projections skip theirs by proof.  Every split goes through
 the list splits exactly when its center is one-dimensional (one block) and
 by an eigensplit otherwise, and the eigensplits of one order share one
 stacked `np.linalg.eigh` call per attempt, counted as the eigh calls on a
-stack of matrices.  Every module goes through `twisted.extract_modules`,
+stack of matrices.  The exact centres are read per stack too: one
+`twisted._stacked_classes` call serves the algebras of one order within the
+split budget, and a lone centre (`TwistedAlgebra._twisted_classes`, as
+`is_nondegenerate` reads it) is a stack of one.  Every module goes through `twisted.extract_modules`,
 whose samples of one size share one stacked eigh per attempt too; those
 calls are counted apart.  A match stack is one
 `MackeyContext._point_actions` call, which matches the conjugated points of
@@ -52,14 +56,14 @@ def counted_call(alpha) -> dict:
     counts = dict.fromkeys(["groups", "cores", "homs", "compares", "all_pairs", "trees", "subgroups",
                             "numeric", "exact", "stacked_eigh", "match_stacks", "kernels", "modules",
                             "module_eigh", "split_calls", "lone_splits", "extract_calls", "lone_extracts",
-                            "passed_again"], 0)
+                            "passed_again", "centre_stacks", "centre_algebras"], 0)
     tables = set()
     extracting, running = [], []
     group_init, core_init = groups.FiniteGroup.__init__, groups._TableCore.__init__
     hom_check, build_tree = groups.GroupHom.__post_init__, groups._cayley_tree
     subgroup_check, split, eigh = groups.Subgroup.__post_init__, twisted.split_algebras, np.linalg.eigh
     extract, point_actions = twisted.extract_modules, mackey.MackeyContext._point_actions
-    run_stack = mackey._run_stack
+    run_stack, stacked_classes = mackey._run_stack, twisted._stacked_classes
 
     def count_group(self, *args, **kwargs):
         group_init(self, *args, **kwargs)
@@ -120,6 +124,11 @@ def counted_call(alpha) -> dict:
         finally:
             counts["passed_again"] += running.pop()
 
+    def count_stacked_classes(algebras):
+        counts["centre_stacks"] += 1
+        counts["centre_algebras"] += len(algebras)
+        return stacked_classes(algebras)
+
     def count_eigh(a, *args, **kwargs):
         counts["module_eigh" if extracting else "stacked_eigh"] += np.ndim(a) == 3
         return eigh(a, *args, **kwargs)
@@ -129,7 +138,7 @@ def counted_call(alpha) -> dict:
                (groups.Subgroup, "__post_init__", count_subgroup), (twisted, "split_algebras", count_split),
                (twisted, "extract_modules", count_extract),
                (mackey.MackeyContext, "_point_actions", count_point_actions), (mackey, "_run_stack", count_run_stack),
-               (np.linalg, "eigh", count_eigh)]
+               (twisted, "_stacked_classes", count_stacked_classes), (np.linalg, "eigh", count_eigh)]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
         setattr(owner, name, wrapper)
@@ -147,15 +156,16 @@ def report() -> str:
     lines = [
         "Theorem D at seed 0 (ROADMAP items 6 and 12): groups built against their distinct tables and the cores"
         " built, the checks run, the block splits made numerically and exactly, and the stacked eigh calls"
-        " of the numeric ones, the match stacks with the kernels they match, and the modules extracted with"
+        " of the numeric ones, the exact-centre stacks with the algebras they cover, the match stacks with the kernels they match, and the modules extracted with"
         " the stacked eigh calls of their extractions, the split and extraction calls with those of one item,"
         " and the stacks passed again one item at a time",
         "",
         "| carrier | FiniteGroups | distinct tables | cores built | GroupHom checks | compares (all pairs) "
-        "| Subgroup closure checks | Cayley trees | splits numeric / exact | stacked eigh calls "
+        "| Subgroup closure checks | Cayley trees | splits numeric / exact | exact-centre stacks (algebras) "
+        "| stacked eigh calls "
         "| match stacks (kernels) | modules | module eigh calls | split calls (one algebra) "
         "| extraction calls (one module) | stacks passed again one item at a time |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for invariants in CARRIERS:
         alpha = standard_nondegenerate(invariants)
@@ -163,7 +173,8 @@ def report() -> str:
         name = "x".join(f"C{k}" for k in invariants + invariants)
         lines.append(f"| {name} | {c['groups']} | {c['tables']} | {c['cores']} | {c['homs']} "
                      f"| {c['compares']} ({c['all_pairs']}) | {c['subgroups']} | {c['trees']} "
-                     f"| {c['numeric']} / {c['exact']} | {c['stacked_eigh']} "
+                     f"| {c['numeric']} / {c['exact']} | {c['centre_stacks']} ({c['centre_algebras']}) "
+                     f"| {c['stacked_eigh']} "
                      f"| {c['match_stacks']} ({c['kernels']}) | {c['modules']} | {c['module_eigh']} "
                      f"| {c['split_calls']} ({c['lone_splits']}) | {c['extract_calls']} ({c['lone_extracts']}) "
                      f"| {c['passed_again']} |")

@@ -29,13 +29,24 @@ def _check_scale(scale: int) -> None:
 
 
 class CocycleTable:
-    """A normalized 2-cocycle as an exponent table modulo ``scale``."""
+    """A normalized 2-cocycle as an exponent table modulo ``scale``.
+
+    A table built from outside is reduced mod ``scale`` and validated.  A
+    ``_trusted`` caller promises a table that is a normalized 2-cocycle with
+    every entry already in range(scale), so it is neither reduced nor
+    validated: ``trivial``, ``rescale`` (entries below m, times m'/m), ``mul``,
+    ``restrict`` and ``coboundary`` in this module, ``standard_nondegenerate``,
+    ``catalog.catalog_cocycle`` (an equal table already built) and
+    ``mackey._exact_cocycle`` all pass entries reduced mod the scale.
+    """
 
     __slots__ = ("group", "scale", "exps")
 
     def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
         _check_scale(scale)
-        exps = np.asarray(exps, dtype=np.int64) % scale
+        exps = np.asarray(exps, dtype=np.int64)
+        if not _trusted:
+            exps = exps % scale
         if exps.shape != (group.n, group.n):
             raise ValidationError(f"cocycle table shape {exps.shape} does not match group order {group.n}")
         self.group = group
@@ -96,10 +107,10 @@ class CocycleTable:
     def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
         """The n x n tables conj[h, g] = h g h^-1 and kappa[h, g], the exponent
         with u_h u_g u_h^-1 = zeta_m^kappa u_{hgh^-1}: as u_h^-1 is
-        zeta_m^-c(h, h^-1) u_{h^-1}, kappa = c(h, g) + c(hg, h^-1) - c(h, h^-1) mod m."""
-        t, inv, c = self.group.table, self.group.inverse_table[:, None], self.exps
-        kappa = (c + c[t, inv] - c[np.arange(self.group.n)[:, None], inv]) % self.scale
-        return t[t, inv], kappa
+        zeta_m^-c(h, h^-1) u_{h^-1}, kappa = c(h, g) + c(hg, h^-1) - c(h, h^-1) mod m:
+        ``conjugations`` on this cocycle alone."""
+        conj, kappa = conjugations([self])
+        return conj[0], kappa[0]
 
     def restrict(self, H: Subgroup) -> "CocycleTable":
         """Restrict to H, on ``H.as_group()``, whose element i is ``H.elements[i]``."""
@@ -136,6 +147,20 @@ def cocycles_hold(group: FiniteGroup, scale: int, exps: np.ndarray) -> bool:
         ((exps + exps[..., mul, s] - exps[..., None, :, s] - exps[..., :, mul[:, s]]) % scale).any()
         for s in generating_sequence(group)
     )
+
+
+def conjugations(cocycles) -> tuple[np.ndarray, np.ndarray]:
+    """The tables conj and kappa of ``CocycleTable.conjugation`` for every
+    cocycle of ``cocycles``, all on groups of one order n, stacked (B, n, n)
+    along a leading axis: one integer pass over the stacked group tables,
+    inverse tables and exponent tables.  A list of one reads its own arrays,
+    with no stacked copy."""
+    stack = np.stack if len(cocycles) > 1 else (lambda arrays: arrays[0][None])
+    t, inv, c = (stack(arrays) for arrays in zip(*((a.group.table, a.group.inverse_table, a.exps) for a in cocycles)))
+    b, inv = np.arange(len(cocycles))[:, None, None], inv[:, :, None]
+    m = np.array([a.scale for a in cocycles], dtype=np.int64)[:, None, None]
+    kappa = (c + c[b, t, inv] - c[b, np.arange(t.shape[1])[:, None], inv]) % m
+    return t[b, t, inv], kappa
 
 
 def reconcile_scales(a: CocycleTable, b: CocycleTable) -> tuple[CocycleTable, CocycleTable]:
@@ -270,12 +295,13 @@ class Bicharacter:
 
     __slots__ = ("group", "scale", "exps")
 
-    def __init__(self, group: FiniteGroup, scale: int, exps):
+    def __init__(self, group: FiniteGroup, scale: int, exps, _trusted=False):
         _check_scale(scale)
         self.group = group
         self.scale = int(scale)
         self.exps = np.asarray(exps, dtype=np.int64) % scale
-        self._validate()
+        if not _trusted:  # ``bicharacter_of`` proves what the check tests
+            self._validate()
         self.exps.setflags(write=False)
 
     def _validate(self):
@@ -318,10 +344,25 @@ class Bicharacter:
 
 
 def bicharacter_of(a: CocycleTable) -> Bicharacter:
-    """The alternating form b(s, t) = c(s, t) - c(t, s); a class invariant."""
+    """The alternating form b(s, t) = c(s, t) - c(t, s); a class invariant.
+
+    On an abelian group this b is an alternating bicharacter for every
+    2-cocycle c, so it is built without ``Bicharacter._validate``.  It is
+    antisymmetric and zero on the diagonal by its definition, and additivity
+    in the first argument follows from the cocycle identity
+    c(g, h) + c(gh, k) = c(h, k) + c(g, hk) at (x, y, u), (u, x, y) and
+    (x, u, y), with yu = uy and ux = xu:
+
+        c(xy, u) = c(y, u) + c(x, uy) - c(x, y)
+        c(u, xy) = c(u, x) + c(xu, y) - c(x, y)
+        c(x, uy) - c(xu, y) = c(x, u) - c(u, y)
+
+    so b(xy, u) = c(y, u) - c(u, x) + c(x, u) - c(u, y) = b(x, u) + b(y, u),
+    all mod m.  Additivity in the second argument follows by antisymmetry.
+    """
     if not a.group.is_abelian:
         raise DomainError("bicharacter_of requires an abelian group")
-    return Bicharacter(a.group, a.scale, (a.exps - a.exps.T) % a.scale)
+    return Bicharacter(a.group, a.scale, (a.exps - a.exps.T) % a.scale, _trusted=True)
 
 
 def standard_nondegenerate(invariants) -> CocycleTable:

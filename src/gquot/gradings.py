@@ -81,14 +81,24 @@ class Summand:
     """A simply-graded summand: elementary character, fine subgroup, cocycle.
 
     ``fine`` is None for a trivial fine part, or a Subgroup of the grading
-    group.  ``cocycle`` is None (trivial) or a CocycleTable on the fine
-    group; a Mackey summand carries its orbit's exact obstruction, of
-    scale |I|.
+    group ``x.group``.  ``cocycle`` is None (trivial) or a CocycleTable on
+    the fine group ``fine.as_group()``, or on the trivial group when
+    ``fine`` is None; a Mackey summand carries its orbit's exact
+    obstruction, of scale |I|.  Any other fine part or cocycle raises
+    DomainError.
     """
 
     x: Character
     fine: Subgroup | None = None
     cocycle: CocycleTable | None = None
+
+    def __post_init__(self):
+        if self.fine is not None and self.fine.group != self.x.group:
+            raise DomainError("fine subgroup lives on another group than the summand character")
+        if self.cocycle is not None and not (
+            self.cocycle.group.n == 1 if self.fine is None else self.cocycle.group == self.fine.as_group()
+        ):
+            raise DomainError("summand cocycle lives on another group than its fine subgroup")
 
     def fine_order(self) -> int:
         return 1 if self.fine is None else self.fine.order

@@ -592,7 +592,8 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
     earlier generator already met would only repeat that earlier join
     (Neubüser, *Numer. Math.* 2, 1960).  Skipping it drops no subgroup and
     keeps the order of discovery, so the rule stays complete for every
-    group, non-solvable tables included.
+    group, non-solvable tables included.  The met cosets are marked in a
+    ``bytearray``, each coset cH read off the row list ``G.rows[c]``.
 
     Every set kept is a subgroup, so its ``Subgroup`` skips the closure
     check.  By induction, each key K is ``<gens>`` for its kept generators
@@ -613,11 +614,14 @@ def _cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
         nxt = []
         for H in layer:
             base = sorted(H)
-            met = np.zeros(G.n, dtype=bool)  # the union of the cosets cH joined so far, H included
-            met[base] = True
+            met = bytearray(G.n)  # the union of the cosets cH joined so far, H included
+            for h in base:
+                met[h] = 1
             for c in cyclic_gens.values():
                 if not met[c]:
-                    met[G.table[c, base]] = True
+                    row = G.rows[c]
+                    for h in base:
+                        met[row[h]] = 1
                     gens = lattice[H] + (c,)
                     K = frozenset(_closure(G, gens, base))
                     if K not in lattice:
@@ -646,7 +650,7 @@ def _closure(G: FiniteGroup, seed, base=(0,)) -> set[int]:
         for g in gens:
             y = row[g]
             if y not in closure:
-                closure.update([T[b][y] for b in base])
+                closure.update((y,) if len(base) == 1 else [T[b][y] for b in base])  # a trivial base: y alone
                 reps.append(y)
     return closure
 

@@ -25,7 +25,10 @@ is central iff x_{hgh^-1} = zeta_m^kappa(h, g) x_g for all h, g.  The
 twisted conjugacy class of g is the column conj[:, g], listed from its
 smallest element r; the candidate exponent at each member is kappa from r,
 and the class supports a central vector iff every edge (h, g) agrees with
-them mod m, all edges compared in one integer array operation.  The number
+them mod m, all edges compared in one integer array operation.  The center
+is read per stack: the tables of all algebras of one order, within the split
+budget, go through that operation along a leading axis
+(``_stacked_classes``), and a lone algebra is a stack of one.  The number
 of simple blocks is therefore known exactly before any numerics, and the
 random central sample is written straight from these arrays, one
 coefficient per element of a kept class.
@@ -76,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycles import CocycleTable, bicharacter_of
+from .cocycles import CocycleTable, bicharacter_of, conjugations
 from .errors import CertificationError, DomainError, SizeBoundError, TheoremCheckError, ValidationError
 from .groups import ORDER_BOUND, FiniteGroup, cayley_tree
 
@@ -158,9 +161,11 @@ class TwistedAlgebra:
     # -- the regular representation ------------------------------------------
 
     def left_regular(self, x: np.ndarray) -> np.ndarray:
-        """The matrix of left multiplication by sum(x_g u_g): entry (gh, h) is x_g a(g, h)."""
-        out = np.empty((self.n, self.n), dtype=np.complex128)
-        out[self.group.table, np.arange(self.n)] = x[:, None] * self.phases
+        """The matrix of left multiplication by sum(x_g u_g): entry (gh, h) is
+        x_g a(g, h); for a stack (..., n) of vectors, the stack of their
+        matrices, in one scatter."""
+        out = np.empty((*x.shape[:-1], self.n, self.n), dtype=np.complex128)
+        out[..., self.group.table, np.arange(self.n)] = x[..., :, None] * self.phases
         return out
 
     def right_regular(self, x: np.ndarray) -> np.ndarray:
@@ -188,26 +193,9 @@ class TwistedAlgebra:
         return len(np.unique(rep[kept]))
 
     def _twisted_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For every element g: the smallest element r of its twisted class,
-        whether that class supports a central vector, and the phase of g's
-        coefficient in it.
-
-        A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g, with
-        both tables from ``CocycleTable.conjugation``.  A class is listed from
-        its smallest element r, which gets exponent 0; the exponent at g is
-        kappa(h, r) for the smallest h with h r h^-1 = g.  Every edge (h, g) is
-        then re-checked mod m, so a class is kept exactly when all its loops
-        are phase-consistent.
-        """
-        conj, kappa = self.cocycle.conjugation()
-        m = self.cocycle.scale
-        rep = conj.min(axis=0)
-        first = np.argmax(conj[:, rep] == np.arange(self.n), axis=0)  # smallest h with h rep h^-1 = g
-        val = kappa[first, rep]
-        bad = (val + kappa) % m != val[conj]
-        broken = np.zeros(self.n, dtype=bool)
-        broken[rep[bad.any(axis=0)]] = True
-        return rep, ~broken[rep], np.exp(2j * np.pi * val / m)
+        """``_stacked_classes`` on this algebra alone."""
+        rep, kept, phases = _stacked_classes([self])
+        return rep[0], kept[0], phases[0]
 
     # -- block oracle ----------------------------------------------------------
 
@@ -332,20 +320,27 @@ def split_algebras(algebras, seed: int) -> list[WedderburnData | CertificationEr
     as ``TwistedAlgebra.wedderburn(seed)`` gives it alone, or the
     CertificationError that call raises.
 
-    A simple algebra takes its one block off the exact center.  Every other
-    algebra draws its central samples from its own
+    The exact centers are read per stack of one order n, cut by ``stacks``
+    to SPLIT_BUDGET table entries, n^2 per algebra, in one integer pass each
+    (``_stacked_classes``).  A simple algebra takes its one block off the
+    exact center.  Every other algebra draws its central samples from its own
     ``np.random.default_rng(seed)`` stream, exactly as it would alone, and
     the samples of one order n go into one stacked ``np.linalg.eigh`` per
     attempt (``_stacked_attempts``).  Each algebra is then certified by its
-    own checks in ``_Split.certify``, and one that fails redraws from its
-    stream on its next attempt, so a failure elsewhere in its stack never
-    moves its draws.  numpy's stacked eigh solves each matrix of a stack on
+    own checks in ``_Split.certify``, its idempotent residuals measured in
+    one stacked matvec per chunk (``_idempotent_residual``), and one that
+    fails redraws from its stream on its next attempt, so a failure
+    elsewhere in its stack never moves its draws.  numpy's stacked eigh solves each matrix of a stack on
     its own and returns the bits of a lone call (checked against lone splits
     over the sweep's restrictions and the Theorem-D lattices), so the result
     of each algebra does not depend on the others it was split with.
     """
     _check_seed(seed)
-    splits = [_Split(A, seed) for A in algebras]
+    algebras = list(algebras)
+    splits = [None] * len(algebras)
+    for _, stack in stacks([(A.n, A.n * A.n, i) for i, A in enumerate(algebras)], SPLIT_BUDGET):
+        for i, *classes in zip(stack, *_stacked_classes([algebras[i] for i in stack])):
+            splits[i] = _Split(algebras[i], seed, classes)
     for s in splits:
         if s.k == 1:
             try:
@@ -418,15 +413,44 @@ def stacks(entries, budget: int) -> list[tuple]:
     return [(key, items) for key, of_key in cut.items() for _, items in of_key]
 
 
+def _stacked_classes(algebras) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every element g of every algebra of ``algebras``, all of one order
+    n, stacked (B, n) along a leading axis: the smallest element r of its
+    twisted class, whether that class supports a central vector, and the
+    phase of g's coefficient in it, in one integer pass over the stacked
+    tables of ``cocycles.conjugations``.
+
+    A central vector must satisfy x_{hgh^-1} = zeta_m^kappa(h,g) x_g, with
+    both tables from ``CocycleTable.conjugation``.  A class is listed from
+    its smallest element r, which gets exponent 0; the exponent at g is
+    kappa(h, r) for the smallest h with h r h^-1 = g.  Every edge (h, g) is
+    then re-checked mod m, so a class is kept exactly when all its loops
+    are phase-consistent.  Each algebra's rows are the integers its lone
+    pass gives, and its phases the bits of its lone exp.
+    """
+    conj, kappa = conjugations([A.cocycle for A in algebras])
+    B, n = conj.shape[:2]
+    b, m = np.arange(B)[:, None], np.array([A.cocycle.scale for A in algebras], dtype=np.int64)[:, None]
+    rep = conj.min(axis=1)
+    # smallest h with h rep h^-1 = g
+    first = np.argmax(conj[b[:, :, None], np.arange(n)[:, None], rep[:, None, :]] == np.arange(n), axis=1)
+    val = kappa[b, first, rep]
+    bad = (val[:, None, :] + kappa) % m[:, :, None] != val[b[:, :, None], conj]
+    broken = np.zeros((B, n), dtype=bool)
+    rows, g = np.nonzero(bad.any(axis=1))
+    broken[rows, rep[rows, g]] = True
+    return rep, ~broken[b, rep], np.exp(2j * np.pi * val / m)
+
+
 class _Split:
     """One algebra of ``split_algebras``: the exact classes of
-    ``_twisted_classes`` with k, the center dimension, the size n of its
-    samples, its own random stream, the reason its last attempt failed, and
-    its ``outcome``, the certified blocks or the error, None while it is
-    pending."""
+    ``_stacked_classes`` (its own, when none are given) with k, the center
+    dimension, the size n of its samples, its own random stream, the reason
+    its last attempt failed, and its ``outcome``, the certified blocks or
+    the error, None while it is pending."""
 
-    def __init__(self, algebra: TwistedAlgebra, seed: int):
-        rep, kept, phases = algebra._twisted_classes()
+    def __init__(self, algebra: TwistedAlgebra, seed: int, classes=None):
+        rep, kept, phases = algebra._twisted_classes() if classes is None else classes
         reps = np.unique(rep[kept])  # one central basis vector per kept class, by smallest element
         self.algebra, self.kept, self.size = algebra, kept, algebra.n
         self.slot, self.phases = np.searchsorted(reps, rep[kept]), phases[kept]
@@ -452,7 +476,7 @@ class _Split:
         if len(clusters) != self.k:
             self.last = f"cluster count {len(clusters)} != center dimension {self.k}"
             return
-        points = []
+        points = []  # (dim, cluster, coeffs, basis)
         for ci, idx in enumerate(clusters):
             V = evecs[:, idx]
             tr = float(np.vdot(V, V).real)
@@ -461,20 +485,30 @@ class _Split:
             if di < 1 or abs(d - di) > TOL_ROUND:
                 self.last = f"block trace {tr:.12f} does not certify as a square"
                 return
-            points.append(IrrPoint(V @ V[0].conj(), di, ci, V))
-        if sum(p.dim * p.dim for p in points) != A.n:
+            points.append((di, ci, V @ V[0].conj(), V))
+        if sum(p[0] * p[0] for p in points) != A.n:
             self.last = "sum of squared dimensions misses the group order"
             return
-        residual = 0.0
-        for p in points:
-            defect = A.left_regular(p.coeffs) @ p.coeffs - p.coeffs
-            residual = max(residual, float(np.max(np.abs(defect))))
+        residual = _idempotent_residual(A, np.array([p[2] for p in points]))
         if residual > TOL_IDEMPOTENT:
             self.last = f"idempotent residual {residual:.2e} beyond tolerance"
             return
-        points.sort(key=lambda p: (p.dim, p.index))
-        blocks = tuple(IrrPoint(p.coeffs, p.dim, rank, p.basis) for rank, p in enumerate(points))
+        points.sort(key=lambda p: p[:2])
+        blocks = tuple(IrrPoint(coeffs, di, rank, V) for rank, (di, _, coeffs, V) in enumerate(points))
         self.outcome = WedderburnData(tuple(p.dim for p in blocks), blocks, residual)
+
+
+def _idempotent_residual(A: TwistedAlgebra, E: np.ndarray) -> float:
+    """The largest entry of |e e - e| over the rows e of E: for a chunk of
+    rows at a time, whose matrices hold at most SPLIT_BUDGET entries (n^2
+    per row), one scatter of their ``left_regular`` matrices and one stacked
+    matvec, which returns the bits of each lone ``left_regular(e) @ e``."""
+    step = max(1, SPLIT_BUDGET // (A.n * A.n))
+    residual = 0.0
+    for start in range(0, len(E), step):
+        X = E[start:start + step]
+        residual = max(residual, float(np.max(np.abs(np.matmul(A.left_regular(X), X[:, :, None])[..., 0] - X))))
+    return residual
 
 
 class _Module:
@@ -625,13 +659,11 @@ def is_nondegenerate(a: CocycleTable) -> bool:
 
 
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[list[int]]:
-    clusters: list[list[int]] = []
-    for i, v in enumerate(sorted_vals):
-        if clusters and abs(v - sorted_vals[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    """The runs of ``sorted_vals`` in which each value lies within ``tol`` of
+    the one before it, as lists of indices: a run is cut before every i with
+    |v_i - v_(i-1)| not within ``tol``, all i found in one array test."""
+    bounds = [0, *(np.flatnonzero(~(np.abs(np.diff(sorted_vals)) <= tol)) + 1).tolist(), len(sorted_vals)]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 # -- idempotents matched against a certified set ------------------------------

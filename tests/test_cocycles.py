@@ -25,7 +25,8 @@ from gquot.cocycles import (
 )
 from gquot.errors import DomainError, ScaleError, TheoremCheckError, ValidationError
 from gquot.smith import solve_mod
-from gquot.suite import sweep_cases
+from gquot.lagrangians import maximal_elementary_quotients
+from gquot.suite import run_battery, sweep_cases
 from gquot.twisted import TwistedAlgebra, is_nondegenerate
 
 
@@ -704,3 +705,61 @@ def test_conjugation_matches_reference(name, a):
     conj, kappa = a.conjugation()
     assert conj.dtype == kappa.dtype == np.int64
     assert (conj.tolist(), kappa.tolist()) == reference_conjugation(a)
+
+
+def test_every_trusted_table_arrives_reduced(monkeypatch):
+    """A trusted CocycleTable is neither reduced nor validated, so each
+    trusted caller must pass entries in range(scale): every one built during
+    ``run_battery(0)`` and a Theorem-D call on each carrier does."""
+    seen = []
+    init = CocycleTable.__init__
+
+    def checked(self, group, scale, exps, _trusted=False):
+        init(self, group, scale, exps, _trusted=_trusted)
+        if _trusted:
+            seen.append(bool(((self.exps >= 0) & (self.exps < scale)).all()))
+
+    monkeypatch.setattr(CocycleTable, "__init__", checked)
+    run_battery(0)
+    for invariants in THEOREM_D_CARRIERS:
+        a = standard_nondegenerate(invariants)
+        maximal_elementary_quotients(a.group, a, seed=0)
+    assert len(seen) > 1000 and all(seen)
+
+
+def _abelian_catalog_factors():
+    """The cyclic factor orders of every abelian catalog group, checked to
+    build its table as the direct product of those factors, row-major."""
+    for name in GROUP_SPECS:
+        G = gq.make_group(name)
+        if G.is_abelian:
+            sizes = [int(part[1:]) for part in name.split("x")]
+            assert np.array_equal(G.table, gq.direct_product(*map(gq.cyclic, sizes)).table)
+            yield name, sizes
+
+
+ABELIAN_CATALOG = dict(_abelian_catalog_factors())
+
+
+@given(st.sampled_from(sorted(ABELIAN_CATALOG)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bicharacter_of_needs_no_validation(name, data):
+    """Over random cocycles of the abelian catalog groups, a bilinear
+    cocycle times a random coboundary (every class of an abelian group has a
+    bilinear representative), each table ``bicharacter_of`` builds without
+    the check passes the public, validating ``Bicharacter`` unchanged."""
+    sizes = ABELIAN_CATALOG[name]
+    G = gq.make_group(name)
+    m = math.lcm(*sizes) * data.draw(st.integers(1, 3), label="scale factor")
+    coords = np.stack(np.unravel_index(np.arange(G.n), sizes), axis=1)
+    form = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
+    for i, j in np.ndindex(form.shape):  # a well-defined bilinear weight on C_ni x C_nj
+        gcd = math.gcd(sizes[i], sizes[j])
+        form[i, j] = data.draw(st.integers(0, gcd - 1)) * (m // gcd)
+    bilinear = CocycleTable(G, m, coords @ form @ coords.T)
+    cochain = OneCochain(G, m, [0] + data.draw(st.lists(st.integers(0, m - 1), min_size=G.n - 1, max_size=G.n - 1)))
+    a = bilinear.mul(coboundary(cochain))
+    b = bicharacter_of(a)
+    checked = Bicharacter(G, b.scale, b.exps)
+    assert checked == b and checked.exps.tobytes() == b.exps.tobytes()
+    assert b == bicharacter_of(bilinear)

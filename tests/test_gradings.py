@@ -291,6 +291,33 @@ def test_a_descriptor_refuses_a_character_over_another_group():
         GradingClassDescriptor(C4, (Summand(Character.point(C4)), Summand(Character.point(C8, 5))))
 
 
+def test_a_summand_refuses_parts_on_other_groups():
+    """A fine subgroup of another group than the character's, a cocycle on
+    another group than the fine subgroup, or a cocycle on a non-trivial
+    group with no fine subgroup raises DomainError when the summand is
+    built, not an IndexError in ``descriptor_dims`` or a wrong verdict of
+    ``is_elementary``; parts on the right groups are kept."""
+    C4, C8 = gq.cyclic(4), gq.cyclic(8)
+    with pytest.raises(DomainError, match="^fine subgroup lives on another group than the summand character$"):
+        GradingClassDescriptor(C4, (Summand(Character.point(C4), gq.Subgroup(C8, (0, 2, 4, 6))),))
+    cocycle = "^summand cocycle lives on another group than its fine subgroup$"
+    with pytest.raises(DomainError, match=cocycle):
+        Summand(Character.point(C4), gq.Subgroup(C4, (0, 2)), CocycleTable.trivial(gq.cyclic(3)))
+    with pytest.raises(DomainError, match=cocycle):
+        Summand(Character.point(C4), None, CocycleTable.trivial(gq.cyclic(3), 3))
+    G = gq.make_group("C2xC4")
+    H = gq.generated_subgroup(G, [1])  # cyclic of order 4
+    with pytest.raises(DomainError, match=cocycle):  # the order of H, another table
+        Summand(Character.point(G), H, CocycleTable.trivial(gq.make_group("C2xC2")))
+    kept = [
+        Summand(Character.point(G), H, CocycleTable.trivial(H.as_group(), 4)),
+        Summand(Character.point(G), H, CocycleTable.trivial(gq.cyclic(4))),  # an equal table
+        Summand(Character.point(G), None, CocycleTable.trivial(gq.trivial_group(), 3)),
+        Summand(Character.point(G), gq.Subgroup(G, (0,)), CocycleTable.trivial(gq.trivial_group())),
+    ]
+    assert [s.has_trivial_fine() for s in kept] == [False, False, True, True]
+
+
 def test_equidimensional_criterion_both_paths():
     C2 = gq.cyclic(2)
     He = gq.Subgroup(C2, (0,))

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -816,7 +817,7 @@ def test_a_simple_algebra_of_non_square_dimension_raises(monkeypatch):
     A = TwistedAlgebra(C2, CocycleTable.trivial(C2))
     rep, kept, phases = A._twisted_classes()
     assert A.wedderburn(seed=0).dims == (1, 1)
-    monkeypatch.setattr(TwistedAlgebra, "_twisted_classes", lambda self: (rep, np.array([True, False]), phases))
+    monkeypatch.setattr(twisted, "_stacked_classes", lambda algebras: (rep[None], np.array([[True, False]]), phases[None]))
     with pytest.raises(CertificationError) as raised:
         A.wedderburn(seed=0)
     assert str(raised.value) == "simple algebra of dimension 2 is not a square"
@@ -921,6 +922,100 @@ def test_a_stacked_split_equals_each_algebra_split_alone(monkeypatch, budget):
         assert_same_split(got, A.wedderburn(seed=1))
         if A.center_dimension() > 1:
             assert_same_split(got, reference_eigensplit(A, 1))
+
+
+def reference_twisted_classes(A):
+    """The exact classes with one integer pass per algebra, its conjugation
+    tables included, as they were before the algebras of one order were
+    stacked."""
+    t, inv, c, m = A.group.table, A.group.inverse_table[:, None], A.cocycle.exps, A.cocycle.scale
+    kappa = (c + c[t, inv] - c[np.arange(A.n)[:, None], inv]) % m
+    conj = t[t, inv]
+    rep = conj.min(axis=0)
+    first = np.argmax(conj[:, rep] == np.arange(A.n), axis=0)
+    val = kappa[first, rep]
+    bad = (val + kappa) % m != val[conj]
+    broken = np.zeros(A.n, dtype=bool)
+    broken[rep[bad.any(axis=0)]] = True
+    return rep, ~broken[rep], np.exp(2j * np.pi * val / m)
+
+
+@functools.cache
+def sweep_algebras():
+    """One algebra per exact input among the restrictions of the sweep's
+    classes to their normal subgroups, of the non-degenerate classes on
+    C8xC8, C2xC4xC2xC4 and C2^4 to every subgroup, and the trivial classes
+    of S4xC2xC2 and D8xC4xC2: 667 restrictions, 275 exact inputs, orders 1
+    to 128."""
+    cases = [(a, gq.normal_subgroups(a.group)) for _, _, _, a in sweep_cases()]
+    cases += [(a, gq.subgroups(a.group)) for a in map(standard_nondegenerate, ([8], [2, 4], [2, 2]))]
+    for G in map(gq.make_group, ("S4xC2xC2", "D8xC4xC2")):
+        cases.append((CocycleTable.trivial(G), [gq.Subgroup(G, tuple(range(G.n)))]))
+    seen = {}
+    for a, subgroups in cases:
+        for N in subgroups:
+            r = a.restrict(N)
+            seen.setdefault((r.group.table.tobytes(), r.scale, r.exps.tobytes()), r)
+    assert sum(len(subgroups) for _, subgroups in cases) == 667 and len(seen) == 275
+    return [TwistedAlgebra(r.group, r) for r in seen.values()]
+
+
+def assert_same_classes(got, want):
+    """Equal rep, kept and phases, dtype and bytes."""
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("budget", [twisted.SPLIT_BUDGET, 700])
+def test_stacked_classes_equal_each_algebra_alone(budget):
+    """``_stacked_classes`` over every stack ``split_algebras`` cuts from the
+    sweep's algebras, at the split budget and at one that cuts every order
+    above 16 into stacks of one, gives each algebra the rep, kept and phases
+    of the per-algebra reference, byte for byte, and so does the lone
+    ``_twisted_classes``."""
+    algebras = sweep_algebras()
+    cut = twisted.stacks([(A.n, A.n * A.n, A) for A in algebras], budget)
+    assert len(cut) < len(algebras) and {A.n for A in algebras} == {stack[0].n for _, stack in cut}
+    for _, stack in cut:
+        for A, *got in zip(stack, *twisted._stacked_classes(stack), strict=True):
+            want = reference_twisted_classes(A)
+            assert_same_classes(got, want)
+            assert_same_classes(A._twisted_classes(), want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_stacked_split_equals_the_reference_over_the_sweep(seed):
+    """One ``split_algebras`` pass over the sweep's algebras splits each
+    numeric one to the bits of the one-eigh-per-algebra reference (dims,
+    residual, point order, coefficients and bases), and each simple one to
+    its one exact block."""
+    algebras = sweep_algebras()
+    outcomes = twisted.split_algebras(algebras, seed)
+    numeric = 0
+    for A, got in zip(algebras, outcomes, strict=True):
+        if A.center_dimension() > 1:
+            assert_same_split(got, reference_eigensplit(A, seed))
+            numeric += 1
+        else:
+            assert_same_split(got, A._simple_block())
+    assert numeric > 100
+
+
+def test_the_idempotent_residual_keeps_to_the_split_budget():
+    """The residual of a split is measured in chunks of at most
+    SPLIT_BUDGET entries: on the order-128 trivial class of D8xC4xC2, with
+    56 blocks, the traced peak of the split stays under 4 MiB, where one
+    stack of all 56 left-regular matrices alone holds 14 MiB."""
+    G = gq.make_group("D8xC4xC2")
+    A = TwistedAlgebra(G, CocycleTable.trivial(G))
+    tracemalloc.start()
+    try:
+        (data,) = twisted.split_algebras([A], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data.blocks) == 56 and 56 * A.n * A.n * 16 == 14 * 2**20
+    assert peak < 4 * 2**20
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=30), st.integers(1, 100), st.booleans())
